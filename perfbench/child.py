@@ -102,19 +102,20 @@ def measure(workload: str, seed: int, seconds: float, traced: bool) -> dict:
         values = spans.per_layer_values(tracer, len(timed))
         values["trace.overhead_s"] = statistics.median(timed) - statistics.median(plain)
         values["trace.units"] = len(timed)
-        out["per_layer"] = {name: {"value": values[name], "unit": unit}
-                            for name, unit, _ in metric_specs}
+        out["per_layer"] = {name: {"value": values[name], "unit": metric_unit}
+                            for name, metric_unit, _ in metric_specs}
         out["traced_samples_s"] = timed
         out["missing_targets"] = tracer.missing
-        problems = out["problems"]
-        problems.extend(_check_metric_names(names))
+        trace_problems = out["problems"]
+        trace_problems.extend(_check_metric_names(names))
         for layer in workloads.EXPECTED_LAYERS[workload]:
             if tracer.layer_calls(layer) == 0:
-                problems.append(f"layer {layer} recorded no call in the traced run")
+                trace_problems.append(f"layer {layer} recorded no call in the traced run")
         # the layers of all workloads together must cover every module
         covered = {layer for layers in workloads.EXPECTED_LAYERS.values() for layer in layers}
         if covered != set(spans.LAYERS):
-            problems.append(f"no workload covers layers {sorted(set(spans.LAYERS) - covered)}")
+            trace_problems.append(
+                f"no workload covers layers {sorted(set(spans.LAYERS) - covered)}")
     return out
 
 
