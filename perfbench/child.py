@@ -1,7 +1,8 @@
 """The process that does the measured work; started by run.py.
 
   child.py setup WORKLOAD
-      import socle_verify and build the workload's structures, then exit
+      import socle_verify and build the workload's structures, and print
+      one JSON line with the raw and the scaled seconds this took
   child.py measure WORKLOAD SEED SECONDS TRACE
       run units of the workload until SECONDS have passed, check every
       output, and print one JSON line with samples, counts and metrics
@@ -18,6 +19,7 @@ import time
 from pathlib import Path
 
 import workloads
+from speed import SpeedProbe
 
 
 def _facts() -> dict:
@@ -51,38 +53,45 @@ def measure(workload: str, seed: int, seconds: float, traced: bool) -> dict:
 
     attempted = failed = 0
     problems: list[str] = []
-    plain: list[float] = []
+    plain: list[float] = []  # scaled seconds of untraced units (see speed.py)
+    plain_raw: list[float] = []
     timed: list[float] = []
     tracer = spans.Tracer() if traced else None
     if traced:
         spans.selftest()
 
-    def unit(with_trace: bool) -> float:
+    def unit(with_trace: bool) -> tuple[float, float]:
+        """(scaled, raw) seconds of one unit; a traced unit is not scaled."""
         nonlocal attempted, failed
         gc.collect()  # every unit starts without the previous unit's garbage
-        start = time.perf_counter()
         if with_trace:
+            start = time.perf_counter()
             tracer.install()
             try:
                 results = tracer.root(workloads.run_unit, cli.main, workload, seed)
             finally:
                 tracer.uninstall()
+            elapsed = time.perf_counter() - start
+            times = (elapsed, elapsed)
         else:
-            results = workloads.run_unit(cli.main, workload, seed)
-        elapsed = time.perf_counter() - start
+            with SpeedProbe(workloads.PROBE[workload]) as probe:
+                results = workloads.run_unit(cli.main, workload, seed)
+            times = (probe.scaled_s, probe.raw_s)
         a, f, p = workloads.check_unit(workload, seed, results)
         attempted, failed = attempted + a, failed + f
         problems.extend(p)
-        return elapsed
+        return times
 
     deadline = time.perf_counter() + seconds
     unit(False)  # warm-up: lazy imports and first-touch allocations
     peak_rss_mb = None
     while True:
         if traced and len(timed) <= len(plain):
-            timed.append(unit(True))
+            timed.append(unit(True)[1])
         else:
-            plain.append(unit(False))
+            scaled, raw = unit(False)
+            plain.append(scaled)
+            plain_raw.append(raw)
         if peak_rss_mb is None:  # after a fixed amount of work: the warm-up and one unit
             peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
         if time.perf_counter() >= deadline and plain and (timed or not traced):
@@ -93,6 +102,7 @@ def measure(workload: str, seed: int, seconds: float, traced: bool) -> dict:
         "failed": failed,
         "problems": sorted(set(problems)),
         "samples_s": plain,
+        "raw_samples_s": plain_raw,
         "peak_rss_mb": peak_rss_mb,
         "facts": _facts(),
     }
@@ -100,7 +110,7 @@ def measure(workload: str, seed: int, seconds: float, traced: bool) -> dict:
         metric_specs = spans.per_layer_metric_names()
         names = [name for name, _, _ in metric_specs]
         values = spans.per_layer_values(tracer, len(timed))
-        values["trace.overhead_s"] = statistics.median(timed) - statistics.median(plain)
+        values["trace.overhead_s"] = statistics.median(timed) - statistics.median(plain_raw)
         values["trace.units"] = len(timed)
         out["per_layer"] = {name: {"value": values[name], "unit": metric_unit}
                             for name, metric_unit, _ in metric_specs}
@@ -122,7 +132,9 @@ def measure(workload: str, seed: int, seconds: float, traced: bool) -> dict:
 def main(argv: list[str]) -> int:
     mode, workload = argv[0], argv[1]
     if mode == "setup":
-        workloads.setup(workload)
+        with SpeedProbe(workloads.PROBE[workload]) as probe:
+            workloads.setup(workload)
+        print(json.dumps({"raw_s": probe.raw_s, "scaled_s": probe.scaled_s}))
         return 0
     seed, seconds, traced = int(argv[2]), float(argv[3]), argv[4] == "1"
     print(json.dumps(measure(workload, seed, seconds, traced)))

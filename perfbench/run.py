@@ -2,7 +2,7 @@
 
 Run from the root of a source checkout:
 
-  python3 perfbench/run.py --workload sweep --seed 7 --seconds 30 --trace 0
+  python3 perfbench/run.py --workload sweep --seed 7 --seconds 25 --trace 0
 
 Workloads (see workloads.py and README.md): sweep, large-order, gl-check.
 
@@ -10,7 +10,9 @@ With --trace 0 it reports the end-to-end metrics: wall_s (median seconds
 of one unit of the workload), setup_s (median seconds, over fresh
 processes, to import the package and build the structures the workload is
 verified against) and peak_rss_mb (maximum RSS of the measuring process).
-With --trace 1 it reports the per-layer metrics of a traced run instead.
+Both times are scaled to a reference host speed (see speed.py); the raw
+seconds are on the detail line.  With --trace 1 it reports the per-layer
+metrics of a traced run instead, in raw seconds.
 
 The measured work runs in one fresh child Python process with BLAS pinned
 to one thread.  The last line of standard output is a JSON object with
@@ -80,7 +82,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--workload", required=True, choices=WORKLOADS)
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
     started = time.monotonic()
@@ -102,16 +104,15 @@ def main(argv: list[str] | None = None) -> int:
         return TIME_LIMIT_S - (time.monotonic() - started)
 
     try:
-        setup_s = []
+        setups = []
         if not args.trace:
             for _ in range(SETUP_RUNS):
-                t0 = time.perf_counter()
                 done = _child(["setup", args.workload], env, min(60.0, remaining()))
-                setup_s.append(time.perf_counter() - t0)
-                if done.returncode != 0:
+                if done.returncode != 0 or not done.stdout.strip():
                     print(done.stderr, file=sys.stderr)
                     print(f"error: set-up exited with code {done.returncode}", file=sys.stderr)
                     return 1
+                setups.append(json.loads(done.stdout.strip().splitlines()[-1]))
         done = _child(
             ["measure", args.workload, str(args.seed), str(args.seconds), str(args.trace)],
             env, remaining(),
@@ -130,7 +131,7 @@ def main(argv: list[str] | None = None) -> int:
     else:
         metrics = {
             "wall_s": {"value": statistics.median(child["samples_s"]), "unit": "s"},
-            "setup_s": {"value": statistics.median(setup_s), "unit": "s"},
+            "setup_s": {"value": statistics.median(s["scaled_s"] for s in setups), "unit": "s"},
             "peak_rss_mb": {"value": child["peak_rss_mb"], "unit": "MB"},
         }
     correct = child["failed"] == 0 and not child["problems"]
@@ -152,8 +153,10 @@ def main(argv: list[str] | None = None) -> int:
     detail = {
         "facts": facts,
         "samples_s": child["samples_s"],
+        "raw_samples_s": child["raw_samples_s"],
         "traced_samples_s": child.get("traced_samples_s"),
-        "setup_samples_s": setup_s,
+        "setup_samples_s": [s["scaled_s"] for s in setups],
+        "raw_setup_samples_s": [s["raw_s"] for s in setups],
         "failed_ratio": child["failed"] / max(child["attempted"], 1),
         "missing_targets": child.get("missing_targets"),
         "problems": child["problems"],

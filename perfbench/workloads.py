@@ -74,6 +74,9 @@ def commands(workload: str, seed: int) -> list[tuple[str, list[str]]]:
 
 WORKLOADS = ("sweep", "large-order", "gl-check")
 
+# the host-speed probe that does the workload's kind of work (see speed.py)
+PROBE = {"sweep": "loop", "large-order": "loop", "gl-check": "mixed"}
+
 # layers each workload must reach; together they cover every layer
 EXPECTED_LAYERS = {
     "sweep": ("cli", "pipeline", "automorphisms", "groupalgebra", "jennings", "pgroup",
