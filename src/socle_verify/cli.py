@@ -30,6 +30,13 @@ from .pipeline import (
 )
 
 
+FULL_CHECK_HELP = (
+    "also run the brute-force oracles: alpha(g)alpha(h) = alpha(gh) on all pairs "
+    "(sampled above order 256), the translation-nullspace socle certificate, and the "
+    "series and normal-form cross-checks"
+)
+
+
 def _split_field(text: str) -> tuple[int, int, str | None]:
     parts = text.split(",", 2)
     p = int(parts[0])
@@ -102,7 +109,7 @@ def main(argv: list[str] | None = None) -> int:
         help="automorphism spec (repeatable); '@file' reads one spec per line",
     )
     p_run.add_argument("--no-stored", action="store_true", help="skip the group's stored automorphisms")
-    p_run.add_argument("--full-check", action="store_true", help="also run the slower structural checks")
+    p_run.add_argument("--full-check", action="store_true", help=FULL_CHECK_HELP)
     p_run.add_argument(
         "--seed",
         type=int,
@@ -120,7 +127,7 @@ def main(argv: list[str] | None = None) -> int:
     p_sweep.add_argument("--subst", type=int, default=25,
                          help="random substitutions per field (elementary abelian groups)")
     p_sweep.add_argument("--prime-only", action="store_true", help="skip the quadratic extension pass")
-    p_sweep.add_argument("--full-check", action="store_true")
+    p_sweep.add_argument("--full-check", action="store_true", help=FULL_CHECK_HELP)
     p_sweep.add_argument("--format", choices=("text", "json"), default="text")
 
     p_jen = sub.add_parser("jennings", help="print the layer table for a group")
@@ -166,7 +173,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             modulus=modulus,
             auto_specs=tuple(_load_specs(args.auto)),
             include_stored=not args.no_stored,
-            full_check=args.full_check,
             seed=args.seed,
         )
         algebra, autos = prepare(config)

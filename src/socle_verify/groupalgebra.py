@@ -44,11 +44,15 @@ class NotAUnit(ValueError):
     """Element has augmentation zero, hence lies in the radical."""
 
 
-def _sum_codes(ops: FieldOps, codes: np.ndarray) -> int:
+def column_sums(ops: FieldOps, codes: np.ndarray) -> np.ndarray:
+    """Field sums of codes along axis 0.
+
+    For a vector this is its augmentation; for an automorphism matrix it is
+    the augmentation of every column (the image of every group element).
+    """
     if ops.n == 1:
-        return int(codes.sum() % ops.p)
-    planes = ops.decode(codes.reshape(-1))
-    return int(ops.encode(planes.sum(axis=0) % ops.p))
+        return codes.sum(axis=0) % ops.p
+    return ops.encode(ops.decode(codes).sum(axis=0) % ops.p)
 
 
 class RadicalFiltration:
@@ -244,7 +248,7 @@ class AlgebraElement:
         return not self.codes.any()
 
     def augmentation(self) -> FieldElement:
-        return self.algebra.field.element_from_code(_sum_codes(self.algebra.ops, self.codes))
+        return self.algebra.field.element_from_code(int(column_sums(self.algebra.ops, self.codes)))
 
     def coefficient(self, g: GroupElement) -> FieldElement:
         idx = self.algebra.group.index_of(g)
@@ -391,19 +395,33 @@ class GroupAlgebra:
     def socle_vector(self) -> AlgebraElement:
         """The sum of all group elements, certified to span the socle.
 
-        Certification: J^s is one-dimensional and spanned by this vector,
-        and the fixed space of all left and all right translations is
-        exactly one-dimensional (equivalently, the two-sided annihilator
-        of J is k times this vector).
+        The socle, the two-sided annihilator of J, is the space fixed by
+        left and right translation by every generator.  The Cayley table is
+        certified to be a group table when the group is built, and the pc
+        generators generate G, so translations act transitively on the
+        group basis and the only fixed vectors are the constants.  What is
+        left to check is that the filtration agrees: J^s, read from the
+        cached filtration, is one-dimensional and spanned by this vector.
+        socle_vector_by_nullspace() recomputes the fixed space as an oracle.
         """
         filt = self.filtration
         s = filt.socle_degree
         if filt.dims[s] != 1 or not np.all(filt.bases[s] == 1):
             raise FiltrationError("last radical power is not spanned by the all-ones vector")
+        return self.sum_of_group_elements()
+
+    def socle_vector_by_nullspace(self) -> AlgebraElement:
+        """Spanning vector of the translation-fixed space, by brute force.
+
+        The oracle for socle_vector(): the nullspace of the stacked
+        (T - I) blocks of left and right translation by every generator, a
+        2m|G| x |G| system over the prime field.  Raises FiltrationError
+        unless the fixed space is one-dimensional.
+        """
         t = self.group.cayley_table
         inv = self.group.inverse_table
         n = self.dimension
-        ops = filt.ops
+        ops = self.filtration.ops
         rows = []
         for gi in self.generator_indices:
             for gather in (t[int(inv[gi])], t[:, int(inv[gi])]):
@@ -412,9 +430,11 @@ class GroupAlgebra:
                 block[np.arange(n), np.arange(n)] = (block[np.arange(n), np.arange(n)] - 1) % ops.p
                 rows.append(block)
         fixed = ops.nullspace(np.vstack(rows))
-        if fixed.shape[0] != 1 or not np.all(fixed == 1):
-            raise FiltrationError("translation-fixed space is not spanned by the all-ones vector")
-        return self.sum_of_group_elements()
+        if fixed.shape[0] != 1:
+            raise FiltrationError(
+                f"translation-fixed space has dimension {fixed.shape[0]}, expected 1"
+            )
+        return AlgebraElement(self, fixed[0])
 
     # -- parsing ----------------------------------------------------------------------
 

@@ -49,6 +49,7 @@ __all__ = [
     "prepare",
     "run",
     "sweep",
+    "sweep_automorphisms",
     "gl_check",
     "render_json",
 ]
@@ -101,7 +102,6 @@ class RunConfig:
     modulus: str | None = None  # modulus literal in t, e.g. "t^2+1"
     auto_specs: tuple[str, ...] = ()
     include_stored: bool = True
-    full_check: bool = False
     seed: int | None = None  # default seed base for random-* specs without seed=
 
 
@@ -243,6 +243,9 @@ def run(algebra: GroupAlgebra, autos: list[AlgebraAutomorphism], full_check: boo
                 "socle", ValueError("product of (lift - 1)^(p-1) is not the socle vector")
             )
         if full_check:
+            checks["socle_nullspace_oracle"] = (
+                algebra.socle_vector_by_nullspace() == algebra.sum_of_group_elements()
+            )
             basis.check_normal_form_bijection()
             checks["normal_form_bijection"] = True
             basis.degree_one_generates()
@@ -265,9 +268,14 @@ def run(algebra: GroupAlgebra, autos: list[AlgebraAutomorphism], full_check: boo
     reports = []
     try:
         for auto in autos:
+            if full_check:
+                auto.check_pairs()
             reports.append(verify_theorem(auto, basis))
     except Exception as err:
         raise RunStageError("verify", err) from err
+    if full_check and autos:
+        # the pair-check mode depends only on the group order
+        checks[f"pair_check_{autos[0].pair_check}"] = True
 
     verdict = all(
         rep.equation_holds
@@ -289,6 +297,40 @@ def run(algebra: GroupAlgebra, autos: list[AlgebraAutomorphism], full_check: boo
     )
 
 
+def sweep_automorphisms(
+    algebra: GroupAlgebra,
+    name: str,
+    seed: int,
+    inner_count: int = 25,
+    compose_count: int = 0,
+    subst_count: int = 25,
+) -> list[AlgebraAutomorphism]:
+    """The automorphisms one sweep run checks for catalog group `name`.
+
+    Stored group automorphisms, random inner ones, random compositions of
+    those, and random substitutions when the group is elementary abelian,
+    each source seeded from (seed, name, field degree, source kind).
+    """
+    group = algebra.group
+    deg = algebra.field.n
+    autos: list[AlgebraAutomorphism] = [
+        AlgebraAutomorphism.from_group_automorphism(algebra, ga)
+        for ga in group.stored_automorphisms()
+    ]
+    rng_inner = random.Random(derive_seed(seed, name, deg, "inner"))
+    autos.extend(random_inner(algebra, rng_inner) for _ in range(inner_count))
+    rng_comp = random.Random(derive_seed(seed, name, deg, "compose"))
+    pool = list(autos)
+    for _ in range(compose_count):
+        a = pool[rng_comp.randrange(len(pool))]
+        b = pool[rng_comp.randrange(len(pool))]
+        autos.append(a.compose(b))
+    if group.is_elementary_abelian() and subst_count:
+        rng_subst = random.Random(derive_seed(seed, name, deg, "subst"))
+        autos.extend(random_substitution(algebra, rng_subst) for _ in range(subst_count))
+    return autos
+
+
 def sweep(
     seed: int | None = None,
     groups: list[str] | None = None,
@@ -307,22 +349,9 @@ def sweep(
         degrees = [1] + ([extension_degree] if extension_degree > 1 else [])
         for deg in degrees:
             algebra = GroupAlgebra(group, GF(group.p, deg))
-            autos: list[AlgebraAutomorphism] = [
-                AlgebraAutomorphism.from_group_automorphism(algebra, ga)
-                for ga in group.stored_automorphisms()
-            ]
-            rng_inner = random.Random(derive_seed(seed, name, deg, "inner"))
-            inner = [random_inner(algebra, rng_inner) for _ in range(inner_count)]
-            autos.extend(inner)
-            rng_comp = random.Random(derive_seed(seed, name, deg, "compose"))
-            pool = list(autos)
-            for _ in range(compose_count):
-                a = pool[rng_comp.randrange(len(pool))]
-                b = pool[rng_comp.randrange(len(pool))]
-                autos.append(a.compose(b))
-            if group.is_elementary_abelian() and subst_count:
-                rng_subst = random.Random(derive_seed(seed, name, deg, "subst"))
-                autos.extend(random_substitution(algebra, rng_subst) for _ in range(subst_count))
+            autos = sweep_automorphisms(
+                algebra, name, seed, inner_count, compose_count, subst_count
+            )
             reports.append(run(algebra, autos, full_check=full_check))
     return SweepReport(seed=seed, reports=reports, verdict=all(r.verdict for r in reports))
 

@@ -23,7 +23,11 @@ __all__ = [
     "TruncatedPolynomial",
     "NotScalarMultiple",
     "SingularMatrix",
+    "MAX_GRID_CELLS",
 ]
+
+# largest p^m accepted; elements are dense int64 grids of p^m cells
+MAX_GRID_CELLS = 4096
 
 
 class NotScalarMultiple(ValueError):
@@ -40,6 +44,12 @@ class TruncatedPolynomialRing:
     def __init__(self, field: FieldSpec, nvars: int):
         if nvars < 1:
             raise ValueError("need at least one variable")
+        # p >= 2, so capping the exponent at the bit length of the limit keeps
+        # p^m cheap to compute and still decides the comparison
+        if field.p ** min(nvars, MAX_GRID_CELLS.bit_length()) > MAX_GRID_CELLS:
+            raise ValueError(
+                f"{field.p}^{nvars} coefficient grid exceeds the limit of {MAX_GRID_CELLS} cells"
+            )
         self.field = field
         self.nvars = nvars
         self.p = field.p

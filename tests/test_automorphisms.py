@@ -19,6 +19,7 @@ from socle_verify import (
     NotMultiplicative,
     SingularLinearPart,
     catalog,
+    catalog_names,
     lambda_of,
     induced_blocks,
     verify_theorem,
@@ -30,6 +31,7 @@ from socle_verify.automorphisms import (
     random_inner,
     random_substitution,
 )
+from socle_verify.pipeline import derive_seed, sweep_automorphisms
 
 
 def test_c3_inversion_report(algebra):
@@ -187,8 +189,11 @@ def test_pair_check_modes(algebra, monkeypatch):
     alg = algebra("D8")
     g = alg.group
     auto = AlgebraAutomorphism.from_group_automorphism(alg, g.stored_automorphisms()[0])
-    assert auto.pair_check == "full"
+    assert auto.pair_check == "generators"
     assert alg.dimension <= FULL_PAIR_CHECK_LIMIT
+    auto.check_pairs()
+    assert auto.pair_check == "full"
+    assert not auto.provenance.endswith("[sampled multiplicativity]")
 
     import socle_verify.automorphisms as mod
 
@@ -196,9 +201,73 @@ def test_pair_check_modes(algebra, monkeypatch):
     sampled = AlgebraAutomorphism.from_group_automorphism(
         alg, g.stored_automorphisms()[0]
     )
+    assert sampled.pair_check == "generators"
+    sampled.check_pairs()
     assert sampled.pair_check == "sampled"
     assert sampled.provenance.endswith("[sampled multiplicativity]")
+    sampled.check_pairs()  # a second call changes nothing
+    assert sampled.provenance.count("[sampled multiplicativity]") == 1
     assert lambda_of(sampled) == lambda_of(auto)
+
+
+def _is_group_automorphism(table, perm):
+    """Does the permutation perm of group indices preserve the Cayley table?"""
+    return np.array_equal(perm[table], table[np.ix_(perm, perm)])
+
+
+def _accepts(check):
+    try:
+        check()
+    except NotMultiplicative:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_multiplicativity_certificate_matches_pair_oracle(group, algebra, degree):
+    """Generator identities and the all-pairs oracle give the same verdicts.
+
+    Every automorphism a small sweep makes is accepted by both.  Each is
+    then corrupted by a column transposition fixing column 0; both reject
+    it exactly when the transposition is not a group automorphism.
+    """
+    rng = random.Random(derive_seed(5, "pair-oracle", degree))
+    names = [name for name in catalog_names() if group(name).order <= 27]
+    rejected = 0
+    for name in names:
+        alg = algebra(name, degree)
+        n = alg.dimension
+        table = alg.group.cayley_table
+        autos = sweep_automorphisms(alg, name, 5, inner_count=3, compose_count=2, subst_count=3)
+        for auto in autos:
+            assert auto.pair_check == "generators"
+            auto.check_pairs()
+            assert auto.pair_check == "full"
+            if n < 3:
+                continue
+            i, j = rng.sample(range(1, n), 2)
+            perm = np.arange(n)
+            perm[[i, j]] = perm[[j, i]]
+            bad = auto.matrix[:, perm]
+            expected = _is_group_automorphism(table, perm)
+            unchecked = AlgebraAutomorphism(alg, bad, "corrupt", validate=False)
+            assert _accepts(lambda: AlgebraAutomorphism(alg, bad, "corrupt")) == expected
+            assert _accepts(unchecked.check_pairs) == expected
+            rejected += not expected
+    assert rejected > 0
+
+
+def test_criterion_8_matrix_rejected_without_full_check(algebra):
+    alg = algebra("C4")
+    matrix = np.eye(alg.dimension, dtype=np.int64)
+    i = alg.group.index_of(alg.group.element((1, 0)))
+    j = alg.group.index_of(alg.group.element((0, 1)))
+    matrix[:, [i, j]] = matrix[:, [j, i]]
+    with pytest.raises(NotMultiplicative):
+        AlgebraAutomorphism(alg, matrix, "swap")
+    unchecked = AlgebraAutomorphism(alg, matrix, "swap", validate=False)
+    with pytest.raises(NotMultiplicative):
+        unchecked.check_pairs()
 
 
 def test_spec_parser_all_forms(algebra):

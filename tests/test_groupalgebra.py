@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from socle_verify import GF, FiltrationError, GroupAlgebra, NotAUnit
+from socle_verify import GF, FiltrationError, GroupAlgebra, NotAUnit, PcGroup
 from socle_verify.groupalgebra import (
     dimension_subgroups_definitional,
     radical_filtration,
@@ -80,6 +80,15 @@ def test_annihilator_is_one_dimensional_brute_force(algebra):
         assert not c.is_zero()
         scaled = [k.code_of(k.element_from_code(int(v)) / c) for v in null[0]]
         assert scaled == list(target)
+
+
+def test_structural_socle_matches_nullspace_oracle(algebra, all_names):
+    algebras = [algebra(name) for name in all_names]
+    c2_7 = PcGroup.from_presentation_text("pcgroup p=2 m=7\n", name="C2^7")
+    algebras.append(GroupAlgebra(c2_7, GF(2)))
+    assert len(algebras) == 25
+    for alg in algebras:
+        assert alg.socle_vector() == alg.socle_vector_by_nullspace(), alg.group.name
 
 
 def test_dimension_subgroups_match_recursive_series(group):

@@ -164,6 +164,33 @@ def test_gl_check_subcommand(capsys):
     assert data["checked"]["diagonal"] > 0
 
 
+def test_gl_check_rejects_oversized_grid(capsys):
+    # 2^40 int64 cells would exhaust memory; the bound rejects it up front
+    assert main(["gl-check", "--p", "2", "--m", "40"]) == 1
+    assert "exceeds the limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["D8", "Heis27"])
+def test_full_check_runs_the_oracles(capsys, name):
+    code, out = run_cli(capsys, ["run", "--group", name, "--auto", "random-inner count=2",
+                                 "--full-check", "--format", "json"])
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert checks["pair_check_full"] is True
+    assert checks["socle_nullspace_oracle"] is True
+    code, out = run_cli(capsys, ["sweep", "--groups", name, "--inner", "2", "--subst", "2",
+                                 "--full-check", "--format", "json"])
+    assert code == 0
+    for report in json.loads(out)["reports"]:
+        assert report["checks"]["pair_check_full"] is True
+        assert report["checks"]["socle_nullspace_oracle"] is True
+
+    algebra, autos = prepare(RunConfig(group=name, auto_specs=("random-inner count=2",)))
+    assert {auto.pair_check for auto in autos} == {"generators"}
+    run(algebra, autos, full_check=True)
+    assert {auto.pair_check for auto in autos} == {"full"}
+
+
 def test_catalog_subcommand(capsys):
     code, out = run_cli(capsys, ["catalog"])
     assert code == 0

@@ -70,6 +70,13 @@ def test_variable_index_bounds():
         ring.variable(3)
 
 
+def test_grid_size_bounded():
+    assert TruncatedPolynomialRing(GF(2), 12).shape == (2,) * 12  # 2^12 cells, at the limit
+    for p, m in ((2, 13), (5, 6), (2, 10**9)):
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            TruncatedPolynomialRing(GF(p), m)
+
+
 def test_elementary_and_diagonal_scalars():
     k = GF(5)
     ring = TruncatedPolynomialRing(k, 3)
