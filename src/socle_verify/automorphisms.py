@@ -59,6 +59,16 @@ __all__ = [
 # check_pairs() tries every pair up to this order and samples pairs beyond it
 FULL_PAIR_CHECK_LIMIT = 256
 
+# largest count a random-* spec, a sweep or gl-check accepts
+MAX_COUNT = 10_000
+
+
+def check_count(value: int, what: str) -> int:
+    """Return value; raise ValueError unless 0 <= value <= MAX_COUNT."""
+    if not 0 <= value <= MAX_COUNT:
+        raise ValueError(f"{what} must lie in 0..{MAX_COUNT}, got {value}")
+    return value
+
 
 class NotMultiplicative(ValueError):
     """Matrix fails an algebra-homomorphism identity."""
@@ -512,7 +522,7 @@ def parse_automorphism_specs(
         if unknown:
             raise ValueError(f"unknown options {sorted(unknown)} in {text!r}")
         seed = int(opts["seed"]) if "seed" in opts else default_seed
-        count = int(opts.get("count", "1"))
+        count = check_count(int(opts.get("count", "1")), "count")
         rng = random.Random(seed)
         maker = random_inner if kind.startswith("random-inner") else random_substitution
         return [maker(algebra, rng) for _ in range(count)]

@@ -32,8 +32,9 @@ from .pipeline import (
 
 FULL_CHECK_HELP = (
     "also run the brute-force oracles: alpha(g)alpha(h) = alpha(gh) on all pairs "
-    "(sampled above order 256), the translation-nullspace socle certificate, and the "
-    "series and normal-form cross-checks"
+    "(sampled above order 256), the radical filtration echelonized from stacked "
+    "products, the translation-nullspace socle certificate, and the series and "
+    "normal-form cross-checks"
 )
 
 

@@ -321,6 +321,9 @@ class FieldElement:
         return self.spec == other.spec and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
+        # equal to its residue 0..p-1 when in the prime subfield, as __eq__ says
+        if not any(self.coeffs[1:]):
+            return hash(self.coeffs[0])
         return hash((self.spec, self.coeffs))
 
     def __bool__(self) -> bool:

@@ -8,10 +8,13 @@ one-dimensional socle spanned by the sum of all group elements, and the
 filtration is what everything downstream (dimension subgroups, graded
 algebra, automorphism blocks) is measured against.
 
-Row-echelon bases of the powers J^r are computed over the prime field
-and reused for every coefficient field of the same characteristic;
-echelonization commutes with extension of scalars, and the test suite
-recomputes a filtration honestly over GF(p^n) to pin that down.
+Row-echelon bases of the powers J^r are read off the Jennings monomials
+in lifts of the dimension-subgroup quotients (RadicalFiltration), over
+the prime field, and reused for every coefficient field of the same
+characteristic.  Echelonization commutes with extension of scalars; the
+test suite rebuilds filtrations over GF(p^2) and compares them with the
+oracle radical_filtration_by_products(), which echelonizes the stacked
+products J^r (g_i - 1) over the same field.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ __all__ = [
     "FiltrationError",
     "NotAUnit",
     "radical_filtration",
+    "radical_filtration_by_products",
     "dimension_subgroups_definitional",
 ]
 
@@ -56,7 +60,23 @@ def column_sums(ops: FieldOps, codes: np.ndarray) -> np.ndarray:
 
 
 class RadicalFiltration:
-    """Echelon bases of J^0 > J^1 > ... > J^s > J^(s+1) = 0."""
+    """Echelon bases of J^0 > J^1 > ... > J^s > J^(s+1) = 0, from Jennings monomials.
+
+    group.jennings_lifts() gives elements y_1, ..., y_M, in ascending
+    degree, lifting bases of the quotients F_r/F_(r+1) of the recursive
+    dimension series.  The |G| monomials prod_j (y_j - 1)^(e_j) with
+    0 <= e_j < p have weight sum_j e_j deg(y_j), and by Jennings' theorem
+    those of weight >= r form a basis of J^r.  They come out of one prefix
+    pass: x (y - 1) is a gather of x minus x.
+
+    The bases are built from the top weight down.  Reduced by the RREF
+    basis of J^(r+1), the weight-r monomials span the canonical complement
+    C_r = {v in J^r : v vanishes on the pivot columns of J^(r+1)}; its RREF
+    is complements[r], and together with the basis of J^(r+1),
+    back-reduced by it, it gives the RREF of J^r.  RREF bases are unique,
+    so every field equals what echelonizing the products J^r (g_i - 1)
+    gives; radical_filtration_by_products() does that as an oracle.
+    """
 
     def __init__(self, group: PcGroup, ops: FieldOps | None = None):
         self.group = group
@@ -67,50 +87,49 @@ class RadicalFiltration:
         n = group.order
         t = group.cayley_table
         inv = group.inverse_table
-        gens = [group.index_of(g) for g in group.generators()]
-        rtake = [t[:, int(inv[gi])] for gi in gens]
+        self.series, self.lifts = group.jennings_lifts()
 
-        first = np.zeros((n - 1, n), dtype=np.int64)
-        first[:, 0] = ops.p - 1
-        first[np.arange(n - 1), np.arange(1, n)] = 1
-        bases: list[np.ndarray] = [ops.eye(n)]
-        pivots: list[list[int]] = [list(range(n))]
-        b, piv = ops.rref(first)
-        bases.append(b)
-        pivots.append(piv)
-        while bases[-1].shape[0] > 0:
-            prev = bases[-1]
-            # J^(r+1) = sum_i J^r (g_i - 1): the augmentation ideal is
-            # generated, as a right ideal over itself, by the generator
-            # differences
-            stacked = np.vstack([ops.sub(prev[:, rt], prev) for rt in rtake])
-            b, piv = ops.rref(stacked)
-            if b.shape[0] >= prev.shape[0]:
-                raise FiltrationError("radical filtration failed to descend strictly")
-            bases.append(b)
-            pivots.append(piv)
+        monomials = np.zeros((1, n), dtype=np.int64)
+        monomials[0, 0] = 1
+        weights = np.zeros(1, dtype=np.int64)
+        for r, layer in enumerate(self.lifts, start=1):
+            for y in layer:
+                # (x y)[k] = x[k y^-1], so x (y - 1) is a gather minus x
+                right = t[:, int(inv[group.index_of(y)])]
+                blocks, block_weights = [monomials], [weights]
+                for e in range(1, group.p):
+                    blocks.append(ops.sub(blocks[-1][:, right], blocks[-1]))
+                    block_weights.append(weights + e * r)
+                monomials = np.vstack(blocks)
+                weights = np.concatenate(block_weights)
 
-        self.bases = bases
-        self.pivots = pivots
-        self.dims = [b.shape[0] for b in bases]
-        self.socle_degree = len(bases) - 2
-        if self.dims[self.socle_degree] != 1:
-            raise FiltrationError(
-                f"last nonzero radical power has dimension {self.dims[self.socle_degree]}, expected 1"
-            )
-        self.gr_dims = [self.dims[r] - self.dims[r + 1] for r in range(self.socle_degree + 1)]
-
-        # complements C_r with J^r = C_r (+) J^(r+1); coordinates on C_r are
-        # the graded coordinates in degree r
+        top = int(weights.max())
+        bases: list[np.ndarray] = [np.zeros((0, n), dtype=np.int64)]
+        pivots: list[list[int]] = [[]]
         self.complements: list[np.ndarray] = []
         self.comp_pivots: list[list[int]] = []
-        for r in range(self.socle_degree + 1):
-            reduced = ops.reduce_rows(self.bases[r], self.bases[r + 1], self.pivots[r + 1])
-            q, qp = ops.rref(reduced)
-            if q.shape[0] != self.gr_dims[r]:
-                raise FiltrationError(f"graded complement in degree {r} has the wrong rank")
+        for r in range(top, -1, -1):
+            rows = monomials[weights == r]
+            q, qp = ops.rref(ops.reduce_rows(rows, bases[-1], pivots[-1]))
+            if not qp or len(qp) != rows.shape[0]:
+                raise FiltrationError(f"weight-{r} monomials give no basis of J^{r}/J^{r + 1}")
+            merged = pivots[-1] + qp
+            order = np.argsort(merged)
+            stacked = np.vstack([ops.reduce_rows(bases[-1], q, qp), q])
+            bases.append(stacked[order])
+            pivots.append([merged[i] for i in order])
             self.complements.append(q)
             self.comp_pivots.append(qp)
+        self.bases = bases[::-1]
+        self.pivots = pivots[::-1]
+        self.complements.reverse()
+        self.comp_pivots.reverse()
+
+        self.dims = [b.shape[0] for b in self.bases]
+        self.socle_degree = top
+        if self.dims[top] != 1:
+            raise FiltrationError(f"last nonzero radical power has dimension {self.dims[top]}, expected 1")
+        self.gr_dims = [self.dims[r] - self.dims[r + 1] for r in range(top + 1)]
 
     def basis(self, r: int) -> np.ndarray:
         """Echelon basis of J^r (the zero-row matrix for r past the socle)."""
@@ -124,6 +143,75 @@ class RadicalFiltration:
         if r >= len(self.bases):
             return self.pivots[-1]
         return self.pivots[r]
+
+    def matches(
+        self,
+        bases: list[np.ndarray],
+        pivots: list[list[int]],
+        complements: list[np.ndarray],
+        comp_pivots: list[list[int]],
+    ) -> bool:
+        """Whether the echelon data equals this filtration's, field by field."""
+
+        def same(mine: list[np.ndarray], theirs: list[np.ndarray]) -> bool:
+            return len(mine) == len(theirs) and all(
+                np.array_equal(a, b) for a, b in zip(mine, theirs)
+            )
+
+        return (
+            self.pivots == pivots
+            and self.comp_pivots == comp_pivots
+            and same(self.bases, bases)
+            and same(self.complements, complements)
+        )
+
+
+def radical_filtration_by_products(
+    group: PcGroup, ops: FieldOps | None = None
+) -> tuple[list[np.ndarray], list[list[int]], list[np.ndarray], list[list[int]]]:
+    """(bases, pivots, complements, comp_pivots) of the filtration, by brute force.
+
+    The oracle for RadicalFiltration: J^(r+1) is echelonized from the
+    stacked m*dim J^r x |G| products J^r (g_i - 1), and each complement
+    from the basis of J^r reduced by that of J^(r+1).
+    """
+    ops = ops if ops is not None else FieldOps(GF(group.p))
+    n = group.order
+    t = group.cayley_table
+    inv = group.inverse_table
+    gens = [group.index_of(g) for g in group.generators()]
+    rtake = [t[:, int(inv[gi])] for gi in gens]
+
+    first = np.zeros((n - 1, n), dtype=np.int64)
+    first[:, 0] = ops.p - 1
+    first[np.arange(n - 1), np.arange(1, n)] = 1
+    bases: list[np.ndarray] = [ops.eye(n)]
+    pivots: list[list[int]] = [list(range(n))]
+    b, piv = ops.rref(first)
+    bases.append(b)
+    pivots.append(piv)
+    while bases[-1].shape[0] > 0:
+        prev = bases[-1]
+        # J^(r+1) = sum_i J^r (g_i - 1): the augmentation ideal is
+        # generated, as a right ideal over itself, by the generator
+        # differences
+        stacked = np.vstack([ops.sub(prev[:, rt], prev) for rt in rtake])
+        b, piv = ops.rref(stacked)
+        if b.shape[0] >= prev.shape[0]:
+            raise FiltrationError("radical filtration failed to descend strictly")
+        bases.append(b)
+        pivots.append(piv)
+
+    complements: list[np.ndarray] = []
+    comp_pivots: list[list[int]] = []
+    for r in range(len(bases) - 1):
+        reduced = ops.reduce_rows(bases[r], bases[r + 1], pivots[r + 1])
+        q, qp = ops.rref(reduced)
+        if q.shape[0] != bases[r].shape[0] - bases[r + 1].shape[0]:
+            raise FiltrationError(f"graded complement in degree {r} has the wrong rank")
+        complements.append(q)
+        comp_pivots.append(qp)
+    return bases, pivots, complements, comp_pivots
 
 
 _FILTRATION_CACHE: "weakref.WeakKeyDictionary[PcGroup, RadicalFiltration]" = weakref.WeakKeyDictionary()

@@ -12,6 +12,12 @@ filtration, and the graded dimensions of kG are the coefficients of
 
     prod_j (1 + t^(r_j) + t^(2 r_j) + ... + t^((p-1) r_j)).
 
+The chain F_r and the lifts come from the radical filtration, which takes
+them from PcGroup.jennings_lifts(): the series by the recursive formula
+F_r = <[F_(r-1), G], x^p for x in F_ceil(r/p)>, and the lifts by group
+closures.  The definitional series, read off the filtration by
+dimension_subgroups_definitional(), is kept as the oracle for it.
+
 The direct sum of the quotients is a restricted Lie algebra: the group
 commutator induces the bracket between layers r and r', landing in layer
 r + r', and the p-th power map induces the restriction from layer r to
@@ -31,12 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ffield import GF, FieldMismatch, FieldSpec
-from .groupalgebra import (
-    AlgebraElement,
-    FiltrationError,
-    GroupAlgebra,
-    dimension_subgroups_definitional,
-)
+from .groupalgebra import AlgebraElement, GroupAlgebra
 from .pgroup import GroupElement, PcGroup
 
 import weakref
@@ -68,7 +69,7 @@ class JenningsBasis:
         self.group = group
         self.algebra = GroupAlgebra(group, GF(group.p))
         self.filtration = self.algebra.filtration
-        self.series = dimension_subgroups_definitional(group)
+        self.series = self.filtration.series
         p = group.p
 
         orders = [sub.order for sub in self.series]
@@ -89,33 +90,18 @@ class JenningsBasis:
         one = self.algebra.one()
         layers: list[JenningsLayer] = []
         for r in range(1, self.max_degree + 1):
-            want = dims[r - 1]
-            lifts: list[GroupElement] = []
-            rows: list[np.ndarray] = []
-            if want:
-                basis = np.zeros((0, self.filtration.gr_dims[r]), dtype=np.int64)
-                pivots: list[int] = []
-                for idx in self.series[r - 1].indices:
-                    if idx == 0:
-                        continue
-                    g = group.element_at(idx)
-                    w = self.algebra.gr_coordinates(self.algebra.embed(g) - one, r)
-                    if np.any(self.algebra.ops.reduce_rows(w, basis, pivots)):
-                        lifts.append(g)
-                        rows.append(w)
-                        basis, pivots = self.algebra.ops.rref(np.vstack(rows))
-                        if len(lifts) == want:
-                            break
-                if len(lifts) != want:
-                    raise DimensionMismatch(
-                        f"layer {r}: found {len(lifts)} independent lifts, expected {want}"
-                    )
+            lifts = self.filtration.lifts[r - 1]
+            if len(lifts) != dims[r - 1]:
+                raise DimensionMismatch(
+                    f"layer {r}: found {len(lifts)} independent lifts, expected {dims[r - 1]}"
+                )
+            rows = [self.algebra.gr_coordinates(self.algebra.embed(y) - one, r) for y in lifts]
             coords = (
                 np.vstack(rows)
                 if rows
                 else np.zeros((0, self.filtration.gr_dims[r]), dtype=np.int64)
             )
-            layers.append(JenningsLayer(r, tuple(lifts), coords))
+            layers.append(JenningsLayer(r, lifts, coords))
         self.layers = layers
         self.lift_elements = tuple(y for layer in layers for y in layer.lifts)
         self.lift_degrees = tuple(layer.degree for layer in layers for _ in layer.lifts)
@@ -246,7 +232,12 @@ class JenningsBasis:
         return poly[r] if 0 <= r < len(poly) else 0
 
     def jq_dimension_check(self) -> dict:
-        """Graded dimensions must match the product generating function."""
+        """Graded dimensions must match the product generating function.
+
+        The default filtration is built from the same lift monomials, so
+        this confirms its bookkeeping; radical_filtration_by_products()
+        (under --full-check) confirms the dimensions independently.
+        """
         pbw = self.pbw_polynomial()
         gr = self.filtration.gr_dims
         if len(pbw) != len(gr) or pbw != gr:

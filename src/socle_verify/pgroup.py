@@ -377,17 +377,12 @@ class PcGroup:
         t = self._cayley
         seen = np.zeros(self.order, dtype=bool)
         seen[0] = True
-        gens = sorted({int(s) for s in seeds} - {0})
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for s in gens:
-                    y = int(t[x, s])
-                    if not seen[y]:
-                        seen[y] = True
-                        nxt.append(y)
-            frontier = nxt
+        gens = np.array(sorted({int(s) for s in seeds} - {0}), dtype=np.int64)
+        frontier = np.zeros(1 if gens.size else 0, dtype=np.int64)
+        while frontier.size:
+            nxt = np.unique(t[np.ix_(frontier, gens)])
+            frontier = nxt[~seen[nxt]]
+            seen[frontier] = True
         return [int(i) for i in np.nonzero(seen)[0]]
 
     def subgroup_closure(self, generators: Iterable[GroupElement]) -> Subgroup:
@@ -457,22 +452,50 @@ class PcGroup:
         series = [self.full_subgroup()]
         t = self._cayley
         inv = self._inv
+        every = np.arange(self.order)
+        pth = np.zeros(self.order, dtype=np.int64)
+        for _ in range(self.p):
+            pth = t[pth, every]  # pth[x] = x^p
         r = 2
         while not series[-1].is_trivial():
-            prev = series[-1].indices
+            prev = np.array(series[-1].indices, dtype=np.int64)[:, None]
             ceil_idx = -(-r // self.p)  # ceil(r/p), >= 1
-            seeds = set()
-            for x in prev:
-                ix = int(inv[x])
-                for g in range(self.order):
-                    seeds.add(int(t[t[t[ix, inv[g]], x], g]))
-            for x in series[ceil_idx - 1].indices:
-                seeds.add(self.index_of(self.power(self.element_at(x), self.p)))
+            # [x, g] = x^-1 g^-1 x g for every x in F_(r-1) and g in G
+            comms = t[t[t[inv[prev], inv[every]], prev], every]
+            powers = pth[list(series[ceil_idx - 1].indices)]
+            seeds = {int(c) for c in np.unique(np.concatenate([comms.ravel(), powers]))}
             series.append(
                 Subgroup(self, self._closure_indices(seeds), [self.element_at(s) for s in sorted(seeds - {0})])
             )
             r += 1
         return series
+
+    def jennings_lifts(self) -> tuple[list[Subgroup], list[tuple[GroupElement, ...]]]:
+        """The recursive series F_1, F_2, ... and lifts of each F_r/F_(r+1).
+
+        Entry r-1 of the lift list holds elements of F_r whose classes form
+        a basis of the elementary abelian quotient F_r/F_(r+1).  Walking
+        F_r in index order, g is kept when it does not lie in
+        H = <F_(r+1), lifts kept so far>.  The recursion puts [F_r, G] and
+        the p-th powers of F_r inside F_(r+1) <= H, so a kept y normalizes
+        H and <H, y> is the union of the cosets H y^e, 0 <= e < p.
+        """
+        series = self.jennings_series_recursive()
+        t = self._cayley
+        lifts: list[tuple[GroupElement, ...]] = []
+        for r in range(1, len(series)):
+            inside = np.zeros(self.order, dtype=bool)
+            inside[list(series[r].indices)] = True
+            kept: list[int] = []
+            for idx in series[r - 1].indices:
+                if not inside[idx]:
+                    kept.append(idx)
+                    coset = np.nonzero(inside)[0]
+                    for _ in range(self.p - 1):
+                        coset = t[coset, idx]
+                        inside[coset] = True
+            lifts.append(tuple(self.element_at(i) for i in kept))
+        return series, lifts
 
     # -- automorphisms from generator images ----------------------------------------
 

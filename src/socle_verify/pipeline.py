@@ -25,13 +25,18 @@ import numpy as np
 from .automorphisms import (
     AlgebraAutomorphism,
     VerificationReport,
+    check_count,
     parse_automorphism_specs,
     random_inner,
     random_substitution,
     verify_theorem,
 )
 from .ffield import GF, FieldSpec, format_modulus
-from .groupalgebra import GroupAlgebra, dimension_subgroups_definitional
+from .groupalgebra import (
+    GroupAlgebra,
+    dimension_subgroups_definitional,
+    radical_filtration_by_products,
+)
 from .jennings import build_jennings_basis
 from .linalg import FieldOps
 from .pgroup import PcGroup, catalog, catalog_description, catalog_names
@@ -243,6 +248,9 @@ def run(algebra: GroupAlgebra, autos: list[AlgebraAutomorphism], full_check: boo
                 "socle", ValueError("product of (lift - 1)^(p-1) is not the socle vector")
             )
         if full_check:
+            checks["filtration_products_oracle"] = algebra.filtration.matches(
+                *radical_filtration_by_products(group)
+            )
             checks["socle_nullspace_oracle"] = (
                 algebra.socle_vector_by_nullspace() == algebra.sum_of_group_elements()
             )
@@ -341,6 +349,9 @@ def sweep(
     full_check: bool = False,
 ) -> SweepReport:
     """Catalog sweep over GF(p) and GF(p^extension_degree)."""
+    check_count(inner_count, "inner count")
+    check_count(compose_count, "compose count")
+    check_count(subst_count, "substitution count")
     seed = master_seed() if seed is None else seed
     names = groups if groups is not None else catalog_names()
     reports = []
@@ -370,6 +381,7 @@ def gl_check(
     coverage of a generating set of GL_m); full diagonals and dense
     invertible matrices are sampled.
     """
+    check_count(count, "count")
     seed = master_seed() if seed is None else seed
     spec = build_field(p, n, modulus)
     ring = TruncatedPolynomialRing(spec, m)

@@ -96,3 +96,30 @@ def pbw_polynomial_oracle(p, layer_ranks):
         for _ in range(rank):
             poly = np.convolve(poly, factor)
     return [int(c) for c in poly]
+
+
+def lifts_by_gr_coordinates(algebra, chain):
+    """Lifts of each F_r/F_(r+1), chosen by graded coordinates in kG.
+
+    chain is F_1, F_2, ... down to the first trivial term.  Walking F_r in
+    index order, g is kept when the degree-r graded coordinates of g - 1
+    are independent of those kept so far.  Entry r-1 of the result holds
+    the lifts of degree r.
+    """
+    ops = algebra.ops
+    one = algebra.one()
+    out = []
+    for r in range(1, len(chain)):
+        lifts = []
+        basis = np.zeros((0, algebra.filtration.gr_dims[r]), dtype=np.int64)
+        pivots = []
+        for idx in chain[r - 1].indices:
+            if idx == 0:
+                continue
+            g = algebra.group.element_at(idx)
+            w = algebra.gr_coordinates(algebra.embed(g) - one, r)
+            if np.any(ops.reduce_rows(w, basis, pivots)):
+                lifts.append(g)
+                basis, pivots = ops.rref(np.vstack([basis, w.reshape(1, -1)]))
+        out.append(tuple(lifts))
+    return out

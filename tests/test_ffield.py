@@ -31,6 +31,19 @@ def test_prime_field_matches_integer_arithmetic():
             assert (x - y).coeffs == ((a - b) % 3,)
 
 
+def test_hash_agrees_with_equality_against_ints():
+    for p, n in ((5, 1), (3, 2), (2, 2)):
+        k = GF(p, n)
+        for a in range(p):
+            assert k.element(a) == a
+            assert hash(k.element(a)) == hash(a), (p, n, a)
+            assert len({k.element(a), a}) == 1
+        assert {k.element(a): a for a in range(p)} == {a: a for a in range(p)}
+    assert len({GF(5).element(3), 3}) == 1
+    t = GF(3, 2).t()
+    assert len({t, t + 0, GF(3, 2).element(1)}) == 2
+
+
 def test_default_moduli_are_smallest_lexicographic():
     # low-degree coefficients compare first, so these are pinned
     assert format_modulus(GF(2, 2)) == "t^2+t+1"

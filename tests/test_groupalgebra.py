@@ -17,10 +17,15 @@ from hypothesis import strategies as st
 
 from socle_verify import GF, FiltrationError, GroupAlgebra, NotAUnit, PcGroup
 from socle_verify.groupalgebra import (
+    RadicalFiltration,
     dimension_subgroups_definitional,
     radical_filtration,
+    radical_filtration_by_products,
 )
 from socle_verify.linalg import FieldOps
+
+C2_7 = "pcgroup p=2 m=7\n"
+HEIS27_X_C3 = "pcgroup p=3 m=4\n[g2,g1] = g3\n"
 
 
 def test_cyclic_dims_follow_polynomial_model(group):
@@ -89,6 +94,53 @@ def test_structural_socle_matches_nullspace_oracle(algebra, all_names):
     assert len(algebras) == 25
     for alg in algebras:
         assert alg.socle_vector() == alg.socle_vector_by_nullspace(), alg.group.name
+
+
+def _assert_same_filtration(filt, oracle, label):
+    bases, pivots, complements, comp_pivots = oracle
+    assert filt.pivots == pivots, label
+    assert filt.comp_pivots == comp_pivots, label
+    assert len(filt.bases) == len(bases), label
+    for mine, theirs in zip(filt.bases, bases):
+        assert np.array_equal(mine, theirs), label
+    assert len(filt.complements) == len(complements), label
+    for mine, theirs in zip(filt.complements, complements):
+        assert np.array_equal(mine, theirs), label
+    assert filt.matches(*oracle), label
+
+
+def test_filtration_matches_products_oracle(group, all_names):
+    groups = [group(name) for name in all_names]
+    groups += [
+        PcGroup.from_presentation_text(C2_7, name="C2^7"),
+        PcGroup.from_presentation_text(HEIS27_X_C3, name="Heis27xC3"),
+    ]
+    for g in groups:
+        _assert_same_filtration(radical_filtration(g), radical_filtration_by_products(g), g.name)
+
+
+def test_filtration_matches_products_oracle_over_extension_field(group, all_names):
+    # echelonization commutes with extension of scalars
+    names = [name for name in all_names if group(name).order <= 27]
+    assert len(names) == 20
+    for name in names:
+        g = group(name)
+        ops = FieldOps(GF(g.p, 2))
+        filt = RadicalFiltration(g, ops)
+        _assert_same_filtration(filt, radical_filtration_by_products(g, ops), name)
+        prime = radical_filtration(g)
+        assert filt.dims == prime.dims and filt.pivots == prime.pivots, name
+
+
+def test_filtration_rejects_lifts_that_are_not_a_jennings_basis(monkeypatch):
+    # C4 with g1 standing in for the degree-2 lift g2 = g1^2: the weight-1
+    # monomial g1 - 1 then already lies in the span of the heavier ones
+    c4 = PcGroup.from_presentation_text("pcgroup p=2 m=2\ng1^2 = g2\n", name="C4")
+    series, lifts = c4.jennings_lifts()
+    assert lifts == [(c4.generator(1),), (c4.generator(2),)]
+    monkeypatch.setattr(c4, "jennings_lifts", lambda: (series, [lifts[0], lifts[0]]))
+    with pytest.raises(FiltrationError, match="weight-1"):
+        RadicalFiltration(c4)
 
 
 def test_dimension_subgroups_match_recursive_series(group):

@@ -9,8 +9,13 @@ from __future__ import annotations
 
 import pytest
 
-from socle_verify import GF, FieldMismatch, build_jennings_basis, catalog_names
-from oracle_helpers import assert_lie_structure_compatible, pbw_polynomial_oracle
+from socle_verify import GF, FieldMismatch, GroupAlgebra, PcGroup, build_jennings_basis, catalog_names
+from socle_verify.groupalgebra import dimension_subgroups_definitional
+from oracle_helpers import (
+    assert_lie_structure_compatible,
+    lifts_by_gr_coordinates,
+    pbw_polynomial_oracle,
+)
 
 # socle degree (p-1) * sum(r * d_r), computed by hand from the chains
 SOCLE_DEGREES = {
@@ -141,3 +146,15 @@ def test_build_rejects_wrong_characteristic(group):
 def test_build_accepts_matching_extension_field(group):
     b = build_jennings_basis(group("D8"), GF(2, 2))
     assert b.lift_degrees == (1, 1, 2)
+
+
+def test_lifts_match_gr_coordinate_search(group, algebra, all_names):
+    cases = [(group(name), algebra(name)) for name in all_names]
+    for text, label in (("pcgroup p=2 m=7\n", "C2^7"), ("pcgroup p=3 m=4\n[g2,g1] = g3\n", "Heis27xC3")):
+        g = PcGroup.from_presentation_text(text, name=label)
+        cases.append((g, GroupAlgebra(g, GF(g.p))))
+    for g, alg in cases:
+        b = build_jennings_basis(g)
+        oracle = lifts_by_gr_coordinates(alg, dimension_subgroups_definitional(g))
+        assert [layer.lifts for layer in b.layers] == oracle, g.name
+        assert b.filtration.lifts == oracle, g.name

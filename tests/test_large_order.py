@@ -1,0 +1,82 @@
+"""Orders 243 to 512 on the default path.
+
+Inline pc presentations above the catalog's largest order (125) up to
+MAX_ORDER = 512: graded dimensions against the product generating
+function, the socle certificate and the socle product formula, and at
+order 256 the socle scalar against det^(p-1) through the pipeline.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from socle_verify import GF, GroupAlgebra, PcGroup, build_jennings_basis
+from socle_verify.pgroup import MAX_ORDER
+from socle_verify.pipeline import RunConfig, prepare, run
+
+PRESENTATIONS = {
+    "C2^8": "pcgroup p=2 m=8\n",
+    "C2^9": "pcgroup p=2 m=9\n",
+    "C3^5": "pcgroup p=3 m=5\n",
+    "D8xC2^5": "pcgroup p=2 m=8\ng2^2 = g3\n[g2,g1] = g3\n",
+}
+ORDERS = {"C2^8": 256, "C2^9": 512, "C3^5": 243, "D8xC2^5": 256}
+SOCLE_DEGREES = {"C2^8": 8, "C2^9": 9, "C3^5": 10, "D8xC2^5": 9}
+
+_GROUPS: dict[str, PcGroup] = {}
+
+
+def large_group(name):
+    if name not in _GROUPS:
+        _GROUPS[name] = PcGroup.from_presentation_text(PRESENTATIONS[name], name=name)
+    return _GROUPS[name]
+
+
+@pytest.mark.parametrize("name", list(PRESENTATIONS))
+def test_large_order_structure(name):
+    group = large_group(name)
+    assert group.order == ORDERS[name] <= MAX_ORDER
+    basis = build_jennings_basis(group)
+    out = basis.jq_dimension_check()
+    assert out["gr_dims"] == basis.pbw_polynomial()
+    assert out["socle_degree"] == SOCLE_DEGREES[name]
+    algebra = GroupAlgebra(group, GF(group.p))
+    assert algebra.socle_vector() == algebra.sum_of_group_elements()
+    assert basis.socle_product(algebra) == algebra.sum_of_group_elements()
+
+
+@pytest.mark.parametrize(
+    "name, specs",
+    [
+        pytest.param("D8xC2^5", ("group-auto: g1 -> g1 g4", "random-inner"), id="D8xC2^5"),
+        pytest.param("C2^8", ("group-auto: g1 -> g1 g2", "random-inner", "random-subst"), id="C2^8"),
+    ],
+)
+@pytest.mark.parametrize("degree", [1, 2])
+def test_order_256_socle_scalar_is_det_power(name, specs, degree):
+    algebra, autos = prepare(
+        RunConfig(
+            group=name,
+            presentation=PRESENTATIONS[name],
+            n=degree,
+            auto_specs=specs,
+            include_stored=False,
+            seed=4,
+        )
+    )
+    assert algebra.dimension == 256 and algebra.field.q == 2**degree
+    report = run(algebra, autos)
+    assert report.checks == {
+        "graded_dimensions": True,
+        "socle_certificate": True,
+        "socle_product_formula": True,
+    }
+    assert len(report.auto_reports) == len(specs)
+    for rep in report.auto_reports:
+        assert rep.equation_holds, rep.provenance
+        assert rep.socle_scalar == rep.det_power, rep.provenance
+        assert degree > 1 or rep.socle_scalar.is_one(), rep.provenance
+    if degree > 1 and "random-subst" in specs:
+        # with this seed the substitution's linear part has det t+1, not 1
+        assert not report.auto_reports[-1].socle_scalar.is_one()
+    assert report.verdict

@@ -6,12 +6,16 @@ because downstream tooling diffs raw output.
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stdout
 
 import pytest
 
+from socle_verify.automorphisms import MAX_COUNT
 from socle_verify.cli import main
 from socle_verify.pipeline import (
     RunConfig,
@@ -178,17 +182,60 @@ def test_full_check_runs_the_oracles(capsys, name):
     checks = json.loads(out)["checks"]
     assert checks["pair_check_full"] is True
     assert checks["socle_nullspace_oracle"] is True
+    assert checks["filtration_products_oracle"] is True
     code, out = run_cli(capsys, ["sweep", "--groups", name, "--inner", "2", "--subst", "2",
                                  "--full-check", "--format", "json"])
     assert code == 0
     for report in json.loads(out)["reports"]:
         assert report["checks"]["pair_check_full"] is True
         assert report["checks"]["socle_nullspace_oracle"] is True
+        assert report["checks"]["filtration_products_oracle"] is True
 
     algebra, autos = prepare(RunConfig(group=name, auto_specs=("random-inner count=2",)))
     assert {auto.pair_check for auto in autos} == {"generators"}
     run(algebra, autos, full_check=True)
     assert {auto.pair_check for auto in autos} == {"full"}
+
+
+@pytest.mark.parametrize("bad", [-1, MAX_COUNT + 1])
+def test_counts_are_bounded(capsys, bad):
+    argvs = [
+        ["run", "--group", "D8", "--auto", f"random-inner count={bad}"],
+        ["run", "--group", "D8", "--auto", f"random-subst count={bad}"],
+        ["sweep", "--groups", "C2", "--inner", str(bad)],
+        ["sweep", "--groups", "C2", "--subst", str(bad)],
+        ["sweep", "--groups", "C2", "--compose", str(bad)],
+        ["gl-check", "--p", "2", "--m", "2", "--count", str(bad)],
+    ]
+    for argv in argvs:
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert f"0..{MAX_COUNT}" in captured.err, argv
+
+
+def test_counts_at_the_bounds_are_accepted(capsys):
+    assert main(["run", "--group", "C2", "--no-stored", "--auto", "random-inner count=0"]) == 0
+    assert main(["gl-check", "--p", "2", "--m", "1", "--count", "0"]) == 0
+    capsys.readouterr()
+
+
+# sha256 of `socle-verify sweep --seed 7 --groups <21 groups> --inner 2 --subst 2 --format json`
+SWEEP_GROUPS = (
+    "C2", "C4", "C8", "C3", "C9", "C27", "C5", "C25", "C2xC2", "C3xC3",
+    "C5xC5", "C2xC2xC2", "C3xC3xC3", "C4xC2", "D8", "Q8", "D16", "M16",
+    "Heis27", "ES27", "Heis125",
+)
+SWEEP_DIGEST = "7ed6e5120cf2a91ce9bce59563b9f21471e99a7de3687ce5877382434a03b64c"
+
+
+def test_sweep_digest_pinned():
+    buf = io.StringIO()
+    argv = ["sweep", "--seed", "7", "--groups", ",".join(SWEEP_GROUPS),
+            "--inner", "2", "--subst", "2", "--format", "json"]
+    with redirect_stdout(buf):
+        assert main(argv) == 0
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == SWEEP_DIGEST
 
 
 def test_catalog_subcommand(capsys):
