@@ -599,9 +599,14 @@ def _parse_x_polynomial(algebra: GroupAlgebra, text: str) -> AlgebraElement:
             e = int(exp) if exp else 1
             if not 1 <= i <= group.m:
                 raise ValueError(f"variable x{i} out of range")
+            if e < 1:
+                raise ValueError(f"exponent in {token!r} must be at least 1")
             xi = algebra.embed(group.generator(i)) - one
+            # x_i is nilpotent of index at most |G|, so the loop ends early
             for _ in range(e):
                 factor = factor * xi
+                if factor.is_zero():
+                    break
         contrib = factor * coeff
         acc = acc + contrib if sign > 0 else acc - contrib
     return acc

@@ -358,10 +358,11 @@ class FieldElement:
 # literal grammar: decimal residues for prime fields, polynomials in t
 # (e.g. "2*t+1", "t^2+2") for extensions; spaces are optional
 
-def format_field_literal(a: FieldElement) -> str:
+def _format_polynomial(coeffs: Sequence[int]) -> str:
+    """Low-degree-first coefficients as a polynomial in t, top degree first."""
     terms = []
-    for deg in range(a.spec.n - 1, -1, -1):
-        c = a.coeffs[deg]
+    for deg in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[deg]
         if c == 0:
             continue
         if deg == 0:
@@ -371,21 +372,14 @@ def format_field_literal(a: FieldElement) -> str:
         else:
             terms.append(f"t^{deg}" if c == 1 else f"{c}*t^{deg}")
     return "+".join(terms) if terms else "0"
+
+
+def format_field_literal(a: FieldElement) -> str:
+    return _format_polynomial(a.coeffs)
 
 
 def format_modulus(spec: FieldSpec) -> str:
-    terms = []
-    for deg in range(spec.n, -1, -1):
-        c = spec.modulus[deg]
-        if c == 0:
-            continue
-        if deg == 0:
-            terms.append(str(c))
-        elif deg == 1:
-            terms.append("t" if c == 1 else f"{c}*t")
-        else:
-            terms.append(f"t^{deg}" if c == 1 else f"{c}*t^{deg}")
-    return "+".join(terms) if terms else "0"
+    return _format_polynomial(spec.modulus)
 
 
 def parse_polynomial_literal(text: str, p: int) -> list[int]:

@@ -76,10 +76,10 @@ class FieldOps:
             for j in range(self.n):
                 out[..., i + j] += pa[..., i] * pb[..., j]
         out %= self.p
-        return self.encode(self._reduce_planes(out))
+        return self.encode(self.reduce_planes(out))
 
-    def _reduce_planes(self, planes: np.ndarray) -> np.ndarray:
-        """Fold planes for t^n .. t^(2n-2) back into degrees < n."""
+    def reduce_planes(self, planes: np.ndarray) -> np.ndarray:
+        """Fold planes for t^n .. t^(2n-2), entries below p, back into degrees < n."""
         low = planes[..., : self.n].copy()
         for k in range(self.n - 1):
             c = planes[..., self.n + k]
@@ -122,7 +122,7 @@ class FieldOps:
             for j in range(self.n):
                 out[..., i + j] += self._int_matmul(pa[..., i], pb[..., j], self.p)
         out %= self.p
-        return self.encode(self._reduce_planes(out))
+        return self.encode(self.reduce_planes(out))
 
     def matvec(self, a: np.ndarray, v: np.ndarray) -> np.ndarray:
         return self.matmul(a, v.reshape(-1, 1)).reshape(-1)
@@ -221,8 +221,7 @@ class FieldOps:
         size = m.shape[0]
         if m.shape != (size, size):
             raise ValueError("determinant needs a square matrix")
-        det_code = self.spec.code_of(self.spec.one())
-        neg_one = self.spec.code_of(-self.spec.one())
+        det = self.spec.one()
         for c in range(size):
             nz = np.nonzero(m[c:, c])[0]
             if nz.size == 0:
@@ -230,14 +229,15 @@ class FieldOps:
             i = c + int(nz[0])
             if i != c:
                 m[[c, i]] = m[[i, c]]
-                det_code = int(self.mul(np.int64(det_code), np.int64(neg_one)))
+                det = -det
             pc = int(m[c, c])
-            det_code = int(self.mul(np.int64(det_code), np.int64(pc)))
-            inv = self.scalar_inv(pc)
-            factors = self.mul(m[c + 1 :, c], np.int64(inv))
+            det = det * self.spec.element_from_code(pc)
+            if c + 1 == size:
+                break
+            factors = self.mul(m[c + 1 :, c], np.int64(self.scalar_inv(pc)))
             if np.any(factors):
                 m[c + 1 :] = self.sub(m[c + 1 :], self.mul(factors[:, None], m[c][None, :]))
-        return det_code
+        return self.spec.code_of(det)
 
     def eye(self, size: int) -> np.ndarray:
         m = np.zeros((size, size), dtype=np.int64)

@@ -3,9 +3,16 @@
 This is the shape of the graded algebra of kG when every generator sits
 in the same filtration degree (and, with a degree-weighted grading, in
 general).  Elements are dense coefficient grids of shape (p, ..., p).
+A product visits only the nonzero cells of its right factor: each adds a
+shifted copy of the left factor's coefficient planes, times that cell's
+coefficient, into unreduced int64 planes, and the sum is reduced mod p,
+folded mod the field's modulus and encoded once at the end (delayed
+modular reduction, as in FFLAS-FFPACK).
+
 The ring's one nontrivial job here: push an invertible linear change of
-variables through the top monomial prod_j x_j^((p-1)).  The image of a
-linear substitution is homogeneous, the top degree m*(p-1) contains no
+variables through the top monomial prod_j x_j^((p-1)), by multiplying
+one linear form at a time into an accumulator.  The image of a linear
+substitution is homogeneous, the top degree m*(p-1) contains no
 monomial other than the top one inside the truncation, so the image of
 the top monomial is an exact scalar multiple of itself; that scalar is
 what gets compared against det^(p-1).
@@ -97,15 +104,22 @@ class TruncatedPolynomialRing:
         return TruncatedPolynomial(self, grid)
 
     def _mul_grids(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.shape, dtype=np.int64)
-        for exps in np.ndindex(*self.shape):
-            c = int(b[exps])
-            if not c:
-                continue
-            dst = tuple(slice(e, self.p) for e in exps)
-            src = tuple(slice(0, self.p - e) for e in exps)
-            out[dst] = self.ops.add(out[dst], self.ops.mul(a[src], np.int64(c)))
-        return out
+        """Truncated product of two coefficient grids, reduced once at the end."""
+        ops = self.ops
+        n, p = ops.n, self.p
+        planes = ops.decode(a)
+        coeffs = ops.decode(b)
+        # unreduced product planes t^0 .. t^(2n-2): a cell of a plane sums at
+        # most p^m * n terms, each below p^2.  p^m <= MAX_GRID_CELLS = 4096
+        # forces p < 2^12, and n <= 8, so a sum stays below 2^39, far from 2^63
+        acc = np.zeros(self.shape + (2 * n - 1,), dtype=np.int64)
+        for exps in zip(*np.nonzero(b)):
+            dst = tuple(slice(e, p) for e in exps)
+            src = planes[tuple(slice(0, p - e) for e in exps)]
+            for j, c in enumerate(coeffs[exps].tolist()):
+                if c:
+                    acc[dst + (slice(j, j + n),)] += src * c
+        return ops.encode(ops.reduce_planes(acc % p))
 
     def _substitution_rows(self, matrix: np.ndarray) -> np.ndarray:
         """Validate a linear substitution x_j -> sum_i matrix[j,i] x_i."""
@@ -127,7 +141,8 @@ class TruncatedPolynomialRing:
         acc = self.one()
         for j in range(self.nvars):
             form = self.linear_form(matrix[j])
-            acc = acc * form ** (self.p - 1)
+            for _ in range(self.p - 1):
+                acc = acc * form
         top = (self.p - 1,) * self.nvars
         lam = int(acc.grid[top])
         rest = acc.grid.copy()

@@ -43,12 +43,12 @@ def random_matrix(k, rng, rows, cols):
     )
 
 
-@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)])
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (5, 2)])
 def test_det_matches_leibniz_expansion(p, n):
     k = GF(p, n)
     ops = FieldOps(k)
     rng = random.Random(1234 + p * 10 + n)
-    for size in (1, 2, 3):
+    for size in (1, 2, 3, 4):
         for _ in range(20):
             m = random_matrix(k, rng, size, size)
             assert ops.det(m) == det_oracle(ops, m)

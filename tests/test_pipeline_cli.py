@@ -220,6 +220,24 @@ def test_counts_at_the_bounds_are_accepted(capsys):
     capsys.readouterr()
 
 
+def test_huge_substitution_exponent_ends_at_once():
+    # x2^3 = 0 in k[C3xC3]; the exponent loop must stop there, not run 10^9 times
+    argv = ["run", "--group", "C3xC3", "--no-stored",
+            "--auto", "subst: x1 -> x1 + x2^1000000000", "--format", "json"]
+    proc = subprocess.run([sys.executable, "-m", "socle_verify.cli", *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["verdict"] is True
+
+
+def test_substitution_exponent_zero_rejected(capsys):
+    argv = ["run", "--group", "C3xC3", "--no-stored", "--auto", "subst: x1 -> x1 + x2^0"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "at least 1" in captured.err
+
+
 # sha256 of `socle-verify sweep --seed 7 --groups <21 groups> --inner 2 --subst 2 --format json`
 SWEEP_GROUPS = (
     "C2", "C4", "C8", "C3", "C9", "C27", "C5", "C25", "C2xC2", "C3xC3",
@@ -236,6 +254,27 @@ def test_sweep_digest_pinned():
     with redirect_stdout(buf):
         assert main(argv) == 0
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == SWEEP_DIGEST
+
+
+# sha256 of `socle-verify gl-check --p P --m M --n N --count 50 --seed 7 --format json`
+GL_CHECK_DIGESTS = {
+    (2, 8, 1): "3b2c75b1e8dba271a700efe5d6d6d8853a567eb5a404b7614cb3be25bcfca52f",
+    (2, 6, 2): "1fd6694189b1e9e32670ed8c937f964fea22d2e57390a9ffe519b87130879296",
+    (3, 5, 1): "d576b220085737892af1a5be9f7ca7ea7f034e9afeeb11c5d473447528da36f7",
+    (3, 4, 2): "aebf6b8191cc47c6a5389c447abb64b142174223df8952e2d3fd38e3183d1e05",
+    (5, 4, 1): "b17690eacf9af35270c9b95cb782a1a0803004db262e6203d2eb1d884230470a",
+    (5, 3, 2): "0ced4d4427380f214402a257a749725e99a7206e395d5b39d7a10448c42e1ecd",
+}
+
+
+@pytest.mark.parametrize("p,m,n", list(GL_CHECK_DIGESTS))
+def test_gl_check_digest_pinned(p, m, n):
+    buf = io.StringIO()
+    argv = ["gl-check", "--p", str(p), "--m", str(m), "--n", str(n),
+            "--count", "50", "--seed", "7", "--format", "json"]
+    with redirect_stdout(buf):
+        assert main(argv) == 0
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == GL_CHECK_DIGESTS[(p, m, n)]
 
 
 def test_catalog_subcommand(capsys):

@@ -129,6 +129,48 @@ def test_top_scalar_matches_dict_oracle_gf9():
         assert ring.top_monomial_scalar(m) == expected
 
 
+def grid_to_dict(k, grid):
+    return {
+        tuple(int(e) for e in exps): k.element_from_code(int(grid[exps]))
+        for exps in zip(*np.nonzero(grid))
+    }
+
+
+@pytest.mark.parametrize("p,n,nvars", [(2, 1, 4), (3, 1, 3), (5, 1, 2), (2, 2, 3), (3, 2, 2), (5, 2, 2)])
+def test_mul_grids_matches_dict_mul(p, n, nvars):
+    k = GF(p, n)
+    ring = TruncatedPolynomialRing(k, nvars)
+    rng = random.Random(77 + 10 * p + n)
+
+    def random_grid(density):
+        cells = [rng.randrange(1, k.q) if rng.random() < density else 0 for _ in range(p**nvars)]
+        return np.array(cells, dtype=np.int64).reshape(ring.shape)
+
+    # the last pair has a fully dense b, so every cell takes the nonzero loop
+    pairs = [(random_grid(0.5), random_grid(0.5)) for _ in range(6)]
+    pairs.append((random_grid(0.7), random_grid(1.0)))
+    for a, b in pairs:
+        got = grid_to_dict(k, ring._mul_grids(a, b))
+        assert got == dict_mul(grid_to_dict(k, a), grid_to_dict(k, b), p, nvars)
+
+
+@pytest.mark.parametrize("p,n,nvars", [(2, 1, 6), (2, 1, 7), (2, 1, 8), (2, 2, 3)])
+def test_top_scalar_matches_dict_oracle_at_gl_check_shapes(p, n, nvars):
+    k = GF(p, n)
+    ring = TruncatedPolynomialRing(k, nvars)
+    rng = random.Random(505 + nvars + 10 * n)
+    checked = 0
+    while checked < 4:
+        m = np.array([[rng.randrange(k.q) for _ in range(nvars)] for _ in range(nvars)], dtype=np.int64)
+        expected = top_scalar_oracle(k, m)  # det^(p-1), zero exactly when m is singular
+        if expected.is_zero():
+            with pytest.raises(SingularMatrix):
+                ring.top_monomial_scalar(m)
+            continue
+        assert ring.top_monomial_scalar(m) == expected
+        checked += 1
+
+
 def test_substitute_matrix_equals_linear_forms():
     k = GF(3, 2)
     ring = TruncatedPolynomialRing(k, 2)
