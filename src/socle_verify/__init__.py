@@ -39,8 +39,6 @@ from .automorphisms import (
     LieSubspaceViolated,
     SingularLinearPart,
     verify_theorem,
-    lambda_of,
-    induced_blocks,
 )
 from .truncsym import TruncatedPolynomialRing, NotScalarMultiple, SingularMatrix
 

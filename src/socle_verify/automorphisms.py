@@ -49,8 +49,6 @@ __all__ = [
     "LieSubspaceViolated",
     "SingularLinearPart",
     "verify_theorem",
-    "lambda_of",
-    "induced_blocks",
     "random_inner",
     "random_substitution",
     "parse_automorphism_specs",
@@ -324,7 +322,14 @@ class AlgebraAutomorphism:
         return self.algebra.field.element_from_code(lam)
 
     def graded_action(self, basis: JenningsBasis | None = None) -> "GradedAction":
-        """Blocks of the induced maps on F_r/F_(r+1) tensored up to k."""
+        """Blocks of the induced maps on F_r/F_(r+1) tensored up to k.
+
+        The images alpha(y) - 1 of all lifts are read off on the Jennings
+        monomials in one pass.  Block column j in degree r holds the
+        coordinates of alpha(y_j) - 1 at the monomials y_i - 1 of the
+        layer's lifts; every coordinate of weight < r, and every other one
+        of weight r, must vanish.
+        """
         if self._graded is not None:
             return self._graded
         alg = self.algebra
@@ -333,28 +338,31 @@ class AlgebraAutomorphism:
             basis = build_jennings_basis(alg.group)
         elif basis.group is not alg.group:
             raise ValueError("layer basis belongs to a different group")
-        one = alg.one().codes
+        filt = basis.filtration
+        cols = [alg.group.index_of(y) for y in basis.lift_elements]
+        coords = filt.coordinates(ops, ops.sub(self.matrix[:, cols], alg.one().codes[:, None]))
         blocks: list[tuple[int, np.ndarray]] = []
         dets: list[FieldElement] = []
         total = alg.field.one()
+        first = 0
         for layer in basis.layers:
             if layer.rank == 0:
                 continue
             r = layer.degree
-            block = np.zeros((layer.rank, layer.rank), dtype=np.int64)
-            for j, y in enumerate(layer.lifts):
-                img = self.matrix[:, alg.group.index_of(y)]
-                w = AlgebraElement(alg, ops.sub(img, one))
-                if not alg.in_radical_power(w, r):
+            layer_coords = coords[:, first : first + layer.rank]
+            first += layer.rank
+            others = filt.weights == r
+            others[list(layer.rows)] = False
+            for col in layer_coords.T:
+                if col[filt.weights < r].any():
                     raise FiltrationNotPreserved(
                         f"image of a degree-{r} lift is not 1 mod J^{r}"
                     )
-                coords = ops.solve(layer.coords.T, alg.gr_coordinates(w, r))
-                if coords is None:
+                if col[others].any():
                     raise LieSubspaceViolated(
                         f"image class in layer {r} left the span of the layer lifts"
                     )
-                block[:, j] = coords
+            block = layer_coords[list(layer.rows)]
             det_code = ops.det(block)
             if det_code == 0:
                 raise FiltrationNotPreserved(f"induced block in degree {r} is singular")
@@ -402,16 +410,6 @@ class VerificationReport:
             "in_subgroup": bool(self.lambda_in_power_subgroup),
             "lambda_is_one": bool(self.lambda_is_one),
         }
-
-
-def lambda_of(auto: AlgebraAutomorphism) -> FieldElement:
-    """The scalar by which auto acts on the socle line."""
-    return auto.socle_scalar()
-
-
-def induced_blocks(auto: AlgebraAutomorphism, basis: JenningsBasis | None = None) -> "GradedAction":
-    """The block-diagonal action of auto on the graded layers."""
-    return auto.graded_action(basis)
 
 
 def verify_theorem(auto: AlgebraAutomorphism, basis: JenningsBasis | None = None) -> VerificationReport:

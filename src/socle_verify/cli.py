@@ -14,7 +14,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .groupalgebra import dimension_subgroups_definitional
+from .groupalgebra import series_definitions_agree
 from .jennings import build_jennings_basis
 from .pgroup import PcGroup, catalog, catalog_names
 from .pipeline import (
@@ -210,11 +210,7 @@ def _dispatch(args: argparse.Namespace) -> int:
                 )
         basis = build_jennings_basis(group)
         pbw = basis.jq_dimension_check()["pbw_dims"]
-        recursive = group.jennings_series_recursive()
-        definitional = dimension_subgroups_definitional(group)
-        match = definitional[: len(recursive)] == recursive and all(
-            sub.is_trivial() for sub in definitional[len(recursive) :]
-        )
+        match = series_definitions_agree(group)
         data = {
             "group": {"name": group.name or "custom", "order": int(group.order), "p": int(group.p)},
             "layers": basis.layer_summary(),

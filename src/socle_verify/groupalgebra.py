@@ -15,10 +15,18 @@ characteristic.  Echelonization commutes with extension of scalars; the
 test suite rebuilds filtrations over GF(p^2) and compares them with the
 oracle radical_filtration_by_products(), which echelonizes the stacked
 products J^r (g_i - 1) over the same field.
+
+Positions in the filtration are read off the same monomials, with no
+elimination: RadicalFiltration.coordinates() turns a vector into its
+coordinates on the monomial basis (a gather into lift-word order and a
+p x p binomial matrix per lift), so x lies in J^r exactly when its
+coordinates of weight < r vanish, and its weight-r coordinates are its
+class in J^r/J^(r+1).
 """
 
 from __future__ import annotations
 
+import math
 import re
 import weakref
 
@@ -37,6 +45,7 @@ __all__ = [
     "radical_filtration",
     "radical_filtration_by_products",
     "dimension_subgroups_definitional",
+    "series_definitions_agree",
 ]
 
 
@@ -67,15 +76,16 @@ class RadicalFiltration:
     dimension series.  The |G| monomials prod_j (y_j - 1)^(e_j) with
     0 <= e_j < p have weight sum_j e_j deg(y_j), and by Jennings' theorem
     those of weight >= r form a basis of J^r.  They come out of one prefix
-    pass: x (y - 1) is a gather of x minus x.
+    pass: x (y - 1) is a gather of x minus x.  The same pass gives the
+    lift words y_1^(e_1) ... y_M^(e_M), which must enumerate G; row
+    sum_j e_j p^(j-1) of words, weights and coordinates() belongs to the
+    exponent vector e.
 
-    The bases are built from the top weight down.  Reduced by the RREF
-    basis of J^(r+1), the weight-r monomials span the canonical complement
-    C_r = {v in J^r : v vanishes on the pivot columns of J^(r+1)}; its RREF
-    is complements[r], and together with the basis of J^(r+1),
-    back-reduced by it, it gives the RREF of J^r.  RREF bases are unique,
-    so every field equals what echelonizing the products J^r (g_i - 1)
-    gives; radical_filtration_by_products() does that as an oracle.
+    The RREF bases are built from the top weight down: the weight-r
+    monomials, reduced by the basis of J^(r+1), are echelonized and
+    merged with that basis, back-reduced by them.  RREF bases are unique,
+    so they equal what echelonizing the products J^r (g_i - 1) gives;
+    radical_filtration_by_products() does that as an oracle.
     """
 
     def __init__(self, group: PcGroup, ops: FieldOps | None = None):
@@ -85,29 +95,32 @@ class RadicalFiltration:
             raise FieldMismatch("filtration field characteristic must match the group prime")
         ops = self.ops
         n = group.order
+        p = group.p
         t = group.cayley_table
         inv = group.inverse_table
         self.series, self.lifts = group.jennings_lifts()
 
         monomials = np.zeros((1, n), dtype=np.int64)
         monomials[0, 0] = 1
+        words = np.zeros(1, dtype=np.int64)
         weights = np.zeros(1, dtype=np.int64)
         for r, layer in enumerate(self.lifts, start=1):
             for y in layer:
+                yi = group.index_of(y)
                 # (x y)[k] = x[k y^-1], so x (y - 1) is a gather minus x
-                right = t[:, int(inv[group.index_of(y)])]
-                blocks, block_weights = [monomials], [weights]
-                for e in range(1, group.p):
+                right = t[:, int(inv[yi])]
+                blocks, word_blocks, block_weights = [monomials], [words], [weights]
+                for e in range(1, p):
                     blocks.append(ops.sub(blocks[-1][:, right], blocks[-1]))
+                    word_blocks.append(t[word_blocks[-1], yi])
                     block_weights.append(weights + e * r)
                 monomials = np.vstack(blocks)
+                words = np.concatenate(word_blocks)
                 weights = np.concatenate(block_weights)
 
         top = int(weights.max())
         bases: list[np.ndarray] = [np.zeros((0, n), dtype=np.int64)]
         pivots: list[list[int]] = [[]]
-        self.complements: list[np.ndarray] = []
-        self.comp_pivots: list[list[int]] = []
         for r in range(top, -1, -1):
             rows = monomials[weights == r]
             q, qp = ops.rref(ops.reduce_rows(rows, bases[-1], pivots[-1]))
@@ -118,12 +131,18 @@ class RadicalFiltration:
             stacked = np.vstack([ops.reduce_rows(bases[-1], q, qp), q])
             bases.append(stacked[order])
             pivots.append([merged[i] for i in order])
-            self.complements.append(q)
-            self.comp_pivots.append(qp)
         self.bases = bases[::-1]
         self.pivots = pivots[::-1]
-        self.complements.reverse()
-        self.comp_pivots.reverse()
+        if not np.array_equal(np.sort(words), np.arange(n)):
+            raise FiltrationError("the lift words y_1^(e_1) ... y_M^(e_M) do not enumerate G")
+        self.words = words
+        self.weights = weights
+        # row of the monomial y_j - 1, for the j-th lift
+        self.lift_rows = p ** np.arange(sum(len(layer) for layer in self.lifts))
+        # binomial[f, e] = C(f, e) mod p: y^f = sum_e C(f, e) (y - 1)^e
+        self._binomial = np.array(
+            [[math.comb(f, e) % p for e in range(p)] for f in range(p)], dtype=np.int64
+        )
 
         self.dims = [b.shape[0] for b in self.bases]
         self.socle_degree = top
@@ -131,38 +150,31 @@ class RadicalFiltration:
             raise FiltrationError(f"last nonzero radical power has dimension {self.dims[top]}, expected 1")
         self.gr_dims = [self.dims[r] - self.dims[r + 1] for r in range(top + 1)]
 
-    def basis(self, r: int) -> np.ndarray:
-        """Echelon basis of J^r (the zero-row matrix for r past the socle)."""
-        if r < 0:
-            raise ValueError("radical power index must be nonnegative")
-        if r >= len(self.bases):
-            return self.bases[-1]
-        return self.bases[r]
+    def coordinates(self, ops: FieldOps, codes: np.ndarray) -> np.ndarray:
+        """Coordinates on the Jennings monomials of the columns of codes.
 
-    def basis_pivots(self, r: int) -> list[int]:
-        if r >= len(self.bases):
-            return self.pivots[-1]
-        return self.pivots[r]
+        codes is a (|G|,) vector or a (|G|, k) array over any field of the
+        group's characteristic.  Its rows are gathered into lift-word order,
+        then y_1^(f_1) ... y_M^(f_M) = prod_j sum_(e_j) C(f_j, e_j) (y_j - 1)^(e_j),
+        expanded in order, is applied one lift axis at a time.
+        """
+        p = self.group.p
+        m = len(self.lift_rows)
+        x = ops.decode(np.asarray(codes)[self.words])
+        rest = x.shape[1:]
+        x = x.reshape((p,) * m + rest)
+        for _ in range(m):
+            # the last lift axis is contracted and its exponent comes out in
+            # front, so after m passes the axes are back in their order
+            x = np.tensordot(self._binomial, x, axes=([0], [m - 1])) % p
+        return ops.encode(x.reshape((-1,) + rest))
 
-    def matches(
-        self,
-        bases: list[np.ndarray],
-        pivots: list[list[int]],
-        complements: list[np.ndarray],
-        comp_pivots: list[list[int]],
-    ) -> bool:
-        """Whether the echelon data equals this filtration's, field by field."""
-
-        def same(mine: list[np.ndarray], theirs: list[np.ndarray]) -> bool:
-            return len(mine) == len(theirs) and all(
-                np.array_equal(a, b) for a, b in zip(mine, theirs)
-            )
-
+    def matches(self, bases: list[np.ndarray], pivots: list[list[int]]) -> bool:
+        """Whether the echelon bases equal this filtration's, field by field."""
         return (
             self.pivots == pivots
-            and self.comp_pivots == comp_pivots
-            and same(self.bases, bases)
-            and same(self.complements, complements)
+            and len(self.bases) == len(bases)
+            and all(np.array_equal(a, b) for a, b in zip(self.bases, bases))
         )
 
 
@@ -251,6 +263,18 @@ def dimension_subgroups_definitional(group: PcGroup) -> list[Subgroup]:
     if not out[-1].is_trivial():
         raise FiltrationError("dimension subgroup chain did not reach the trivial group")
     return out
+
+
+def series_definitions_agree(group: PcGroup) -> bool:
+    """Whether the recursive dimension series equals the definitional one.
+
+    The definitional chain may run on in trivial terms past the recursive one.
+    """
+    recursive = group.jennings_series_recursive()
+    definitional = dimension_subgroups_definitional(group)
+    return definitional[: len(recursive)] == recursive and all(
+        sub.is_trivial() for sub in definitional[len(recursive) :]
+    )
 
 
 class AlgebraElement:
@@ -463,22 +487,19 @@ class GroupAlgebra:
     # -- filtration access ---------------------------------------------------------
 
     def in_radical_power(self, x: AlgebraElement, r: int) -> bool:
+        """Whether x lies in J^r: its coordinates of weight < r vanish."""
         filt = self.filtration
-        res = self.ops.reduce_rows(x.codes, filt.basis(r), filt.basis_pivots(r))
-        return not res.any()
+        return not filt.coordinates(self.ops, x.codes)[filt.weights < r].any()
 
     def gr_coordinates(self, x: AlgebraElement, r: int) -> np.ndarray:
-        """Coordinates of x + J^(r+1) on the degree-r complement basis."""
+        """Coordinates of x + J^(r+1) on the weight-r Jennings monomials."""
         filt = self.filtration
         if not 0 <= r <= filt.socle_degree:
             raise FiltrationError(f"degree {r} outside 0..{filt.socle_degree}")
-        if not self.in_radical_power(x, r):
+        coords = filt.coordinates(self.ops, x.codes)
+        if coords[filt.weights < r].any():
             raise FiltrationError(f"element does not lie in J^{r}")
-        proj = self.ops.reduce_rows(x.codes, filt.bases[r + 1], filt.pivots[r + 1])
-        coords = self.ops.coordinates(proj, filt.complements[r], filt.comp_pivots[r])
-        if coords is None:
-            raise FiltrationError("projected element escaped its graded complement")
-        return coords
+        return coords[filt.weights == r]
 
     def socle_vector(self) -> AlgebraElement:
         """The sum of all group elements, certified to span the socle.

@@ -18,6 +18,11 @@ F_r = <[F_(r-1), G], x^p for x in F_ceil(r/p)>, and the lifts by group
 closures.  The definitional series, read off the filtration by
 dimension_subgroups_definitional(), is kept as the oracle for it.
 
+A class g F_(r+1) is read off the filtration's monomial coordinates of
+g - 1: for g in F_r it is congruent mod J^(r+1) to sum_j c_j (y_j - 1)
+over the degree-r lifts, so its coordinates at the monomials y_j - 1 are
+the c_j, with no elimination.
+
 The direct sum of the quotients is a restricted Lie algebra: the group
 commutator induces the bracket between layers r and r', landing in layer
 r + r', and the p-th power map induces the restriction from layer r to
@@ -36,8 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ffield import GF, FieldMismatch, FieldSpec
-from .groupalgebra import AlgebraElement, GroupAlgebra
+from .ffield import FieldMismatch, FieldSpec
+from .groupalgebra import AlgebraElement, GroupAlgebra, radical_filtration
 from .pgroup import GroupElement, PcGroup
 
 import weakref
@@ -51,11 +56,11 @@ class DimensionMismatch(ValueError):
 
 @dataclass(frozen=True)
 class JenningsLayer:
-    """Chosen lifts for one quotient F_r/F_(r+1) and their graded coordinates."""
+    """Chosen lifts for one quotient F_r/F_(r+1) and their monomial rows."""
 
     degree: int
     lifts: tuple[GroupElement, ...]
-    coords: np.ndarray  # row j = graded coordinates of (lift_j - 1) in degree r
+    rows: tuple[int, ...]  # rows[j] = row of the monomial lifts[j] - 1 in the coordinates
 
     @property
     def rank(self) -> int:
@@ -67,8 +72,7 @@ class JenningsBasis:
 
     def __init__(self, group: PcGroup):
         self.group = group
-        self.algebra = GroupAlgebra(group, GF(group.p))
-        self.filtration = self.algebra.filtration
+        self.filtration = radical_filtration(group)
         self.series = self.filtration.series
         p = group.p
 
@@ -87,21 +91,15 @@ class JenningsBasis:
         self._dims = dims
         self.max_degree = max(r for r, d in enumerate(dims, start=1) if d > 0)
 
-        one = self.algebra.one()
         layers: list[JenningsLayer] = []
+        lift_rows = iter(int(row) for row in self.filtration.lift_rows)
         for r in range(1, self.max_degree + 1):
             lifts = self.filtration.lifts[r - 1]
             if len(lifts) != dims[r - 1]:
                 raise DimensionMismatch(
                     f"layer {r}: found {len(lifts)} independent lifts, expected {dims[r - 1]}"
                 )
-            rows = [self.algebra.gr_coordinates(self.algebra.embed(y) - one, r) for y in lifts]
-            coords = (
-                np.vstack(rows)
-                if rows
-                else np.zeros((0, self.filtration.gr_dims[r]), dtype=np.int64)
-            )
-            layers.append(JenningsLayer(r, lifts, coords))
+            layers.append(JenningsLayer(r, lifts, tuple(next(lift_rows) for _ in lifts)))
         self.layers = layers
         self.lift_elements = tuple(y for layer in layers for y in layer.lifts)
         self.lift_degrees = tuple(layer.degree for layer in layers for _ in layer.lifts)
@@ -135,13 +133,12 @@ class JenningsBasis:
         if r <= len(self.series) and g not in self.series[r - 1]:
             raise DimensionMismatch(f"element is not in F_{r}")
         layer = self.layers[r - 1]
-        if layer.rank == 0:
-            return np.zeros(0, dtype=np.int64)
-        w = self.algebra.gr_coordinates(self.algebra.embed(g) - self.algebra.one(), r)
-        coords = self.algebra.ops.solve(layer.coords.T, w)
-        if coords is None:
-            raise DimensionMismatch(f"class in layer {r} escaped the span of the chosen lifts")
-        return coords
+        filt = self.filtration
+        x = np.zeros(self.group.order, dtype=np.int64)
+        x[self.group.index_of(g)] = 1
+        x[0] = (x[0] - 1) % self.group.p
+        # g F_(r+1) = prod_j y_j^(c_j) F_(r+1) gives g - 1 = sum_j c_j (y_j - 1) mod J^(r+1)
+        return filt.coordinates(filt.ops, x)[list(layer.rows)]
 
     def lie_bracket(self, j1: int, j2: int) -> tuple[int, np.ndarray]:
         """Bracket of lifts number j1, j2 (0-based); returns (r1+r2, coords).
@@ -167,7 +164,7 @@ class JenningsBasis:
         brackets and p-th powers of closure vectors stay inside what witness
         commutators and witness powers span.
         """
-        ops = self.algebra.ops
+        ops = self.filtration.ops
         witnesses: list[tuple[int, GroupElement]] = [(1, y) for y in self.layers[0].lifts]
         spans: dict[int, tuple[np.ndarray, list[int]]] = {}
 

@@ -180,14 +180,6 @@ class FieldOps:
     def in_row_space(self, v: np.ndarray, basis: np.ndarray, pivots: list[int]) -> bool:
         return not np.any(self.reduce_rows(v, basis, pivots))
 
-    def coordinates(self, v: np.ndarray, basis: np.ndarray, pivots: list[int]) -> np.ndarray | None:
-        """Coordinates of v in an RREF basis, or None if v is outside its span."""
-        v = np.asarray(v, dtype=np.int64)
-        coef = v[pivots] if v.ndim == 1 else v[:, pivots]
-        if np.any(self.reduce_rows(v, basis, pivots)):
-            return None
-        return coef
-
     def solve(self, a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
         """One solution of a @ x = b, or None if inconsistent."""
         a = np.asarray(a, dtype=np.int64)

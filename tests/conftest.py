@@ -7,9 +7,12 @@ on object identity, so reusing one instance per name matters for speed.
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from socle_verify import GF, GroupAlgebra, build_jennings_basis, catalog, catalog_names
+from socle_verify.groupalgebra import radical_filtration_by_products
 
 _GROUPS: dict[str, object] = {}
 _ALGEBRAS: dict[tuple, object] = {}
@@ -19,6 +22,12 @@ def shared_group(name):
     if name not in _GROUPS:
         _GROUPS[name] = catalog(name)
     return _GROUPS[name]
+
+
+@functools.lru_cache(maxsize=None)
+def shared_products_oracle(group):
+    """radical_filtration_by_products(group) over the prime field, once per group."""
+    return radical_filtration_by_products(group)
 
 
 def shared_algebra(name, n=1):

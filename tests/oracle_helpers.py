@@ -123,3 +123,57 @@ def lifts_by_gr_coordinates(algebra, chain):
                 basis, pivots = ops.rref(np.vstack([basis, w.reshape(1, -1)]))
         out.append(tuple(lifts))
     return out
+
+
+def jennings_monomials(algebra):
+    """prod_j (y_j - 1)^(e_j) over the filtration's lifts, multiplied out in kG.
+
+    Entry sum_j e_j p^(j-1) holds the monomial with exponents e, the row
+    order of RadicalFiltration.coordinates().
+    """
+    one = algebra.one()
+    monomials = [one]
+    for layer in algebra.filtration.lifts:
+        for y in layer:
+            x = algebra.embed(y) - one
+            powers = [one]
+            for _ in range(algebra.group.p - 1):
+                powers.append(powers[-1] * x)
+            monomials = [m * pw for pw in powers for m in monomials]
+    return monomials
+
+
+def graded_blocks_by_projection(auto, basis, oracle):
+    """The induced blocks, by projection onto graded complements and a solve per lift.
+
+    oracle is (bases, pivots, complements, comp_pivots) from
+    radical_filtration_by_products().  An image class is projected along
+    J^(r+1) onto the RREF complement of degree r, and its coordinates there
+    are solved for in terms of the classes of the layer's lifts.  Returns
+    [(r, block)] for the layers of nonzero rank.
+    """
+    bases, pivots, complements, comp_pivots = oracle
+    alg = auto.algebra
+    ops = alg.ops
+    one = alg.one().codes
+
+    def graded(x, r):
+        assert not ops.reduce_rows(x, bases[r], pivots[r]).any()
+        proj = ops.reduce_rows(x, bases[r + 1], pivots[r + 1])
+        assert not ops.reduce_rows(proj, complements[r], comp_pivots[r]).any()
+        return proj[comp_pivots[r]]
+
+    blocks = []
+    for layer in basis.layers:
+        if layer.rank == 0:
+            continue
+        r = layer.degree
+        classes = np.vstack([graded(ops.sub(alg.embed(y).codes, one), r) for y in layer.lifts])
+        block = np.zeros((layer.rank, layer.rank), dtype=np.int64)
+        for j, y in enumerate(layer.lifts):
+            image = ops.sub(auto.matrix[:, alg.group.index_of(y)], one)
+            coords = ops.solve(classes.T, graded(image, r))
+            assert coords is not None
+            block[:, j] = coords
+        blocks.append((r, block))
+    return blocks

@@ -14,14 +14,15 @@ import pytest
 
 from socle_verify import (
     GF,
+    FiltrationNotPreserved,
     GroupAlgebra,
+    LieSubspaceViolated,
     NotBijective,
     NotMultiplicative,
     SingularLinearPart,
+    build_jennings_basis,
     catalog,
     catalog_names,
-    lambda_of,
-    induced_blocks,
     verify_theorem,
 )
 from socle_verify.automorphisms import (
@@ -57,10 +58,10 @@ def test_gf9_diagonal_substitution_lambda():
         [[k.code_of(zeta), 0], [0, k.code_of(k.one())]], dtype=np.int64
     )
     auto = AlgebraAutomorphism.elementary_abelian_substitution(alg, linear)
-    lam = lambda_of(auto)
+    lam = auto.socle_scalar()
     assert lam == zeta * zeta  # det = zeta, lambda = det^(p-1)
     assert str(lam) == "2*t"
-    action = induced_blocks(auto)
+    action = auto.graded_action()
     assert action.det_total == zeta
     assert lam.is_pm1_power()
 
@@ -86,8 +87,8 @@ def test_higher_terms_do_not_move_lambda():
     dressed = AlgebraAutomorphism.elementary_abelian_substitution(
         alg, linear, higher={1: tail}
     )
-    assert lambda_of(plain) == lambda_of(dressed)
-    a, b = induced_blocks(plain), induced_blocks(dressed)
+    assert plain.socle_scalar() == dressed.socle_scalar()
+    a, b = plain.graded_action(), dressed.graded_action()
     assert a.det_total == b.det_total
     assert [d for d in a.block_dets] == [d for d in b.block_dets]
 
@@ -101,11 +102,11 @@ def test_lambda_multiplicative_under_composition(algebra):
         alg, g.stored_automorphisms()[0]
     )
     composed = first.compose(second)
-    assert lambda_of(composed) == lambda_of(first) * lambda_of(second)
+    assert composed.socle_scalar() == first.socle_scalar() * second.socle_scalar()
     da, db, dc = (
-        induced_blocks(first).det_total,
-        induced_blocks(second).det_total,
-        induced_blocks(composed).det_total,
+        first.graded_action().det_total,
+        second.graded_action().det_total,
+        composed.graded_action().det_total,
     )
     assert dc == da * db
 
@@ -115,10 +116,10 @@ def test_inner_acts_trivially_on_layers(algebra):
         alg = algebra(name)
         rng = random.Random(23)
         auto = random_inner(alg, rng)
-        action = induced_blocks(auto)
+        action = auto.graded_action()
         for _degree, block in action.blocks:
             assert np.array_equal(block, np.eye(block.shape[0], dtype=np.int64))
-        assert lambda_of(auto).is_one()
+        assert auto.socle_scalar().is_one()
 
 
 def test_stored_group_autos_give_lambda_one(algebra):
@@ -207,7 +208,7 @@ def test_pair_check_modes(algebra, monkeypatch):
     assert sampled.provenance.endswith("[sampled multiplicativity]")
     sampled.check_pairs()  # a second call changes nothing
     assert sampled.provenance.count("[sampled multiplicativity]") == 1
-    assert lambda_of(sampled) == lambda_of(auto)
+    assert sampled.socle_scalar() == auto.socle_scalar()
 
 
 def _is_group_automorphism(table, perm):
@@ -307,3 +308,32 @@ def test_random_substitution_matches_contract():
     assert rep.equation_holds
     assert rep.lambda_in_power_subgroup
     assert rep.socle_scalar == rep.det_power
+
+
+def _d8_lift_matrix(alg, lift, image):
+    """Identity matrix of D8 except that column `lift` holds the vector `image`."""
+    matrix = np.eye(alg.dimension, dtype=np.int64)
+    matrix[:, alg.group.index_of(lift)] = image.codes
+    return AlgebraAutomorphism(alg, matrix, "lift image", validate=False)
+
+
+def test_graded_action_rejects_a_lift_image_outside_its_radical_power(algebra):
+    alg = algebra("D8")
+    (y1, y2), (y3,) = [layer.lifts for layer in build_jennings_basis(alg.group).layers[:2]]
+    # y3 has degree 2 but y1 - 1 only lies in J
+    auto = _d8_lift_matrix(alg, y3, alg.embed(y1))
+    with pytest.raises(FiltrationNotPreserved, match="degree-2 lift"):
+        auto.graded_action()
+
+
+def test_graded_action_rejects_an_image_class_outside_the_lift_span(algebra):
+    alg = algebra("D8")
+    (y1, y2), (y3,) = [layer.lifts for layer in build_jennings_basis(alg.group).layers[:2]]
+    one = alg.one()
+    # the weight-2 classes are those of y3 - 1 and (y1 - 1)(y2 - 1); sending
+    # y3 - 1 to the second stays in J^2 but leaves the span of the degree-2 lift
+    image = one + (alg.embed(y1) - one) * (alg.embed(y2) - one)
+    assert alg.in_radical_power(image - one, 2)
+    auto = _d8_lift_matrix(alg, y3, image)
+    with pytest.raises(LieSubspaceViolated, match="layer 2"):
+        auto.graded_action()

@@ -23,6 +23,8 @@ from socle_verify.groupalgebra import (
     radical_filtration_by_products,
 )
 from socle_verify.linalg import FieldOps
+from conftest import shared_products_oracle
+from oracle_helpers import jennings_monomials
 
 C2_7 = "pcgroup p=2 m=7\n"
 HEIS27_X_C3 = "pcgroup p=3 m=4\n[g2,g1] = g3\n"
@@ -97,16 +99,19 @@ def test_structural_socle_matches_nullspace_oracle(algebra, all_names):
 
 
 def _assert_same_filtration(filt, oracle, label):
-    bases, pivots, complements, comp_pivots = oracle
+    bases, pivots, complements, _ = oracle
     assert filt.pivots == pivots, label
-    assert filt.comp_pivots == comp_pivots, label
     assert len(filt.bases) == len(bases), label
     for mine, theirs in zip(filt.bases, bases):
         assert np.array_equal(mine, theirs), label
-    assert len(filt.complements) == len(complements), label
-    for mine, theirs in zip(filt.complements, complements):
-        assert np.array_equal(mine, theirs), label
-    assert filt.matches(*oracle), label
+    assert filt.matches(bases, pivots), label
+    # read on the Jennings monomials, the oracle's degree-r complement lies
+    # in J^r and its classes span the weight-r coordinates
+    assert len(complements) == len(filt.gr_dims), label
+    for r, comp in enumerate(complements):
+        coords = filt.coordinates(filt.ops, comp.T)
+        assert not coords[filt.weights < r].any(), label
+        assert filt.ops.rank(coords[filt.weights == r]) == filt.gr_dims[r] == comp.shape[0], label
 
 
 def test_filtration_matches_products_oracle(group, all_names):
@@ -116,7 +121,7 @@ def test_filtration_matches_products_oracle(group, all_names):
         PcGroup.from_presentation_text(HEIS27_X_C3, name="Heis27xC3"),
     ]
     for g in groups:
-        _assert_same_filtration(radical_filtration(g), radical_filtration_by_products(g), g.name)
+        _assert_same_filtration(radical_filtration(g), shared_products_oracle(g), g.name)
 
 
 def test_filtration_matches_products_oracle_over_extension_field(group, all_names):
@@ -171,6 +176,7 @@ def test_gr_coordinates_certificate(algebra):
     alg = algebra("Q8")
     rng = random.Random(42)
     filt = alg.filtration
+    monomials = jennings_monomials(alg)
     for r in range(1, filt.socle_degree + 1):
         codes = np.zeros(alg.dimension, dtype=np.int64)
         basis = filt.bases[r]
@@ -180,10 +186,13 @@ def test_gr_coordinates_certificate(algebra):
         x = alg.from_codes(codes)
         coords = alg.gr_coordinates(x, r)
         assert coords.shape == (filt.gr_dims[r],)  # gr_dims[0] is degree zero
-        # subtracting the projection lands one level deeper
-        complement = filt.complements[r]
-        proj = alg.from_codes(coords @ complement % 2)
-        assert alg.in_radical_power(x - proj, r + 1)
+        # subtracting the weight-r monomials, multiplied out, with these
+        # coefficients lands one level deeper
+        weight_r = [m for m, w in zip(monomials, filt.weights) if w == r]
+        rest = x
+        for c, m in zip(coords, weight_r):
+            rest = rest - m * int(c)
+        assert not alg.ops.reduce_rows(rest.codes, filt.bases[r + 1], filt.pivots[r + 1]).any()
 
 
 def test_gr_coordinates_rejects_outsiders(algebra):
