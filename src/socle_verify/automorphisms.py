@@ -1,21 +1,39 @@
 """Algebra automorphisms of kG and the socle-scalar theorem check.
 
 An automorphism alpha is stored as its matrix over the group basis
-(columns = images of group elements).  Construction always validates:
-alpha must fix 1, send the augmentation ideal into itself, and satisfy
-the generator identities
+(columns = images of group elements), together with the name of the
+certificate that makes it an automorphism, kept in pair_check.
+
+A matrix from outside (the constructor called with no certificate) is
+checked in full: alpha must fix 1, give every group element an image of
+augmentation 1, satisfy the generator identities
 
     M R_(g_i) = R_(alpha(g_i)) M      for every pc generator g_i,
 
-where R_v is right multiplication.  These say alpha(x g_i) =
+pass a seeded spot check on two random products, and have full rank.
+R_v is right multiplication.  The identities say alpha(x g_i) =
 alpha(x) alpha(g_i) for every x in kG.  Every group element is a
 normal-form word in the generators, so induction on the word, starting
 from alpha(1) = 1, gives alpha(x h) = alpha(x) alpha(h) for every group
-element h, and linearity extends that to all products.  This certificate
-is recorded as pair_check == "generators".
+element h, and linearity extends that to all products.  Its certificate
+is "generators".
 
-The literal check alpha(g)alpha(h) = alpha(gh) stays as an independent
-oracle, check_pairs(), which the pipeline runs under --full-check: over
+The constructors of this module already hold a certificate, pass its
+name and run no dense product:
+
+  from_group_automorphism  "group-automorphism": PcGroup.group_automorphism
+                           checked every defining relation on the images
+                           (von Dyck) and that the induced map is bijective
+  inner                    "unit-inverse": conjugation by u, whose inverse
+                           unit_inverse checked by u u^-1 = 1
+  from_substitution_images "substitution": on C_p^m, images of augmentation
+                           1 satisfy every relation, and an invertible
+                           linear part makes the map bijective
+  compose                  "composition": of two automorphisms
+
+check_pairs() is the independent oracle, which the pipeline runs on every
+automorphism under --full-check.  It runs the generator identities and
+the spot check, then the literal check alpha(g)alpha(h) = alpha(gh): over
 every pair when the group has at most 256 elements, over 10*|G| seeded
 sample pairs beyond that (pair_check then reads "full" or "sampled", and
 a sampled check is flagged in provenance).
@@ -89,20 +107,30 @@ class SingularLinearPart(ValueError):
 
 
 class AlgebraAutomorphism:
-    """A validated algebra automorphism of kG."""
+    """An algebra automorphism of kG and the name of its certificate.
 
-    def __init__(self, algebra: GroupAlgebra, matrix: np.ndarray, provenance: str,
-                 validate: bool = True, check_rank: bool = False):
+    With no certificate the matrix is outside input and gets the full
+    check (identity column, augmentations, generator identities, spot
+    check, rank); pair_check then reads "generators".  A caller that
+    already holds a certificate passes its name, which pair_check records,
+    and the matrix is taken as it is.
+    """
+
+    def __init__(self, algebra: GroupAlgebra, matrix: np.ndarray, provenance: str = "matrix",
+                 certificate: str | None = None):
         matrix = np.asarray(matrix, dtype=np.int64)
         if matrix.shape != (algebra.dimension, algebra.dimension):
             raise ValueError("automorphism matrix has the wrong shape")
         self.algebra = algebra
         self.matrix = matrix
         self.provenance = provenance
-        self.pair_check = "skipped"
         self._graded: GradedAction | None = None
-        if validate:
-            self._validate(check_rank)
+        if certificate is None:
+            self._check_identities()
+            if algebra.ops.rank(matrix) != algebra.dimension:
+                raise NotMultiplicative("matrix is not invertible")
+            certificate = "generators"
+        self.pair_check = certificate
 
     # -- constructors ------------------------------------------------------------
 
@@ -113,7 +141,8 @@ class AlgebraAutomorphism:
         n = algebra.dimension
         matrix = np.zeros((n, n), dtype=np.int64)
         matrix[gauto.perm, np.arange(n)] = 1
-        return cls(algebra, matrix, f"group-auto: {gauto.spec_text()}")
+        return cls(algebra, matrix, f"group-auto: {gauto.spec_text()}",
+                   certificate="group-automorphism")
 
     @classmethod
     def inner(cls, algebra: GroupAlgebra, u: AlgebraElement, provenance: str | None = None) -> "AlgebraAutomorphism":
@@ -123,7 +152,7 @@ class AlgebraAutomorphism:
         matrix = algebra.ops.matmul(
             algebra.left_mult_matrix(u.codes), algebra.right_mult_matrix(uinv.codes)
         )
-        return cls(algebra, matrix, provenance or f"inner: {u}")
+        return cls(algebra, matrix, provenance or f"inner: {u}", certificate="unit-inverse")
 
     @classmethod
     def from_substitution_images(cls, algebra: GroupAlgebra, images: list[AlgebraElement],
@@ -133,35 +162,29 @@ class AlgebraAutomorphism:
         In the elementary abelian case kG is the truncated polynomial ring on
         x_i = g_i - 1, so any images with augmentation 1 satisfy the defining
         relations automatically; invertibility needs the induced linear part
-        to be invertible, which is checked up front.
+        to be invertible.  Both are read off one coordinates() pass over the
+        images: the weight-0 coordinate is the augmentation, and the lift
+        rows, which on C_p^m are all of weight 1, are the linear part.
         """
         group = algebra.group
         if not group.is_elementary_abelian():
             raise ValueError("substitution automorphisms need an elementary abelian group")
         if len(images) != group.m:
             raise ValueError(f"need {group.m} generator images")
-        ops = algebra.ops
-        one = algebra.one()
-        gen_rows = []
-        for g in group.generators():
-            gen_rows.append(algebra.gr_coordinates(algebra.embed(g) - one, 1))
-        gen_mat = np.vstack(gen_rows)
-        linear = np.zeros((group.m, group.m), dtype=np.int64)
-        for i, u in enumerate(images):
-            if u.algebra is not algebra:
-                raise FieldMismatch("image belongs to a different algebra")
-            if not u.augmentation().is_one():
+        if any(u.algebra is not algebra for u in images):
+            raise FieldMismatch("image belongs to a different algebra")
+        filt = algebra.filtration
+        coords = filt.coordinates(algebra.ops, np.stack([u.codes for u in images], axis=1))
+        for i, augmentation in enumerate(coords[0]):
+            if augmentation != 1:
                 raise ValueError(f"image of g{i + 1} must have augmentation 1")
-            row = ops.solve(gen_mat.T, algebra.gr_coordinates(u - one, 1))
-            if row is None:
-                raise ValueError("image linear part escaped the generator classes")
-            linear[i] = row
-        if ops.det(linear) == 0:
+        if algebra.ops.det(coords[filt.lift_rows]) == 0:
             raise SingularLinearPart("linear part of the substitution is singular")
 
         # multiplicative extension along normal forms
         n = algebra.dimension
         p = group.p
+        one = algebra.one()
         pow_codes: dict[tuple[int, int], np.ndarray] = {}
         for k in range(group.m):
             acc = one
@@ -180,7 +203,7 @@ class AlgebraAutomorphism:
         # invertible linear part forces an invertible map: the induced action
         # on each J^r/J^(r+1) is a symmetric power of the linear part, and a
         # filtered map with invertible graded pieces is invertible
-        return cls(algebra, matrix, provenance or "subst")
+        return cls(algebra, matrix, provenance or "subst", certificate="substitution")
 
     @classmethod
     def elementary_abelian_substitution(
@@ -201,8 +224,6 @@ class AlgebraAutomorphism:
         linear = np.asarray(linear, dtype=np.int64)
         if linear.shape != (group.m, group.m):
             raise ValueError(f"linear part must be {group.m} x {group.m}")
-        if algebra.ops.det(linear) == 0:
-            raise SingularLinearPart("linear part of the substitution is singular")
         one = algebra.one()
         images = []
         for i in range(group.m):
@@ -220,23 +241,20 @@ class AlgebraAutomorphism:
             algebra, images, provenance=provenance or "subst: linear matrix"
         )
 
-    @classmethod
-    def from_matrix(cls, algebra: GroupAlgebra, matrix: np.ndarray,
-                    provenance: str = "matrix") -> "AlgebraAutomorphism":
-        return cls(algebra, matrix, provenance, check_rank=True)
-
     def compose(self, other: "AlgebraAutomorphism") -> "AlgebraAutomorphism":
         """self after other."""
         if other.algebra is not self.algebra:
             raise FieldMismatch("automorphisms act on different algebras")
         matrix = self.algebra.ops.matmul(self.matrix, other.matrix)
         return AlgebraAutomorphism(
-            self.algebra, matrix, f"compose: {self.provenance} ; {other.provenance}"
+            self.algebra, matrix, f"compose: {self.provenance} ; {other.provenance}",
+            certificate="composition",
         )
 
-    # -- validation ------------------------------------------------------------------
+    # -- checks ----------------------------------------------------------------------
 
-    def _validate(self, check_rank: bool) -> None:
+    def _check_identities(self) -> None:
+        """Identity column, augmentations, generator identities, spot check."""
         alg = self.algebra
         ops = alg.ops
         n = alg.dimension
@@ -252,7 +270,6 @@ class AlgebraAutomorphism:
             rhs = ops.matmul(alg.right_mult_matrix(self.matrix[:, gi]), self.matrix)
             if not np.array_equal(lhs, rhs):
                 raise NotMultiplicative("generator identity fails: alpha(x g) != alpha(x) alpha(g)")
-        self.pair_check = "generators"
         # independent spot check straight from the definition of the product
         rng = random.Random(0xA5_5A)
         q = alg.field.q
@@ -263,19 +280,18 @@ class AlgebraAutomorphism:
             rhs_v = alg.multiply_codes(ops.matvec(self.matrix, x), ops.matvec(self.matrix, y))
             if not np.array_equal(lhs_v, rhs_v):
                 raise NotMultiplicative("sampled product is not preserved")
-        if check_rank and ops.rank(self.matrix) != n:
-            raise NotMultiplicative("matrix is not invertible")
 
     def check_pairs(self) -> None:
-        """Oracle: alpha(g)alpha(h) = alpha(gh) checked on group elements.
+        """Oracle: generator identities and spot check, then alpha(g)alpha(h) = alpha(gh).
 
-        Every pair is tried when |G| <= FULL_PAIR_CHECK_LIMIT, an O(|G|^4)
+        The literal check runs on group elements.  Every pair is tried when |G| <= FULL_PAIR_CHECK_LIMIT, an O(|G|^4)
         product; beyond that, 10*|G| seeded sample pairs are tried and the
         provenance is flagged.  Sets pair_check to "full" or "sampled";
-        raises NotMultiplicative on a failing pair.
+        raises NotMultiplicative on a failing identity or pair.
         """
         if self.pair_check in ("full", "sampled"):
             return
+        self._check_identities()
         alg = self.algebra
         ops = alg.ops
         n = alg.dimension

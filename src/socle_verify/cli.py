@@ -31,10 +31,11 @@ from .pipeline import (
 
 
 FULL_CHECK_HELP = (
-    "also run the brute-force oracles: alpha(g)alpha(h) = alpha(gh) on all pairs "
-    "(sampled above order 256), the radical filtration echelonized from stacked "
-    "products, the translation-nullspace socle certificate, and the series and "
-    "normal-form cross-checks"
+    "also run the brute-force oracles: on every automorphism, the generator identities "
+    "alpha(x g_i) = alpha(x) alpha(g_i) as dense products and a seeded spot check on two "
+    "random products, then alpha(g)alpha(h) = alpha(gh) on all pairs (sampled above "
+    "order 256); the radical filtration echelonized from stacked products, the "
+    "translation-nullspace socle certificate, and the series and normal-form cross-checks"
 )
 
 

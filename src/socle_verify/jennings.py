@@ -247,23 +247,6 @@ class JenningsBasis:
             "socle_degree": self.filtration.socle_degree,
         }
 
-    def check_normal_form_bijection(self) -> None:
-        """Sorted products of lift powers must enumerate G exactly once each."""
-        t = self.group.cayley_table
-        indices = [0]
-        for y in self.lift_elements:
-            yi = self.group.index_of(y)
-            new = []
-            for acc in indices:
-                cur = acc
-                new.append(cur)
-                for _ in range(self.group.p - 1):
-                    cur = int(t[cur, yi])
-                    new.append(cur)
-            indices = new
-        if sorted(indices) != list(range(self.group.order)):
-            raise DimensionMismatch("lift power products do not enumerate the group")
-
     def socle_product(self, algebra: GroupAlgebra) -> AlgebraElement:
         """prod_j (y_j - 1)^(p-1) in ascending degree order."""
         if algebra.group is not self.group:

@@ -10,8 +10,10 @@ where every element has a unique normal form g1^e1 ... gm^em with
 Construction materializes the full Cayley table and certifies it
 (identity, cancellation, associativity on all triples, and the defining
 relations re-checked against the table), so inconsistent presentations
-are rejected outright.  That certificate is what makes the table safe to
-use as the multiplication backend everywhere else in the package.
+are rejected outright.  The relation check is the one group_automorphism
+runs on generator images (von Dyck's theorem), fed the generators.  That
+certificate is what makes the table safe to use as the multiplication
+backend everywhere else in the package.
 """
 
 from __future__ import annotations
@@ -266,28 +268,41 @@ class PcGroup:
                 raise InconsistentPresentation("multiplication table is not associative")
         self._inv = np.argmin(t, axis=1).astype(np.int64)  # t[a, inv(a)] == 0
         # defining relations must hold in the certified table
-        for i in range(1, self.m + 1):
-            gi = self._index[tuple(1 if k == i - 1 else 0 for k in range(self.m))]
+        broken = self._broken_relation([self._index[g.exponents] for g in self.generators()])
+        if broken:
+            raise InconsistentPresentation(f"{broken} fails in the table")
+
+    def _broken_relation(self, images: Sequence[int]) -> str | None:
+        """The first defining relation the images break, or None.
+
+        images[i] is the table index of the image of g_(i+1).  Relations are
+        evaluated with the images in place of the generators: a_i^p against
+        the power word, and [a_j, a_i] against the commutator word, j > i.
+        """
+        t = self._cayley
+        inv = self._inv
+
+        def power(a: int, e: int) -> int:
             acc = 0
-            for _ in range(self.p):
-                acc = int(t[acc, gi])
-            if acc != self._eval_word_index(self.power_words[i - 1]):
-                raise InconsistentPresentation(f"power relation for g{i} fails in the table")
+            for _ in range(e):
+                acc = int(t[acc, a])
+            return acc
+
+        def word(w: Word) -> int:
+            acc = 0
+            for idx, exp in w:
+                acc = int(t[acc, power(images[idx - 1], exp)])
+            return acc
+
+        for i in range(1, self.m + 1):
+            if power(images[i - 1], self.p) != word(self.power_words[i - 1]):
+                return f"power relation of g{i}"
         for j in range(2, self.m + 1):
             for i in range(1, j):
-                gi = self._index[tuple(1 if k == i - 1 else 0 for k in range(self.m))]
-                gj = self._index[tuple(1 if k == j - 1 else 0 for k in range(self.m))]
-                c = int(t[t[t[self._inv[gj], self._inv[gi]], gj], gi])
-                if c != self._eval_word_index(self.comm_words.get((j, i), ())):
-                    raise InconsistentPresentation(f"commutator relation [g{j},g{i}] fails in the table")
-
-    def _eval_word_index(self, word: Word) -> int:
-        acc = 0
-        for idx, exp in word:
-            pure = [0] * self.m
-            pure[idx - 1] = exp
-            acc = int(self._cayley[acc, self._index[tuple(pure)]])
-        return acc
+                a, b = images[j - 1], images[i - 1]
+                if int(t[t[t[inv[a], inv[b]], a], b]) != word(self.comm_words.get((j, i), ())):
+                    return f"commutator relation [g{j},g{i}]"
+        return None
 
     # -- basic structure --------------------------------------------------------
 
@@ -504,33 +519,18 @@ class PcGroup:
             raise ValueError(f"need {self.m} generator images, got {len(images)}")
         t = self._cayley
         img_idx = [self.index_of(g) for g in images]
-
-        def eval_word(word: Word) -> int:
-            acc = 0
-            for idx, exp in word:
-                pw = self.power(self.element_at(img_idx[idx - 1]), exp)
-                acc = int(t[acc, self.index_of(pw)])
-            return acc
-
-        for i in range(1, self.m + 1):
-            lhs = self.index_of(self.power(self.element_at(img_idx[i - 1]), self.p))
-            if lhs != eval_word(self.power_words[i - 1]):
-                raise RelationViolation(f"images break the power relation of g{i}")
-        for j in range(2, self.m + 1):
-            for i in range(1, j):
-                a, b = img_idx[j - 1], img_idx[i - 1]
-                lhs = int(t[t[t[self._inv[a], self._inv[b]], a], b])
-                if lhs != eval_word(self.comm_words.get((j, i), ())):
-                    raise RelationViolation(f"images break the commutator relation [g{j},g{i}]")
+        broken = self._broken_relation(img_idx)
+        if broken:
+            raise RelationViolation(f"images break the {broken}")
 
         # extend multiplicatively along normal forms (valid: relations verified)
         perm = np.zeros(self.order, dtype=np.int64)
         pure_pow = {}
-        for k in range(self.m):
+        for k, a in enumerate(img_idx):
+            acc = 0
             for e in range(1, self.p):
-                pure = [0] * self.m
-                pure[k] = e
-                pure_pow[(k, e)] = self.index_of(self.power(self.element_at(img_idx[k]), e))
+                acc = int(t[acc, a])
+                pure_pow[(k, e)] = acc
         for b in range(1, self.order):
             exps = self._elements[b]
             jlast = max(k for k in range(self.m) if exps[k])

@@ -31,7 +31,7 @@ from .automorphisms import (
     random_substitution,
     verify_theorem,
 )
-from .ffield import GF, FieldSpec, format_modulus
+from .ffield import GF, FieldElement, FieldSpec, format_modulus
 from .groupalgebra import (
     GroupAlgebra,
     series_definitions_agree,
@@ -254,7 +254,8 @@ def run(algebra: GroupAlgebra, autos: list[AlgebraAutomorphism], full_check: boo
             checks["socle_nullspace_oracle"] = (
                 algebra.socle_vector_by_nullspace() == algebra.sum_of_group_elements()
             )
-            basis.check_normal_form_bijection()
+            # every RadicalFiltration build checks that the lift words
+            # y_1^(e_1) ... y_M^(e_M) enumerate G, or raises FiltrationError
             checks["normal_form_bijection"] = True
             basis.degree_one_generates()
             checks["degree_one_generation"] = True
@@ -386,9 +387,8 @@ def gl_check(
     failures: list[dict] = []
     counts = {"elementary": 0, "diagonal": 0, "random_diagonal": 0, "random": 0}
 
-    def check(matrix: np.ndarray, kind: str, det_code: int | None = None) -> None:
+    def check(matrix: np.ndarray, kind: str, det: FieldElement) -> None:
         lam = ring.top_monomial_scalar(matrix)
-        det = spec.element_from_code(ops.det(matrix) if det_code is None else det_code)
         expected = det ** (p - 1)
         counts[kind] += 1
         if lam != expected or not lam.is_pm1_power():
@@ -396,6 +396,7 @@ def gl_check(
                 {"kind": kind, "matrix": matrix.tolist(), "lambda": str(lam), "expected": str(expected)}
             )
 
+    # determinants are known by construction, except for the dense draws
     unit_codes = [spec.code_of(u) for u in spec.units()]
     sampled_units = unit_codes if len(unit_codes) <= 32 else [
         unit_codes[rng.randrange(len(unit_codes))] for _ in range(32)
@@ -407,24 +408,26 @@ def gl_check(
             for c in sampled_units:
                 mat = ops.eye(m)
                 mat[i, j] = c
-                check(mat, "elementary")
+                check(mat, "elementary", spec.one())
     for i in range(m):
         for c in unit_codes:
             mat = ops.eye(m)
             mat[i, i] = c
-            check(mat, "diagonal")
+            check(mat, "diagonal", spec.element_from_code(c))
     for _ in range(count // 4):
         mat = ops.eye(m)
+        det = spec.one()
         for i in range(m):
             mat[i, i] = unit_codes[rng.randrange(len(unit_codes))]
-        check(mat, "random_diagonal")
+            det = det * spec.element_from_code(int(mat[i, i]))
+        check(mat, "random_diagonal", det)
     made = 0
     while made < count:
         mat = np.array([[rng.randrange(spec.q) for _ in range(m)] for _ in range(m)], dtype=np.int64)
         det_code = ops.det(mat)
         if det_code == 0:
             continue
-        check(mat, "random", det_code)
+        check(mat, "random", spec.element_from_code(det_code))
         made += 1
 
     return {

@@ -11,16 +11,22 @@ import functools
 
 import pytest
 
-from socle_verify import GF, GroupAlgebra, build_jennings_basis, catalog, catalog_names
+from socle_verify import GF, GroupAlgebra, PcGroup, build_jennings_basis, catalog, catalog_names
 from socle_verify.groupalgebra import radical_filtration_by_products
 
 _GROUPS: dict[str, object] = {}
 _ALGEBRAS: dict[tuple, object] = {}
 
+# inline presentations the tests use beside the catalog
+INLINE = {"C2^7": "pcgroup p=2 m=7\n"}
+
 
 def shared_group(name):
     if name not in _GROUPS:
-        _GROUPS[name] = catalog(name)
+        if name in INLINE:
+            _GROUPS[name] = PcGroup.from_presentation_text(INLINE[name], name=name)
+        else:
+            _GROUPS[name] = catalog(name)
     return _GROUPS[name]
 
 

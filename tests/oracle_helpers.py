@@ -125,6 +125,25 @@ def lifts_by_gr_coordinates(algebra, chain):
     return out
 
 
+def lift_words_by_walk(group, lifts):
+    """Group index of y_1^(e_1) ... y_M^(e_M) at entry sum_j e_j p^(j-1).
+
+    The row order of RadicalFiltration.words, computed one word at a time
+    by a walk over the Cayley table.
+    """
+    t = group.cayley_table
+    p = group.p
+    idx = [group.index_of(y) for y in lifts]
+    words = []
+    for row in range(p ** len(idx)):
+        acc = 0
+        for j, y in enumerate(idx):
+            for _ in range(row // p**j % p):
+                acc = int(t[acc, y])
+        words.append(acc)
+    return words
+
+
 def jennings_monomials(algebra):
     """prod_j (y_j - 1)^(e_j) over the filtration's lifts, multiplied out in kG.
 

@@ -8,6 +8,7 @@ tolerances anywhere.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import shutil
@@ -49,7 +50,7 @@ CRITERIA = {
     6: "bracket and p-power lifts are compatible; degree one generates",
     7: "GL generator identity det^(p-1) holds on the truncated polynomial ring",
     8: "negative controls are rejected",
-    9: "sweep output is byte-identical across runs",
+    9: "sweep output is byte-identical across runs and matches its pinned sha256",
 }
 for number, title in CRITERIA.items():
     register_criterion(f"test_criterion_{number}_", number, title)
@@ -193,7 +194,7 @@ def test_criterion_8_negative_controls():
     j = group.index_of(group.element((0, 1)))
     matrix[:, [i, j]] = matrix[:, [j, i]]
     with pytest.raises(NotMultiplicative):
-        AlgebraAutomorphism.from_matrix(algebra, matrix)
+        AlgebraAutomorphism(algebra, matrix)
 
     klein = shared_group("C2xC2")
     with pytest.raises(NotBijective):
@@ -210,6 +211,10 @@ def test_criterion_8_negative_controls():
     _announce(8)
 
 
+# sha256 of `socle-verify sweep --seed 7 --format json`, the pinned report bytes
+SWEEP_SEED_7_SHA256 = "dbef57fd5dcf3e0fa541dafc019b9842cd4d95ca947aa2e95c096cc8fd6e156f"
+
+
 def test_criterion_9_sweep_determinism():
     exe = shutil.which("socle-verify")
     cmd = [exe] if exe else [sys.executable, "-m", "socle_verify.cli"]
@@ -220,6 +225,7 @@ def test_criterion_9_sweep_determinism():
         assert proc.returncode == 0, proc.stderr.decode()[:500]
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
+    assert hashlib.sha256(outputs[0]).hexdigest() == SWEEP_SEED_7_SHA256
     payload = json.loads(outputs[0])
     assert payload["verdict"] is True
     assert payload["master_seed"] == 7

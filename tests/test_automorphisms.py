@@ -1,4 +1,4 @@
-"""Algebra automorphisms: construction, validation, and the socle scalar.
+"""Algebra automorphisms: construction, certificates, and the socle scalar.
 
 The determinant side is cross-checked at two scales: tiny cases where the
 blocks can be read off by hand, and multiplicativity under composition,
@@ -22,7 +22,6 @@ from socle_verify import (
     SingularLinearPart,
     build_jennings_basis,
     catalog,
-    catalog_names,
     verify_theorem,
 )
 from socle_verify.automorphisms import (
@@ -151,7 +150,17 @@ def test_non_multiplicative_matrix_rejected(algebra):
     j = alg.group.index_of(alg.group.element((0, 1)))
     matrix[:, [i, j]] = matrix[:, [j, i]]
     with pytest.raises(NotMultiplicative):
-        AlgebraAutomorphism.from_matrix(alg, matrix)
+        AlgebraAutomorphism(alg, matrix)
+
+
+@pytest.mark.parametrize("name,degree", [("D8", 1), ("C3xC3", 2)])
+def test_augmentation_map_rejected(algebra, name, degree):
+    """x -> eps(x)*1 fixes 1 and satisfies every identity; only the rank rejects it."""
+    alg = algebra(name, degree)
+    matrix = np.zeros((alg.dimension, alg.dimension), dtype=np.int64)
+    matrix[0] = 1
+    with pytest.raises(NotMultiplicative, match="not invertible"):
+        AlgebraAutomorphism(alg, matrix, "augmentation")
 
 
 def test_singular_linear_part_rejected():
@@ -190,7 +199,8 @@ def test_pair_check_modes(algebra, monkeypatch):
     alg = algebra("D8")
     g = alg.group
     auto = AlgebraAutomorphism.from_group_automorphism(alg, g.stored_automorphisms()[0])
-    assert auto.pair_check == "generators"
+    assert auto.pair_check == "group-automorphism"
+    assert AlgebraAutomorphism(alg, auto.matrix).pair_check == "generators"
     assert alg.dimension <= FULL_PAIR_CHECK_LIMIT
     auto.check_pairs()
     assert auto.pair_check == "full"
@@ -202,7 +212,7 @@ def test_pair_check_modes(algebra, monkeypatch):
     sampled = AlgebraAutomorphism.from_group_automorphism(
         alg, g.stored_automorphisms()[0]
     )
-    assert sampled.pair_check == "generators"
+    assert sampled.pair_check == "group-automorphism"
     sampled.check_pairs()
     assert sampled.pair_check == "sampled"
     assert sampled.provenance.endswith("[sampled multiplicativity]")
@@ -224,26 +234,35 @@ def _accepts(check):
     return True
 
 
-@pytest.mark.parametrize("degree", [1, 2])
-def test_multiplicativity_certificate_matches_pair_oracle(group, algebra, degree):
-    """Generator identities and the all-pairs oracle give the same verdicts.
+# what the in-package constructors certify by construction
+CERTIFICATES = {"group-automorphism", "unit-inverse", "composition", "substitution"}
 
-    Every automorphism a small sweep makes is accepted by both.  Each is
-    then corrupted by a column transposition fixing column 0; both reject
-    it exactly when the transposition is not a group automorphism.
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_multiplicativity_certificate_matches_pair_oracle(algebra, all_names, degree):
+    """Constructor certificates, the dense oracle and the pair oracle agree.
+
+    Every automorphism a small sweep makes on the 24 catalog groups and on
+    C2^7 carries its constructor's certificate, and its matrix passes the
+    validating constructor (identities, spot check, rank); up to order 27
+    it passes check_pairs() too.  Each is then corrupted by a column
+    transposition fixing column 0: the validating constructor,
+    check_pairs() and, up to order 27, the pair loop on its own reject it
+    exactly when the transposition is not a group automorphism.
     """
     rng = random.Random(derive_seed(5, "pair-oracle", degree))
-    names = [name for name in catalog_names() if group(name).order <= 27]
-    rejected = 0
-    for name in names:
+    checked = rejected = 0
+    for name in list(all_names) + ["C2^7"]:
         alg = algebra(name, degree)
         n = alg.dimension
         table = alg.group.cayley_table
-        autos = sweep_automorphisms(alg, name, 5, inner_count=3, compose_count=2, subst_count=3)
-        for auto in autos:
-            assert auto.pair_check == "generators"
-            auto.check_pairs()
-            assert auto.pair_check == "full"
+        for auto in sweep_automorphisms(alg, name, 7, 3, 2, 3):
+            assert auto.pair_check in CERTIFICATES, (name, auto.provenance)
+            assert AlgebraAutomorphism(alg, auto.matrix).pair_check == "generators"
+            if n <= 27:
+                auto.check_pairs()
+                assert auto.pair_check == "full"
+            checked += 1
             if n < 3:
                 continue
             i, j = rng.sample(range(1, n), 2)
@@ -251,10 +270,15 @@ def test_multiplicativity_certificate_matches_pair_oracle(group, algebra, degree
             perm[[i, j]] = perm[[j, i]]
             bad = auto.matrix[:, perm]
             expected = _is_group_automorphism(table, perm)
-            unchecked = AlgebraAutomorphism(alg, bad, "corrupt", validate=False)
             assert _accepts(lambda: AlgebraAutomorphism(alg, bad, "corrupt")) == expected
+            unchecked = AlgebraAutomorphism(alg, bad, "corrupt", certificate="unchecked")
             assert _accepts(unchecked.check_pairs) == expected
+            if n <= 27:
+                pairs_only = AlgebraAutomorphism(alg, bad, "corrupt", certificate="unchecked")
+                pairs_only._check_identities = lambda: None  # the pair loop alone
+                assert _accepts(pairs_only.check_pairs) == expected
             rejected += not expected
+    assert checked == 205  # 197 on the catalog, 8 on C2^7
     assert rejected > 0
 
 
@@ -266,7 +290,7 @@ def test_criterion_8_matrix_rejected_without_full_check(algebra):
     matrix[:, [i, j]] = matrix[:, [j, i]]
     with pytest.raises(NotMultiplicative):
         AlgebraAutomorphism(alg, matrix, "swap")
-    unchecked = AlgebraAutomorphism(alg, matrix, "swap", validate=False)
+    unchecked = AlgebraAutomorphism(alg, matrix, "swap", certificate="unchecked")
     with pytest.raises(NotMultiplicative):
         unchecked.check_pairs()
 
@@ -314,7 +338,7 @@ def _d8_lift_matrix(alg, lift, image):
     """Identity matrix of D8 except that column `lift` holds the vector `image`."""
     matrix = np.eye(alg.dimension, dtype=np.int64)
     matrix[:, alg.group.index_of(lift)] = image.codes
-    return AlgebraAutomorphism(alg, matrix, "lift image", validate=False)
+    return AlgebraAutomorphism(alg, matrix, "lift image", certificate="unchecked")
 
 
 def test_graded_action_rejects_a_lift_image_outside_its_radical_power(algebra):

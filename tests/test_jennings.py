@@ -10,9 +10,10 @@ from __future__ import annotations
 import pytest
 
 from socle_verify import GF, FieldMismatch, GroupAlgebra, PcGroup, build_jennings_basis, catalog_names
-from socle_verify.groupalgebra import dimension_subgroups_definitional
+from socle_verify.groupalgebra import dimension_subgroups_definitional, radical_filtration
 from oracle_helpers import (
     assert_lie_structure_compatible,
+    lift_words_by_walk,
     lifts_by_gr_coordinates,
     pbw_polynomial_oracle,
 )
@@ -105,10 +106,14 @@ def test_degree_one_generates(basis):
         assert basis(name).degree_one_generates()
 
 
-def test_normal_form_bijection(basis):
-    # raises DimensionMismatch if lift power products miss or repeat
-    for name in ("D8", "Heis27", "C4xC2", "ES27"):
-        basis(name).check_normal_form_bijection()
+def test_normal_form_bijection(group, all_names):
+    # the filtration's lift words, against products walked over the table
+    for name in list(all_names) + ["C2^7"]:
+        filt = radical_filtration(group(name))
+        lifts = [y for layer in filt.lifts for y in layer]
+        words = lift_words_by_walk(filt.group, lifts)
+        assert words == filt.words.tolist(), name
+        assert sorted(words) == list(range(filt.group.order)), name
 
 
 def test_socle_product_formula(basis, algebra):

@@ -10,33 +10,20 @@ complements with a solve per lift.
 
 from __future__ import annotations
 
-import functools
 import random
 
 import numpy as np
 
-from socle_verify import GF, GroupAlgebra, PcGroup, build_jennings_basis
+from socle_verify import build_jennings_basis
 from socle_verify.pipeline import sweep_automorphisms
 from conftest import shared_algebra, shared_products_oracle
 from oracle_helpers import graded_blocks_by_projection, jennings_monomials
 
 
-@functools.lru_cache(maxsize=None)
-def _c2_7():
-    return PcGroup.from_presentation_text("pcgroup p=2 m=7\n", name="C2^7")
-
-
-@functools.lru_cache(maxsize=None)
-def _algebra(name, n):
-    if name != "C2^7":
-        return shared_algebra(name, n)
-    return GroupAlgebra(_c2_7(), GF(2, n))
-
-
 def _products_oracle(name):
     # prime-field RREF bases are the RREF bases over GF(p^n) too
     # (test_filtration_matches_products_oracle_over_extension_field)
-    return shared_products_oracle(_algebra(name, 1).group)
+    return shared_products_oracle(shared_algebra(name, 1).group)
 
 
 def _cases(all_names):
@@ -51,7 +38,7 @@ def _random_codes(rng, alg, shape):
 def test_coordinates_rebuild_elements_from_multiplied_out_monomials(all_names):
     rng = random.Random(5)
     for name, n in _cases(all_names):
-        alg = _algebra(name, n)
+        alg = shared_algebra(name, n)
         filt = alg.filtration
         monomials = np.vstack([m.codes for m in jennings_monomials(alg)])
         assert monomials.shape == (alg.dimension, alg.dimension), name
@@ -65,7 +52,7 @@ def test_coordinates_rebuild_elements_from_multiplied_out_monomials(all_names):
 def test_in_radical_power_matches_products_oracle(all_names):
     rng = random.Random(11)
     for name, n in _cases(all_names):
-        alg = _algebra(name, n)
+        alg = shared_algebra(name, n)
         bases, pivots, _, _ = _products_oracle(name)
         depths = range(len(bases))
         if len(depths) > 8:
@@ -88,7 +75,7 @@ def test_in_radical_power_matches_products_oracle(all_names):
 def test_graded_action_matches_projection_oracle(all_names):
     count = 0
     for name, n in _cases(all_names):
-        alg = _algebra(name, n)
+        alg = shared_algebra(name, n)
         basis = build_jennings_basis(alg.group)
         oracle = _products_oracle(name)
         for auto in sweep_automorphisms(alg, name, 7, 3, 2, 3):

@@ -159,6 +159,14 @@ def test_group_automorphism_validates_relations(group):
         )
 
 
+def test_group_automorphism_rejects_a_broken_commutator(group):
+    g = group("Heis27")
+    # swapping g1 and g2 keeps every power relation and the central g3, but
+    # [g1, g2] = g3^-1, so only [g2, g1] = g3 breaks
+    with pytest.raises(RelationViolation, match=r"\[g2,g1\]"):
+        g.group_automorphism([g.generator(2), g.generator(1), g.generator(3)])
+
+
 def test_group_automorphism_rejects_collapse(group):
     g = group("C2xC2")
     same = g.element((1, 0))

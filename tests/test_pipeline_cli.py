@@ -192,7 +192,7 @@ def test_full_check_runs_the_oracles(capsys, name):
         assert report["checks"]["filtration_products_oracle"] is True
 
     algebra, autos = prepare(RunConfig(group=name, auto_specs=("random-inner count=2",)))
-    assert {auto.pair_check for auto in autos} == {"generators"}
+    assert {auto.pair_check for auto in autos} == {"group-automorphism", "unit-inverse"}
     run(algebra, autos, full_check=True)
     assert {auto.pair_check for auto in autos} == {"full"}
 
