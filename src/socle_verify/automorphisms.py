@@ -10,13 +10,17 @@ augmentation 1, satisfy the generator identities
 
     M R_(g_i) = R_(alpha(g_i)) M      for every pc generator g_i,
 
-pass a seeded spot check on two random products, and have full rank.
-R_v is right multiplication.  The identities say alpha(x g_i) =
-alpha(x) alpha(g_i) for every x in kG.  Every group element is a
-normal-form word in the generators, so induction on the word, starting
-from alpha(1) = 1, gives alpha(x h) = alpha(x) alpha(h) for every group
-element h, and linearity extends that to all products.  Its certificate
-is "generators".
+and pass a seeded spot check on two random products.  R_v is right
+multiplication.  The identities say alpha(x g_i) = alpha(x) alpha(g_i)
+for every x in kG.  Every group element is a normal-form word in the
+generators, so induction on the word, starting from alpha(1) = 1, gives
+alpha(x h) = alpha(x) alpha(h) for every group element h, and linearity
+extends that to all products.  Bijectivity is then read off the degree-1
+block: the coordinates of alpha(g_i) - 1 at the weight-1 Jennings
+monomials must have full rank, dim J/J^2.  The g_i - 1 span J/J^2, so
+alpha is onto J/J^2; by Nakayama an endomorphism of the local algebra kG
+that is onto J/J^2 is onto J, hence onto kG.  Its certificate is
+"generators".
 
 The constructors of this module already hold a certificate, pass its
 name and run no dense product:
@@ -32,8 +36,9 @@ name and run no dense product:
   compose                  "composition": of two automorphisms
 
 check_pairs() is the independent oracle, which the pipeline runs on every
-automorphism under --full-check.  It runs the generator identities and
-the spot check, then the literal check alpha(g)alpha(h) = alpha(gh): over
+automorphism under --full-check.  It runs the generator identities, the
+spot check and the rank of the whole matrix, then the literal check
+alpha(g)alpha(h) = alpha(gh): over
 every pair when the group has at most 256 elements, over 10*|G| seeded
 sample pairs beyond that (pair_check then reads "full" or "sampled", and
 a sampled check is flagged in provenance).
@@ -111,7 +116,7 @@ class AlgebraAutomorphism:
 
     With no certificate the matrix is outside input and gets the full
     check (identity column, augmentations, generator identities, spot
-    check, rank); pair_check then reads "generators".  A caller that
+    check, degree-1 rank); pair_check then reads "generators".  A caller that
     already holds a certificate passes its name, which pair_check records,
     and the matrix is taken as it is.
     """
@@ -127,7 +132,7 @@ class AlgebraAutomorphism:
         self._graded: GradedAction | None = None
         if certificate is None:
             self._check_identities()
-            if algebra.ops.rank(matrix) != algebra.dimension:
+            if not self._onto_degree_one():
                 raise NotMultiplicative("matrix is not invertible")
             certificate = "generators"
         self.pair_check = certificate
@@ -281,13 +286,26 @@ class AlgebraAutomorphism:
             if not np.array_equal(lhs_v, rhs_v):
                 raise NotMultiplicative("sampled product is not preserved")
 
+    def _onto_degree_one(self) -> bool:
+        """Whether the generator images span J/J^2 (Nakayama: alpha is onto).
+
+        Reads the coordinates of alpha(g_i) - 1 at the weight-1 monomials,
+        the lifts y_j - 1 of the first Jennings layer.
+        """
+        alg = self.algebra
+        filt = alg.filtration
+        images = self.matrix[:, alg.generator_indices]
+        coords = filt.coordinates(alg.ops, alg.ops.sub(images, alg.one().codes[:, None]))
+        rows = filt.lift_rows[filt.weights[filt.lift_rows] == 1]
+        return alg.ops.rank(coords[rows]) == len(rows)
+
     def check_pairs(self) -> None:
-        """Oracle: generator identities and spot check, then alpha(g)alpha(h) = alpha(gh).
+        """Oracle: generator identities, spot check and rank, then alpha(g)alpha(h) = alpha(gh).
 
         The literal check runs on group elements.  Every pair is tried when |G| <= FULL_PAIR_CHECK_LIMIT, an O(|G|^4)
         product; beyond that, 10*|G| seeded sample pairs are tried and the
         provenance is flagged.  Sets pair_check to "full" or "sampled";
-        raises NotMultiplicative on a failing identity or pair.
+        raises NotMultiplicative on a failing identity, rank or pair.
         """
         if self.pair_check in ("full", "sampled"):
             return
@@ -295,6 +313,8 @@ class AlgebraAutomorphism:
         alg = self.algebra
         ops = alg.ops
         n = alg.dimension
+        if ops.rank(self.matrix) != n:
+            raise NotMultiplicative("matrix is not invertible")
         t = alg.group.cayley_table
         if n <= FULL_PAIR_CHECK_LIMIT:
             # left factors chunked so the stacked gather stays around 16 MB

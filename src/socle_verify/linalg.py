@@ -6,6 +6,12 @@ coefficient planes, work mod p, and re-encode, so no multiplication tables
 are required and every extension degree the scalar layer supports works
 here too.  Prime fields (n == 1) take short-circuit paths: codes are the
 residues themselves.
+
+det also takes a stack of square matrices, shape (B, s, s), and returns
+one code per member.  The stack is decoded once and eliminated column by
+column on its coefficient planes, every member in the same numpy pass,
+and only the B determinants are encoded; a single matrix keeps the
+column loop on codes, which costs less at one matrix.
 """
 
 from __future__ import annotations
@@ -68,15 +74,17 @@ class FieldOps:
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self.n == 1:
             return (np.asarray(a) * np.asarray(b)) % self.p
-        pa = self.decode(a)
-        pb = self.decode(b)
+        return self.encode(self._mul_planes(self.decode(a), self.decode(b)))
+
+    def _mul_planes(self, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+        """Products of coefficient planes (..., n), broadcasting, reduced."""
         shape = np.broadcast_shapes(pa.shape[:-1], pb.shape[:-1])
         out = np.zeros(shape + (2 * self.n - 1,), dtype=np.int64)
         for i in range(self.n):
             for j in range(self.n):
                 out[..., i + j] += pa[..., i] * pb[..., j]
         out %= self.p
-        return self.encode(self.reduce_planes(out))
+        return self.reduce_planes(out)
 
     def reduce_planes(self, planes: np.ndarray) -> np.ndarray:
         """Fold planes for t^n .. t^(2n-2), entries below p, back into degrees < n."""
@@ -85,7 +93,8 @@ class FieldOps:
             c = planes[..., self.n + k]
             if np.any(c):
                 low += c[..., None] * self._red[k]
-        return low % self.p
+        low %= self.p
+        return low
 
     # -- scalars ---------------------------------------------------------------
 
@@ -207,12 +216,17 @@ class FieldOps:
                 basis[k, c] = self.neg(np.int64(r[row, f]))
         return basis
 
-    def det(self, m: np.ndarray) -> int:
-        """Determinant as a field code (forward elimination, exact)."""
+    def det(self, m: np.ndarray) -> int | np.ndarray:
+        """Determinant as a field code (forward elimination, exact).
+
+        A stack (B, s, s) gives the (B,) codes of its members.
+        """
         m = np.array(m, dtype=np.int64, copy=True)
-        size = m.shape[0]
-        if m.shape != (size, size):
-            raise ValueError("determinant needs a square matrix")
+        size = m.shape[-1]
+        if m.ndim not in (2, 3) or m.shape[-2] != size:
+            raise ValueError("determinant needs a square matrix or a stack of them")
+        if m.ndim == 3:
+            return self._det_stack(m)
         det = self.spec.one()
         for c in range(size):
             nz = np.nonzero(m[c:, c])[0]
@@ -230,6 +244,39 @@ class FieldOps:
             if np.any(factors):
                 m[c + 1 :] = self.sub(m[c + 1 :], self.mul(factors[:, None], m[c][None, :]))
         return self.spec.code_of(det)
+
+    def _det_stack(self, m: np.ndarray) -> np.ndarray:
+        """Determinants of a (B, s, s) stack, eliminated on resident planes.
+
+        A member with no pivot in some column multiplies its running
+        determinant by the zero pivot, so it ends at 0 with no bookkeeping.
+        """
+        p, size = self.p, m.shape[-1]
+        planes = self.decode(m)  # (B, s, s, n)
+        members = np.arange(len(m))
+        det = np.zeros((len(m), self.n), dtype=np.int64)
+        det[:, 0] = 1
+        for c in range(size):
+            nz = planes[:, c:, c].any(axis=-1)
+            rows = c + nz.argmax(axis=1)
+            swapped = rows != c
+            if swapped.any():
+                top = planes[members, rows]
+                planes[members, rows] = planes[:, c]
+                planes[:, c] = top
+                det[swapped] = -det[swapped] % p
+            pivot = planes[:, c, c]
+            det = self._mul_planes(det, pivot)
+            if c + 1 == size:
+                break
+            codes = self.encode(pivot)
+            uniq, where = np.unique(codes, return_inverse=True)
+            inv = np.array([self.scalar_inv(u) if u else 0 for u in uniq.tolist()], dtype=np.int64)
+            factors = self._mul_planes(planes[:, c + 1 :, c], self.decode(inv[where])[:, None])
+            below = planes[:, c + 1 :, c:]
+            below -= self._mul_planes(factors[:, :, None], planes[:, None, c, c:])
+            below %= p
+        return self.encode(det)
 
     def eye(self, size: int) -> np.ndarray:
         m = np.zeros((size, size), dtype=np.int64)

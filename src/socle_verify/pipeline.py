@@ -14,6 +14,7 @@ byte-for-byte reproducible.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -31,14 +32,13 @@ from .automorphisms import (
     random_substitution,
     verify_theorem,
 )
-from .ffield import GF, FieldElement, FieldSpec, format_modulus
+from .ffield import GF, FieldSpec, format_modulus
 from .groupalgebra import (
     GroupAlgebra,
     series_definitions_agree,
     radical_filtration_by_products,
 )
 from .jennings import build_jennings_basis
-from .linalg import FieldOps
 from .pgroup import PcGroup, catalog, catalog_description, catalog_names
 from .truncsym import TruncatedPolynomialRing
 
@@ -381,54 +381,66 @@ def gl_check(
     seed = master_seed() if seed is None else seed
     spec = build_field(p, n, modulus)
     ring = TruncatedPolynomialRing(spec, m)
-    ops = FieldOps(spec)
+    ops = ring.ops
     rng = random.Random(derive_seed(seed, "gl-check", p, n, m))
 
     failures: list[dict] = []
     counts = {"elementary": 0, "diagonal": 0, "random_diagonal": 0, "random": 0}
+    # memoised per distinct code: det -> code of det^(p-1), lambda -> (p-1)-st power?
+    power = functools.cache(lambda det: spec.code_of(spec.element_from_code(det) ** (p - 1)))
+    is_pm1_power = functools.cache(lambda lam: spec.element_from_code(lam).is_pm1_power())
 
-    def check(matrix: np.ndarray, kind: str, det: FieldElement) -> None:
-        lam = ring.top_monomial_scalar(matrix)
-        expected = det ** (p - 1)
-        counts[kind] += 1
-        if lam != expected or not lam.is_pm1_power():
-            failures.append(
-                {"kind": kind, "matrix": matrix.tolist(), "lambda": str(lam), "expected": str(expected)}
-            )
+    def check(mats: np.ndarray, kind: str, dets: np.ndarray) -> None:
+        """Compare lambda with det^(p-1) on a (B, m, m) stack, one chunk at a time."""
+        for lo in range(0, len(mats), ring.chunk):
+            part = mats[lo : lo + ring.chunk]
+            lams = ring.top_monomial_scalar(part).tolist()
+            for mat, lam, det in zip(part, lams, dets[lo : lo + ring.chunk].tolist()):
+                if lam != power(det) or not is_pm1_power(lam):
+                    failures.append({
+                        "kind": kind,
+                        "matrix": mat.tolist(),
+                        "lambda": str(spec.element_from_code(lam)),
+                        "expected": str(spec.element_from_code(power(det))),
+                    })
+        counts[kind] += len(mats)
+
+    def identity_with(cells: list[tuple[int, int, int]]) -> np.ndarray:
+        """One identity matrix per (row, column, code) cell, with that entry set."""
+        cells = np.array(cells, dtype=np.int64).reshape(-1, 3)
+        mats = np.tile(ops.eye(m), (len(cells), 1, 1))
+        mats[np.arange(len(cells)), cells[:, 0], cells[:, 1]] = cells[:, 2]
+        return mats
 
     # determinants are known by construction, except for the dense draws
     unit_codes = [spec.code_of(u) for u in spec.units()]
     sampled_units = unit_codes if len(unit_codes) <= 32 else [
         unit_codes[rng.randrange(len(unit_codes))] for _ in range(32)
     ]
+    cells = [(i, j, c) for i in range(m) for j in range(m) if i != j for c in sampled_units]
+    check(identity_with(cells), "elementary", np.ones(len(cells), dtype=np.int64))
+    cells = [(i, i, c) for i in range(m) for c in unit_codes]
+    check(identity_with(cells), "diagonal", np.array([c for _, _, c in cells], dtype=np.int64))
+    entries = np.array(
+        [unit_codes[rng.randrange(len(unit_codes))] for _ in range(count // 4 * m)], dtype=np.int64
+    ).reshape(-1, m)
+    mats = np.zeros((len(entries), m, m), dtype=np.int64)
+    mats[:, np.arange(m), np.arange(m)] = entries
+    dets = np.ones(len(entries), dtype=np.int64)
     for i in range(m):
-        for j in range(m):
-            if i == j:
-                continue
-            for c in sampled_units:
-                mat = ops.eye(m)
-                mat[i, j] = c
-                check(mat, "elementary", spec.one())
-    for i in range(m):
-        for c in unit_codes:
-            mat = ops.eye(m)
-            mat[i, i] = c
-            check(mat, "diagonal", spec.element_from_code(c))
-    for _ in range(count // 4):
-        mat = ops.eye(m)
-        det = spec.one()
-        for i in range(m):
-            mat[i, i] = unit_codes[rng.randrange(len(unit_codes))]
-            det = det * spec.element_from_code(int(mat[i, i]))
-        check(mat, "random_diagonal", det)
+        dets = ops.mul(dets, entries[:, i])
+    check(mats, "random_diagonal", dets)
+    # dense draws in rounds of at most one chunk, in the order a matrix-by-
+    # matrix loop draws them; the singular ones are dropped
     made = 0
     while made < count:
-        mat = np.array([[rng.randrange(spec.q) for _ in range(m)] for _ in range(m)], dtype=np.int64)
-        det_code = ops.det(mat)
-        if det_code == 0:
-            continue
-        check(mat, "random", spec.element_from_code(det_code))
-        made += 1
+        size = min(count - made, ring.chunk)
+        mats = np.array([rng.randrange(spec.q) for _ in range(size * m * m)], dtype=np.int64)
+        mats = mats.reshape(size, m, m)
+        dets = ops.det(mats)
+        keep = dets != 0
+        check(mats[keep], "random", dets[keep])
+        made += int(keep.sum())
 
     return {
         "field": {"p": int(p), "n": int(n), "modulus": format_modulus(spec)},

@@ -16,6 +16,16 @@ substitution is homogeneous, the top degree m*(p-1) contains no
 monomial other than the top one inside the truncation, so the image of
 the top monomial is an exact scalar multiple of itself; that scalar is
 what gets compared against det^(p-1).
+
+top_monomial_scalar also takes a stack of matrices (B, m, m) and returns
+B scalar codes.  A stack is one array with a leading member axis, so each
+product costs one numpy pass per stack instead of one per matrix: the
+product visits the cells that are nonzero in any member and scales by
+each member's own coefficient planes.  A stack is processed in chunks
+whose unreduced accumulator (members x p^m cells x 2n-1 planes) holds at
+most MAX_STACK_CELLS int64 entries, and at least one member, so the
+memory a stack takes stays that of a few single products however many
+matrices a caller passes.
 """
 
 from __future__ import annotations
@@ -31,10 +41,13 @@ __all__ = [
     "NotScalarMultiple",
     "SingularMatrix",
     "MAX_GRID_CELLS",
+    "MAX_STACK_CELLS",
 ]
 
 # largest p^m accepted; elements are dense int64 grids of p^m cells
 MAX_GRID_CELLS = 4096
+# int64 entries of one stacked product's accumulator; a chunk has >= 1 member
+MAX_STACK_CELLS = 2**14
 
 
 class NotScalarMultiple(ValueError):
@@ -62,6 +75,8 @@ class TruncatedPolynomialRing:
         self.p = field.p
         self.ops = FieldOps(field)
         self.shape = (self.p,) * nvars
+        # members per stack chunk, read when the ring is made
+        self.chunk = max(1, MAX_STACK_CELLS // (self.p**nvars * (2 * field.n - 1)))
 
     def zero(self) -> TruncatedPolynomial:
         return TruncatedPolynomial(self, np.zeros(self.shape, dtype=np.int64))
@@ -93,63 +108,95 @@ class TruncatedPolynomialRing:
     def top_monomial(self) -> TruncatedPolynomial:
         return self.monomial((self.p - 1,) * self.nvars)
 
-    def linear_form(self, coeffs: np.ndarray) -> TruncatedPolynomial:
-        """sum_i coeffs[i] * x_(i+1) from a vector of field codes."""
+    def linear_form(self, coeffs: np.ndarray) -> TruncatedPolynomial | np.ndarray:
+        """sum_i coeffs[i] * x_(i+1) from a vector of field codes.
+
+        A (B, m) stack of vectors gives the (B,) + shape stack of grids.
+        """
         coeffs = np.asarray(coeffs, dtype=np.int64)
-        if coeffs.shape != (self.nvars,):
+        if coeffs.ndim not in (1, 2) or coeffs.shape[-1] != self.nvars:
             raise ValueError(f"need {self.nvars} coefficients")
-        grid = np.zeros(self.shape, dtype=np.int64)
+        grid = np.zeros(coeffs.shape[:-1] + self.shape, dtype=np.int64)
         for i in range(self.nvars):
-            grid[tuple(1 if k == i else 0 for k in range(self.nvars))] = coeffs[i]
-        return TruncatedPolynomial(self, grid)
+            grid[(...,) + tuple(1 if k == i else 0 for k in range(self.nvars))] = coeffs[..., i]
+        return TruncatedPolynomial(self, grid) if coeffs.ndim == 1 else grid
 
     def _mul_grids(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Truncated product of two coefficient grids, reduced once at the end."""
+        """Truncated products of coefficient grids, member by member.
+
+        a and b are single grids or (B,) + shape stacks of codes.
+        """
+        single = a.ndim == self.nvars
+        if single:
+            a, b = a[None], b[None]
+        out = self.ops.encode(self._mul_planes(self.ops.decode(a), b))
+        return out[0] if single else out
+
+    def _mul_planes(self, planes: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Coefficient planes (B,) + shape + (n,) times code grids (B,) + shape.
+
+        Visits the cells nonzero in any member of b and adds the shifted
+        planes, times each member's coefficient planes there, into
+        unreduced int64 planes; reduced once at the end.
+        """
         ops = self.ops
         n, p = ops.n, self.p
-        planes = ops.decode(a)
-        coeffs = ops.decode(b)
         # unreduced product planes t^0 .. t^(2n-2): a cell of a plane sums at
         # most p^m * n terms, each below p^2.  p^m <= MAX_GRID_CELLS = 4096
         # forces p < 2^12, and n <= 8, so a sum stays below 2^39, far from 2^63
-        acc = np.zeros(self.shape + (2 * n - 1,), dtype=np.int64)
-        for exps in zip(*np.nonzero(b)):
-            dst = tuple(slice(e, p) for e in exps)
-            src = planes[tuple(slice(0, p - e) for e in exps)]
-            for j, c in enumerate(coeffs[exps].tolist()):
-                if c:
-                    acc[dst + (slice(j, j + n),)] += src * c
-        return ops.encode(ops.reduce_planes(acc % p))
+        acc = np.zeros(planes.shape[:-1] + (2 * n - 1,), dtype=np.int64)
+        lead = (slice(None),)
+        for exps in zip(*np.nonzero(b.any(axis=0))):
+            dst = lead + tuple(slice(e, p) for e in exps)
+            src = planes[lead + tuple(slice(0, p - e) for e in exps)]
+            cell = ops.decode(b[lead + exps]).T.reshape((n, -1) + (1,) * (self.nvars + 1))
+            for j in range(n):
+                if cell[j].any():
+                    acc[dst + (slice(j, j + n),)] += src * cell[j]
+        acc %= p
+        return acc if n == 1 else ops.reduce_planes(acc)
 
     def _substitution_rows(self, matrix: np.ndarray) -> np.ndarray:
-        """Validate a linear substitution x_j -> sum_i matrix[j,i] x_i."""
+        """Validate linear substitutions x_j -> sum_i matrix[j,i] x_i.
+
+        matrix is one (m, m) matrix or a (B, m, m) stack; any singular
+        member raises SingularMatrix.
+        """
         matrix = np.asarray(matrix, dtype=np.int64)
-        if matrix.shape != (self.nvars, self.nvars):
+        if matrix.ndim not in (2, 3) or matrix.shape[-2:] != (self.nvars, self.nvars):
             raise ValueError("substitution matrix has the wrong shape")
-        if self.ops.det(matrix) == 0:
+        if np.any(self.ops.det(matrix) == 0):
             raise SingularMatrix("linear substitution matrix is singular")
         return matrix
 
-    def top_monomial_scalar(self, matrix: np.ndarray) -> FieldElement:
+    def top_monomial_scalar(self, matrix: np.ndarray) -> FieldElement | np.ndarray:
         """Scalar lambda with (prod_j L_j^(p-1)) = lambda * top monomial,
         where L_j = sum_i matrix[j,i] x_i.
 
-        Homogeneity makes the image an exact multiple of the top monomial;
-        anything else is an error in the ring arithmetic.
+        A (B, m, m) stack gives the (B,) codes of its members' scalars,
+        computed self.chunk members at a time.  Homogeneity makes each
+        image an exact multiple of the top monomial; anything else is an
+        error in the ring arithmetic.
         """
-        matrix = self._substitution_rows(matrix)
-        acc = self.one()
-        for j in range(self.nvars):
-            form = self.linear_form(matrix[j])
-            for _ in range(self.p - 1):
-                acc = acc * form
-        top = (self.p - 1,) * self.nvars
-        lam = int(acc.grid[top])
-        rest = acc.grid.copy()
-        rest[top] = 0
-        if rest.any():
-            raise NotScalarMultiple("image of the top monomial is not homogeneous of top degree")
-        return self.field.element_from_code(lam)
+        matrix = np.asarray(matrix, dtype=np.int64)
+        if matrix.ndim == 2:
+            return self.field.element_from_code(int(self.top_monomial_scalar(matrix[None])[0]))
+        lams = [np.zeros(0, dtype=np.int64)]
+        for lo in range(0, len(matrix), self.chunk):
+            stack = self._substitution_rows(matrix[lo : lo + self.chunk])
+            acc = np.zeros((len(stack),) + self.shape + (self.ops.n,), dtype=np.int64)
+            acc[(slice(None),) + (0,) * (self.nvars + 1)] = 1  # the planes of 1
+            for j in range(self.nvars):
+                form = self.linear_form(stack[:, j])
+                for _ in range(self.p - 1):
+                    acc = self._mul_planes(acc, form)
+            acc = self.ops.encode(acc)
+            top = (slice(None),) + (self.p - 1,) * self.nvars
+            lams.append(acc[top].copy())
+            acc[top] = 0
+            if acc.any():
+                raise NotScalarMultiple("image of the top monomial is not homogeneous of top degree")
+        return np.concatenate(lams)
 
 
 class TruncatedPolynomial:
@@ -218,6 +265,8 @@ class TruncatedPolynomial:
         x_j -> sum_i matrix[j,i] x_i; it must be invertible.
         """
         if isinstance(images, np.ndarray):
+            if images.ndim != 2:
+                raise ValueError("substitute takes one matrix, not a stack")
             matrix = self.ring._substitution_rows(images)
             images = [self.ring.linear_form(matrix[j]) for j in range(self.ring.nvars)]
         if len(images) != self.ring.nvars:

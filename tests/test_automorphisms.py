@@ -238,48 +238,111 @@ def _accepts(check):
 CERTIFICATES = {"group-automorphism", "unit-inverse", "composition", "substitution"}
 
 
+def _swept_with_transpositions(algebra, names, degree):
+    """(algebra, automorphism, perm) for every automorphism a small sweep
+    makes on the given groups and on C2^7; perm swaps two random columns
+    other than 0, or is None below order 3."""
+    rng = random.Random(derive_seed(5, "pair-oracle", degree))
+    for name in list(names) + ["C2^7"]:
+        alg = algebra(name, degree)
+        n = alg.dimension
+        for auto in sweep_automorphisms(alg, name, 7, 3, 2, 3):
+            perm = None
+            if n >= 3:
+                i, j = rng.sample(range(1, n), 2)
+                perm = np.arange(n)
+                perm[[i, j]] = perm[[j, i]]
+            yield alg, auto, perm
+
+
 @pytest.mark.parametrize("degree", [1, 2])
 def test_multiplicativity_certificate_matches_pair_oracle(algebra, all_names, degree):
     """Constructor certificates, the dense oracle and the pair oracle agree.
 
     Every automorphism a small sweep makes on the 24 catalog groups and on
     C2^7 carries its constructor's certificate, and its matrix passes the
-    validating constructor (identities, spot check, rank); up to order 27
-    it passes check_pairs() too.  Each is then corrupted by a column
-    transposition fixing column 0: the validating constructor,
-    check_pairs() and, up to order 27, the pair loop on its own reject it
-    exactly when the transposition is not a group automorphism.
+    validating constructor (identities, spot check, degree-1 rank); up to
+    order 27 it passes check_pairs() too.  Each is then corrupted by a
+    column transposition fixing column 0: the validating constructor,
+    check_pairs() and, up to order 27, the pair loop on its own (after the
+    full rank, which a column permutation keeps) reject it exactly when
+    the transposition is not a group automorphism.
     """
-    rng = random.Random(derive_seed(5, "pair-oracle", degree))
     checked = rejected = 0
-    for name in list(all_names) + ["C2^7"]:
-        alg = algebra(name, degree)
+    for alg, auto, perm in _swept_with_transpositions(algebra, all_names, degree):
         n = alg.dimension
-        table = alg.group.cayley_table
-        for auto in sweep_automorphisms(alg, name, 7, 3, 2, 3):
-            assert auto.pair_check in CERTIFICATES, (name, auto.provenance)
-            assert AlgebraAutomorphism(alg, auto.matrix).pair_check == "generators"
-            if n <= 27:
-                auto.check_pairs()
-                assert auto.pair_check == "full"
-            checked += 1
-            if n < 3:
-                continue
-            i, j = rng.sample(range(1, n), 2)
-            perm = np.arange(n)
-            perm[[i, j]] = perm[[j, i]]
-            bad = auto.matrix[:, perm]
-            expected = _is_group_automorphism(table, perm)
-            assert _accepts(lambda: AlgebraAutomorphism(alg, bad, "corrupt")) == expected
-            unchecked = AlgebraAutomorphism(alg, bad, "corrupt", certificate="unchecked")
-            assert _accepts(unchecked.check_pairs) == expected
-            if n <= 27:
-                pairs_only = AlgebraAutomorphism(alg, bad, "corrupt", certificate="unchecked")
-                pairs_only._check_identities = lambda: None  # the pair loop alone
-                assert _accepts(pairs_only.check_pairs) == expected
-            rejected += not expected
+        assert auto.pair_check in CERTIFICATES, auto.provenance
+        assert AlgebraAutomorphism(alg, auto.matrix).pair_check == "generators"
+        if n <= 27:
+            auto.check_pairs()
+            assert auto.pair_check == "full"
+        checked += 1
+        if perm is None:
+            continue
+        bad = auto.matrix[:, perm]
+        expected = _is_group_automorphism(alg.group.cayley_table, perm)
+        assert _accepts(lambda: AlgebraAutomorphism(alg, bad, "corrupt")) == expected
+        unchecked = AlgebraAutomorphism(alg, bad, "corrupt", certificate="unchecked")
+        assert _accepts(unchecked.check_pairs) == expected
+        if n <= 27:
+            pairs_only = AlgebraAutomorphism(alg, bad, "corrupt", certificate="unchecked")
+            pairs_only._check_identities = lambda: None  # the pair loop alone
+            assert _accepts(pairs_only.check_pairs) == expected
+        rejected += not expected
     assert checked == 205  # 197 on the catalog, 8 on C2^7
     assert rejected > 0
+
+
+def _projections(alg):
+    """On C_p^m, the group endomorphisms killing one generator, as matrices
+    of kG: homomorphisms that fix 1 and are not onto."""
+    group = alg.group
+    n = alg.dimension
+    for k in range(group.m):
+        matrix = np.zeros((n, n), dtype=np.int64)
+        for b in range(n):
+            exps = list(group.element_at(b).exponents)
+            exps[k] = 0
+            matrix[group.index_of(group.element(exps)), b] = 1
+        yield matrix
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_degree_one_rank_agrees_with_full_rank(algebra, all_names, degree):
+    """The constructor's degree-1 rank and check_pairs()' full rank agree.
+
+    Checked on every matrix that passes the generator identities, so that
+    Nakayama applies: the automorphisms and column-transposed matrices of
+    test_multiplicativity_certificate_matches_pair_oracle (both ranks
+    full), and the augmentation map x -> eps(x)*1 on every group and the
+    projections of C_p^m killing one generator (both deficient).
+    """
+    seen = {True: 0, False: 0}
+
+    def compare(alg, matrix):
+        auto = AlgebraAutomorphism(alg, matrix, "compare", certificate="unchecked")
+        if not _accepts(auto._check_identities):
+            return
+        full = alg.ops.rank(matrix) == alg.dimension
+        assert auto._onto_degree_one() == full
+        seen[full] += 1
+
+    for alg, auto, perm in _swept_with_transpositions(algebra, all_names, degree):
+        compare(alg, auto.matrix)
+        if perm is not None:
+            compare(alg, auto.matrix[:, perm])
+    for name in list(all_names) + ["C2^7"]:
+        alg = algebra(name, degree)
+        augmentation = np.zeros((alg.dimension, alg.dimension), dtype=np.int64)
+        augmentation[0] = 1
+        compare(alg, augmentation)
+        unchecked = AlgebraAutomorphism(alg, augmentation, "augmentation", certificate="unchecked")
+        with pytest.raises(NotMultiplicative, match="not invertible"):
+            unchecked.check_pairs()
+        if alg.group.is_elementary_abelian():
+            for matrix in _projections(alg):
+                compare(alg, matrix)
+    assert seen[True] >= 205 and seen[False] > 25
 
 
 def test_criterion_8_matrix_rejected_without_full_check(algebra):

@@ -54,6 +54,55 @@ def test_det_matches_leibniz_expansion(p, n):
             assert ops.det(m) == det_oracle(ops, m)
 
 
+def known_det_matrix(k, ops, rng, size, singular):
+    """P L U with L unit lower triangular, U upper triangular and P a row
+    permutation, and its determinant sign(P) * prod diag(U), computed with
+    FieldElement arithmetic; a singular one gets a zero on U's diagonal."""
+    lower = np.tril(random_matrix(k, rng, size, size), -1) + np.eye(size, dtype=np.int64)
+    upper = np.triu(random_matrix(k, rng, size, size), 1)
+    diag = [rng.randrange(1, k.q) for _ in range(size)]
+    if singular:
+        diag[rng.randrange(size)] = 0
+    upper[np.arange(size), np.arange(size)] = diag
+    perm = list(range(size))
+    rng.shuffle(perm)
+    det = k.one()
+    for c in diag:
+        det = det * k.element_from_code(c)
+    if sum(perm[i] > perm[j] for i in range(size) for j in range(i + 1, size)) % 2:
+        det = -det
+    return ops.matmul(lower, upper)[perm], k.code_of(det)
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (5, 1), (2, 2), (2, 3), (3, 2), (5, 2)])
+def test_stacked_det_matches_oracles(p, n):
+    """A (B, s, s) stack against the per-matrix column loop at sizes 1..8,
+    against Leibniz up to size 5, and against known determinants built as
+    P L U; a third of the built members and some random ones are singular."""
+    k = GF(p, n)
+    ops = FieldOps(k)
+    rng = random.Random(4321 + 10 * p + n)
+    for size in range(1, 9):
+        members, known = [], []
+        for i in range(6):
+            m, d = known_det_matrix(k, ops, rng, size, singular=i % 3 == 0)
+            members.append(m)
+            known.append(d)
+        for i in range(6):
+            m = random_matrix(k, rng, size, size)
+            if size > 1 and i % 2:
+                m[-1] = m[0]
+            members.append(m)
+        got = ops.det(np.stack(members))
+        assert got.shape == (len(members),)
+        assert got[:6].tolist() == known
+        assert got.tolist() == [ops.det(m) for m in members]
+        if size <= 5:
+            assert got.tolist() == [det_oracle(ops, m) for m in members]
+        assert 0 in got.tolist()
+    assert ops.det(np.zeros((0, 3, 3), dtype=np.int64)).shape == (0,)
+
+
 def test_det_of_identity_and_swap():
     ops = FieldOps(GF(5))
     assert ops.det(ops.eye(4)) == 1

@@ -13,6 +13,7 @@ import subprocess
 import sys
 from contextlib import redirect_stdout
 
+import numpy as np
 import pytest
 
 from socle_verify.automorphisms import MAX_COUNT
@@ -348,6 +349,35 @@ def test_gl_check_api():
     assert out["verdict"] and out["field"]["p"] == 2 and out["m"] == 3
     out9 = gl_check(p=3, m=2, n=2, count=10, seed=9)
     assert out9["verdict"] and out9["field"]["n"] == 2
+
+
+def test_gl_check_stacks_stay_within_the_chunk(monkeypatch):
+    """With a small chunk, no stack reaching the ring or det exceeds it,
+    and the report is the unpatched one: 10 000 draws take many rounds."""
+    from socle_verify import truncsym
+    from socle_verify.linalg import FieldOps
+    from socle_verify.truncsym import TruncatedPolynomialRing
+
+    want = gl_check(3, 2, count=10_000, seed=5)
+    monkeypatch.setattr(truncsym, "MAX_STACK_CELLS", 9 * 64)
+    sizes = {"top": [], "det": []}
+
+    def spy(name, fn):
+        def wrapped(self, matrix):
+            if np.ndim(matrix) == 3:
+                sizes[name].append(len(matrix))
+            return fn(self, matrix)
+        return wrapped
+
+    monkeypatch.setattr(TruncatedPolynomialRing, "top_monomial_scalar",
+                        spy("top", TruncatedPolynomialRing.top_monomial_scalar))
+    monkeypatch.setattr(FieldOps, "det", spy("det", FieldOps.det))
+    assert gl_check(3, 2, count=10_000, seed=5) == want
+    assert want["checked"] == {
+        "elementary": 4, "diagonal": 4, "random_diagonal": 2500, "random": 10_000
+    }
+    assert max(sizes["top"]) == max(sizes["det"]) == 64
+    assert len(sizes["det"]) > 2 * 10_000 // 64
 
 
 def test_cli_entry_point_subprocess():

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from socle_verify import GF, SingularMatrix, TruncatedPolynomialRing
+from socle_verify import GF, SingularMatrix, TruncatedPolynomialRing, truncsym
 from socle_verify.truncsym import NotScalarMultiple
 
 
@@ -156,19 +156,80 @@ def test_mul_grids_matches_dict_mul(p, n, nvars):
 
 @pytest.mark.parametrize("p,n,nvars", [(2, 1, 6), (2, 1, 7), (2, 1, 8), (2, 2, 3)])
 def test_top_scalar_matches_dict_oracle_at_gl_check_shapes(p, n, nvars):
+    """One matrix at a time, then the same matrices as one stack."""
     k = GF(p, n)
     ring = TruncatedPolynomialRing(k, nvars)
     rng = random.Random(505 + nvars + 10 * n)
-    checked = 0
-    while checked < 4:
+    mats, expected = [], []
+    while len(mats) < 4:
         m = np.array([[rng.randrange(k.q) for _ in range(nvars)] for _ in range(nvars)], dtype=np.int64)
-        expected = top_scalar_oracle(k, m)  # det^(p-1), zero exactly when m is singular
-        if expected.is_zero():
+        lam = top_scalar_oracle(k, m)  # det^(p-1), zero exactly when m is singular
+        if lam.is_zero():
             with pytest.raises(SingularMatrix):
                 ring.top_monomial_scalar(m)
             continue
-        assert ring.top_monomial_scalar(m) == expected
-        checked += 1
+        assert ring.top_monomial_scalar(m) == lam
+        mats.append(m)
+        expected.append(k.code_of(lam))
+    assert ring.top_monomial_scalar(np.stack(mats)).tolist() == expected
+
+
+def _random_stack(k, rng, size, nvars):
+    return np.array(
+        [rng.randrange(k.q) for _ in range(size * nvars * nvars)], dtype=np.int64
+    ).reshape(size, nvars, nvars)
+
+
+@pytest.mark.parametrize("p,n,nvars", [(2, 1, 5), (3, 1, 3), (5, 1, 2), (2, 2, 3), (3, 2, 2)])
+def test_stacked_top_scalar_matches_single_and_chunking(monkeypatch, p, n, nvars):
+    """A stack gives each member's scalar, whatever the chunk size; one
+    singular member makes the whole stack raise SingularMatrix."""
+    k = GF(p, n)
+    ring = TruncatedPolynomialRing(k, nvars)
+    ops = ring.ops
+    rng = random.Random(606 + 10 * p + n)
+    stack = _random_stack(k, rng, 40, nvars)
+    stack = stack[ops.det(stack) != 0]
+    got = ring.top_monomial_scalar(stack)
+    assert got.tolist() == [k.code_of(ring.top_monomial_scalar(m)) for m in stack]
+    for cells in (1, p**nvars * (2 * n - 1) * 3):
+        monkeypatch.setattr(truncsym, "MAX_STACK_CELLS", cells)
+        small = TruncatedPolynomialRing(k, nvars)
+        assert small.chunk == max(1, cells // (p**nvars * (2 * n - 1)))
+        assert small.chunk < len(stack)
+        members = []
+        mul = small._mul_planes
+        monkeypatch.setattr(
+            small, "_mul_planes", lambda planes, b: members.append(len(planes)) or mul(planes, b)
+        )
+        assert np.array_equal(small.top_monomial_scalar(stack), got)
+        assert max(members) == small.chunk
+    singular = stack.copy()
+    singular[len(stack) // 2, 0] = 0
+    with pytest.raises(SingularMatrix):
+        ring.top_monomial_scalar(singular)
+    assert ring.top_monomial_scalar(stack[:0]).shape == (0,)
+
+
+def test_chunk_holds_one_member_at_the_grid_limit():
+    # 2^12 cells and 15 product planes over GF(2^8) exceed MAX_STACK_CELLS alone
+    ring = TruncatedPolynomialRing(GF(2, 8), 12)
+    assert 2**12 * 15 > truncsym.MAX_STACK_CELLS
+    assert ring.chunk == 1
+
+
+def test_stacked_linear_forms_and_products_match_single():
+    k = GF(3, 2)
+    ring = TruncatedPolynomialRing(k, 3)
+    rng = random.Random(707)
+    coeffs = np.array([[rng.randrange(9) for _ in range(3)] for _ in range(5)], dtype=np.int64)
+    forms = ring.linear_form(coeffs)
+    singles = [ring.linear_form(c) for c in coeffs]
+    assert np.array_equal(forms, np.stack([f.grid for f in singles]))
+    left = np.stack([(f + ring.scalar(1)).grid for f in singles])
+    got = ring._mul_grids(left, forms)
+    for g, f in zip(got, singles):
+        assert np.array_equal(g, ((f + ring.scalar(1)) * f).grid)
 
 
 def test_substitute_matrix_equals_linear_forms():
@@ -200,6 +261,8 @@ def test_singular_matrix_rejected():
         ring.top_monomial_scalar(np.zeros((2, 2), dtype=np.int64))
     with pytest.raises(SingularMatrix):
         ring.variable(1).substitute(np.array([[1, 2], [2, 1]], dtype=np.int64))
+    with pytest.raises(ValueError, match="not a stack"):
+        ring.variable(1).substitute(np.eye(2, dtype=np.int64)[None])
 
 
 def test_non_scalar_image_detected():
