@@ -170,6 +170,12 @@ class AlgebraAutomorphism:
         to be invertible.  Both are read off one coordinates() pass over the
         images: the weight-0 coordinate is the augmentation, and the lift
         rows, which on C_p^m are all of weight 1, are the linear part.
+
+        The matrix is built one generator at a time.  Once the columns of
+        the subgroup <g_1, ..., g_(k-1)> are known, alpha(x g_k^e) =
+        alpha(x) a_k^e fills the columns of all x g_k^e, for e = 1 .. p-1,
+        with one product R(a_k^e) * M[:, <g_1, ..., g_(k-1)>]: m(p-1)
+        matrix products in all.
         """
         group = algebra.group
         if not group.is_elementary_abelian():
@@ -178,33 +184,30 @@ class AlgebraAutomorphism:
             raise ValueError(f"need {group.m} generator images")
         if any(u.algebra is not algebra for u in images):
             raise FieldMismatch("image belongs to a different algebra")
+        ops = algebra.ops
         filt = algebra.filtration
-        coords = filt.coordinates(algebra.ops, np.stack([u.codes for u in images], axis=1))
+        coords = filt.coordinates(ops, np.stack([u.codes for u in images], axis=1))
         for i, augmentation in enumerate(coords[0]):
             if augmentation != 1:
                 raise ValueError(f"image of g{i + 1} must have augmentation 1")
-        if algebra.ops.det(coords[filt.lift_rows]) == 0:
+        if ops.det(coords[filt.lift_rows]) == 0:
             raise SingularLinearPart("linear part of the substitution is singular")
 
-        # multiplicative extension along normal forms
+        t = group.cayley_table
         n = algebra.dimension
-        p = group.p
-        one = algebra.one()
-        pow_codes: dict[tuple[int, int], np.ndarray] = {}
-        for k in range(group.m):
-            acc = one
-            for e in range(1, p):
-                acc = acc * images[k]
-                pow_codes[(k, e)] = acc.codes
         matrix = np.zeros((n, n), dtype=np.int64)
         matrix[0, 0] = 1
-        for b in range(1, n):
-            exps = group.element_at(b).exponents
-            jlast = max(k for k in range(group.m) if exps[k])
-            prefix = list(exps)
-            prefix[jlast] = 0
-            pcol = matrix[:, group.index_of(group.element(prefix))]
-            matrix[:, b] = algebra.multiply_codes(pcol, pow_codes[(jlast, exps[jlast])])
+        done = np.zeros(1, dtype=np.int64)  # columns of <g_1, ..., g_(k-1)>
+        for image, gi in zip(images, algebra.generator_indices):
+            power, power_index = algebra.one(), 0
+            blocks = [done]
+            for _ in range(1, group.p):
+                power = power * image
+                power_index = int(t[power_index, gi])
+                cols = t[done, power_index]
+                matrix[:, cols] = ops.matmul(algebra.right_mult_matrix(power.codes), matrix[:, done])
+                blocks.append(cols)
+            done = np.concatenate(blocks)
         # invertible linear part forces an invertible map: the induced action
         # on each J^r/J^(r+1) is a symmetric power of the linear part, and a
         # filtered map with invertible graded pieces is invertible

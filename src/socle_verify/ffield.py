@@ -382,8 +382,8 @@ def format_modulus(spec: FieldSpec) -> str:
     return _format_polynomial(spec.modulus)
 
 
-def parse_polynomial_literal(text: str, p: int) -> list[int]:
-    """Parse a polynomial in t over GF(p), low-degree-first coefficients."""
+def _polynomial_terms(text: str, p: int) -> list[tuple[int, int]]:
+    """Parse a polynomial in t over GF(p) into (degree, coefficient mod p) terms."""
     s = text.replace(" ", "")
     if not s:
         raise ValueError("empty field literal")
@@ -404,29 +404,42 @@ def parse_polynomial_literal(text: str, p: int) -> list[int]:
         raise ValueError(f"malformed field literal {text!r}")
     terms.append((sign, cur))
 
-    coeffs: list[int] = []
-
-    def bump(deg: int, val: int) -> None:
-        while len(coeffs) <= deg:
-            coeffs.append(0)
-        coeffs[deg] = (coeffs[deg] + val) % p
-
     import re
 
     term_re = re.compile(r"^(?:(\d+)\*?)?(t)(?:\^(\d+))?$|^(\d+)$")
+    out = []
     for sgn, term in terms:
         mt = term_re.match(term)
         if not mt:
             raise ValueError(f"malformed term {term!r} in field literal {text!r}")
         if mt.group(4) is not None:
-            bump(0, sgn * int(mt.group(4)))
+            out.append((0, sgn * int(mt.group(4)) % p))
             continue
         coef = int(mt.group(1)) if mt.group(1) else 1
         deg = int(mt.group(3)) if mt.group(3) else 1
-        bump(deg, sgn * coef)
+        out.append((deg, sgn * coef % p))
+    return out
+
+
+def parse_polynomial_literal(text: str, p: int) -> list[int]:
+    """Parse a polynomial in t over GF(p), low-degree-first coefficients.
+
+    A modulus is parsed this way, so a degree above MAX_EXTENSION_DEGREE is
+    rejected before the coefficient list is allocated.
+    """
+    terms = _polynomial_terms(text, p)
+    top = max(deg for deg, _ in terms)
+    if top > MAX_EXTENSION_DEGREE:
+        raise ValueError(f"polynomial degree {top} exceeds {MAX_EXTENSION_DEGREE} in {text!r}")
+    coeffs = [0] * (top + 1)
+    for deg, coef in terms:
+        coeffs[deg] = (coeffs[deg] + coef) % p
     return coeffs
 
 
 def parse_field_literal(spec: FieldSpec, text: str) -> FieldElement:
-    coeffs = parse_polynomial_literal(text, spec.p)
-    return spec.from_coeffs(coeffs)
+    """Parse an element literal; each t^d is reduced by square-and-multiply."""
+    acc = spec.zero()
+    for deg, coef in _polynomial_terms(text, spec.p):
+        acc = acc + spec.t() ** deg * coef
+    return acc

@@ -346,13 +346,19 @@ class PcGroup:
         return GroupElement(self._elements[idx])
 
     def collect(self, word: Iterable[tuple[int, int]]) -> GroupElement:
-        """Normal form of an arbitrary nonnegative generator word."""
+        """Normal form of an arbitrary nonnegative generator word.
+
+        Each exponent is reduced mod |G| first, which every element order
+        divides, so collection never expands more than |G| - 1 copies.
+        """
+        reduced = []
         for idx, exp in word:
             if not 1 <= idx <= self.m:
                 raise ValueError(f"generator index {idx} out of range")
             if exp < 0:
                 raise ValueError("collection handles nonnegative exponents only")
-        return GroupElement(_collect(self.p, self.m, self.power_words, self.comm_words, word))
+            reduced.append((idx, exp % self.order))
+        return GroupElement(_collect(self.p, self.m, self.power_words, self.comm_words, reduced))
 
     def multiply(self, a: GroupElement, b: GroupElement) -> GroupElement:
         return self.element_at(int(self._cayley[self.index_of(a), self.index_of(b)]))

@@ -196,3 +196,32 @@ def graded_blocks_by_projection(auto, basis, oracle):
             block[:, j] = coords
         blocks.append((r, block))
     return blocks
+
+
+def substitution_matrix_by_columns(algebra, images):
+    """Matrix of the substitution g_i -> images[i], one column at a time.
+
+    The oracle for AlgebraAutomorphism.from_substitution_images: column b,
+    for the normal form x g_j^e with j the last generator it mentions, is
+    the kG product alpha(x) * images[j]^e of an earlier column with a power
+    of an image.
+    """
+    group = algebra.group
+    n = algebra.dimension
+    one = algebra.one()
+    powers = {}
+    for k, image in enumerate(images):
+        acc = one
+        for e in range(1, group.p):
+            acc = acc * image
+            powers[(k, e)] = acc.codes
+    matrix = np.zeros((n, n), dtype=np.int64)
+    matrix[0, 0] = 1
+    for b in range(1, n):
+        exps = group.element_at(b).exponents
+        jlast = max(k for k in range(group.m) if exps[k])
+        prefix = list(exps)
+        prefix[jlast] = 0
+        pcol = matrix[:, group.index_of(group.element(prefix))]
+        matrix[:, b] = algebra.multiply_codes(pcol, powers[(jlast, exps[jlast])])
+    return matrix

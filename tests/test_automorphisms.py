@@ -33,6 +33,8 @@ from socle_verify.automorphisms import (
 )
 from socle_verify.pipeline import derive_seed, sweep_automorphisms
 
+from oracle_helpers import substitution_matrix_by_columns
+
 
 def test_c3_inversion_report(algebra):
     alg = algebra("C3")
@@ -395,6 +397,49 @@ def test_random_substitution_matches_contract():
     assert rep.equation_holds
     assert rep.lambda_in_power_subgroup
     assert rep.socle_scalar == rep.det_power
+
+
+def _subst_spec(m, coefficient):
+    """x_i -> c x_i + x_(i+1) + x_1 x_m: a triangular linear part and J^2 tails."""
+    clauses = []
+    for i in range(1, m + 1):
+        rhs = f"{coefficient}x{i}" + (f" + x{i + 1}" if i < m else "") + f" + x1*x{m}"
+        clauses.append(f"x{i} -> {rhs}")
+    return "subst: " + ", ".join(clauses)
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_substitution_blocks_match_column_oracle(algebra, all_names, degree, monkeypatch):
+    """The generator-block build equals the column loop, byte for byte.
+
+    Three random_substitution draws and one subst: spec with J^2 tails on
+    every elementary abelian catalog group, and over GF(p^2) on C2^7 and
+    C3^4 too; the images each build received are recorded and rebuilt by
+    substitution_matrix_by_columns.
+    """
+    built = []
+    build = AlgebraAutomorphism.from_substitution_images.__func__
+
+    def recording(cls, alg, images, provenance=None):
+        auto = build(cls, alg, images, provenance)
+        built.append((alg, images, auto))
+        return auto
+
+    monkeypatch.setattr(AlgebraAutomorphism, "from_substitution_images", classmethod(recording))
+    names = [name for name in all_names if algebra(name).group.is_elementary_abelian()]
+    if degree == 2:
+        names += ["C2^7", "C3^4"]
+    for name in names:
+        alg = algebra(name, degree)
+        rng = random.Random(derive_seed(7, "subst-blocks", name))
+        for _ in range(3):
+            random_substitution(alg, rng)
+        parse_automorphism_specs(alg, _subst_spec(alg.group.m, "(t)*" if degree == 2 else ""))
+    assert len(built) == 4 * len(names)
+    assert {alg.group.p for alg, _, _ in built} == {2, 3, 5}
+    for alg, images, auto in built:
+        expected = substitution_matrix_by_columns(alg, images)
+        assert np.array_equal(auto.matrix, expected), (alg.group.name, auto.provenance)
 
 
 def _d8_lift_matrix(alg, lift, image):

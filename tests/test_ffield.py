@@ -143,6 +143,27 @@ def test_parse_polynomial_literal():
     assert parse_polynomial_literal("t^3+t^2+1", 5) == [1, 0, 1, 1]
 
 
+def test_modulus_degree_is_bounded_before_allocation():
+    assert parse_polynomial_literal("t^8+1", 2) == [1] + [0] * 7 + [1]
+    # huge degrees run in a child process with a memory cap (test_pipeline_cli)
+    for text in ("t^9+1", "t^1000+1", "1+t^1000"):
+        with pytest.raises(ValueError, match="exceeds 8"):
+            parse_polynomial_literal(text, 2)
+        with pytest.raises(ValueError, match="exceeds 8"):
+            GF(2, 2, text)
+
+
+@pytest.mark.parametrize("p, n", [(2, 1), (2, 2), (3, 2), (2, 3), (5, 2)])
+def test_element_literal_powers_are_reduced(p, n):
+    k = GF(p, n)
+    # t^d by square-and-multiply equals the dense polynomial reduced mod the modulus
+    for d in range(3 * k.q):
+        assert parse_field_literal(k, f"2*t^{d}+1") == k.from_coeffs([0] * d + [2]) + 1
+    # x^q = x for every x in GF(q), so an exponent 5 mod (q - 1) gives t^5
+    huge = 10**11 * (k.q - 1) + 5
+    assert parse_field_literal(k, f"t^{huge}") == k.t() ** 5
+
+
 def test_division_by_zero_raises():
     k = GF(3, 2)
     with pytest.raises(ZeroDivisionError):

@@ -2,8 +2,9 @@
 
 Inline pc presentations above the catalog's largest order (125) up to
 MAX_ORDER = 512: graded dimensions against the product generating
-function, the socle certificate and the socle product formula, and at
-order 256 the socle scalar against det^(p-1) through the pipeline.
+function, the socle certificate and the socle product formula; at
+order 256 the socle scalar against det^(p-1) through the pipeline, and
+random substitutions at orders 243 and 512 over GF(p^2).
 """
 
 from __future__ import annotations
@@ -79,4 +80,32 @@ def test_order_256_socle_scalar_is_det_power(name, specs, degree):
     if degree > 1 and "random-subst" in specs:
         # with this seed the substitution's linear part has det t+1, not 1
         assert not report.auto_reports[-1].socle_scalar.is_one()
+    assert report.verdict
+
+
+@pytest.mark.parametrize("name", ["C2^9", "C3^5"])
+def test_large_substitutions_socle_scalar_is_det_power(name):
+    group = large_group(name)
+    algebra, autos = prepare(
+        RunConfig(
+            group=name,
+            presentation=PRESENTATIONS[name],
+            n=2,
+            auto_specs=("random-subst count=2",),
+            include_stored=False,
+            seed=4,
+        )
+    )
+    assert algebra.dimension == ORDERS[name] and algebra.field.q == group.p**2
+    report = run(algebra, autos)
+    assert len(report.auto_reports) == 2
+    for rep in report.auto_reports:
+        assert rep.equation_holds, rep.provenance
+        assert rep.socle_scalar == rep.det_power, rep.provenance
+        # det^(p-1) = 1 exactly when det lies in GF(p)
+        in_prime_field = not any(rep.det_total.coeffs[1:])
+        assert rep.socle_scalar.is_one() == in_prime_field, rep.provenance
+    # with this seed the second draw's determinant lies outside GF(p)
+    assert any(report.auto_reports[-1].det_total.coeffs[1:])
+    assert not report.auto_reports[-1].socle_scalar.is_one()
     assert report.verdict

@@ -9,6 +9,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -229,6 +230,54 @@ def test_huge_substitution_exponent_ends_at_once():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["verdict"] is True
+
+
+def _run_subprocess(argv):
+    """Run the CLI in a child with a 30 s timeout and a 1 GB address-space cap,
+    so an unbounded expansion fails fast instead of filling the memory."""
+    def cap():
+        import resource
+
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")  # thread buffers count against the cap
+    return subprocess.run([sys.executable, "-m", "socle_verify.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=30, preexec_fn=cap)
+
+
+@pytest.mark.parametrize(
+    "group, field, huge, reduced",
+    [
+        # exponents of group words reduce mod |G| = 4
+        ("C4", "2", "group-auto: g1 -> g1^10000000", "group-auto: g1 -> g1^0"),
+        ("C4", "2", "group-auto: g1 -> g1^10000001", "group-auto: g1 -> g1"),
+        ("C4", "2", "inner: 1 + g1^100000000", "inner: 1 + g1^0"),
+        ("C4", "2", "inner: g1^100000003", "inner: g1^3"),
+        # t^(10^11) = t in GF(4), since x^4 = x and 10^11 = 1 mod 3
+        ("C2xC2", "2,2", "inner: 1 + (t^100000000000)*g1", "inner: 1 + (t)*g1"),
+    ],
+)
+def test_huge_literal_exponents_end_at_once(capsys, group, field, huge, reduced):
+    proc = _run_subprocess(["run", "--group", group, "--field", field, "--no-stored", "--auto", huge])
+    code = main(["run", "--group", group, "--field", field, "--no-stored", "--auto", reduced])
+    captured = capsys.readouterr()
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--group", "C2xC2", "--field", "2,2,t^100000000000+1", "--no-stored"],
+        ["gl-check", "--p", "2", "--m", "2", "--n", "2", "--modulus", "t^100000000000+1"],
+    ],
+)
+def test_huge_modulus_degree_rejected_at_once(argv):
+    proc = _run_subprocess(argv)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "degree 100000000000 exceeds 8" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_substitution_exponent_zero_rejected(capsys):
