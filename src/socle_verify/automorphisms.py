@@ -59,7 +59,7 @@ import numpy as np
 
 from .ffield import FieldElement, FieldMismatch
 from .groupalgebra import AlgebraElement, GroupAlgebra, NotAUnit, column_sums
-from .jennings import JenningsBasis, build_jennings_basis
+from .jennings import build_jennings_basis
 from .pgroup import GroupAutomorphism, GroupElement
 
 __all__ = [
@@ -171,11 +171,11 @@ class AlgebraAutomorphism:
         images: the weight-0 coordinate is the augmentation, and the lift
         rows, which on C_p^m are all of weight 1, are the linear part.
 
-        The matrix is built one generator at a time.  Once the columns of
-        the subgroup <g_1, ..., g_(k-1)> are known, alpha(x g_k^e) =
-        alpha(x) a_k^e fills the columns of all x g_k^e, for e = 1 .. p-1,
-        with one product R(a_k^e) * M[:, <g_1, ..., g_(k-1)>]: m(p-1)
-        matrix products in all.
+        The matrix is built in the group's generator blocks
+        (PcGroup.generator_blocks()).  Once the columns of the prefixes x in
+        <g_1, ..., g_(k-1)> are known, alpha(x g_k^e) = alpha(x) a_k^e fills
+        the columns of all x g_k^e, for e = 1 .. p-1, with one product
+        R(a_k^e) * M[:, prefix]: m(p-1) matrix products in all.
         """
         group = algebra.group
         if not group.is_elementary_abelian():
@@ -193,21 +193,14 @@ class AlgebraAutomorphism:
         if ops.det(coords[filt.lift_rows]) == 0:
             raise SingularLinearPart("linear part of the substitution is singular")
 
-        t = group.cayley_table
         n = algebra.dimension
         matrix = np.zeros((n, n), dtype=np.int64)
         matrix[0, 0] = 1
-        done = np.zeros(1, dtype=np.int64)  # columns of <g_1, ..., g_(k-1)>
-        for image, gi in zip(images, algebra.generator_indices):
-            power, power_index = algebra.one(), 0
-            blocks = [done]
-            for _ in range(1, group.p):
+        for image, (prefix, cols) in zip(images, group.generator_blocks()):
+            power = algebra.one()
+            for block in cols:
                 power = power * image
-                power_index = int(t[power_index, gi])
-                cols = t[done, power_index]
-                matrix[:, cols] = ops.matmul(algebra.right_mult_matrix(power.codes), matrix[:, done])
-                blocks.append(cols)
-            done = np.concatenate(blocks)
+                matrix[:, block] = ops.matmul(algebra.right_mult_matrix(power.codes), matrix[:, prefix])
         # invertible linear part forces an invertible map: the induced action
         # on each J^r/J^(r+1) is a symmetric power of the linear part, and a
         # filtered map with invertible graded pieces is invertible
@@ -360,7 +353,7 @@ class AlgebraAutomorphism:
             raise SocleNotPreserved("socle vector image is not a nonzero multiple of itself")
         return self.algebra.field.element_from_code(lam)
 
-    def graded_action(self, basis: JenningsBasis | None = None) -> "GradedAction":
+    def graded_action(self) -> "GradedAction":
         """Blocks of the induced maps on F_r/F_(r+1) tensored up to k.
 
         The images alpha(y) - 1 of all lifts are read off on the Jennings
@@ -373,10 +366,7 @@ class AlgebraAutomorphism:
             return self._graded
         alg = self.algebra
         ops = alg.ops
-        if basis is None:
-            basis = build_jennings_basis(alg.group)
-        elif basis.group is not alg.group:
-            raise ValueError("layer basis belongs to a different group")
+        basis = build_jennings_basis(alg.group)
         filt = basis.filtration
         cols = [alg.group.index_of(y) for y in basis.lift_elements]
         coords = filt.coordinates(ops, ops.sub(self.matrix[:, cols], alg.one().codes[:, None]))
@@ -451,10 +441,10 @@ class VerificationReport:
         }
 
 
-def verify_theorem(auto: AlgebraAutomorphism, basis: JenningsBasis | None = None) -> VerificationReport:
+def verify_theorem(auto: AlgebraAutomorphism) -> VerificationReport:
     """Check alpha(socle) = det(A)^(p-1) * socle and the scalar's constraints."""
     lam = auto.socle_scalar()
-    action = auto.graded_action(basis)
+    action = auto.graded_action()
     p = auto.algebra.field.p
     det_pow = action.det_total ** (p - 1)
     return VerificationReport(

@@ -461,27 +461,27 @@ class GroupAlgebra:
         return self.ops.matvec(self.left_mult_matrix(a), b)
 
     def unit_inverse(self, u: AlgebraElement) -> AlgebraElement:
-        """Inverse via the geometric series of the radical part.
+        """Inverse by repeated squaring of the radical part.
 
-        u = eps(1 - z) with z in J, so u^-1 = eps^-1 (1 + z + ... + z^s).
+        u = eps(1 - z) with z in J, and z^(s+1) = 0 for the socle degree s,
+        so u^-1 = eps^-1 (1 + z)(1 + z^2)(1 + z^4)...; the product stops at
+        the first z^(2^j) = 0, after at most s.bit_length() rounds.
         """
         eps = u.augmentation()
         if eps.is_zero():
             raise NotAUnit("element lies in the augmentation ideal")
         einv = self.field.code_of(eps.inverse())
-        w = self.ops.mul(u.codes, np.full_like(u.codes, einv))
-        z = self.ops.sub(self.one().codes, w)
-        lz = self.left_mult_matrix(z)
-        term = self.one().codes
-        acc = term.copy()
-        for _ in range(self.socle_degree):
-            term = self.ops.matvec(lz, term)
-            if not term.any():
+        one = self.one().codes
+        z = self.ops.sub(one, self.ops.mul(u.codes, np.full_like(u.codes, einv)))
+        acc = self.ops.add(one, z)
+        for _ in range(self.socle_degree.bit_length() - 1):
+            z = self.multiply_codes(z, z)
+            if not z.any():
                 break
-            acc = self.ops.add(acc, term)
+            acc = self.multiply_codes(acc, self.ops.add(one, z))
         inv_codes = self.ops.mul(acc, np.full_like(acc, einv))
-        if not np.array_equal(self.multiply_codes(u.codes, inv_codes), self.one().codes):
-            raise NotAUnit("geometric series did not invert the element")
+        if not np.array_equal(self.multiply_codes(u.codes, inv_codes), one):
+            raise NotAUnit("repeated squaring did not invert the element")
         return AlgebraElement(self, inv_codes)
 
     # -- filtration access ---------------------------------------------------------

@@ -7,7 +7,10 @@ A group of order p^m has generators g1..gm and relations
 
 where every element has a unique normal form g1^e1 ... gm^em with
 0 <= ei < p.  Products are computed by collection from the left.
-Construction materializes the full Cayley table and certifies it
+Construction materializes the full Cayley table in generator blocks
+(generator_blocks()): the m(p-1) columns of the powers g_(k+1)^e are
+collected, and the columns of x g_(k+1)^e, for x in <g1..gk>, are one
+gather of earlier columns.  It then certifies the table
 (identity, cancellation, associativity on all triples, and the defining
 relations re-checked against the table), so inconsistent presentations
 are rejected outright.  The relation check is the one group_automorphism
@@ -161,6 +164,18 @@ def _collect(p: int, m: int, power_words: tuple[Word, ...], comm_words: dict[tup
     return tuple(exps)
 
 
+def _normal_form_blocks(p: int, m: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """PcGroup.generator_blocks() for order p^m, as read-only arrays."""
+    blocks = []
+    for k in range(m):
+        stride = p ** (m - k - 1)
+        prefix = np.arange(p**k, dtype=np.int64) * (stride * p)
+        cols = prefix[None, :] + np.arange(1, p, dtype=np.int64)[:, None] * stride
+        prefix.flags.writeable = cols.flags.writeable = False
+        blocks.append((prefix, cols))
+    return tuple(blocks)
+
+
 class PcGroup:
     """A finite p-group with a certified Cayley-table multiplication backend."""
 
@@ -199,6 +214,7 @@ class PcGroup:
 
         self._elements: list[tuple[int, ...]] = list(itertools.product(range(p), repeat=m))
         self._index: dict[tuple[int, ...], int] = {t: k for k, t in enumerate(self._elements)}
+        self._blocks = _normal_form_blocks(p, m)
         self._build_table()
         self._certify()
 
@@ -225,34 +241,30 @@ class PcGroup:
         p, m = self.p, self.m
         table = np.zeros((n, n), dtype=np.int64)
         table[:, 0] = np.arange(n)
-        # split each column index into (prefix, pure generator power); prefix
-        # columns are lexicographically smaller, so one ascending pass suffices
-        for b in range(1, n):
-            exps = self._elements[b]
-            jlast = max(k for k in range(m) if exps[k])
-            if all(exps[k] == 0 for k in range(jlast)):
-                # base column: collect a * gj^e directly
-                col = np.empty(n, dtype=np.int64)
-                for a in range(n):
-                    ae = self._elements[a]
-                    nf = _collect(
-                        p,
-                        m,
-                        self.power_words,
-                        self.comm_words,
-                        [(k + 1, ae[k]) for k in range(m) if ae[k]] + [(jlast + 1, exps[jlast])],
-                    )
-                    col[a] = self._index[nf]
-                table[:, b] = col
-            else:
-                prefix = list(exps)
-                prefix[jlast] = 0
-                bpref = self._index[tuple(prefix)]
-                pure = [0] * m
-                pure[jlast] = exps[jlast]
-                gpow = self._index[tuple(pure)]
-                table[:, b] = table[table[:, bpref], gpow]
+        for k, (prefix, cols) in enumerate(self.generator_blocks()):
+            base = cols[:, 0]  # the columns of g_(k+1)^e, collected directly
+            for e, b in enumerate(base, start=1):
+                table[:, b] = [
+                    self._index[_collect(p, m, self.power_words, self.comm_words,
+                                         [(i + 1, x) for i, x in enumerate(ae) if x] + [(k + 1, e)])]
+                    for ae in self._elements
+                ]
+            # a (x g_(k+1)^e) = (a x) g_(k+1)^e; x's column is in an earlier block
+            table[:, cols] = table[table[:, prefix][:, None, :], base[None, :, None]]
         self._cayley = table
+
+    def generator_blocks(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Normal forms grouped by their last generator, one block per generator.
+
+        Entry k holds (prefix, cols) for g_(k+1): prefix lists the indices
+        of the normal forms g_1^(e_1) ... g_k^(e_k) in ascending order, and
+        cols[e - 1] the indices of x g_(k+1)^e for x in prefix,
+        1 <= e < p, which is x + e p^(m-k-1).  Every nonidentity element is
+        in exactly one cols, and every prefix is the identity or lies in an
+        earlier block, so a map extended along normal forms block by block
+        is always known on prefix.
+        """
+        return self._blocks
 
     def _certify(self) -> None:
         t = self._cayley
@@ -280,29 +292,46 @@ class PcGroup:
         the power word, and [a_j, a_i] against the commutator word, j > i.
         """
         t = self._cayley
-        inv = self._inv
-
-        def power(a: int, e: int) -> int:
-            acc = 0
-            for _ in range(e):
-                acc = int(t[acc, a])
-            return acc
+        images = np.asarray(images, dtype=np.int64)
+        pw = self._powers(images[:, None], np.arange(self.p + 1))  # pw[k, e] = a_(k+1)^e
 
         def word(w: Word) -> int:
             acc = 0
             for idx, exp in w:
-                acc = int(t[acc, power(images[idx - 1], exp)])
+                acc = t[acc, pw[idx - 1, exp]]
             return acc
 
         for i in range(1, self.m + 1):
-            if power(images[i - 1], self.p) != word(self.power_words[i - 1]):
+            if pw[i - 1, self.p] != word(self.power_words[i - 1]):
                 return f"power relation of g{i}"
+        comms = self._commutators(images[:, None], images)  # comms[j - 1, i - 1] = [a_j, a_i]
         for j in range(2, self.m + 1):
             for i in range(1, j):
-                a, b = images[j - 1], images[i - 1]
-                if int(t[t[t[inv[a], inv[b]], a], b]) != word(self.comm_words.get((j, i), ())):
+                if comms[j - 1, i - 1] != word(self.comm_words.get((j, i), ())):
                     return f"commutator relation [g{j},g{i}]"
         return None
+
+    def _commutators(self, a, b) -> np.ndarray:
+        """[a, b] = a^-1 b^-1 a b on index arrays, broadcast against each other."""
+        t, inv = self._cayley, self._inv
+        return t[t[t[inv[a], inv[b]], a], b]
+
+    def _powers(self, a, e) -> np.ndarray:
+        """a^e on index arrays a and exponent arrays e >= 0, broadcast, by square-and-multiply."""
+        t = self._cayley
+        base, e = np.asarray(a, dtype=np.int64), np.asarray(e, dtype=np.int64)
+        acc = np.zeros_like(base + e)  # the identity, in the broadcast shape
+        for _ in range(int(e.max(initial=0)).bit_length()):
+            acc = t[acc, base * (e & 1)]  # index 0 is the identity: t[x, 0] = x
+            base = t[base, base]
+            e = e >> 1
+        return acc
+
+    def _generated(self, seeds) -> Subgroup:
+        """The subgroup generated by an array of seed indices, generators sorted."""
+        gens = np.unique(seeds)
+        gens = gens[gens != 0]
+        return Subgroup(self, self._closure_indices(gens), [self.element_at(int(s)) for s in gens])
 
     # -- basic structure --------------------------------------------------------
 
@@ -368,23 +397,11 @@ class PcGroup:
 
     def commutator(self, a: GroupElement, b: GroupElement) -> GroupElement:
         """[a, b] = a^-1 b^-1 a b."""
-        t = self._cayley
-        ia, ib = self.index_of(a), self.index_of(b)
-        return self.element_at(int(t[t[t[self._inv[ia], self._inv[ib]], ia], ib]))
+        return self.element_at(int(self._commutators(self.index_of(a), self.index_of(b))))
 
     def power(self, a: GroupElement, k: int) -> GroupElement:
-        idx = self.index_of(a)
-        if k < 0:
-            idx = int(self._inv[idx])
-            k = -k
-        acc, base = 0, idx
-        t = self._cayley
-        while k:
-            if k & 1:
-                acc = int(t[acc, base])
-            base = int(t[base, base])
-            k >>= 1
-        return self.element_at(acc)
+        # every element order divides |G|, which also covers k < 0
+        return self.element_at(int(self._powers(self.index_of(a), k % self.order)))
 
     def is_abelian(self) -> bool:
         return not self.comm_words
@@ -420,20 +437,10 @@ class PcGroup:
     def lower_central_series(self) -> list[Subgroup]:
         """G = gamma_1 >= gamma_2 >= ... down to the first trivial term."""
         series = [self.full_subgroup()]
-        t = self._cayley
-        inv = self._inv
+        every = np.arange(self.order)
         while not series[-1].is_trivial():
-            prev = series[-1].indices
-            seeds = set()
-            for x in prev:
-                ix = int(inv[x])
-                for g in range(self.order):
-                    seeds.add(int(t[t[t[ix, inv[g]], x], g]))
-            sub = Subgroup(
-                self,
-                self._closure_indices(seeds),
-                [self.element_at(s) for s in sorted(seeds - {0})],
-            )
+            prev = np.array(series[-1].indices, dtype=np.int64)
+            sub = self._generated(self._commutators(prev[:, None], every))
             if sub == series[-1]:
                 raise RuntimeError("lower central series failed to descend in a finite p-group")
             series.append(sub)
@@ -443,20 +450,14 @@ class PcGroup:
         """Subgroup generated by the p^j-th powers of a subgroup's elements."""
         if sub.group is not self:
             raise ValueError("subgroup belongs to a different group")
-        q = self.p**j
-        seeds = {self.index_of(self.power(self.element_at(x), q)) for x in sub.indices}
-        return Subgroup(self, self._closure_indices(seeds), [self.element_at(s) for s in sorted(seeds - {0})])
+        return self._generated(self._powers(np.array(sub.indices), pow(self.p, j, self.order)))
 
     def frattini(self) -> Subgroup:
         """Phi(G) = G^p [G,G] for a p-group."""
-        t = self._cayley
-        inv = self._inv
-        seeds = {self.index_of(self.power(self.element_at(x), self.p)) for x in range(self.order)}
-        for x in range(self.order):
-            ix = int(inv[x])
-            for g in range(self.order):
-                seeds.add(int(t[t[t[ix, inv[g]], x], g]))
-        return Subgroup(self, self._closure_indices(seeds), [self.element_at(s) for s in sorted(seeds - {0})])
+        every = np.arange(self.order)
+        powers = self._powers(every, self.p)
+        comms = self._commutators(every[:, None], every)
+        return self._generated(np.concatenate([powers, comms.ravel()]))
 
     def center(self) -> Subgroup:
         mask = (self._cayley == self._cayley.T).all(axis=1)
@@ -471,23 +472,15 @@ class PcGroup:
         degree information and is preserved.
         """
         series = [self.full_subgroup()]
-        t = self._cayley
-        inv = self._inv
         every = np.arange(self.order)
-        pth = np.zeros(self.order, dtype=np.int64)
-        for _ in range(self.p):
-            pth = t[pth, every]  # pth[x] = x^p
+        pth = self._powers(every, self.p)
         r = 2
         while not series[-1].is_trivial():
-            prev = np.array(series[-1].indices, dtype=np.int64)[:, None]
+            prev = np.array(series[-1].indices, dtype=np.int64)
             ceil_idx = -(-r // self.p)  # ceil(r/p), >= 1
-            # [x, g] = x^-1 g^-1 x g for every x in F_(r-1) and g in G
-            comms = t[t[t[inv[prev], inv[every]], prev], every]
+            comms = self._commutators(prev[:, None], every)
             powers = pth[list(series[ceil_idx - 1].indices)]
-            seeds = {int(c) for c in np.unique(np.concatenate([comms.ravel(), powers]))}
-            series.append(
-                Subgroup(self, self._closure_indices(seeds), [self.element_at(s) for s in sorted(seeds - {0})])
-            )
+            series.append(self._generated(np.concatenate([comms.ravel(), powers])))
             r += 1
         return series
 
@@ -531,18 +524,9 @@ class PcGroup:
 
         # extend multiplicatively along normal forms (valid: relations verified)
         perm = np.zeros(self.order, dtype=np.int64)
-        pure_pow = {}
-        for k, a in enumerate(img_idx):
-            acc = 0
-            for e in range(1, self.p):
-                acc = int(t[acc, a])
-                pure_pow[(k, e)] = acc
-        for b in range(1, self.order):
-            exps = self._elements[b]
-            jlast = max(k for k in range(self.m) if exps[k])
-            prefix = list(exps)
-            prefix[jlast] = 0
-            perm[b] = t[perm[self._index[tuple(prefix)]], pure_pow[(jlast, exps[jlast])]]
+        pw = self._powers(np.array(img_idx)[:, None], np.arange(1, self.p))  # pw[k, e - 1] = a_(k+1)^e
+        for k, (prefix, cols) in enumerate(self.generator_blocks()):
+            perm[cols] = t[perm[prefix], pw[k][:, None]]
         counts = np.bincount(perm, minlength=self.order)
         if not np.all(counts == 1):
             raise NotBijective("generator images generate a proper subgroup")
@@ -675,10 +659,6 @@ class GroupAutomorphism:
 
 # ---------------------------------------------------------------------------
 # catalog of small test groups
-
-def _w(text: str) -> str:
-    return text
-
 
 _CATALOG: dict[str, dict] = {
     "C2": dict(p=2, m=1, powers={}, comms={}, desc="cyclic of order 2",

@@ -274,7 +274,7 @@ def run(algebra: GroupAlgebra, autos: list[AlgebraAutomorphism], full_check: boo
         for auto in autos:
             if full_check:
                 auto.check_pairs()
-            reports.append(verify_theorem(auto, basis))
+            reports.append(verify_theorem(auto))
     except Exception as err:
         raise RunStageError("verify", err) from err
     if full_check and autos:

@@ -225,3 +225,117 @@ def substitution_matrix_by_columns(algebra, images):
         pcol = matrix[:, group.index_of(group.element(prefix))]
         matrix[:, b] = algebra.multiply_codes(pcol, powers[(jlast, exps[jlast])])
     return matrix
+
+
+def unit_inverse_by_series(algebra, u):
+    """u^-1 by the geometric series eps^-1 (1 + z + z^2 + ... + z^s), z = 1 - u/eps.
+
+    The oracle for GroupAlgebra.unit_inverse: one matvec per term with the
+    left multiplication matrix of z, up to the socle degree s.
+    """
+    ops = algebra.ops
+    einv = algebra.field.code_of(u.augmentation().inverse())
+    z = ops.sub(algebra.one().codes, ops.mul(u.codes, np.full_like(u.codes, einv)))
+    lz = algebra.left_mult_matrix(z)
+    term = algebra.one().codes
+    acc = term.copy()
+    for _ in range(algebra.socle_degree):
+        term = ops.matvec(lz, term)
+        if not term.any():
+            break
+        acc = ops.add(acc, term)
+    return algebra.from_codes(ops.mul(acc, np.full_like(acc, einv)))
+
+
+def product_by_collection(group, a, b):
+    """Index of a b, collected from the concatenated normal-form words of a and b."""
+    word = [
+        (i + 1, e)
+        for x in (a, b)
+        for i, e in enumerate(group.element_at(x).exponents)
+        if e
+    ]
+    return group.index_of(group.collect(word))
+
+
+def automorphism_perm_by_normal_forms(group, images):
+    """perm[b] = a_1^(e_1) ... a_m^(e_m) for b = g_1^(e_1) ... g_m^(e_m).
+
+    The oracle for PcGroup.group_automorphism: each image power is a run of
+    multiply() calls along b's normal form.
+    """
+    perm = []
+    for b in group.elements():
+        acc = group.identity()
+        for image, e in zip(images, b.exponents):
+            acc = group.multiply(acc, _power_by_products(group, image, e))
+        perm.append(group.index_of(acc))
+    return perm
+
+
+def _commutator_by_products(group, a, b):
+    inv = group.inverse
+    return group.multiply(group.multiply(group.multiply(inv(a), inv(b)), a), b)
+
+
+def _power_by_products(group, a, k):
+    acc = group.identity()
+    for _ in range(k):
+        acc = group.multiply(acc, a)
+    return acc
+
+
+def closure_by_products(group, seeds):
+    """Sorted index set of the subgroup the seed elements generate, by a walk with multiply()."""
+    gens = {s for s in seeds if not s.is_identity()}
+    found = {group.identity()}
+    frontier = [group.identity()]
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in gens:
+                y = group.multiply(x, g)
+                if y not in found:
+                    found.add(y)
+                    new.append(y)
+        frontier = new
+    return tuple(sorted(group.index_of(x) for x in found))
+
+
+def lower_central_series_by_products(group):
+    """Index sets of gamma_1 = G, gamma_(i+1) = <[x, g] : x in gamma_i, g in G>, to 1."""
+    every = list(group.elements())
+    series = [tuple(range(group.order))]
+    while series[-1] != (0,):
+        prev = [group.element_at(i) for i in series[-1]]
+        series.append(closure_by_products(group, {_commutator_by_products(group, x, g)
+                                                  for x in prev for g in every}))
+    return series
+
+
+def frattini_by_products(group):
+    """Index set of <x^p, [x, g] : x, g in G>."""
+    every = list(group.elements())
+    seeds = {_power_by_products(group, x, group.p) for x in every}
+    seeds |= {_commutator_by_products(group, x, g) for x in every for g in every}
+    return closure_by_products(group, seeds)
+
+
+def agemo_by_products(group):
+    """Index set of <x^p : x in G>."""
+    return closure_by_products(group, {_power_by_products(group, x, group.p) for x in group.elements()})
+
+
+def jennings_series_by_products(group):
+    """Index sets of F_1 = G, F_r = <[F_(r-1), G], x^p for x in F_ceil(r/p)>, to 1."""
+    p = group.p
+    every = list(group.elements())
+    series = [tuple(range(group.order))]
+    r = 2
+    while series[-1] != (0,):
+        seeds = {_commutator_by_products(group, group.element_at(x), g)
+                 for x in series[-1] for g in every}
+        seeds |= {_power_by_products(group, group.element_at(x), p) for x in series[-(-r // p) - 1]}
+        series.append(closure_by_products(group, seeds))
+        r += 1
+    return series

@@ -23,6 +23,8 @@ from socle_verify.groupalgebra import (
     radical_filtration_by_products,
 )
 from socle_verify.linalg import FieldOps
+from conftest import shared_algebra
+from oracle_helpers import unit_inverse_by_series
 from conftest import shared_products_oracle
 from oracle_helpers import jennings_monomials
 
@@ -216,6 +218,22 @@ def test_unit_inverse_roundtrip(algebra):
             inv = alg.unit_inverse(x)
             assert (x * inv) == alg.one()
             assert (inv * x) == alg.one()
+
+
+def test_unit_inverse_matches_geometric_series(all_names):
+    rng = random.Random(11)
+    count = 0
+    for name in list(all_names) + ["C2^7"]:
+        for n in (1, 2):
+            alg = shared_algebra(name, n)
+            q = alg.field.q
+            for _ in range(3):
+                u = alg.from_codes(np.array([rng.randrange(q) for _ in range(alg.dimension)], dtype=np.int64))
+                if u.augmentation().is_zero():
+                    u = u + 1
+                assert alg.unit_inverse(u) == unit_inverse_by_series(alg, u), (name, n)
+                count += 1
+    assert count == 150
 
 
 def test_mult_matrices_agree_with_products(algebra):

@@ -79,7 +79,7 @@ def test_graded_action_matches_projection_oracle(all_names):
         basis = build_jennings_basis(alg.group)
         oracle = _products_oracle(name)
         for auto in sweep_automorphisms(alg, name, 7, 3, 2, 3):
-            mine = auto.graded_action(basis).blocks
+            mine = auto.graded_action().blocks
             theirs = graded_blocks_by_projection(auto, basis, oracle)
             assert len(mine) == len(theirs), (name, n, auto.provenance)
             for (r, a), (s, b) in zip(mine, theirs):

@@ -4,16 +4,22 @@ Inline pc presentations above the catalog's largest order (125) up to
 MAX_ORDER = 512: graded dimensions against the product generating
 function, the socle certificate and the socle product formula; at
 order 256 the socle scalar against det^(p-1) through the pipeline, and
-random substitutions at orders 243 and 512 over GF(p^2).
+random substitutions at orders 243 and 512 over GF(p^2).  The
+block-built Cayley table and automorphism permutation are compared with
+collection and with multiply() walks on sampled pairs and one order-512
+automorphism.
 """
 
 from __future__ import annotations
+
+import random
 
 import pytest
 
 from socle_verify import GF, GroupAlgebra, PcGroup, build_jennings_basis
 from socle_verify.pgroup import MAX_ORDER
 from socle_verify.pipeline import RunConfig, prepare, run
+from oracle_helpers import automorphism_perm_by_normal_forms, product_by_collection
 
 PRESENTATIONS = {
     "C2^8": "pcgroup p=2 m=8\n",
@@ -44,6 +50,22 @@ def test_large_order_structure(name):
     algebra = GroupAlgebra(group, GF(group.p))
     assert algebra.socle_vector() == algebra.sum_of_group_elements()
     assert basis.socle_product(algebra) == algebra.sum_of_group_elements()
+
+
+@pytest.mark.parametrize("name", ["C2^9", "D8xC2^5"])
+def test_large_cayley_table_matches_collection_on_sampled_pairs(name):
+    group = large_group(name)
+    rng = random.Random(512)
+    for _ in range(2000):
+        a, b = rng.randrange(group.order), rng.randrange(group.order)
+        assert group.cayley_table[a, b] == product_by_collection(group, a, b), (a, b)
+
+
+def test_order_512_group_automorphism_matches_normal_form_products():
+    group = large_group("C2^9")
+    images = [group.parse_word(w) for w in ("g1 g2", "g2 g3", "g3 g9")] + group.generators()[3:]
+    auto = group.group_automorphism(images)
+    assert auto.perm.tolist() == automorphism_perm_by_normal_forms(group, images)
 
 
 @pytest.mark.parametrize(

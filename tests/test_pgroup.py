@@ -3,10 +3,18 @@
 The dihedral group of order 8 acts on the square's corners; composing
 permutations gives a multiplication table computed with no collection
 code at all, which pins down both the group law and the normal forms.
+
+The index-level primitives (the table built in generator blocks, the
+automorphism permutation, commutator and power series) are compared
+with element-wise definitions: collection of concatenated normal-form
+words, and walks with multiply() and inverse().
 """
 
 from __future__ import annotations
 
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +27,14 @@ from socle_verify import (
     RelationViolation,
     catalog,
     catalog_names,
+)
+from oracle_helpers import (
+    agemo_by_products,
+    automorphism_perm_by_normal_forms,
+    frattini_by_products,
+    jennings_series_by_products,
+    lower_central_series_by_products,
+    product_by_collection,
 )
 
 
@@ -237,3 +253,76 @@ def test_word_products_match_table(indices):
 
 
 _HEIS27 = catalog("Heis27")
+
+
+def test_generator_blocks_partition_the_normal_forms(group):
+    for name in catalog_names():
+        g = group(name)
+        blocks = g.generator_blocks()
+        assert len(blocks) == g.m, name
+        covered = np.concatenate([cols.ravel() for _, cols in blocks])
+        assert sorted(covered) == list(range(1, g.order)), name
+        for k, (prefix, cols) in enumerate(blocks):
+            assert cols.shape == (g.p - 1, g.p**k), name
+            for x in prefix:
+                assert not any(g.element_at(int(x)).exponents[k:]), name
+            for e, block in enumerate(cols, start=1):
+                for x, col in zip(prefix, block):
+                    assert product_by_collection(g, int(x), g.index_of(g.collect([(k + 1, e)]))) == col
+
+
+def test_cayley_table_matches_collection_on_all_pairs(group):
+    count = 0
+    for name in catalog_names():
+        g = group(name)
+        if g.order > 27:
+            continue
+        t = g.cayley_table
+        for a in range(g.order):
+            for b in range(g.order):
+                assert t[a, b] == product_by_collection(g, a, b), (name, a, b)
+        count += 1
+    assert count == 20
+
+
+@pytest.mark.parametrize("name", ["C125", "C5xC5xC5", "Heis125", "ES125"])
+def test_cayley_table_matches_collection_on_sampled_pairs(group, name):
+    g = group(name)
+    rng = random.Random(125)
+    for _ in range(2000):
+        a, b = rng.randrange(g.order), rng.randrange(g.order)
+        assert g.cayley_table[a, b] == product_by_collection(g, a, b), (a, b)
+
+
+def test_group_automorphism_perm_matches_normal_form_products(group):
+    count = 0
+    for name in catalog_names():
+        g = group(name)
+        for auto in g.stored_automorphisms():
+            want = automorphism_perm_by_normal_forms(g, auto.images)
+            assert auto.perm.tolist() == want, (name, auto)
+            count += 1
+    assert count == 50
+
+
+def test_subgroup_series_match_closures_by_products(group):
+    for name in catalog_names():
+        g = group(name)
+        assert [s.indices for s in g.lower_central_series()] == lower_central_series_by_products(g), name
+        assert g.frattini().indices == frattini_by_products(g), name
+        assert g.agemo(g.full_subgroup(), 1).indices == agemo_by_products(g), name
+        assert [s.indices for s in g.jennings_series_recursive()] == jennings_series_by_products(g), name
+
+
+def test_power_and_commutator_match_products(group):
+    g = group("ES27")
+    rng = random.Random(27)
+    for _ in range(50):
+        a, b = g.element_at(rng.randrange(27)), g.element_at(rng.randrange(27))
+        k = rng.randrange(-40, 40)
+        acc = g.identity()
+        for _ in range(abs(k)):
+            acc = g.multiply(acc, a if k > 0 else g.inverse(a))
+        assert g.power(a, k) == acc
+        inv = g.inverse
+        assert g.commutator(a, b) == g.multiply(g.multiply(g.multiply(inv(a), inv(b)), a), b)
