@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .groupalgebra import series_definitions_agree
 from .jennings import build_jennings_basis
-from .pgroup import PcGroup, catalog, catalog_names
+from .pgroup import MAX_PRESENTATION_BYTES, PcGroup, PresentationError, catalog, catalog_names
 from .pipeline import (
     RunConfig,
     RunStageError,
@@ -34,8 +34,9 @@ FULL_CHECK_HELP = (
     "also run the brute-force oracles: on every automorphism, the generator identities "
     "alpha(x g_i) = alpha(x) alpha(g_i) as dense products and a seeded spot check on two "
     "random products, then alpha(g)alpha(h) = alpha(gh) on all pairs (sampled above "
-    "order 256); the radical filtration echelonized from stacked products, the "
-    "translation-nullspace socle certificate, and the series and normal-form cross-checks"
+    "order 256); associativity of the group table on all triples; the radical filtration "
+    "echelonized from stacked products, the translation-nullspace socle certificate, and "
+    "the series and normal-form cross-checks"
 )
 
 
@@ -73,12 +74,24 @@ def _group_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _read_presentation(path: Path) -> str:
+    """A presentation file's text; at most MAX_PRESENTATION_BYTES of it are read."""
+    with path.open("rb") as fh:
+        data = fh.read(MAX_PRESENTATION_BYTES + 1)
+    if len(data) > MAX_PRESENTATION_BYTES:
+        raise PresentationError(f"presentation file {path} exceeds {MAX_PRESENTATION_BYTES} bytes")
+    try:
+        return data.decode()
+    except UnicodeDecodeError as err:
+        raise PresentationError(f"presentation file {path} is not UTF-8 text: {err.reason}") from None
+
+
 def _group_source(args: argparse.Namespace) -> tuple[str, str | None]:
     """Resolve --group/--presentation to (name, presentation text or None)."""
     if args.presentation:
-        return Path(args.presentation).stem, Path(args.presentation).read_text()
+        return Path(args.presentation).stem, _read_presentation(Path(args.presentation))
     if args.group not in catalog_names() and Path(args.group).exists():
-        return Path(args.group).stem, Path(args.group).read_text()
+        return Path(args.group).stem, _read_presentation(Path(args.group))
     return args.group, None
 
 

@@ -19,11 +19,15 @@ __all__ = [
     "FieldMismatch",
     "DomainError",
     "MAX_EXTENSION_DEGREE",
+    "MAX_CHARACTERISTIC",
     "parse_field_literal",
     "is_prime",
 ]
 
 MAX_EXTENSION_DEGREE = 8
+# above every prime a command accepts: group primes are at most the largest
+# group order (512), and a gl-check grid p^m holds at most 4096 cells
+MAX_CHARACTERISTIC = 4096
 
 
 class FieldMismatch(ValueError):
@@ -136,6 +140,9 @@ class FieldSpec:
     __slots__ = ("p", "n", "q", "modulus")
 
     def __init__(self, p: int, n: int = 1, modulus: Sequence[int] | str | None = None):
+        # trial division would not end on a huge p, so bound it first
+        if p > MAX_CHARACTERISTIC:
+            raise ValueError(f"characteristic {p} exceeds the supported maximum {MAX_CHARACTERISTIC}")
         if not is_prime(p):
             raise ValueError(f"characteristic must be prime, got {p}")
         if not 1 <= n <= MAX_EXTENSION_DEGREE:

@@ -6,21 +6,28 @@ A group of order p^m has generators g1..gm and relations
     [gj,gi] = <word in g_(j+1)..gm>      for j > i, [x,y] = x^-1 y^-1 x y
 
 where every element has a unique normal form g1^e1 ... gm^em with
-0 <= ei < p.  Products are computed by collection from the left.
-Construction materializes the full Cayley table in generator blocks
-(generator_blocks()): the m(p-1) columns of the powers g_(k+1)^e are
-collected, and the columns of x g_(k+1)^e, for x in <g1..gk>, are one
-gather of earlier columns.  It then certifies the table
-(identity, cancellation, associativity on all triples, and the defining
-relations re-checked against the table), so inconsistent presentations
-are rejected outright.  The relation check is the one group_automorphism
-runs on generator images (von Dyck's theorem), fed the generators.  That
-certificate is what makes the table safe to use as the multiplication
-backend everywhere else in the package.
+0 <= ei < p.  Construction materializes the full Cayley table bottom-up
+over G_k = <g_k, ..., g_m>, whose elements are the first p^(m-k+1)
+indices: conjugation by g_k maps g_i to g_i [g_i, g_k] and extends along
+normal forms with the table of G_(k+1); the column of g_k is
+g_k^e v g_k = g_k^(e+1) v^(g_k), through the power word at e = p - 1;
+and a (g_k^f v) = (a g_k^f) v fills the rest with gathers.  It then
+certifies the table: identity, cancellation, Light's associativity test
+on the generators, the generators reaching every element, and the
+defining relations re-checked against the table.  The elements a with
+(xa)y = x(ay) for all x, y are closed under products, so a table that
+passes is associative: a group of order p^m whose generators satisfy
+the relations, which by von Dyck's theorem is the presented group.
+Inconsistent presentations are therefore rejected outright.  The
+relation check is the one group_automorphism runs on generator images,
+fed the generators.  That certificate is what makes the table safe to
+use as the multiplication backend everywhere else in the package.
+Arbitrary words are put in normal form by collection from the left.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -45,6 +52,9 @@ __all__ = [
 ]
 
 MAX_ORDER = 512
+# a presentation of order MAX_ORDER, with every relation written out, takes
+# under 1 KiB; the bound leaves room for comments
+MAX_PRESENTATION_BYTES = 64 * 1024
 
 Word = tuple[tuple[int, int], ...]
 
@@ -164,6 +174,16 @@ def _collect(p: int, m: int, power_words: tuple[Word, ...], comm_words: dict[tup
     return tuple(exps)
 
 
+def associative_on_all_triples(table: np.ndarray) -> bool:
+    """(ab)c = a(bc) on every triple of a table: one full-table gather per a.
+
+    The brute-force oracle for the certificate's Light test, O(|G|^3);
+    `run --full-check` reports it as group_associativity_oracle.
+    """
+    return all(np.array_equal(table[table[a]], np.take(table[a], table)) for a in range(table.shape[0]))
+
+
+@functools.cache
 def _normal_form_blocks(p: int, m: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """PcGroup.generator_blocks() for order p^m, as read-only arrays."""
     blocks = []
@@ -188,12 +208,14 @@ class PcGroup:
         name: str | None = None,
         stored_auto_words: Sequence[Sequence[str]] | None = None,
     ):
-        if not is_prime(p):
-            raise PresentationError(f"p must be prime, got {p}")
+        # bound p and m before any arithmetic on them: testing a huge p for
+        # primality, or forming p^m for a huge m, would not end
         if m < 1:
             raise PresentationError("need at least one generator")
-        if p**m > MAX_ORDER:
-            raise PresentationError(f"order p^m = {p**m} exceeds supported maximum {MAX_ORDER}")
+        if p > MAX_ORDER or m > MAX_ORDER.bit_length() or p**m > MAX_ORDER:
+            raise PresentationError(f"order p^m with p={p}, m={m} exceeds supported maximum {MAX_ORDER}")
+        if not is_prime(p):
+            raise PresentationError(f"p must be prime, got {p}")
         self.p = p
         self.m = m
         self.name = name
@@ -215,8 +237,7 @@ class PcGroup:
         self._elements: list[tuple[int, ...]] = list(itertools.product(range(p), repeat=m))
         self._index: dict[tuple[int, ...], int] = {t: k for k, t in enumerate(self._elements)}
         self._blocks = _normal_form_blocks(p, m)
-        self._build_table()
-        self._certify()
+        self._certify(self._build_table())
 
     # -- construction ---------------------------------------------------------
 
@@ -236,22 +257,49 @@ class PcGroup:
             out.append((idx, exp))
         return tuple(out)
 
-    def _build_table(self) -> None:
-        n = len(self._elements)
+    def _word_index(self, word: Word) -> int:
+        """Table index of a relation's right side, which is a normal form."""
+        return sum(e * self.p ** (self.m - i) for i, e in word)
+
+    def _build_table(self) -> np.ndarray:
+        """The Cayley table, built bottom-up over G_k = <g_k, ..., g_m>.
+
+        G_k is the first p^(m-k+1) indices, so its table is the top-left
+        block of G_(k-1)'s.  From the table t of G_(k+1), of order n:
+
+        - conjugation by g_k maps g_i to g_i w_ik, w_ik the commutator word
+          of [g_i, g_k] (a normal form already), and extends to G_(k+1)
+          along its normal-form blocks;
+        - the column of g_k holds g_k^e v g_k = g_k^(e+1) v^(g_k), which at
+          e = p - 1 is w_k v^(g_k), w_k the power word of g_k;
+        - g_k^e v g = g_k^e (v g) for g in G_(k+1), and
+          a (g_k^f v) = (a g_k^f) v fills the columns of g_k^f G_(k+1).
+
+        No collection runs; an inconsistent presentation still yields a
+        table of in-range indices, which _certify rejects.
+        """
         p, m = self.p, self.m
-        table = np.zeros((n, n), dtype=np.int64)
-        table[:, 0] = np.arange(n)
-        for k, (prefix, cols) in enumerate(self.generator_blocks()):
-            base = cols[:, 0]  # the columns of g_(k+1)^e, collected directly
-            for e, b in enumerate(base, start=1):
-                table[:, b] = [
-                    self._index[_collect(p, m, self.power_words, self.comm_words,
-                                         [(i + 1, x) for i, x in enumerate(ae) if x] + [(k + 1, e)])]
-                    for ae in self._elements
-                ]
-            # a (x g_(k+1)^e) = (a x) g_(k+1)^e; x's column is in an earlier block
-            table[:, cols] = table[table[:, prefix][:, None, :], base[None, :, None]]
-        self._cayley = table
+        t = np.zeros((1, 1), dtype=np.int64)  # the table of G_(m+1) = 1
+        for k in range(m, 0, -1):
+            n = t.shape[0]
+            conj = np.zeros(n, dtype=np.int64)  # conj[v] = v^(g_k) = g_k^-1 v g_k
+            if n > 1:
+                images = np.array([p ** (m - i) + self._word_index(self.comm_words.get((i, k), ()))
+                                   for i in range(k + 1, m + 1)], dtype=np.int64)
+                pw = [images]  # pw[e - 1][j] = (g_(k+1+j)^(g_k))^e
+                for _ in range(p - 2):
+                    pw.append(t[pw[-1], images])
+                pw = np.stack(pw, axis=1)
+                for j, (prefix, cols) in enumerate(_normal_form_blocks(p, m - k)):
+                    conj[cols] = t[conj[prefix], pw[j][:, None]]
+            column = np.concatenate([(np.arange(1, p)[:, None] * n + conj).ravel(),
+                                     t[self._word_index(self.power_words[k - 1]), conj]])
+            grown = np.empty((p * n, p * n), dtype=np.int64)
+            grown[:, :n] = (np.arange(p)[:, None, None] * n + t).reshape(p * n, n)
+            for f in range(1, p):
+                grown[:, f * n : (f + 1) * n] = grown[column, (f - 1) * n : f * n]
+            t = grown
+        return t
 
     def generator_blocks(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Normal forms grouped by their last generator, one block per generator.
@@ -266,21 +314,34 @@ class PcGroup:
         """
         return self._blocks
 
-    def _certify(self) -> None:
-        t = self._cayley
+    def _certify(self, t: np.ndarray) -> None:
+        """Certify t as the multiplication of the presented group and install it.
+
+        Checks the identity, cancellation, Light's associativity test
+        (xa)y = x(ay) for each generator a, that right multiplication by
+        the generators reaches every index, and the defining relations.
+        The a that pass Light's test are closed under products, so once
+        the generators pass and generate, t is associative: a group of
+        order p^m whose generators satisfy the relations, which by von
+        Dyck's theorem is the presented group.
+        """
         n = t.shape[0]
         ar = np.arange(n)
         if not (np.array_equal(t[0], ar) and np.array_equal(t[:, 0], ar)):
             raise InconsistentPresentation("identity does not act trivially")
-        if not (np.array_equal(np.sort(t, axis=1), np.tile(ar, (n, 1))) and
-                np.array_equal(np.sort(t, axis=0), np.tile(ar.reshape(-1, 1), (1, n)))):
+        c = t.astype(np.int16)  # n <= MAX_ORDER; a quarter of the memory traffic
+        if not ((np.sort(c, axis=1) == ar).all() and (np.sort(c, axis=0) == ar[:, None]).all()):
             raise InconsistentPresentation("multiplication table is not cancellative")
-        for a in range(n):
-            if not np.array_equal(t[t[a]], np.take(t[a], t)):
+        gens = self.p ** np.arange(self.m - 1, -1, -1)  # the index of g_i is p^(m-i)
+        for a in gens:
+            if not (c[c[:, a]] == c[:, c[a]]).all():
                 raise InconsistentPresentation("multiplication table is not associative")
+        self._cayley = t
+        if len(self._closure_indices(gens)) != n:
+            raise InconsistentPresentation("generators do not generate the table")
         self._inv = np.argmin(t, axis=1).astype(np.int64)  # t[a, inv(a)] == 0
         # defining relations must hold in the certified table
-        broken = self._broken_relation([self._index[g.exponents] for g in self.generators()])
+        broken = self._broken_relation(gens)
         if broken:
             raise InconsistentPresentation(f"{broken} fails in the table")
 
@@ -564,6 +625,8 @@ class PcGroup:
 
     @classmethod
     def from_presentation_text(cls, text: str, name: str | None = None) -> PcGroup:
+        if len(text) > MAX_PRESENTATION_BYTES or len(text.encode()) > MAX_PRESENTATION_BYTES:
+            raise PresentationError(f"presentation text exceeds {MAX_PRESENTATION_BYTES} bytes")
         header = None
         powers: dict[int, Word] = {}
         comms: dict[tuple[int, int], Word] = {}
@@ -577,19 +640,21 @@ class PcGroup:
                 mh = re.match(r"^pcgroup\s+p=(\d+)\s+m=(\d+)$", line)
                 if not mh:
                     raise PresentationError(f"expected 'pcgroup p=<p> m=<m>' header, got {line!r}")
-                header = (int(mh.group(1)), int(mh.group(2)))
+                header = (_parse_number(mh.group(1)), _parse_number(mh.group(2)))
                 continue
             p, m = header
             mp = power_re.match(line)
             if mp:
-                i, e = int(mp.group(1)), int(mp.group(2))
+                i, e = _parse_number(mp.group(1)), _parse_number(mp.group(2))
+                if not 1 <= i <= m:
+                    raise PresentationError(f"power relation for g{i} out of range (m={m})")
                 if e != p:
                     raise PresentationError(f"power relation for g{i} must have exponent {p}")
                 powers[i] = tuple(_parse_relation_word(mp.group(3), m))
                 continue
             mc = comm_re.match(line)
             if mc:
-                j, i = int(mc.group(1)), int(mc.group(2))
+                j, i = _parse_number(mc.group(1)), _parse_number(mc.group(2))
                 comms[(j, i)] = tuple(_parse_relation_word(mc.group(3), m))
                 continue
             raise PresentationError(f"unparseable relation line {line!r}")
@@ -600,6 +665,14 @@ class PcGroup:
     def __repr__(self) -> str:
         label = self.name or "pcgroup"
         return f"PcGroup({label}, p={self.p}, order={self.order})"
+
+
+def _parse_number(digits: str) -> int:
+    """A decimal number of a presentation line; every valid one is short."""
+    # int() of a long digit string is quadratic, and refused past 4300 digits
+    if len(digits) > 30:
+        raise PresentationError(f"number {digits[:30]}... has more than 30 digits")
+    return int(digits)
 
 
 def _word_text(word: Word) -> str:

@@ -39,7 +39,7 @@ from .groupalgebra import (
     radical_filtration_by_products,
 )
 from .jennings import build_jennings_basis
-from .pgroup import PcGroup, catalog, catalog_description, catalog_names
+from .pgroup import PcGroup, associative_on_all_triples, catalog, catalog_description, catalog_names
 from .truncsym import TruncatedPolynomialRing
 
 __all__ = [
@@ -248,6 +248,7 @@ def run(algebra: GroupAlgebra, autos: list[AlgebraAutomorphism], full_check: boo
                 "socle", ValueError("product of (lift - 1)^(p-1) is not the socle vector")
             )
         if full_check:
+            checks["group_associativity_oracle"] = associative_on_all_triples(group.cayley_table)
             checks["filtration_products_oracle"] = algebra.filtration.matches(
                 *radical_filtration_by_products(group)[:2]
             )

@@ -3,12 +3,18 @@
 These work directly in the group algebra: a claimed bracket or p-power
 value is confirmed by forming the corresponding algebra element and
 testing the congruence one radical power deeper.  None of it touches the
-layer bookkeeping inside the jennings module.
+layer bookkeeping inside the jennings module.  The group-table oracles at
+the end (the table by collection, the all-triples certificate, random
+presentations and random loops) work on index tables.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
+
+from socle_verify.pgroup import _collect, _normal_form_blocks, associative_on_all_triples
 
 
 def _lift_combination(algebra, basis, degree, coords):
@@ -339,3 +345,142 @@ def jennings_series_by_products(group):
         series.append(closure_by_products(group, seeds))
         r += 1
     return series
+
+
+def cayley_table_by_collection(p, m, power_words, comm_words):
+    """The Cayley table of a pc presentation, by collection: m(p-1)|G| collections.
+
+    The oracle for PcGroup's bottom-up build, and the build it replaced.
+    power_words[i - 1] is the power word of g_i and comm_words[(j, i)] the
+    word of [g_j, g_i], as PcGroup stores them.  In each generator block
+    the columns of the powers g_(k+1)^e are collected one element at a
+    time, and the column of x g_(k+1)^e, for x in <g_1, ..., g_k>, is the
+    gather (a x) g_(k+1)^e of earlier columns.  Works on inconsistent
+    presentations too; their tables fail certificate_by_triples.
+    """
+    elements = list(itertools.product(range(p), repeat=m))
+    index = {e: k for k, e in enumerate(elements)}
+    n = len(elements)
+    table = np.zeros((n, n), dtype=np.int64)
+    table[:, 0] = np.arange(n)
+    for k, (prefix, cols) in enumerate(_normal_form_blocks(p, m)):
+        base = cols[:, 0]
+        for e, b in enumerate(base, start=1):
+            table[:, b] = [
+                index[_collect(p, m, power_words, comm_words,
+                               [(i + 1, x) for i, x in enumerate(ae) if x] + [(k + 1, e)])]
+                for ae in elements
+            ]
+        table[:, cols] = table[table[:, prefix][:, None, :], base[None, :, None]]
+    return table
+
+
+def certificate_by_triples(table, p, m, power_words, comm_words):
+    """Whether a table is the multiplication of the presented group, by brute force.
+
+    The group certificate PcGroup used before Light's test: identity,
+    every row and column a permutation, (ab)c = a(bc) on all triples, and
+    the defining relations evaluated with multiplications one at a time.
+    On top of that, the generators (index p^(m-i)) must reach every
+    element under right multiplication; on a table built from a
+    presentation an associative table always passes this, since every
+    index is then the product of its normal form.
+    """
+    n = table.shape[0]
+    rows = [list(r) for r in table.tolist()]
+    if rows[0] != list(range(n)) or [r[0] for r in rows] != list(range(n)):
+        return False
+    if any(sorted(r) != list(range(n)) for r in rows):
+        return False
+    if any(sorted(c) != list(range(n)) for c in zip(*rows)):
+        return False
+    if not associative_on_all_triples(table):
+        return False
+    gens = [p ** (m - i) for i in range(1, m + 1)]
+    seen, frontier = {0}, [0]
+    while frontier:
+        frontier = [y for x in frontier for y in {rows[x][g] for g in gens} if y not in seen]
+        seen.update(frontier)
+    if len(seen) != n:
+        return False
+
+    def power(x, k):
+        acc = 0
+        for _ in range(k):
+            acc = rows[acc][x]
+        return acc
+
+    def word(w):
+        acc = 0
+        for i, e in w:
+            acc = rows[acc][power(gens[i - 1], e)]
+        return acc
+
+    inv = [r.index(0) for r in rows]
+    for i in range(1, m + 1):
+        if power(gens[i - 1], p) != word(power_words[i - 1]):
+            return False
+    for j in range(2, m + 1):
+        for i in range(1, j):
+            a, b = gens[j - 1], gens[i - 1]
+            if rows[rows[rows[inv[a]][inv[b]]][a]][b] != word(comm_words.get((j, i), ())):
+                return False
+    return True
+
+
+def random_presentation(rng):
+    """A seeded random pc presentation (p, m, power_words, comm_words).
+
+    p is drawn from {2, 3, 5} and m from 2 up to the largest with
+    p^m <= 243.  Each
+    power relation, and each commutator relation [g_j, g_i], is present
+    with probability 1/2; its word mentions each later generator with
+    probability 0.3, with an exponent drawn from 1..p-1.  Most
+    draws with many relations are inconsistent.
+    """
+    p = rng.choice((2, 3, 5))
+    m = rng.randint(2, {2: 7, 3: 5, 5: 3}[p])
+
+    def word(after):
+        return tuple((i, rng.randrange(1, p)) for i in range(after + 1, m + 1) if rng.random() < 0.3)
+
+    power_words = tuple(word(i) if rng.random() < 0.5 else () for i in range(1, m + 1))
+    comm_words = {}
+    for j in range(2, m + 1):
+        for i in range(1, j):
+            w = word(j) if rng.random() < 0.5 else ()
+            if w:
+                comm_words[(j, i)] = w
+    return p, m, power_words, comm_words
+
+
+def random_loop(rng, n):
+    """A random Latin square of order n with identity 0 (a loop).
+
+    Rows are drawn one at a time by backtracking over the symbols each
+    column has not used yet (a Latin rectangle always extends by a row);
+    columns and then rows are permuted so that row 0 and column 0 are the
+    identity.
+    """
+    square = []
+    for _ in range(n):
+        used = [{r[c] for r in square} for c in range(n)]
+        row = []
+
+        def fill(free):
+            if len(row) == n:
+                return True
+            options = sorted(free - used[len(row)])
+            rng.shuffle(options)
+            for s in options:
+                row.append(s)
+                if fill(free - {s}):
+                    return True
+                row.pop()
+            return False
+
+        assert fill(frozenset(range(n)))
+        square.append(row)
+    t = np.array(square, dtype=np.int64)
+    t = t[:, np.argsort(t[0])]  # row 0 becomes 0, 1, ..., n - 1
+    return t[np.argsort(t[:, 0])]  # and then column 0

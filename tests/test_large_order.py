@@ -5,7 +5,7 @@ MAX_ORDER = 512: graded dimensions against the product generating
 function, the socle certificate and the socle product formula; at
 order 256 the socle scalar against det^(p-1) through the pipeline, and
 random substitutions at orders 243 and 512 over GF(p^2).  The
-block-built Cayley table and automorphism permutation are compared with
+Cayley table and the block-built automorphism permutation are compared with
 collection and with multiply() walks on sampled pairs and one order-512
 automorphism.
 """

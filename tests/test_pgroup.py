@@ -4,8 +4,8 @@ The dihedral group of order 8 acts on the square's corners; composing
 permutations gives a multiplication table computed with no collection
 code at all, which pins down both the group law and the normal forms.
 
-The index-level primitives (the table built in generator blocks, the
-automorphism permutation, commutator and power series) are compared
+The index-level primitives (the Cayley table, the automorphism
+permutation built in generator blocks, commutator and power series) are compared
 with element-wise definitions: collection of concatenated normal-form
 words, and walks with multiply() and inverse().
 """

@@ -19,6 +19,7 @@ import pytest
 
 from socle_verify.automorphisms import MAX_COUNT
 from socle_verify.cli import main
+from socle_verify.pgroup import MAX_PRESENTATION_BYTES
 from socle_verify.pipeline import (
     RunConfig,
     RunStageError,
@@ -183,6 +184,7 @@ def test_full_check_runs_the_oracles(capsys, name):
     assert code == 0
     checks = json.loads(out)["checks"]
     assert checks["pair_check_full"] is True
+    assert checks["group_associativity_oracle"] is True
     assert checks["socle_nullspace_oracle"] is True
     assert checks["filtration_products_oracle"] is True
     code, out = run_cli(capsys, ["sweep", "--groups", name, "--inner", "2", "--subst", "2",
@@ -190,6 +192,7 @@ def test_full_check_runs_the_oracles(capsys, name):
     assert code == 0
     for report in json.loads(out)["reports"]:
         assert report["checks"]["pair_check_full"] is True
+        assert report["checks"]["group_associativity_oracle"] is True
         assert report["checks"]["socle_nullspace_oracle"] is True
         assert report["checks"]["filtration_products_oracle"] is True
 
@@ -232,9 +235,10 @@ def test_huge_substitution_exponent_ends_at_once():
     assert json.loads(proc.stdout)["verdict"] is True
 
 
-def _run_subprocess(argv):
-    """Run the CLI in a child with a 30 s timeout and a 1 GB address-space cap,
-    so an unbounded expansion fails fast instead of filling the memory."""
+def _run_subprocess(argv, timeout=30):
+    """Run the CLI in a child with a timeout (30 s by default) and a 1 GB
+    address-space cap, so an unbounded expansion fails fast instead of
+    filling the memory."""
     def cap():
         import resource
 
@@ -242,7 +246,7 @@ def _run_subprocess(argv):
 
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")  # thread buffers count against the cap
     return subprocess.run([sys.executable, "-m", "socle_verify.cli", *argv], env=env,
-                          capture_output=True, text=True, timeout=30, preexec_fn=cap)
+                          capture_output=True, text=True, timeout=timeout, preexec_fn=cap)
 
 
 @pytest.mark.parametrize(
@@ -277,6 +281,44 @@ def test_huge_modulus_degree_rejected_at_once(argv):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert "degree 100000000000 exceeds 8" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+HUGE_PRIME = "2305843009213693951"  # 2^61 - 1: trial division would not end
+
+# presentation files the bounds must reject, written under these names
+BAD_FILES = {
+    "huge-p": f"pcgroup p={HUGE_PRIME} m=1\n".encode(),
+    "huge-m": b"pcgroup p=2 m=300000000\n",
+    "oversized": b"pcgroup p=2 m=1\n" + b"#" * MAX_PRESENTATION_BYTES,
+    "undecodable": b"pcgroup p=2 m=1\n\xff\xfe\n",
+}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", "--presentation", "huge-p"], "exceeds supported maximum 512"),
+        (["run", "--presentation", "huge-m"], "exceeds supported maximum 512"),
+        (["run", "--group", "C2", "--field", HUGE_PRIME], "exceeds the supported maximum 4096"),
+        (["gl-check", "--p", HUGE_PRIME, "--m", "2"], "exceeds the supported maximum 4096"),
+        (["run", "--presentation", "oversized"], f"exceeds {MAX_PRESENTATION_BYTES} bytes"),
+        (["run", "--presentation", "undecodable"], "is not UTF-8 text"),
+        (["run", "--group", "undecodable"], "is not UTF-8 text"),
+        pytest.param(["run", "--presentation", "/dev/zero"], f"exceeds {MAX_PRESENTATION_BYTES} bytes",
+                     marks=pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")),
+    ],
+    ids=["huge-p-header", "huge-m-header", "huge-field-prime", "huge-gl-prime", "oversized-file",
+         "undecodable-file", "undecodable-group-path", "endless-file"],
+)
+def test_huge_inputs_end_at_once(tmp_path, argv, message):
+    for name, data in BAD_FILES.items():
+        (tmp_path / name).write_bytes(data)
+    argv = [str(tmp_path / a) if a in BAD_FILES else a for a in argv]
+    proc = _run_subprocess(argv, timeout=10)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert message in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
