@@ -20,6 +20,7 @@ from .pgroup import MAX_PRESENTATION_BYTES, PcGroup, PresentationError, catalog,
 from .pipeline import (
     RunConfig,
     RunStageError,
+    build_group_field,
     catalog_table,
     gl_check,
     master_seed,
@@ -28,6 +29,15 @@ from .pipeline import (
     run,
     sweep,
 )
+
+
+# an '@FILE' of automorphism specs; an inner spec written out in full at
+# order 512 over GF(p^8) takes about 10 KB
+MAX_SPEC_FILE_BYTES = 1 << 20
+
+
+class SpecFileError(ValueError):
+    """An '@FILE' of automorphism specs that is too large or not UTF-8."""
 
 
 FULL_CHECK_HELP = (
@@ -52,7 +62,8 @@ def _load_specs(values: list[str]) -> list[str]:
     specs = []
     for value in values:
         if value.startswith("@"):
-            for line in Path(value[1:]).read_text().splitlines():
+            text = _read_text(Path(value[1:]), MAX_SPEC_FILE_BYTES, "spec", SpecFileError)
+            for line in text.splitlines():
                 line = line.split("#", 1)[0].strip()
                 if line:
                     specs.append(line)
@@ -74,16 +85,21 @@ def _group_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _read_presentation(path: Path) -> str:
-    """A presentation file's text; at most MAX_PRESENTATION_BYTES of it are read."""
+def _read_text(path: Path, limit: int, kind: str, error: type[ValueError]) -> str:
+    """A file's UTF-8 text; at most limit + 1 bytes of it are read, so an
+    endless file such as /dev/zero is rejected at once."""
     with path.open("rb") as fh:
-        data = fh.read(MAX_PRESENTATION_BYTES + 1)
-    if len(data) > MAX_PRESENTATION_BYTES:
-        raise PresentationError(f"presentation file {path} exceeds {MAX_PRESENTATION_BYTES} bytes")
+        data = fh.read(limit + 1)
+    if len(data) > limit:
+        raise error(f"{kind} file {path} exceeds {limit} bytes")
     try:
         return data.decode()
     except UnicodeDecodeError as err:
-        raise PresentationError(f"presentation file {path} is not UTF-8 text: {err.reason}") from None
+        raise error(f"{kind} file {path} is not UTF-8 text: {err.reason}") from None
+
+
+def _read_presentation(path: Path) -> str:
+    return _read_text(path, MAX_PRESENTATION_BYTES, "presentation", PresentationError)
 
 
 def _group_source(args: argparse.Namespace) -> tuple[str, str | None]:
@@ -214,14 +230,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "jennings":
         group = _build_group(args)
         if args.field:
-            p, n, modulus = _split_field(args.field)
-            from .pipeline import build_field
-
-            field = build_field(p, n, modulus)
-            if field.p != group.p:
-                raise ValueError(
-                    f"field characteristic {field.p} does not match the group prime {group.p}"
-                )
+            build_group_field(group, *_split_field(args.field))
         basis = build_jennings_basis(group)
         pbw = basis.jq_dimension_check()["pbw_dims"]
         match = series_definitions_agree(group)

@@ -7,6 +7,20 @@ are required and every extension degree the scalar layer supports works
 here too.  Prime fields (n == 1) take short-circuit paths: codes are the
 residues themselves.
 
+decode is a table gather.  The digit table holds the d base-p digits of
+every number below p^d, for the largest d <= n with p^d <= DIGIT_TABLE_ROWS;
+a code is cut into ceil(n/d) chunks of d digits, and each chunk is one
+gather.  When q <= DIGIT_TABLE_ROWS, which holds for every prime field,
+the whole code is one gather with no division.
+
+matmul over GF(p^n), n > 1, computes all n^2 plane products in one BLAS
+product (delayed reduction, as in FFLAS-FFPACK): the left rows decoded as
+(w*n, K) times the right factor decoded once as (K, C*n).  The n blocks
+with i + j = l are folded into plane l, and the 2n-1 planes are reduced
+mod the modulus and encoded.  The left rows are taken in chunks whose
+product holds at most MAX_PRODUCT_CELLS entries, so the memory a product
+takes stays a few times that of its operands.
+
 det also takes a stack of square matrices, shape (B, s, s), and returns
 one code per member.  The stack is decoded once and eliminated column by
 column on its coefficient planes, every member in the same numpy pass,
@@ -20,7 +34,16 @@ import numpy as np
 
 from .ffield import FieldSpec
 
-__all__ = ["FieldOps"]
+__all__ = ["FieldOps", "DIGIT_TABLE_ROWS", "MAX_PRODUCT_CELLS", "EXACT_FLOAT_BOUND"]
+
+# rows of the digit table decode gathers from; p <= MAX_CHARACTERISTIC = 4096,
+# so a chunk has at least one digit, and the table takes at most 256 KB
+DIGIT_TABLE_ROWS = 4096
+# entries of one chunk of matmul's plane product; a chunk has >= 1 left row
+MAX_PRODUCT_CELLS = 2**21
+# a float64 product of depth K with factors below p is exact while
+# K (p-1)^2 < EXACT_FLOAT_BOUND; deeper products run in int64
+EXACT_FLOAT_BOUND = 2**52
 
 
 class FieldOps:
@@ -31,6 +54,15 @@ class FieldOps:
         self.p = spec.p
         self.n = spec.n
         self._powers = self.p ** np.arange(self.n, dtype=np.int64)
+        digits = 1
+        while digits < self.n and self.p ** (digits + 1) <= DIGIT_TABLE_ROWS:
+            digits += 1
+        self._chunk_base = self.p**digits
+        self._chunks = -(-self.n // digits)
+        # _digits[c] = the `digits` base-p digits of c, lowest first
+        self._digits = (
+            np.arange(self._chunk_base, dtype=np.int64)[:, None] // self._powers[:digits]
+        ) % self.p
         # reduction planes: _red[k] = coefficients of t^(n+k) modulo the modulus
         red = []
         cur = [(-c) % self.p for c in spec.modulus[:-1]]  # t^n
@@ -48,8 +80,16 @@ class FieldOps:
     # -- code <-> coefficient planes -----------------------------------------
 
     def decode(self, a: np.ndarray) -> np.ndarray:
-        """(...,) codes -> (..., n) coefficient planes."""
-        return (np.asarray(a, dtype=np.int64)[..., None] // self._powers) % self.p
+        """(...,) codes in [0, q) -> (..., n) coefficient planes, a new array."""
+        rest = np.asarray(a, dtype=np.int64)
+        chunks = []
+        for _ in range(self._chunks - 1):
+            rest, low = np.divmod(rest, self._chunk_base)
+            chunks.append(np.take(self._digits, low, axis=0))
+        chunks.append(np.take(self._digits, rest, axis=0))
+        if len(chunks) == 1:
+            return chunks[0]
+        return np.concatenate(chunks, axis=-1)[..., : self.n]
 
     def encode(self, planes: np.ndarray) -> np.ndarray:
         return (planes % self.p) @ self._powers
@@ -111,27 +151,41 @@ class FieldOps:
 
     # -- matrix products --------------------------------------------------------
 
-    @staticmethod
-    def _int_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-        # entries are < p, so accumulated products stay far below 2^53 and a
-        # BLAS-backed float product is exact (integer matmul has no BLAS path)
-        if a.ndim == 2 and (p - 1) * (p - 1) * a.shape[1] < 2**52:
-            return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) % p
-        return (a @ b) % p
-
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
+        # BLAS has no integer product; a float one is exact at this depth
+        kind = np.float64 if (self.p - 1) ** 2 * a.shape[-1] < EXACT_FLOAT_BOUND else np.int64
         if self.n == 1:
-            return self._int_matmul(a, b, self.p)
-        pa = self.decode(a)  # (R, K, n)
-        pb = self.decode(b)  # (K, C, n)
-        out = np.zeros((a.shape[0], b.shape[-1], 2 * self.n - 1), dtype=np.int64)
-        for i in range(self.n):
-            for j in range(self.n):
-                out[..., i + j] += self._int_matmul(pa[..., i], pb[..., j], self.p)
-        out %= self.p
-        return self.encode(self.reduce_planes(out))
+            prod = a.astype(kind, copy=False) @ b.astype(kind, copy=False)
+            return prod.astype(np.int64, copy=False) % self.p
+        n, (rows, depth), cols = self.n, a.shape, b.shape[-1]
+        right = self.decode(b).transpose(0, 2, 1)  # columns (j, c)
+        right = np.ascontiguousarray(right, dtype=kind).reshape(depth, n * cols)
+        out = np.zeros((rows, cols), dtype=np.int64)
+        step = max(1, MAX_PRODUCT_CELLS // (n * n * cols))
+        for lo in range(0, rows, step):
+            planes = self._plane_product(a[lo : lo + step], right)
+            out[lo : lo + step] = self.encode(self.reduce_planes(planes))
+        return out
+
+    def _plane_product(self, a: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """Planes (w, C, 2n-1), mod p but not yet mod the modulus, of code rows
+        (w, K) times a right factor decoded as (K, n*C) with columns (j, c).
+
+        The left rows are taken as (i, r), so block [i, :, j, :] of the one
+        BLAS product is the plane product a_i b_j; its entries are sums of K
+        terms below p^2, and n of them are added into each plane.
+        """
+        n, (width, depth) = self.n, a.shape
+        left = np.ascontiguousarray(self.decode(a).transpose(2, 0, 1), dtype=right.dtype)
+        prod = (left.reshape(n * width, depth) @ right).astype(np.int64, copy=False)
+        prod = prod.reshape(n, width, n, -1)
+        planes = np.zeros((2 * n - 1, width, prod.shape[-1]), dtype=np.int64)
+        for i in range(n):
+            planes[i : i + n] += prod[i].swapaxes(0, 1)
+        planes %= self.p
+        return np.moveaxis(planes, 0, -1)
 
     def matvec(self, a: np.ndarray, v: np.ndarray) -> np.ndarray:
         return self.matmul(a, v.reshape(-1, 1)).reshape(-1)

@@ -32,7 +32,7 @@ from .automorphisms import (
     random_substitution,
     verify_theorem,
 )
-from .ffield import GF, FieldSpec, format_modulus
+from .ffield import GF, FieldMismatch, FieldSpec, format_modulus
 from .groupalgebra import (
     GroupAlgebra,
     series_definitions_agree,
@@ -199,6 +199,16 @@ def build_field(p: int, n: int = 1, modulus: str | None = None) -> FieldSpec:
     return GF(p, n, coeffs)
 
 
+def build_group_field(group: PcGroup, p: int, n: int = 1, modulus: str | None = None) -> FieldSpec:
+    """GF(p^n) for kG.  The characteristic is compared with the group's prime
+    before the field is built, since the default-modulus search alone can
+    take minutes in a large field."""
+    if p != group.p:
+        GF(p)  # an out-of-range or composite p is reported as such first
+        raise FieldMismatch(f"group has prime {group.p} but field has characteristic {p}")
+    return build_field(p, n, modulus)
+
+
 def prepare(config: RunConfig) -> tuple[GroupAlgebra, list[AlgebraAutomorphism]]:
     try:
         if config.presentation is not None:
@@ -209,7 +219,7 @@ def prepare(config: RunConfig) -> tuple[GroupAlgebra, list[AlgebraAutomorphism]]
         raise RunStageError("group", err) from err
     try:
         p = config.p if config.p is not None else group.p
-        spec = build_field(p, config.n, config.modulus)
+        spec = build_group_field(group, p, config.n, config.modulus)
         algebra = GroupAlgebra(group, spec)
     except Exception as err:
         raise RunStageError("field", err) from err

@@ -5,7 +5,10 @@ value is confirmed by forming the corresponding algebra element and
 testing the congruence one radical power deeper.  None of it touches the
 layer bookkeeping inside the jennings module.  The group-table oracles at
 the end (the table by collection, the all-triples certificate, random
-presentations and random loops) work on index tables.
+presentations and random loops) work on index tables.  The field-kernel
+oracles (decode by division, the product one plane pair at a time) are
+the FieldOps kernels as they were before decode became a table gather and
+matmul one BLAS product.
 """
 
 from __future__ import annotations
@@ -484,3 +487,22 @@ def random_loop(rng, n):
     t = np.array(square, dtype=np.int64)
     t = t[:, np.argsort(t[0])]  # row 0 becomes 0, 1, ..., n - 1
     return t[np.argsort(t[:, 0])]  # and then column 0
+
+
+def decode_by_divmod(ops, a):
+    """(...,) codes -> (..., n) coefficient planes, digit by digit with // and %."""
+    powers = ops.p ** np.arange(ops.n, dtype=np.int64)
+    return (np.asarray(a, dtype=np.int64)[..., None] // powers) % ops.p
+
+
+def matmul_by_planes(ops, a, b):
+    """a @ b over GF(p^n) as n^2 exact int64 plane products a_i b_j, each
+    reduced mod p and added into plane i + j, then reduced and encoded."""
+    pa = decode_by_divmod(ops, a)  # (R, K, n)
+    pb = decode_by_divmod(ops, b)  # (K, C, n)
+    out = np.zeros((pa.shape[0], pb.shape[1], 2 * ops.n - 1), dtype=np.int64)
+    for i in range(ops.n):
+        for j in range(ops.n):
+            out[..., i + j] += (pa[..., i] @ pb[..., j]) % ops.p
+    out %= ops.p
+    return ops.encode(ops.reduce_planes(out))

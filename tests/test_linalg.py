@@ -2,11 +2,14 @@
 
 Matrices are arrays of element codes.  Determinants are checked against a
 permutation-expansion oracle computed with FieldElement arithmetic, which
-shares no code with the Gaussian elimination under test.
+shares no code with the Gaussian elimination under test.  decode and
+matmul are checked against the divmod decode and the product one plane
+pair at a time (tests/oracle_helpers.py).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
@@ -15,8 +18,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from socle_verify import GF
-from socle_verify.linalg import FieldOps
+from socle_verify import GF, linalg
+from socle_verify.linalg import DIGIT_TABLE_ROWS, FieldOps
+
+from oracle_helpers import decode_by_divmod, matmul_by_planes
+
+
+@functools.cache
+def field_ops(p, n):
+    return FieldOps(GF(p, n))
 
 
 def det_oracle(ops, m):
@@ -197,6 +207,73 @@ def test_matmul_matches_naive_loops_gf9():
                     int(b[l, j])
                 )
             assert int(got[i, j]) == k.code_of(acc)
+
+
+# fields with q <= DIGIT_TABLE_ROWS that the tests, the catalog and the
+# benchmark use, and the largest single-gather fields for p = 3 and p = 5
+SINGLE_GATHER_FIELDS = [
+    (2, 1), (3, 1), (5, 1), (7, 1), (4093, 1),
+    (2, 2), (2, 3), (2, 8), (3, 2), (3, 3), (3, 7), (5, 2), (5, 3), (5, 5), (7, 2),
+]  # fmt: skip
+
+
+@pytest.mark.parametrize("p,n", SINGLE_GATHER_FIELDS)
+def test_decode_matches_divmod_on_every_code(p, n):
+    ops = field_ops(p, n)
+    codes = np.arange(p**n, dtype=np.int64)
+    assert ops.decode(codes).shape == (p**n, n)
+    assert np.array_equal(ops.decode(codes), decode_by_divmod(ops, codes))
+    grid = codes[: (p**n // 3) * 3].reshape(3, -1)
+    assert np.array_equal(ops.decode(grid), decode_by_divmod(ops, grid))
+    assert np.array_equal(ops.encode(ops.decode(codes)), codes)
+
+
+# several d-digit chunks per code: GF(3^8) and GF(5^6) take two, GF(67^3)
+# three; GF(4093) fills the digit table
+@pytest.mark.parametrize("p,n", [(3, 8), (5, 6), (67, 3), (4093, 1)])
+def test_decode_matches_divmod_across_chunks(p, n):
+    ops = field_ops(p, n)
+    assert ops._digits.shape[0] <= DIGIT_TABLE_ROWS
+    rng = np.random.default_rng(p * 100 + n)
+    edges = [p**k + e for k in range(n) for e in (-1, 0, 1)]
+    codes = np.concatenate([[0, p**n - 1], edges, rng.integers(0, p**n, 5000)]).astype(np.int64)
+    assert np.array_equal(ops.decode(codes), decode_by_divmod(ops, codes))
+    grid = rng.integers(0, p**n, (40, 25))
+    assert np.array_equal(ops.decode(grid), decode_by_divmod(ops, grid))
+    assert np.array_equal(ops.encode(ops.decode(codes)), codes)
+    assert np.array_equal(ops.decode(np.int64(p**n - 1)), [p - 1] * n)
+
+
+# GF(67^8) is left out: its default-modulus search trial-divides 67^4
+# candidates; GF(67^3) takes the same multi-chunk decode
+MATMUL_FIELDS = [(p, n) for p in (2, 3, 5, 67) for n in (1, 2, 3, 8) if (p, n) != (67, 8)]
+# (rows, K, columns): no rows, one column, K = 1, and 7 rows that leave a
+# partial last chunk when a chunk holds 3 rows
+MATMUL_SHAPES = [(0, 4, 3), (5, 4, 1), (6, 1, 5), (1, 1, 1), (7, 5, 6), (7, 9, 2)]
+
+
+@pytest.mark.parametrize("p,n", MATMUL_FIELDS)
+def test_matmul_matches_plane_oracle(monkeypatch, p, n):
+    """One BLAS product, in row chunks and with the int64 product, against
+    n^2 separate plane products."""
+    ops = field_ops(p, n)
+    rng = np.random.default_rng(7 * p + n)
+    for rows, depth, cols in MATMUL_SHAPES:
+        a = rng.integers(0, p**n, (rows, depth))
+        b = rng.integers(0, p**n, (depth, cols))
+        expect = matmul_by_planes(ops, a, b)
+        assert expect.shape == (rows, cols)
+        assert np.array_equal(ops.matmul(a, b), expect)
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "MAX_PRODUCT_CELLS", 3 * n * n * cols)
+            assert np.array_equal(ops.matmul(a, b), expect)
+            patch.setattr(linalg, "MAX_PRODUCT_CELLS", 1)
+            assert np.array_equal(ops.matmul(a, b), expect)
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "EXACT_FLOAT_BOUND", 0)
+            assert np.array_equal(ops.matmul(a, b), expect)
+            patch.setattr(linalg, "MAX_PRODUCT_CELLS", 3 * n * n * cols)
+            assert np.array_equal(ops.matmul(a, b), expect)
 
 
 def test_encode_decode_roundtrip():

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from socle_verify.automorphisms import MAX_COUNT
-from socle_verify.cli import main
+from socle_verify.cli import MAX_SPEC_FILE_BYTES, main
 from socle_verify.pgroup import MAX_PRESENTATION_BYTES
 from socle_verify.pipeline import (
     RunConfig,
@@ -292,6 +292,7 @@ BAD_FILES = {
     "huge-m": b"pcgroup p=2 m=300000000\n",
     "oversized": b"pcgroup p=2 m=1\n" + b"#" * MAX_PRESENTATION_BYTES,
     "undecodable": b"pcgroup p=2 m=1\n\xff\xfe\n",
+    "oversized-specs": b"random-inner\n" + b"#" * MAX_SPEC_FILE_BYTES,
 }
 
 
@@ -307,14 +308,29 @@ BAD_FILES = {
         (["run", "--group", "undecodable"], "is not UTF-8 text"),
         pytest.param(["run", "--presentation", "/dev/zero"], f"exceeds {MAX_PRESENTATION_BYTES} bytes",
                      marks=pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")),
+        # the default-modulus search of GF(4093^8) would not end; the
+        # characteristic is compared with the group's prime first
+        (["run", "--group", "C2", "--field", "4093,8"], "group has prime 2 but field has characteristic 4093"),
+        (["jennings", "--group", "C2", "--field", "4093,8"], "group has prime 2 but field has characteristic 4093"),
+        (["run", "--group", "C2", "--auto", "@oversized-specs"], f"exceeds {MAX_SPEC_FILE_BYTES} bytes"),
+        (["run", "--group", "C2", "--auto", "@undecodable"], "is not UTF-8 text"),
+        pytest.param(["run", "--group", "C2", "--auto", "@/dev/zero"], f"exceeds {MAX_SPEC_FILE_BYTES} bytes",
+                     marks=pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")),
     ],
     ids=["huge-p-header", "huge-m-header", "huge-field-prime", "huge-gl-prime", "oversized-file",
-         "undecodable-file", "undecodable-group-path", "endless-file"],
+         "undecodable-file", "undecodable-group-path", "endless-file", "foreign-field-run",
+         "foreign-field-jennings", "oversized-spec-file", "undecodable-spec-file", "endless-spec-file"],
 )
 def test_huge_inputs_end_at_once(tmp_path, argv, message):
     for name, data in BAD_FILES.items():
         (tmp_path / name).write_bytes(data)
-    argv = [str(tmp_path / a) if a in BAD_FILES else a for a in argv]
+
+    def resolve(arg):
+        at = "@" if arg.startswith("@") else ""
+        name = arg[len(at):]
+        return at + str(tmp_path / name) if name in BAD_FILES else arg
+
+    argv = [resolve(a) for a in argv]
     proc = _run_subprocess(argv, timeout=10)
     assert proc.returncode == 1
     assert proc.stdout == ""
