@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 import re
-import weakref
 
 import numpy as np
 
@@ -226,16 +225,11 @@ def radical_filtration_by_products(
     return bases, pivots, complements, comp_pivots
 
 
-_FILTRATION_CACHE: "weakref.WeakKeyDictionary[PcGroup, RadicalFiltration]" = weakref.WeakKeyDictionary()
-
-
 def radical_filtration(group: PcGroup) -> RadicalFiltration:
-    """Prime-field radical filtration, cached per group."""
-    filt = _FILTRATION_CACHE.get(group)
-    if filt is None:
-        filt = RadicalFiltration(group)
-        _FILTRATION_CACHE[group] = filt
-    return filt
+    """Prime-field radical filtration, built once per group and kept on it."""
+    if group._radical_filtration is None:
+        group._radical_filtration = RadicalFiltration(group)
+    return group._radical_filtration
 
 
 def dimension_subgroups_definitional(group: PcGroup) -> list[Subgroup]:

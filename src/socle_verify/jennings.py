@@ -45,8 +45,6 @@ from .ffield import FieldMismatch, FieldSpec
 from .groupalgebra import AlgebraElement, GroupAlgebra, radical_filtration
 from .pgroup import GroupElement, PcGroup
 
-import weakref
-
 __all__ = ["JenningsBasis", "JenningsLayer", "DimensionMismatch", "build_jennings_basis"]
 
 
@@ -267,17 +265,13 @@ class JenningsBasis:
         ]
 
 
-_BASIS_CACHE: "weakref.WeakKeyDictionary[PcGroup, JenningsBasis]" = weakref.WeakKeyDictionary()
-
-
 def build_jennings_basis(group: PcGroup, field: FieldSpec | None = None) -> JenningsBasis:
-    """Per-group cached layer basis (prime-field data, reusable for any GF(p^n))."""
+    """Layer basis, built once per group and kept on it (prime-field data,
+    reusable for any GF(p^n))."""
     if field is not None and field.p != group.p:
         raise FieldMismatch(
             f"field has characteristic {field.p} but the group has exponent prime {group.p}"
         )
-    basis = _BASIS_CACHE.get(group)
-    if basis is None:
-        basis = JenningsBasis(group)
-        _BASIS_CACHE[group] = basis
-    return basis
+    if group._jennings_basis is None:
+        group._jennings_basis = JenningsBasis(group)
+    return group._jennings_basis

@@ -238,6 +238,10 @@ class PcGroup:
         self._index: dict[tuple[int, ...], int] = {t: k for k, t in enumerate(self._elements)}
         self._blocks = _normal_form_blocks(p, m)
         self._certify(self._build_table())
+        # built on first use by groupalgebra.radical_filtration and
+        # jennings.build_jennings_basis, and kept here so they die with the group
+        self._radical_filtration = None
+        self._jennings_basis = None
 
     # -- construction ---------------------------------------------------------
 

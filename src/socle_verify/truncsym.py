@@ -3,11 +3,11 @@
 This is the shape of the graded algebra of kG when every generator sits
 in the same filtration degree (and, with a degree-weighted grading, in
 general).  Elements are dense coefficient grids of shape (p, ..., p).
-A product visits only the nonzero cells of its right factor: each adds a
-shifted copy of the left factor's coefficient planes, times that cell's
-coefficient, into unreduced int64 planes, and the sum is reduced mod p,
-folded mod the field's modulus and encoded once at the end (delayed
-modular reduction, as in FFLAS-FFPACK).
+A product of two elements visits only the nonzero cells of its right
+factor: each adds a shifted copy of the left factor's coefficient planes,
+times that cell's coefficient, into unreduced int64 planes, and the sum
+is reduced mod p, folded mod the field's modulus and encoded once at the
+end (delayed modular reduction, as in FFLAS-FFPACK).
 
 The ring's one nontrivial job here: push an invertible linear change of
 variables through the top monomial prod_j x_j^((p-1)), by multiplying
@@ -17,18 +17,29 @@ monomial other than the top one inside the truncation, so the image of
 the top monomial is an exact scalar multiple of itself; that scalar is
 what gets compared against det^(p-1).
 
-top_monomial_scalar also takes a stack of matrices (B, m, m) and returns
-B scalar codes.  A stack is one array with a leading member axis, so each
-product costs one numpy pass per stack instead of one per matrix: the
-product visits the cells that are nonzero in any member and scales by
-each member's own coefficient planes.  A stack is processed in chunks
-whose unreduced accumulator (members x p^m cells x 2n-1 planes) holds at
-most MAX_STACK_CELLS int64 entries, and at least one member, so the
-memory a stack takes stays that of a few single products however many
-matrices a caller passes.
+top_monomial_scalar does not use the dense grid.  After d linear
+factors the accumulator lives on the piece D_d of monomials of total
+degree d, and cell c of D_d receives acc[c - e_i] * a_i from each
+variable i with c_i >= 1.  Per (p, m), one gather array per degree maps
+every cell of D_d and variable i to its source in D_(d-1), or to a zero
+sentinel when c_i = 0.  One factor is then one gather of the
+accumulator's coefficient planes, one batched float64 product with the
+members' n x n multiplication matrices over GF(p) and one reduction
+mod p.  The top piece is the single top monomial, whose planes are
+encoded to the scalar.
+
+top_monomial_scalar takes a stack of matrices (B, m, m) and returns B
+scalar codes, computed in chunks whose gathered block (members x |D_d|
+cells x m variables x n planes) holds at most MAX_STACK_CELLS entries in
+every degree, and at least one member, so the memory a stack takes stays
+small however many matrices a caller passes.  A stack is not checked for
+invertibility: a singular member gets the scalar 0, which is its
+det^(p-1).  A single matrix must be invertible.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -46,7 +57,8 @@ __all__ = [
 
 # largest p^m accepted; elements are dense int64 grids of p^m cells
 MAX_GRID_CELLS = 4096
-# int64 entries of one stacked product's accumulator; a chunk has >= 1 member
+# float64 entries of top_monomial_scalar's gathered block per degree; a chunk
+# has >= 1 member
 MAX_STACK_CELLS = 2**14
 
 
@@ -56,6 +68,30 @@ class NotScalarMultiple(ValueError):
 
 class SingularMatrix(ValueError):
     """Linear substitutions must be invertible."""
+
+
+@functools.cache
+def _degree_gathers(p: int, m: int) -> tuple[np.ndarray, ...]:
+    """The gathers of the degree-by-degree product, read-only.
+
+    A piece D_d lists the monomials of total degree d in row-major grid
+    order.  Entry d - 1 has shape (|D_d|, m): row k, column i holds the
+    position in D_(d-1) of c - e_i, for c the k-th monomial of D_d, or
+    |D_(d-1)|, the zero sentinel after the piece, when c_i = 0.
+    """
+    cells = np.indices((p,) * m).reshape(m, -1)  # digits of each flat index
+    degree = cells.sum(axis=0)
+    order = np.argsort(degree, kind="stable")
+    sizes = np.bincount(degree)
+    starts = np.cumsum(sizes) - sizes
+    place = np.empty_like(degree)  # position of each cell inside its piece
+    place[order] = np.arange(len(order)) - starts[degree[order]]
+    below = np.arange(p**m) - (p ** np.arange(m - 1, -1, -1))[:, None]  # c - e_i
+    gather = np.where(cells > 0, place[np.maximum(below, 0)], sizes[degree - 1])
+    pieces = np.split(gather.T[order], starts[1:])[1:]  # D_0 has no source
+    for piece in pieces:
+        piece.flags.writeable = False
+    return tuple(pieces)
 
 
 class TruncatedPolynomialRing:
@@ -75,8 +111,12 @@ class TruncatedPolynomialRing:
         self.p = field.p
         self.ops = FieldOps(field)
         self.shape = (self.p,) * nvars
+        self._gathers = _degree_gathers(self.p, nvars)
+        # planes of t^n modulo the modulus, for the companion shift
+        self._t_n = np.array([(-c) % self.p for c in field.modulus[:-1]], dtype=np.int64)
         # members per stack chunk, read when the ring is made
-        self.chunk = max(1, MAX_STACK_CELLS // (self.p**nvars * (2 * field.n - 1)))
+        widest = max(len(g) for g in self._gathers)
+        self.chunk = max(1, MAX_STACK_CELLS // (nvars * widest * field.n))
 
     def zero(self) -> TruncatedPolynomial:
         return TruncatedPolynomial(self, np.zeros(self.shape, dtype=np.int64))
@@ -157,15 +197,12 @@ class TruncatedPolynomialRing:
         return acc if n == 1 else ops.reduce_planes(acc)
 
     def _substitution_rows(self, matrix: np.ndarray) -> np.ndarray:
-        """Validate linear substitutions x_j -> sum_i matrix[j,i] x_i.
-
-        matrix is one (m, m) matrix or a (B, m, m) stack; any singular
-        member raises SingularMatrix.
-        """
+        """Validate one linear substitution x_j -> sum_i matrix[j,i] x_i;
+        a singular matrix raises SingularMatrix."""
         matrix = np.asarray(matrix, dtype=np.int64)
-        if matrix.ndim not in (2, 3) or matrix.shape[-2:] != (self.nvars, self.nvars):
+        if matrix.shape != (self.nvars, self.nvars):
             raise ValueError("substitution matrix has the wrong shape")
-        if np.any(self.ops.det(matrix) == 0):
+        if self.ops.det(matrix) == 0:
             raise SingularMatrix("linear substitution matrix is singular")
         return matrix
 
@@ -173,30 +210,59 @@ class TruncatedPolynomialRing:
         """Scalar lambda with (prod_j L_j^(p-1)) = lambda * top monomial,
         where L_j = sum_i matrix[j,i] x_i.
 
-        A (B, m, m) stack gives the (B,) codes of its members' scalars,
-        computed self.chunk members at a time.  Homogeneity makes each
-        image an exact multiple of the top monomial; anything else is an
-        error in the ring arithmetic.
+        One matrix must be invertible and gives a FieldElement.  A
+        (B, m, m) stack gives the (B,) codes of its members' scalars,
+        computed self.chunk members at a time, with no invertibility
+        check: a singular member's scalar is 0.
         """
         matrix = np.asarray(matrix, dtype=np.int64)
         if matrix.ndim == 2:
-            return self.field.element_from_code(int(self.top_monomial_scalar(matrix[None])[0]))
+            stack = self._substitution_rows(matrix)[None]
+            return self.field.element_from_code(int(self.top_monomial_scalar(stack)[0]))
+        if matrix.ndim != 3 or matrix.shape[1:] != (self.nvars, self.nvars):
+            raise ValueError("substitution matrix has the wrong shape")
         lams = [np.zeros(0, dtype=np.int64)]
         for lo in range(0, len(matrix), self.chunk):
-            stack = self._substitution_rows(matrix[lo : lo + self.chunk])
-            acc = np.zeros((len(stack),) + self.shape + (self.ops.n,), dtype=np.int64)
-            acc[(slice(None),) + (0,) * (self.nvars + 1)] = 1  # the planes of 1
-            for j in range(self.nvars):
-                form = self.linear_form(stack[:, j])
-                for _ in range(self.p - 1):
-                    acc = self._mul_planes(acc, form)
-            acc = self.ops.encode(acc)
-            top = (slice(None),) + (self.p - 1,) * self.nvars
-            lams.append(acc[top].copy())
-            acc[top] = 0
-            if acc.any():
-                raise NotScalarMultiple("image of the top monomial is not homogeneous of top degree")
+            lams.append(self._top_scalars(matrix[lo : lo + self.chunk]))
         return np.concatenate(lams)
+
+    def _top_scalars(self, stack: np.ndarray) -> np.ndarray:
+        """Scalar codes of one chunk, multiplied out one degree at a time.
+
+        acc holds the planes of piece D_d and a zero sentinel cell.  The
+        float64 product sums m*n terms below (p-1)^2 per entry, exact while
+        m*n*(p-1)^2 < linalg.EXACT_FLOAT_BOUND = 2^52; p^m <= MAX_GRID_CELLS
+        gives m <= 12 and p <= 4096, and n <= MAX_EXTENSION_DEGREE = 8, so
+        it is below 12 * 8 * 4095^2 < 2^31.
+        """
+        size, p, n = len(stack), self.p, self.ops.n
+        mats = self._mult_matrices(stack)
+        acc = np.zeros((size, 2, n))
+        acc[:, 0, 0] = 1  # the planes of 1
+        for d, gather in enumerate(self._gathers):
+            terms = np.take(acc, gather, axis=1).reshape(size, len(gather), -1)
+            acc = np.zeros((size, len(gather) + 1, n))
+            np.remainder(terms @ mats[d // (p - 1)], p, out=acc[:, :-1])
+        return self.ops.encode(acc[:, 0].astype(np.int64))
+
+    def _mult_matrices(self, stack: np.ndarray) -> np.ndarray:
+        """(m, B, m*n, n) float64: block [j, b] maps the planes of f, taken
+        as (i, l), to the planes of sum_i stack[b, j, i] * f_i.
+
+        Row (i, l) holds the planes of stack[b, j, i] * t^l, made from the
+        planes of stack[b, j, i] by l companion shifts.
+        """
+        p, n = self.p, self.ops.n
+        cols = [self.ops.decode(stack)]
+        for _ in range(n - 1):
+            low = cols[-1]
+            shifted = np.zeros_like(low)
+            shifted[..., 1:] = low[..., :-1]
+            cols.append((shifted + low[..., -1:] * self._t_n) % p)
+        mats = np.stack(cols, axis=-2).swapaxes(0, 1)  # (j, b, i, l, k)
+        return np.ascontiguousarray(mats, dtype=np.float64).reshape(
+            self.nvars, len(stack), self.nvars * n, n
+        )
 
 
 class TruncatedPolynomial:

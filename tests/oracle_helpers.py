@@ -8,7 +8,9 @@ the end (the table by collection, the all-triples certificate, random
 presentations and random loops) work on index tables.  The field-kernel
 oracles (decode by division, the product one plane pair at a time) are
 the FieldOps kernels as they were before decode became a table gather and
-matmul one BLAS product.
+matmul one BLAS product.  The top-monomial scalar by grid products is
+TruncatedPolynomialRing.top_monomial_scalar as it was before it worked
+degree by degree.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import itertools
 import numpy as np
 
 from socle_verify.pgroup import _collect, _normal_form_blocks, associative_on_all_triples
+from socle_verify.truncsym import NotScalarMultiple
 
 
 def _lift_combination(algebra, basis, degree, coords):
@@ -506,3 +509,25 @@ def matmul_by_planes(ops, a, b):
             out[..., i + j] += (pa[..., i] @ pb[..., j]) % ops.p
     out %= ops.p
     return ops.encode(ops.reduce_planes(out))
+
+
+def top_scalar_by_grid_products(ring, stack):
+    """(B,) codes of the top-monomial scalars of a (B, m, m) stack, on the
+    dense grid: each linear form, as a stack of grids, is multiplied p - 1
+    times into a (B,) + shape + (n,) accumulator of coefficient planes by
+    ring._mul_planes, and everything off the top monomial must vanish.
+    No invertibility check: a singular member gives 0."""
+    stack = np.asarray(stack, dtype=np.int64)
+    acc = np.zeros((len(stack),) + ring.shape + (ring.ops.n,), dtype=np.int64)
+    acc[(slice(None),) + (0,) * (ring.nvars + 1)] = 1  # the planes of 1
+    for j in range(ring.nvars):
+        form = ring.linear_form(stack[:, j])
+        for _ in range(ring.p - 1):
+            acc = ring._mul_planes(acc, form)
+    acc = ring.ops.encode(acc)
+    top = (slice(None),) + (ring.p - 1,) * ring.nvars
+    lams = acc[top].copy()
+    acc[top] = 0
+    if acc.any():
+        raise NotScalarMultiple("image of the top monomial is not homogeneous of top degree")
+    return lams

@@ -7,9 +7,12 @@ and p-restrictions from p-th powers.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
-from socle_verify import GF, FieldMismatch, GroupAlgebra, PcGroup, build_jennings_basis, catalog_names
+from socle_verify import GF, FieldMismatch, GroupAlgebra, PcGroup, build_jennings_basis, catalog, catalog_names
 from socle_verify.groupalgebra import dimension_subgroups_definitional, radical_filtration
 from oracle_helpers import (
     assert_lie_structure_compatible,
@@ -146,6 +149,18 @@ def test_lie_structure_compatibility_examples(basis, algebra):
 def test_build_rejects_wrong_characteristic(group):
     with pytest.raises(FieldMismatch):
         build_jennings_basis(group("D8"), GF(3))
+
+
+def test_group_is_freed_with_its_filtration_and_basis():
+    """The filtration and the basis are built once per group and die with it."""
+    d8 = catalog("D8")
+    assert radical_filtration(d8) is radical_filtration(d8)
+    assert build_jennings_basis(d8) is build_jennings_basis(d8)
+    assert build_jennings_basis(d8).filtration is radical_filtration(d8)
+    ref = weakref.ref(d8)
+    del d8
+    gc.collect()
+    assert ref() is None
 
 
 def test_build_accepts_matching_extension_field(group):

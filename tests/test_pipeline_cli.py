@@ -466,14 +466,18 @@ def test_gl_check_stacks_stay_within_the_chunk(monkeypatch):
     from socle_verify.truncsym import TruncatedPolynomialRing
 
     want = gl_check(3, 2, count=10_000, seed=5)
-    monkeypatch.setattr(truncsym, "MAX_STACK_CELLS", 9 * 64)
+    # 2 variables x 3 monomials of degree 2 x 1 plane per member
+    monkeypatch.setattr(truncsym, "MAX_STACK_CELLS", 6 * 64)
     sizes = {"top": [], "det": []}
+    nonzero = {"top": 0, "det": 0}
 
     def spy(name, fn):
         def wrapped(self, matrix):
+            out = fn(self, matrix)
             if np.ndim(matrix) == 3:
                 sizes[name].append(len(matrix))
-            return fn(self, matrix)
+                nonzero[name] += np.count_nonzero(out)
+            return out
         return wrapped
 
     monkeypatch.setattr(TruncatedPolynomialRing, "top_monomial_scalar",
@@ -484,7 +488,21 @@ def test_gl_check_stacks_stay_within_the_chunk(monkeypatch):
         "elementary": 4, "diagonal": 4, "random_diagonal": 2500, "random": 10_000
     }
     assert max(sizes["top"]) == max(sizes["det"]) == 64
-    assert len(sizes["det"]) > 2 * 10_000 // 64
+    # every matrix reaches the ring once, and det runs only in the dense-draw
+    # rounds, whose nonsingular draws are the 10 000 random matrices
+    assert sum(sizes["top"]) == nonzero["top"] == sum(want["checked"].values())
+    assert nonzero["det"] == 10_000
+    assert len(sizes["det"]) > 10_000 // 64
+
+
+def test_gl_check_one_variable_at_the_largest_prime_ends():
+    """p - 1 = 4092 factors per matrix, and the 4092 diagonals in one chunk."""
+    proc = _run_subprocess(["gl-check", "--p", "4093", "--m", "1", "--count", "3", "--format", "json"],
+                           timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["verdict"] is True
+    assert out["checked"]["diagonal"] == 4092
 
 
 def test_cli_entry_point_subprocess():

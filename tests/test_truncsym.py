@@ -1,12 +1,15 @@
 """Truncated polynomial ring and the determinant scalar.
 
 The oracle below reimplements truncated multiplication over plain dicts
-keyed by exponent tuples, sharing nothing with the dense-grid code under
-test, and expands prod_j L_j^(p-1) directly.
+keyed by exponent tuples, sharing nothing with the code under test, and
+expands prod_j L_j^(p-1) directly.  The degree-by-degree top-monomial
+scalar is also compared with the dense-grid products it replaced
+(oracle_helpers.top_scalar_by_grid_products).
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import random
 
@@ -17,6 +20,8 @@ from hypothesis import strategies as st
 
 from socle_verify import GF, SingularMatrix, TruncatedPolynomialRing, truncsym
 from socle_verify.truncsym import NotScalarMultiple
+
+from oracle_helpers import top_scalar_by_grid_products
 
 
 def dict_mul(a, b, p, nvars):
@@ -180,10 +185,16 @@ def _random_stack(k, rng, size, nvars):
     ).reshape(size, nvars, nvars)
 
 
+def _widest_piece(p, nvars):
+    """Most monomials of one total degree in the truncated grid."""
+    degrees = collections.Counter(sum(e) for e in itertools.product(range(p), repeat=nvars))
+    return max(degrees.values())
+
+
 @pytest.mark.parametrize("p,n,nvars", [(2, 1, 5), (3, 1, 3), (5, 1, 2), (2, 2, 3), (3, 2, 2)])
 def test_stacked_top_scalar_matches_single_and_chunking(monkeypatch, p, n, nvars):
-    """A stack gives each member's scalar, whatever the chunk size; one
-    singular member makes the whole stack raise SingularMatrix."""
+    """A stack gives each member's scalar, whatever the chunk size; a
+    singular member gets 0 and leaves the other members' scalars as they were."""
     k = GF(p, n)
     ring = TruncatedPolynomialRing(k, nvars)
     ops = ring.ops
@@ -192,29 +203,102 @@ def test_stacked_top_scalar_matches_single_and_chunking(monkeypatch, p, n, nvars
     stack = stack[ops.det(stack) != 0]
     got = ring.top_monomial_scalar(stack)
     assert got.tolist() == [k.code_of(ring.top_monomial_scalar(m)) for m in stack]
-    for cells in (1, p**nvars * (2 * n - 1) * 3):
+    # the gathered block of one degree: members x cells x variables x planes
+    width = nvars * _widest_piece(p, nvars) * n
+    for cells in (1, width * 3):
         monkeypatch.setattr(truncsym, "MAX_STACK_CELLS", cells)
         small = TruncatedPolynomialRing(k, nvars)
-        assert small.chunk == max(1, cells // (p**nvars * (2 * n - 1)))
+        assert small.chunk == max(1, cells // width)
         assert small.chunk < len(stack)
         members = []
-        mul = small._mul_planes
+        scalars = small._top_scalars
         monkeypatch.setattr(
-            small, "_mul_planes", lambda planes, b: members.append(len(planes)) or mul(planes, b)
+            small, "_top_scalars", lambda part: members.append(len(part)) or scalars(part)
         )
         assert np.array_equal(small.top_monomial_scalar(stack), got)
         assert max(members) == small.chunk
+        assert max(members) * width <= max(cells, width)
     singular = stack.copy()
-    singular[len(stack) // 2, 0] = 0
-    with pytest.raises(SingularMatrix):
-        ring.top_monomial_scalar(singular)
+    mid = len(stack) // 2
+    singular[mid, 0] = 0
+    lams = ring.top_monomial_scalar(singular)
+    assert lams[mid] == k.code_of(top_scalar_oracle(k, singular[mid])) == 0
+    assert np.array_equal(np.delete(lams, mid), np.delete(got, mid))
     assert ring.top_monomial_scalar(stack[:0]).shape == (0,)
 
 
+def _assert_matches_oracles(ring, stack):
+    """The kernel equals the grid products and the dict oracle on every member."""
+    k = ring.field
+    got = ring.top_monomial_scalar(stack)
+    assert got.shape == (len(stack),)
+    assert np.array_equal(got, top_scalar_by_grid_products(ring, stack))
+    assert got.tolist() == [k.code_of(top_scalar_oracle(k, m)) for m in stack]
+    return got
+
+
+@pytest.mark.parametrize("p,m,n", [(2, 8, 1), (2, 6, 2), (3, 5, 1), (3, 4, 2), (5, 4, 1), (5, 3, 2)])
+def test_top_scalar_matches_oracles_at_benchmark_shapes(p, m, n):
+    """Random stacks with singular members, at every gl-check benchmark shape."""
+    k = GF(p, n)
+    ring = TruncatedPolynomialRing(k, m)
+    stack = _random_stack(k, random.Random(808 + 100 * p + 10 * m + n), 10, m)
+    stack[1, 0] = stack[1, 1]  # equal rows
+    stack[4, :, 2] = 0  # a zero column
+    got = _assert_matches_oracles(ring, stack)
+    assert got[1] == got[4] == 0
+    assert np.count_nonzero(got) == np.count_nonzero(ring.ops.det(stack))
+
+
+def test_top_scalar_matches_oracles_at_one_variable_and_p_4093():
+    """m = 1 at the largest prime: p - 1 = 4092 factors on one-cell pieces."""
+    k = GF(4093)
+    ring = TruncatedPolynomialRing(k, 1)
+    assert ring.chunk >= 4092
+    rng = random.Random(909)
+    stack = np.array([0, 1, 4092] + rng.sample(range(2, 4092), 5), dtype=np.int64).reshape(-1, 1, 1)
+    assert _assert_matches_oracles(ring, stack).tolist() == [0] + [1] * 7  # Fermat
+
+
+def test_top_scalar_matches_oracles_on_the_largest_grid():
+    """The 2^12 grid over GF(2): pieces of up to 924 monomials, one member per chunk."""
+    k = GF(2)
+    ring = TruncatedPolynomialRing(k, 12)
+    stack = _random_stack(k, random.Random(1010), 4, 12)
+    stack[0] = np.eye(12, dtype=np.int64)
+    stack[1, 5] = 0
+    got = _assert_matches_oracles(ring, stack)
+    assert got[0] == 1 and got[1] == 0
+
+
+def test_top_scalar_matches_oracles_over_gf256_at_chunk_one(monkeypatch):
+    monkeypatch.setattr(truncsym, "MAX_STACK_CELLS", 1)
+    k = GF(2, 8)
+    ring = TruncatedPolynomialRing(k, 3)
+    assert ring.chunk == 1
+    stack = _random_stack(k, random.Random(1111), 6, 3)
+    stack[2, 1] = 0
+    assert _assert_matches_oracles(ring, stack)[2] == 0
+
+
+@pytest.mark.parametrize("size", [0, 1, 5, 7, 11])
+def test_top_scalar_on_partial_and_one_member_chunks(monkeypatch, size):
+    """Chunks of 5 members: empty, one-member, full and partial last chunks."""
+    k = GF(3, 2)
+    width = 3 * _widest_piece(3, 3) * 2
+    monkeypatch.setattr(truncsym, "MAX_STACK_CELLS", 5 * width)
+    ring = TruncatedPolynomialRing(k, 3)
+    assert ring.chunk == 5
+    stack = _random_stack(k, random.Random(1212 + size), size, 3)
+    got = _assert_matches_oracles(ring, stack)
+    assert got.dtype == np.int64
+
+
 def test_chunk_holds_one_member_at_the_grid_limit():
-    # 2^12 cells and 15 product planes over GF(2^8) exceed MAX_STACK_CELLS alone
+    # 12 variables x 924 monomials of degree 6 x 8 planes over GF(2^8)
+    # exceed MAX_STACK_CELLS alone
     ring = TruncatedPolynomialRing(GF(2, 8), 12)
-    assert 2**12 * 15 > truncsym.MAX_STACK_CELLS
+    assert 12 * _widest_piece(2, 12) * 8 > truncsym.MAX_STACK_CELLS
     assert ring.chunk == 1
 
 
