@@ -40,6 +40,6 @@ from .automorphisms import (
     SingularLinearPart,
     verify_theorem,
 )
-from .truncsym import TruncatedPolynomialRing, NotScalarMultiple, SingularMatrix
+from .truncsym import TruncatedPolynomialRing, SingularMatrix
 
 __version__ = "0.1.0"

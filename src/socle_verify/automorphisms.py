@@ -28,7 +28,7 @@ name and run no dense product:
   from_group_automorphism  "group-automorphism": PcGroup.group_automorphism
                            checked every defining relation on the images
                            (von Dyck) and that the induced map is bijective
-  inner                    "unit-inverse": conjugation by u, whose inverse
+  inner, inners            "unit-inverse": conjugation by u, whose inverse
                            unit_inverse checked by u u^-1 = 1
   from_substitution_images "substitution": on C_p^m, images of augmentation
                            1 satisfy every relation, and an invertible
@@ -48,10 +48,23 @@ lambda = det(A)^(p-1), where A is the block-diagonal matrix of the maps
 alpha induces on the graded layers F_r/F_(r+1) tensored up to k.  In
 particular lambda is a (p-1)-st power in k* and equals 1 over the prime
 field.
+
+The check is the same computation for every automorphism, so it runs on
+stacks.  verify_stack takes all automorphisms of a run at once: the socle
+scalars are one stacked row sum, one coordinates() call reads the lift
+images of every member, the filtration and Lie-subspace checks are masks
+over the members, each Jennings layer has one stacked det, and det_total
+and det^(p-1) are elementwise code products.  When members fail, the
+first failing member raises the error it raises alone.  random_inners
+draws its units in the order repeated random_inner calls draw them, then
+inverts and conjugates them as one stack (inners).  verify_theorem,
+socle_scalar, graded_action, inner and random_inner are the one-member
+calls of the same code.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 
@@ -72,7 +85,10 @@ __all__ = [
     "LieSubspaceViolated",
     "SingularLinearPart",
     "verify_theorem",
+    "verify_stack",
+    "graded_actions",
     "random_inner",
+    "random_inners",
     "random_substitution",
     "parse_automorphism_specs",
 ]
@@ -82,6 +98,8 @@ FULL_PAIR_CHECK_LIMIT = 256
 
 # largest count a random-* spec, a sweep or gl-check accepts
 MAX_COUNT = 10_000
+
+SOCLE_MESSAGE = "socle vector image is not a nonzero multiple of itself"
 
 
 def check_count(value: int, what: str) -> int:
@@ -153,11 +171,20 @@ class AlgebraAutomorphism:
     def inner(cls, algebra: GroupAlgebra, u: AlgebraElement, provenance: str | None = None) -> "AlgebraAutomorphism":
         if u.algebra is not algebra:
             raise FieldMismatch("unit belongs to a different algebra")
-        uinv = algebra.unit_inverse(u)  # raises NotAUnit on augmentation zero
-        matrix = algebra.ops.matmul(
-            algebra.left_mult_matrix(u.codes), algebra.right_mult_matrix(uinv.codes)
-        )
-        return cls(algebra, matrix, provenance or f"inner: {u}", certificate="unit-inverse")
+        return cls.inners(algebra, u.codes[None], [provenance or f"inner: {u}"])[0]
+
+    @classmethod
+    def inners(cls, algebra: GroupAlgebra, units: np.ndarray,
+               provenances: list[str]) -> list["AlgebraAutomorphism"]:
+        """Conjugations by the members of a (B, |G|) stack of unit codes.
+
+        The inverses come from one stacked unit_inverse, which raises
+        NotAUnit on augmentation zero and checks u u^-1 = 1 for every
+        member, and the matrices L(u) R(u^-1) from stacked products.
+        """
+        matrices = algebra.conjugation_matrices(units, algebra.unit_inverse(units))
+        return [cls(algebra, matrix, provenance, certificate="unit-inverse")
+                for matrix, provenance in zip(matrices, provenances)]
 
     @classmethod
     def from_substitution_images(cls, algebra: GroupAlgebra, images: list[AlgebraElement],
@@ -347,59 +374,15 @@ class AlgebraAutomorphism:
 
     def socle_scalar(self) -> FieldElement:
         """lambda with alpha(sum of all g) = lambda * (sum of all g)."""
-        v = self.algebra.ops.matvec(self.matrix, self.algebra.sum_of_group_elements().codes)
-        lam = int(v[0])
-        if lam == 0 or not np.all(v == lam):
-            raise SocleNotPreserved("socle vector image is not a nonzero multiple of itself")
-        return self.algebra.field.element_from_code(lam)
+        lams, bad = _socle_stack(self.algebra, [self.matrix])
+        if bad[0]:
+            raise SocleNotPreserved(SOCLE_MESSAGE)
+        return self.algebra.field.element_from_code(int(lams[0]))
 
     def graded_action(self) -> "GradedAction":
-        """Blocks of the induced maps on F_r/F_(r+1) tensored up to k.
-
-        The images alpha(y) - 1 of all lifts are read off on the Jennings
-        monomials in one pass.  Block column j in degree r holds the
-        coordinates of alpha(y_j) - 1 at the monomials y_i - 1 of the
-        layer's lifts; every coordinate of weight < r, and every other one
-        of weight r, must vanish.
-        """
-        if self._graded is not None:
-            return self._graded
-        alg = self.algebra
-        ops = alg.ops
-        basis = build_jennings_basis(alg.group)
-        filt = basis.filtration
-        cols = [alg.group.index_of(y) for y in basis.lift_elements]
-        coords = filt.coordinates(ops, ops.sub(self.matrix[:, cols], alg.one().codes[:, None]))
-        blocks: list[tuple[int, np.ndarray]] = []
-        dets: list[FieldElement] = []
-        total = alg.field.one()
-        first = 0
-        for layer in basis.layers:
-            if layer.rank == 0:
-                continue
-            r = layer.degree
-            layer_coords = coords[:, first : first + layer.rank]
-            first += layer.rank
-            others = filt.weights == r
-            others[list(layer.rows)] = False
-            for col in layer_coords.T:
-                if col[filt.weights < r].any():
-                    raise FiltrationNotPreserved(
-                        f"image of a degree-{r} lift is not 1 mod J^{r}"
-                    )
-                if col[others].any():
-                    raise LieSubspaceViolated(
-                        f"image class in layer {r} left the span of the layer lifts"
-                    )
-            block = layer_coords[list(layer.rows)]
-            det_code = ops.det(block)
-            if det_code == 0:
-                raise FiltrationNotPreserved(f"induced block in degree {r} is singular")
-            det = alg.field.element_from_code(det_code)
-            blocks.append((r, block))
-            dets.append(det)
-            total = total * det
-        self._graded = GradedAction(tuple(blocks), tuple(dets), total)
+        """Blocks of the induced maps on F_r/F_(r+1) tensored up to k."""
+        if self._graded is None:
+            graded_actions([self])
         return self._graded
 
     def __repr__(self) -> str:
@@ -443,21 +426,162 @@ class VerificationReport:
 
 def verify_theorem(auto: AlgebraAutomorphism) -> VerificationReport:
     """Check alpha(socle) = det(A)^(p-1) * socle and the scalar's constraints."""
-    lam = auto.socle_scalar()
-    action = auto.graded_action()
-    p = auto.algebra.field.p
-    det_pow = action.det_total ** (p - 1)
-    return VerificationReport(
-        provenance=auto.provenance,
-        socle_scalar=lam,
-        block_degrees=tuple(r for r, _ in action.blocks),
-        block_dets=action.block_dets,
-        det_total=action.det_total,
-        det_power=det_pow,
-        equation_holds=lam == det_pow,
-        lambda_in_power_subgroup=lam.is_pm1_power(),
-        lambda_is_one=lam.is_one(),
-    )
+    return verify_stack([auto])[0]
+
+
+def verify_stack(autos: list[AlgebraAutomorphism]) -> list[VerificationReport]:
+    """verify_theorem for automorphisms of one algebra, as one stack.
+
+    The socle scalars come from one stacked row sum, the graded actions
+    from _graded_stack, det_total and det^(p-1) from elementwise code
+    products.  When members fail, the first of them raises the error it
+    raises alone.
+    """
+    if not autos:
+        return []
+    alg = _one_algebra(autos)
+    matrices = [auto.matrix for auto in autos]
+    lams, bad = _socle_stack(alg, matrices)
+    layers, failures = _graded_stack(alg, matrices)
+    _raise_first([(bad, SocleNotPreserved(SOCLE_MESSAGE))] + failures)
+    actions, totals = _keep_actions(autos, layers)
+    powers = _code_powers(alg.ops, totals, alg.field.p - 1)
+    element = functools.cache(alg.field.element_from_code)
+    in_subgroup = functools.cache(lambda code: element(code).is_pm1_power())
+    return [
+        VerificationReport(
+            provenance=auto.provenance,
+            socle_scalar=element(lam),
+            block_degrees=tuple(r for r, _, _ in layers),
+            block_dets=action.block_dets,
+            det_total=action.det_total,
+            det_power=element(power),
+            equation_holds=lam == power,
+            lambda_in_power_subgroup=in_subgroup(lam),
+            lambda_is_one=lam == 1,
+        )
+        for auto, action, lam, power in zip(autos, actions, lams.tolist(), powers.tolist())
+    ]
+
+
+def graded_actions(autos: list[AlgebraAutomorphism]) -> list[GradedAction]:
+    """graded_action() of automorphisms of one algebra, as one stack."""
+    if not autos:
+        return []
+    alg = _one_algebra(autos)
+    layers, failures = _graded_stack(alg, [auto.matrix for auto in autos])
+    _raise_first(failures)
+    return _keep_actions(autos, layers)[0]
+
+
+def _one_algebra(autos: list[AlgebraAutomorphism]) -> GroupAlgebra:
+    alg = autos[0].algebra
+    if any(auto.algebra is not alg for auto in autos):
+        raise FieldMismatch("automorphisms act on different algebras")
+    return alg
+
+
+def _socle_stack(alg: GroupAlgebra, matrices: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """(lambda codes, failed) of B automorphism matrices: v = alpha(sum of all g)
+    is a stacked row sum, taken in member chunks, lambda its first entry,
+    and a member fails unless v = lambda * (sum of all g) with lambda != 0."""
+    n = alg.dimension
+    ones = np.ones((n, 1), dtype=np.int64)
+    v = np.zeros((len(matrices), n), dtype=np.int64)
+    for part in alg.member_chunks(len(matrices)):
+        stack = np.stack(matrices[part])
+        v[part] = alg.ops.matmul_stack(stack, np.broadcast_to(ones, (len(stack), n, 1)))[..., 0]
+    lams = v[:, 0]
+    return lams, (lams == 0) | (v != lams[:, None]).any(axis=1)
+
+
+def _graded_stack(alg: GroupAlgebra, matrices: list[np.ndarray]) -> tuple[list, list]:
+    """(layers, failures) of the graded actions of B automorphism matrices.
+
+    The images alpha(y) - 1 of all lifts of all members are read off on the
+    Jennings monomials by one coordinates() call.  Block column j in degree
+    r holds the coordinates of alpha(y_j) - 1 at the monomials y_i - 1 of
+    the layer's lifts; every coordinate of weight < r, and every other one
+    of weight r, must vanish, which the failures record as masks over the
+    members, in the order one member is checked in: column by column, then
+    the layer's determinant.  layers lists (r, (B, d_r, d_r) blocks, (B,)
+    determinant codes) for every layer of nonzero rank.
+    """
+    ops = alg.ops
+    basis = build_jennings_basis(alg.group)
+    filt = basis.filtration
+    cols = [alg.group.index_of(y) for y in basis.lift_elements]
+    lifts = np.stack([matrix[:, cols] for matrix in matrices])
+    lifts[:, 0] = ops.sub(lifts[:, 0], 1)  # alpha(y) - 1
+    size, n, width = lifts.shape
+    coords = filt.coordinates(ops, lifts.transpose(1, 0, 2).reshape(n, size * width))
+    coords = coords.reshape(n, size, width)
+    layers: list[tuple[int, np.ndarray, np.ndarray]] = []
+    failures: list[tuple[np.ndarray, Exception]] = []
+    first = 0
+    for layer in basis.layers:
+        if layer.rank == 0:
+            continue
+        r = layer.degree
+        layer_coords = coords[:, :, first : first + layer.rank]
+        first += layer.rank
+        others = filt.weights == r
+        others[list(layer.rows)] = False
+        below = layer_coords[filt.weights < r].any(axis=0)
+        outside = layer_coords[others].any(axis=0)
+        for j in range(layer.rank):
+            failures.append((below[:, j], FiltrationNotPreserved(
+                f"image of a degree-{r} lift is not 1 mod J^{r}")))
+            failures.append((outside[:, j], LieSubspaceViolated(
+                f"image class in layer {r} left the span of the layer lifts")))
+        blocks = layer_coords[list(layer.rows)].transpose(1, 0, 2)
+        dets = ops.det(blocks)
+        failures.append((dets == 0, FiltrationNotPreserved(f"induced block in degree {r} is singular")))
+        layers.append((r, blocks, dets))
+    return layers, failures
+
+
+def _raise_first(failures: list[tuple[np.ndarray, Exception]]) -> None:
+    """Raise the first failed check of the first member that fails one.
+
+    failures lists (mask over the members, error) in the order one member
+    is checked in; the first failing member of every check is found, and
+    the least (member, check) pair wins.
+    """
+    failed = [(int(mask.argmax()), k) for k, (mask, _) in enumerate(failures) if mask.any()]
+    if failed:
+        raise failures[min(failed)[1]][1]
+
+
+def _keep_actions(autos: list[AlgebraAutomorphism], layers: list) -> tuple[list[GradedAction], np.ndarray]:
+    """GradedAction of every member from _graded_stack's layers, kept on its
+    automorphism, and the (B,) codes of the det_totals."""
+    alg = autos[0].algebra
+    ops = alg.ops
+    element = functools.cache(alg.field.element_from_code)
+    totals = np.ones(len(autos), dtype=np.int64)
+    for _, _, dets in layers:
+        totals = ops.mul(totals, dets)
+    dets = np.array([d for _, _, d in layers], dtype=np.int64).reshape(len(layers), len(autos))
+    for b, (auto, total) in enumerate(zip(autos, totals.tolist())):
+        auto._graded = GradedAction(
+            tuple((r, blocks[b]) for r, blocks, _ in layers),
+            tuple(element(d) for d in dets[:, b].tolist()),
+            element(total),
+        )
+    return [auto._graded for auto in autos], totals
+
+
+def _code_powers(ops, codes: np.ndarray, exponent: int) -> np.ndarray:
+    """codes^exponent elementwise, exponent >= 1, by repeated squaring."""
+    result = None
+    while True:
+        if exponent & 1:
+            result = codes if result is None else ops.mul(result, codes)
+        exponent >>= 1
+        if not exponent:
+            return result
+        codes = ops.mul(codes, codes)
 
 
 # ---------------------------------------------------------------------------
@@ -465,14 +589,30 @@ def verify_theorem(auto: AlgebraAutomorphism) -> VerificationReport:
 
 def random_inner(algebra: GroupAlgebra, rng: random.Random, terms: int = 3) -> AlgebraAutomorphism:
     """Conjugation by 1 + (random sparse combination of (g - 1) terms)."""
-    u = algebra.one()
+    return random_inners(algebra, rng, 1, terms)[0]
+
+
+def random_inners(algebra: GroupAlgebra, rng: random.Random, count: int,
+                  terms: int = 3) -> list[AlgebraAutomorphism]:
+    """count random_inner draws, in the order they draw one by one, built as one stack.
+
+    Unit u = 1 + sum_k c_k (g_k - 1) is summed on its coefficients at 1 and
+    at the drawn g_k, every member at once.
+    """
     n = algebra.dimension
     q = algebra.field.q
-    for _ in range(terms):
-        g = algebra.group.element_at(rng.randrange(1, n))
-        c = algebra.field.element_from_code(rng.randrange(1, q))
-        u = u + (algebra.embed(g) - algebra.one()) * c
-    return AlgebraAutomorphism.inner(algebra, u, provenance=f"random-inner: {u}")
+    ops = algebra.ops
+    draws = np.array([[rng.randrange(1, n), rng.randrange(1, q)] for _ in range(count * terms)],
+                     dtype=np.int64).reshape(count, terms, 2)
+    units = np.zeros((count, n), dtype=np.int64)
+    units[:, 0] = 1
+    members = np.arange(count)
+    for k in range(terms):
+        g, c = draws[:, k, 0], draws[:, k, 1]
+        units[members, g] = ops.add(units[members, g], c)
+        units[:, 0] = ops.sub(units[:, 0], c)
+    provenances = [f"random-inner: {AlgebraElement(algebra, u)}" for u in units]
+    return AlgebraAutomorphism.inners(algebra, units, provenances)
 
 
 def random_substitution(algebra: GroupAlgebra, rng: random.Random) -> AlgebraAutomorphism:
@@ -551,8 +691,9 @@ def parse_automorphism_specs(
         seed = int(opts["seed"]) if "seed" in opts else default_seed
         count = check_count(int(opts.get("count", "1")), "count")
         rng = random.Random(seed)
-        maker = random_inner if kind.startswith("random-inner") else random_substitution
-        return [maker(algebra, rng) for _ in range(count)]
+        if kind.startswith("random-inner"):
+            return random_inners(algebra, rng, count)
+        return [random_substitution(algebra, rng) for _ in range(count)]
     raise ValueError(f"unknown automorphism spec kind {head.strip()!r}")
 
 

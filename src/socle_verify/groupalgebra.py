@@ -32,6 +32,7 @@ import re
 import numpy as np
 
 from .ffield import GF, DomainError, FieldElement, FieldMismatch, FieldSpec
+from . import linalg
 from .linalg import FieldOps
 from .pgroup import GroupElement, PcGroup, Subgroup
 
@@ -444,39 +445,79 @@ class GroupAlgebra:
     # -- multiplication ----------------------------------------------------------
 
     def left_mult_matrix(self, codes: np.ndarray) -> np.ndarray:
-        """Matrix of x -> a*x in the group basis (column-vector convention)."""
-        return codes[self._khinv]
+        """Matrix of x -> a*x in the group basis (column-vector convention);
+        a (B, |G|) stack of codes gives the (B, |G|, |G|) stack of matrices."""
+        return codes.take(self._khinv, axis=-1)
 
     def right_mult_matrix(self, codes: np.ndarray) -> np.ndarray:
-        """Matrix of x -> x*a."""
-        return codes[self._hkinv]
+        """Matrix of x -> x*a, or their stack, as left_mult_matrix."""
+        return codes.take(self._hkinv, axis=-1)
 
     def multiply_codes(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self.ops.matvec(self.left_mult_matrix(a), b)
+        """a*b for (|G|,) code vectors, or member by member for (B, |G|) stacks."""
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
+        if a.ndim == 1:
+            return self.ops.matmul_stack(self.left_mult_matrix(a)[None], b[None, :, None])[0, :, 0]
+        return self._by_member_chunks(len(a), a.shape[1:], lambda part: self.ops.matmul_stack(
+            self.left_mult_matrix(a[part]), b[part, :, None])[..., 0])
 
-    def unit_inverse(self, u: AlgebraElement) -> AlgebraElement:
+    def conjugation_matrices(self, units: np.ndarray, inverses: np.ndarray) -> np.ndarray:
+        """Matrices L(u) R(u^-1) of x -> u x u^-1, for (B, |G|) stacks of units
+        and their inverses."""
+        n = self.dimension
+        return self._by_member_chunks(len(units), (n, n), lambda part: self.ops.matmul_stack(
+            self.left_mult_matrix(units[part]), self.right_mult_matrix(inverses[part])))
+
+    def member_chunks(self, count: int) -> list[slice]:
+        """Slices of a stack of `count` members whose |G| x |G| matrices hold
+        at most linalg.MAX_STACK_CELLS entries together, and at least one
+        member: one member at |G| = 125, 22 at |G| = 27."""
+        step = max(1, linalg.MAX_STACK_CELLS // self.dimension**2)
+        return [slice(lo, lo + step) for lo in range(0, count, step)]
+
+    def _by_member_chunks(self, count: int, shape: tuple[int, ...], product) -> np.ndarray:
+        """product(part) of every member chunk, as one (count,) + shape array;
+        a single chunk's result is returned as it is."""
+        chunks = self.member_chunks(count)
+        if len(chunks) == 1:
+            return product(chunks[0])
+        out = np.zeros((count,) + shape, dtype=np.int64)
+        for part in chunks:
+            out[part] = product(part)
+        return out
+
+    def unit_inverse(self, u: AlgebraElement | np.ndarray) -> AlgebraElement | np.ndarray:
         """Inverse by repeated squaring of the radical part.
 
         u = eps(1 - z) with z in J, and z^(s+1) = 0 for the socle degree s,
         so u^-1 = eps^-1 (1 + z)(1 + z^2)(1 + z^4)...; the product stops at
         the first z^(2^j) = 0, after at most s.bit_length() rounds.
+
+        A (B, |G|) stack of codes gives the (B, |G|) codes of its members'
+        inverses, squared together until every member's z^(2^j) is 0; a
+        factor 1 + 0 leaves a finished member as it is.  Every member is
+        checked by u u^-1 = 1.
         """
-        eps = u.augmentation()
-        if eps.is_zero():
+        if isinstance(u, AlgebraElement):
+            return AlgebraElement(self, self.unit_inverse(u.codes[None])[0])
+        units = np.asarray(u, dtype=np.int64)
+        eps = column_sums(self.ops, units.T)
+        if not eps.all():
             raise NotAUnit("element lies in the augmentation ideal")
-        einv = self.field.code_of(eps.inverse())
+        einv = np.array([self.ops.scalar_inv(e) for e in eps.tolist()], dtype=np.int64)[:, None]
         one = self.one().codes
-        z = self.ops.sub(one, self.ops.mul(u.codes, np.full_like(u.codes, einv)))
+        z = self.ops.sub(one, self.ops.mul(units, einv))
         acc = self.ops.add(one, z)
         for _ in range(self.socle_degree.bit_length() - 1):
             z = self.multiply_codes(z, z)
             if not z.any():
                 break
             acc = self.multiply_codes(acc, self.ops.add(one, z))
-        inv_codes = self.ops.mul(acc, np.full_like(acc, einv))
-        if not np.array_equal(self.multiply_codes(u.codes, inv_codes), one):
+        inverses = self.ops.mul(acc, einv)
+        if not np.array_equal(self.multiply_codes(units, inverses), np.broadcast_to(one, units.shape)):
             raise NotAUnit("repeated squaring did not invert the element")
-        return AlgebraElement(self, inv_codes)
+        return inverses
 
     # -- filtration access ---------------------------------------------------------
 

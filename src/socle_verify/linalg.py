@@ -13,13 +13,17 @@ a code is cut into ceil(n/d) chunks of d digits, and each chunk is one
 gather.  When q <= DIGIT_TABLE_ROWS, which holds for every prime field,
 the whole code is one gather with no division.
 
-matmul over GF(p^n), n > 1, computes all n^2 plane products in one BLAS
-product (delayed reduction, as in FFLAS-FFPACK): the left rows decoded as
-(w*n, K) times the right factor decoded once as (K, C*n).  The n blocks
-with i + j = l are folded into plane l, and the 2n-1 planes are reduced
-mod the modulus and encoded.  The left rows are taken in chunks whose
-product holds at most MAX_PRODUCT_CELLS entries, so the memory a product
-takes stays a few times that of its operands.
+matmul_stack takes stacks of products, (B, R, K) @ (B, K, C), and matmul
+is its one-member call.  Over GF(p^n), n > 1, all n^2 plane products of a
+member are one BLAS product (delayed reduction, as in FFLAS-FFPACK): the
+left rows decoded as (w*n, K) times the right factor decoded once as
+(K, C*n).  The n blocks with i + j = l are folded into plane l, and the
+2n-1 planes are reduced mod the modulus and encoded.  The rows are taken
+in chunks: rows of one member whose decoded left rows and whose product
+each hold at most MAX_PRODUCT_CELLS entries, or several small members
+that hold at most MAX_STACK_CELLS together.  So the memory a stack takes
+stays a few times that of one chunk's operands however many members it
+has.
 
 det also takes a stack of square matrices, shape (B, s, s), and returns
 one code per member.  The stack is decoded once and eliminated column by
@@ -34,13 +38,18 @@ import numpy as np
 
 from .ffield import FieldSpec
 
-__all__ = ["FieldOps", "DIGIT_TABLE_ROWS", "MAX_PRODUCT_CELLS", "EXACT_FLOAT_BOUND"]
+__all__ = ["FieldOps", "DIGIT_TABLE_ROWS", "MAX_PRODUCT_CELLS", "MAX_STACK_CELLS", "EXACT_FLOAT_BOUND"]
 
 # rows of the digit table decode gathers from; p <= MAX_CHARACTERISTIC = 4096,
 # so a chunk has at least one digit, and the table takes at most 256 KB
 DIGIT_TABLE_ROWS = 4096
-# entries of one chunk of matmul's plane product; a chunk has >= 1 left row
+# entries of one chunk of matmul_stack's decoded left rows and of its plane
+# product; a chunk has >= 1 left row
 MAX_PRODUCT_CELLS = 2**21
+# entries a chunk of several whole members may hold: stacks pay off where
+# numpy's per-call cost outweighs the arithmetic, on small members, and
+# larger chunks would only raise the peak memory
+MAX_STACK_CELLS = 2**14
 # a float64 product of depth K with factors below p is exact while
 # K (p-1)^2 < EXACT_FLOAT_BOUND; deeper products run in int64
 EXACT_FLOAT_BOUND = 2**52
@@ -152,38 +161,68 @@ class FieldOps:
     # -- matrix products --------------------------------------------------------
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Product of two code matrices: the one-member stack of matmul_stack."""
+        return self.matmul_stack(np.asarray(a)[None], np.asarray(b)[None])[0]
+
+    def matmul_stack(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Products (B, R, K) @ (B, K, C) of code matrices, member by member.
+
+        A chunk is up to `step` left rows of one member, its decoded left
+        rows and its plane product each holding at most MAX_PRODUCT_CELLS
+        entries, or several whole members that hold at most MAX_STACK_CELLS
+        together.  The right factors of a chunk's members are decoded once.
+        """
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
+        (members, rows, depth), cols = a.shape, b.shape[-1]
         # BLAS has no integer product; a float one is exact at this depth
-        kind = np.float64 if (self.p - 1) ** 2 * a.shape[-1] < EXACT_FLOAT_BOUND else np.int64
-        if self.n == 1:
-            prod = a.astype(kind, copy=False) @ b.astype(kind, copy=False)
-            return prod.astype(np.int64, copy=False) % self.p
-        n, (rows, depth), cols = self.n, a.shape, b.shape[-1]
-        right = self.decode(b).transpose(0, 2, 1)  # columns (j, c)
-        right = np.ascontiguousarray(right, dtype=kind).reshape(depth, n * cols)
-        out = np.zeros((rows, cols), dtype=np.int64)
-        step = max(1, MAX_PRODUCT_CELLS // (n * n * cols))
-        for lo in range(0, rows, step):
-            planes = self._plane_product(a[lo : lo + step], right)
-            out[lo : lo + step] = self.encode(self.reduce_planes(planes))
+        kind = np.float64 if (self.p - 1) ** 2 * depth < EXACT_FLOAT_BOUND else np.int64
+        per_row = self.n * max(depth, self.n * cols, 1)
+        step = max(1, MAX_PRODUCT_CELLS // per_row)
+        group = max(1, MAX_STACK_CELLS // (per_row * max(rows, 1)))
+        if members <= group and rows <= step:
+            return self._product(a, self._right_factors(b, kind))
+        out = np.zeros((members, rows, cols), dtype=np.int64)
+        for first in range(0, members, group):
+            part = slice(first, first + group)
+            right = self._right_factors(b[part], kind)
+            for lo in range(0, rows, step):
+                out[part, lo : lo + step] = self._product(a[part, lo : lo + step], right)
         return out
 
-    def _plane_product(self, a: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """Planes (w, C, 2n-1), mod p but not yet mod the modulus, of code rows
-        (w, K) times a right factor decoded as (K, n*C) with columns (j, c).
+    def _right_factors(self, b: np.ndarray, kind: type) -> np.ndarray:
+        """Right factors (g, K, C) as _product takes them, in dtype kind: the
+        codes over a prime field, else planes (g, K, n*C) with columns (j, c)."""
+        if self.n == 1:
+            return b.astype(kind)
+        right = self.decode(b).transpose(0, 1, 3, 2)
+        return np.ascontiguousarray(right, dtype=kind).reshape(len(b), b.shape[1], self.n * b.shape[2])
 
-        The left rows are taken as (i, r), so block [i, :, j, :] of the one
-        BLAS product is the plane product a_i b_j; its entries are sums of K
-        terms below p^2, and n of them are added into each plane.
+    def _product(self, a: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """Codes (g, w, C) of left code rows (g, w, K) times _right_factors."""
+        if self.n == 1:
+            prod = (a.astype(right.dtype) @ right).astype(np.int64, copy=False)
+            prod %= self.p
+            return prod
+        return self.encode(self.reduce_planes(self._plane_product(a, right)))
+
+    def _plane_product(self, a: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """Planes (g, w, C, 2n-1), mod p but not yet mod the modulus, of left
+        code rows (g, w, K) times right factors decoded as (g, K, n*C).
+
+        The left rows are decoded and taken as (i, r), so block [i, :, j, :]
+        of a member's BLAS product is the plane product a_i b_j; its entries
+        are sums of K terms below p^2, and the n blocks with i + j = l are
+        added into plane l.
         """
-        n, (width, depth) = self.n, a.shape
-        left = np.ascontiguousarray(self.decode(a).transpose(2, 0, 1), dtype=right.dtype)
-        prod = (left.reshape(n * width, depth) @ right).astype(np.int64, copy=False)
-        prod = prod.reshape(n, width, n, -1)
-        planes = np.zeros((2 * n - 1, width, prod.shape[-1]), dtype=np.int64)
+        n, (size, width, depth) = self.n, a.shape
+        left = np.ascontiguousarray(self.decode(a).transpose(0, 3, 1, 2), dtype=right.dtype)
+        prod = (left.reshape(size, n * width, depth) @ right).astype(np.int64, copy=False)
+        cols = right.shape[-1] // n
+        prod = prod.reshape(size, n, width, n, cols)
+        planes = np.zeros((2 * n - 1, size, width, cols), dtype=np.int64)
         for i in range(n):
-            planes[i : i + n] += prod[i].swapaxes(0, 1)
+            planes[i : i + n] += prod[:, i].transpose(2, 0, 1, 3)
         planes %= self.p
         return np.moveaxis(planes, 0, -1)
 

@@ -238,10 +238,12 @@ class PcGroup:
         self._index: dict[tuple[int, ...], int] = {t: k for k, t in enumerate(self._elements)}
         self._blocks = _normal_form_blocks(p, m)
         self._certify(self._build_table())
-        # built on first use by groupalgebra.radical_filtration and
-        # jennings.build_jennings_basis, and kept here so they die with the group
+        # built on first use by groupalgebra.radical_filtration,
+        # jennings.build_jennings_basis and stored_automorphisms, and kept
+        # here so they die with the group
         self._radical_filtration = None
         self._jennings_basis = None
+        self._stored_automorphisms: tuple[GroupAutomorphism, ...] | None = None
 
     # -- construction ---------------------------------------------------------
 
@@ -595,14 +597,18 @@ class PcGroup:
         counts = np.bincount(perm, minlength=self.order)
         if not np.all(counts == 1):
             raise NotBijective("generator images generate a proper subgroup")
+        perm.flags.writeable = False  # stored automorphisms are shared by every caller
         return GroupAutomorphism(self, tuple(images), perm)
 
     def stored_automorphisms(self) -> list[GroupAutomorphism]:
-        out = []
-        for words in self._stored_auto_words:
-            images = [self.parse_word(w) for w in words]
-            out.append(self.group_automorphism(images))
-        return out
+        """The stored automorphisms, their relations checked once per group;
+        a fresh list on each call."""
+        if self._stored_automorphisms is None:
+            self._stored_automorphisms = tuple(
+                self.group_automorphism([self.parse_word(w) for w in words])
+                for words in self._stored_auto_words
+            )
+        return list(self._stored_automorphisms)
 
     # -- words and presentations ------------------------------------------------------
 

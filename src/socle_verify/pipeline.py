@@ -28,9 +28,9 @@ from .automorphisms import (
     VerificationReport,
     check_count,
     parse_automorphism_specs,
-    random_inner,
+    random_inners,
     random_substitution,
-    verify_theorem,
+    verify_stack,
 )
 from .ffield import GF, FieldMismatch, FieldSpec, format_modulus
 from .groupalgebra import (
@@ -56,10 +56,15 @@ __all__ = [
     "sweep",
     "sweep_automorphisms",
     "gl_check",
+    "gl_check_work",
+    "MAX_GL_WORK",
     "render_json",
 ]
 
 MASTER_SEED = 0xB50C1E
+# largest gl_check_work a gl-check accepts; about 2 s of kernel work on a
+# 2-core Xeon VM (p = 4093, m = 1, count = 3000)
+MAX_GL_WORK = 2**25
 SEED_ENV = "SOCLE_VERIFY_SEED"
 _MASK = (1 << 64) - 1
 
@@ -280,12 +285,11 @@ def run(algebra: GroupAlgebra, autos: list[AlgebraAutomorphism], full_check: boo
     except Exception as err:
         raise RunStageError("structure", err) from err
 
-    reports = []
     try:
-        for auto in autos:
-            if full_check:
+        if full_check:
+            for auto in autos:
                 auto.check_pairs()
-            reports.append(verify_theorem(auto))
+        reports = verify_stack(autos)
     except Exception as err:
         raise RunStageError("verify", err) from err
     if full_check and autos:
@@ -333,7 +337,7 @@ def sweep_automorphisms(
         for ga in group.stored_automorphisms()
     ]
     rng_inner = random.Random(derive_seed(seed, name, deg, "inner"))
-    autos.extend(random_inner(algebra, rng_inner) for _ in range(inner_count))
+    autos.extend(random_inners(algebra, rng_inner, inner_count))
     rng_comp = random.Random(derive_seed(seed, name, deg, "compose"))
     pool = list(autos)
     for _ in range(compose_count):
@@ -374,6 +378,19 @@ def sweep(
     return SweepReport(seed=seed, reports=reports, verdict=all(r.verdict for r in reports))
 
 
+def gl_check_work(p: int, m: int, n: int, count: int) -> int:
+    """The kernel work of gl_check on GL_m(GF(p^n)): matrices x m*n*p^m.
+
+    The top-monomial kernel gathers m*n*|D_d| entries per matrix and degree
+    d, m*n*p^m over all degrees.  The matrices are the m(m-1) min(q-1, 32)
+    elementary ones, the m(q-1) single-entry diagonals, count // 4 full
+    diagonals and count dense draws, for q = p^n.
+    """
+    q = p**n
+    matrices = m * (m - 1) * min(q - 1, 32) + m * (q - 1) + count // 4 + count
+    return matrices * m * n * p**m
+
+
 def gl_check(
     p: int,
     m: int,
@@ -392,6 +409,11 @@ def gl_check(
     seed = master_seed() if seed is None else seed
     spec = build_field(p, n, modulus)
     ring = TruncatedPolynomialRing(spec, m)
+    work = gl_check_work(p, m, n, count)
+    if work > MAX_GL_WORK:
+        raise ValueError(
+            f"gl-check work {work} (matrices x m*n*p^m) exceeds the budget of {MAX_GL_WORK}"
+        )
     ops = ring.ops
     rng = random.Random(derive_seed(seed, "gl-check", p, n, m))
 
@@ -424,7 +446,7 @@ def gl_check(
         return mats
 
     # determinants are known by construction, except for the dense draws
-    unit_codes = [spec.code_of(u) for u in spec.units()]
+    unit_codes = range(1, spec.q)
     sampled_units = unit_codes if len(unit_codes) <= 32 else [
         unit_codes[rng.randrange(len(unit_codes))] for _ in range(32)
     ]

@@ -49,7 +49,6 @@ from .linalg import FieldOps
 __all__ = [
     "TruncatedPolynomialRing",
     "TruncatedPolynomial",
-    "NotScalarMultiple",
     "SingularMatrix",
     "MAX_GRID_CELLS",
     "MAX_STACK_CELLS",
@@ -60,10 +59,6 @@ MAX_GRID_CELLS = 4096
 # float64 entries of top_monomial_scalar's gathered block per degree; a chunk
 # has >= 1 member
 MAX_STACK_CELLS = 2**14
-
-
-class NotScalarMultiple(ValueError):
-    """Image of the top monomial picked up lower-order terms."""
 
 
 class SingularMatrix(ValueError):
@@ -111,12 +106,15 @@ class TruncatedPolynomialRing:
         self.p = field.p
         self.ops = FieldOps(field)
         self.shape = (self.p,) * nvars
-        self._gathers = _degree_gathers(self.p, nvars)
         # planes of t^n modulo the modulus, for the companion shift
         self._t_n = np.array([(-c) % self.p for c in field.modulus[:-1]], dtype=np.int64)
-        # members per stack chunk, read when the ring is made
-        widest = max(len(g) for g in self._gathers)
-        self.chunk = max(1, MAX_STACK_CELLS // (nvars * widest * field.n))
+        # members per stack chunk, read when the ring is made from the piece
+        # sizes |D_d|, the coefficients of (1 + x + ... + x^(p-1))^m; the
+        # gathers themselves are built on the first top_monomial_scalar call
+        sizes = np.ones(1, dtype=np.int64)
+        for _ in range(nvars):
+            sizes = np.convolve(sizes, np.ones(self.p, dtype=np.int64))
+        self.chunk = max(1, MAX_STACK_CELLS // (nvars * int(sizes.max()) * field.n))
 
     def zero(self) -> TruncatedPolynomial:
         return TruncatedPolynomial(self, np.zeros(self.shape, dtype=np.int64))
@@ -239,7 +237,7 @@ class TruncatedPolynomialRing:
         mats = self._mult_matrices(stack)
         acc = np.zeros((size, 2, n))
         acc[:, 0, 0] = 1  # the planes of 1
-        for d, gather in enumerate(self._gathers):
+        for d, gather in enumerate(_degree_gathers(p, self.nvars)):
             terms = np.take(acc, gather, axis=1).reshape(size, len(gather), -1)
             acc = np.zeros((size, len(gather) + 1, n))
             np.remainder(terms @ mats[d // (p - 1)], p, out=acc[:, :-1])

@@ -8,7 +8,9 @@ the end (the table by collection, the all-triples certificate, random
 presentations and random loops) work on index tables.  The field-kernel
 oracles (decode by division, the product one plane pair at a time) are
 the FieldOps kernels as they were before decode became a table gather and
-matmul one BLAS product.  The top-monomial scalar by grid products is
+matmul one BLAS product.  The report by members and the random inner draw
+by elements are the verification and the inner automorphism as they were
+built for one automorphism at a time, before runs were verified as stacks.  The top-monomial scalar by grid products is
 TruncatedPolynomialRing.top_monomial_scalar as it was before it worked
 degree by degree.
 """
@@ -20,7 +22,10 @@ import itertools
 import numpy as np
 
 from socle_verify.pgroup import _collect, _normal_form_blocks, associative_on_all_triples
-from socle_verify.truncsym import NotScalarMultiple
+
+
+class NotScalarMultiple(ValueError):
+    """Image of the top monomial picked up lower-order terms."""
 
 
 def _lift_combination(algebra, basis, degree, coords):
@@ -208,6 +213,93 @@ def graded_blocks_by_projection(auto, basis, oracle):
             block[:, j] = coords
         blocks.append((r, block))
     return blocks
+
+
+def report_by_members(auto):
+    """verify_theorem(auto).as_dict(), computed for this automorphism alone.
+
+    The oracle for the stacked verification, as one automorphism was
+    verified before runs were verified as stacks: the socle scalar from one
+    matrix-vector product, each layer's block from one coordinates() call on
+    this automorphism's lift images and checked column by column, its
+    determinant by the single-matrix det, and det_total and det^(p-1) by
+    FieldElement arithmetic.  Raises the errors verify_theorem raises.
+    """
+    from socle_verify.automorphisms import (
+        FiltrationNotPreserved,
+        LieSubspaceViolated,
+        SocleNotPreserved,
+        VerificationReport,
+    )
+    from socle_verify.jennings import build_jennings_basis
+
+    alg = auto.algebra
+    ops = alg.ops
+    field = alg.field
+    v = ops.matvec(auto.matrix, alg.sum_of_group_elements().codes)
+    lam = int(v[0])
+    if lam == 0 or not np.all(v == lam):
+        raise SocleNotPreserved("socle vector image is not a nonzero multiple of itself")
+    basis = build_jennings_basis(alg.group)
+    filt = basis.filtration
+    cols = [alg.group.index_of(y) for y in basis.lift_elements]
+    coords = filt.coordinates(ops, ops.sub(auto.matrix[:, cols], alg.one().codes[:, None]))
+    degrees, dets = [], []
+    total = field.one()
+    first = 0
+    for layer in basis.layers:
+        if layer.rank == 0:
+            continue
+        r = layer.degree
+        layer_coords = coords[:, first : first + layer.rank]
+        first += layer.rank
+        others = filt.weights == r
+        others[list(layer.rows)] = False
+        for col in layer_coords.T:
+            if col[filt.weights < r].any():
+                raise FiltrationNotPreserved(f"image of a degree-{r} lift is not 1 mod J^{r}")
+            if col[others].any():
+                raise LieSubspaceViolated(f"image class in layer {r} left the span of the layer lifts")
+        det_code = ops.det(layer_coords[list(layer.rows)])
+        if det_code == 0:
+            raise FiltrationNotPreserved(f"induced block in degree {r} is singular")
+        det = field.element_from_code(det_code)
+        degrees.append(r)
+        dets.append(det)
+        total = total * det
+    lam = field.element_from_code(lam)
+    det_pow = total ** (field.p - 1)
+    return VerificationReport(
+        provenance=auto.provenance,
+        socle_scalar=lam,
+        block_degrees=tuple(degrees),
+        block_dets=tuple(dets),
+        det_total=total,
+        det_power=det_pow,
+        equation_holds=lam == det_pow,
+        lambda_in_power_subgroup=lam.is_pm1_power(),
+        lambda_is_one=lam.is_one(),
+    ).as_dict()
+
+
+def random_inner_by_elements(algebra, rng, terms=3):
+    """(matrix, provenance) of one random_inner draw, built on its own.
+
+    The oracle for the stacked draws: u = 1 + sum c (g - 1) summed as
+    AlgebraElements, u^-1 by unit_inverse_by_series, and L(u) R(u^-1) by
+    matmul_by_planes.
+    """
+    one = algebra.one()
+    u = one
+    for _ in range(terms):
+        g = algebra.group.element_at(rng.randrange(1, algebra.dimension))
+        c = algebra.field.element_from_code(rng.randrange(1, algebra.field.q))
+        u = u + (algebra.embed(g) - one) * c
+    uinv = unit_inverse_by_series(algebra, u)
+    matrix = matmul_by_planes(
+        algebra.ops, algebra.left_mult_matrix(u.codes), algebra.right_mult_matrix(uinv.codes)
+    )
+    return matrix, f"random-inner: {u}"
 
 
 def substitution_matrix_by_columns(algebra, images):

@@ -230,6 +230,24 @@ def test_stored_automorphisms_cover_catalog(group):
             assert auto.images[0] != ident or g.order <= 2 or len(auto.images) > 1
 
 
+def test_stored_automorphisms_are_built_once_per_group(monkeypatch):
+    """Their relations are checked on the first call only, and every call
+    gets a fresh list of the same read-only automorphisms."""
+    g = catalog("D8")  # a new group, with nothing built yet
+    calls = []
+    build = PcGroup.group_automorphism
+    monkeypatch.setattr(PcGroup, "group_automorphism",
+                        lambda self, images: calls.append(self) or build(self, images))
+    first = g.stored_automorphisms()
+    assert len(calls) == len(first) > 0
+    second = g.stored_automorphisms()
+    assert len(calls) == len(first)
+    assert second is not first and all(a is b for a, b in zip(first, second))
+    first.clear()
+    assert len(g.stored_automorphisms()) == len(second)
+    assert not any(auto.perm.flags.writeable for auto in second)
+
+
 def test_elementary_abelian_flags(group):
     assert group("C3xC3").is_elementary_abelian()
     assert group("C2xC2xC2").is_elementary_abelian()

@@ -12,6 +12,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stdout
 
 import numpy as np
@@ -21,9 +22,11 @@ from socle_verify.automorphisms import MAX_COUNT
 from socle_verify.cli import MAX_SPEC_FILE_BYTES, main
 from socle_verify.pgroup import MAX_PRESENTATION_BYTES
 from socle_verify.pipeline import (
+    MAX_GL_WORK,
     RunConfig,
     RunStageError,
     gl_check,
+    gl_check_work,
     prepare,
     run,
     sweep,
@@ -503,6 +506,50 @@ def test_gl_check_one_variable_at_the_largest_prime_ends():
     out = json.loads(proc.stdout)
     assert out["verdict"] is True
     assert out["checked"]["diagonal"] == 4092
+
+
+# (p, m, n, count) of every gl-check the tests, the CI steps and the
+# benchmark run
+GL_CHECK_RUNS = (
+    [(4093, 1, 1, 3), (2, 12, 1, 20), (2, 2, 8, 20), (3, 2, 1, 10_000), (3, 2, 1, 20),
+     (2, 3, 1, 25), (3, 2, 2, 10), (2, 1, 1, 0), (3, 2, 1, 200)]
+    + [(p, m, n, 50) for p, m, n in [(2, 8, 1), (2, 6, 2), (3, 5, 1), (3, 4, 2), (5, 4, 1), (5, 3, 2)]]
+    + [(p, m, 1, 200) for p in (2, 3, 5) for m in (1, 2, 3)]
+)
+
+
+def test_gl_check_work_budget_admits_every_run():
+    for p, m, n, count in GL_CHECK_RUNS:
+        assert gl_check_work(p, m, n, count) <= MAX_GL_WORK, (p, m, n, count)
+    # 4092 diagonals of 4093 cells and 3 dense draws: 4095 * 4093
+    assert gl_check_work(4093, 1, 1, 3) == 4095 * 4093
+    # m(m-1) * 32 sampled elementary matrices once q - 1 > 32
+    assert gl_check_work(2, 2, 8, 20) == (2 * 32 + 2 * 255 + 5 + 20) * 2 * 8 * 4
+    assert gl_check_work(4093, 1, 2, 3) > MAX_GL_WORK
+
+
+def test_gl_check_over_the_work_budget_ends_at_once(capsys):
+    """The 4093^2 - 1 diagonals over GF(4093^2) are rejected before any of
+    them is listed."""
+    start = time.perf_counter()
+    assert main(["gl-check", "--p", "4093", "--m", "1", "--n", "2", "--count", "3"]) == 1
+    assert time.perf_counter() - start < 10
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"exceeds the budget of {MAX_GL_WORK}" in captured.err
+
+
+def test_order_512_inner_stack_stays_within_the_memory_cap(tmp_path):
+    """25 inner automorphisms of C2^9 over GF(4), built and verified as
+    stacks, under the 1 GB address-space cap of _run_subprocess."""
+    path = tmp_path / "c2x9.pc"
+    path.write_text("pcgroup p=2 m=9\n")
+    proc = _run_subprocess(["run", "--presentation", str(path), "--field", "2,2", "--no-stored",
+                            "--auto", "random-inner count=25", "--format", "json"], timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["verdict"] is True
+    assert len(out["autos"]) == 25
 
 
 def test_cli_entry_point_subprocess():

@@ -1,0 +1,212 @@
+"""Stacked kernels and the stacked verification against one member at a time.
+
+FieldOps.matmul_stack, GroupAlgebra.multiply_codes / unit_inverse /
+conjugation_matrices on (B, |G|) stacks, random_inners and verify_stack
+must give every member exactly what it gets alone, whatever the chunk
+sizes, and a stack with a bad member must raise what that member raises
+alone.  The per-member oracles (report_by_members, random_inner_by_elements,
+matmul_by_planes) compute the same things without stacks.
+"""
+
+from __future__ import annotations
+
+import random
+import re
+
+import numpy as np
+import pytest
+
+from socle_verify import GF, NotAUnit, build_jennings_basis, linalg
+from socle_verify.automorphisms import (
+    AlgebraAutomorphism,
+    graded_actions,
+    parse_automorphism_specs,
+    random_inner,
+    random_inners,
+    verify_stack,
+    verify_theorem,
+)
+from socle_verify.groupalgebra import column_sums
+from socle_verify.linalg import FieldOps
+from socle_verify.pipeline import run, sweep_automorphisms
+
+from conftest import shared_algebra
+from oracle_helpers import matmul_by_planes, random_inner_by_elements, report_by_members
+
+# the groups of the benchmark's sweep workload: every catalog group of order
+# <= 27 and Heis125
+SWEEP_GROUPS = (
+    "C2", "C4", "C8", "C3", "C9", "C27", "C5", "C25", "C2xC2", "C3xC3",
+    "C5xC5", "C2xC2xC2", "C3xC3xC3", "C4xC2", "D8", "Q8", "D16", "M16",
+    "Heis27", "ES27", "Heis125",
+)
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_stacked_reports_match_members_verified_alone(degree):
+    """Every run of the sweep groups: one stack, each member alone, and the oracle."""
+    for name in SWEEP_GROUPS:
+        alg = shared_algebra(name, degree)
+        autos = sweep_automorphisms(alg, name, 7, inner_count=2, compose_count=2, subst_count=2)
+        stacked = [rep.as_dict() for rep in verify_stack(autos)]
+        blocks = [auto.graded_action().blocks for auto in autos]
+        alone = [verify_theorem(auto).as_dict() for auto in autos]
+        assert stacked == alone == [report_by_members(auto) for auto in autos], name
+        assert [rep.as_dict() for rep in run(alg, autos).auto_reports] == stacked, name
+        for auto, kept in zip(autos, blocks):
+            auto._graded = None
+            fresh = auto.graded_action().blocks
+            assert [r for r, _ in fresh] == [r for r, _ in kept], name
+            assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(fresh, kept)), name
+
+
+@pytest.mark.parametrize("name, degree", [("D8", 2), ("Heis27", 2), ("C25", 1), ("C2xC2xC2", 2)])
+@pytest.mark.parametrize("count", [1, 2, 25])
+def test_random_inner_count_matches_sequential_draws(name, degree, count):
+    alg = shared_algebra(name, degree)
+    autos = parse_automorphism_specs(alg, f"random-inner seed=5 count={count}")
+    rng = random.Random(5)
+    alone = [random_inner(alg, rng) for _ in range(count)]
+    after_alone = rng.getstate()
+    rng = random.Random(5)
+    oracle = [random_inner_by_elements(alg, rng) for _ in range(count)]
+    rng = random.Random(5)
+    random_inners(alg, rng, count)
+    assert rng.getstate() == after_alone
+    assert len(autos) == len(alone) == count
+    for auto, one, (matrix, provenance) in zip(autos, alone, oracle):
+        assert np.array_equal(auto.matrix, one.matrix)
+        assert np.array_equal(auto.matrix, matrix)
+        assert auto.provenance == one.provenance == provenance
+        assert auto.pair_check == one.pair_check == "unit-inverse"
+
+
+# (members, rows, K, columns): an empty stack, a member with no rows, one
+# member, a K = 1 product, matvecs and an odd member count
+STACK_SHAPES = [(0, 3, 4, 2), (4, 0, 3, 2), (1, 5, 4, 3), (3, 6, 1, 5), (13, 9, 9, 1), (7, 5, 6, 4)]
+
+
+@pytest.mark.parametrize("p, n", [(2, 1), (3, 2), (2, 8)])
+def test_matmul_stack_matches_members(p, n):
+    ops = FieldOps(GF(p, n))
+    rng = np.random.default_rng(31 * p + n)
+    for members, rows, depth, cols in STACK_SHAPES:
+        a = rng.integers(0, p**n, (members, rows, depth))
+        b = rng.integers(0, p**n, (members, depth, cols))
+        got = ops.matmul_stack(a, b)
+        assert got.shape == (members, rows, cols) and got.dtype == np.int64
+        for k in range(members):
+            assert np.array_equal(got[k], ops.matmul(a[k], b[k]))
+            if rows:
+                assert np.array_equal(got[k], matmul_by_planes(ops, a[k], b[k]))
+
+
+@pytest.mark.parametrize("p, n", [(2, 1), (3, 2), (2, 8)])
+def test_matmul_stack_crosses_chunk_borders(monkeypatch, p, n):
+    """Chunks of 3 whole members, of one member, and of 2 rows of one member:
+    the partial last chunks and the split members stay correct."""
+    ops = FieldOps(GF(p, n))
+    rng = np.random.default_rng(47 * p + n)
+    members, rows, depth, cols = 7, 5, 6, 4
+    a = rng.integers(0, p**n, (members, rows, depth))
+    b = rng.integers(0, p**n, (members, depth, cols))
+    want = np.stack([matmul_by_planes(ops, x, y) for x, y in zip(a, b)])
+    per_row = n * max(depth, n * cols)
+    product = ops._product
+    for stack_cells, product_cells, sizes in [
+        (3 * rows * per_row, linalg.MAX_PRODUCT_CELLS, [(3, 5), (3, 5), (1, 5)]),
+        (1, linalg.MAX_PRODUCT_CELLS, [(1, 5)] * 7),
+        (1, 2 * per_row, [(1, 2), (1, 2), (1, 1)] * 7),
+    ]:
+        seen = []
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "MAX_STACK_CELLS", stack_cells)
+            patch.setattr(linalg, "MAX_PRODUCT_CELLS", product_cells)
+            patch.setattr(ops, "_product", lambda x, r: seen.append(x.shape[:2]) or product(x, r))
+            assert np.array_equal(ops.matmul_stack(a, b), want)
+        assert seen == sizes
+
+
+def test_algebra_stacks_cross_member_chunks(monkeypatch):
+    """Units inverted, conjugated and verified in chunks of 3 members give
+    the matrices and reports of one chunk."""
+    alg = shared_algebra("Heis27", 2)
+    want = parse_automorphism_specs(alg, "random-inner seed=3 count=7")
+    reports = [rep.as_dict() for rep in verify_stack(want)]
+    units = np.stack([alg.parse(a.provenance.partition(": ")[2]).codes for a in want])
+    products = alg.multiply_codes(units, units[::-1])
+    monkeypatch.setattr(linalg, "MAX_STACK_CELLS", 3 * 27 * 27)
+    assert alg.member_chunks(7) == [slice(0, 3), slice(3, 6), slice(6, 9)]
+    got = parse_automorphism_specs(alg, "random-inner seed=3 count=7")
+    assert all(np.array_equal(x.matrix, y.matrix) for x, y in zip(got, want))
+    assert [rep.as_dict() for rep in verify_stack(got)] == reports
+    assert np.array_equal(alg.multiply_codes(units, units[::-1]), products)
+    for k in range(7):
+        assert np.array_equal(products[k], alg.multiply_codes(units[k], units[6 - k]))
+        inverse = alg.unit_inverse(alg.from_codes(units[k]))
+        assert np.array_equal(alg.unit_inverse(units)[k], inverse.codes)
+
+
+def _with_column(alg, element, image):
+    """The identity matrix except that the column of `element` holds `image`."""
+    matrix = np.eye(alg.dimension, dtype=np.int64)
+    matrix[:, alg.group.index_of(element)] = image.codes
+    return AlgebraAutomorphism(alg, matrix, "tampered", certificate="unchecked")
+
+
+def _bad_d8_automorphisms(alg):
+    """One automorphism per failure of the verification, on D8."""
+    (y1, y2), (y3,) = [layer.lifts for layer in build_jennings_basis(alg.group).layers[:2]]
+    one = alg.one()
+    return {
+        "socle": _with_column(alg, y2, alg.embed(y1)),
+        "below": _with_column(alg, y3, alg.embed(y1)),
+        "outside": _with_column(alg, y3, one + (alg.embed(y1) - one) * (alg.embed(y2) - one)),
+        "singular": _with_column(alg, y3, one),
+    }
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_a_bad_member_raises_what_it_raises_alone(degree):
+    alg = shared_algebra("D8", degree)
+    good = sweep_automorphisms(alg, "D8", 7, inner_count=2, subst_count=0)
+    bad = _bad_d8_automorphisms(alg)
+    kinds = set()
+    for label, auto in bad.items():
+        for check, stacked in ((verify_theorem, verify_stack), (AlgebraAutomorphism.graded_action, graded_actions)):
+            auto._graded = None
+            try:
+                check(auto)
+            except ValueError as err:
+                alone = err
+            else:
+                assert check is AlgebraAutomorphism.graded_action and label == "socle"
+                continue
+            kinds.add(type(alone).__name__)
+            for at in (0, 2, len(good)):
+                stack = good[:at] + [auto] + good[at:]
+                with pytest.raises(type(alone), match=re.escape(str(alone))):
+                    stacked(stack)
+    assert kinds == {"SocleNotPreserved", "FiltrationNotPreserved", "LieSubspaceViolated"}
+    # of two bad members, the first one's error is raised
+    for first, second in (("outside", "socle"), ("socle", "below"), ("singular", "outside")):
+        try:
+            verify_theorem(bad[first])
+        except ValueError as err:
+            alone = err
+        with pytest.raises(type(alone), match=re.escape(str(alone))):
+            verify_stack([good[0], bad[first], good[1], bad[second]])
+
+
+def test_a_non_unit_in_a_unit_stack_raises_not_a_unit():
+    alg = shared_algebra("Heis27", 2)
+    units = np.random.default_rng(5).integers(0, 9, (4, 27))
+    units[:, 0] = 0
+    units[:, 0] = alg.ops.sub(1, column_sums(alg.ops, units.T))  # augmentation 1
+    assert len(AlgebraAutomorphism.inners(alg, units, ["unit"] * 4)) == 4
+    bad = alg.zero()
+    with pytest.raises(NotAUnit) as alone:
+        AlgebraAutomorphism.inner(alg, bad)
+    stack = np.vstack([units[:2], bad.codes[None], units[2:]])
+    with pytest.raises(NotAUnit, match=re.escape(str(alone.value))):
+        AlgebraAutomorphism.inners(alg, stack, ["unit"] * len(stack))

@@ -19,9 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from socle_verify import GF, SingularMatrix, TruncatedPolynomialRing, truncsym
-from socle_verify.truncsym import NotScalarMultiple
-
-from oracle_helpers import top_scalar_by_grid_products
+from oracle_helpers import NotScalarMultiple, top_scalar_by_grid_products
 
 
 def dict_mul(a, b, p, nvars):
@@ -292,6 +290,21 @@ def test_top_scalar_on_partial_and_one_member_chunks(monkeypatch, size):
     stack = _random_stack(k, random.Random(1212 + size), size, 3)
     got = _assert_matches_oracles(ring, stack)
     assert got.dtype == np.int64
+
+
+def test_degree_gathers_are_built_on_the_first_scalar():
+    """A ring reads its chunk off the piece sizes and builds no gather; the
+    first top_monomial_scalar call builds them, once per (p, m)."""
+    truncsym._degree_gathers.cache_clear()
+    ring = TruncatedPolynomialRing(GF(3, 2), 4)
+    assert truncsym._degree_gathers.cache_info().currsize == 0
+    ring.top_monomial_scalar(np.eye(4, dtype=np.int64)[None])
+    TruncatedPolynomialRing(GF(3, 2), 4).top_monomial_scalar(np.eye(4, dtype=np.int64)[None])
+    info = truncsym._degree_gathers.cache_info()
+    assert (info.currsize, info.misses) == (1, 1)
+    widest = max(len(g) for g in truncsym._degree_gathers(3, 4))
+    assert widest == _widest_piece(3, 4) == 19
+    assert ring.chunk == max(1, truncsym.MAX_STACK_CELLS // (4 * widest * 2))
 
 
 def test_chunk_holds_one_member_at_the_grid_limit():
