@@ -35,6 +35,13 @@ name and run no dense product:
                            linear part makes the map bijective
   compose                  "composition": of two automorphisms
 
+Substitutions have one construction path: random_substitution and subst:
+specs both pass the (m, |G|) codes of the generator images to
+from_substitution_images.  random_substitution writes them straight into
+the code array: the linear part at the generators, 1 minus its row sums
+at the identity, and each drawn J^2 tail, a J^2 basis row times a unit,
+added to its row.
+
 check_pairs() is the independent oracle, which the pipeline runs on every
 automorphism under --full-check.  It runs the generator identities, the
 spot check and the rank of the whole matrix, then the literal check
@@ -73,7 +80,7 @@ import numpy as np
 from .ffield import FieldElement, FieldMismatch
 from .groupalgebra import AlgebraElement, GroupAlgebra, NotAUnit, column_sums
 from .jennings import build_jennings_basis
-from .pgroup import GroupAutomorphism, GroupElement
+from .pgroup import GroupAutomorphism
 
 __all__ = [
     "AlgebraAutomorphism",
@@ -187,11 +194,12 @@ class AlgebraAutomorphism:
                 for matrix, provenance in zip(matrices, provenances)]
 
     @classmethod
-    def from_substitution_images(cls, algebra: GroupAlgebra, images: list[AlgebraElement],
-                                 provenance: str | None = None) -> "AlgebraAutomorphism":
+    def from_substitution_images(cls, algebra: GroupAlgebra, images: np.ndarray,
+                                 provenance: str = "subst") -> "AlgebraAutomorphism":
         """Extend g_i -> images[i] multiplicatively (elementary abelian G only).
 
-        In the elementary abelian case kG is the truncated polynomial ring on
+        images is the (m, |G|) array of the images' codes.  In the
+        elementary abelian case kG is the truncated polynomial ring on
         x_i = g_i - 1, so any images with augmentation 1 satisfy the defining
         relations automatically; invertibility needs the induced linear part
         to be invertible.  Both are read off one coordinates() pass over the
@@ -202,72 +210,37 @@ class AlgebraAutomorphism:
         (PcGroup.generator_blocks()).  Once the columns of the prefixes x in
         <g_1, ..., g_(k-1)> are known, alpha(x g_k^e) = alpha(x) a_k^e fills
         the columns of all x g_k^e, for e = 1 .. p-1, with one product
-        R(a_k^e) * M[:, prefix]: m(p-1) matrix products in all.
+        R(a_k^e) * M[:, prefix]: m(p-1) matrix products in all.  The powers
+        a^e of all images are one stacked product per exponent.
         """
         group = algebra.group
         if not group.is_elementary_abelian():
             raise ValueError("substitution automorphisms need an elementary abelian group")
-        if len(images) != group.m:
+        images = np.asarray(images, dtype=np.int64)
+        if images.shape != (group.m, algebra.dimension):
             raise ValueError(f"need {group.m} generator images")
-        if any(u.algebra is not algebra for u in images):
-            raise FieldMismatch("image belongs to a different algebra")
         ops = algebra.ops
         filt = algebra.filtration
-        coords = filt.coordinates(ops, np.stack([u.codes for u in images], axis=1))
+        coords = filt.coordinates(ops, images.T)
         for i, augmentation in enumerate(coords[0]):
             if augmentation != 1:
                 raise ValueError(f"image of g{i + 1} must have augmentation 1")
         if ops.det(coords[filt.lift_rows]) == 0:
             raise SingularLinearPart("linear part of the substitution is singular")
 
+        powers = [images]
+        for _ in range(group.p - 2):
+            powers.append(algebra.multiply_codes(powers[-1], images))
         n = algebra.dimension
         matrix = np.zeros((n, n), dtype=np.int64)
         matrix[0, 0] = 1
-        for image, (prefix, cols) in zip(images, group.generator_blocks()):
-            power = algebra.one()
-            for block in cols:
-                power = power * image
-                matrix[:, block] = ops.matmul(algebra.right_mult_matrix(power.codes), matrix[:, prefix])
+        for k, (prefix, cols) in enumerate(group.generator_blocks()):
+            for power, block in zip(powers, cols):
+                matrix[:, block] = ops.matmul(algebra.right_mult_matrix(power[k]), matrix[:, prefix])
         # invertible linear part forces an invertible map: the induced action
         # on each J^r/J^(r+1) is a symmetric power of the linear part, and a
         # filtered map with invertible graded pieces is invertible
-        return cls(algebra, matrix, provenance or "subst", certificate="substitution")
-
-    @classmethod
-    def elementary_abelian_substitution(
-        cls,
-        algebra: GroupAlgebra,
-        linear: np.ndarray,
-        higher: dict[int, AlgebraElement] | None = None,
-        provenance: str | None = None,
-    ) -> "AlgebraAutomorphism":
-        """g_i -> 1 + sum_j linear[i, j]*(g_j - 1) + higher[i] on C_p^m.
-
-        linear is an m x m matrix of field codes; higher maps a 0-based
-        generator index to a tail that must lie in J^2.
-        """
-        group = algebra.group
-        if not group.is_elementary_abelian():
-            raise ValueError("substitution automorphisms need an elementary abelian group")
-        linear = np.asarray(linear, dtype=np.int64)
-        if linear.shape != (group.m, group.m):
-            raise ValueError(f"linear part must be {group.m} x {group.m}")
-        one = algebra.one()
-        images = []
-        for i in range(group.m):
-            u = one
-            for j in range(group.m):
-                c = algebra.field.element_from_code(int(linear[i, j]))
-                u = u + (algebra.embed(group.generator(j + 1)) - one) * c
-            if higher and i in higher:
-                tail = higher[i]
-                if not algebra.in_radical_power(tail, 2):
-                    raise ValueError(f"higher term for g{i + 1} is not in J^2")
-                u = u + tail
-            images.append(u)
-        return cls.from_substitution_images(
-            algebra, images, provenance=provenance or "subst: linear matrix"
-        )
+        return cls(algebra, matrix, provenance, certificate="substitution")
 
     def compose(self, other: "AlgebraAutomorphism") -> "AlgebraAutomorphism":
         """self after other."""
@@ -363,14 +336,6 @@ class AlgebraAutomorphism:
         self.provenance += " [sampled multiplicativity]"
 
     # -- actions --------------------------------------------------------------------------
-
-    def apply(self, x: AlgebraElement) -> AlgebraElement:
-        if x.algebra is not self.algebra:
-            raise FieldMismatch("element belongs to a different algebra")
-        return AlgebraElement(self.algebra, self.algebra.ops.matvec(self.matrix, x.codes))
-
-    def __call__(self, x: AlgebraElement) -> AlgebraElement:
-        return self.apply(x)
 
     def socle_scalar(self) -> FieldElement:
         """lambda with alpha(sum of all g) = lambda * (sum of all g)."""
@@ -616,7 +581,12 @@ def random_inners(algebra: GroupAlgebra, rng: random.Random, count: int,
 
 
 def random_substitution(algebra: GroupAlgebra, rng: random.Random) -> AlgebraAutomorphism:
-    """Random linear part in GL_m(k) plus random degree >= 2 tails."""
+    """g_i -> 1 + sum_j linear[i, j] (g_j - 1) + tail_i on C_p^m.
+
+    The linear part is drawn in GL_m(k) by rejection; then, generator by
+    generator, with probability 1/2 a tail c * row, for a row of the J^2
+    basis and a unit c.  The images are summed on their codes.
+    """
     group = algebra.group
     if not group.is_elementary_abelian():
         raise ValueError("substitution automorphisms need an elementary abelian group")
@@ -627,16 +597,15 @@ def random_substitution(algebra: GroupAlgebra, rng: random.Random) -> AlgebraAut
         linear = np.array([[rng.randrange(q) for _ in range(m)] for _ in range(m)], dtype=np.int64)
         if ops.det(linear) != 0:
             break
+    images = np.zeros((m, algebra.dimension), dtype=np.int64)
+    images[:, algebra.generator_indices] = linear
+    images[:, 0] = ops.sub(1, column_sums(ops, linear.T))
     j2 = algebra.filtration.bases[2]
-    higher: dict[int, AlgebraElement] = {}
     for i in range(m):
         if j2.shape[0] and rng.random() < 0.5:
             row = j2[rng.randrange(j2.shape[0])]
-            c = algebra.field.element_from_code(rng.randrange(1, q))
-            higher[i] = algebra.from_codes(row) * c
-    return AlgebraAutomorphism.elementary_abelian_substitution(
-        algebra, linear, higher, provenance="random-subst"
-    )
+            images[i] = ops.add(images[i], ops.mul(row, rng.randrange(1, q)))
+    return AlgebraAutomorphism.from_substitution_images(algebra, images, "random-subst")
 
 
 # ---------------------------------------------------------------------------
@@ -736,14 +705,10 @@ def _parse_subst(algebra: GroupAlgebra, rest: str) -> AlgebraAutomorphism:
         if not 1 <= i <= group.m:
             raise ValueError(f"variable x{i} out of range")
         images[i] = one + _parse_x_polynomial(algebra, rhs.strip())
-    full = []
-    for i in range(1, group.m + 1):
-        if i in images:
-            full.append(images[i])
-        else:
-            full.append(algebra.embed(group.generator(i)))
+    full = [images[i] if i in images else algebra.embed(group.generator(i))
+            for i in range(1, group.m + 1)]
     return AlgebraAutomorphism.from_substitution_images(
-        algebra, full, provenance=f"subst: {rest.strip()}"
+        algebra, np.stack([u.codes for u in full]), f"subst: {rest.strip()}"
     )
 
 

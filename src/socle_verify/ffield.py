@@ -3,7 +3,9 @@
 Elements are dense coefficient vectors over GF(p), reduced modulo a fixed
 monic irreducible polynomial in the generator ``t``.  Everything here is
 desk scale (n <= 8), so schoolbook polynomial arithmetic is used throughout;
-there are no log/antilog tables.
+there are no log/antilog tables.  The array kernels code an element as an
+int64 below q = p^n, so q is bounded by 2^63 - 1.  The default modulus is
+the lexicographically smallest monic irreducible, found with Rabin's test.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ __all__ = [
     "DomainError",
     "MAX_EXTENSION_DEGREE",
     "MAX_CHARACTERISTIC",
+    "MAX_FIELD_ORDER",
     "parse_field_literal",
     "is_prime",
 ]
@@ -28,6 +31,8 @@ MAX_EXTENSION_DEGREE = 8
 # above every prime a command accepts: group primes are at most the largest
 # group order (512), and a gl-check grid p^m holds at most 4096 cells
 MAX_CHARACTERISTIC = 4096
+# field elements are int64 codes 0 .. q - 1
+MAX_FIELD_ORDER = 2**63 - 1
 
 
 class FieldMismatch(ValueError):
@@ -85,23 +90,53 @@ def _poly_mod(a: Sequence[int], mod: Sequence[int], p: int) -> list[int]:
     return _trim(r)
 
 
+def _poly_sub(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] = (out[i] - c) % p
+    return _trim(out)
+
+
+def _poly_powmod(base: list[int], e: int, mod: Sequence[int], p: int) -> list[int]:
+    result = [1]
+    while e:
+        if e & 1:
+            result = _poly_mod(_poly_mul(result, base, p), mod, p)
+        base = _poly_mod(_poly_mul(base, base, p), mod, p)
+        e >>= 1
+    return result
+
+
+def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """gcd of a and b over GF(p); monic unless b is zero."""
+    while b:
+        inv = pow(b[-1], -1, p)
+        b = [c * inv % p for c in b]
+        a, b = b, _poly_mod(a, b, p)
+    return a
+
+
 def _is_irreducible(coeffs: Sequence[int], p: int) -> bool:
-    """Trial factoring; fine for the degrees this package supports (<= 8)."""
+    """Rabin's test for a monic f of degree n over GF(p).
+
+    f is irreducible iff f divides x^(p^n) - x and gcd(f, x^(p^(n/d)) - x)
+    = 1 for every prime d dividing n.  The powers x^(p^k) mod f come from
+    k Frobenius steps of square-and-multiply, so the cost is polynomial in
+    n and log p.
+    """
     n = len(coeffs) - 1
     if n < 1 or coeffs[-1] != 1:
         return False
-    if n == 1:
-        return True
-    # a reducible polynomial of degree n has a monic factor of degree <= n // 2
-    for d in range(1, n // 2 + 1):
-        for code in range(p**d):
-            div = [0] * (d + 1)
-            c = code
-            for i in range(d):
-                div[i] = c % p
-                c //= p
-            div[d] = 1
-            if not _poly_mod(coeffs, div, p):
+    f = list(coeffs)
+    x = _poly_mod([0, 1], f, p)
+    frobenius = [x]  # frobenius[k] = x^(p^k) mod f
+    for _ in range(n):
+        frobenius.append(_poly_powmod(frobenius[-1], p, f, p))
+    if _poly_sub(frobenius[n], x, p):
+        return False
+    for d in range(2, n + 1):
+        if n % d == 0 and is_prime(d):
+            if len(_poly_gcd(f, _poly_sub(frobenius[n // d], x, p), p)) != 1:
                 return False
     return True
 
@@ -120,8 +155,11 @@ def _smallest_irreducible(p: int, n: int) -> tuple[int, ...]:
     if cached is not None:
         return cached
     # itertools.product varies the last digit fastest, so putting the constant
-    # coefficient first makes it the most significant comparison digit
-    for low_first in itertools.product(range(p), repeat=n):
+    # coefficient first makes it the most significant comparison digit.  For
+    # n >= 2 every candidate with constant coefficient 0 is divisible by t, so
+    # that leading block of p^(n-1) candidates is skipped
+    first = range(1 if n >= 2 else 0, p)
+    for low_first in itertools.product(first, *[range(p)] * (n - 1)):
         coeffs = list(low_first) + [1]
         if _is_irreducible(coeffs, p):
             result = tuple(coeffs)
@@ -147,6 +185,8 @@ class FieldSpec:
             raise ValueError(f"characteristic must be prime, got {p}")
         if not 1 <= n <= MAX_EXTENSION_DEGREE:
             raise ValueError(f"extension degree must be in 1..{MAX_EXTENSION_DEGREE}, got {n}")
+        if p**n > MAX_FIELD_ORDER:
+            raise ValueError(f"field order {p}^{n} exceeds the supported maximum 2^63 - 1")
         self.p = p
         self.n = n
         self.q = p**n

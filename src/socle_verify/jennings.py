@@ -116,10 +116,6 @@ class JenningsBasis:
             raise ValueError("layer degrees start at 1")
         return self._dims[r - 1] if r <= len(self._dims) else 0
 
-    @property
-    def layer_ranks(self) -> list[int]:
-        return [layer.rank for layer in self.layers]
-
     # -- layer arithmetic -----------------------------------------------------
 
     def class_coordinates(self, g: GroupElement, r: int) -> np.ndarray:
@@ -220,11 +216,6 @@ class JenningsBasis:
                             out[i + j] += a
             poly = out
         return poly
-
-    def pbw_dimension(self, r: int) -> int:
-        """Number of lift-power products y_1^(e_1)...y_M^(e_M) of total degree r."""
-        poly = self.pbw_polynomial()
-        return poly[r] if 0 <= r < len(poly) else 0
 
     def jq_dimension_check(self) -> dict:
         """Graded dimensions must match the product generating function.

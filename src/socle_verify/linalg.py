@@ -46,9 +46,10 @@ DIGIT_TABLE_ROWS = 4096
 # entries of one chunk of matmul_stack's decoded left rows and of its plane
 # product; a chunk has >= 1 left row
 MAX_PRODUCT_CELLS = 2**21
-# entries a chunk of several whole members may hold: stacks pay off where
-# numpy's per-call cost outweighs the arithmetic, on small members, and
-# larger chunks would only raise the peak memory
+# entries a chunk of several whole members may hold, here, in kG stacks and
+# in truncsym's gathered blocks: stacks pay off where numpy's per-call cost
+# outweighs the arithmetic, on small members, and larger chunks would only
+# raise the peak memory
 MAX_STACK_CELLS = 2**14
 # a float64 product of depth K with factors below p is exact while
 # K (p-1)^2 < EXACT_FLOAT_BOUND; deeper products run in int64
@@ -278,9 +279,6 @@ class FieldOps:
         if np.any(coef):
             v = self.sub(v, self.matmul(coef, basis))
         return v.reshape(-1) if single else v
-
-    def in_row_space(self, v: np.ndarray, basis: np.ndarray, pivots: list[int]) -> bool:
-        return not np.any(self.reduce_rows(v, basis, pivots))
 
     def solve(self, a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
         """One solution of a @ x = b, or None if inconsistent."""

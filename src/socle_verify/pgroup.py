@@ -470,9 +470,6 @@ class PcGroup:
         # every element order divides |G|, which also covers k < 0
         return self.element_at(int(self._powers(self.index_of(a), k % self.order)))
 
-    def is_abelian(self) -> bool:
-        return not self.comm_words
-
     def is_elementary_abelian(self) -> bool:
         return not self.comm_words and all(not w for w in self.power_words)
 
@@ -490,46 +487,8 @@ class PcGroup:
             seen[frontier] = True
         return [int(i) for i in np.nonzero(seen)[0]]
 
-    def subgroup_closure(self, generators: Iterable[GroupElement]) -> Subgroup:
-        gens = list(generators)
-        idxs = self._closure_indices(self.index_of(g) for g in gens)
-        return Subgroup(self, idxs, gens)
-
     def full_subgroup(self) -> Subgroup:
         return Subgroup(self, range(self.order), self.generators())
-
-    def trivial_subgroup(self) -> Subgroup:
-        return Subgroup(self, [0], [])
-
-    def lower_central_series(self) -> list[Subgroup]:
-        """G = gamma_1 >= gamma_2 >= ... down to the first trivial term."""
-        series = [self.full_subgroup()]
-        every = np.arange(self.order)
-        while not series[-1].is_trivial():
-            prev = np.array(series[-1].indices, dtype=np.int64)
-            sub = self._generated(self._commutators(prev[:, None], every))
-            if sub == series[-1]:
-                raise RuntimeError("lower central series failed to descend in a finite p-group")
-            series.append(sub)
-        return series
-
-    def agemo(self, sub: Subgroup, j: int = 1) -> Subgroup:
-        """Subgroup generated by the p^j-th powers of a subgroup's elements."""
-        if sub.group is not self:
-            raise ValueError("subgroup belongs to a different group")
-        return self._generated(self._powers(np.array(sub.indices), pow(self.p, j, self.order)))
-
-    def frattini(self) -> Subgroup:
-        """Phi(G) = G^p [G,G] for a p-group."""
-        every = np.arange(self.order)
-        powers = self._powers(every, self.p)
-        comms = self._commutators(every[:, None], every)
-        return self._generated(np.concatenate([powers, comms.ravel()]))
-
-    def center(self) -> Subgroup:
-        mask = (self._cayley == self._cayley.T).all(axis=1)
-        idxs = [int(i) for i in np.nonzero(mask)[0]]
-        return Subgroup(self, idxs, [self.element_at(i) for i in idxs if i != 0])
 
     def jennings_series_recursive(self) -> list[Subgroup]:
         """F_1 = G, F_r = <[F_(r-1), G], x^p for x in F_ceil(r/p)>.
@@ -624,15 +583,6 @@ class PcGroup:
     def parse_word(self, text: str) -> GroupElement:
         return self.collect(parse_word_pairs(text, self.m))
 
-    def presentation_text(self) -> str:
-        lines = [f"pcgroup p={self.p} m={self.m}"]
-        for i in range(1, self.m + 1):
-            rhs = _word_text(self.power_words[i - 1])
-            lines.append(f"g{i}^{self.p} = {rhs}")
-        for (j, i), word in sorted(self.comm_words.items()):
-            lines.append(f"[g{j},g{i}] = {_word_text(word)}")
-        return "\n".join(lines) + "\n"
-
     @classmethod
     def from_presentation_text(cls, text: str, name: str | None = None) -> PcGroup:
         if len(text) > MAX_PRESENTATION_BYTES or len(text.encode()) > MAX_PRESENTATION_BYTES:
@@ -683,12 +633,6 @@ def _parse_number(digits: str) -> int:
     if len(digits) > 30:
         raise PresentationError(f"number {digits[:30]}... has more than 30 digits")
     return int(digits)
-
-
-def _word_text(word: Word) -> str:
-    if not word:
-        return "1"
-    return " ".join(f"g{i}" if e == 1 else f"g{i}^{e}" for i, e in word)
 
 
 def _parse_relation_word(text: str, m: int) -> list[tuple[int, int]]:

@@ -196,18 +196,12 @@ class SweepReport:
 
 
 def build_field(p: int, n: int = 1, modulus: str | None = None) -> FieldSpec:
-    if modulus is None:
-        return GF(p, n)
-    from .ffield import parse_polynomial_literal
-
-    coeffs = parse_polynomial_literal(modulus, p)
-    return GF(p, n, coeffs)
+    return FieldSpec(p, n, modulus)
 
 
 def build_group_field(group: PcGroup, p: int, n: int = 1, modulus: str | None = None) -> FieldSpec:
     """GF(p^n) for kG.  The characteristic is compared with the group's prime
-    before the field is built, since the default-modulus search alone can
-    take minutes in a large field."""
+    before the field and its default modulus are built."""
     if p != group.p:
         GF(p)  # an out-of-range or composite p is reported as such first
         raise FieldMismatch(f"group has prime {group.p} but field has characteristic {p}")

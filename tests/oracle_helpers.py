@@ -10,9 +10,18 @@ oracles (decode by division, the product one plane pair at a time) are
 the FieldOps kernels as they were before decode became a table gather and
 matmul one BLAS product.  The report by members and the random inner draw
 by elements are the verification and the inner automorphism as they were
-built for one automorphism at a time, before runs were verified as stacks.  The top-monomial scalar by grid products is
-TruncatedPolynomialRing.top_monomial_scalar as it was before it worked
-degree by degree.
+built for one automorphism at a time, before runs were verified as stacks.
+The substitution images by elements are random_substitution as it was
+before it summed the images on their codes.  The top-monomial scalar by
+grid products is TruncatedPolynomialRing.top_monomial_scalar as it was
+before it worked degree by degree; GridRing and TruncatedPolynomial, the
+ring's elements as dense coefficient grids, are what it multiplies.
+Irreducibility by trial division is the default-modulus test as it was
+before Rabin's test.
+
+The small helpers (center, subgroup_closure, presentation_text,
+in_row_space, layer_ranks, pbw_dimension, apply_automorphism, ...) are
+API that only the tests use, kept here rather than in the package.
 """
 
 from __future__ import annotations
@@ -21,7 +30,10 @@ import itertools
 
 import numpy as np
 
-from socle_verify.pgroup import _collect, _normal_form_blocks, associative_on_all_triples
+from socle_verify.ffield import FieldElement, FieldMismatch, _poly_mod
+from socle_verify.groupalgebra import AlgebraElement
+from socle_verify.pgroup import Subgroup, _collect, _normal_form_blocks, associative_on_all_triples
+from socle_verify.truncsym import SingularMatrix, TruncatedPolynomialRing
 
 
 class NotScalarMultiple(ValueError):
@@ -113,6 +125,17 @@ def pbw_polynomial_oracle(p, layer_ranks):
         for _ in range(rank):
             poly = np.convolve(poly, factor)
     return [int(c) for c in poly]
+
+
+def layer_ranks(basis):
+    """d_r = dim F_r/F_(r+1) for r = 1 .. max degree."""
+    return [layer.rank for layer in basis.layers]
+
+
+def pbw_dimension(basis, r):
+    """Number of lift-power products y_1^(e_1)...y_M^(e_M) of total degree r."""
+    poly = basis.pbw_polynomial()
+    return poly[r] if 0 <= r < len(poly) else 0
 
 
 def lifts_by_gr_coordinates(algebra, chain):
@@ -302,22 +325,75 @@ def random_inner_by_elements(algebra, rng, terms=3):
     return matrix, f"random-inner: {u}"
 
 
+def apply_automorphism(auto, x):
+    """alpha(x) for an AlgebraElement x: one matrix-vector product."""
+    if x.algebra is not auto.algebra:
+        raise FieldMismatch("element belongs to a different algebra")
+    return AlgebraElement(auto.algebra, auto.algebra.ops.matvec(auto.matrix, x.codes))
+
+
+def substitution_images(algebra, linear, higher=None):
+    """(m, |G|) codes of g_i -> 1 + sum_j linear[i, j] (g_j - 1) + higher[i].
+
+    linear is an m x m matrix of field codes; higher maps a 0-based
+    generator index to an AlgebraElement tail.  Each image is summed as
+    AlgebraElements, term by term.
+    """
+    group = algebra.group
+    one = algebra.one()
+    images = []
+    for i in range(len(linear)):
+        u = one
+        for j in range(group.m):
+            c = algebra.field.element_from_code(int(linear[i][j]))
+            u = u + (algebra.embed(group.generator(j + 1)) - one) * c
+        if higher and i in higher:
+            u = u + higher[i]
+        images.append(u.codes)
+    return np.array(images, dtype=np.int64).reshape(len(linear), algebra.dimension)
+
+
+def substitution_images_by_elements(algebra, rng):
+    """(m, |G|) image codes of one random_substitution draw, built on its own.
+
+    The oracle for random_substitution: the same draws in the same order
+    (the linear part by rejection, then per generator a coin, a J^2 row and
+    a unit coefficient), each tail checked to lie in J^2 and the images
+    summed by substitution_images.
+    """
+    ops = algebra.ops
+    m = algebra.group.m
+    q = algebra.field.q
+    while True:
+        linear = np.array([[rng.randrange(q) for _ in range(m)] for _ in range(m)], dtype=np.int64)
+        if ops.det(linear) != 0:
+            break
+    j2 = algebra.filtration.bases[2]
+    higher = {}
+    for i in range(m):
+        if j2.shape[0] and rng.random() < 0.5:
+            row = j2[rng.randrange(j2.shape[0])]
+            c = algebra.field.element_from_code(rng.randrange(1, q))
+            higher[i] = algebra.from_codes(row) * c
+            assert algebra.in_radical_power(higher[i], 2)
+    return substitution_images(algebra, linear, higher)
+
+
 def substitution_matrix_by_columns(algebra, images):
     """Matrix of the substitution g_i -> images[i], one column at a time.
 
     The oracle for AlgebraAutomorphism.from_substitution_images: column b,
     for the normal form x g_j^e with j the last generator it mentions, is
     the kG product alpha(x) * images[j]^e of an earlier column with a power
-    of an image.
+    of an image.  images holds the (m, |G|) image codes.
     """
     group = algebra.group
     n = algebra.dimension
-    one = algebra.one()
     powers = {}
     for k, image in enumerate(images):
-        acc = one
+        acc = algebra.one()
         for e in range(1, group.p):
-            acc = acc * image
+            acc = acc * algebra.from_codes(image)
             powers[(k, e)] = acc.codes
     matrix = np.zeros((n, n), dtype=np.int64)
     matrix[0, 0] = 1
@@ -389,6 +465,41 @@ def _power_by_products(group, a, k):
     return acc
 
 
+def is_abelian(group):
+    return not group.comm_words
+
+
+def trivial_subgroup(group):
+    return Subgroup(group, [0], [])
+
+
+def subgroup_closure(group, generators):
+    """The Subgroup the elements generate, closed by table gathers."""
+    gens = list(generators)
+    return Subgroup(group, group._closure_indices(group.index_of(g) for g in gens), gens)
+
+
+def center(group):
+    """Z(G): the rows of the Cayley table equal to their columns."""
+    t = group.cayley_table
+    idxs = [int(i) for i in np.nonzero((t == t.T).all(axis=1))[0]]
+    return Subgroup(group, idxs, [group.element_at(i) for i in idxs if i != 0])
+
+
+def presentation_text(group):
+    """The group's pc presentation in the text form from_presentation_text reads."""
+
+    def word_text(word):
+        return " ".join(f"g{i}" if e == 1 else f"g{i}^{e}" for i, e in word) or "1"
+
+    lines = [f"pcgroup p={group.p} m={group.m}"]
+    for i, word in enumerate(group.power_words, start=1):
+        lines.append(f"g{i}^{group.p} = {word_text(word)}")
+    for (j, i), word in sorted(group.comm_words.items()):
+        lines.append(f"[g{j},g{i}] = {word_text(word)}")
+    return "\n".join(lines) + "\n"
+
+
 def closure_by_products(group, seeds):
     """Sorted index set of the subgroup the seed elements generate, by a walk with multiply()."""
     gens = {s for s in seeds if not s.is_identity()}
@@ -425,9 +536,10 @@ def frattini_by_products(group):
     return closure_by_products(group, seeds)
 
 
-def agemo_by_products(group):
-    """Index set of <x^p : x in G>."""
-    return closure_by_products(group, {_power_by_products(group, x, group.p) for x in group.elements()})
+def agemo_by_products(group, j=1):
+    """Index set of <x^(p^j) : x in G>."""
+    e = group.p**j
+    return closure_by_products(group, {_power_by_products(group, x, e) for x in group.elements()})
 
 
 def jennings_series_by_products(group):
@@ -584,6 +696,24 @@ def random_loop(rng, n):
     return t[np.argsort(t[:, 0])]  # and then column 0
 
 
+def in_row_space(ops, v, basis, pivots):
+    """Whether v reduces to zero against an RREF basis with these pivots."""
+    return not np.any(ops.reduce_rows(v, basis, pivots))
+
+
+def is_irreducible_by_trial_division(coeffs, p):
+    """Whether a monic polynomial over GF(p), low degree first, has no monic
+    factor of degree 1 .. n // 2: p^(n/2) trial divisions."""
+    n = len(coeffs) - 1
+    if n < 1 or coeffs[-1] != 1:
+        return False
+    for d in range(1, n // 2 + 1):
+        for low in itertools.product(range(p), repeat=d):
+            if not _poly_mod(coeffs, list(low) + [1], p):
+                return False
+    return True
+
+
 def decode_by_divmod(ops, a):
     """(...,) codes -> (..., n) coefficient planes, digit by digit with // and %."""
     powers = ops.p ** np.arange(ops.n, dtype=np.int64)
@@ -603,12 +733,220 @@ def matmul_by_planes(ops, a, b):
     return ops.encode(ops.reduce_planes(out))
 
 
+class GridRing(TruncatedPolynomialRing):
+    """The truncated polynomial ring with its elements: dense coefficient
+    grids of shape (p, ..., p).
+
+    A product of two elements visits only the nonzero cells of its right
+    factor: each adds a shifted copy of the left factor's coefficient
+    planes, times that cell's coefficient, into unreduced int64 planes,
+    and the sum is reduced mod p, folded mod the field's modulus and
+    encoded once at the end.
+    """
+
+    def __init__(self, field, nvars):
+        super().__init__(field, nvars)
+        self.shape = (self.p,) * nvars
+
+    def zero(self):
+        return TruncatedPolynomial(self, np.zeros(self.shape, dtype=np.int64))
+
+    def one(self):
+        return self.monomial((0,) * self.nvars)
+
+    def scalar(self, c):
+        return self.monomial((0,) * self.nvars, c)
+
+    def variable(self, j):
+        if not 1 <= j <= self.nvars:
+            raise ValueError(f"variable index {j} out of range 1..{self.nvars}")
+        return self.monomial(tuple(1 if k == j - 1 else 0 for k in range(self.nvars)))
+
+    def monomial(self, exponents, coeff=1):
+        if len(exponents) != self.nvars or any(not 0 <= e < self.p for e in exponents):
+            raise ValueError(f"exponents must be {self.nvars} values in 0..{self.p - 1}")
+        grid = np.zeros(self.shape, dtype=np.int64)
+        grid[tuple(exponents)] = self.field.code_of(self.field.element(coeff))
+        return TruncatedPolynomial(self, grid)
+
+    def top_monomial(self):
+        return self.monomial((self.p - 1,) * self.nvars)
+
+    def linear_form(self, coeffs):
+        """sum_i coeffs[i] * x_(i+1) from a vector of field codes.
+
+        A (B, m) stack of vectors gives the (B,) + shape stack of grids.
+        """
+        coeffs = np.asarray(coeffs, dtype=np.int64)
+        if coeffs.ndim not in (1, 2) or coeffs.shape[-1] != self.nvars:
+            raise ValueError(f"need {self.nvars} coefficients")
+        grid = np.zeros(coeffs.shape[:-1] + self.shape, dtype=np.int64)
+        for i in range(self.nvars):
+            grid[(...,) + tuple(1 if k == i else 0 for k in range(self.nvars))] = coeffs[..., i]
+        return TruncatedPolynomial(self, grid) if coeffs.ndim == 1 else grid
+
+    def _mul_grids(self, a, b):
+        """Truncated products of coefficient grids, member by member.
+
+        a and b are single grids or (B,) + shape stacks of codes.
+        """
+        single = a.ndim == self.nvars
+        if single:
+            a, b = a[None], b[None]
+        out = self.ops.encode(self._mul_planes(self.ops.decode(a), b))
+        return out[0] if single else out
+
+    def _mul_planes(self, planes, b):
+        """Coefficient planes (B,) + shape + (n,) times code grids (B,) + shape.
+
+        Visits the cells nonzero in any member of b and adds the shifted
+        planes, times each member's coefficient planes there, into
+        unreduced int64 planes; reduced once at the end.
+        """
+        ops = self.ops
+        n, p = ops.n, self.p
+        # unreduced product planes t^0 .. t^(2n-2): a cell of a plane sums at
+        # most p^m * n terms, each below p^2.  p^m <= MAX_GRID_CELLS = 4096
+        # forces p < 2^12, and n <= 8, so a sum stays below 2^39, far from 2^63
+        acc = np.zeros(planes.shape[:-1] + (2 * n - 1,), dtype=np.int64)
+        lead = (slice(None),)
+        for exps in zip(*np.nonzero(b.any(axis=0))):
+            dst = lead + tuple(slice(e, p) for e in exps)
+            src = planes[lead + tuple(slice(0, p - e) for e in exps)]
+            cell = ops.decode(b[lead + exps]).T.reshape((n, -1) + (1,) * (self.nvars + 1))
+            for j in range(n):
+                if cell[j].any():
+                    acc[dst + (slice(j, j + n),)] += src * cell[j]
+        acc %= p
+        return acc if n == 1 else ops.reduce_planes(acc)
+
+
+class TruncatedPolynomial:
+    """An element of a GridRing: its coefficient grid of field codes."""
+
+    __slots__ = ("ring", "grid")
+
+    def __init__(self, ring, grid):
+        self.ring = ring
+        self.grid = grid
+
+    def _check(self, other):
+        if other.ring is not self.ring:
+            raise FieldMismatch("polynomials from different rings")
+
+    def __add__(self, other):
+        self._check(other)
+        return TruncatedPolynomial(self.ring, self.ring.ops.add(self.grid, other.grid))
+
+    def __sub__(self, other):
+        self._check(other)
+        return TruncatedPolynomial(self.ring, self.ring.ops.sub(self.grid, other.grid))
+
+    def __neg__(self):
+        return TruncatedPolynomial(self.ring, self.ring.ops.neg(self.grid))
+
+    def __mul__(self, other):
+        if isinstance(other, (int, FieldElement)):
+            code = self.ring.field.code_of(self.ring.field.element(other))
+            return TruncatedPolynomial(self.ring, self.ring.ops.mul(self.grid, np.int64(code)))
+        if isinstance(other, TruncatedPolynomial):
+            self._check(other)
+            return TruncatedPolynomial(self.ring, self.ring._mul_grids(self.grid, other.grid))
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k):
+        if k < 0:
+            raise ValueError("negative powers are not defined here")
+        acc = self.ring.one()
+        for _ in range(k):
+            acc = acc * self
+        return acc
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, TruncatedPolynomial)
+            and other.ring is self.ring
+            and np.array_equal(self.grid, other.grid)
+        )
+
+    def __hash__(self):
+        return hash((id(self.ring), self.grid.tobytes()))
+
+    def is_zero(self):
+        return not self.grid.any()
+
+    def coefficient(self, exponents):
+        return self.ring.field.element_from_code(int(self.grid[tuple(exponents)]))
+
+    def substitute(self, images):
+        """Evaluate at x_j -> images[j-1].
+
+        A square matrix of field codes means the linear substitution
+        x_j -> sum_i matrix[j,i] x_i; it must be invertible.
+        """
+        ring = self.ring
+        if isinstance(images, np.ndarray):
+            if images.ndim != 2:
+                raise ValueError("substitute takes one matrix, not a stack")
+            if images.shape != (ring.nvars, ring.nvars):
+                raise ValueError("substitution matrix has the wrong shape")
+            if ring.ops.det(images) == 0:
+                raise SingularMatrix("linear substitution matrix is singular")
+            images = [ring.linear_form(row) for row in images]
+        if len(images) != ring.nvars:
+            raise ValueError(f"need {ring.nvars} images")
+        for img in images:
+            self._check(img)
+        pow_tables = []
+        for img in images:
+            tab = [ring.one()]
+            for _ in range(ring.p - 1):
+                tab.append(tab[-1] * img)
+            pow_tables.append(tab)
+        acc = ring.zero()
+        for exps in np.ndindex(*ring.shape):
+            c = int(self.grid[exps])
+            if not c:
+                continue
+            term = ring.scalar(ring.field.element_from_code(c))
+            for j, e in enumerate(exps):
+                if e:
+                    term = term * pow_tables[j][e]
+            acc = acc + term
+        return acc
+
+    def __str__(self):
+        field = self.ring.field
+        terms = []
+        for exps in np.ndindex(*self.ring.shape):
+            c = int(self.grid[exps])
+            if not c:
+                continue
+            mono = " ".join(
+                f"x{j + 1}" if e == 1 else f"x{j + 1}^{e}" for j, e in enumerate(exps) if e
+            )
+            lit = str(field.element_from_code(c))
+            if not mono:
+                terms.append(lit if field.n == 1 else f"({lit})")
+            elif c == 1:
+                terms.append(mono)
+            else:
+                terms.append(f"{lit}*{mono}" if field.n == 1 else f"({lit})*{mono}")
+        return " + ".join(terms) if terms else "0"
+
+    def __repr__(self):
+        return f"TruncatedPolynomial({self})"
+
+
 def top_scalar_by_grid_products(ring, stack):
     """(B,) codes of the top-monomial scalars of a (B, m, m) stack, on the
     dense grid: each linear form, as a stack of grids, is multiplied p - 1
     times into a (B,) + shape + (n,) accumulator of coefficient planes by
     ring._mul_planes, and everything off the top monomial must vanish.
     No invertibility check: a singular member gives 0."""
+    ring = GridRing(ring.field, ring.nvars)
     stack = np.asarray(stack, dtype=np.int64)
     acc = np.zeros((len(stack),) + ring.shape + (ring.ops.n,), dtype=np.int64)
     acc[(slice(None),) + (0,) * (ring.nvars + 1)] = 1  # the planes of 1

@@ -33,7 +33,12 @@ from socle_verify.automorphisms import (
 )
 from socle_verify.pipeline import derive_seed, sweep_automorphisms
 
-from oracle_helpers import substitution_matrix_by_columns
+from oracle_helpers import (
+    apply_automorphism,
+    substitution_images,
+    substitution_images_by_elements,
+    substitution_matrix_by_columns,
+)
 
 
 def test_c3_inversion_report(algebra):
@@ -58,7 +63,7 @@ def test_gf9_diagonal_substitution_lambda():
     linear = np.array(
         [[k.code_of(zeta), 0], [0, k.code_of(k.one())]], dtype=np.int64
     )
-    auto = AlgebraAutomorphism.elementary_abelian_substitution(alg, linear)
+    auto = AlgebraAutomorphism.from_substitution_images(alg, substitution_images(alg, linear))
     lam = auto.socle_scalar()
     assert lam == zeta * zeta  # det = zeta, lambda = det^(p-1)
     assert str(lam) == "2*t"
@@ -81,12 +86,12 @@ def test_higher_terms_do_not_move_lambda():
     alg = GroupAlgebra(catalog("C3xC3"), GF(3, 2))
     k = alg.field
     linear = np.array([[k.code_of(k.t()), 1], [0, 1]], dtype=np.int64)
-    plain = AlgebraAutomorphism.elementary_abelian_substitution(alg, linear)
+    plain = AlgebraAutomorphism.from_substitution_images(alg, substitution_images(alg, linear))
     g1 = alg.embed(alg.group.generator(1)) - alg.one()
     g2 = alg.embed(alg.group.generator(2)) - alg.one()
     tail = g1 * g2 + g2 * g2 * g1
-    dressed = AlgebraAutomorphism.elementary_abelian_substitution(
-        alg, linear, higher={1: tail}
+    dressed = AlgebraAutomorphism.from_substitution_images(
+        alg, substitution_images(alg, linear, higher={1: tail})
     )
     assert plain.socle_scalar() == dressed.socle_scalar()
     a, b = plain.graded_action(), dressed.graded_action()
@@ -139,7 +144,7 @@ def test_apply_matches_group_action(algebra):
     gauto = g.stored_automorphisms()[0]
     auto = AlgebraAutomorphism.from_group_automorphism(alg, gauto)
     for el in g.elements():
-        assert auto.apply(alg.embed(el)) == alg.embed(gauto(el))
+        assert apply_automorphism(auto, alg.embed(el)) == alg.embed(gauto(el))
 
 
 def test_non_multiplicative_matrix_rejected(algebra):
@@ -168,26 +173,19 @@ def test_augmentation_map_rejected(algebra, name, degree):
 def test_singular_linear_part_rejected():
     alg = GroupAlgebra(catalog("C3xC3"), GF(3))
     with pytest.raises(SingularLinearPart):
-        AlgebraAutomorphism.elementary_abelian_substitution(
-            alg, np.array([[1, 2], [2, 4 % 3]], dtype=np.int64)
+        AlgebraAutomorphism.from_substitution_images(
+            alg, substitution_images(alg, np.array([[1, 2], [2, 4 % 3]], dtype=np.int64))
         )
 
 
 def test_substitution_requires_elementary_abelian(algebra):
     alg = algebra("C9")
-    with pytest.raises(ValueError):
-        AlgebraAutomorphism.elementary_abelian_substitution(
-            alg, np.array([[1]], dtype=np.int64)
+    with pytest.raises(ValueError, match="elementary abelian"):
+        AlgebraAutomorphism.from_substitution_images(
+            alg, substitution_images(alg, np.eye(alg.group.m, dtype=np.int64))
         )
-
-
-def test_substitution_higher_terms_must_sit_in_j2():
-    alg = GroupAlgebra(catalog("C3xC3"), GF(3))
-    g1 = alg.embed(alg.group.generator(1)) - alg.one()
-    with pytest.raises(ValueError):
-        AlgebraAutomorphism.elementary_abelian_substitution(
-            alg, np.eye(2, dtype=np.int64), higher={1: g1}
-        )
+    with pytest.raises(ValueError, match="elementary abelian"):
+        random_substitution(alg, random.Random(0))
 
 
 def test_group_side_rejections(algebra):
@@ -420,7 +418,7 @@ def test_substitution_blocks_match_column_oracle(algebra, all_names, degree, mon
     built = []
     build = AlgebraAutomorphism.from_substitution_images.__func__
 
-    def recording(cls, alg, images, provenance=None):
+    def recording(cls, alg, images, provenance="subst"):
         auto = build(cls, alg, images, provenance)
         built.append((alg, images, auto))
         return auto
@@ -440,6 +438,33 @@ def test_substitution_blocks_match_column_oracle(algebra, all_names, degree, mon
     for alg, images, auto in built:
         expected = substitution_matrix_by_columns(alg, images)
         assert np.array_equal(auto.matrix, expected), (alg.group.name, auto.provenance)
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_random_substitution_matches_element_oracle(algebra, all_names, degree):
+    """Images summed on codes equal images summed as AlgebraElements.
+
+    Three draws per seed on every elementary abelian catalog group and on
+    C2^7: the same matrix, byte for byte, as the oracle's images give, and
+    the same RNG state after.
+    """
+    names = [name for name in all_names if algebra(name).group.is_elementary_abelian()]
+    names.append("C2^7")
+    tails = 0
+    for name in names:
+        alg = algebra(name, degree)
+        for seed in range(3):
+            rng, oracle_rng = random.Random(seed), random.Random(seed)
+            for _ in range(3):
+                auto = random_substitution(alg, rng)
+                images = substitution_images_by_elements(alg, oracle_rng)
+                assert np.array_equal(auto.matrix[:, alg.generator_indices].T, images), name
+                assert np.array_equal(auto.matrix, substitution_matrix_by_columns(alg, images)), name
+                assert auto.provenance == "random-subst" and auto.pair_check == "substitution"
+                # a J^2 tail is nonzero off the columns of 1 and the generators
+                tails += bool(np.delete(images, [0] + alg.generator_indices, axis=1).any())
+            assert rng.getstate() == oracle_rng.getstate(), name
+    assert tails > 0
 
 
 def _d8_lift_matrix(alg, lift, image):

@@ -8,17 +8,22 @@ for the (p-1)-st power subgroup.
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from socle_verify import GF, DomainError, FieldMismatch
 from socle_verify.ffield import (
+    _is_irreducible,
     format_field_literal,
     format_modulus,
     parse_field_literal,
     parse_polynomial_literal,
 )
+
+from oracle_helpers import is_irreducible_by_trial_division
 
 
 def test_prime_field_matches_integer_arithmetic():
@@ -53,6 +58,52 @@ def test_default_moduli_are_smallest_lexicographic():
     assert format_modulus(GF(5, 2)) == "t^2+t+1"
     assert format_modulus(GF(5, 3)) == "t^3+t^2+1"
     assert format_modulus(GF(7, 2)) == "t^2+1"
+
+
+# the default modulus of every (p, n) that the tests, the CI steps and the
+# benchmark build; the search order is part of every report, so these stay
+DEFAULT_MODULI = {
+    (2, 2): "t^2+t+1", (2, 3): "t^3+t^2+1", (2, 8): "t^8+t^7+t^5+t^4+1",
+    (3, 2): "t^2+1", (3, 3): "t^3+2*t^2+1", (3, 7): "t^7+2*t^6+t^5+1", (3, 8): "t^8+t^6+t^5+1",
+    (5, 2): "t^2+t+1", (5, 3): "t^3+t^2+1", (5, 5): "t^5+4*t^4+1", (5, 6): "t^6+t^5+t^4+1",
+    (5, 8): "t^8+t^6+t^5+1", (7, 2): "t^2+1", (13, 8): "t^8+t^7+2*t^6+1",
+    (67, 2): "t^2+1", (67, 3): "t^3+5*t^2+1", (4093, 2): "t^2+3*t+1",
+}
+
+
+def test_default_moduli_pinned():
+    for (p, n), text in DEFAULT_MODULI.items():
+        assert format_modulus(GF(p, n)) == text, (p, n)
+    for p in (2, 3, 5, 7, 13, 67, 4093):
+        assert format_modulus(GF(p)) == "t"
+
+
+def _smallest_by_trial_division(p, n):
+    for low_first in itertools.product(range(p), repeat=n):
+        if is_irreducible_by_trial_division(list(low_first) + [1], p):
+            return tuple(low_first) + (1,)
+
+
+@pytest.mark.parametrize("p, top", [(2, 6), (3, 6), (5, 4), (7, 4)])
+def test_rabin_test_matches_trial_division(p, top):
+    """Every monic polynomial of degree 1 .. top over GF(p), and the first
+    irreducible one of each degree in the search order."""
+    for n in range(1, top + 1):
+        for low_first in itertools.product(range(p), repeat=n):
+            coeffs = list(low_first) + [1]
+            assert _is_irreducible(coeffs, p) == is_irreducible_by_trial_division(coeffs, p), coeffs
+        assert GF(p, n).modulus == _smallest_by_trial_division(p, n), (p, n)
+    assert not _is_irreducible([1, 0, 2], p)  # not monic
+    assert not _is_irreducible([1], p)  # a constant
+
+
+def test_field_order_bounded():
+    assert GF(2, 8).q == 256
+    assert GF(233, 8).q == 233**8 < 2**63  # the largest prime with p^8 < 2^63
+    for p, n in ((239, 8), (4093, 8), (4093, 6)):
+        assert p**n > 2**63
+        with pytest.raises(ValueError, match=f"field order {p}\\^{n} exceeds"):
+            GF(p, n)
 
 
 def test_gf4_generator_square():

@@ -32,6 +32,8 @@ from socle_verify.pipeline import (
     sweep,
 )
 
+from oracle_helpers import presentation_text
+
 RUN_KEYS = ["group", "field", "jennings", "gr_dims", "socle_degree", "autos", "verdict", "checks"]
 AUTO_KEYS = [
     "provenance",
@@ -111,7 +113,7 @@ def test_run_reads_specs_from_file(capsys, tmp_path):
 
 def test_run_accepts_presentation_path(capsys, tmp_path, group):
     pres = tmp_path / "c4c2.pc"
-    pres.write_text(group("C4xC2").presentation_text())
+    pres.write_text(presentation_text(group("C4xC2")))
     code, out = run_cli(capsys, ["run", "--group", str(pres), "--field", "2", "--format", "json"])
     assert code == 0
     data = json.loads(out)
@@ -341,6 +343,34 @@ def test_huge_inputs_end_at_once(tmp_path, argv, message):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "p, argv, code, message",
+    [
+        # GF(13^8) is built in milliseconds; its 13^8 - 1 diagonals exceed the work budget
+        (13, ["gl-check", "--p", "13", "--m", "1", "--n", "8", "--count", "3"], 1,
+         f"exceeds the budget of {MAX_GL_WORK}"),
+        (13, ["run", "--presentation", "PC", "--field", "13,8", "--format", "json"], 0,
+         '"modulus": "t^8+t^7+2*t^6+1"'),
+        # 239^8 > 2^63: its codes would not fit in int64
+        (239, ["run", "--presentation", "PC", "--field", "239,8"], 1,
+         "field order 239^8 exceeds the supported maximum 2^63 - 1"),
+    ],
+    ids=["gl-check-13-8", "run-13-8", "run-239-8"],
+)
+def test_degree_8_fields_end_at_once(tmp_path, p, argv, code, message):
+    """The default-modulus search skips the multiples of t and tests
+    irreducibility by Rabin's test, so a degree-8 field of a large prime
+    takes milliseconds, not a walk over p^4 trial divisors."""
+    path = tmp_path / "cp.pc"
+    path.write_text(f"pcgroup p={p} m=1\n")
+    proc = _run_subprocess([str(path) if a == "PC" else a for a in argv], timeout=10)
+    assert proc.returncode == code, proc.stderr
+    assert message in (proc.stdout if code == 0 else proc.stderr)
+    assert "Traceback" not in proc.stderr
+    if code == 0:
+        assert json.loads(proc.stdout)["verdict"] is True
+
+
 def test_substitution_exponent_zero_rejected(capsys):
     argv = ["run", "--group", "C3xC3", "--no-stored", "--auto", "subst: x1 -> x1 + x2^0"]
     assert main(argv) == 1
@@ -464,13 +494,13 @@ def test_gl_check_api():
 def test_gl_check_stacks_stay_within_the_chunk(monkeypatch):
     """With a small chunk, no stack reaching the ring or det exceeds it,
     and the report is the unpatched one: 10 000 draws take many rounds."""
-    from socle_verify import truncsym
+    from socle_verify import linalg
     from socle_verify.linalg import FieldOps
     from socle_verify.truncsym import TruncatedPolynomialRing
 
     want = gl_check(3, 2, count=10_000, seed=5)
     # 2 variables x 3 monomials of degree 2 x 1 plane per member
-    monkeypatch.setattr(truncsym, "MAX_STACK_CELLS", 6 * 64)
+    monkeypatch.setattr(linalg, "MAX_STACK_CELLS", 6 * 64)
     sizes = {"top": [], "det": []}
     nonzero = {"top": 0, "det": 0}
 

@@ -4,7 +4,8 @@ The oracle below reimplements truncated multiplication over plain dicts
 keyed by exponent tuples, sharing nothing with the code under test, and
 expands prod_j L_j^(p-1) directly.  The degree-by-degree top-monomial
 scalar is also compared with the dense-grid products it replaced
-(oracle_helpers.top_scalar_by_grid_products).
+(oracle_helpers.top_scalar_by_grid_products), and those grid products,
+the ring's elements in oracle_helpers.GridRing, with the dict oracle.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from socle_verify import GF, SingularMatrix, TruncatedPolynomialRing, truncsym
-from oracle_helpers import NotScalarMultiple, top_scalar_by_grid_products
+from socle_verify import GF, SingularMatrix, TruncatedPolynomialRing, linalg, truncsym
+from oracle_helpers import GridRing, NotScalarMultiple, top_scalar_by_grid_products
 
 
 def dict_mul(a, b, p, nvars):
@@ -53,7 +54,7 @@ def top_scalar_oracle(k, matrix):
 
 def test_ring_basics():
     k = GF(3)
-    ring = TruncatedPolynomialRing(k, 2)
+    ring = GridRing(k, 2)
     x1, x2 = ring.variable(1), ring.variable(2)
     assert (x1**3).is_zero()
     assert str(x1 * x2) == "x1 x2"
@@ -66,7 +67,7 @@ def test_ring_basics():
 
 
 def test_variable_index_bounds():
-    ring = TruncatedPolynomialRing(GF(3), 2)
+    ring = GridRing(GF(3), 2)
     with pytest.raises(ValueError):
         ring.variable(0)
     with pytest.raises(ValueError):
@@ -74,7 +75,7 @@ def test_variable_index_bounds():
 
 
 def test_grid_size_bounded():
-    assert TruncatedPolynomialRing(GF(2), 12).shape == (2,) * 12  # 2^12 cells, at the limit
+    assert GridRing(GF(2), 12).shape == (2,) * 12  # 2^12 cells, at the limit
     for p, m in ((2, 13), (5, 6), (2, 10**9)):
         with pytest.raises(ValueError, match="exceeds the limit"):
             TruncatedPolynomialRing(GF(p), m)
@@ -142,7 +143,7 @@ def grid_to_dict(k, grid):
 @pytest.mark.parametrize("p,n,nvars", [(2, 1, 4), (3, 1, 3), (5, 1, 2), (2, 2, 3), (3, 2, 2), (5, 2, 2)])
 def test_mul_grids_matches_dict_mul(p, n, nvars):
     k = GF(p, n)
-    ring = TruncatedPolynomialRing(k, nvars)
+    ring = GridRing(k, nvars)
     rng = random.Random(77 + 10 * p + n)
 
     def random_grid(density):
@@ -204,7 +205,7 @@ def test_stacked_top_scalar_matches_single_and_chunking(monkeypatch, p, n, nvars
     # the gathered block of one degree: members x cells x variables x planes
     width = nvars * _widest_piece(p, nvars) * n
     for cells in (1, width * 3):
-        monkeypatch.setattr(truncsym, "MAX_STACK_CELLS", cells)
+        monkeypatch.setattr(linalg, "MAX_STACK_CELLS", cells)
         small = TruncatedPolynomialRing(k, nvars)
         assert small.chunk == max(1, cells // width)
         assert small.chunk < len(stack)
@@ -270,7 +271,7 @@ def test_top_scalar_matches_oracles_on_the_largest_grid():
 
 
 def test_top_scalar_matches_oracles_over_gf256_at_chunk_one(monkeypatch):
-    monkeypatch.setattr(truncsym, "MAX_STACK_CELLS", 1)
+    monkeypatch.setattr(linalg, "MAX_STACK_CELLS", 1)
     k = GF(2, 8)
     ring = TruncatedPolynomialRing(k, 3)
     assert ring.chunk == 1
@@ -284,7 +285,7 @@ def test_top_scalar_on_partial_and_one_member_chunks(monkeypatch, size):
     """Chunks of 5 members: empty, one-member, full and partial last chunks."""
     k = GF(3, 2)
     width = 3 * _widest_piece(3, 3) * 2
-    monkeypatch.setattr(truncsym, "MAX_STACK_CELLS", 5 * width)
+    monkeypatch.setattr(linalg, "MAX_STACK_CELLS", 5 * width)
     ring = TruncatedPolynomialRing(k, 3)
     assert ring.chunk == 5
     stack = _random_stack(k, random.Random(1212 + size), size, 3)
@@ -304,20 +305,20 @@ def test_degree_gathers_are_built_on_the_first_scalar():
     assert (info.currsize, info.misses) == (1, 1)
     widest = max(len(g) for g in truncsym._degree_gathers(3, 4))
     assert widest == _widest_piece(3, 4) == 19
-    assert ring.chunk == max(1, truncsym.MAX_STACK_CELLS // (4 * widest * 2))
+    assert ring.chunk == max(1, linalg.MAX_STACK_CELLS // (4 * widest * 2))
 
 
 def test_chunk_holds_one_member_at_the_grid_limit():
     # 12 variables x 924 monomials of degree 6 x 8 planes over GF(2^8)
     # exceed MAX_STACK_CELLS alone
     ring = TruncatedPolynomialRing(GF(2, 8), 12)
-    assert 12 * _widest_piece(2, 12) * 8 > truncsym.MAX_STACK_CELLS
+    assert 12 * _widest_piece(2, 12) * 8 > linalg.MAX_STACK_CELLS
     assert ring.chunk == 1
 
 
 def test_stacked_linear_forms_and_products_match_single():
     k = GF(3, 2)
-    ring = TruncatedPolynomialRing(k, 3)
+    ring = GridRing(k, 3)
     rng = random.Random(707)
     coeffs = np.array([[rng.randrange(9) for _ in range(3)] for _ in range(5)], dtype=np.int64)
     forms = ring.linear_form(coeffs)
@@ -331,7 +332,7 @@ def test_stacked_linear_forms_and_products_match_single():
 
 def test_substitute_matrix_equals_linear_forms():
     k = GF(3, 2)
-    ring = TruncatedPolynomialRing(k, 2)
+    ring = GridRing(k, 2)
     x1, x2 = ring.variable(1), ring.variable(2)
     poly = x1 * x2 + x1**2
     m = np.array([[k.code_of(k.t()), 1], [0, 1]], dtype=np.int64)
@@ -343,7 +344,7 @@ def test_substitute_matrix_equals_linear_forms():
 
 def test_substitute_is_a_ring_map():
     k = GF(5)
-    ring = TruncatedPolynomialRing(k, 2)
+    ring = GridRing(k, 2)
     x1, x2 = ring.variable(1), ring.variable(2)
     images = [x2 + x1 * x2, ring.scalar(2) * x1]
     a = x1 + x2**2
@@ -353,7 +354,7 @@ def test_substitute_is_a_ring_map():
 
 
 def test_singular_matrix_rejected():
-    ring = TruncatedPolynomialRing(GF(3), 2)
+    ring = GridRing(GF(3), 2)
     with pytest.raises(SingularMatrix):
         ring.top_monomial_scalar(np.zeros((2, 2), dtype=np.int64))
     with pytest.raises(SingularMatrix):
