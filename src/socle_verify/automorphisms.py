@@ -600,7 +600,7 @@ def random_substitution(algebra: GroupAlgebra, rng: random.Random) -> AlgebraAut
     images = np.zeros((m, algebra.dimension), dtype=np.int64)
     images[:, algebra.generator_indices] = linear
     images[:, 0] = ops.sub(1, column_sums(ops, linear.T))
-    j2 = algebra.filtration.bases[2]
+    j2 = algebra.filtration.basis(2)[0]
     for i in range(m):
         if j2.shape[0] and rng.random() < 0.5:
             row = j2[rng.randrange(j2.shape[0])]

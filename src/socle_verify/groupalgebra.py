@@ -8,20 +8,14 @@ one-dimensional socle spanned by the sum of all group elements, and the
 filtration is what everything downstream (dimension subgroups, graded
 algebra, automorphism blocks) is measured against.
 
-Row-echelon bases of the powers J^r are read off the Jennings monomials
-in lifts of the dimension-subgroup quotients (RadicalFiltration), over
-the prime field, and reused for every coefficient field of the same
-characteristic.  Echelonization commutes with extension of scalars; the
-test suite rebuilds filtrations over GF(p^2) and compares them with the
-oracle radical_filtration_by_products(), which echelonizes the stacked
-products J^r (g_i - 1) over the same field.
-
-Positions in the filtration are read off the same monomials, with no
-elimination: RadicalFiltration.coordinates() turns a vector into its
-coordinates on the monomial basis (a gather into lift-word order and a
-p x p binomial matrix per lift), so x lies in J^r exactly when its
-coordinates of weight < r vanish, and its weight-r coordinates are its
-class in J^r/J^(r+1).
+The filtration is read off the Jennings monomials in lifts of the
+dimension-subgroup quotients (RadicalFiltration), over the prime field,
+and reused for every field of the same characteristic, with no echelon
+form: the monomial coordinates of x (a gather into lift-word order and a
+p x p binomial matrix per lift) of weight < r vanish exactly when x lies
+in J^r, and its weight-r ones are its class in J^r/J^(r+1).  The oracle
+radical_filtration_by_products() echelonizes the stacked products
+J^r (g_i - 1) instead.
 """
 
 from __future__ import annotations
@@ -69,23 +63,20 @@ def column_sums(ops: FieldOps, codes: np.ndarray) -> np.ndarray:
 
 
 class RadicalFiltration:
-    """Echelon bases of J^0 > J^1 > ... > J^s > J^(s+1) = 0, from Jennings monomials.
+    """J^0 > J^1 > ... > J^s > J^(s+1) = 0, read off the Jennings monomials.
 
     group.jennings_lifts() gives elements y_1, ..., y_M, in ascending
     degree, lifting bases of the quotients F_r/F_(r+1) of the recursive
     dimension series.  The |G| monomials prod_j (y_j - 1)^(e_j) with
     0 <= e_j < p have weight sum_j e_j deg(y_j), and by Jennings' theorem
-    those of weight >= r form a basis of J^r.  They come out of one prefix
-    pass: x (y - 1) is a gather of x minus x.  The same pass gives the
-    lift words y_1^(e_1) ... y_M^(e_M), which must enumerate G; row
-    sum_j e_j p^(j-1) of words, weights and coordinates() belongs to the
-    exponent vector e.
-
-    The RREF bases are built from the top weight down: the weight-r
-    monomials, reduced by the basis of J^(r+1), are echelonized and
-    merged with that basis, back-reduced by them.  RREF bases are unique,
-    so they equal what echelonizing the products J^r (g_i - 1) gives;
-    radical_filtration_by_products() does that as an oracle.
+    those of weight >= r form a basis of J^r, so dims and gr_dims are
+    weight counts.  One prefix pass gives the lift words
+    y_1^(e_1) ... y_M^(e_M) and their weights; row sum_j e_j p^(j-1) of
+    words, weights and coordinates() belongs to the exponent vector e.
+    A monomial is its word plus words of smaller exponent vectors, so the
+    monomials are a basis of kG exactly when the words enumerate G, which
+    the build checks.  It keeps the top monomial prod_j (y_j - 1)^(p-1),
+    one gather per factor.
     """
 
     def __init__(self, group: PcGroup, ops: FieldOps | None = None):
@@ -100,8 +91,8 @@ class RadicalFiltration:
         inv = group.inverse_table
         self.series, self.lifts = group.jennings_lifts()
 
-        monomials = np.zeros((1, n), dtype=np.int64)
-        monomials[0, 0] = 1
+        top = np.zeros(n, dtype=np.int64)
+        top[0] = 1
         words = np.zeros(1, dtype=np.int64)
         weights = np.zeros(1, dtype=np.int64)
         for r, layer in enumerate(self.lifts, start=1):
@@ -109,46 +100,30 @@ class RadicalFiltration:
                 yi = group.index_of(y)
                 # (x y)[k] = x[k y^-1], so x (y - 1) is a gather minus x
                 right = t[:, int(inv[yi])]
-                blocks, word_blocks, block_weights = [monomials], [words], [weights]
+                word_blocks, block_weights = [words], [weights]
                 for e in range(1, p):
-                    blocks.append(ops.sub(blocks[-1][:, right], blocks[-1]))
+                    top = ops.sub(top[right], top)
                     word_blocks.append(t[word_blocks[-1], yi])
                     block_weights.append(weights + e * r)
-                monomials = np.vstack(blocks)
                 words = np.concatenate(word_blocks)
                 weights = np.concatenate(block_weights)
-
-        top = int(weights.max())
-        bases: list[np.ndarray] = [np.zeros((0, n), dtype=np.int64)]
-        pivots: list[list[int]] = [[]]
-        for r in range(top, -1, -1):
-            rows = monomials[weights == r]
-            q, qp = ops.rref(ops.reduce_rows(rows, bases[-1], pivots[-1]))
-            if not qp or len(qp) != rows.shape[0]:
-                raise FiltrationError(f"weight-{r} monomials give no basis of J^{r}/J^{r + 1}")
-            merged = pivots[-1] + qp
-            order = np.argsort(merged)
-            stacked = np.vstack([ops.reduce_rows(bases[-1], q, qp), q])
-            bases.append(stacked[order])
-            pivots.append([merged[i] for i in order])
-        self.bases = bases[::-1]
-        self.pivots = pivots[::-1]
         if not np.array_equal(np.sort(words), np.arange(n)):
             raise FiltrationError("the lift words y_1^(e_1) ... y_M^(e_M) do not enumerate G")
         self.words = words
         self.weights = weights
+        self.top_monomial = top
         # row of the monomial y_j - 1, for the j-th lift
         self.lift_rows = p ** np.arange(sum(len(layer) for layer in self.lifts))
         # binomial[f, e] = C(f, e) mod p: y^f = sum_e C(f, e) (y - 1)^e
         self._binomial = np.array(
             [[math.comb(f, e) % p for e in range(p)] for f in range(p)], dtype=np.int64
         )
+        self._bases: dict[int, tuple[np.ndarray, list[int]]] = {}
 
-        self.dims = [b.shape[0] for b in self.bases]
-        self.socle_degree = top
-        if self.dims[top] != 1:
-            raise FiltrationError(f"last nonzero radical power has dimension {self.dims[top]}, expected 1")
-        self.gr_dims = [self.dims[r] - self.dims[r + 1] for r in range(top + 1)]
+        self.gr_dims = [int(d) for d in np.bincount(weights)]
+        self.socle_degree = len(self.gr_dims) - 1
+        # dims[r] = dim J^r, for r = 0 .. s + 1
+        self.dims = [int(d) for d in np.cumsum(self.gr_dims[::-1])[::-1]] + [0]
 
     def coordinates(self, ops: FieldOps, codes: np.ndarray) -> np.ndarray:
         """Coordinates on the Jennings monomials of the columns of codes.
@@ -167,25 +142,33 @@ class RadicalFiltration:
             # the last lift axis is contracted and its exponent comes out in
             # front, so after m passes the axes are back in their order
             x = np.tensordot(self._binomial, x, axes=([0], [m - 1])) % p
-        return ops.encode(x.reshape((-1,) + rest))
+        return ops.encode(x.reshape((len(self.words),) + rest))
 
-    def matches(self, bases: list[np.ndarray], pivots: list[list[int]]) -> bool:
-        """Whether the echelon bases equal this filtration's, field by field."""
-        return (
-            self.pivots == pivots
-            and len(self.bases) == len(bases)
-            and all(np.array_equal(a, b) for a, b in zip(self.bases, bases))
+    def basis(self, r: int) -> tuple[np.ndarray, list[int]]:
+        """(RREF basis, pivots) of J^r, the kernel of the coordinates of weight < r."""
+        if r not in self._bases:
+            ops = self.ops
+            kernel = ops.nullspace(self.coordinates(ops, ops.eye(self.group.order))[self.weights < r])
+            self._bases[r] = kernel, (kernel != 0).argmax(axis=1).tolist()
+        return self._bases[r]
+
+    def matches(self, bases: list[np.ndarray]) -> bool:
+        """Whether bases[r], of independent rows, spans J^r for every r: it
+        has dims[r] rows, and their coordinates of weight < r vanish."""
+        return len(bases) == len(self.dims) and all(
+            b.shape[0] == self.dims[r]
+            and not self.coordinates(self.ops, b.T)[self.weights < r].any()
+            for r, b in enumerate(bases)
         )
 
 
 def radical_filtration_by_products(
     group: PcGroup, ops: FieldOps | None = None
-) -> tuple[list[np.ndarray], list[list[int]], list[np.ndarray], list[list[int]]]:
-    """(bases, pivots, complements, comp_pivots) of the filtration, by brute force.
+) -> tuple[list[np.ndarray], list[list[int]]]:
+    """(bases, pivots): RREF bases of the filtration, by brute force.
 
     The oracle for RadicalFiltration: J^(r+1) is echelonized from the
-    stacked m*dim J^r x |G| products J^r (g_i - 1), and each complement
-    from the basis of J^r reduced by that of J^(r+1).
+    stacked m*dim J^r x |G| products J^r (g_i - 1).
     """
     ops = ops if ops is not None else FieldOps(GF(group.p))
     n = group.order
@@ -213,17 +196,7 @@ def radical_filtration_by_products(
             raise FiltrationError("radical filtration failed to descend strictly")
         bases.append(b)
         pivots.append(piv)
-
-    complements: list[np.ndarray] = []
-    comp_pivots: list[list[int]] = []
-    for r in range(len(bases) - 1):
-        reduced = ops.reduce_rows(bases[r], bases[r + 1], pivots[r + 1])
-        q, qp = ops.rref(reduced)
-        if q.shape[0] != bases[r].shape[0] - bases[r + 1].shape[0]:
-            raise FiltrationError(f"graded complement in degree {r} has the wrong rank")
-        complements.append(q)
-        comp_pivots.append(qp)
-    return bases, pivots, complements, comp_pivots
+    return bases, pivots
 
 
 def radical_filtration(group: PcGroup) -> RadicalFiltration:
@@ -243,13 +216,15 @@ def dimension_subgroups_definitional(group: PcGroup) -> list[Subgroup]:
     filt = radical_filtration(group)
     ops = filt.ops
     n = group.order
-    diffs = np.zeros((n, n), dtype=np.int64)
-    diffs[np.arange(n), np.arange(n)] = 1
-    diffs[:, 0] = (diffs[:, 0] - 1) % ops.p
+    diffs = ops.eye(n)
+    diffs[0] = ops.p - 1
+    diffs[0, 0] = 0
+    # column g holds the coordinates of g - 1, which lies in J^r when
+    # those of weight < r vanish
+    coords = filt.coordinates(ops, diffs)
     out: list[Subgroup] = []
     for r in range(1, filt.socle_degree + 2):
-        res = ops.reduce_rows(diffs, filt.bases[r], filt.pivots[r])
-        idxs = [int(i) for i in np.nonzero(~res.any(axis=1))[0]]
+        idxs = [int(i) for i in np.flatnonzero(~coords[filt.weights < r].any(axis=0))]
         if group._closure_indices(idxs) != idxs:
             raise FiltrationError(f"membership set for J^{r} is not a subgroup")
         out.append(Subgroup(group, idxs, [group.element_at(i) for i in idxs if i]))
@@ -544,13 +519,13 @@ class GroupAlgebra:
         certified to be a group table when the group is built, and the pc
         generators generate G, so translations act transitively on the
         group basis and the only fixed vectors are the constants.  What is
-        left to check is that the filtration agrees: J^s, read from the
-        cached filtration, is one-dimensional and spanned by this vector.
-        socle_vector_by_nullspace() recomputes the fixed space as an oracle.
+        left to check is that the filtration agrees: J^s, spanned by the
+        top Jennings monomial, is one-dimensional, and that monomial is
+        this vector.  socle_vector_by_nullspace() recomputes the fixed space
+        as an oracle.
         """
         filt = self.filtration
-        s = filt.socle_degree
-        if filt.dims[s] != 1 or not np.all(filt.bases[s] == 1):
+        if filt.dims[filt.socle_degree] != 1 or not np.all(filt.top_monomial == 1):
             raise FiltrationError("last radical power is not spanned by the all-ones vector")
         return self.sum_of_group_elements()
 

@@ -32,7 +32,8 @@ operations.  The top degree s = (p-1) sum_r r*d_r is one-dimensional and
     prod_j (y_j - 1)^(p-1) = sum of all elements of G
 
 holds exactly, because (y-1)^(p-1) = 1 + y + ... + y^(p-1) in
-characteristic p and the monomials enumerate G.
+characteristic p and the monomials enumerate G.  The radical filtration
+keeps that product as its top monomial.
 """
 
 from __future__ import annotations
@@ -220,9 +221,10 @@ class JenningsBasis:
     def jq_dimension_check(self) -> dict:
         """Graded dimensions must match the product generating function.
 
-        The default filtration is built from the same lift monomials, so
-        this confirms its bookkeeping; radical_filtration_by_products()
-        (under --full-check) confirms the dimensions independently.
+        The default filtration counts the weights of the same lift
+        monomials, so this confirms its bookkeeping;
+        radical_filtration_by_products() (under --full-check) confirms the
+        dimensions independently.
         """
         pbw = self.pbw_polynomial()
         gr = self.filtration.gr_dims
@@ -237,7 +239,11 @@ class JenningsBasis:
         }
 
     def socle_product(self, algebra: GroupAlgebra) -> AlgebraElement:
-        """prod_j (y_j - 1)^(p-1) in ascending degree order."""
+        """prod_j (y_j - 1)^(p-1) in ascending degree order, by kG products.
+
+        The oracle for the filtration's top monomial, the same product by
+        one gather per factor; runs call it under --full-check.
+        """
         if algebra.group is not self.group:
             raise ValueError("algebra is over a different group")
         acc = algebra.one()

@@ -86,6 +86,8 @@ class FieldOps:
             cur = nxt
         self._red = np.array(red, dtype=np.int64).reshape(self.n - 1, self.n)
         self._inv_cache: dict[int, int] = {}
+        # inverses of the residues mod p, built on first use by _det_stack
+        self._residue_inverses: np.ndarray | None = None
 
     # -- code <-> coefficient planes -----------------------------------------
 
@@ -295,17 +297,21 @@ class FieldOps:
         return x
 
     def nullspace(self, m: np.ndarray) -> np.ndarray:
-        """RREF-derived basis of {x : m @ x = 0}, one row per basis vector."""
+        """RREF basis of {x : m @ x = 0}, one row per basis vector.
+
+        m is eliminated with its columns reversed: the kernel vector of a
+        free column f then has its 1 at f and its other entries at pivot
+        columns after f, so, read back in order, it is the RREF row with
+        pivot f, and no other kernel vector meets f.
+        """
         m = np.asarray(m, dtype=np.int64)
         cols = m.shape[1]
-        r, pivots = self.rref(m)
-        free = [c for c in range(cols) if c not in set(pivots)]
+        reduced, pivots = self.rref(m[:, ::-1])
+        free = np.setdiff1d(np.arange(cols), pivots)
         basis = np.zeros((len(free), cols), dtype=np.int64)
-        for k, f in enumerate(free):
-            basis[k, f] = 1
-            for row, c in enumerate(pivots):
-                basis[k, c] = self.neg(np.int64(r[row, f]))
-        return basis
+        basis[np.arange(len(free)), free] = 1
+        basis[:, pivots] = self.neg(reduced[:, free].T)
+        return np.ascontiguousarray(basis[::-1, ::-1])
 
     def det(self, m: np.ndarray) -> int | np.ndarray:
         """Determinant as a field code (forward elimination, exact).
@@ -341,7 +347,11 @@ class FieldOps:
 
         A member with no pivot in some column multiplies its running
         determinant by the zero pivot, so it ends at 0 with no bookkeeping.
+        Over a prime field the codes are the residues, and the elimination
+        runs on them with the table of inverses.
         """
+        if self.n == 1:
+            return self._det_stack_residues(m)
         p, size = self.p, m.shape[-1]
         planes = self.decode(m)  # (B, s, s, n)
         members = np.arange(len(m))
@@ -368,6 +378,32 @@ class FieldOps:
             below -= self._mul_planes(factors[:, :, None], planes[:, None, c, c:])
             below %= p
         return self.encode(det)
+
+    def _det_stack_residues(self, m: np.ndarray) -> np.ndarray:
+        """_det_stack over GF(p), on residues: no planes and no encode."""
+        p, size = self.p, m.shape[-1]
+        if self._residue_inverses is None:
+            self._residue_inverses = np.array([pow(x, p - 2, p) if x else 0 for x in range(p)],
+                                              dtype=np.int64)
+        members = np.arange(len(m))
+        det = np.ones(len(m), dtype=np.int64)
+        for c in range(size):
+            rows = c + (m[:, c:, c] != 0).argmax(axis=1)
+            swapped = rows != c
+            if swapped.any():
+                top = m[members, rows]
+                m[members, rows] = m[:, c]
+                m[:, c] = top
+                det[swapped] = -det[swapped] % p
+            pivot = m[:, c, c]
+            det = det * pivot % p
+            if c + 1 == size:
+                break
+            factors = m[:, c + 1 :, c] * self._residue_inverses[pivot][:, None] % p
+            below = m[:, c + 1 :, c:]
+            below -= factors[:, :, None] * m[:, None, c, c:]
+            below %= p
+        return det
 
     def eye(self, size: int) -> np.ndarray:
         m = np.zeros((size, size), dtype=np.int64)

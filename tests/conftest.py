@@ -12,7 +12,8 @@ import functools
 import pytest
 
 from socle_verify import GF, GroupAlgebra, PcGroup, build_jennings_basis, catalog, catalog_names
-from socle_verify.groupalgebra import radical_filtration_by_products
+
+from oracle_helpers import products_oracle_with_complements
 
 _GROUPS: dict[str, object] = {}
 _ALGEBRAS: dict[tuple, object] = {}
@@ -32,8 +33,8 @@ def shared_group(name):
 
 @functools.lru_cache(maxsize=None)
 def shared_products_oracle(group):
-    """radical_filtration_by_products(group) over the prime field, once per group."""
-    return radical_filtration_by_products(group)
+    """products_oracle_with_complements(group) over the prime field, once per group."""
+    return products_oracle_with_complements(group)
 
 
 def shared_algebra(name, n=1):

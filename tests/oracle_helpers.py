@@ -17,7 +17,9 @@ grid products is TruncatedPolynomialRing.top_monomial_scalar as it was
 before it worked degree by degree; GridRing and TruncatedPolynomial, the
 ring's elements as dense coefficient grids, are what it multiplies.
 Irreducibility by trial division is the default-modulus test as it was
-before Rabin's test.
+before Rabin's test.  The filtration by monomial echelon is
+RadicalFiltration as it was before it read dimensions off the monomial
+weights and bases off the kernel of the monomial coordinates.
 
 The small helpers (center, subgroup_closure, presentation_text,
 in_row_space, layer_ranks, pbw_dimension, apply_automorphism, ...) are
@@ -30,8 +32,9 @@ import itertools
 
 import numpy as np
 
-from socle_verify.ffield import FieldElement, FieldMismatch, _poly_mod
-from socle_verify.groupalgebra import AlgebraElement
+from socle_verify.ffield import GF, FieldElement, FieldMismatch, _poly_mod
+from socle_verify.groupalgebra import AlgebraElement, FiltrationError, radical_filtration_by_products
+from socle_verify.linalg import FieldOps
 from socle_verify.pgroup import Subgroup, _collect, _normal_form_blocks, associative_on_all_triples
 from socle_verify.truncsym import SingularMatrix, TruncatedPolynomialRing
 
@@ -184,6 +187,70 @@ def lift_words_by_walk(group, lifts):
     return words
 
 
+def filtration_by_monomial_echelon(group, ops=None, lifts=None):
+    """(bases, pivots): the RREF bases of J^0 > J^1 > ... > J^(s+1) = 0, by echelon.
+
+    The Jennings monomials prod_j (y_j - 1)^(e_j) in the lifts (those of
+    group.jennings_lifts(), or `lifts`, one tuple per degree) come out of
+    one prefix pass: x (y - 1) is a gather of x minus x.  The bases are
+    built from the top weight down: the weight-r monomials, reduced by the
+    basis of J^(r+1), are echelonized and merged with that basis,
+    back-reduced by them.  Raises FiltrationError when the weight-r
+    monomials are not independent modulo the heavier ones.
+    """
+    ops = ops if ops is not None else FieldOps(GF(group.p))
+    n = group.order
+    t = group.cayley_table
+    inv = group.inverse_table
+    lifts = group.jennings_lifts()[1] if lifts is None else lifts
+    monomials = np.zeros((1, n), dtype=np.int64)
+    monomials[0, 0] = 1
+    weights = np.zeros(1, dtype=np.int64)
+    for r, layer in enumerate(lifts, start=1):
+        for y in layer:
+            right = t[:, int(inv[group.index_of(y)])]
+            blocks, block_weights = [monomials], [weights]
+            for e in range(1, group.p):
+                blocks.append(ops.sub(blocks[-1][:, right], blocks[-1]))
+                block_weights.append(weights + e * r)
+            monomials = np.vstack(blocks)
+            weights = np.concatenate(block_weights)
+
+    bases = [np.zeros((0, n), dtype=np.int64)]
+    pivots = [[]]
+    for r in range(int(weights.max()), -1, -1):
+        rows = monomials[weights == r]
+        q, qp = ops.rref(ops.reduce_rows(rows, bases[-1], pivots[-1]))
+        if not qp or len(qp) != rows.shape[0]:
+            raise FiltrationError(f"weight-{r} monomials give no basis of J^{r}/J^{r + 1}")
+        merged = pivots[-1] + qp
+        order = np.argsort(merged)
+        stacked = np.vstack([ops.reduce_rows(bases[-1], q, qp), q])
+        bases.append(stacked[order])
+        pivots.append([merged[i] for i in order])
+    if bases[1].shape[0] != 1:
+        raise FiltrationError(f"last nonzero radical power has dimension {bases[1].shape[0]}, expected 1")
+    return bases[::-1], pivots[::-1]
+
+
+def products_oracle_with_complements(group, ops=None):
+    """(bases, pivots, complements, comp_pivots) of the filtration, by brute force.
+
+    radical_filtration_by_products(), and each graded complement echelonized
+    from the basis of J^r reduced by that of J^(r+1).
+    """
+    ops = ops if ops is not None else FieldOps(GF(group.p))
+    bases, pivots = radical_filtration_by_products(group, ops)
+    complements, comp_pivots = [], []
+    for r in range(len(bases) - 1):
+        q, qp = ops.rref(ops.reduce_rows(bases[r], bases[r + 1], pivots[r + 1]))
+        if q.shape[0] != bases[r].shape[0] - bases[r + 1].shape[0]:
+            raise FiltrationError(f"graded complement in degree {r} has the wrong rank")
+        complements.append(q)
+        comp_pivots.append(qp)
+    return bases, pivots, complements, comp_pivots
+
+
 def jennings_monomials(algebra):
     """prod_j (y_j - 1)^(e_j) over the filtration's lifts, multiplied out in kG.
 
@@ -206,7 +273,7 @@ def graded_blocks_by_projection(auto, basis, oracle):
     """The induced blocks, by projection onto graded complements and a solve per lift.
 
     oracle is (bases, pivots, complements, comp_pivots) from
-    radical_filtration_by_products().  An image class is projected along
+    products_oracle_with_complements().  An image class is projected along
     J^(r+1) onto the RREF complement of degree r, and its coordinates there
     are solved for in terms of the classes of the layer's lifts.  Returns
     [(r, block)] for the layers of nonzero rank.
@@ -358,8 +425,9 @@ def substitution_images_by_elements(algebra, rng):
 
     The oracle for random_substitution: the same draws in the same order
     (the linear part by rejection, then per generator a coin, a J^2 row and
-    a unit coefficient), each tail checked to lie in J^2 and the images
-    summed by substitution_images.
+    a unit coefficient), the J^2 rows from filtration_by_monomial_echelon,
+    each tail checked to lie in J^2 and the images summed by
+    substitution_images.
     """
     ops = algebra.ops
     m = algebra.group.m
@@ -368,7 +436,7 @@ def substitution_images_by_elements(algebra, rng):
         linear = np.array([[rng.randrange(q) for _ in range(m)] for _ in range(m)], dtype=np.int64)
         if ops.det(linear) != 0:
             break
-    j2 = algebra.filtration.bases[2]
+    j2 = filtration_by_monomial_echelon(algebra.group)[0][2]
     higher = {}
     for i in range(m):
         if j2.shape[0] and rng.random() < 0.5:

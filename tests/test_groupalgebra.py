@@ -9,13 +9,14 @@ the oracles here.
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from socle_verify import GF, FiltrationError, GroupAlgebra, NotAUnit, PcGroup
+from socle_verify import GF, FiltrationError, GroupAlgebra, NotAUnit, PcGroup, catalog
 from socle_verify.groupalgebra import (
     RadicalFiltration,
     dimension_subgroups_definitional,
@@ -23,13 +24,19 @@ from socle_verify.groupalgebra import (
     radical_filtration_by_products,
 )
 from socle_verify.linalg import FieldOps
+from socle_verify.pipeline import RunStageError, run
 from conftest import shared_algebra
 from oracle_helpers import unit_inverse_by_series
 from conftest import shared_products_oracle
-from oracle_helpers import jennings_monomials
+from oracle_helpers import (
+    filtration_by_monomial_echelon,
+    jennings_monomials,
+    products_oracle_with_complements,
+)
 
 C2_7 = "pcgroup p=2 m=7\n"
 HEIS27_X_C3 = "pcgroup p=3 m=4\n[g2,g1] = g3\n"
+BENCH_PRESENTATIONS = Path(__file__).resolve().parents[1] / "perfbench" / "presentations"
 
 
 def test_cyclic_dims_follow_polynomial_model(group):
@@ -102,11 +109,14 @@ def test_structural_socle_matches_nullspace_oracle(algebra, all_names):
 
 def _assert_same_filtration(filt, oracle, label):
     bases, pivots, complements, _ = oracle
-    assert filt.pivots == pivots, label
-    assert len(filt.bases) == len(bases), label
-    for mine, theirs in zip(filt.bases, bases):
-        assert np.array_equal(mine, theirs), label
-    assert filt.matches(bases, pivots), label
+    echelon, echelon_pivots = filtration_by_monomial_echelon(filt.group, filt.ops)
+    assert len(filt.dims) == len(bases) == len(echelon), label
+    assert filt.dims == [b.shape[0] for b in bases], label
+    for r, theirs in enumerate(bases):
+        mine, my_pivots = filt.basis(r)
+        assert my_pivots == pivots[r] == echelon_pivots[r], label
+        assert np.array_equal(mine, theirs) and np.array_equal(mine, echelon[r]), label
+    assert filt.matches(bases), label
     # read on the Jennings monomials, the oracle's degree-r complement lies
     # in J^r and its classes span the weight-r coordinates
     assert len(complements) == len(filt.gr_dims), label
@@ -134,20 +144,95 @@ def test_filtration_matches_products_oracle_over_extension_field(group, all_name
         g = group(name)
         ops = FieldOps(GF(g.p, 2))
         filt = RadicalFiltration(g, ops)
-        _assert_same_filtration(filt, radical_filtration_by_products(g, ops), name)
+        _assert_same_filtration(filt, products_oracle_with_complements(g, ops), name)
         prime = radical_filtration(g)
-        assert filt.dims == prime.dims and filt.pivots == prime.pivots, name
+        degrees = range(len(prime.dims))
+        assert filt.dims == prime.dims, name
+        assert [filt.basis(r)[1] for r in degrees] == [prime.basis(r)[1] for r in degrees], name
 
 
-def test_filtration_rejects_lifts_that_are_not_a_jennings_basis(monkeypatch):
-    # C4 with g1 standing in for the degree-2 lift g2 = g1^2: the weight-1
-    # monomial g1 - 1 then already lies in the span of the heavier ones
+def test_basis_matches_both_oracles_over_extension_field_on_every_group(group, all_names):
+    # the prime-field products oracle: the RREF basis over GF(p) of a space
+    # spanned over GF(p) is its RREF basis over GF(p^2) (test above); the
+    # products over GF(p^2) take about 35 s on the order-125 groups on a
+    # 2-core Xeon VM
+    groups = [group(name) for name in all_names]
+    groups += [
+        PcGroup.from_presentation_text((BENCH_PRESENTATIONS / f).read_text(), name=f)
+        for f in ("c2x7.pc", "heis27xc3.pc")
+    ]
+    assert len(groups) == 26
+    for g in groups:
+        filt = RadicalFiltration(g, FieldOps(GF(g.p, 2)))
+        _assert_same_filtration(filt, shared_products_oracle(g), g.name)
+
+
+def _c4_with_lifts(monkeypatch, choose):
     c4 = PcGroup.from_presentation_text("pcgroup p=2 m=2\ng1^2 = g2\n", name="C4")
     series, lifts = c4.jennings_lifts()
     assert lifts == [(c4.generator(1),), (c4.generator(2),)]
-    monkeypatch.setattr(c4, "jennings_lifts", lambda: (series, [lifts[0], lifts[0]]))
-    with pytest.raises(FiltrationError, match="weight-1"):
+    monkeypatch.setattr(c4, "jennings_lifts", lambda: (series, choose(lifts)))
+    return c4
+
+
+def test_filtration_rejects_lifts_that_are_not_a_jennings_basis(monkeypatch):
+    # C4 with g1 standing in for the degree-2 lift g2 = g1^2: the lift words
+    # then miss g2 and g1 g2, and the weight-1 monomial g1 - 1 already lies
+    # in the span of the heavier ones
+    c4 = _c4_with_lifts(monkeypatch, lambda lifts: [lifts[0], lifts[0]])
+    with pytest.raises(FiltrationError, match="do not enumerate G"):
         RadicalFiltration(c4)
+    with pytest.raises(FiltrationError, match="weight-1"):
+        filtration_by_monomial_echelon(c4)
+
+
+def test_swapped_c4_lifts_pass_the_build_and_fail_the_products_oracle(monkeypatch):
+    # g2 = g1^2 as the degree-1 lift and g1 as the degree-2 one: the lift
+    # words enumerate C4, so the build, which relies on Jennings' theorem
+    # for the lifts it is given, and the monomial echelon accept them; only
+    # the stacked products see that g1 - 1 does not lie in J^2
+    c4 = _c4_with_lifts(monkeypatch, lambda lifts: lifts[::-1])
+    filt = RadicalFiltration(c4)
+    filtration_by_monomial_echelon(c4)
+    assert filt.dims == [4, 3, 2, 1, 0]
+    assert np.all(filt.top_monomial == 1)
+    assert filt.matches(radical_filtration_by_products(c4)[0]) is False
+    # so a default run passes, and --full-check stops at its oracles
+    alg = GroupAlgebra(c4, GF(2))
+    assert run(alg, []).verdict
+    with pytest.raises(RunStageError, match="structure"):
+        run(alg, [], full_check=True)
+
+
+def test_echelon_oracle_rejects_exactly_the_lifts_the_build_rejects(all_names, monkeypatch):
+    # the monomials are a unitriangular transform of the lift words, so they
+    # are independent exactly when the words enumerate G
+    rng = random.Random(15)
+    groups = [catalog(name) for name in all_names]
+    verdicts = []
+    for _ in range(240):
+        g = rng.choice(groups)
+        series, lifts = g.jennings_lifts()
+        drawn = [
+            tuple(g.element_at(rng.choice(series[r].indices[1:])) for _ in layer)
+            for r, layer in enumerate(lifts)
+        ]
+        monkeypatch.setattr(g, "jennings_lifts", lambda: (series, drawn))
+        try:
+            RadicalFiltration(g)
+            built = True
+        except FiltrationError as err:
+            assert "do not enumerate G" in str(err)
+            built = False
+        try:
+            filtration_by_monomial_echelon(g, lifts=drawn)
+            echelon = True
+        except FiltrationError:
+            echelon = False
+        assert built == echelon, (g.name, drawn)
+        monkeypatch.undo()
+        verdicts.append(built)
+    assert 40 <= sum(verdicts) <= 200
 
 
 def test_dimension_subgroups_match_recursive_series(group):
@@ -181,7 +266,7 @@ def test_gr_coordinates_certificate(algebra):
     monomials = jennings_monomials(alg)
     for r in range(1, filt.socle_degree + 1):
         codes = np.zeros(alg.dimension, dtype=np.int64)
-        basis = filt.bases[r]
+        basis = filt.basis(r)[0]
         for row in basis:
             if rng.random() < 0.5:
                 codes = (codes + row) % 2
@@ -194,7 +279,7 @@ def test_gr_coordinates_certificate(algebra):
         rest = x
         for c, m in zip(coords, weight_r):
             rest = rest - m * int(c)
-        assert not alg.ops.reduce_rows(rest.codes, filt.bases[r + 1], filt.pivots[r + 1]).any()
+        assert not alg.ops.reduce_rows(rest.codes, *filt.basis(r + 1)).any()
 
 
 def test_gr_coordinates_rejects_outsiders(algebra):

@@ -6,6 +6,7 @@ because downstream tooling diffs raw output.
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import io
 import json
@@ -14,12 +15,16 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from socle_verify import pipeline
 from socle_verify.automorphisms import MAX_COUNT
 from socle_verify.cli import MAX_SPEC_FILE_BYTES, main
+from socle_verify.jennings import JenningsBasis
+from socle_verify.linalg import FieldOps
 from socle_verify.pgroup import MAX_PRESENTATION_BYTES
 from socle_verify.pipeline import (
     MAX_GL_WORK,
@@ -205,6 +210,54 @@ def test_full_check_runs_the_oracles(capsys, name):
     assert {auto.pair_check for auto in autos} == {"group-automorphism", "unit-inverse"}
     run(algebra, autos, full_check=True)
     assert {auto.pair_check for auto in autos} == {"full"}
+
+
+HEIS27_X_C3 = Path(__file__).resolve().parents[1] / "perfbench" / "presentations" / "heis27xc3.pc"
+
+
+def _spy(monkeypatch):
+    """Count FieldOps.rref, JenningsBasis.socle_product and the products oracle."""
+    calls = collections.Counter()
+    for owner, name in ((FieldOps, "rref"), (JenningsBasis, "socle_product"),
+                        (pipeline, "radical_filtration_by_products")):
+        def counted(*args, _name=name, _inner=getattr(owner, name), **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("argv", [["--group", "D16"], ["--presentation", str(HEIS27_X_C3)]])
+def test_default_run_makes_no_echelon_and_no_socle_products(capsys, monkeypatch, argv):
+    # each run builds its group, so the filtration is built inside the spy;
+    # the socle is read off the filtration's top Jennings monomial
+    calls = _spy(monkeypatch)
+    code, out = run_cli(capsys, ["run", *argv, "--auto", "random-inner count=2", "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["checks"]["socle_product_formula"] is True
+    assert calls == {}
+
+
+def test_random_substitutions_share_one_echelon(capsys, monkeypatch):
+    # basis(2), the J^2 rows of the tails, is the only elimination of the
+    # run, and it is kept for every draw
+    calls = _spy(monkeypatch)
+    code, _ = run_cli(capsys, ["run", "--group", "C2xC2xC2", "--field", "2,2",
+                               "--auto", "random-subst count=3"])
+    assert code == 0
+    assert calls == {"rref": 1}
+
+
+def test_full_check_runs_the_socle_and_filtration_oracles(capsys, monkeypatch):
+    calls = _spy(monkeypatch)
+    code, out = run_cli(capsys, ["run", "--group", "D16", "--full-check", "--format", "json"])
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert checks["socle_product_formula"] is True
+    assert checks["filtration_products_oracle"] is True
+    assert calls["socle_product"] == 1 and calls["radical_filtration_by_products"] == 1
+    assert calls["rref"] > 0
 
 
 @pytest.mark.parametrize("bad", [-1, MAX_COUNT + 1])
