@@ -1,12 +1,41 @@
 """Algebra automorphisms of kG and the socle-scalar theorem check.
 
-An automorphism alpha is stored as its matrix over the group basis
-(columns = images of group elements), together with the name of the
-certificate that makes it an automorphism, kept in pair_check.
+An automorphism alpha carries its data, the name of the certificate that
+makes it an automorphism (kept in pair_check), and its matrix over the
+group basis (columns = images of group elements), built on first use.
+The data is the (|G|, M+1) array of the codes of alpha(y_1), ...,
+alpha(y_M), the images of the Jennings lifts in ascending order, and of
+alpha(n), the image of the socle vector
+
+    n = prod_j (y_j - 1)^(p-1) = sum of all g.
+
+The theorem check reads nothing else.  Each constructor holds a
+certificate, passes its name and computes the data from what it holds:
+
+  from_group_automorphism  "group-automorphism": PcGroup.group_automorphism
+                           checked every defining relation on the images
+                           (von Dyck) and that the induced map is bijective;
+                           the data are the permutation at the lifts and the
+                           permuted ones vector
+  inner, inners            "unit-inverse": conjugation by u, whose inverse
+                           unit_inverse checked by u u^-1 = 1; alpha(y) is
+                           u (y u^-1), y u^-1 a gather of u^-1, and alpha(n)
+                           is u (n u^-1), n u^-1 one stacked kG product; the
+                           left factor u is a sum of gathers over supp(u)
+  from_substitution_images, substitutions
+                           "substitution": on C_p^m, images of augmentation
+                           1 satisfy every relation, and an invertible
+                           linear part makes the map bijective; the lifts are
+                           generators, so their images are image rows, and
+                           alpha(n) = prod_j (alpha(y_j) - 1)^(p-1) in
+                           ascending lift order is the proof's own product
+  compose                  "composition": of two automorphisms; the left
+                           factor's matrix applied to the right one's data
 
 A matrix from outside (the constructor called with no certificate) is
-checked in full: alpha must fix 1, give every group element an image of
-augmentation 1, satisfy the generator identities
+checked in full, and its data are its lift columns and its row sums.
+alpha must fix 1, give every group element an image of augmentation 1,
+satisfy the generator identities
 
     M R_(g_i) = R_(alpha(g_i)) M      for every pc generator g_i,
 
@@ -22,29 +51,16 @@ alpha is onto J/J^2; by Nakayama an endomorphism of the local algebra kG
 that is onto J/J^2 is onto J, hence onto kG.  Its certificate is
 "generators".
 
-The constructors of this module already hold a certificate, pass its
-name and run no dense product:
-
-  from_group_automorphism  "group-automorphism": PcGroup.group_automorphism
-                           checked every defining relation on the images
-                           (von Dyck) and that the induced map is bijective
-  inner, inners            "unit-inverse": conjugation by u, whose inverse
-                           unit_inverse checked by u u^-1 = 1
-  from_substitution_images "substitution": on C_p^m, images of augmentation
-                           1 satisfy every relation, and an invertible
-                           linear part makes the map bijective
-  compose                  "composition": of two automorphisms
-
-Substitutions have one construction path: random_substitution and subst:
-specs both pass the (m, |G|) codes of the generator images to
-from_substitution_images.  random_substitution writes them straight into
-the code array: the linear part at the generators, 1 minus its row sums
-at the identity, and each drawn J^2 tail, a J^2 basis row times a unit,
-added to its row.
+A constructor's matrix is built only when check_pairs or compose asks for
+it.  random_substitution and subst: specs pass the (m, |G|) codes of the
+generator images to from_substitution_images, the one-member call of
+substitutions; random_substitutions builds the draws of repeated
+random_substitution calls as one stack.
 
 check_pairs() is the independent oracle, which the pipeline runs on every
-automorphism under --full-check.  It runs the generator identities, the
-spot check and the rank of the whole matrix, then the literal check
+automorphism under --full-check.  It compares the data with the matrix's
+lift columns and row sums, runs the generator identities, the spot check
+and the rank of the whole matrix, then the literal check
 alpha(g)alpha(h) = alpha(gh): over
 every pair when the group has at most 256 elements, over 10*|G| seeded
 sample pairs beyond that (pair_check then reads "full" or "sampled", and
@@ -58,15 +74,15 @@ field.
 
 The check is the same computation for every automorphism, so it runs on
 stacks.  verify_stack takes all automorphisms of a run at once: the socle
-scalars are one stacked row sum, one coordinates() call reads the lift
-images of every member, the filtration and Lie-subspace checks are masks
-over the members, each Jennings layer has one stacked det, and det_total
-and det^(p-1) are elementwise code products.  When members fail, the
-first failing member raises the error it raises alone.  random_inners
-draws its units in the order repeated random_inner calls draw them, then
-inverts and conjugates them as one stack (inners).  verify_theorem,
-socle_scalar, graded_action, inner and random_inner are the one-member
-calls of the same code.
+scalars are read off the alpha(n) columns of the data, one coordinates()
+call reads the lift images of every member, the filtration and
+Lie-subspace checks are masks over the members, each Jennings layer has
+one stacked det, and det_total and det^(p-1) are elementwise code
+products.  When members fail, the first failing member raises the error
+it raises alone.  random_inners draws its units in the order repeated
+random_inner calls draw them, then inverts them and computes their data
+as one stack (inners).  verify_theorem, socle_scalar, graded_action,
+inner and random_inner are the one-member calls of the same code.
 """
 
 from __future__ import annotations
@@ -91,12 +107,14 @@ __all__ = [
     "FiltrationNotPreserved",
     "LieSubspaceViolated",
     "SingularLinearPart",
+    "DataMismatch",
     "verify_theorem",
     "verify_stack",
     "graded_actions",
     "random_inner",
     "random_inners",
     "random_substitution",
+    "random_substitutions",
     "parse_automorphism_specs",
 ]
 
@@ -136,31 +154,48 @@ class SingularLinearPart(ValueError):
     """Substitution images have a non-invertible linear part."""
 
 
-class AlgebraAutomorphism:
-    """An algebra automorphism of kG and the name of its certificate.
+class DataMismatch(ValueError):
+    """A constructor's lift and socle images differ from its matrix."""
 
-    With no certificate the matrix is outside input and gets the full
-    check (identity column, augmentations, generator identities, spot
-    check, degree-1 rank); pair_check then reads "generators".  A caller that
-    already holds a certificate passes its name, which pair_check records,
-    and the matrix is taken as it is.
+
+class AlgebraAutomorphism:
+    """An algebra automorphism of kG: its data, its matrix and the name of
+    its certificate.
+
+    A caller that already holds a certificate passes its name, which
+    pair_check records, the data, and for matrix a function that builds it
+    on first use.  With no certificate the matrix is outside input and gets
+    the full check (identity column, augmentations, generator identities,
+    spot check, degree-1 rank); pair_check then reads "generators".  Data
+    not given are read off the matrix.
     """
 
-    def __init__(self, algebra: GroupAlgebra, matrix: np.ndarray, provenance: str = "matrix",
-                 certificate: str | None = None):
-        matrix = np.asarray(matrix, dtype=np.int64)
-        if matrix.shape != (algebra.dimension, algebra.dimension):
-            raise ValueError("automorphism matrix has the wrong shape")
+    def __init__(self, algebra: GroupAlgebra, matrix, provenance: str = "matrix",
+                 certificate: str | None = None, data: np.ndarray | None = None):
         self.algebra = algebra
-        self.matrix = matrix
         self.provenance = provenance
         self._graded: GradedAction | None = None
+        self._matrix = None
+        if callable(matrix):
+            self._build = matrix
+        else:
+            self._matrix = np.asarray(matrix, dtype=np.int64)
+            if self._matrix.shape != (algebra.dimension, algebra.dimension):
+                raise ValueError("automorphism matrix has the wrong shape")
         if certificate is None:
             self._check_identities()
             if not self._onto_degree_one():
                 raise NotMultiplicative("matrix is not invertible")
             certificate = "generators"
+        self.data = data if data is not None else _data_of(algebra, self.matrix)
         self.pair_check = certificate
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The |G| x |G| matrix over the group basis, built on first use."""
+        if self._matrix is None:
+            self._matrix = self._build()
+        return self._matrix
 
     # -- constructors ------------------------------------------------------------
 
@@ -169,10 +204,18 @@ class AlgebraAutomorphism:
         if gauto.group is not algebra.group:
             raise ValueError("group automorphism belongs to a different group")
         n = algebra.dimension
-        matrix = np.zeros((n, n), dtype=np.int64)
-        matrix[gauto.perm, np.arange(n)] = 1
-        return cls(algebra, matrix, f"group-auto: {gauto.spec_text()}",
-                   certificate="group-automorphism")
+        lifts = algebra.filtration.lift_indices
+        data = np.zeros((n, len(lifts) + 1), dtype=np.int64)
+        data[gauto.perm[lifts], np.arange(len(lifts))] = 1
+        data[gauto.perm, -1] = 1
+
+        def build() -> np.ndarray:
+            matrix = np.zeros((n, n), dtype=np.int64)
+            matrix[gauto.perm, np.arange(n)] = 1
+            return matrix
+
+        return cls(algebra, build, f"group-auto: {gauto.spec_text()}",
+                   certificate="group-automorphism", data=data)
 
     @classmethod
     def inner(cls, algebra: GroupAlgebra, u: AlgebraElement, provenance: str | None = None) -> "AlgebraAutomorphism":
@@ -187,69 +230,84 @@ class AlgebraAutomorphism:
 
         The inverses come from one stacked unit_inverse, which raises
         NotAUnit on augmentation zero and checks u u^-1 = 1 for every
-        member, and the matrices L(u) R(u^-1) from stacked products.
+        member.  The lift images u (y u^-1) and the socle image u (n u^-1)
+        are left products by u, a sum of gathers over its support; the
+        matrices L(u) R(u^-1) are built on first use.
         """
-        matrices = algebra.conjugation_matrices(units, algebra.unit_inverse(units))
-        return [cls(algebra, matrix, provenance, certificate="unit-inverse")
-                for matrix, provenance in zip(matrices, provenances)]
+        units = np.asarray(units, dtype=np.int64)
+        inverses = algebra.unit_inverse(units)
+        group = algebra.group
+        # (y a)[g] = a[y^-1 g]
+        gathers = group.cayley_table[group.inverse_table[algebra.filtration.lift_indices]]
+        right = np.concatenate([inverses.take(gathers, axis=-1),
+                                algebra.multiply_codes(np.ones_like(inverses), inverses)[:, None]], axis=1)
+        data = algebra.left_multiply_sparse(units, right.transpose(0, 2, 1))
+        return [cls(algebra, functools.partial(_conjugation_matrix, algebra, u, uinv), provenance,
+                    certificate="unit-inverse", data=d)
+                for u, uinv, d, provenance in zip(units, inverses, data, provenances)]
 
     @classmethod
     def from_substitution_images(cls, algebra: GroupAlgebra, images: np.ndarray,
                                  provenance: str = "subst") -> "AlgebraAutomorphism":
-        """Extend g_i -> images[i] multiplicatively (elementary abelian G only).
+        """Extend g_i -> images[i], an (m, |G|) code array, multiplicatively
+        (elementary abelian G only); the one-member call of substitutions."""
+        return cls.substitutions(algebra, np.asarray(images)[None], [provenance])[0]
 
-        images is the (m, |G|) array of the images' codes.  In the
-        elementary abelian case kG is the truncated polynomial ring on
-        x_i = g_i - 1, so any images with augmentation 1 satisfy the defining
-        relations automatically; invertibility needs the induced linear part
-        to be invertible.  Both are read off one coordinates() pass over the
-        images: the weight-0 coordinate is the augmentation, and the lift
-        rows, which on C_p^m are all of weight 1, are the linear part.
+    @classmethod
+    def substitutions(cls, algebra: GroupAlgebra, images: np.ndarray,
+                      provenances: list[str]) -> list["AlgebraAutomorphism"]:
+        """from_substitution_images of a (B, m, |G|) stack of image codes.
 
-        The matrix is built in the group's generator blocks
-        (PcGroup.generator_blocks()).  Once the columns of the prefixes x in
-        <g_1, ..., g_(k-1)> are known, alpha(x g_k^e) = alpha(x) a_k^e fills
-        the columns of all x g_k^e, for e = 1 .. p-1, with one product
-        R(a_k^e) * M[:, prefix]: m(p-1) matrix products in all.  The powers
-        a^e of all images are one stacked product per exponent.
+        In the elementary abelian case kG is the truncated polynomial ring
+        on x_i = g_i - 1, so any images with augmentation 1 satisfy the
+        defining relations automatically; invertibility needs the induced
+        linear part to be invertible.  Both are read off one coordinates()
+        pass over the images of all members: the weight-0 coordinate is the
+        augmentation, and the lift rows, which on C_p^m are all of weight
+        1, are the linear part.  The lifts of C_p^m are generators, so
+        their images are rows of images, and alpha(n) is the product
+        prod_j (alpha(y_j) - 1)^(p-1) in ascending lift order, by stacked kG
+        products.
         """
         group = algebra.group
         if not group.is_elementary_abelian():
             raise ValueError("substitution automorphisms need an elementary abelian group")
         images = np.asarray(images, dtype=np.int64)
-        if images.shape != (group.m, algebra.dimension):
-            raise ValueError(f"need {group.m} generator images")
+        m, n = group.m, algebra.dimension
+        if images.shape[1:] != (m, n):
+            raise ValueError(f"need {m} generator images")
+        if not len(images):
+            return []
         ops = algebra.ops
         filt = algebra.filtration
-        coords = filt.coordinates(ops, images.T)
-        for i, augmentation in enumerate(coords[0]):
-            if augmentation != 1:
-                raise ValueError(f"image of g{i + 1} must have augmentation 1")
-        if ops.det(coords[filt.lift_rows]) == 0:
+        coords = filt.coordinates(ops, images.reshape(-1, n).T).reshape(n, len(images), m)
+        bad = np.argwhere(coords[0] != 1)
+        if bad.size:
+            raise ValueError(f"image of g{bad[0, 1] + 1} must have augmentation 1")
+        if not ops.det(coords[filt.lift_rows].transpose(1, 0, 2)).all():
             raise SingularLinearPart("linear part of the substitution is singular")
-
-        powers = [images]
-        for _ in range(group.p - 2):
-            powers.append(algebra.multiply_codes(powers[-1], images))
-        n = algebra.dimension
-        matrix = np.zeros((n, n), dtype=np.int64)
-        matrix[0, 0] = 1
-        for k, (prefix, cols) in enumerate(group.generator_blocks()):
-            for power, block in zip(powers, cols):
-                matrix[:, block] = ops.matmul(algebra.right_mult_matrix(power[k]), matrix[:, prefix])
         # invertible linear part forces an invertible map: the induced action
         # on each J^r/J^(r+1) is a symmetric power of the linear part, and a
         # filtered map with invertible graded pieces is invertible
-        return cls(algebra, matrix, provenance, certificate="substitution")
+
+        lifts = images[:, [algebra.generator_indices.index(y) for y in filt.lift_indices.tolist()]]
+        factors = np.repeat(ops.sub(lifts, algebra.one().codes), group.p - 1, axis=1)
+        top = functools.reduce(algebra.multiply_codes, factors.transpose(1, 0, 2))
+        data = np.concatenate([lifts, top[:, None]], axis=1).transpose(0, 2, 1)
+        return [cls(algebra, functools.partial(_substitution_matrix, algebra, member), provenance,
+                    certificate="substitution", data=d)
+                for member, d, provenance in zip(images, data, provenances)]
 
     def compose(self, other: "AlgebraAutomorphism") -> "AlgebraAutomorphism":
-        """self after other."""
+        """self after other: self's matrix applied to other's data."""
         if other.algebra is not self.algebra:
             raise FieldMismatch("automorphisms act on different algebras")
-        matrix = self.algebra.ops.matmul(self.matrix, other.matrix)
+        ops = self.algebra.ops
+        left = self.matrix
         return AlgebraAutomorphism(
-            self.algebra, matrix, f"compose: {self.provenance} ; {other.provenance}",
-            certificate="composition",
+            self.algebra, lambda: ops.matmul(left, other.matrix),
+            f"compose: {self.provenance} ; {other.provenance}",
+            certificate="composition", data=ops.matmul(left, other.data),
         )
 
     # -- checks ----------------------------------------------------------------------
@@ -296,15 +354,18 @@ class AlgebraAutomorphism:
         return alg.ops.rank(coords[rows]) == len(rows)
 
     def check_pairs(self) -> None:
-        """Oracle: generator identities, spot check and rank, then alpha(g)alpha(h) = alpha(gh).
+        """Oracle: data, generator identities, spot check and rank, then alpha(g)alpha(h) = alpha(gh).
 
-        The literal check runs on group elements.  Every pair is tried when |G| <= FULL_PAIR_CHECK_LIMIT, an O(|G|^4)
+        The data must equal the matrix's lift columns and row sums, or
+        DataMismatch is raised.  The literal check runs on group elements.  Every pair is tried when |G| <= FULL_PAIR_CHECK_LIMIT, an O(|G|^4)
         product; beyond that, 10*|G| seeded sample pairs are tried and the
         provenance is flagged.  Sets pair_check to "full" or "sampled";
         raises NotMultiplicative on a failing identity, rank or pair.
         """
         if self.pair_check in ("full", "sampled"):
             return
+        if not np.array_equal(self.data, _data_of(self.algebra, self.matrix)):
+            raise DataMismatch("lift or socle images differ from the matrix's lift columns and row sums")
         self._check_identities()
         alg = self.algebra
         ops = alg.ops
@@ -339,7 +400,7 @@ class AlgebraAutomorphism:
 
     def socle_scalar(self) -> FieldElement:
         """lambda with alpha(sum of all g) = lambda * (sum of all g)."""
-        lams, bad = _socle_stack(self.algebra, [self.matrix])
+        lams, bad = _socle_codes(self.data[None])
         if bad[0]:
             raise SocleNotPreserved(SOCLE_MESSAGE)
         return self.algebra.field.element_from_code(int(lams[0]))
@@ -397,17 +458,17 @@ def verify_theorem(auto: AlgebraAutomorphism) -> VerificationReport:
 def verify_stack(autos: list[AlgebraAutomorphism]) -> list[VerificationReport]:
     """verify_theorem for automorphisms of one algebra, as one stack.
 
-    The socle scalars come from one stacked row sum, the graded actions
-    from _graded_stack, det_total and det^(p-1) from elementwise code
-    products.  When members fail, the first of them raises the error it
-    raises alone.
+    Reads only the members' data: the socle scalars from the alpha(n)
+    columns, the graded actions from _graded_stack, det_total and
+    det^(p-1) from elementwise code products.  When members fail, the
+    first of them raises the error it raises alone.
     """
     if not autos:
         return []
     alg = _one_algebra(autos)
-    matrices = [auto.matrix for auto in autos]
-    lams, bad = _socle_stack(alg, matrices)
-    layers, failures = _graded_stack(alg, matrices)
+    data = np.stack([auto.data for auto in autos])
+    lams, bad = _socle_codes(data)
+    layers, failures = _graded_stack(alg, data)
     _raise_first([(bad, SocleNotPreserved(SOCLE_MESSAGE))] + failures)
     actions, totals = _keep_actions(autos, layers)
     powers = _code_powers(alg.ops, totals, alg.field.p - 1)
@@ -434,7 +495,7 @@ def graded_actions(autos: list[AlgebraAutomorphism]) -> list[GradedAction]:
     if not autos:
         return []
     alg = _one_algebra(autos)
-    layers, failures = _graded_stack(alg, [auto.matrix for auto in autos])
+    layers, failures = _graded_stack(alg, np.stack([auto.data for auto in autos]))
     _raise_first(failures)
     return _keep_actions(autos, layers)[0]
 
@@ -446,22 +507,50 @@ def _one_algebra(autos: list[AlgebraAutomorphism]) -> GroupAlgebra:
     return alg
 
 
-def _socle_stack(alg: GroupAlgebra, matrices: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """(lambda codes, failed) of B automorphism matrices: v = alpha(sum of all g)
-    is a stacked row sum, taken in member chunks, lambda its first entry,
-    and a member fails unless v = lambda * (sum of all g) with lambda != 0."""
-    n = alg.dimension
-    ones = np.ones((n, 1), dtype=np.int64)
-    v = np.zeros((len(matrices), n), dtype=np.int64)
-    for part in alg.member_chunks(len(matrices)):
-        stack = np.stack(matrices[part])
-        v[part] = alg.ops.matmul_stack(stack, np.broadcast_to(ones, (len(stack), n, 1)))[..., 0]
+def _socle_codes(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lambda codes, failed) of a (B, |G|, M+1) data stack: v = alpha(sum of
+    all g) is the last column, lambda its first entry, and a member fails
+    unless v = lambda * (sum of all g) with lambda != 0."""
+    v = data[:, :, -1]
     lams = v[:, 0]
     return lams, (lams == 0) | (v != lams[:, None]).any(axis=1)
 
 
-def _graded_stack(alg: GroupAlgebra, matrices: list[np.ndarray]) -> tuple[list, list]:
-    """(layers, failures) of the graded actions of B automorphism matrices.
+def _data_of(alg: GroupAlgebra, matrix: np.ndarray) -> np.ndarray:
+    """The data of a matrix: its lift columns, then its row sums, alpha(sum of all g)."""
+    return np.concatenate([matrix[:, alg.filtration.lift_indices],
+                           column_sums(alg.ops, matrix.T)[:, None]], axis=1)
+
+
+def _conjugation_matrix(alg: GroupAlgebra, unit: np.ndarray, inverse: np.ndarray) -> np.ndarray:
+    """L(u) R(u^-1), the matrix of x -> u x u^-1."""
+    return alg.conjugation_matrices(unit[None], inverse[None])[0]
+
+
+def _substitution_matrix(alg: GroupAlgebra, images: np.ndarray) -> np.ndarray:
+    """The matrix of g_i -> images[i], built in the group's generator blocks.
+
+    Once the columns of the prefixes x in <g_1, ..., g_(k-1)> are known
+    (PcGroup.generator_blocks()), alpha(x g_k^e) = alpha(x) a_k^e fills the
+    columns of all x g_k^e, for e = 1 .. p-1, with one product
+    R(a_k^e) * M[:, prefix]: m(p-1) matrix products in all.  The powers
+    a^e of all images are one stacked product per exponent.
+    """
+    group = alg.group
+    powers = [images]
+    for _ in range(group.p - 2):
+        powers.append(alg.multiply_codes(powers[-1], images))
+    n = alg.dimension
+    matrix = np.zeros((n, n), dtype=np.int64)
+    matrix[0, 0] = 1
+    for k, (prefix, cols) in enumerate(group.generator_blocks()):
+        for power, block in zip(powers, cols):
+            matrix[:, block] = alg.ops.matmul(alg.right_mult_matrix(power[k]), matrix[:, prefix])
+    return matrix
+
+
+def _graded_stack(alg: GroupAlgebra, data: np.ndarray) -> tuple[list, list]:
+    """(layers, failures) of the graded actions of a (B, |G|, M+1) data stack.
 
     The images alpha(y) - 1 of all lifts of all members are read off on the
     Jennings monomials by one coordinates() call.  Block column j in degree
@@ -475,8 +564,7 @@ def _graded_stack(alg: GroupAlgebra, matrices: list[np.ndarray]) -> tuple[list, 
     ops = alg.ops
     basis = build_jennings_basis(alg.group)
     filt = basis.filtration
-    cols = [alg.group.index_of(y) for y in basis.lift_elements]
-    lifts = np.stack([matrix[:, cols] for matrix in matrices])
+    lifts = data[:, :, :-1].copy()
     lifts[:, 0] = ops.sub(lifts[:, 0], 1)  # alpha(y) - 1
     size, n, width = lifts.shape
     coords = filt.coordinates(ops, lifts.transpose(1, 0, 2).reshape(n, size * width))
@@ -587,6 +675,21 @@ def random_substitution(algebra: GroupAlgebra, rng: random.Random) -> AlgebraAut
     generator, with probability 1/2 a tail c * row, for a row of the J^2
     basis and a unit c.  The images are summed on their codes.
     """
+    return AlgebraAutomorphism.from_substitution_images(
+        algebra, _substitution_draw(algebra, rng), "random-subst")
+
+
+def random_substitutions(algebra: GroupAlgebra, rng: random.Random,
+                         count: int) -> list[AlgebraAutomorphism]:
+    """count random_substitution draws, in the order they draw one by one, built as one stack."""
+    images = [_substitution_draw(algebra, rng) for _ in range(count)]
+    if not images:
+        return []
+    return AlgebraAutomorphism.substitutions(algebra, np.stack(images), ["random-subst"] * count)
+
+
+def _substitution_draw(algebra: GroupAlgebra, rng: random.Random) -> np.ndarray:
+    """The (m, |G|) image codes of one random_substitution draw."""
     group = algebra.group
     if not group.is_elementary_abelian():
         raise ValueError("substitution automorphisms need an elementary abelian group")
@@ -605,7 +708,7 @@ def random_substitution(algebra: GroupAlgebra, rng: random.Random) -> AlgebraAut
         if j2.shape[0] and rng.random() < 0.5:
             row = j2[rng.randrange(j2.shape[0])]
             images[i] = ops.add(images[i], ops.mul(row, rng.randrange(1, q)))
-    return AlgebraAutomorphism.from_substitution_images(algebra, images, "random-subst")
+    return images
 
 
 # ---------------------------------------------------------------------------
@@ -662,7 +765,7 @@ def parse_automorphism_specs(
         rng = random.Random(seed)
         if kind.startswith("random-inner"):
             return random_inners(algebra, rng, count)
-        return [random_substitution(algebra, rng) for _ in range(count)]
+        return random_substitutions(algebra, rng, count)
     raise ValueError(f"unknown automorphism spec kind {head.strip()!r}")
 
 

@@ -95,9 +95,11 @@ class RadicalFiltration:
         top[0] = 1
         words = np.zeros(1, dtype=np.int64)
         weights = np.zeros(1, dtype=np.int64)
+        lift_indices = []
         for r, layer in enumerate(self.lifts, start=1):
             for y in layer:
                 yi = group.index_of(y)
+                lift_indices.append(yi)
                 # (x y)[k] = x[k y^-1], so x (y - 1) is a gather minus x
                 right = t[:, int(inv[yi])]
                 word_blocks, block_weights = [words], [weights]
@@ -112,8 +114,9 @@ class RadicalFiltration:
         self.words = words
         self.weights = weights
         self.top_monomial = top
-        # row of the monomial y_j - 1, for the j-th lift
-        self.lift_rows = p ** np.arange(sum(len(layer) for layer in self.lifts))
+        # group index of the j-th lift y_j, and row of its monomial y_j - 1
+        self.lift_indices = np.array(lift_indices, dtype=np.int64)
+        self.lift_rows = p ** np.arange(len(lift_indices))
         # binomial[f, e] = C(f, e) mod p: y^f = sum_e C(f, e) (y - 1)^e
         self._binomial = np.array(
             [[math.comb(f, e) % p for e in range(p)] for f in range(p)], dtype=np.int64
@@ -144,11 +147,22 @@ class RadicalFiltration:
             x = np.tensordot(self._binomial, x, axes=([0], [m - 1])) % p
         return ops.encode(x.reshape((len(self.words),) + rest))
 
+    def coordinate_rows(self, r: int) -> np.ndarray:
+        """The weight < r rows of the coordinates of the group basis.
+
+        Entry (e, words[f]) is the coordinate of y_1^(f_1) ... y_M^(f_M) at
+        the monomial of exponent vector e, prod_j C(f_j, e_j) mod p.
+        """
+        exponents = (np.arange(len(self.words))[:, None] // self.lift_rows) % self.group.p
+        low = exponents[self.weights < r]
+        # the product has at most M factors below p, so it stays below |G|
+        values = self._binomial[exponents[None], low[:, None]].prod(axis=-1) % self.group.p
+        return values[:, np.argsort(self.words)]
+
     def basis(self, r: int) -> tuple[np.ndarray, list[int]]:
         """(RREF basis, pivots) of J^r, the kernel of the coordinates of weight < r."""
         if r not in self._bases:
-            ops = self.ops
-            kernel = ops.nullspace(self.coordinates(ops, ops.eye(self.group.order))[self.weights < r])
+            kernel = self.ops.nullspace(self.coordinate_rows(r))
             self._bases[r] = kernel, (kernel != 0).argmax(axis=1).tolist()
         return self._bases[r]
 
@@ -436,6 +450,21 @@ class GroupAlgebra:
             return self.ops.matmul_stack(self.left_mult_matrix(a)[None], b[None, :, None])[0, :, 0]
         return self._by_member_chunks(len(a), a.shape[1:], lambda part: self.ops.matmul_stack(
             self.left_mult_matrix(a[part]), b[part, :, None])[..., 0])
+
+    def left_multiply_sparse(self, units: np.ndarray, columns: np.ndarray) -> np.ndarray:
+        """u*x for every column x of a (B, |G|, k) stack, u the member's row
+        of a (B, |G|) stack of codes: (u x)[g] = sum_h u[h] x[h^-1 g], one
+        gather per support element h.  Supports are padded to the largest
+        with coefficient 0, so this pays off when the u are sparse."""
+        width = int((units != 0).sum(axis=1).max(initial=0))
+        support = np.argsort(units == 0, axis=1, kind="stable")[:, :width]
+        coeffs = np.take_along_axis(units, support, axis=1)
+        members = np.arange(len(units))[:, None]
+        out = np.zeros(columns.shape, dtype=np.int64)
+        for s in range(width):
+            gathered = columns[members, self._hkinv[:, support[:, s]].T]
+            out = self.ops.add(out, self.ops.mul(coeffs[:, s, None, None], gathered))
+        return out
 
     def conjugation_matrices(self, units: np.ndarray, inverses: np.ndarray) -> np.ndarray:
         """Matrices L(u) R(u^-1) of x -> u x u^-1, for (B, |G|) stacks of units

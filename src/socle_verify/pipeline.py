@@ -29,7 +29,7 @@ from .automorphisms import (
     check_count,
     parse_automorphism_specs,
     random_inners,
-    random_substitution,
+    random_substitutions,
     verify_stack,
 )
 from .ffield import GF, FieldMismatch, FieldSpec, format_modulus
@@ -246,7 +246,11 @@ def run(algebra: GroupAlgebra, autos: list[AlgebraAutomorphism], full_check: boo
 
     checks: dict[str, bool] = {}
     try:
-        basis.jq_dimension_check()
+        # holds by construction: gr_dims counts the weights of the lift
+        # monomials, and the PBW coefficients come from the same lift degrees;
+        # the products oracle below checks the dimensions independently
+        if full_check:
+            basis.jq_dimension_check()
         checks["graded_dimensions"] = True
         socle = algebra.socle_vector()
         checks["socle_certificate"] = True
@@ -263,6 +267,10 @@ def run(algebra: GroupAlgebra, autos: list[AlgebraAutomorphism], full_check: boo
             checks["filtration_products_oracle"] = algebra.filtration.matches(
                 radical_filtration_by_products(group)[0]
             )
+            if not checks["filtration_products_oracle"]:
+                raise RunStageError("filtration", ValueError(
+                    "filtration_products_oracle: the weight >= r monomials do not span "
+                    "the products J^r"))
             checks["socle_nullspace_oracle"] = algebra.socle_vector_by_nullspace() == socle
             # every RadicalFiltration build checks that the lift words
             # y_1^(e_1) ... y_M^(e_M) enumerate G, or raises FiltrationError
@@ -340,7 +348,7 @@ def sweep_automorphisms(
         autos.append(a.compose(b))
     if group.is_elementary_abelian() and subst_count:
         rng_subst = random.Random(derive_seed(seed, name, deg, "subst"))
-        autos.extend(random_substitution(algebra, rng_subst) for _ in range(subst_count))
+        autos.extend(random_substitutions(algebra, rng_subst, subst_count))
     return autos
 
 

@@ -11,6 +11,11 @@ the FieldOps kernels as they were before decode became a table gather and
 matmul one BLAS product.  The report by members and the random inner draw
 by elements are the verification and the inner automorphism as they were
 built for one automorphism at a time, before runs were verified as stacks.
+The data by matrix are an automorphism's lift images and socle image read
+off its dense matrix, as verification read them before each constructor
+computed them on its own.  The coordinate rows by identity are the
+low-weight coordinates of the group basis as basis(r) formed them before
+it built only those rows.
 The substitution images by elements are random_substitution as it was
 before it summed the images on their codes.  The top-monomial scalar by
 grid products is TruncatedPolynomialRing.top_monomial_scalar as it was
@@ -233,6 +238,16 @@ def filtration_by_monomial_echelon(group, ops=None, lifts=None):
     return bases[::-1], pivots[::-1]
 
 
+def coordinate_rows_by_identity(filt, r):
+    """The weight < r rows of the coordinates of the group basis, read off
+    coordinates() of the |G| x |G| identity.
+
+    The oracle for RadicalFiltration.coordinate_rows, and for basis(r) as
+    it was before it formed only those rows.
+    """
+    return filt.coordinates(filt.ops, filt.ops.eye(filt.group.order))[filt.weights < r]
+
+
 def products_oracle_with_complements(group, ops=None):
     """(bases, pivots, complements, comp_pivots) of the filtration, by brute force.
 
@@ -370,6 +385,22 @@ def report_by_members(auto):
         lambda_in_power_subgroup=lam.is_pm1_power(),
         lambda_is_one=lam.is_one(),
     ).as_dict()
+
+
+def data_by_matrix(auto):
+    """(|G|, M+1) codes of alpha(y_1), ..., alpha(y_M), alpha(sum of all g),
+    read off the dense matrix.
+
+    The oracle for AlgebraAutomorphism.data: the columns of the Jennings
+    lifts, found by index_of, and one matrix-vector product with the
+    all-ones vector.
+    """
+    from socle_verify.jennings import build_jennings_basis
+
+    alg = auto.algebra
+    cols = [alg.group.index_of(y) for y in build_jennings_basis(alg.group).lift_elements]
+    socle = alg.ops.matvec(auto.matrix, alg.sum_of_group_elements().codes)
+    return np.column_stack([auto.matrix[:, cols], socle])
 
 
 def random_inner_by_elements(algebra, rng, terms=3):

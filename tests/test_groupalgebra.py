@@ -197,10 +197,10 @@ def test_swapped_c4_lifts_pass_the_build_and_fail_the_products_oracle(monkeypatc
     assert filt.dims == [4, 3, 2, 1, 0]
     assert np.all(filt.top_monomial == 1)
     assert filt.matches(radical_filtration_by_products(c4)[0]) is False
-    # so a default run passes, and --full-check stops at its oracles
+    # so a default run passes, and --full-check stops at the products oracle
     alg = GroupAlgebra(c4, GF(2))
     assert run(alg, []).verdict
-    with pytest.raises(RunStageError, match="structure"):
+    with pytest.raises(RunStageError, match=r"\[filtration\] .*filtration_products_oracle"):
         run(alg, [], full_check=True)
 
 
