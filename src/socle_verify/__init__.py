@@ -31,15 +31,14 @@ from .groupalgebra import (
 from .jennings import JenningsBasis, DimensionMismatch, build_jennings_basis
 from .automorphisms import (
     AlgebraAutomorphism,
-    GradedAction,
     VerificationReport,
     NotMultiplicative,
     SocleNotPreserved,
     FiltrationNotPreserved,
     LieSubspaceViolated,
     SingularLinearPart,
-    verify_theorem,
+    verify_stack,
 )
-from .truncsym import TruncatedPolynomialRing, SingularMatrix
+from .truncsym import TruncatedPolynomialRing
 
 __version__ = "0.1.0"

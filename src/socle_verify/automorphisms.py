@@ -17,13 +17,12 @@ certificate, passes its name and computes the data from what it holds:
                            (von Dyck) and that the induced map is bijective;
                            the data are the permutation at the lifts and the
                            permuted ones vector
-  inner, inners            "unit-inverse": conjugation by u, whose inverse
+  inners                   "unit-inverse": conjugation by u, whose inverse
                            unit_inverse checked by u u^-1 = 1; alpha(y) is
                            u (y u^-1), y u^-1 a gather of u^-1, and alpha(n)
                            is u (n u^-1), n u^-1 one stacked kG product; the
                            left factor u is a sum of gathers over supp(u)
-  from_substitution_images, substitutions
-                           "substitution": on C_p^m, images of augmentation
+  substitutions            "substitution": on C_p^m, images of augmentation
                            1 satisfy every relation, and an invertible
                            linear part makes the map bijective; the lifts are
                            generators, so their images are image rows, and
@@ -52,10 +51,10 @@ that is onto J/J^2 is onto J, hence onto kG.  Its certificate is
 "generators".
 
 A constructor's matrix is built only when check_pairs or compose asks for
-it.  random_substitution and subst: specs pass the (m, |G|) codes of the
-generator images to from_substitution_images, the one-member call of
-substitutions; random_substitutions builds the draws of repeated
-random_substitution calls as one stack.
+it.  inners and substitutions take stacks: (B, |G|) unit codes and
+(B, m, |G|) generator image codes.  An inner: or subst: spec is a
+one-member stack; random_inners and random_substitutions draw their
+members one after another from one rng and build them as one stack.
 
 check_pairs() is the independent oracle, which the pipeline runs on every
 automorphism under --full-check.  It compares the data with the matrix's
@@ -73,34 +72,30 @@ particular lambda is a (p-1)-st power in k* and equals 1 over the prime
 field.
 
 The check is the same computation for every automorphism, so it runs on
-stacks.  verify_stack takes all automorphisms of a run at once: the socle
-scalars are read off the alpha(n) columns of the data, one coordinates()
-call reads the lift images of every member, the filtration and
-Lie-subspace checks are masks over the members, each Jennings layer has
-one stacked det, and det_total and det^(p-1) are elementwise code
-products.  When members fail, the first failing member raises the error
-it raises alone.  random_inners draws its units in the order repeated
-random_inner calls draw them, then inverts them and computes their data
-as one stack (inners).  verify_theorem, socle_scalar, graded_action,
-inner and random_inner are the one-member calls of the same code.
+stacks, and verify_stack is the only verifier: it takes all automorphisms
+of a run at once.  The socle scalars are read off the alpha(n) columns of
+the data, one coordinates() call reads the lift images of every member,
+the filtration and Lie-subspace checks are masks over the members, each
+Jennings layer has one stacked det, and det_total and det^(p-1) are
+elementwise code products.  When members fail, the first failing member
+raises the error it raises alone.
 """
 
 from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .ffield import FieldElement, FieldMismatch
-from .groupalgebra import AlgebraElement, GroupAlgebra, NotAUnit, column_sums
+from .groupalgebra import AlgebraElement, GroupAlgebra, column_sums
 from .jennings import build_jennings_basis
 from .pgroup import GroupAutomorphism
 
 __all__ = [
     "AlgebraAutomorphism",
-    "GradedAction",
     "VerificationReport",
     "NotMultiplicative",
     "SocleNotPreserved",
@@ -108,12 +103,8 @@ __all__ = [
     "LieSubspaceViolated",
     "SingularLinearPart",
     "DataMismatch",
-    "verify_theorem",
     "verify_stack",
-    "graded_actions",
-    "random_inner",
     "random_inners",
-    "random_substitution",
     "random_substitutions",
     "parse_automorphism_specs",
 ]
@@ -174,7 +165,6 @@ class AlgebraAutomorphism:
                  certificate: str | None = None, data: np.ndarray | None = None):
         self.algebra = algebra
         self.provenance = provenance
-        self._graded: GradedAction | None = None
         self._matrix = None
         if callable(matrix):
             self._build = matrix
@@ -218,12 +208,6 @@ class AlgebraAutomorphism:
                    certificate="group-automorphism", data=data)
 
     @classmethod
-    def inner(cls, algebra: GroupAlgebra, u: AlgebraElement, provenance: str | None = None) -> "AlgebraAutomorphism":
-        if u.algebra is not algebra:
-            raise FieldMismatch("unit belongs to a different algebra")
-        return cls.inners(algebra, u.codes[None], [provenance or f"inner: {u}"])[0]
-
-    @classmethod
     def inners(cls, algebra: GroupAlgebra, units: np.ndarray,
                provenances: list[str]) -> list["AlgebraAutomorphism"]:
         """Conjugations by the members of a (B, |G|) stack of unit codes.
@@ -247,16 +231,10 @@ class AlgebraAutomorphism:
                 for u, uinv, d, provenance in zip(units, inverses, data, provenances)]
 
     @classmethod
-    def from_substitution_images(cls, algebra: GroupAlgebra, images: np.ndarray,
-                                 provenance: str = "subst") -> "AlgebraAutomorphism":
-        """Extend g_i -> images[i], an (m, |G|) code array, multiplicatively
-        (elementary abelian G only); the one-member call of substitutions."""
-        return cls.substitutions(algebra, np.asarray(images)[None], [provenance])[0]
-
-    @classmethod
     def substitutions(cls, algebra: GroupAlgebra, images: np.ndarray,
                       provenances: list[str]) -> list["AlgebraAutomorphism"]:
-        """from_substitution_images of a (B, m, |G|) stack of image codes.
+        """Extend g_i -> images[b, i] multiplicatively, for every member b of
+        a (B, m, |G|) stack of image codes (elementary abelian G only).
 
         In the elementary abelian case kG is the truncated polynomial ring
         on x_i = g_i - 1, so any images with augmentation 1 satisfy the
@@ -396,37 +374,15 @@ class AlgebraAutomorphism:
         self.pair_check = "sampled"
         self.provenance += " [sampled multiplicativity]"
 
-    # -- actions --------------------------------------------------------------------------
-
-    def socle_scalar(self) -> FieldElement:
-        """lambda with alpha(sum of all g) = lambda * (sum of all g)."""
-        lams, bad = _socle_codes(self.data[None])
-        if bad[0]:
-            raise SocleNotPreserved(SOCLE_MESSAGE)
-        return self.algebra.field.element_from_code(int(lams[0]))
-
-    def graded_action(self) -> "GradedAction":
-        """Blocks of the induced maps on F_r/F_(r+1) tensored up to k."""
-        if self._graded is None:
-            graded_actions([self])
-        return self._graded
-
     def __repr__(self) -> str:
         return f"AlgebraAutomorphism({self.provenance})"
-
-
-@dataclass(frozen=True)
-class GradedAction:
-    blocks: tuple[tuple[int, np.ndarray], ...]
-    block_dets: tuple[FieldElement, ...]
-    det_total: FieldElement
 
 
 @dataclass(frozen=True)
 class VerificationReport:
     provenance: str
     socle_scalar: FieldElement
-    block_degrees: tuple[int, ...]
+    blocks: tuple[tuple[int, np.ndarray], ...] = field(compare=False)
     block_dets: tuple[FieldElement, ...]
     det_total: FieldElement
     det_power: FieldElement
@@ -440,7 +396,7 @@ class VerificationReport:
             "lambda": str(self.socle_scalar),
             "det_blocks": [
                 {"r": int(r), "det": str(d)}
-                for r, d in zip(self.block_degrees, self.block_dets)
+                for (r, _), d in zip(self.blocks, self.block_dets)
             ],
             "det_total": str(self.det_total),
             "det_pow": str(self.det_power),
@@ -450,61 +406,45 @@ class VerificationReport:
         }
 
 
-def verify_theorem(auto: AlgebraAutomorphism) -> VerificationReport:
-    """Check alpha(socle) = det(A)^(p-1) * socle and the scalar's constraints."""
-    return verify_stack([auto])[0]
-
-
 def verify_stack(autos: list[AlgebraAutomorphism]) -> list[VerificationReport]:
-    """verify_theorem for automorphisms of one algebra, as one stack.
+    """Check alpha(socle) = det(A)^(p-1) * socle and the scalar's
+    constraints, for automorphisms of one algebra, as one stack.
 
     Reads only the members' data: the socle scalars from the alpha(n)
-    columns, the graded actions from _graded_stack, det_total and
-    det^(p-1) from elementwise code products.  When members fail, the
-    first of them raises the error it raises alone.
+    columns, the graded blocks (r, block) and their determinants from
+    _graded_stack, det_total and det^(p-1) from elementwise code products.
+    When members fail, the first of them raises the error it raises alone.
     """
     if not autos:
         return []
-    alg = _one_algebra(autos)
+    alg = autos[0].algebra
+    if any(auto.algebra is not alg for auto in autos):
+        raise FieldMismatch("automorphisms act on different algebras")
+    ops = alg.ops
     data = np.stack([auto.data for auto in autos])
     lams, bad = _socle_codes(data)
     layers, failures = _graded_stack(alg, data)
     _raise_first([(bad, SocleNotPreserved(SOCLE_MESSAGE))] + failures)
-    actions, totals = _keep_actions(autos, layers)
-    powers = _code_powers(alg.ops, totals, alg.field.p - 1)
+    dets = np.array([d for _, _, d in layers], dtype=np.int64).reshape(len(layers), len(autos))
+    totals = functools.reduce(ops.mul, dets, np.ones(len(autos), dtype=np.int64))
+    powers = _code_powers(ops, totals, alg.field.p - 1)
     element = functools.cache(alg.field.element_from_code)
     in_subgroup = functools.cache(lambda code: element(code).is_pm1_power())
     return [
         VerificationReport(
             provenance=auto.provenance,
             socle_scalar=element(lam),
-            block_degrees=tuple(r for r, _, _ in layers),
-            block_dets=action.block_dets,
-            det_total=action.det_total,
+            blocks=tuple((r, blocks[b]) for r, blocks, _ in layers),
+            block_dets=tuple(map(element, member_dets)),
+            det_total=element(total),
             det_power=element(power),
             equation_holds=lam == power,
             lambda_in_power_subgroup=in_subgroup(lam),
             lambda_is_one=lam == 1,
         )
-        for auto, action, lam, power in zip(autos, actions, lams.tolist(), powers.tolist())
+        for b, (auto, lam, member_dets, total, power) in enumerate(
+            zip(autos, lams.tolist(), dets.T.tolist(), totals.tolist(), powers.tolist()))
     ]
-
-
-def graded_actions(autos: list[AlgebraAutomorphism]) -> list[GradedAction]:
-    """graded_action() of automorphisms of one algebra, as one stack."""
-    if not autos:
-        return []
-    alg = _one_algebra(autos)
-    layers, failures = _graded_stack(alg, np.stack([auto.data for auto in autos]))
-    _raise_first(failures)
-    return _keep_actions(autos, layers)[0]
-
-
-def _one_algebra(autos: list[AlgebraAutomorphism]) -> GroupAlgebra:
-    alg = autos[0].algebra
-    if any(auto.algebra is not alg for auto in autos):
-        raise FieldMismatch("automorphisms act on different algebras")
-    return alg
 
 
 def _socle_codes(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -606,25 +546,6 @@ def _raise_first(failures: list[tuple[np.ndarray, Exception]]) -> None:
         raise failures[min(failed)[1]][1]
 
 
-def _keep_actions(autos: list[AlgebraAutomorphism], layers: list) -> tuple[list[GradedAction], np.ndarray]:
-    """GradedAction of every member from _graded_stack's layers, kept on its
-    automorphism, and the (B,) codes of the det_totals."""
-    alg = autos[0].algebra
-    ops = alg.ops
-    element = functools.cache(alg.field.element_from_code)
-    totals = np.ones(len(autos), dtype=np.int64)
-    for _, _, dets in layers:
-        totals = ops.mul(totals, dets)
-    dets = np.array([d for _, _, d in layers], dtype=np.int64).reshape(len(layers), len(autos))
-    for b, (auto, total) in enumerate(zip(autos, totals.tolist())):
-        auto._graded = GradedAction(
-            tuple((r, blocks[b]) for r, blocks, _ in layers),
-            tuple(element(d) for d in dets[:, b].tolist()),
-            element(total),
-        )
-    return [auto._graded for auto in autos], totals
-
-
 def _code_powers(ops, codes: np.ndarray, exponent: int) -> np.ndarray:
     """codes^exponent elementwise, exponent >= 1, by repeated squaring."""
     result = None
@@ -640,17 +561,15 @@ def _code_powers(ops, codes: np.ndarray, exponent: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # seeded random sources
 
-def random_inner(algebra: GroupAlgebra, rng: random.Random, terms: int = 3) -> AlgebraAutomorphism:
-    """Conjugation by 1 + (random sparse combination of (g - 1) terms)."""
-    return random_inners(algebra, rng, 1, terms)[0]
-
-
 def random_inners(algebra: GroupAlgebra, rng: random.Random, count: int,
                   terms: int = 3) -> list[AlgebraAutomorphism]:
-    """count random_inner draws, in the order they draw one by one, built as one stack.
+    """Conjugations by count random units 1 + (sparse combination of terms
+    (g - 1)), built as one stack.
 
-    Unit u = 1 + sum_k c_k (g_k - 1) is summed on its coefficients at 1 and
-    at the drawn g_k, every member at once.
+    Each member draws (g_k, c_k) for k = 1 .. terms, g_k != 1 and c_k a
+    unit, after the member before it.  Unit u = 1 + sum_k c_k (g_k - 1) is
+    summed on its coefficients at 1 and at the drawn g_k, every member at
+    once.
     """
     n = algebra.dimension
     q = algebra.field.q
@@ -668,20 +587,16 @@ def random_inners(algebra: GroupAlgebra, rng: random.Random, count: int,
     return AlgebraAutomorphism.inners(algebra, units, provenances)
 
 
-def random_substitution(algebra: GroupAlgebra, rng: random.Random) -> AlgebraAutomorphism:
-    """g_i -> 1 + sum_j linear[i, j] (g_j - 1) + tail_i on C_p^m.
+def random_substitutions(algebra: GroupAlgebra, rng: random.Random,
+                         count: int) -> list[AlgebraAutomorphism]:
+    """count random substitutions on C_p^m, drawn one after another and
+    built as one stack.
 
-    The linear part is drawn in GL_m(k) by rejection; then, generator by
+    Each member maps g_i -> 1 + sum_j linear[i, j] (g_j - 1) + tail_i.  The
+    linear part is drawn in GL_m(k) by rejection; then, generator by
     generator, with probability 1/2 a tail c * row, for a row of the J^2
     basis and a unit c.  The images are summed on their codes.
     """
-    return AlgebraAutomorphism.from_substitution_images(
-        algebra, _substitution_draw(algebra, rng), "random-subst")
-
-
-def random_substitutions(algebra: GroupAlgebra, rng: random.Random,
-                         count: int) -> list[AlgebraAutomorphism]:
-    """count random_substitution draws, in the order they draw one by one, built as one stack."""
     images = [_substitution_draw(algebra, rng) for _ in range(count)]
     if not images:
         return []
@@ -689,7 +604,7 @@ def random_substitutions(algebra: GroupAlgebra, rng: random.Random,
 
 
 def _substitution_draw(algebra: GroupAlgebra, rng: random.Random) -> np.ndarray:
-    """The (m, |G|) image codes of one random_substitution draw."""
+    """The (m, |G|) image codes of one random_substitutions member."""
     group = algebra.group
     if not group.is_elementary_abelian():
         raise ValueError("substitution automorphisms need an elementary abelian group")
@@ -732,15 +647,15 @@ def parse_automorphism_specs(
     s = text.strip()
     if not s:
         raise ValueError("empty automorphism spec")
-    head, _, rest = s.partition(":")
+    head, colon, rest = s.partition(":")
     kind = head.strip().lower()
     if kind == "group-auto":
         return [_parse_group_auto(algebra, rest)]
     if kind == "inner":
         u = algebra.parse(rest.strip())
-        return [AlgebraAutomorphism.inner(algebra, u, provenance=f"inner: {u}")]
+        return AlgebraAutomorphism.inners(algebra, u.codes[None], [f"inner: {u}"])
     if kind == "subst":
-        return [_parse_subst(algebra, rest)]
+        return _parse_subst(algebra, rest)
     if kind == "compose":
         parts = [p.strip() for p in rest.split(";")]
         if len(parts) < 2:
@@ -755,64 +670,69 @@ def parse_automorphism_specs(
         for nxt in autos[1:]:
             acc = acc.compose(nxt)
         return [acc]
-    if kind.startswith("random-inner") or kind.startswith("random-subst"):
-        opts = dict(tok.split("=", 1) for tok in kind.split()[1:])
-        unknown = set(opts) - {"seed", "count"}
-        if unknown:
-            raise ValueError(f"unknown options {sorted(unknown)} in {text!r}")
-        seed = int(opts["seed"]) if "seed" in opts else default_seed
-        count = check_count(int(opts.get("count", "1")), "count")
-        rng = random.Random(seed)
-        if kind.startswith("random-inner"):
+    words = kind.split() or [""]
+    if not colon and words[0] in ("random-inner", "random-subst"):
+        opts = _random_options(words[1:])
+        rng = random.Random(opts.get("seed", default_seed))
+        count = check_count(opts.get("count", 1), "count")
+        if words[0] == "random-inner":
             return random_inners(algebra, rng, count)
         return random_substitutions(algebra, rng, count)
-    raise ValueError(f"unknown automorphism spec kind {head.strip()!r}")
+    raise ValueError(f"unknown automorphism spec kind {words[0]!r} in {s!r}")
+
+
+def _random_options(tokens: list[str]) -> dict[str, int]:
+    """The seed=<int> and count=<int> options of a random-* spec, each at most once."""
+    opts: dict[str, int] = {}
+    for tok in tokens:
+        key, eq, value = tok.partition("=")
+        if key in opts:
+            raise ValueError(f"option {key}= given twice, again in {tok!r}")
+        if eq and key in ("seed", "count"):
+            try:
+                opts[key] = int(value)
+                continue
+            except ValueError:
+                pass
+        raise ValueError(f"bad option {tok!r}: expected seed=<int> or count=<int>")
+    return opts
+
+
+def _parse_clauses(rest: str, symbol: str, m: int) -> dict[int, str]:
+    """{i: rhs} of the comma-separated clauses 'symbol<i> -> rhs', 1 <= i <= m."""
+    clauses: dict[int, str] = {}
+    for clause in rest.split(","):
+        clause = clause.strip()
+        if not clause:
+            continue
+        lhs, arrow, rhs = clause.partition("->")
+        if not arrow:
+            raise ValueError(f"expected '{symbol}i -> ...' in {clause!r}")
+        src = lhs.strip()
+        if not (src.startswith(symbol) and src[1:].isdigit()):
+            raise ValueError(f"left side {src!r} must be a single {symbol}i")
+        i = int(src[1:])
+        if not 1 <= i <= m:
+            raise ValueError(f"{symbol}{i} out of range {symbol}1..{symbol}{m}")
+        clauses[i] = rhs.strip()
+    return clauses
 
 
 def _parse_group_auto(algebra: GroupAlgebra, rest: str) -> AlgebraAutomorphism:
     group = algebra.group
     images = {i: group.generator(i) for i in range(1, group.m + 1)}
-    for clause in rest.split(","):
-        clause = clause.strip()
-        if not clause:
-            continue
-        lhs, arrow, rhs = clause.partition("->")
-        if not arrow:
-            raise ValueError(f"expected 'gi -> word' in {clause!r}")
-        src = lhs.strip()
-        if not (src.startswith("g") and src[1:].isdigit()):
-            raise ValueError(f"left side {src!r} must be a single generator")
-        i = int(src[1:])
-        if not 1 <= i <= group.m:
-            raise ValueError(f"generator g{i} out of range")
-        images[i] = group.parse_word(rhs.strip())
+    for i, rhs in _parse_clauses(rest, "g", group.m).items():
+        images[i] = group.parse_word(rhs)
     gauto = group.group_automorphism([images[i] for i in range(1, group.m + 1)])
     return AlgebraAutomorphism.from_group_automorphism(algebra, gauto)
 
 
-def _parse_subst(algebra: GroupAlgebra, rest: str) -> AlgebraAutomorphism:
+def _parse_subst(algebra: GroupAlgebra, rest: str) -> list[AlgebraAutomorphism]:
     group = algebra.group
-    one = algebra.one()
-    images: dict[int, AlgebraElement] = {}
-    for clause in rest.split(","):
-        clause = clause.strip()
-        if not clause:
-            continue
-        lhs, arrow, rhs = clause.partition("->")
-        if not arrow:
-            raise ValueError(f"expected 'xi -> polynomial' in {clause!r}")
-        src = lhs.strip()
-        if not (src.startswith("x") and src[1:].isdigit()):
-            raise ValueError(f"left side {src!r} must be a single variable")
-        i = int(src[1:])
-        if not 1 <= i <= group.m:
-            raise ValueError(f"variable x{i} out of range")
-        images[i] = one + _parse_x_polynomial(algebra, rhs.strip())
-    full = [images[i] if i in images else algebra.embed(group.generator(i))
-            for i in range(1, group.m + 1)]
-    return AlgebraAutomorphism.from_substitution_images(
-        algebra, np.stack([u.codes for u in full]), f"subst: {rest.strip()}"
-    )
+    images = [algebra.embed(group.generator(i)).codes for i in range(1, group.m + 1)]
+    for i, rhs in _parse_clauses(rest, "x", group.m).items():
+        images[i - 1] = (algebra.one() + _parse_x_polynomial(algebra, rhs)).codes
+    return AlgebraAutomorphism.substitutions(algebra, np.stack(images)[None], [f"subst: {rest.strip()}"])
 
 
 def _parse_x_polynomial(algebra: GroupAlgebra, text: str) -> AlgebraElement:

@@ -350,9 +350,6 @@ class AlgebraElement:
         idx = self.algebra.group.index_of(g)
         return self.algebra.field.element_from_code(int(self.codes[idx]))
 
-    def inverse(self) -> "AlgebraElement":
-        return self.algebra.unit_inverse(self)
-
     def __str__(self) -> str:
         alg = self.algebra
         terms = []
@@ -491,21 +488,18 @@ class GroupAlgebra:
             out[part] = product(part)
         return out
 
-    def unit_inverse(self, u: AlgebraElement | np.ndarray) -> AlgebraElement | np.ndarray:
-        """Inverse by repeated squaring of the radical part.
+    def unit_inverse(self, units: np.ndarray) -> np.ndarray:
+        """The (B, |G|) codes of the inverses of a (B, |G|) stack of unit
+        codes, by repeated squaring of the radical part.
 
         u = eps(1 - z) with z in J, and z^(s+1) = 0 for the socle degree s,
         so u^-1 = eps^-1 (1 + z)(1 + z^2)(1 + z^4)...; the product stops at
-        the first z^(2^j) = 0, after at most s.bit_length() rounds.
-
-        A (B, |G|) stack of codes gives the (B, |G|) codes of its members'
-        inverses, squared together until every member's z^(2^j) is 0; a
+        the first z^(2^j) = 0, after at most s.bit_length() rounds.  The
+        members are squared together until every member's z^(2^j) is 0; a
         factor 1 + 0 leaves a finished member as it is.  Every member is
         checked by u u^-1 = 1.
         """
-        if isinstance(u, AlgebraElement):
-            return AlgebraElement(self, self.unit_inverse(u.codes[None])[0])
-        units = np.asarray(u, dtype=np.int64)
+        units = np.asarray(units, dtype=np.int64)
         eps = column_sums(self.ops, units.T)
         if not eps.all():
             raise NotAUnit("element lies in the augmentation ideal")

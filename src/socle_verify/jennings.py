@@ -42,7 +42,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ffield import FieldMismatch, FieldSpec
 from .groupalgebra import AlgebraElement, GroupAlgebra, radical_filtration
 from .pgroup import GroupElement, PcGroup
 
@@ -262,13 +261,9 @@ class JenningsBasis:
         ]
 
 
-def build_jennings_basis(group: PcGroup, field: FieldSpec | None = None) -> JenningsBasis:
+def build_jennings_basis(group: PcGroup) -> JenningsBasis:
     """Layer basis, built once per group and kept on it (prime-field data,
     reusable for any GF(p^n))."""
-    if field is not None and field.p != group.p:
-        raise FieldMismatch(
-            f"field has characteristic {field.p} but the group has exponent prime {group.p}"
-        )
     if group._jennings_basis is None:
         group._jennings_basis = JenningsBasis(group)
     return group._jennings_basis

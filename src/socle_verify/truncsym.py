@@ -20,13 +20,13 @@ members' n x n multiplication matrices over GF(p) and one reduction
 mod p.  The top piece is the single top monomial, whose planes are
 encoded to the scalar.
 
-top_monomial_scalar takes a stack of matrices (B, m, m) and returns B
-scalar codes, computed in chunks whose gathered block (members x |D_d|
+top_monomial_scalar takes only stacks: (B, m, m) matrices in, B scalar
+codes out, computed in chunks whose gathered block (members x |D_d|
 cells x m variables x n planes) holds at most linalg.MAX_STACK_CELLS
 entries in every degree, and at least one member, so the memory a stack
-takes stays small however many matrices a caller passes.  A stack is not checked for
-invertibility: a singular member gets the scalar 0, which is its
-det^(p-1).  A single matrix must be invertible.
+takes stays small however many matrices a caller passes.  A stack is not
+checked for invertibility: a singular member gets the scalar 0, which is
+its det^(p-1).
 """
 
 from __future__ import annotations
@@ -36,17 +36,13 @@ import functools
 import numpy as np
 
 from . import linalg
-from .ffield import FieldElement, FieldSpec
+from .ffield import FieldSpec
 from .linalg import FieldOps
 
-__all__ = ["TruncatedPolynomialRing", "SingularMatrix", "MAX_GRID_CELLS"]
+__all__ = ["TruncatedPolynomialRing", "MAX_GRID_CELLS"]
 
 # largest p^m accepted: the ring has p^m monomials
 MAX_GRID_CELLS = 4096
-
-
-class SingularMatrix(ValueError):
-    """Linear substitutions must be invertible."""
 
 
 @functools.cache
@@ -99,27 +95,19 @@ class TruncatedPolynomialRing:
             sizes = np.convolve(sizes, np.ones(self.p, dtype=np.int64))
         self.chunk = max(1, linalg.MAX_STACK_CELLS // (nvars * int(sizes.max()) * field.n))
 
-    def top_monomial_scalar(self, matrix: np.ndarray) -> FieldElement | np.ndarray:
-        """Scalar lambda with (prod_j L_j^(p-1)) = lambda * top monomial,
-        where L_j = sum_i matrix[j,i] x_i.
+    def top_monomial_scalar(self, stack: np.ndarray) -> np.ndarray:
+        """(B,) codes of the scalars lambda_b with (prod_j L_j^(p-1)) =
+        lambda_b * top monomial, where L_j = sum_i stack[b, j, i] x_i.
 
-        One matrix must be invertible and gives a FieldElement.  A
-        (B, m, m) stack gives the (B,) codes of its members' scalars,
-        computed self.chunk members at a time, with no invertibility
+        Computed self.chunk members at a time, with no invertibility
         check: a singular member's scalar is 0.
         """
-        matrix = np.asarray(matrix, dtype=np.int64)
-        single = matrix.ndim == 2
-        stack = matrix[None] if single else matrix
+        stack = np.asarray(stack, dtype=np.int64)
         if stack.ndim != 3 or stack.shape[1:] != (self.nvars, self.nvars):
-            raise ValueError("substitution matrix has the wrong shape")
-        if single:
-            if self.ops.det(matrix) == 0:
-                raise SingularMatrix("linear substitution matrix is singular")
-            return self.field.element_from_code(int(self._top_scalars(stack)[0]))
+            raise ValueError("substitution matrix stack has the wrong shape")
         lams = [np.zeros(0, dtype=np.int64)]
-        for lo in range(0, len(matrix), self.chunk):
-            lams.append(self._top_scalars(matrix[lo : lo + self.chunk]))
+        for lo in range(0, len(stack), self.chunk):
+            lams.append(self._top_scalars(stack[lo : lo + self.chunk]))
         return np.concatenate(lams)
 
     def _top_scalars(self, stack: np.ndarray) -> np.ndarray:

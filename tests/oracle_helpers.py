@@ -16,8 +16,8 @@ off its dense matrix, as verification read them before each constructor
 computed them on its own.  The coordinate rows by identity are the
 low-weight coordinates of the group basis as basis(r) formed them before
 it built only those rows.
-The substitution images by elements are random_substitution as it was
-before it summed the images on their codes.  The top-monomial scalar by
+The substitution images by elements are one random_substitutions member
+as it was drawn before the images were summed on their codes.  The top-monomial scalar by
 grid products is TruncatedPolynomialRing.top_monomial_scalar as it was
 before it worked degree by degree; GridRing and TruncatedPolynomial, the
 ring's elements as dense coefficient grids, are what it multiplies.
@@ -41,11 +41,15 @@ from socle_verify.ffield import GF, FieldElement, FieldMismatch, _poly_mod
 from socle_verify.groupalgebra import AlgebraElement, FiltrationError, radical_filtration_by_products
 from socle_verify.linalg import FieldOps
 from socle_verify.pgroup import Subgroup, _collect, _normal_form_blocks, associative_on_all_triples
-from socle_verify.truncsym import SingularMatrix, TruncatedPolynomialRing
+from socle_verify.truncsym import TruncatedPolynomialRing
 
 
 class NotScalarMultiple(ValueError):
     """Image of the top monomial picked up lower-order terms."""
+
+
+class SingularMatrix(ValueError):
+    """Linear substitutions must be invertible."""
 
 
 def _lift_combination(algebra, basis, degree, coords):
@@ -321,14 +325,14 @@ def graded_blocks_by_projection(auto, basis, oracle):
 
 
 def report_by_members(auto):
-    """verify_theorem(auto).as_dict(), computed for this automorphism alone.
+    """verify_stack([auto])[0].as_dict(), computed for this automorphism alone.
 
     The oracle for the stacked verification, as one automorphism was
     verified before runs were verified as stacks: the socle scalar from one
     matrix-vector product, each layer's block from one coordinates() call on
     this automorphism's lift images and checked column by column, its
     determinant by the single-matrix det, and det_total and det^(p-1) by
-    FieldElement arithmetic.  Raises the errors verify_theorem raises.
+    FieldElement arithmetic.  Raises the errors verify_stack raises.
     """
     from socle_verify.automorphisms import (
         FiltrationNotPreserved,
@@ -349,7 +353,7 @@ def report_by_members(auto):
     filt = basis.filtration
     cols = [alg.group.index_of(y) for y in basis.lift_elements]
     coords = filt.coordinates(ops, ops.sub(auto.matrix[:, cols], alg.one().codes[:, None]))
-    degrees, dets = [], []
+    blocks, dets = [], []
     total = field.one()
     first = 0
     for layer in basis.layers:
@@ -365,11 +369,12 @@ def report_by_members(auto):
                 raise FiltrationNotPreserved(f"image of a degree-{r} lift is not 1 mod J^{r}")
             if col[others].any():
                 raise LieSubspaceViolated(f"image class in layer {r} left the span of the layer lifts")
-        det_code = ops.det(layer_coords[list(layer.rows)])
+        block = layer_coords[list(layer.rows)]
+        det_code = ops.det(block)
         if det_code == 0:
             raise FiltrationNotPreserved(f"induced block in degree {r} is singular")
         det = field.element_from_code(det_code)
-        degrees.append(r)
+        blocks.append((r, block))
         dets.append(det)
         total = total * det
     lam = field.element_from_code(lam)
@@ -377,7 +382,7 @@ def report_by_members(auto):
     return VerificationReport(
         provenance=auto.provenance,
         socle_scalar=lam,
-        block_degrees=tuple(degrees),
+        blocks=tuple(blocks),
         block_dets=tuple(dets),
         det_total=total,
         det_power=det_pow,
@@ -404,7 +409,7 @@ def data_by_matrix(auto):
 
 
 def random_inner_by_elements(algebra, rng, terms=3):
-    """(matrix, provenance) of one random_inner draw, built on its own.
+    """(matrix, provenance) of one random_inners member, built on its own.
 
     The oracle for the stacked draws: u = 1 + sum c (g - 1) summed as
     AlgebraElements, u^-1 by unit_inverse_by_series, and L(u) R(u^-1) by
@@ -452,9 +457,9 @@ def substitution_images(algebra, linear, higher=None):
 
 
 def substitution_images_by_elements(algebra, rng):
-    """(m, |G|) image codes of one random_substitution draw, built on its own.
+    """(m, |G|) image codes of one random_substitutions member, built on its own.
 
-    The oracle for random_substitution: the same draws in the same order
+    The oracle for random_substitutions: the same draws in the same order
     (the linear part by rejection, then per generator a coin, a J^2 row and
     a unit coefficient), the J^2 rows from filtration_by_monomial_echelon,
     each tail checked to lie in J^2 and the images summed by
@@ -481,7 +486,7 @@ def substitution_images_by_elements(algebra, rng):
 def substitution_matrix_by_columns(algebra, images):
     """Matrix of the substitution g_i -> images[i], one column at a time.
 
-    The oracle for AlgebraAutomorphism.from_substitution_images: column b,
+    The oracle for the matrix of AlgebraAutomorphism.substitutions: column b,
     for the normal form x g_j^e with j the last generator it mentions, is
     the kG product alpha(x) * images[j]^e of an earlier column with a power
     of an image.  images holds the (m, |G|) image codes.

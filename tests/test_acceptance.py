@@ -27,9 +27,9 @@ from socle_verify import (
     NotMultiplicative,
     PcGroup,
     catalog_names,
-    verify_theorem,
+    verify_stack,
 )
-from socle_verify.automorphisms import AlgebraAutomorphism, random_substitution
+from socle_verify.automorphisms import AlgebraAutomorphism, random_substitutions
 from socle_verify.groupalgebra import dimension_subgroups_definitional
 from socle_verify.pipeline import derive_seed, gl_check, sweep
 
@@ -92,9 +92,8 @@ def test_criterion_2_extension_field_substitutions():
     for name, p in cases:
         algebra = GroupAlgebra(shared_group(name), GF(p, 2))
         rng = random.Random(derive_seed(ACCEPTANCE_SEED, "accept2", name))
-        for _ in range(100):
-            auto = random_substitution(algebra, rng)
-            rep = verify_theorem(auto)
+        autos = random_substitutions(algebra, rng, 100)
+        for auto, rep in zip(autos, verify_stack(autos)):
             recomputed = rep.det_total ** (p - 1)
             assert rep.socle_scalar == recomputed, (name, auto.provenance)
             assert rep.equation_holds

@@ -8,6 +8,7 @@ which the graded action must respect if the bookkeeping is right.
 from __future__ import annotations
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -22,14 +23,14 @@ from socle_verify import (
     SingularLinearPart,
     build_jennings_basis,
     catalog,
-    verify_theorem,
+    verify_stack,
 )
 from socle_verify.automorphisms import (
     FULL_PAIR_CHECK_LIMIT,
     AlgebraAutomorphism,
     parse_automorphism_specs,
-    random_inner,
-    random_substitution,
+    random_inners,
+    random_substitutions,
 )
 from socle_verify.pipeline import derive_seed, sweep_automorphisms
 
@@ -41,13 +42,23 @@ from oracle_helpers import (
 )
 
 
+def _verify(auto):
+    """The report of a one-member stack."""
+    return verify_stack([auto])[0]
+
+
+def _substitution(alg, images):
+    """The automorphism of one (m, |G|) array of image codes."""
+    return AlgebraAutomorphism.substitutions(alg, images[None], ["subst"])[0]
+
+
 def test_c3_inversion_report(algebra):
     alg = algebra("C3")
     g = alg.group
     auto = AlgebraAutomorphism.from_group_automorphism(
         alg, g.group_automorphism([g.element((2,))])
     )
-    rep = verify_theorem(auto)
+    rep = _verify(auto)
     d = rep.as_dict()
     assert d["lambda"] == "1"
     assert d["det_blocks"] == [{"r": 1, "det": "2"}]
@@ -63,19 +74,18 @@ def test_gf9_diagonal_substitution_lambda():
     linear = np.array(
         [[k.code_of(zeta), 0], [0, k.code_of(k.one())]], dtype=np.int64
     )
-    auto = AlgebraAutomorphism.from_substitution_images(alg, substitution_images(alg, linear))
-    lam = auto.socle_scalar()
+    rep = _verify(_substitution(alg, substitution_images(alg, linear)))
+    lam = rep.socle_scalar
     assert lam == zeta * zeta  # det = zeta, lambda = det^(p-1)
     assert str(lam) == "2*t"
-    action = auto.graded_action()
-    assert action.det_total == zeta
+    assert rep.det_total == zeta
     assert lam.is_pm1_power()
 
 
 def test_gf9_spec_example():
     alg = GroupAlgebra(catalog("C3xC3"), GF(3, 2))
     (auto,) = parse_automorphism_specs(alg, "subst: x1 -> (t)*x1, x2 -> x2")
-    rep = verify_theorem(auto).as_dict()
+    rep = _verify(auto).as_dict()
     # det = t, so lambda = t^2 = -1 = 2 with modulus t^2+1
     assert rep["det_total"] == "t"
     assert rep["lambda"] == "2"
@@ -86,15 +96,12 @@ def test_higher_terms_do_not_move_lambda():
     alg = GroupAlgebra(catalog("C3xC3"), GF(3, 2))
     k = alg.field
     linear = np.array([[k.code_of(k.t()), 1], [0, 1]], dtype=np.int64)
-    plain = AlgebraAutomorphism.from_substitution_images(alg, substitution_images(alg, linear))
     g1 = alg.embed(alg.group.generator(1)) - alg.one()
     g2 = alg.embed(alg.group.generator(2)) - alg.one()
     tail = g1 * g2 + g2 * g2 * g1
-    dressed = AlgebraAutomorphism.from_substitution_images(
-        alg, substitution_images(alg, linear, higher={1: tail})
-    )
-    assert plain.socle_scalar() == dressed.socle_scalar()
-    a, b = plain.graded_action(), dressed.graded_action()
+    images = np.stack([substitution_images(alg, linear), substitution_images(alg, linear, higher={1: tail})])
+    a, b = verify_stack(AlgebraAutomorphism.substitutions(alg, images, ["plain", "dressed"]))
+    assert a.socle_scalar == b.socle_scalar
     assert a.det_total == b.det_total
     assert [d for d in a.block_dets] == [d for d in b.block_dets]
 
@@ -102,30 +109,24 @@ def test_higher_terms_do_not_move_lambda():
 def test_lambda_multiplicative_under_composition(algebra):
     alg = algebra("D8")
     rng = random.Random(11)
-    first = random_inner(alg, rng)
+    (first,) = random_inners(alg, rng, 1)
     g = alg.group
     second = AlgebraAutomorphism.from_group_automorphism(
         alg, g.stored_automorphisms()[0]
     )
-    composed = first.compose(second)
-    assert composed.socle_scalar() == first.socle_scalar() * second.socle_scalar()
-    da, db, dc = (
-        first.graded_action().det_total,
-        second.graded_action().det_total,
-        composed.graded_action().det_total,
-    )
-    assert dc == da * db
+    a, b, c = verify_stack([first, second, first.compose(second)])
+    assert c.socle_scalar == a.socle_scalar * b.socle_scalar
+    assert c.det_total == a.det_total * b.det_total
 
 
 def test_inner_acts_trivially_on_layers(algebra):
     for name in ("Q8", "Heis27"):
         alg = algebra(name)
         rng = random.Random(23)
-        auto = random_inner(alg, rng)
-        action = auto.graded_action()
-        for _degree, block in action.blocks:
+        (rep,) = verify_stack(random_inners(alg, rng, 1))
+        for _degree, block in rep.blocks:
             assert np.array_equal(block, np.eye(block.shape[0], dtype=np.int64))
-        assert auto.socle_scalar().is_one()
+        assert rep.socle_scalar.is_one()
 
 
 def test_stored_group_autos_give_lambda_one(algebra):
@@ -133,7 +134,7 @@ def test_stored_group_autos_give_lambda_one(algebra):
         alg = algebra(name)
         for gauto in alg.group.stored_automorphisms():
             auto = AlgebraAutomorphism.from_group_automorphism(alg, gauto)
-            rep = verify_theorem(auto)
+            rep = _verify(auto)
             assert rep.lambda_is_one
             assert rep.equation_holds
 
@@ -173,19 +174,15 @@ def test_augmentation_map_rejected(algebra, name, degree):
 def test_singular_linear_part_rejected():
     alg = GroupAlgebra(catalog("C3xC3"), GF(3))
     with pytest.raises(SingularLinearPart):
-        AlgebraAutomorphism.from_substitution_images(
-            alg, substitution_images(alg, np.array([[1, 2], [2, 4 % 3]], dtype=np.int64))
-        )
+        _substitution(alg, substitution_images(alg, np.array([[1, 2], [2, 4 % 3]], dtype=np.int64)))
 
 
 def test_substitution_requires_elementary_abelian(algebra):
     alg = algebra("C9")
     with pytest.raises(ValueError, match="elementary abelian"):
-        AlgebraAutomorphism.from_substitution_images(
-            alg, substitution_images(alg, np.eye(alg.group.m, dtype=np.int64))
-        )
+        _substitution(alg, substitution_images(alg, np.eye(alg.group.m, dtype=np.int64)))
     with pytest.raises(ValueError, match="elementary abelian"):
-        random_substitution(alg, random.Random(0))
+        random_substitutions(alg, random.Random(0), 1)
 
 
 def test_group_side_rejections(algebra):
@@ -218,7 +215,7 @@ def test_pair_check_modes(algebra, monkeypatch):
     assert sampled.provenance.endswith("[sampled multiplicativity]")
     sampled.check_pairs()  # a second call changes nothing
     assert sampled.provenance.count("[sampled multiplicativity]") == 1
-    assert sampled.socle_scalar() == auto.socle_scalar()
+    assert _verify(sampled).socle_scalar == _verify(auto).socle_scalar
 
 
 def _is_group_automorphism(table, perm):
@@ -369,13 +366,46 @@ def test_spec_parser_all_forms(algebra):
     autos = [a for line in lines for a in parse_automorphism_specs(alg, line)]
     assert len(autos) == 4
     for auto in autos:
-        assert verify_theorem(auto).equation_holds
+        assert _verify(auto).equation_holds
 
     ext = GroupAlgebra(catalog("C3xC3"), GF(3, 2))
     autos = parse_automorphism_specs(ext, "subst: x1 -> (t)*x1, x2 -> x2 + x1")
     assert len(autos) == 1
     with pytest.raises(ValueError):
         parse_automorphism_specs(alg, "bogus: nope")
+
+
+@pytest.mark.parametrize("kind, symbol, rhs", [("group-auto", "g", "g1"), ("subst", "x", "x1")])
+@pytest.mark.parametrize("clause, message", [
+    ("{s}1 {rhs}", "expected '{s}i -> ...'"),
+    ("y1 -> {rhs}", "left side 'y1' must be a single {s}i"),
+    ("{s}1{s}2 -> {rhs}", "left side '{s}1{s}2' must be a single {s}i"),
+    ("{s}0 -> {rhs}", "{s}0 out of range {s}1..{s}2"),
+    ("{s}3 -> {rhs}", "{s}3 out of range {s}1..{s}2"),
+])
+def test_spec_clauses_are_checked(algebra, kind, symbol, rhs, clause, message):
+    """group-auto: and subst: share one clause parser: a missing arrow, a
+    wrong symbol and an index outside 1..m are rejected on both."""
+    alg = algebra("C2xC2")
+    text = f"{kind}: {symbol}2 -> {symbol}2, " + clause.format(s=symbol, rhs=rhs)
+    with pytest.raises(ValueError, match=re.escape(message.format(s=symbol))):
+        parse_automorphism_specs(alg, text)
+
+
+@pytest.mark.parametrize("spec, token", [
+    ("random-inners count=2", "'random-inners'"),
+    ("random-innerfoo", "'random-innerfoo'"),
+    ("random-subst-x", "'random-subst-x'"),
+    ("random-inner: seed=3", "'random-inner'"),
+    ("random-inner count=2 count=3", "'count=3'"),
+    ("random-subst seed=1 seed=1", "'seed=1'"),
+    ("random-inner seed", "'seed'"),
+    ("random-inner seed=x", "'seed=x'"),
+    ("random-inner size=2", "'size=2'"),
+])
+def test_random_spec_heads_are_parsed_exactly(algebra, spec, token):
+    with pytest.raises(ValueError, match=re.escape(token)):
+        parse_automorphism_specs(algebra("C2xC2"), spec)
 
 
 def test_spec_parser_default_seed(algebra):
@@ -390,8 +420,7 @@ def test_spec_parser_default_seed(algebra):
 def test_random_substitution_matches_contract():
     alg = GroupAlgebra(catalog("C5xC5"), GF(5, 2))
     rng = random.Random(99)
-    auto = random_substitution(alg, rng)
-    rep = verify_theorem(auto)
+    (rep,) = verify_stack(random_substitutions(alg, rng, 1))
     assert rep.equation_holds
     assert rep.lambda_in_power_subgroup
     assert rep.socle_scalar == rep.det_power
@@ -410,28 +439,27 @@ def _subst_spec(m, coefficient):
 def test_substitution_blocks_match_column_oracle(algebra, all_names, degree, monkeypatch):
     """The generator-block build equals the column loop, byte for byte.
 
-    Three random_substitution draws and one subst: spec with J^2 tails on
+    A stack of three random substitutions and one subst: spec with J^2 tails on
     every elementary abelian catalog group, and over GF(p^2) on C2^7 and
     C3^4 too; the images each build received are recorded and rebuilt by
     substitution_matrix_by_columns.
     """
     built = []
-    build = AlgebraAutomorphism.from_substitution_images.__func__
+    build = AlgebraAutomorphism.substitutions.__func__
 
-    def recording(cls, alg, images, provenance="subst"):
-        auto = build(cls, alg, images, provenance)
-        built.append((alg, images, auto))
-        return auto
+    def recording(cls, alg, images, provenances):
+        autos = build(cls, alg, images, provenances)
+        built.extend((alg, member, auto) for member, auto in zip(images, autos))
+        return autos
 
-    monkeypatch.setattr(AlgebraAutomorphism, "from_substitution_images", classmethod(recording))
+    monkeypatch.setattr(AlgebraAutomorphism, "substitutions", classmethod(recording))
     names = [name for name in all_names if algebra(name).group.is_elementary_abelian()]
     if degree == 2:
         names += ["C2^7", "C3^4"]
     for name in names:
         alg = algebra(name, degree)
         rng = random.Random(derive_seed(7, "subst-blocks", name))
-        for _ in range(3):
-            random_substitution(alg, rng)
+        random_substitutions(alg, rng, 3)
         parse_automorphism_specs(alg, _subst_spec(alg.group.m, "(t)*" if degree == 2 else ""))
     assert len(built) == 4 * len(names)
     assert {alg.group.p for alg, _, _ in built} == {2, 3, 5}
@@ -444,8 +472,8 @@ def test_substitution_blocks_match_column_oracle(algebra, all_names, degree, mon
 def test_random_substitution_matches_element_oracle(algebra, all_names, degree):
     """Images summed on codes equal images summed as AlgebraElements.
 
-    Three draws per seed on every elementary abelian catalog group and on
-    C2^7: the same matrix, byte for byte, as the oracle's images give, and
+    A stack of three draws per seed on every elementary abelian catalog
+    group and on C2^7, against three oracle draws: the same matrix, byte for byte, as the oracle's images give, and
     the same RNG state after.
     """
     names = [name for name in all_names if algebra(name).group.is_elementary_abelian()]
@@ -455,8 +483,7 @@ def test_random_substitution_matches_element_oracle(algebra, all_names, degree):
         alg = algebra(name, degree)
         for seed in range(3):
             rng, oracle_rng = random.Random(seed), random.Random(seed)
-            for _ in range(3):
-                auto = random_substitution(alg, rng)
+            for auto in random_substitutions(alg, rng, 3):
                 images = substitution_images_by_elements(alg, oracle_rng)
                 assert np.array_equal(auto.matrix[:, alg.generator_indices].T, images), name
                 assert np.array_equal(auto.matrix, substitution_matrix_by_columns(alg, images)), name
@@ -468,10 +495,15 @@ def test_random_substitution_matches_element_oracle(algebra, all_names, degree):
 
 
 def _d8_lift_matrix(alg, lift, image):
-    """Identity matrix of D8 except that column `lift` holds the vector `image`."""
+    """Identity matrix of D8 except that column `lift` holds the vector `image`.
+
+    Its data's alpha(n) column is n, so the socle check passes and the
+    graded checks of verify_stack are what fails.
+    """
     matrix = np.eye(alg.dimension, dtype=np.int64)
     matrix[:, alg.group.index_of(lift)] = image.codes
-    return AlgebraAutomorphism(alg, matrix, "lift image", certificate="unchecked")
+    data = np.column_stack([matrix[:, alg.filtration.lift_indices], np.ones(alg.dimension, dtype=np.int64)])
+    return AlgebraAutomorphism(alg, matrix, "lift image", certificate="unchecked", data=data)
 
 
 def test_graded_action_rejects_a_lift_image_outside_its_radical_power(algebra):
@@ -480,7 +512,7 @@ def test_graded_action_rejects_a_lift_image_outside_its_radical_power(algebra):
     # y3 has degree 2 but y1 - 1 only lies in J
     auto = _d8_lift_matrix(alg, y3, alg.embed(y1))
     with pytest.raises(FiltrationNotPreserved, match="degree-2 lift"):
-        auto.graded_action()
+        verify_stack([auto])
 
 
 def test_graded_action_rejects_an_image_class_outside_the_lift_span(algebra):
@@ -493,4 +525,4 @@ def test_graded_action_rejects_an_image_class_outside_the_lift_span(algebra):
     assert alg.in_radical_power(image - one, 2)
     auto = _d8_lift_matrix(alg, y3, image)
     with pytest.raises(LieSubspaceViolated, match="layer 2"):
-        auto.graded_action()
+        verify_stack([auto])

@@ -14,6 +14,7 @@ import pytest
 
 from socle_verify import GF, FieldMismatch, GroupAlgebra, PcGroup, build_jennings_basis, catalog, catalog_names
 from socle_verify.groupalgebra import dimension_subgroups_definitional, radical_filtration
+from socle_verify.pipeline import build_group_field
 from oracle_helpers import (
     assert_lie_structure_compatible,
     layer_ranks,
@@ -149,8 +150,12 @@ def test_lie_structure_compatibility_examples(basis, algebra):
 
 
 def test_build_rejects_wrong_characteristic(group):
+    """The basis holds prime-field data and takes no field; the algebra and
+    the CLI's field builder compare the characteristic with the group's prime."""
     with pytest.raises(FieldMismatch):
-        build_jennings_basis(group("D8"), GF(3))
+        GroupAlgebra(group("D8"), GF(3))
+    with pytest.raises(FieldMismatch):
+        build_group_field(group("D8"), 3)
 
 
 def test_group_is_freed_with_its_filtration_and_basis():
@@ -166,8 +171,9 @@ def test_group_is_freed_with_its_filtration_and_basis():
 
 
 def test_build_accepts_matching_extension_field(group):
-    b = build_jennings_basis(group("D8"), GF(2, 2))
+    b = build_jennings_basis(group("D8"))
     assert b.lift_degrees == (1, 1, 2)
+    assert GroupAlgebra(group("D8"), GF(2, 2)).filtration is b.filtration
 
 
 def test_lifts_match_gr_coordinate_search(group, algebra, all_names):

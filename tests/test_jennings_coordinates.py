@@ -14,7 +14,7 @@ import random
 
 import numpy as np
 
-from socle_verify import build_jennings_basis
+from socle_verify import build_jennings_basis, verify_stack
 from socle_verify.pipeline import sweep_automorphisms
 from conftest import shared_algebra, shared_products_oracle
 from oracle_helpers import graded_blocks_by_projection, jennings_monomials
@@ -78,8 +78,9 @@ def test_graded_action_matches_projection_oracle(all_names):
         alg = shared_algebra(name, n)
         basis = build_jennings_basis(alg.group)
         oracle = _products_oracle(name)
-        for auto in sweep_automorphisms(alg, name, 7, 3, 2, 3):
-            mine = auto.graded_action().blocks
+        autos = sweep_automorphisms(alg, name, 7, 3, 2, 3)
+        for auto, rep in zip(autos, verify_stack(autos)):
+            mine = rep.blocks
             theirs = graded_blocks_by_projection(auto, basis, oracle)
             assert len(mine) == len(theirs), (name, n, auto.provenance)
             for (r, a), (s, b) in zip(mine, theirs):

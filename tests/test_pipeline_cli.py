@@ -432,6 +432,23 @@ def test_substitution_exponent_zero_rejected(capsys):
     assert "at least 1" in captured.err
 
 
+@pytest.mark.parametrize("spec, token", [
+    ("random-inners count=2", "'random-inners'"),
+    ("random-innerfoo", "'random-innerfoo'"),
+    ("random-subst-x", "'random-subst-x'"),
+    ("random-inner count=2 count=3", "'count=3'"),
+    ("random-inner seed", "'seed'"),
+])
+def test_random_spec_heads_end_with_an_error(spec, token):
+    """A random-* kind word must match exactly, and seed= and count= are
+    key=value options given at most once; the error names the bad token."""
+    proc = _run_subprocess(["run", "--group", "D8", "--auto", spec], timeout=10)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert token in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 # sha256 of `socle-verify sweep --seed 7 --groups <21 groups> --inner 2 --subst 2 --format json`
 SWEEP_GROUPS = (
     "C2", "C4", "C8", "C3", "C9", "C27", "C5", "C25", "C2xC2", "C3xC3",

@@ -2,10 +2,11 @@
 
 FieldOps.matmul_stack, GroupAlgebra.multiply_codes / unit_inverse /
 conjugation_matrices on (B, |G|) stacks, random_inners and verify_stack
-must give every member exactly what it gets alone, whatever the chunk
-sizes, and a stack with a bad member must raise what that member raises
-alone.  The per-member oracles (report_by_members, random_inner_by_elements,
-matmul_by_planes) compute the same things without stacks.
+must give every member exactly what it gets in a one-member stack,
+whatever the chunk sizes, and a stack with a bad member must raise what
+that member raises alone.  The per-member oracles (report_by_members,
+random_inner_by_elements, matmul_by_planes) compute the same things
+without stacks.
 """
 
 from __future__ import annotations
@@ -19,12 +20,9 @@ import pytest
 from socle_verify import GF, NotAUnit, build_jennings_basis, linalg
 from socle_verify.automorphisms import (
     AlgebraAutomorphism,
-    graded_actions,
     parse_automorphism_specs,
-    random_inner,
     random_inners,
     verify_stack,
-    verify_theorem,
 )
 from socle_verify.groupalgebra import column_sums
 from socle_verify.linalg import FieldOps
@@ -48,16 +46,14 @@ def test_stacked_reports_match_members_verified_alone(degree):
     for name in SWEEP_GROUPS:
         alg = shared_algebra(name, degree)
         autos = sweep_automorphisms(alg, name, 7, inner_count=2, compose_count=2, subst_count=2)
-        stacked = [rep.as_dict() for rep in verify_stack(autos)]
-        blocks = [auto.graded_action().blocks for auto in autos]
-        alone = [verify_theorem(auto).as_dict() for auto in autos]
-        assert stacked == alone == [report_by_members(auto) for auto in autos], name
+        reports = verify_stack(autos)
+        stacked = [rep.as_dict() for rep in reports]
+        alone = [verify_stack([auto])[0] for auto in autos]
+        assert stacked == [rep.as_dict() for rep in alone] == [report_by_members(auto) for auto in autos], name
         assert [rep.as_dict() for rep in run(alg, autos).auto_reports] == stacked, name
-        for auto, kept in zip(autos, blocks):
-            auto._graded = None
-            fresh = auto.graded_action().blocks
-            assert [r for r, _ in fresh] == [r for r, _ in kept], name
-            assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(fresh, kept)), name
+        for rep, one in zip(reports, alone):
+            assert [r for r, _ in rep.blocks] == [r for r, _ in one.blocks], name
+            assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(rep.blocks, one.blocks)), name
 
 
 @pytest.mark.parametrize("name, degree", [("D8", 2), ("Heis27", 2), ("C25", 1), ("C2xC2xC2", 2)])
@@ -66,7 +62,7 @@ def test_random_inner_count_matches_sequential_draws(name, degree, count):
     alg = shared_algebra(name, degree)
     autos = parse_automorphism_specs(alg, f"random-inner seed=5 count={count}")
     rng = random.Random(5)
-    alone = [random_inner(alg, rng) for _ in range(count)]
+    alone = [random_inners(alg, rng, 1)[0] for _ in range(count)]
     after_alone = rng.getstate()
     rng = random.Random(5)
     oracle = [random_inner_by_elements(alg, rng) for _ in range(count)]
@@ -143,27 +139,43 @@ def test_algebra_stacks_cross_member_chunks(monkeypatch):
     assert np.array_equal(alg.multiply_codes(units, units[::-1]), products)
     for k in range(7):
         assert np.array_equal(products[k], alg.multiply_codes(units[k], units[6 - k]))
-        inverse = alg.unit_inverse(alg.from_codes(units[k]))
-        assert np.array_equal(alg.unit_inverse(units)[k], inverse.codes)
+        assert np.array_equal(alg.unit_inverse(units)[k], alg.unit_inverse(units[k : k + 1])[0])
 
 
-def _with_column(alg, element, image):
-    """The identity matrix except that the column of `element` holds `image`."""
+def _with_column(alg, element, image, socle=None):
+    """The identity matrix except that the column of `element` holds `image`.
+
+    With socle = lambda, the data's alpha(n) column is lambda * n instead of
+    the matrix's row sums, so the socle check passes and the graded checks
+    are what fails.
+    """
     matrix = np.eye(alg.dimension, dtype=np.int64)
     matrix[:, alg.group.index_of(element)] = image.codes
-    return AlgebraAutomorphism(alg, matrix, "tampered", certificate="unchecked")
+    data = None
+    if socle is not None:
+        data = np.column_stack([matrix[:, alg.filtration.lift_indices],
+                                np.full(alg.dimension, socle, dtype=np.int64)])
+    return AlgebraAutomorphism(alg, matrix, "tampered", certificate="unchecked", data=data)
 
 
 def _bad_d8_automorphisms(alg):
     """One automorphism per failure of the verification, on D8."""
     (y1, y2), (y3,) = [layer.lifts for layer in build_jennings_basis(alg.group).layers[:2]]
     one = alg.one()
+    lam = alg.field.q - 1  # a nonzero code
     return {
         "socle": _with_column(alg, y2, alg.embed(y1)),
-        "below": _with_column(alg, y3, alg.embed(y1)),
-        "outside": _with_column(alg, y3, one + (alg.embed(y1) - one) * (alg.embed(y2) - one)),
-        "singular": _with_column(alg, y3, one),
+        "below": _with_column(alg, y3, alg.embed(y1), socle=lam),
+        "outside": _with_column(alg, y3, one + (alg.embed(y1) - one) * (alg.embed(y2) - one), socle=lam),
+        "singular": _with_column(alg, y3, one, socle=lam),
     }
+
+
+def _error_alone(auto):
+    """The error verify_stack raises on a one-member stack of auto."""
+    with pytest.raises(ValueError) as alone:
+        verify_stack([auto])
+    return alone.value
 
 
 @pytest.mark.parametrize("degree", [1, 2])
@@ -171,29 +183,20 @@ def test_a_bad_member_raises_what_it_raises_alone(degree):
     alg = shared_algebra("D8", degree)
     good = sweep_automorphisms(alg, "D8", 7, inner_count=2, subst_count=0)
     bad = _bad_d8_automorphisms(alg)
-    kinds = set()
+    kinds = {}
     for label, auto in bad.items():
-        for check, stacked in ((verify_theorem, verify_stack), (AlgebraAutomorphism.graded_action, graded_actions)):
-            auto._graded = None
-            try:
-                check(auto)
-            except ValueError as err:
-                alone = err
-            else:
-                assert check is AlgebraAutomorphism.graded_action and label == "socle"
-                continue
-            kinds.add(type(alone).__name__)
-            for at in (0, 2, len(good)):
-                stack = good[:at] + [auto] + good[at:]
-                with pytest.raises(type(alone), match=re.escape(str(alone))):
-                    stacked(stack)
-    assert kinds == {"SocleNotPreserved", "FiltrationNotPreserved", "LieSubspaceViolated"}
+        alone = _error_alone(auto)
+        kinds[label] = type(alone).__name__
+        for at in (0, 2, len(good)):
+            stack = good[:at] + [auto] + good[at:]
+            with pytest.raises(type(alone), match=re.escape(str(alone))):
+                verify_stack(stack)
+    assert kinds == {"socle": "SocleNotPreserved", "below": "FiltrationNotPreserved",
+                     "outside": "LieSubspaceViolated", "singular": "FiltrationNotPreserved"}
+    assert "singular" in str(_error_alone(bad["singular"]))
     # of two bad members, the first one's error is raised
     for first, second in (("outside", "socle"), ("socle", "below"), ("singular", "outside")):
-        try:
-            verify_theorem(bad[first])
-        except ValueError as err:
-            alone = err
+        alone = _error_alone(bad[first])
         with pytest.raises(type(alone), match=re.escape(str(alone))):
             verify_stack([good[0], bad[first], good[1], bad[second]])
 
@@ -204,9 +207,9 @@ def test_a_non_unit_in_a_unit_stack_raises_not_a_unit():
     units[:, 0] = 0
     units[:, 0] = alg.ops.sub(1, column_sums(alg.ops, units.T))  # augmentation 1
     assert len(AlgebraAutomorphism.inners(alg, units, ["unit"] * 4)) == 4
-    bad = alg.zero()
+    bad = alg.zero().codes[None]
     with pytest.raises(NotAUnit) as alone:
-        AlgebraAutomorphism.inner(alg, bad)
-    stack = np.vstack([units[:2], bad.codes[None], units[2:]])
+        AlgebraAutomorphism.inners(alg, bad, ["unit"])
+    stack = np.vstack([units[:2], bad, units[2:]])
     with pytest.raises(NotAUnit, match=re.escape(str(alone.value))):
         AlgebraAutomorphism.inners(alg, stack, ["unit"] * len(stack))

@@ -19,8 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from socle_verify import GF, SingularMatrix, TruncatedPolynomialRing, linalg, truncsym
-from oracle_helpers import GridRing, NotScalarMultiple, top_scalar_by_grid_products
+from socle_verify import GF, TruncatedPolynomialRing, linalg, truncsym
+from oracle_helpers import GridRing, NotScalarMultiple, SingularMatrix, top_scalar_by_grid_products
 
 
 def dict_mul(a, b, p, nvars):
@@ -50,6 +50,11 @@ def top_scalar_oracle(k, matrix):
         for _ in range(p - 1):
             acc = dict_mul(acc, form, p, nvars)
     return acc.get((p - 1,) * nvars, k.zero())
+
+
+def scalar(ring, matrix):
+    """The top-monomial scalar of one matrix, from a one-member stack."""
+    return ring.field.element_from_code(int(ring.top_monomial_scalar(np.asarray(matrix)[None])[0]))
 
 
 def test_ring_basics():
@@ -87,18 +92,18 @@ def test_elementary_and_diagonal_scalars():
     # elementary: determinant one, scalar one
     m = np.eye(3, dtype=np.int64)
     m[0, 2] = 3
-    assert ring.top_monomial_scalar(m).is_one()
+    assert scalar(ring, m).is_one()
     # diagonal: scalar is (product of entries)^(p-1)
     d = np.diag(np.array([2, 3, 1], dtype=np.int64))
     det = k.element(6)
-    assert ring.top_monomial_scalar(d) == det ** (5 - 1)
+    assert scalar(ring, d) == det ** (5 - 1)
 
 
 def test_gf9_diagonal_frozen():
     k = GF(3, 2)
     ring = TruncatedPolynomialRing(k, 2)
     m = np.diag(np.array([k.code_of(k.t()), k.code_of(k.one())], dtype=np.int64))
-    assert str(ring.top_monomial_scalar(m)) == "2"  # t^2 = -1 mod t^2+1
+    assert str(scalar(ring, m)) == "2"  # t^2 = -1 mod t^2+1
 
 
 def test_top_scalar_matches_dict_oracle():
@@ -111,10 +116,9 @@ def test_top_scalar_matches_dict_oracle():
         expected = top_scalar_oracle(k, m)
         if round(np.linalg.det(m)) % 5 == 0:
             assert expected.is_zero()
-            with pytest.raises(SingularMatrix):
-                ring.top_monomial_scalar(m)
+            assert scalar(ring, m).is_zero()
             continue
-        assert ring.top_monomial_scalar(m) == expected
+        assert scalar(ring, m) == expected
         checked += 1
 
 
@@ -130,7 +134,7 @@ def test_top_scalar_matches_dict_oracle_gf9():
         ops_det_nonzero += 1
         if ops_det_nonzero % 11:  # thin out, full set is 6480 cases
             continue
-        assert ring.top_monomial_scalar(m) == expected
+        assert scalar(ring, m) == expected
 
 
 def grid_to_dict(k, grid):
@@ -160,7 +164,7 @@ def test_mul_grids_matches_dict_mul(p, n, nvars):
 
 @pytest.mark.parametrize("p,n,nvars", [(2, 1, 6), (2, 1, 7), (2, 1, 8), (2, 2, 3)])
 def test_top_scalar_matches_dict_oracle_at_gl_check_shapes(p, n, nvars):
-    """One matrix at a time, then the same matrices as one stack."""
+    """One-member stacks, then the same matrices as one stack."""
     k = GF(p, n)
     ring = TruncatedPolynomialRing(k, nvars)
     rng = random.Random(505 + nvars + 10 * n)
@@ -168,11 +172,9 @@ def test_top_scalar_matches_dict_oracle_at_gl_check_shapes(p, n, nvars):
     while len(mats) < 4:
         m = np.array([[rng.randrange(k.q) for _ in range(nvars)] for _ in range(nvars)], dtype=np.int64)
         lam = top_scalar_oracle(k, m)  # det^(p-1), zero exactly when m is singular
+        assert scalar(ring, m) == lam
         if lam.is_zero():
-            with pytest.raises(SingularMatrix):
-                ring.top_monomial_scalar(m)
             continue
-        assert ring.top_monomial_scalar(m) == lam
         mats.append(m)
         expected.append(k.code_of(lam))
     assert ring.top_monomial_scalar(np.stack(mats)).tolist() == expected
@@ -192,8 +194,9 @@ def _widest_piece(p, nvars):
 
 @pytest.mark.parametrize("p,n,nvars", [(2, 1, 5), (3, 1, 3), (5, 1, 2), (2, 2, 3), (3, 2, 2)])
 def test_stacked_top_scalar_matches_single_and_chunking(monkeypatch, p, n, nvars):
-    """A stack gives each member's scalar, whatever the chunk size; a
-    singular member gets 0 and leaves the other members' scalars as they were."""
+    """A stack gives each member's scalar in a one-member stack, whatever
+    the chunk size; a singular member gets 0 and leaves the other members'
+    scalars as they were."""
     k = GF(p, n)
     ring = TruncatedPolynomialRing(k, nvars)
     ops = ring.ops
@@ -201,7 +204,7 @@ def test_stacked_top_scalar_matches_single_and_chunking(monkeypatch, p, n, nvars
     stack = _random_stack(k, rng, 40, nvars)
     stack = stack[ops.det(stack) != 0]
     got = ring.top_monomial_scalar(stack)
-    assert got.tolist() == [k.code_of(ring.top_monomial_scalar(m)) for m in stack]
+    assert got.tolist() == [k.code_of(scalar(ring, m)) for m in stack]
     # the gathered block of one degree: members x cells x variables x planes
     width = nvars * _widest_piece(p, nvars) * n
     for cells in (1, width * 3):
@@ -354,9 +357,12 @@ def test_substitute_is_a_ring_map():
 
 
 def test_singular_matrix_rejected():
+    """substitute() rejects a singular matrix; top_monomial_scalar takes
+    only stacks and gives a singular member the scalar 0."""
     ring = GridRing(GF(3), 2)
-    with pytest.raises(SingularMatrix):
-        ring.top_monomial_scalar(np.zeros((2, 2), dtype=np.int64))
+    assert ring.top_monomial_scalar(np.zeros((1, 2, 2), dtype=np.int64)).tolist() == [0]
+    with pytest.raises(ValueError, match="wrong shape"):
+        ring.top_monomial_scalar(np.eye(2, dtype=np.int64))
     with pytest.raises(SingularMatrix):
         ring.variable(1).substitute(np.array([[1, 2], [2, 1]], dtype=np.int64))
     with pytest.raises(ValueError, match="not a stack"):
@@ -373,7 +379,7 @@ def test_non_scalar_image_detected():
         m = np.array(codes, dtype=np.int64).reshape(2, 2)
         if round(np.linalg.det(m)) % 2 == 0:
             continue
-        lam = ring.top_monomial_scalar(m)
+        lam = scalar(ring, m)
         assert lam.is_one()  # GL_2(F_2) determinants are all 1
 
 
@@ -392,9 +398,7 @@ def test_scalar_multiplicative_in_matrix(seed):
 
     a, b = invertible(), invertible()
     ab = a @ b % 3
-    assert ring.top_monomial_scalar(ab) == ring.top_monomial_scalar(
-        a
-    ) * ring.top_monomial_scalar(b)
+    assert scalar(ring, ab) == scalar(ring, a) * scalar(ring, b)
 
 
 _RING_GF3 = TruncatedPolynomialRing(GF(3), 2)
