@@ -89,6 +89,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import linalg
 from .ffield import FieldElement, FieldMismatch
 from .groupalgebra import AlgebraElement, GroupAlgebra, column_sums
 from .jennings import build_jennings_basis
@@ -114,6 +115,9 @@ FULL_PAIR_CHECK_LIMIT = 256
 
 # largest count a random-* spec, a sweep or gl-check accepts
 MAX_COUNT = 10_000
+
+# terms c (g - 1) in the unit of a random inner automorphism
+INNER_TERMS = 3
 
 SOCLE_MESSAGE = "socle vector image is not a nonzero multiple of itself"
 
@@ -353,11 +357,11 @@ class AlgebraAutomorphism:
         t = alg.group.cayley_table
         if n <= FULL_PAIR_CHECK_LIMIT:
             # left factors chunked so the stacked gather stays around 16 MB
-            step = max(1, (1 << 21) // (n * n))
+            step = max(1, linalg.MAX_PRODUCT_CELLS // (n * n))
             for lo in range(0, n, step):
                 cols = self.matrix[:, lo : lo + step]
                 c = cols.shape[1]
-                left = cols[alg._khinv].transpose(2, 0, 1).reshape(c * n, n)
+                left = alg.left_mult_matrix(cols.T).reshape(c * n, n)
                 prod = ops.matmul(left, self.matrix).reshape(c, n, n)
                 want = self.matrix[:, t[lo : lo + step]].transpose(1, 0, 2)
                 if not np.array_equal(prod, want):
@@ -427,7 +431,7 @@ def verify_stack(autos: list[AlgebraAutomorphism]) -> list[VerificationReport]:
     _raise_first([(bad, SocleNotPreserved(SOCLE_MESSAGE))] + failures)
     dets = np.array([d for _, _, d in layers], dtype=np.int64).reshape(len(layers), len(autos))
     totals = functools.reduce(ops.mul, dets, np.ones(len(autos), dtype=np.int64))
-    powers = _code_powers(ops, totals, alg.field.p - 1)
+    powers = ops.pow(totals, alg.field.p - 1)
     element = functools.cache(alg.field.element_from_code)
     in_subgroup = functools.cache(lambda code: element(code).is_pm1_power())
     return [
@@ -464,7 +468,7 @@ def _data_of(alg: GroupAlgebra, matrix: np.ndarray) -> np.ndarray:
 
 def _conjugation_matrix(alg: GroupAlgebra, unit: np.ndarray, inverse: np.ndarray) -> np.ndarray:
     """L(u) R(u^-1), the matrix of x -> u x u^-1."""
-    return alg.conjugation_matrices(unit[None], inverse[None])[0]
+    return alg.ops.matmul(alg.left_mult_matrix(unit), alg.right_mult_matrix(inverse))
 
 
 def _substitution_matrix(alg: GroupAlgebra, images: np.ndarray) -> np.ndarray:
@@ -546,27 +550,14 @@ def _raise_first(failures: list[tuple[np.ndarray, Exception]]) -> None:
         raise failures[min(failed)[1]][1]
 
 
-def _code_powers(ops, codes: np.ndarray, exponent: int) -> np.ndarray:
-    """codes^exponent elementwise, exponent >= 1, by repeated squaring."""
-    result = None
-    while True:
-        if exponent & 1:
-            result = codes if result is None else ops.mul(result, codes)
-        exponent >>= 1
-        if not exponent:
-            return result
-        codes = ops.mul(codes, codes)
-
-
 # ---------------------------------------------------------------------------
 # seeded random sources
 
-def random_inners(algebra: GroupAlgebra, rng: random.Random, count: int,
-                  terms: int = 3) -> list[AlgebraAutomorphism]:
-    """Conjugations by count random units 1 + (sparse combination of terms
-    (g - 1)), built as one stack.
+def random_inners(algebra: GroupAlgebra, rng: random.Random, count: int) -> list[AlgebraAutomorphism]:
+    """Conjugations by count random units 1 + (sparse combination of
+    INNER_TERMS (g - 1)), built as one stack.
 
-    Each member draws (g_k, c_k) for k = 1 .. terms, g_k != 1 and c_k a
+    Each member draws (g_k, c_k) for k = 1 .. INNER_TERMS, g_k != 1 and c_k a
     unit, after the member before it.  Unit u = 1 + sum_k c_k (g_k - 1) is
     summed on its coefficients at 1 and at the drawn g_k, every member at
     once.
@@ -574,12 +565,12 @@ def random_inners(algebra: GroupAlgebra, rng: random.Random, count: int,
     n = algebra.dimension
     q = algebra.field.q
     ops = algebra.ops
-    draws = np.array([[rng.randrange(1, n), rng.randrange(1, q)] for _ in range(count * terms)],
-                     dtype=np.int64).reshape(count, terms, 2)
+    draws = np.array([[rng.randrange(1, n), rng.randrange(1, q)] for _ in range(count * INNER_TERMS)],
+                     dtype=np.int64).reshape(count, INNER_TERMS, 2)
     units = np.zeros((count, n), dtype=np.int64)
     units[:, 0] = 1
     members = np.arange(count)
-    for k in range(terms):
+    for k in range(INNER_TERMS):
         g, c = draws[:, k, 0], draws[:, k, 1]
         units[members, g] = ops.add(units[members, g], c)
         units[:, 0] = ops.sub(units[:, 0], c)
@@ -613,7 +604,7 @@ def _substitution_draw(algebra: GroupAlgebra, rng: random.Random) -> np.ndarray:
     q = algebra.field.q
     while True:
         linear = np.array([[rng.randrange(q) for _ in range(m)] for _ in range(m)], dtype=np.int64)
-        if ops.det(linear) != 0:
+        if ops.det(linear[None])[0] != 0:
             break
     images = np.zeros((m, algebra.dimension), dtype=np.int64)
     images[:, algebra.generator_indices] = linear
@@ -699,7 +690,8 @@ def _random_options(tokens: list[str]) -> dict[str, int]:
 
 
 def _parse_clauses(rest: str, symbol: str, m: int) -> dict[int, str]:
-    """{i: rhs} of the comma-separated clauses 'symbol<i> -> rhs', 1 <= i <= m."""
+    """{i: rhs} of the comma-separated clauses 'symbol<i> -> rhs', 1 <= i <= m,
+    each i at most once."""
     clauses: dict[int, str] = {}
     for clause in rest.split(","):
         clause = clause.strip()
@@ -714,6 +706,8 @@ def _parse_clauses(rest: str, symbol: str, m: int) -> dict[int, str]:
         i = int(src[1:])
         if not 1 <= i <= m:
             raise ValueError(f"{symbol}{i} out of range {symbol}1..{symbol}{m}")
+        if i in clauses:
+            raise ValueError(f"{symbol}{i} given twice, again in {clause!r}")
         clauses[i] = rhs.strip()
     return clauses
 

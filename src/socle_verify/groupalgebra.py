@@ -463,13 +463,6 @@ class GroupAlgebra:
             out = self.ops.add(out, self.ops.mul(coeffs[:, s, None, None], gathered))
         return out
 
-    def conjugation_matrices(self, units: np.ndarray, inverses: np.ndarray) -> np.ndarray:
-        """Matrices L(u) R(u^-1) of x -> u x u^-1, for (B, |G|) stacks of units
-        and their inverses."""
-        n = self.dimension
-        return self._by_member_chunks(len(units), (n, n), lambda part: self.ops.matmul_stack(
-            self.left_mult_matrix(units[part]), self.right_mult_matrix(inverses[part])))
-
     def member_chunks(self, count: int) -> list[slice]:
         """Slices of a stack of `count` members whose |G| x |G| matrices hold
         at most linalg.MAX_STACK_CELLS entries together, and at least one
@@ -503,7 +496,7 @@ class GroupAlgebra:
         eps = column_sums(self.ops, units.T)
         if not eps.all():
             raise NotAUnit("element lies in the augmentation ideal")
-        einv = np.array([self.ops.scalar_inv(e) for e in eps.tolist()], dtype=np.int64)[:, None]
+        einv = self.ops.inv(eps)[:, None]
         one = self.one().codes
         z = self.ops.sub(one, self.ops.mul(units, einv))
         acc = self.ops.add(one, z)

@@ -25,11 +25,12 @@ that hold at most MAX_STACK_CELLS together.  So the memory a stack takes
 stays a few times that of one chunk's operands however many members it
 has.
 
-det also takes a stack of square matrices, shape (B, s, s), and returns
-one code per member.  The stack is decoded once and eliminated column by
-column on its coefficient planes, every member in the same numpy pass,
-and only the B determinants are encoded; a single matrix keeps the
-column loop on codes, which costs less at one matrix.
+det takes only stacks of square matrices, shape (B, s, s), and returns
+one code per member: one forward elimination on codes, every member in
+the same numpy pass, through add/sub/mul/neg and the elementwise inv.
+Inverses and powers of field elements are the elementwise inv and pow:
+inv gathers from a table of all q inverses when q <= DIGIT_TABLE_ROWS,
+and takes x^(q-2) by pow's repeated squaring above that.
 """
 
 from __future__ import annotations
@@ -85,9 +86,8 @@ class FieldOps:
                     nxt[i] = (nxt[i] - lead * c) % self.p
             cur = nxt
         self._red = np.array(red, dtype=np.int64).reshape(self.n - 1, self.n)
-        self._inv_cache: dict[int, int] = {}
-        # inverses of the residues mod p, built on first use by _det_stack
-        self._residue_inverses: np.ndarray | None = None
+        # _inverses[c] = the code of 1/c (0 at 0), built on first use by inv
+        self._inverses: np.ndarray | None = None
 
     # -- code <-> coefficient planes -----------------------------------------
 
@@ -148,18 +148,34 @@ class FieldOps:
         low %= self.p
         return low
 
-    # -- scalars ---------------------------------------------------------------
+    # -- powers and inverses ---------------------------------------------------
 
-    def scalar_inv(self, code: int) -> int:
-        code = int(code)
-        if code == 0:
-            raise ZeroDivisionError("zero is not invertible")
-        hit = self._inv_cache.get(code)
-        if hit is None:
-            elem = self.spec.element_from_code(code)
-            hit = self.spec.code_of(elem.inverse())
-            self._inv_cache[code] = hit
-        return hit
+    def pow(self, a: np.ndarray, exponent: int) -> np.ndarray:
+        """a^exponent elementwise, exponent >= 1, by repeated squaring."""
+        a = np.asarray(a, dtype=np.int64)
+        result = None
+        while True:
+            if exponent & 1:
+                result = a if result is None else self.mul(result, a)
+            exponent >>= 1
+            if not exponent:
+                return result
+            a = self.mul(a, a)
+
+    def inv(self, a: np.ndarray) -> np.ndarray:
+        """Inverses of codes elementwise, with 0 -> 0.
+
+        x^(q-2) is 1/x for x != 0 and is 0 at 0.  For q <= DIGIT_TABLE_ROWS
+        it is gathered from a table of all q inverses, built on first use;
+        above that it is computed per call.
+        """
+        q = self.spec.q
+        if q > DIGIT_TABLE_ROWS:
+            return self.pow(a, q - 2)
+        if self._inverses is None:
+            # over GF(2), q - 2 = 0 and x^1 is the table
+            self._inverses = self.pow(np.arange(q, dtype=np.int64), max(q - 2, 1))
+        return self._inverses[np.asarray(a, dtype=np.int64)]
 
     # -- matrix products --------------------------------------------------------
 
@@ -257,7 +273,7 @@ class FieldOps:
                 m[[r, i]] = m[[i, r]]
             pc = int(m[r, c])
             if pc != 1:
-                m[r] = self.mul(np.int64(self.scalar_inv(pc)), m[r])
+                m[r] = self.mul(self.inv(pc), m[r])
             factors = m[:, c].copy()
             factors[r] = 0
             if np.any(factors):
@@ -313,78 +329,20 @@ class FieldOps:
         basis[:, pivots] = self.neg(reduced[:, free].T)
         return np.ascontiguousarray(basis[::-1, ::-1])
 
-    def det(self, m: np.ndarray) -> int | np.ndarray:
-        """Determinant as a field code (forward elimination, exact).
+    def det(self, m: np.ndarray) -> np.ndarray:
+        """Determinants, as (B,) codes, of a (B, s, s) stack of square matrices.
 
-        A stack (B, s, s) gives the (B,) codes of its members.
+        Forward elimination on codes, every member in the same pass: in
+        column c each member swaps up its first row with a nonzero entry
+        there, negating its determinant, multiplies the determinant by that
+        pivot and clears the column below it.  A member with no pivot in
+        some column multiplies by a zero pivot, whose inverse inv takes as
+        0, so it ends at 0 with no bookkeeping.
         """
         m = np.array(m, dtype=np.int64, copy=True)
+        if m.ndim != 3 or m.shape[1] != m.shape[2]:
+            raise ValueError("det takes a stack (B, s, s) of square matrices")
         size = m.shape[-1]
-        if m.ndim not in (2, 3) or m.shape[-2] != size:
-            raise ValueError("determinant needs a square matrix or a stack of them")
-        if m.ndim == 3:
-            return self._det_stack(m)
-        det = self.spec.one()
-        for c in range(size):
-            nz = np.nonzero(m[c:, c])[0]
-            if nz.size == 0:
-                return 0
-            i = c + int(nz[0])
-            if i != c:
-                m[[c, i]] = m[[i, c]]
-                det = -det
-            pc = int(m[c, c])
-            det = det * self.spec.element_from_code(pc)
-            if c + 1 == size:
-                break
-            factors = self.mul(m[c + 1 :, c], np.int64(self.scalar_inv(pc)))
-            if np.any(factors):
-                m[c + 1 :] = self.sub(m[c + 1 :], self.mul(factors[:, None], m[c][None, :]))
-        return self.spec.code_of(det)
-
-    def _det_stack(self, m: np.ndarray) -> np.ndarray:
-        """Determinants of a (B, s, s) stack, eliminated on resident planes.
-
-        A member with no pivot in some column multiplies its running
-        determinant by the zero pivot, so it ends at 0 with no bookkeeping.
-        Over a prime field the codes are the residues, and the elimination
-        runs on them with the table of inverses.
-        """
-        if self.n == 1:
-            return self._det_stack_residues(m)
-        p, size = self.p, m.shape[-1]
-        planes = self.decode(m)  # (B, s, s, n)
-        members = np.arange(len(m))
-        det = np.zeros((len(m), self.n), dtype=np.int64)
-        det[:, 0] = 1
-        for c in range(size):
-            nz = planes[:, c:, c].any(axis=-1)
-            rows = c + nz.argmax(axis=1)
-            swapped = rows != c
-            if swapped.any():
-                top = planes[members, rows]
-                planes[members, rows] = planes[:, c]
-                planes[:, c] = top
-                det[swapped] = -det[swapped] % p
-            pivot = planes[:, c, c]
-            det = self._mul_planes(det, pivot)
-            if c + 1 == size:
-                break
-            codes = self.encode(pivot)
-            uniq, where = np.unique(codes, return_inverse=True)
-            inv = np.array([self.scalar_inv(u) if u else 0 for u in uniq.tolist()], dtype=np.int64)
-            factors = self._mul_planes(planes[:, c + 1 :, c], self.decode(inv[where])[:, None])
-            below = planes[:, c + 1 :, c:]
-            below -= self._mul_planes(factors[:, :, None], planes[:, None, c, c:])
-            below %= p
-        return self.encode(det)
-
-    def _det_stack_residues(self, m: np.ndarray) -> np.ndarray:
-        """_det_stack over GF(p), on residues: no planes and no encode."""
-        p, size = self.p, m.shape[-1]
-        if self._residue_inverses is None:
-            self._residue_inverses = np.array([pow(x, p - 2, p) if x else 0 for x in range(p)],
-                                              dtype=np.int64)
         members = np.arange(len(m))
         det = np.ones(len(m), dtype=np.int64)
         for c in range(size):
@@ -394,15 +352,14 @@ class FieldOps:
                 top = m[members, rows]
                 m[members, rows] = m[:, c]
                 m[:, c] = top
-                det[swapped] = -det[swapped] % p
+                det[swapped] = self.neg(det[swapped])
             pivot = m[:, c, c]
-            det = det * pivot % p
+            det = self.mul(det, pivot)
             if c + 1 == size:
                 break
-            factors = m[:, c + 1 :, c] * self._residue_inverses[pivot][:, None] % p
-            below = m[:, c + 1 :, c:]
-            below -= factors[:, :, None] * m[:, None, c, c:]
-            below %= p
+            factors = self.mul(m[:, c + 1 :, c], self.inv(pivot)[:, None])
+            below = self.mul(factors[:, :, None], m[:, None, c, c:])
+            m[:, c + 1 :, c:] = self.sub(m[:, c + 1 :, c:], below)
         return det
 
     def eye(self, size: int) -> np.ndarray:

@@ -6,9 +6,10 @@ testing the congruence one radical power deeper.  None of it touches the
 layer bookkeeping inside the jennings module.  The group-table oracles at
 the end (the table by collection, the all-triples certificate, random
 presentations and random loops) work on index tables.  The field-kernel
-oracles (decode by division, the product one plane pair at a time) are
-the FieldOps kernels as they were before decode became a table gather and
-matmul one BLAS product.  The report by members and the random inner draw
+oracles (decode by division, the product one plane pair at a time, the
+determinant by a column loop) are the FieldOps kernels as they were before
+decode became a table gather, matmul one BLAS product and det a stacked
+elimination on codes.  The report by members and the random inner draw
 by elements are the verification and the inner automorphism as they were
 built for one automorphism at a time, before runs were verified as stacks.
 The data by matrix are an automorphism's lift images and socle image read
@@ -331,7 +332,7 @@ def report_by_members(auto):
     verified before runs were verified as stacks: the socle scalar from one
     matrix-vector product, each layer's block from one coordinates() call on
     this automorphism's lift images and checked column by column, its
-    determinant by the single-matrix det, and det_total and det^(p-1) by
+    determinant by det_by_column_loop, and det_total and det^(p-1) by
     FieldElement arithmetic.  Raises the errors verify_stack raises.
     """
     from socle_verify.automorphisms import (
@@ -370,7 +371,7 @@ def report_by_members(auto):
             if col[others].any():
                 raise LieSubspaceViolated(f"image class in layer {r} left the span of the layer lifts")
         block = layer_coords[list(layer.rows)]
-        det_code = ops.det(block)
+        det_code = det_by_column_loop(ops, block)
         if det_code == 0:
             raise FiltrationNotPreserved(f"induced block in degree {r} is singular")
         det = field.element_from_code(det_code)
@@ -470,7 +471,7 @@ def substitution_images_by_elements(algebra, rng):
     q = algebra.field.q
     while True:
         linear = np.array([[rng.randrange(q) for _ in range(m)] for _ in range(m)], dtype=np.int64)
-        if ops.det(linear) != 0:
+        if det_by_column_loop(ops, linear) != 0:
             break
     j2 = filtration_by_monomial_echelon(algebra.group)[0][2]
     higher = {}
@@ -837,6 +838,33 @@ def matmul_by_planes(ops, a, b):
     return ops.encode(ops.reduce_planes(out))
 
 
+def det_by_column_loop(ops, m):
+    """Determinant code of one square matrix, eliminated column by column.
+
+    The oracle for FieldOps.det: the one-matrix det as it was before det
+    took only stacks, with the running determinant a FieldElement and
+    each pivot inverted by FieldElement.inverse.
+    """
+    spec = ops.spec
+    m = np.array(m, dtype=np.int64, copy=True)
+    size = m.shape[0]
+    det = spec.one()
+    for c in range(size):
+        nz = np.nonzero(m[c:, c])[0]
+        if nz.size == 0:
+            return 0
+        i = c + int(nz[0])
+        if i != c:
+            m[[c, i]] = m[[i, c]]
+            det = -det
+        pivot = spec.element_from_code(int(m[c, c]))
+        det = det * pivot
+        factors = ops.mul(m[c + 1 :, c], np.int64(spec.code_of(pivot.inverse())))
+        if np.any(factors):
+            m[c + 1 :] = ops.sub(m[c + 1 :], ops.mul(factors[:, None], m[c][None, :]))
+    return spec.code_of(det)
+
+
 class GridRing(TruncatedPolynomialRing):
     """The truncated polynomial ring with its elements: dense coefficient
     grids of shape (p, ..., p).
@@ -996,7 +1024,7 @@ class TruncatedPolynomial:
                 raise ValueError("substitute takes one matrix, not a stack")
             if images.shape != (ring.nvars, ring.nvars):
                 raise ValueError("substitution matrix has the wrong shape")
-            if ring.ops.det(images) == 0:
+            if det_by_column_loop(ring.ops, images) == 0:
                 raise SingularMatrix("linear substitution matrix is singular")
             images = [ring.linear_form(row) for row in images]
         if len(images) != ring.nvars:

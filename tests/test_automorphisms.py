@@ -382,13 +382,15 @@ def test_spec_parser_all_forms(algebra):
     ("{s}1{s}2 -> {rhs}", "left side '{s}1{s}2' must be a single {s}i"),
     ("{s}0 -> {rhs}", "{s}0 out of range {s}1..{s}2"),
     ("{s}3 -> {rhs}", "{s}3 out of range {s}1..{s}2"),
+    ("{s}2 -> {rhs}", "{s}2 given twice, again in '{s}2 -> {rhs}'"),
 ])
 def test_spec_clauses_are_checked(algebra, kind, symbol, rhs, clause, message):
     """group-auto: and subst: share one clause parser: a missing arrow, a
-    wrong symbol and an index outside 1..m are rejected on both."""
+    wrong symbol, an index outside 1..m and a repeated index are rejected
+    on both."""
     alg = algebra("C2xC2")
     text = f"{kind}: {symbol}2 -> {symbol}2, " + clause.format(s=symbol, rhs=rhs)
-    with pytest.raises(ValueError, match=re.escape(message.format(s=symbol))):
+    with pytest.raises(ValueError, match=re.escape(message.format(s=symbol, rhs=rhs))):
         parse_automorphism_specs(alg, text)
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from socle_verify import GF, GroupAlgebra, PcGroup
+from socle_verify import GF, GroupAlgebra, PcGroup, automorphisms
 from socle_verify.automorphisms import AlgebraAutomorphism, DataMismatch
 from socle_verify.cli import main
 from socle_verify.groupalgebra import column_sums, radical_filtration
@@ -122,7 +122,7 @@ def test_default_order_512_run_builds_no_matrix(monkeypatch):
     def refuse(*args):
         raise AssertionError("a default run built a |G| x |G| matrix")
 
-    monkeypatch.setattr(GroupAlgebra, "conjugation_matrices", refuse)
+    monkeypatch.setattr(automorphisms, "_conjugation_matrix", refuse)
     monkeypatch.setattr(AlgebraAutomorphism, "matrix", property(refuse))
     algebra, autos = prepare(RunConfig(
         group="C2^9", presentation="pcgroup p=2 m=9\n", n=2, include_stored=False, seed=7,

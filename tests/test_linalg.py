@@ -2,9 +2,11 @@
 
 Matrices are arrays of element codes.  Determinants are checked against a
 permutation-expansion oracle computed with FieldElement arithmetic, which
-shares no code with the Gaussian elimination under test.  decode and
-matmul are checked against the divmod decode and the product one plane
-pair at a time (tests/oracle_helpers.py).
+shares no code with the Gaussian elimination under test, and against the
+one-matrix column loop with FieldElement pivots; inv and pow against
+FieldElement.inverse and **.  decode and matmul are checked against the
+divmod decode and the product one plane pair at a time
+(tests/oracle_helpers.py).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from hypothesis import strategies as st
 from socle_verify import GF, linalg
 from socle_verify.linalg import DIGIT_TABLE_ROWS, FieldOps
 
-from oracle_helpers import decode_by_divmod, in_row_space, matmul_by_planes
+from oracle_helpers import decode_by_divmod, det_by_column_loop, in_row_space, matmul_by_planes
 
 
 @functools.cache
@@ -61,7 +63,7 @@ def test_det_matches_leibniz_expansion(p, n):
     for size in (1, 2, 3, 4):
         for _ in range(20):
             m = random_matrix(k, rng, size, size)
-            assert ops.det(m) == det_oracle(ops, m)
+            assert ops.det(m[None]).tolist() == [det_oracle(ops, m)]
 
 
 def known_det_matrix(k, ops, rng, size, singular):
@@ -106,7 +108,7 @@ def test_stacked_det_matches_oracles(p, n):
         got = ops.det(np.stack(members))
         assert got.shape == (len(members),)
         assert got[:6].tolist() == known
-        assert got.tolist() == [ops.det(m) for m in members]
+        assert got.tolist() == [det_by_column_loop(ops, m) for m in members]
         if size <= 5:
             assert got.tolist() == [det_oracle(ops, m) for m in members]
         assert 0 in got.tolist()
@@ -115,10 +117,10 @@ def test_stacked_det_matches_oracles(p, n):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 4093])
 def test_prime_field_det_stack_equals_the_one_matrix_loop(p):
-    """Over GF(p) a stack is eliminated on residues with a table of
-    inverses; its int64 codes must be those of the one-matrix loop, byte
-    for byte, at sizes 1..8 with a third of the members singular (a zero
-    column, a repeated row, or a built P L U with a zero on the diagonal)."""
+    """Over GF(p) the codes are the residues; a stack's int64 codes must be
+    those of the one-matrix column loop, byte for byte, at sizes 1..8 with
+    a third of the members singular (a zero column, a repeated row, or a
+    built P L U with a zero on the diagonal)."""
     k = GF(p)
     ops = FieldOps(k)
     rng = random.Random(97 + p)
@@ -135,7 +137,7 @@ def test_prime_field_det_stack_equals_the_one_matrix_loop(p):
             elif i % 6 == 2 and size > 1:
                 m[-1] = m[0]
             members.append(m)
-        want = np.array([ops.det(m) for m in members], dtype=np.int64)
+        want = np.array([det_by_column_loop(ops, m) for m in members], dtype=np.int64)
         got = ops.det(np.stack(members))
         assert got.dtype == np.int64 and got.tobytes() == want.tobytes(), size
         singular += int((want == 0).sum())
@@ -144,10 +146,38 @@ def test_prime_field_det_stack_equals_the_one_matrix_loop(p):
 
 def test_det_of_identity_and_swap():
     ops = FieldOps(GF(5))
-    assert ops.det(ops.eye(4)) == 1
+    assert ops.det(ops.eye(4)[None]).tolist() == [1]
     m = ops.eye(4)
     m[[0, 1]] = m[[1, 0]]
-    assert ops.det(m) == 4  # -1 mod 5
+    assert ops.det(m[None]).tolist() == [4]  # -1 mod 5
+
+
+def test_det_takes_only_stacks():
+    ops = FieldOps(GF(3, 2))
+    for m in (ops.eye(3), np.zeros(3, dtype=np.int64), np.zeros((2, 3, 4), dtype=np.int64)):
+        with pytest.raises(ValueError, match="stack"):
+            ops.det(m)
+
+
+# every code of the fields below the table bound; GF(13^8) is above it and
+# is checked on seeded codes, the per-call x^(q-2)
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (3, 2), (5, 2), (2, 8), (4093, 1), (13, 8)])
+def test_inv_and_pow_match_field_elements(p, n):
+    ops = field_ops(p, n)
+    k = ops.spec
+    if k.q <= DIGIT_TABLE_ROWS:
+        codes = np.arange(k.q, dtype=np.int64)
+    else:
+        rng = np.random.default_rng(p * 100 + n)
+        codes = np.concatenate([[0, 1, p, k.q - 1], rng.integers(0, k.q, 200)]).astype(np.int64)
+    elements = [k.element_from_code(int(c)) for c in codes]
+    want = [0 if x.is_zero() else k.code_of(x.inverse()) for x in elements]
+    assert ops.inv(codes).tolist() == want
+    assert ops.inv(codes[None]).tolist() == [want]
+    assert ops.mul(codes, ops.inv(codes)).tolist() == (codes != 0).tolist()
+    assert ops.inv(0) == 0 and ops.inv(1) == 1
+    for exponent in (1, 2, p - 1, p, 2 * p + 3, k.q - 1):
+        assert ops.pow(codes, exponent).tolist() == [k.code_of(x**exponent) for x in elements]
 
 
 def test_rref_fixed_example_gf2():
@@ -189,7 +219,7 @@ def test_solve_recovers_known_solution():
     for _ in range(20):
         while True:
             a = random_matrix(k, rng, 4, 4)
-            if ops.det(a) != 0:
+            if ops.det(a[None])[0] != 0:
                 break
         x = np.array([rng.randrange(k.q) for _ in range(4)], dtype=np.int64)
         b = ops.matvec(a, x)
@@ -321,7 +351,5 @@ def test_det_is_multiplicative_gf5(seed):
     rng = random.Random(seed)
     a = random_matrix(k, rng, 3, 3)
     b = random_matrix(k, rng, 3, 3)
-    ab = ops.matmul(a, b)
-    assert ops.det(ab) == k.code_of(
-        k.element_from_code(ops.det(a)) * k.element_from_code(ops.det(b))
-    )
+    det_a, det_b, det_ab = ops.det(np.stack([a, b, ops.matmul(a, b)])).tolist()
+    assert det_ab == k.code_of(k.element_from_code(det_a) * k.element_from_code(det_b))

@@ -1,12 +1,11 @@
 """Stacked kernels and the stacked verification against one member at a time.
 
-FieldOps.matmul_stack, GroupAlgebra.multiply_codes / unit_inverse /
-conjugation_matrices on (B, |G|) stacks, random_inners and verify_stack
-must give every member exactly what it gets in a one-member stack,
-whatever the chunk sizes, and a stack with a bad member must raise what
-that member raises alone.  The per-member oracles (report_by_members,
-random_inner_by_elements, matmul_by_planes) compute the same things
-without stacks.
+FieldOps.matmul_stack, GroupAlgebra.multiply_codes / unit_inverse on
+(B, |G|) stacks, random_inners and verify_stack must give every member
+exactly what it gets in a one-member stack, whatever the chunk sizes,
+and a stack with a bad member must raise what that member raises alone.
+The per-member oracles (report_by_members, random_inner_by_elements,
+matmul_by_planes) compute the same things without stacks.
 """
 
 from __future__ import annotations
