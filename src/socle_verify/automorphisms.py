@@ -219,16 +219,18 @@ class AlgebraAutomorphism:
         The inverses come from one stacked unit_inverse, which raises
         NotAUnit on augmentation zero and checks u u^-1 = 1 for every
         member.  The lift images u (y u^-1) and the socle image u (n u^-1)
-        are left products by u, a sum of gathers over its support; the
-        matrices L(u) R(u^-1) are built on first use.
+        are left products by u, a sum of gathers over its support, where
+        n u^-1 is the augmentation of u^-1 in every entry; the matrices
+        L(u) R(u^-1) are built on first use.
         """
         units = np.asarray(units, dtype=np.int64)
         inverses = algebra.unit_inverse(units)
         group = algebra.group
-        # (y a)[g] = a[y^-1 g]
+        # (y a)[g] = a[y^-1 g], and (n a)[g] = sum_h a[h] for every g
         gathers = group.cayley_table[group.inverse_table[algebra.filtration.lift_indices]]
+        sums = column_sums(algebra.ops, inverses.T)
         right = np.concatenate([inverses.take(gathers, axis=-1),
-                                algebra.multiply_codes(np.ones_like(inverses), inverses)[:, None]], axis=1)
+                                np.broadcast_to(sums[:, None, None], (len(units), 1, units.shape[1]))], axis=1)
         data = algebra.left_multiply_sparse(units, right.transpose(0, 2, 1))
         return [cls(algebra, functools.partial(_conjugation_matrix, algebra, u, uinv), provenance,
                     certificate="unit-inverse", data=d)

@@ -2,8 +2,9 @@
 
 Elements are dense coefficient vectors over GF(p), reduced modulo a fixed
 monic irreducible polynomial in the generator ``t``.  Everything here is
-desk scale (n <= 8), so schoolbook polynomial arithmetic is used throughout;
-there are no log/antilog tables.  The array kernels code an element as an
+desk scale (n <= 8), so schoolbook polynomial arithmetic is used throughout,
+with no log/antilog tables; that makes it an independent check on the array
+kernels (linalg), which gather from such tables.  They code an element as an
 int64 below q = p^n, so q is bounded by 2^63 - 1.  The default modulus is
 the lexicographically smallest monic irreducible, found with Rabin's test.
 """

@@ -324,7 +324,7 @@ class AlgebraElement:
 
     def __pow__(self, k: int):
         if k < 0:
-            raise ValueError("use inverse() for negative powers")
+            raise ValueError("negative powers: invert the unit with GroupAlgebra.unit_inverse")
         acc = self.algebra.one()
         for _ in range(k):
             acc = acc * self

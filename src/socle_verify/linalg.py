@@ -1,11 +1,19 @@
 """Dense exact linear algebra over GF(p^n) on integer-coded numpy arrays.
 
 A matrix over GF(p^n) is an int64 ndarray whose entries are base-p codes of
-field elements (code = sum_i c_i * p^i).  Kernels decode codes into
-coefficient planes, work mod p, and re-encode, so no multiplication tables
-are required and every extension degree the scalar layer supports works
-here too.  Prime fields (n == 1) take short-circuit paths: codes are the
-residues themselves.
+field elements (code = sum_i c_i * p^i).  Prime fields (n == 1) take
+short-circuit paths: codes are the residues themselves, and add, sub, neg
+and mul work mod p.
+
+Elementwise arithmetic over GF(p^n), n > 1, with q <= DIGIT_TABLE_ROWS is
+one or two gathers on codes from tables built once per field (see
+_GatherTables): mul is ext[log a + log b], add reads both codes' digits in
+base 2p-1, where they add without carries, and maps the sum back through a
+table of (2p-1)^n <= 5^7 entries; sub adds the negation, and neg, inv and
+pow (on every field up to that bound) read the same tables.  Above the
+bound the elementwise ops decode codes into coefficient planes, work mod p
+and re-encode, with inv as x^(q-2) by pow's repeated squaring, so every
+extension degree the scalar layer supports works here too.
 
 decode is a table gather.  The digit table holds the d base-p digits of
 every number below p^d, for the largest d <= n with p^d <= DIGIT_TABLE_ROWS;
@@ -28,12 +36,14 @@ has.
 det takes only stacks of square matrices, shape (B, s, s), and returns
 one code per member: one forward elimination on codes, every member in
 the same numpy pass, through add/sub/mul/neg and the elementwise inv.
-Inverses and powers of field elements are the elementwise inv and pow:
-inv gathers from a table of all q inverses when q <= DIGIT_TABLE_ROWS,
-and takes x^(q-2) by pow's repeated squaring above that.
+rref updates, per pivot, only the rows with a nonzero entry in its column
+and only the columns from it on.
 """
 
 from __future__ import annotations
+
+import functools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,7 +52,9 @@ from .ffield import FieldSpec
 __all__ = ["FieldOps", "DIGIT_TABLE_ROWS", "MAX_PRODUCT_CELLS", "MAX_STACK_CELLS", "EXACT_FLOAT_BOUND"]
 
 # rows of the digit table decode gathers from; p <= MAX_CHARACTERISTIC = 4096,
-# so a chunk has at least one digit, and the table takes at most 256 KB
+# so a chunk has at least one digit, and the table takes at most 256 KB.
+# Fields up to this order take their elementwise ops from gather tables of at
+# most 5^7 entries, under 0.8 MB in all per field
 DIGIT_TABLE_ROWS = 4096
 # entries of one chunk of matmul_stack's decoded left rows and of its plane
 # product; a chunk has >= 1 left row
@@ -86,8 +98,12 @@ class FieldOps:
                     nxt[i] = (nxt[i] - lead * c) % self.p
             cur = nxt
         self._red = np.array(red, dtype=np.int64).reshape(self.n - 1, self.n)
-        # _inverses[c] = the code of 1/c (0 at 0), built on first use by inv
-        self._inverses: np.ndarray | None = None
+        # elementwise ops gather from _tables up to the digit table's bound
+        self._gathered = spec.q <= DIGIT_TABLE_ROWS
+
+    @functools.cached_property
+    def _tables(self) -> _GatherTables:
+        return _gather_tables(self.spec)
 
     # -- code <-> coefficient planes -----------------------------------------
 
@@ -111,21 +127,35 @@ class FieldOps:
     def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self.n == 1:
             return (np.asarray(a) + np.asarray(b)) % self.p
+        if self._gathered:
+            t = self._tables
+            return t.unspread[t.spread[a] + t.spread[b]]
         return self.encode(self.decode(a) + self.decode(b))
 
     def sub(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self.n == 1:
             return (np.asarray(a) - np.asarray(b)) % self.p
+        if self._gathered:
+            t = self._tables
+            return t.unspread[t.spread[a] + t.neg_spread[b]]
         return self.encode(self.decode(a) - self.decode(b))
 
     def neg(self, a: np.ndarray) -> np.ndarray:
         if self.n == 1:
             return (-np.asarray(a)) % self.p
+        if self._gathered:
+            return self._tables.neg[a]
         return self.encode(-self.decode(a))
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self.n == 1:
             return (np.asarray(a) * np.asarray(b)) % self.p
+        if self._gathered:
+            t = self._tables
+            return t.ext[t.log[a] + t.log[b]]
+        return self._mul_by_planes(a, b)
+
+    def _mul_by_planes(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return self.encode(self._mul_planes(self.decode(a), self.decode(b)))
 
     def _mul_planes(self, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
@@ -151,8 +181,12 @@ class FieldOps:
     # -- powers and inverses ---------------------------------------------------
 
     def pow(self, a: np.ndarray, exponent: int) -> np.ndarray:
-        """a^exponent elementwise, exponent >= 1, by repeated squaring."""
+        """a^exponent elementwise, exponent >= 1: exp[e log a mod (q-1)] from
+        the gather tables, 0 -> 0, or by repeated squaring above their bound."""
         a = np.asarray(a, dtype=np.int64)
+        if self._gathered:
+            t, order = self._tables, self.spec.q - 1
+            return np.where(a != 0, t.ext[t.log[a] * (exponent % order) % order], 0)
         result = None
         while True:
             if exponent & 1:
@@ -165,17 +199,13 @@ class FieldOps:
     def inv(self, a: np.ndarray) -> np.ndarray:
         """Inverses of codes elementwise, with 0 -> 0.
 
-        x^(q-2) is 1/x for x != 0 and is 0 at 0.  For q <= DIGIT_TABLE_ROWS
-        it is gathered from a table of all q inverses, built on first use;
-        above that it is computed per call.
+        A gather from the inverse table, exp[-log a mod (q-1)], for
+        q <= DIGIT_TABLE_ROWS; above that x^(q-2), which is 1/x for x != 0
+        and 0 at 0, by pow's repeated squaring.
         """
-        q = self.spec.q
-        if q > DIGIT_TABLE_ROWS:
-            return self.pow(a, q - 2)
-        if self._inverses is None:
-            # over GF(2), q - 2 = 0 and x^1 is the table
-            self._inverses = self.pow(np.arange(q, dtype=np.int64), max(q - 2, 1))
-        return self._inverses[np.asarray(a, dtype=np.int64)]
+        if self._gathered:
+            return self._tables.inverse[a]
+        return self.pow(a, self.spec.q - 2)
 
     # -- matrix products --------------------------------------------------------
 
@@ -254,7 +284,9 @@ class FieldOps:
         """Reduced row echelon form.  Returns (nonzero rows, pivot columns).
 
         The RREF basis of a row space is unique, so results are reproducible
-        regardless of input row order.
+        regardless of input row order.  Each pivot updates only the rows
+        with a nonzero entry in its column, and only from its column on:
+        left of it the pivot row is zero.
         """
         m = np.array(m, dtype=np.int64, copy=True)
         if m.ndim != 2:
@@ -265,7 +297,7 @@ class FieldOps:
         for c in range(cols):
             if r == rows:
                 break
-            nz = np.nonzero(m[r:, c])[0]
+            nz = np.flatnonzero(m[r:, c])
             if nz.size == 0:
                 continue
             i = r + int(nz[0])
@@ -273,11 +305,11 @@ class FieldOps:
                 m[[r, i]] = m[[i, r]]
             pc = int(m[r, c])
             if pc != 1:
-                m[r] = self.mul(self.inv(pc), m[r])
-            factors = m[:, c].copy()
-            factors[r] = 0
-            if np.any(factors):
-                m = self.sub(m, self.mul(factors[:, None], m[r][None, :]))
+                m[r, c:] = self.mul(self.inv(pc), m[r, c:])
+            hit = np.flatnonzero(m[:, c])
+            hit = hit[hit != r]
+            if hit.size:
+                m[hit, c:] = self.sub(m[hit, c:], self.mul(m[hit, c][:, None], m[r, c:]))
             pivots.append(c)
             r += 1
         return m[:r], pivots
@@ -366,3 +398,56 @@ class FieldOps:
         m = np.zeros((size, size), dtype=np.int64)
         np.fill_diagonal(m, 1)
         return m
+
+
+class _GatherTables(NamedTuple):
+    """Code tables of one GF(q), q <= DIGIT_TABLE_ROWS, with g primitive.
+
+    log[g^k] = k and log[0] = 2(q-1); ext[k] = g^k for k < 2(q-1) and 0
+    from there on, so ext[log a + log b] = a b with any zero factor landing
+    in the zeros.  spread reads a code's base-p digits in base 2p-1, where
+    the digits of a sum of two stay below 2p-1 and never carry; unspread
+    maps such a sum back to the code of its digits mod p.
+    """
+
+    log: np.ndarray
+    ext: np.ndarray
+    inverse: np.ndarray
+    neg: np.ndarray
+    spread: np.ndarray
+    neg_spread: np.ndarray
+    unspread: np.ndarray
+
+
+@functools.cache
+def _gather_tables(spec: FieldSpec) -> _GatherTables:
+    """The tables of spec, built on first use by products of coefficient
+    planes and shared by every FieldOps of an equal spec."""
+    ops = FieldOps(spec)
+    p, n, order = spec.p, spec.n, spec.q - 1
+    # the modulus need not be primitive (t has order 4 modulo t^2 + 1 over
+    # GF(3)), so g is the first code whose powers g^0 .. g^(q-2) are distinct;
+    # each candidate's powers double the known prefix per plane product.  The
+    # codes below p are the prime field, of order p - 1 < q - 1 when n > 1.
+    for g in range(1 if n == 1 else p, spec.q):
+        exp, step = np.ones(1, dtype=np.int64), np.int64(g)
+        while len(exp) < order:
+            exp = np.concatenate([exp, ops._mul_by_planes(exp, step)])
+            step = ops._mul_by_planes(step, step)
+        exp = exp[:order]
+        if np.count_nonzero(np.bincount(exp)) == order:
+            break
+    steps = np.arange(order, dtype=np.int64)
+    log = np.full(spec.q, 2 * order, dtype=np.int64)
+    log[exp] = steps
+    ext = np.zeros(4 * order + 1, dtype=np.int64)
+    ext[: 2 * order] = np.tile(exp, 2)
+    inverse = np.zeros(spec.q, dtype=np.int64)
+    inverse[exp] = exp[-steps % order]
+    planes = ops.decode(np.arange(spec.q, dtype=np.int64))
+    wide = (2 * p - 1) ** np.arange(n, dtype=np.int64)
+    spread = planes @ wide
+    neg = ops.encode(-planes)
+    sums = np.arange((2 * p - 1) ** n, dtype=np.int64)
+    unspread = ops.encode(sums[:, None] // wide % (2 * p - 1))
+    return _GatherTables(log, ext, inverse, neg, spread, spread[neg], unspread)

@@ -865,6 +865,39 @@ def det_by_column_loop(ops, m):
     return spec.code_of(det)
 
 
+def rref_by_full_update(ops, m):
+    """Reduced row echelon form with every pivot updating the whole matrix.
+
+    The oracle for FieldOps.rref, which updates only the rows with a
+    nonzero entry in the pivot column and only from that column on; here
+    each pivot is inverted by FieldElement.inverse.
+    """
+    spec = ops.spec
+    m = np.array(m, dtype=np.int64, copy=True)
+    rows, cols = m.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(m[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            m[[r, i]] = m[[i, r]]
+        pivot = spec.element_from_code(int(m[r, c]))
+        if not pivot.is_one():
+            m[r] = ops.mul(np.int64(spec.code_of(pivot.inverse())), m[r])
+        factors = m[:, c].copy()
+        factors[r] = 0
+        if np.any(factors):
+            m = ops.sub(m, ops.mul(factors[:, None], m[r][None, :]))
+        pivots.append(c)
+        r += 1
+    return m[:r], pivots
+
+
 class GridRing(TruncatedPolynomialRing):
     """The truncated polynomial ring with its elements: dense coefficient
     grids of shape (p, ..., p).

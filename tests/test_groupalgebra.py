@@ -305,6 +305,15 @@ def test_unit_inverse_roundtrip(algebra):
             assert (inv * x) == alg.one()
 
 
+def test_negative_power_names_unit_inverse(algebra):
+    alg = algebra("D8")
+    x = alg.embed(alg.group.generator(1))
+    assert x**0 == alg.one() and x**2 * x**2 == x**4
+    with pytest.raises(ValueError, match=r"GroupAlgebra\.unit_inverse"):
+        (alg.one() + x) ** -1
+    assert hasattr(GroupAlgebra, "unit_inverse")
+
+
 def test_unit_inverse_matches_geometric_series(all_names):
     rng = random.Random(11)
     count = 0

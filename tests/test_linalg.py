@@ -3,10 +3,12 @@
 Matrices are arrays of element codes.  Determinants are checked against a
 permutation-expansion oracle computed with FieldElement arithmetic, which
 shares no code with the Gaussian elimination under test, and against the
-one-matrix column loop with FieldElement pivots; inv and pow against
-FieldElement.inverse and **.  decode and matmul are checked against the
-divmod decode and the product one plane pair at a time
-(tests/oracle_helpers.py).
+one-matrix column loop with FieldElement pivots; the six elementwise ops
+(gathers from log/antilog and carry-free digit tables up to
+DIGIT_TABLE_ROWS, coefficient planes above) against FieldElement
+arithmetic.  rref is checked against the loop that updates the whole
+matrix per pivot, decode and matmul against the divmod decode and the
+product one plane pair at a time (tests/oracle_helpers.py).
 """
 
 from __future__ import annotations
@@ -21,9 +23,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from socle_verify import GF, linalg
+from socle_verify.ffield import FieldSpec
 from socle_verify.linalg import DIGIT_TABLE_ROWS, FieldOps
 
-from oracle_helpers import decode_by_divmod, det_by_column_loop, in_row_space, matmul_by_planes
+from oracle_helpers import (decode_by_divmod, det_by_column_loop, in_row_space, matmul_by_planes,
+                            rref_by_full_update)
 
 
 @functools.cache
@@ -178,6 +182,64 @@ def test_inv_and_pow_match_field_elements(p, n):
     assert ops.inv(0) == 0 and ops.inv(1) == 1
     for exponent in (1, 2, p - 1, p, 2 * p + 3, k.q - 1):
         assert ops.pow(codes, exponent).tolist() == [k.code_of(x**exponent) for x in elements]
+
+
+# all pairs up to q = 81 (with two moduli of which t is not a primitive
+# element: t has order 4 modulo t^2 + 1 over GF(3), 5 modulo t^4 + t^3 +
+# t^2 + t + 1 over GF(2)), seeded pairs up to GF(61^2), whose carry-free
+# sum table is the largest, and GF(13^4) just above the table bound
+@pytest.mark.parametrize("p,n,modulus", [
+    (2, 2, None), (2, 3, None), (3, 2, None), (5, 2, None), (3, 3, None), (7, 2, None), (3, 4, None),
+    (3, 2, "t^2+1"), (2, 4, "t^4+t^3+t^2+t+1"),
+    (2, 8, None), (3, 7, None), (5, 5, None), (7, 4, None), (61, 2, None), (13, 4, None),
+])
+def test_elementwise_ops_match_field_elements(p, n, modulus):
+    k = FieldSpec(p, n, modulus)
+    ops = FieldOps(k)
+    assert ops._gathered == (k.q <= DIGIT_TABLE_ROWS)
+    if k.q <= 81:
+        a, b = (x.reshape(-1) for x in np.meshgrid(np.arange(k.q), np.arange(k.q)))
+    else:
+        rng = np.random.default_rng(k.q)
+        edges = [0, 1, p, k.q - 1]
+        a = np.concatenate([np.repeat(edges, 4), rng.integers(0, k.q, 300)])
+        b = np.concatenate([np.tile(edges, 4), rng.integers(0, k.q, 300)])
+    x = [k.element_from_code(int(c)) for c in a]
+    y = [k.element_from_code(int(c)) for c in b]
+    assert ops.add(a, b).tolist() == [k.code_of(u + v) for u, v in zip(x, y)]
+    assert ops.sub(a, b).tolist() == [k.code_of(u - v) for u, v in zip(x, y)]
+    assert ops.mul(a, b).tolist() == [k.code_of(u * v) for u, v in zip(x, y)]
+    assert ops.neg(a).tolist() == [k.code_of(-u) for u in x]
+    assert ops.inv(a).tolist() == [0 if u.is_zero() else k.code_of(u.inverse()) for u in x]
+    for exponent in (1, 2, p, k.q - 1, k.q, 2 * k.q + 3):
+        assert ops.pow(a, exponent).tolist() == [k.code_of(u**exponent) for u in x]
+        assert ops.pow(0, exponent) == 0
+    assert ops.inv(0) == 0
+    # broadcasting, as numpy does
+    assert ops.mul(a[:3, None], b[None, :5]).tolist() == [
+        [k.code_of(u * v) for v in y[:5]] for u in x[:3]]
+
+
+def test_field_ops_of_one_spec_share_gather_tables():
+    first, second = FieldOps(GF(3, 2)), FieldOps(FieldSpec(3, 2, [1, 0, 1]))
+    assert first.spec == second.spec and first.spec is not second.spec
+    assert first._tables is second._tables
+    assert FieldOps(FieldSpec(3, 2, "t^2+t+2"))._tables is not first._tables
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2), (5, 2)])
+@pytest.mark.parametrize("rows,cols,rank", [(12, 5, 5), (5, 12, 5), (9, 9, 4), (14, 6, 2), (4, 11, 1)])
+def test_rref_matches_full_update_oracle(p, n, rows, cols, rank):
+    k = GF(p, n)
+    ops = field_ops(p, n)
+    rng = random.Random(rows * 100 + cols * 10 + rank + k.q)
+    # a product (rows x rank) @ (rank x cols) has rank at most `rank`
+    m = ops.matmul(random_matrix(k, rng, rows, rank), random_matrix(k, rng, rank, cols))
+    m[rng.randrange(rows)] = 0
+    reduced, pivots = ops.rref(m)
+    want, want_pivots = rref_by_full_update(ops, m)
+    assert pivots == want_pivots and len(pivots) <= rank
+    assert reduced.dtype == want.dtype and np.array_equal(reduced, want)
 
 
 def test_rref_fixed_example_gf2():
