@@ -20,14 +20,14 @@ certificate, passes its name and computes the data from what it holds:
   inners                   "unit-inverse": conjugation by u, whose inverse
                            unit_inverse checked by u u^-1 = 1; alpha(y) is
                            u (y u^-1), y u^-1 a gather of u^-1, and alpha(n)
-                           is u (n u^-1), n u^-1 one stacked kG product; the
-                           left factor u is a sum of gathers over supp(u)
+                           is u (n u^-1), n u^-1 constant; both are products
+                           by the narrow u, gathers over supp(u)
   substitutions            "substitution": on C_p^m, images of augmentation
                            1 satisfy every relation, and an invertible
                            linear part makes the map bijective; the lifts are
                            generators, so their images are image rows, and
                            alpha(n) = prod_j (alpha(y_j) - 1)^(p-1) in
-                           ascending lift order is the proof's own product
+                           ascending lift order, multiplied from the right
   compose                  "composition": of two automorphisms; the left
                            factor's matrix applied to the right one's data
 
@@ -218,10 +218,10 @@ class AlgebraAutomorphism:
 
         The inverses come from one stacked unit_inverse, which raises
         NotAUnit on augmentation zero and checks u u^-1 = 1 for every
-        member.  The lift images u (y u^-1) and the socle image u (n u^-1)
-        are left products by u, a sum of gathers over its support, where
-        n u^-1 is the augmentation of u^-1 in every entry; the matrices
-        L(u) R(u^-1) are built on first use.
+        member.  The lift images u (y u^-1) and the socle image u (n u^-1),
+        n u^-1 the augmentation of u^-1 in every entry, are one
+        multiply_codes by the narrow left factor u, a sum of gathers over
+        its support; the matrices L(u) R(u^-1) are built on first use.
         """
         units = np.asarray(units, dtype=np.int64)
         inverses = algebra.unit_inverse(units)
@@ -231,7 +231,7 @@ class AlgebraAutomorphism:
         sums = column_sums(algebra.ops, inverses.T)
         right = np.concatenate([inverses.take(gathers, axis=-1),
                                 np.broadcast_to(sums[:, None, None], (len(units), 1, units.shape[1]))], axis=1)
-        data = algebra.left_multiply_sparse(units, right.transpose(0, 2, 1))
+        data = algebra.multiply_codes(units, right.transpose(0, 2, 1))
         return [cls(algebra, functools.partial(_conjugation_matrix, algebra, u, uinv), provenance,
                     certificate="unit-inverse", data=d)
                 for u, uinv, d, provenance in zip(units, inverses, data, provenances)]
@@ -251,7 +251,7 @@ class AlgebraAutomorphism:
         1, are the linear part.  The lifts of C_p^m are generators, so
         their images are rows of images, and alpha(n) is the product
         prod_j (alpha(y_j) - 1)^(p-1) in ascending lift order, by stacked kG
-        products.
+        products from the right, each by one narrow alpha(y_j) - 1.
         """
         group = algebra.group
         if not group.is_elementary_abelian():
@@ -276,7 +276,8 @@ class AlgebraAutomorphism:
 
         lifts = images[:, [algebra.generator_indices.index(y) for y in filt.lift_indices.tolist()]]
         factors = np.repeat(ops.sub(lifts, algebra.one().codes), group.p - 1, axis=1)
-        top = functools.reduce(algebra.multiply_codes, factors.transpose(1, 0, 2))
+        top = functools.reduce(lambda acc, factor: algebra.multiply_codes(factor, acc),
+                               factors.transpose(1, 0, 2)[::-1])
         data = np.concatenate([lifts, top[:, None]], axis=1).transpose(0, 2, 1)
         return [cls(algebra, functools.partial(_substitution_matrix, algebra, member), provenance,
                     certificate="substitution", data=d)
@@ -370,12 +371,15 @@ class AlgebraAutomorphism:
                     raise NotMultiplicative("alpha(g)alpha(h) != alpha(gh) for some pair")
             self.pair_check = "full"
             return
+        # the pairs (g, h) in draw order, grouped by g: one product per g
         rng = random.Random(0x9C3A ^ n)
+        sampled: dict[int, list[int]] = {}
         for _ in range(10 * n):
             g = rng.randrange(n)
-            h = rng.randrange(n)
-            prod = alg.multiply_codes(self.matrix[:, g], self.matrix[:, h])
-            if not np.array_equal(prod, self.matrix[:, t[g, h]]):
+            sampled.setdefault(g, []).append(rng.randrange(n))
+        for g, hs in sampled.items():
+            prod = alg.multiply_codes(self.matrix[:, g], self.matrix[:, hs])
+            if not np.array_equal(prod, self.matrix[:, t[g, hs]]):
                 raise NotMultiplicative("alpha(g)alpha(h) != alpha(gh) for a sampled pair")
         self.pair_check = "sampled"
         self.provenance += " [sampled multiplicativity]"

@@ -30,6 +30,9 @@ from . import linalg
 from .linalg import FieldOps
 from .pgroup import GroupElement, PcGroup, Subgroup
 
+# the bound on narrow left factors in multiply_codes (see its docstring)
+SPARSE_PRODUCT_SHARE = 8
+
 __all__ = [
     "GroupAlgebra",
     "AlgebraElement",
@@ -440,40 +443,54 @@ class GroupAlgebra:
         return codes.take(self._hkinv, axis=-1)
 
     def multiply_codes(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """a*b for (|G|,) code vectors, or member by member for (B, |G|) stacks."""
+        """a*b for (|G|,) code vectors, or member by member for a (B, |G|)
+        stack a and a (B, |G|) stack b, or every column of a (B, |G|, k) one.
+
+        A left factor of w nonzeros per member, w k SPARSE_PRODUCT_SHARE <=
+        n^2 |G| over GF(p^n), is w |G| k gathered table products; a wider one
+        is |G|^2 gathers and n^2 BLAS plane products (README: measurements).
+        """
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
         if a.ndim == 1:
-            return self.ops.matmul_stack(self.left_mult_matrix(a)[None], b[None, :, None])[0, :, 0]
-        return self._by_member_chunks(len(a), a.shape[1:], lambda part: self.ops.matmul_stack(
-            self.left_mult_matrix(a[part]), b[part, :, None])[..., 0])
+            return self.multiply_codes(a[None], b[None])[0]
+        columns = b if b.ndim == 3 else b[..., None]
+        width = (a != 0).sum(axis=1).max(initial=0)
+        if width * columns.shape[2] * SPARSE_PRODUCT_SHARE <= self.ops.n**2 * self.dimension:
+            out = self._support_product(*self._left_support(a), columns)
+        else:
+            out = self._by_member_chunks(len(a), columns.shape[1:], self.dimension**2, lambda part: (
+                self.ops.matmul_stack(self.left_mult_matrix(a[part]), columns[part])))
+        return out if b.ndim == 3 else out[..., 0]
 
-    def left_multiply_sparse(self, units: np.ndarray, columns: np.ndarray) -> np.ndarray:
-        """u*x for every column x of a (B, |G|, k) stack, u the member's row
-        of a (B, |G|) stack of codes: (u x)[g] = sum_h u[h] x[h^-1 g], one
-        gather per support element h.  Supports are padded to the largest
-        with coefficient 0, so this pays off when the u are sparse."""
-        width = int((units != 0).sum(axis=1).max(initial=0))
-        support = np.argsort(units == 0, axis=1, kind="stable")[:, :width]
-        coeffs = np.take_along_axis(units, support, axis=1)
-        members = np.arange(len(units))[:, None]
-        out = np.zeros(columns.shape, dtype=np.int64)
-        for s in range(width):
-            gathered = columns[members, self._hkinv[:, support[:, s]].T]
-            out = self.ops.add(out, self.ops.mul(coeffs[:, s, None, None], gathered))
-        return out
+    def _left_support(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(gathers, coeffs) of a (B, |G|) stack: the (B, w, |G|) indices of
+        h^-1 g and the (B, w) coefficients a[h] at each member's nonzeros h,
+        padded to the widest member with coefficient 0."""
+        width = int((a != 0).sum(axis=1).max(initial=0))
+        support = np.argsort(a == 0, axis=1, kind="stable")[:, :width]
+        return self._hkinv.T[support], np.take_along_axis(a, support, axis=1)
 
-    def member_chunks(self, count: int) -> list[slice]:
-        """Slices of a stack of `count` members whose |G| x |G| matrices hold
-        at most linalg.MAX_STACK_CELLS entries together, and at least one
-        member: one member at |G| = 125, 22 at |G| = 27."""
-        step = max(1, linalg.MAX_STACK_CELLS // self.dimension**2)
+    def _support_product(self, gathers: np.ndarray, coeffs: np.ndarray, columns: np.ndarray) -> np.ndarray:
+        """a x for every column x of a (B, |G|, k) stack, a given by its
+        _left_support: (a x)[g] = sum_h a[h] x[h^-1 g], one gather of the
+        (B, w, |G|, k) terms, one product and one field sum over w."""
+        members = np.arange(len(columns))[:, None, None]
+        cells = coeffs.shape[1] * math.prod(columns.shape[1:])
+        return self._by_member_chunks(len(columns), columns.shape[1:], cells, lambda part: column_sums(
+            self.ops, self.ops.mul(coeffs[part, :, None, None], columns[members[part], gathers[part]]).swapaxes(0, 1)))
+
+    def member_chunks(self, count: int, cells: int) -> list[slice]:
+        """Slices of a stack of `count` members of `cells` entries each that
+        hold at most linalg.MAX_STACK_CELLS entries together, and at least
+        one member: one |G| x |G| matrix at |G| = 125, 22 at |G| = 27."""
+        step = max(1, linalg.MAX_STACK_CELLS // max(cells, 1))
         return [slice(lo, lo + step) for lo in range(0, count, step)]
 
-    def _by_member_chunks(self, count: int, shape: tuple[int, ...], product) -> np.ndarray:
+    def _by_member_chunks(self, count: int, shape: tuple[int, ...], cells: int, product) -> np.ndarray:
         """product(part) of every member chunk, as one (count,) + shape array;
         a single chunk's result is returned as it is."""
-        chunks = self.member_chunks(count)
+        chunks = self.member_chunks(count, cells)
         if len(chunks) == 1:
             return product(chunks[0])
         out = np.zeros((count,) + shape, dtype=np.int64)
@@ -482,15 +499,15 @@ class GroupAlgebra:
         return out
 
     def unit_inverse(self, units: np.ndarray) -> np.ndarray:
-        """The (B, |G|) codes of the inverses of a (B, |G|) stack of unit
-        codes, by repeated squaring of the radical part.
+        """The (B, |G|) codes of the inverses of a (B, |G|) stack of unit codes.
 
         u = eps(1 - z) with z in J, and z^(s+1) = 0 for the socle degree s,
-        so u^-1 = eps^-1 (1 + z)(1 + z^2)(1 + z^4)...; the product stops at
-        the first z^(2^j) = 0, after at most s.bit_length() rounds.  The
-        members are squared together until every member's z^(2^j) is 0; a
-        factor 1 + 0 leaves a finished member as it is.  Every member is
-        checked by u u^-1 = 1.
+        so u^-1 = eps^-1 (1 + z + ... + z^s).  When s w <= |G| for the w
+        nonzeros of the widest z, the sum runs forward, each power one
+        product by z's support, gathered once; else it is
+        (1 + z)(1 + z^2)(1 + z^4)..., at most s.bit_length() squarings.  The
+        members run together and stop at the first power that is 0 in every
+        member.  Every member is checked by u u^-1 = 1.
         """
         units = np.asarray(units, dtype=np.int64)
         eps = column_sums(self.ops, units.T)
@@ -500,14 +517,22 @@ class GroupAlgebra:
         one = self.one().codes
         z = self.ops.sub(one, self.ops.mul(units, einv))
         acc = self.ops.add(one, z)
-        for _ in range(self.socle_degree.bit_length() - 1):
-            z = self.multiply_codes(z, z)
-            if not z.any():
-                break
-            acc = self.multiply_codes(acc, self.ops.add(one, z))
+        if self.socle_degree * (z != 0).sum(axis=1).max(initial=0) <= self.dimension:
+            support, power = self._left_support(z), z[..., None]
+            for _ in range(self.socle_degree - 1):
+                power = self._support_product(*support, power)
+                if not power.any():
+                    break
+                acc = self.ops.add(acc, power[..., 0])
+        else:
+            for _ in range(self.socle_degree.bit_length() - 1):
+                z = self.multiply_codes(z, z)
+                if not z.any():
+                    break
+                acc = self.multiply_codes(acc, self.ops.add(one, z))
         inverses = self.ops.mul(acc, einv)
         if not np.array_equal(self.multiply_codes(units, inverses), np.broadcast_to(one, units.shape)):
-            raise NotAUnit("repeated squaring did not invert the element")
+            raise NotAUnit("the inverse series did not invert the element")
         return inverses
 
     # -- filtration access ---------------------------------------------------------

@@ -19,7 +19,7 @@ _GROUPS: dict[str, object] = {}
 _ALGEBRAS: dict[tuple, object] = {}
 
 # inline presentations the tests use beside the catalog
-INLINE = {"C2^7": "pcgroup p=2 m=7\n", "C3^4": "pcgroup p=3 m=4\n"}
+INLINE = {"C2^7": "pcgroup p=2 m=7\n", "C2^9": "pcgroup p=2 m=9\n", "C3^4": "pcgroup p=3 m=4\n"}
 
 
 def shared_group(name):

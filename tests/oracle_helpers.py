@@ -17,6 +17,10 @@ off its dense matrix, as verification read them before each constructor
 computed them on its own.  The coordinate rows by identity are the
 low-weight coordinates of the group basis as basis(r) formed them before
 it built only those rows.
+The product by matrix is GroupAlgebra.multiply_codes as it was before
+narrow left factors became gathers over their support, and the sampled
+pairs one at a time are check_pairs' sampled check as it was before the
+pairs were grouped by their left element.
 The substitution images by elements are one random_substitutions member
 as it was drawn before the images were summed on their codes.  The top-monomial scalar by
 grid products is TruncatedPolynomialRing.top_monomial_scalar as it was
@@ -35,9 +39,11 @@ API that only the tests use, kept here rather than in the package.
 from __future__ import annotations
 
 import itertools
+import random
 
 import numpy as np
 
+from socle_verify.automorphisms import NotMultiplicative
 from socle_verify.ffield import GF, FieldElement, FieldMismatch, _poly_mod
 from socle_verify.groupalgebra import AlgebraElement, FiltrationError, radical_filtration_by_products
 from socle_verify.linalg import FieldOps
@@ -510,6 +516,40 @@ def substitution_matrix_by_columns(algebra, images):
         pcol = matrix[:, group.index_of(group.element(prefix))]
         matrix[:, b] = algebra.multiply_codes(pcol, powers[(jlast, exps[jlast])])
     return matrix
+
+
+def multiply_codes_by_matrix(algebra, a, b):
+    """a*b member by member through the |G| x |G| matrix L(a).
+
+    The oracle for GroupAlgebra.multiply_codes, its one path before narrow
+    left factors became gathers over their support: a is (B, |G|), b is
+    (B, |G|) or (B, |G|, k), and every member is one matmul_by_planes of
+    left_mult_matrix(a[b]) with b's columns.
+    """
+    columns = b if b.ndim == 3 else b[..., None]
+    out = np.stack([matmul_by_planes(algebra.ops, algebra.left_mult_matrix(x), y)
+                    for x, y in zip(a, columns)])
+    return out if b.ndim == 3 else out[..., 0]
+
+
+def sampled_pairs_one_at_a_time(auto):
+    """The sampled literal check of check_pairs, one pair at a time.
+
+    The oracle for the grouped sampled check: the same 10*|G| seeded pairs
+    (g, h), drawn in the same order, each one kG product alpha(g) alpha(h)
+    compared with alpha(gh); raises NotMultiplicative at the first pair
+    that fails.
+    """
+    alg = auto.algebra
+    n = alg.dimension
+    t = alg.group.cayley_table
+    rng = random.Random(0x9C3A ^ n)
+    for _ in range(10 * n):
+        g = rng.randrange(n)
+        h = rng.randrange(n)
+        prod = alg.multiply_codes(auto.matrix[:, g], auto.matrix[:, h])
+        if not np.array_equal(prod, auto.matrix[:, t[g, h]]):
+            raise NotMultiplicative("alpha(g)alpha(h) != alpha(gh) for a sampled pair")
 
 
 def unit_inverse_by_series(algebra, u):

@@ -36,6 +36,7 @@ from socle_verify.pipeline import derive_seed, sweep_automorphisms
 
 from oracle_helpers import (
     apply_automorphism,
+    sampled_pairs_one_at_a_time,
     substitution_images,
     substitution_images_by_elements,
     substitution_matrix_by_columns,
@@ -288,6 +289,32 @@ def test_multiplicativity_certificate_matches_pair_oracle(algebra, all_names, de
         rejected += not expected
     assert checked == 205  # 197 on the catalog, 8 on C2^7
     assert rejected > 0
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_grouped_sampled_pairs_match_one_pair_oracle(algebra, all_names, monkeypatch, degree):
+    """With every group above FULL_PAIR_CHECK_LIMIT = 4, check_pairs()
+    samples its pairs, grouped by their left element.  On every
+    automorphism of a small sweep, and on each one corrupted by a column
+    transposition, it accepts exactly when the same pairs tried one at a
+    time do, with the generator identities skipped so that the pair loop
+    alone decides."""
+    import socle_verify.automorphisms as mod
+
+    monkeypatch.setattr(mod, "FULL_PAIR_CHECK_LIMIT", 4)
+    names = [name for name in all_names if 4 < algebra(name, degree).dimension <= 27]
+    outcomes = set()
+    for alg, auto, perm in _swept_with_transpositions(algebra, names, degree):
+        if alg.dimension > 27:
+            continue
+        for matrix in (auto.matrix, auto.matrix[:, perm]):
+            grouped = AlgebraAutomorphism(alg, matrix, "pairs", certificate="unchecked")
+            grouped._check_identities = lambda: None  # the pair loop alone
+            expected = _accepts(lambda: sampled_pairs_one_at_a_time(grouped))
+            assert _accepts(grouped.check_pairs) == expected, auto.provenance
+            assert grouped.pair_check == ("sampled" if expected else "unchecked")
+            outcomes.add(expected)
+    assert outcomes == {True, False}
 
 
 def _projections(alg):

@@ -117,13 +117,16 @@ def test_empty_stacks_build_nothing(capsys):
 
 def test_default_order_512_run_builds_no_matrix(monkeypatch):
     """C2^9 over GF(4): a group automorphism, five inner ones and three
-    substitutions verify with the matrix build and the conjugation
-    product patched to raise."""
+    substitutions verify with the matrix build, the conjugation product
+    and left_mult_matrix patched to raise: the unit inverses, the inner
+    lift and socle images and the substitution socle images are all
+    products by narrow left factors."""
     def refuse(*args):
         raise AssertionError("a default run built a |G| x |G| matrix")
 
     monkeypatch.setattr(automorphisms, "_conjugation_matrix", refuse)
     monkeypatch.setattr(AlgebraAutomorphism, "matrix", property(refuse))
+    monkeypatch.setattr(GroupAlgebra, "left_mult_matrix", refuse)
     algebra, autos = prepare(RunConfig(
         group="C2^9", presentation="pcgroup p=2 m=9\n", n=2, include_stored=False, seed=7,
         auto_specs=("group-auto: g1 -> g1 g2", "random-inner count=5", "random-subst count=3"),

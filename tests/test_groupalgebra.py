@@ -18,7 +18,9 @@ from hypothesis import strategies as st
 
 from socle_verify import GF, FiltrationError, GroupAlgebra, NotAUnit, PcGroup, catalog
 from socle_verify.groupalgebra import (
+    SPARSE_PRODUCT_SHARE,
     RadicalFiltration,
+    column_sums,
     dimension_subgroups_definitional,
     radical_filtration,
     radical_filtration_by_products,
@@ -26,7 +28,7 @@ from socle_verify.groupalgebra import (
 from socle_verify.linalg import FieldOps
 from socle_verify.pipeline import RunStageError, run
 from conftest import shared_algebra
-from oracle_helpers import unit_inverse_by_series
+from oracle_helpers import multiply_codes_by_matrix, unit_inverse_by_series
 from conftest import shared_products_oracle
 from oracle_helpers import (
     filtration_by_monomial_echelon,
@@ -329,6 +331,83 @@ def test_unit_inverse_matches_geometric_series(all_names):
                 assert np.array_equal(inverse, unit_inverse_by_series(alg, u).codes), (name, n)
                 count += 1
     assert count == 150
+
+
+def _draw_sparse_units(alg, rng, count, terms=3):
+    """count units 1 + sum_k c_k (g_k - 1), drawn as random_inners draws them."""
+    ops = alg.ops
+    units = np.zeros((count, alg.dimension), dtype=np.int64)
+    units[:, 0] = 1
+    for u in units:
+        for _ in range(terms):
+            g, c = rng.randrange(1, alg.dimension), rng.randrange(1, alg.field.q)
+            u[g] = ops.add(u[g], c)
+            u[0] = ops.sub(u[0], c)
+    return units
+
+
+def test_unit_inverse_both_branches_match_series(all_names, monkeypatch):
+    """Sparse units on every catalog group over GF(p) and GF(p^2), three to
+    a stack, and a dense unit on C27 (s = 26) and on C2^9: every inverse is
+    the geometric series oracle's.  The series runs forward, with no
+    multiply_codes call before the check u u^-1 = 1, exactly when s w <= |G|
+    for the widest z = 1 - u/eps; otherwise z is squared.  Both occur."""
+    rng = random.Random(20)
+    cases = [(name, degree, _draw_sparse_units) for name in all_names for degree in (1, 2)]
+    cases += [("C27", 2, None), ("C2^9", 2, None)]
+    branches = set()
+    for name, degree, draw in cases:
+        alg = shared_algebra(name, degree)
+        n, q = alg.dimension, alg.field.q
+        if draw is None:
+            units = np.array([[rng.randrange(q) for _ in range(n)]], dtype=np.int64)
+            units[0, 0] = alg.ops.add(units[0, 0], 1 if column_sums(alg.ops, units[0]) == 0 else 0)
+        else:
+            units = draw(alg, rng, 3)
+        eps = column_sums(alg.ops, units.T)
+        z = alg.ops.sub(alg.one().codes, alg.ops.mul(units, alg.ops.inv(eps)[:, None]))
+        forward = alg.socle_degree * (z != 0).sum(axis=1).max() <= n
+        branches.add(bool(forward))
+        calls = []
+        multiply_codes = alg.multiply_codes
+        monkeypatch.setattr(alg, "multiply_codes", lambda a, b: calls.append(1) or multiply_codes(a, b))
+        inverses = alg.unit_inverse(units)
+        monkeypatch.undo()
+        assert len(calls) == 1 if forward else len(calls) >= min(2, alg.socle_degree), name
+        for u, inverse in zip(units, inverses):
+            assert np.array_equal(inverse, unit_inverse_by_series(alg, alg.from_codes(u)).codes), (name, degree)
+    assert branches == {True, False}
+
+
+@pytest.mark.parametrize("name", ["D8", "C27", "Heis125", "C2^7"])
+@pytest.mark.parametrize("degree", [1, 2])
+def test_multiply_codes_matches_dense_oracle(name, degree, monkeypatch):
+    """Both paths of multiply_codes against the |G| x |G| matrix product, over
+    GF(2), GF(3), GF(4), GF(9), GF(5) and GF(25): widest left members of 0,
+    1 and 4 nonzeros, at the crossover and one either side of it, and of
+    |G|; stacks of 1 and 5 members; right operands (B, |G|) and
+    (B, |G|, 3), and the one-vector call.  Up to the crossover the product
+    builds no left_mult_matrix, beyond it it does."""
+    alg = shared_algebra(name, degree)
+    n, q = alg.dimension, alg.field.q
+    rng = np.random.default_rng(n * q)
+    built = []
+    left_mult_matrix = alg.left_mult_matrix
+    monkeypatch.setattr(alg, "left_mult_matrix", lambda codes: built.append(1) or left_mult_matrix(codes))
+    for k in (None, 3):
+        crossover = alg.ops.n**2 * n // (SPARSE_PRODUCT_SHARE * (k or 1))
+        for width in sorted({0, 1, 4, crossover - 1, crossover, crossover + 1, n} & set(range(n + 1))):
+            for members in (1, 5):
+                a = np.zeros((members, n), dtype=np.int64)
+                for b, row in enumerate(a):
+                    w = width if b == 0 else int(rng.integers(0, width + 1))
+                    row[rng.choice(n, w, replace=False)] = rng.integers(1, q, w)
+                right = rng.integers(0, q, (members, n) if k is None else (members, n, k))
+                want = multiply_codes_by_matrix(alg, a, right)
+                built.clear()
+                assert np.array_equal(alg.multiply_codes(a, right), want), (width, members, k)
+                assert bool(built) == (width > crossover), (width, members, k)
+                assert np.array_equal(alg.multiply_codes(a[0], right[0]), want[0]), (width, k)
 
 
 def test_mult_matrices_agree_with_products(algebra):

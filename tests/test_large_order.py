@@ -7,12 +7,16 @@ order 256 the socle scalar against det^(p-1) through the pipeline, and
 random substitutions at orders 243 and 512 over GF(p^2).  The
 Cayley table and the block-built automorphism permutation are compared with
 collection and with multiply() walks on sampled pairs and one order-512
-automorphism.
+automorphism.  An order-512 run under --full-check ends in a child
+process within its timeout.
 """
 
 from __future__ import annotations
 
+import json
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -131,3 +135,20 @@ def test_large_substitutions_socle_scalar_is_det_power(name):
     assert any(report.auto_reports[-1].det_total.coeffs[1:])
     assert not report.auto_reports[-1].socle_scalar.is_one()
     assert report.verdict
+
+
+def test_order_512_full_check_ends_in_a_child(tmp_path):
+    """--full-check at order 512: two inner automorphisms over GF(4) go
+    through every oracle, with the pair check sampled, in a child process
+    that must end within 120 s (about 5 s on a 2-core VM) with verdict
+    true."""
+    path = tmp_path / "c2x9.pc"
+    path.write_text(PRESENTATIONS["C2^9"])
+    argv = ["run", "--presentation", str(path), "--field", "2,2", "--no-stored",
+            "--auto", "random-inner count=2", "--full-check", "--format", "json"]
+    proc = subprocess.run([sys.executable, "-m", "socle_verify.cli", *argv],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["verdict"] is True
+    assert [auto["provenance"].endswith("[sampled multiplicativity]") for auto in report["autos"]] == [True] * 2

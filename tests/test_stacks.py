@@ -131,7 +131,7 @@ def test_algebra_stacks_cross_member_chunks(monkeypatch):
     units = np.stack([alg.parse(a.provenance.partition(": ")[2]).codes for a in want])
     products = alg.multiply_codes(units, units[::-1])
     monkeypatch.setattr(linalg, "MAX_STACK_CELLS", 3 * 27 * 27)
-    assert alg.member_chunks(7) == [slice(0, 3), slice(3, 6), slice(6, 9)]
+    assert alg.member_chunks(7, 27 * 27) == [slice(0, 3), slice(3, 6), slice(6, 9)]
     got = parse_automorphism_specs(alg, "random-inner seed=3 count=7")
     assert all(np.array_equal(x.matrix, y.matrix) for x, y in zip(got, want))
     assert [rep.as_dict() for rep in verify_stack(got)] == reports
