@@ -16,6 +16,7 @@ from .pgroup import (
     InconsistentPresentation,
     RelationViolation,
     NotBijective,
+    UnknownGroup,
     catalog,
     catalog_names,
 )

@@ -40,6 +40,13 @@ class SpecFileError(ValueError):
     """An '@FILE' of automorphism specs that is too large or not UTF-8."""
 
 
+class ArgumentError(ValueError):
+    """A --group, --groups or --field value that names no group or field."""
+
+
+CATALOG_HINT = "'socle-verify catalog' lists the groups"
+
+
 FULL_CHECK_HELP = (
     "also run the brute-force oracles: on every automorphism, the generator identities "
     "alpha(x g_i) = alpha(x) alpha(g_i) as dense products and a seeded spot check on two "
@@ -53,10 +60,31 @@ FULL_CHECK_HELP = (
 
 def _split_field(text: str) -> tuple[int, int, str | None]:
     parts = text.split(",", 2)
-    p = int(parts[0])
-    n = int(parts[1]) if len(parts) > 1 else 1
+    try:
+        p = int(parts[0])
+        n = int(parts[1]) if len(parts) > 1 else 1
+    except ValueError:
+        raise ArgumentError(
+            f"--field {text!r} is not of the form p[,n[,modulus]] with integers p and n, "
+            "e.g. '3', '3,2' or '3,2,t^2+1'"
+        ) from None
     modulus = parts[2].strip() if len(parts) > 2 else None
     return p, n, modulus
+
+
+def _group_names(text: str) -> list[str]:
+    """The catalog names of a --groups list; empty items are skipped."""
+    names = [g.strip() for g in text.split(",") if g.strip()]
+    if not names:
+        raise ArgumentError(
+            f"--groups {text!r} names no catalog group; {CATALOG_HINT}, "
+            "and leaving --groups out sweeps them all"
+        )
+    known = catalog_names()
+    for name in names:
+        if name not in known:
+            raise ArgumentError(f"--groups names unknown catalog group {name!r}; {CATALOG_HINT}")
+    return names
 
 
 def _load_specs(values: list[str]) -> list[str]:
@@ -107,9 +135,13 @@ def _group_source(args: argparse.Namespace) -> tuple[str, str | None]:
     """Resolve --group/--presentation to (name, presentation text or None)."""
     if args.presentation:
         return Path(args.presentation).stem, _read_presentation(Path(args.presentation))
-    if args.group not in catalog_names() and Path(args.group).exists():
+    if args.group in catalog_names():
+        return args.group, None
+    if args.group and Path(args.group).exists():
         return Path(args.group).stem, _read_presentation(Path(args.group))
-    return args.group, None
+    raise ArgumentError(
+        f"--group {args.group!r} is neither a catalog group nor a presentation file; {CATALOG_HINT}"
+    )
 
 
 def _build_group(args: argparse.Namespace) -> PcGroup:
@@ -196,7 +228,7 @@ def main(argv: list[str] | None = None) -> int:
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "run":
         name, presentation = _group_source(args)
-        p, n, modulus = _split_field(args.field) if args.field else (None, 1, None)
+        p, n, modulus = _split_field(args.field) if args.field is not None else (None, 1, None)
         config = RunConfig(
             group=name,
             presentation=presentation,
@@ -214,7 +246,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0 if report.verdict else 1
 
     if args.command == "sweep":
-        groups = [g.strip() for g in args.groups.split(",")] if args.groups else None
+        groups = _group_names(args.groups) if args.groups is not None else None
         report = sweep(
             seed=args.seed,
             groups=groups,
@@ -230,7 +262,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "jennings":
         group = _build_group(args)
-        if args.field:
+        if args.field is not None:
             build_group_field(group, *_split_field(args.field))
         basis = build_jennings_basis(group)
         pbw = basis.jq_dimension_check()["pbw_dims"]

@@ -353,12 +353,15 @@ class FieldOps:
         m is eliminated with its columns reversed: the kernel vector of a
         free column f then has its 1 at f and its other entries at pivot
         columns after f, so, read back in order, it is the RREF row with
-        pivot f, and no other kernel vector meets f.
+        pivot f, and no other kernel vector meets f.  The free columns are
+        read off a column mask with the pivots cleared.
         """
         m = np.asarray(m, dtype=np.int64)
         cols = m.shape[1]
         reduced, pivots = self.rref(m[:, ::-1])
-        free = np.setdiff1d(np.arange(cols), pivots)
+        free_mask = np.ones(cols, dtype=bool)
+        free_mask[pivots] = False
+        free = np.flatnonzero(free_mask)
         basis = np.zeros((len(free), cols), dtype=np.int64)
         basis[np.arange(len(free)), free] = 1
         basis[:, pivots] = self.neg(reduced[:, free].T)

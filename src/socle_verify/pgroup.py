@@ -46,6 +46,7 @@ __all__ = [
     "InconsistentPresentation",
     "RelationViolation",
     "NotBijective",
+    "UnknownGroup",
     "catalog",
     "catalog_names",
     "catalog_description",
@@ -73,6 +74,13 @@ class RelationViolation(ValueError):
 
 class NotBijective(ValueError):
     """Generator images induce a non-bijective endomorphism."""
+
+
+class UnknownGroup(KeyError):
+    """A group name, or a list of names, that names no catalog group."""
+
+    def __str__(self) -> str:
+        return str(self.args[0])  # KeyError's own str quotes the message
 
 
 @dataclass(frozen=True)
@@ -394,10 +402,17 @@ class PcGroup:
             e = e >> 1
         return acc
 
-    def _generated(self, seeds) -> Subgroup:
+    def _generators_among(self, seeds: np.ndarray | Sequence[int]) -> np.ndarray:
+        """The distinct nonidentity indices among seeds, sorted: a mask over
+        the index range with the seeds set and the identity cleared."""
+        mask = np.zeros(self.order, dtype=bool)
+        mask[np.asarray(seeds, dtype=np.int64)] = True
+        mask[0] = False
+        return np.flatnonzero(mask)
+
+    def _generated(self, seeds: np.ndarray) -> Subgroup:
         """The subgroup generated by an array of seed indices, generators sorted."""
-        gens = np.unique(seeds)
-        gens = gens[gens != 0]
+        gens = self._generators_among(seeds)
         return Subgroup(self, self._closure_indices(gens), [self.element_at(int(s)) for s in gens])
 
     # -- basic structure --------------------------------------------------------
@@ -475,17 +490,23 @@ class PcGroup:
 
     # -- subgroup machinery -------------------------------------------------------
 
-    def _closure_indices(self, seeds: Iterable[int]) -> list[int]:
+    def _closure_indices(self, seeds: np.ndarray | Sequence[int]) -> list[int]:
+        """The sorted indices of the subgroup generated by seeds, by
+        breadth-first products with the generators: each step's products are
+        set in a fresh index mask, and the next frontier is the part of it
+        not yet seen.  Masks keep this off np.unique, whose numpy >= 2.3
+        form imports numpy.ma on its first call."""
         t = self._cayley
         seen = np.zeros(self.order, dtype=bool)
         seen[0] = True
-        gens = np.array(sorted({int(s) for s in seeds} - {0}), dtype=np.int64)
+        gens = self._generators_among(seeds)
         frontier = np.zeros(1 if gens.size else 0, dtype=np.int64)
         while frontier.size:
-            nxt = np.unique(t[np.ix_(frontier, gens)])
-            frontier = nxt[~seen[nxt]]
+            reached = np.zeros(self.order, dtype=bool)
+            reached[t[np.ix_(frontier, gens)]] = True
+            frontier = np.flatnonzero(reached & ~seen)
             seen[frontier] = True
-        return [int(i) for i in np.nonzero(seen)[0]]
+        return np.flatnonzero(seen).tolist()
 
     def full_subgroup(self) -> Subgroup:
         return Subgroup(self, range(self.order), self.generators())
@@ -758,7 +779,7 @@ def catalog(name: str) -> PcGroup:
     try:
         entry = _CATALOG[name]
     except KeyError:
-        raise KeyError(f"unknown catalog group {name!r}; see catalog_names()") from None
+        raise UnknownGroup(f"unknown catalog group {name!r}; catalog_names() lists the groups") from None
     p, m = entry["p"], entry["m"]
     powers = {i: tuple(parse_word_pairs(w, m)) for i, w in entry["powers"].items()}
     comms = {ji: tuple(parse_word_pairs(w, m)) for ji, w in entry["comms"].items()}

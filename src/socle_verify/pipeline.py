@@ -39,7 +39,14 @@ from .groupalgebra import (
     radical_filtration_by_products,
 )
 from .jennings import build_jennings_basis
-from .pgroup import PcGroup, associative_on_all_triples, catalog, catalog_description, catalog_names
+from .pgroup import (
+    PcGroup,
+    UnknownGroup,
+    associative_on_all_triples,
+    catalog,
+    catalog_description,
+    catalog_names,
+)
 from .truncsym import TruncatedPolynomialRing
 
 __all__ = [
@@ -361,10 +368,13 @@ def sweep(
     extension_degree: int = 2,
     full_check: bool = False,
 ) -> SweepReport:
-    """Catalog sweep over GF(p) and GF(p^extension_degree)."""
+    """Catalog sweep over GF(p) and GF(p^extension_degree): over the named
+    groups, or over the whole catalog when groups is None."""
     check_count(inner_count, "inner count")
     check_count(compose_count, "compose count")
     check_count(subst_count, "substitution count")
+    if groups is not None and not groups:
+        raise UnknownGroup("groups names no catalog group; None sweeps the whole catalog")
     seed = master_seed() if seed is None else seed
     names = groups if groups is not None else catalog_names()
     reports = []

@@ -29,7 +29,10 @@ ring's elements as dense coefficient grids, are what it multiplies.
 Irreducibility by trial division is the default-modulus test as it was
 before Rabin's test.  The filtration by monomial echelon is
 RadicalFiltration as it was before it read dimensions off the monomial
-weights and bases off the kernel of the monomial coordinates.
+weights and bases off the kernel of the monomial coordinates.  The
+generators and closure by np.unique and the nullspace by np.setdiff1d are
+PcGroup._generators_among, PcGroup._closure_indices and FieldOps.nullspace
+as they were before their index sets became boolean index masks.
 
 The small helpers (center, subgroup_closure, presentation_text,
 in_row_space, layer_ranks, pbw_dimension, apply_automorphism, ...) are
@@ -621,7 +624,7 @@ def trivial_subgroup(group):
 def subgroup_closure(group, generators):
     """The Subgroup the elements generate, closed by table gathers."""
     gens = list(generators)
-    return Subgroup(group, group._closure_indices(group.index_of(g) for g in gens), gens)
+    return Subgroup(group, group._closure_indices([group.index_of(g) for g in gens]), gens)
 
 
 def center(group):
@@ -700,6 +703,38 @@ def jennings_series_by_products(group):
         series.append(closure_by_products(group, seeds))
         r += 1
     return series
+
+
+def generators_by_unique(seeds):
+    """The distinct nonidentity seed indices, sorted, by np.unique."""
+    gens = np.unique(np.asarray(seeds, dtype=np.int64))
+    return gens[gens != 0]
+
+
+def closure_indices_by_unique(group, seeds):
+    """Sorted indices of <seeds>, each breadth-first frontier deduplicated by np.unique."""
+    t = group.cayley_table
+    seen = np.zeros(group.order, dtype=bool)
+    seen[0] = True
+    gens = np.array(sorted({int(s) for s in seeds} - {0}), dtype=np.int64)
+    frontier = np.zeros(1 if gens.size else 0, dtype=np.int64)
+    while frontier.size:
+        nxt = np.unique(t[np.ix_(frontier, gens)])
+        frontier = nxt[~seen[nxt]]
+        seen[frontier] = True
+    return [int(i) for i in np.nonzero(seen)[0]]
+
+
+def nullspace_by_setdiff(ops, m):
+    """RREF kernel basis of m, its free columns found by np.setdiff1d."""
+    m = np.asarray(m, dtype=np.int64)
+    cols = m.shape[1]
+    reduced, pivots = ops.rref(m[:, ::-1])
+    free = np.setdiff1d(np.arange(cols), pivots)
+    basis = np.zeros((len(free), cols), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = ops.neg(reduced[:, free].T)
+    return np.ascontiguousarray(basis[::-1, ::-1])
 
 
 def cayley_table_by_collection(p, m, power_words, comm_words):

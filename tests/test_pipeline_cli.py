@@ -14,18 +14,20 @@ import os
 import subprocess
 import sys
 import time
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from socle_verify import pipeline
 from socle_verify.automorphisms import MAX_COUNT
 from socle_verify.cli import MAX_SPEC_FILE_BYTES, main
 from socle_verify.jennings import JenningsBasis
 from socle_verify.linalg import FieldOps
-from socle_verify.pgroup import MAX_PRESENTATION_BYTES
+from socle_verify.pgroup import MAX_PRESENTATION_BYTES, UnknownGroup, catalog, catalog_names
 from socle_verify.pipeline import (
     MAX_GL_WORK,
     RunConfig,
@@ -150,6 +152,64 @@ def test_error_exit_codes(capsys):
     capsys.readouterr()
     assert main(["run", "--group", "D8", "--field", "4"]) != 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("groups", ["", " ", ",", " , "])
+def test_sweep_over_no_group_is_an_error(capsys, groups):
+    assert main(["sweep", "--groups", groups, "--inner", "1", "--subst", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: --groups {groups!r} names no catalog group;")
+    assert "'socle-verify catalog' lists the groups" in captured.err
+    assert "leaving --groups out sweeps them all" in captured.err
+
+
+def test_sweep_api_over_no_group_is_an_error():
+    with pytest.raises(UnknownGroup, match="names no catalog group"):
+        sweep(groups=[], inner_count=1, subst_count=1)
+    with pytest.raises(UnknownGroup) as err:
+        sweep(groups=["nosuch"], inner_count=1, subst_count=1)
+    assert str(err.value).startswith("unknown catalog group 'nosuch';")
+
+
+@pytest.mark.parametrize("argv, head, fix", [
+    (["run", "--group", "nosuch"], "--group 'nosuch' is neither a catalog group",
+     "'socle-verify catalog' lists the groups"),
+    (["run", "--group", ""], "--group '' is neither a catalog group",
+     "'socle-verify catalog' lists the groups"),
+    (["jennings", "--group", "nosuch"], "--group 'nosuch' is neither a catalog group",
+     "'socle-verify catalog' lists the groups"),
+    (["sweep", "--groups", "C2,nosuch", "--inner", "1"], "--groups names unknown catalog group 'nosuch'",
+     "'socle-verify catalog' lists the groups"),
+    (["run", "--group", "D8", "--field", ",2"], "--field ',2' is not of the form p[,n[,modulus]]",
+     "e.g. '3', '3,2' or '3,2,t^2+1'"),
+    (["run", "--group", "D8", "--field", "2,x"], "--field '2,x' is not of the form p[,n[,modulus]]",
+     "integers p and n"),
+    (["run", "--group", "D8", "--field", ""], "--field '' is not of the form p[,n[,modulus]]",
+     "integers p and n"),
+    (["jennings", "--group", "D8", "--field", "two"], "--field 'two' is not of the form p[,n[,modulus]]",
+     "integers p and n"),
+])
+def test_argument_errors_name_the_argument_and_the_fix(capsys, argv, head, fix):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {head}") and captured.err.count("\n") == 1
+    assert fix in captured.err
+    for stale in ("KeyError", "catalog_names()", "invalid literal"):
+        assert stale not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--group", "nosuch"],
+    ["run", "--group", "D8", "--field", ",2"],
+    ["sweep", "--groups", "", "--inner", "1", "--subst", "1"],
+])
+def test_argument_errors_end_without_a_traceback(argv):
+    proc = _run_subprocess(argv, timeout=30)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: --") and "Traceback" not in proc.stderr
 
 
 def test_jennings_subcommand(capsys):
@@ -661,3 +721,83 @@ def test_cli_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert "D8" in proc.stdout
+
+
+# The in-process CLI fuzz: argv drawn from the CLI grammar, over catalog
+# groups of order <= 27, with counts <= 3 or past a bound.
+SMALL_GROUPS = tuple(name for name in catalog_names() if catalog(name).order <= 27)
+BAD_NAMES = ("", "nosuch", "d8")
+GROUP_NAMES = st.one_of(st.sampled_from(SMALL_GROUPS), st.sampled_from(BAD_NAMES))
+GROUP_LISTS = st.one_of(
+    st.lists(st.sampled_from(SMALL_GROUPS), min_size=1, max_size=2).map(",".join),
+    st.sampled_from(BAD_NAMES + (",", "C2,nosuch")),
+)
+COUNTS = (0, 1, 2, 3, -1, MAX_COUNT + 1)
+FIELD_TEXTS = ("2", "3", "5", "2,2", "3,2", "5,2", "2,8", "2,9", "2,0", "3,-1", "3,2,t^2+1",
+               "3,2,t^2", "2,2,", ",2", "", "x", "2,x", "4", "1", "0", "-3", "4093", "4097")
+SPEC_TEXTS = ("random-inner", "random-subst seed=3", "inner: 1 + g1", "inner: g1",
+              "subst: x1 -> x1 + x2", "subst: x1 -> x2", "group-auto: g1 -> g1 g2",
+              "compose: random-inner ; random-subst", "compose: random-inner", "bogus: x",
+              "random-inners count=2", "random-inner count=2 count=3", "random-inner seed", " ")
+SPECS = st.one_of(
+    st.sampled_from(SPEC_TEXTS),
+    st.builds("{} count={}".format, st.sampled_from(["random-inner", "random-subst"]),
+              st.sampled_from(COUNTS)),
+)
+FLAGS = st.lists(st.sampled_from([["--full-check"], ["--format", "json"], ["--seed", "5"]]),
+                 max_size=2, unique_by=tuple)
+FIELD = st.one_of(st.just([]), st.sampled_from(FIELD_TEXTS).map(lambda f: ["--field", f]))
+
+
+def _flat(*parts):
+    return [token for part in parts for token in part]
+
+
+RUN_ARGV = st.builds(
+    lambda g, f, specs, stored, flags: _flat(["run", "--group", g], f,
+                                             *(["--auto", s] for s in specs), stored, *flags),
+    GROUP_NAMES, FIELD, st.lists(SPECS, max_size=2),
+    st.sampled_from([[], ["--no-stored"]]), FLAGS,
+)
+SWEEP_ARGV = st.builds(
+    lambda names, inner, subst, compose, prime, flags: _flat(
+        ["sweep", "--groups", names, "--inner", str(inner), "--subst", str(subst),
+         "--compose", str(compose)], prime, *flags),
+    GROUP_LISTS, st.sampled_from(COUNTS),
+    st.sampled_from(COUNTS), st.sampled_from(COUNTS), st.sampled_from([[], ["--prime-only"]]), FLAGS,
+)
+JENNINGS_ARGV = st.builds(
+    lambda g, f, fmt: _flat(["jennings", "--group", g], f, fmt),
+    GROUP_NAMES, FIELD, st.sampled_from([[], ["--format", "json"]]),
+)
+
+
+@st.composite
+def gl_check_argv(draw):
+    # each of --p, --m, --n at its bounds and one past them
+    p = draw(st.sampled_from([1, 2, 3, 4093, 4097]))
+    m = draw(st.sampled_from([0, 1, 2, 12, 13]))
+    n = draw(st.sampled_from([0, 1, 2, 8, 9]))
+    count = draw(st.sampled_from(COUNTS))
+    # a valid run over a field above 256 elements takes about a second or
+    # more (GF(3^8), or the GF(4093) diagonals); the smoke tests cover those
+    valid = 1 <= n <= 8 and m >= 1 and p**m <= 4096 and 0 <= count <= MAX_COUNT
+    assume(not (valid and p**n > 256 and gl_check_work(p, m, n, count) <= MAX_GL_WORK))
+    return ["gl-check", "--p", str(p), "--m", str(m), "--n", str(n), "--count", str(count)]
+
+
+CLI_ARGV = st.one_of(RUN_ARGV, SWEEP_ARGV, JENNINGS_ARGV, gl_check_argv(), st.just(["catalog"]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(argv=CLI_ARGV)
+def test_cli_fuzz_ends_with_exit_code_0_or_1(argv):
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as exc:  # argparse rejected a drawn argv
+        pytest.fail(f"{argv} exited through argparse with {exc.code}: {err.getvalue()}")
+    assert code in (0, 1), argv
+    if code == 1 and not out.getvalue():
+        assert err.getvalue().startswith("error: "), (argv, err.getvalue())
