@@ -162,14 +162,21 @@ class FieldOps:
         return self._mul_by_planes(a, b)
 
     def _mul_by_planes(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Products of codes, broadcasting: the smaller factor's planes times
-        _fold are the planes of a t^j, contracted with the other's planes."""
+        """Products of codes, broadcasting: the smaller factor's shifted
+        planes contracted with the other's planes."""
         if np.size(a) > np.size(b):
             a, b = b, a
-        shifted = self.decode(a) @ self._fold
-        shifted = shifted.reshape(shifted.shape[:-1] + (self.n, self.n))
         # entries stay below n^2 p^3 < 2^63 for every p <= 4096 and n <= 8
-        return self.encode(np.einsum("...j,...jk->...k", self.decode(b), shifted))
+        return self.encode(np.einsum("...j,...jk->...k", self.decode(b), self.shifted_planes(a)))
+
+    def shifted_planes(self, a: np.ndarray) -> np.ndarray:
+        """(..., n, n) planes of a t^j for codes a, a's planes times _fold:
+        entry [..., j, k] is congruent mod p to the coefficient of t^k and
+        below n p^2.  They are left unreduced: a reduction here would more
+        than double the cost of this int64 product in _mul_by_planes, whose
+        encode reduces anyway."""
+        shifted = self.decode(a) @ self._fold
+        return shifted.reshape(shifted.shape[:-1] + (self.n, self.n))
 
     def reduce_planes(self, planes: np.ndarray) -> np.ndarray:
         """Fold planes for t^n .. t^(2n-2), entries below p, back into degrees < n."""

@@ -21,8 +21,10 @@ the relations, which by von Dyck's theorem is the presented group.
 Inconsistent presentations are therefore rejected outright.  The
 relation check is the one group_automorphism runs on generator images,
 fed the generators.  That certificate is what makes the table safe to
-use as the multiplication backend everywhere else in the package.
-Arbitrary words are put in normal form by collection from the left.
+use as the multiplication backend everywhere else in the package,
+words included: stored automorphisms, spec images and relations checked
+against generator images are multiplied out in the table, each power by
+square-and-multiply.  No collection runs anywhere in the package.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ class PresentationError(ValueError):
 
 
 class InconsistentPresentation(ValueError):
-    """Presentation whose collected multiplication fails the group certificate."""
+    """Presentation whose Cayley table fails the group certificate."""
 
 
 class RelationViolation(ValueError):
@@ -131,55 +133,6 @@ class Subgroup:
 
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order} of {self.group.name or 'pcgroup'})"
-
-
-def _collect(p: int, m: int, power_words: tuple[Word, ...], comm_words: dict[tuple[int, int], Word], word: Iterable[tuple[int, int]]) -> tuple[int, ...]:
-    """Collection from the left; word entries are (generator index, exponent >= 0)."""
-    w: list[list[int]] = [[i, e] for i, e in word if e]
-    k = 0
-    steps = 0
-    while k < len(w):
-        steps += 1
-        if steps > 10_000_000:
-            raise RuntimeError("collection did not terminate (runaway presentation)")
-        i, e = w[k]
-        if e >= p:
-            rem = e % p
-            repl: list[list[int]] = [[i, rem]] if rem else []
-            pw = power_words[i - 1]
-            for _ in range(e // p):
-                repl.extend([x, y] for x, y in pw)
-            w[k : k + 1] = repl
-            k = max(k - 1, 0)
-            continue
-        if k + 1 < len(w):
-            j, d = w[k + 1]
-            if i == j:
-                w[k][1] = e + d
-                del w[k + 1]
-                continue
-            if i > j:
-                cw = comm_words.get((i, j))
-                if cw is None:
-                    # trivial commutator: the two powers commute as blocks
-                    w[k], w[k + 1] = w[k + 1], w[k]
-                else:
-                    repl = []
-                    if e > 1:
-                        repl.append([i, e - 1])
-                    repl.append([j, 1])
-                    repl.append([i, 1])
-                    repl.extend([x, y] for x, y in cw)
-                    if d > 1:
-                        repl.append([j, d - 1])
-                    w[k : k + 2] = repl
-                k = max(k - 1, 0)
-                continue
-        k += 1
-    exps = [0] * m
-    for i, e in w:
-        exps[i - 1] = e
-    return tuple(exps)
 
 
 def associative_on_all_triples(table: np.ndarray) -> bool:
@@ -366,25 +319,36 @@ class PcGroup:
         evaluated with the images in place of the generators: a_i^p against
         the power word, and [a_j, a_i] against the commutator word, j > i.
         """
-        t = self._cayley
-        images = np.asarray(images, dtype=np.int64)
-        pw = self._powers(images[:, None], np.arange(self.p + 1))  # pw[k, e] = a_(k+1)^e
-
-        def word(w: Word) -> int:
-            acc = 0
-            for idx, exp in w:
-                acc = t[acc, pw[idx - 1, exp]]
-            return acc
-
+        images = [int(a) for a in images]
         for i in range(1, self.m + 1):
-            if pw[i - 1, self.p] != word(self.power_words[i - 1]):
+            if self._word_value(((i, self.p),), images) != self._word_value(self.power_words[i - 1], images):
                 return f"power relation of g{i}"
-        comms = self._commutators(images[:, None], images)  # comms[j - 1, i - 1] = [a_j, a_i]
+        comms = self._commutators(np.array(images)[:, None], images)  # comms[j - 1, i - 1] = [a_j, a_i]
         for j in range(2, self.m + 1):
             for i in range(1, j):
-                if comms[j - 1, i - 1] != word(self.comm_words.get((j, i), ())):
+                if comms[j - 1, i - 1] != self._word_value(self.comm_words.get((j, i), ()), images):
                     return f"commutator relation [g{j},g{i}]"
         return None
+
+    def _word_value(self, word: Iterable[tuple[int, int]], images: Sequence[int]) -> int:
+        """Table index of a word of (generator, exponent >= 0) pairs, with
+        images[i - 1] in place of g_i, multiplied out in the table.
+
+        Each power is taken by square-and-multiply, one table lookup a step:
+        the squares of one image commute, so each is multiplied straight
+        into the running product.
+        """
+        t = self._cayley
+        acc = 0
+        for idx, exp in word:
+            base = images[idx - 1]
+            while exp:
+                if exp & 1:
+                    acc = t.item(acc, base)
+                exp >>= 1
+                if exp:
+                    base = t.item(base, base)
+        return acc
 
     def _commutators(self, a, b) -> np.ndarray:
         """[a, b] = a^-1 b^-1 a b on index arrays, broadcast against each other."""
@@ -455,21 +419,6 @@ class PcGroup:
 
     def element_at(self, idx: int) -> GroupElement:
         return GroupElement(self._elements[idx])
-
-    def collect(self, word: Iterable[tuple[int, int]]) -> GroupElement:
-        """Normal form of an arbitrary nonnegative generator word.
-
-        Each exponent is reduced mod |G| first, which every element order
-        divides, so collection never expands more than |G| - 1 copies.
-        """
-        reduced = []
-        for idx, exp in word:
-            if not 1 <= idx <= self.m:
-                raise ValueError(f"generator index {idx} out of range")
-            if exp < 0:
-                raise ValueError("collection handles nonnegative exponents only")
-            reduced.append((idx, exp % self.order))
-        return GroupElement(_collect(self.p, self.m, self.power_words, self.comm_words, reduced))
 
     def multiply(self, a: GroupElement, b: GroupElement) -> GroupElement:
         return self.element_at(int(self._cayley[self.index_of(a), self.index_of(b)]))
@@ -602,7 +551,12 @@ class PcGroup:
         return " ".join(parts) if parts else "1"
 
     def parse_word(self, text: str) -> GroupElement:
-        return self.collect(parse_word_pairs(text, self.m))
+        """The element a word such as 'g1 g3^2' names, multiplied out in the
+        table.  Each exponent is reduced mod |G| first, which every element
+        order divides, so a power takes at most log2 |G| squarings."""
+        word = [(idx, exp % self.order) for idx, exp in parse_word_pairs(text, self.m)]
+        gens = [self.p ** (self.m - i) for i in range(1, self.m + 1)]  # the index of g_i
+        return self.element_at(self._word_value(word, gens))
 
     @classmethod
     def from_presentation_text(cls, text: str, name: str | None = None) -> PcGroup:

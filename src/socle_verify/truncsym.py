@@ -85,8 +85,6 @@ class TruncatedPolynomialRing:
         self.nvars = nvars
         self.p = field.p
         self.ops = FieldOps(field)
-        # planes of t^n modulo the modulus, for the companion shift
-        self._t_n = np.array([(-c) % self.p for c in field.modulus[:-1]], dtype=np.int64)
         # members per stack chunk, read when the ring is made from the piece
         # sizes |D_d|, the coefficients of (1 + x + ... + x^(p-1))^m; the
         # gathers themselves are built on the first top_monomial_scalar call
@@ -133,17 +131,10 @@ class TruncatedPolynomialRing:
         """(m, B, m*n, n) float64: block [j, b] maps the planes of f, taken
         as (i, l), to the planes of sum_i stack[b, j, i] * f_i.
 
-        Row (i, l) holds the planes of stack[b, j, i] * t^l, made from the
-        planes of stack[b, j, i] by l companion shifts.
+        Row (i, l) holds the planes of stack[b, j, i] * t^l, its shifted
+        planes reduced mod p.
         """
-        p, n = self.p, self.ops.n
-        cols = [self.ops.decode(stack)]
-        for _ in range(n - 1):
-            low = cols[-1]
-            shifted = np.zeros_like(low)
-            shifted[..., 1:] = low[..., :-1]
-            cols.append((shifted + low[..., -1:] * self._t_n) % p)
-        mats = np.stack(cols, axis=-2).swapaxes(0, 1)  # (j, b, i, l, k)
+        mats = (self.ops.shifted_planes(stack) % self.p).swapaxes(0, 1)  # (j, b, i, l, k)
         return np.ascontiguousarray(mats, dtype=np.float64).reshape(
-            self.nvars, len(stack), self.nvars * n, n
+            self.nvars, len(stack), self.nvars * self.ops.n, self.ops.n
         )

@@ -3,8 +3,10 @@
 These work directly in the group algebra: a claimed bracket or p-power
 value is confirmed by forming the corresponding algebra element and
 testing the congruence one radical power deeper.  None of it touches the
-layer bookkeeping inside the jennings module.  The group-table oracles at
-the end (the table by collection, the all-triples certificate, random
+layer bookkeeping inside the jennings module.  The collector puts words
+in normal form from the presentation alone, the oracle for words and
+products in the certified table.  The group-table oracles at the end
+(the table by collection, the all-triples certificate, random
 presentations and random loops) work on index tables.  The field-kernel
 oracles (decode by division, the product one plane pair at a time, the
 determinant by a column loop) are the FieldOps kernels as they were before
@@ -50,7 +52,7 @@ from socle_verify.automorphisms import NotMultiplicative
 from socle_verify.ffield import GF, FieldElement, FieldMismatch, _poly_mod
 from socle_verify.groupalgebra import AlgebraElement, FiltrationError, radical_filtration_by_products
 from socle_verify.linalg import FieldOps
-from socle_verify.pgroup import Subgroup, _collect, _normal_form_blocks, associative_on_all_triples
+from socle_verify.pgroup import GroupElement, Subgroup, _normal_form_blocks, associative_on_all_triples
 from socle_verify.truncsym import TruncatedPolynomialRing
 
 
@@ -575,6 +577,72 @@ def unit_inverse_by_series(algebra, u):
     return algebra.from_codes(ops.mul(acc, np.full_like(acc, einv)))
 
 
+def collect(p, m, power_words, comm_words, word):
+    """Collection from the left; word entries are (generator index, exponent >= 0).
+
+    The collection oracle: a second multiplication engine that reads only
+    the presentation, never the Cayley table.  PcGroup put words in normal
+    form this way, and built its table by it, before both read the
+    certified table.  Returns the exponent vector of the normal form.
+    """
+    w = [[i, e] for i, e in word if e]
+    k = 0
+    steps = 0
+    while k < len(w):
+        steps += 1
+        if steps > 10_000_000:
+            raise RuntimeError("collection did not terminate (runaway presentation)")
+        i, e = w[k]
+        if e >= p:
+            rem = e % p
+            repl = [[i, rem]] if rem else []
+            pw = power_words[i - 1]
+            for _ in range(e // p):
+                repl.extend([x, y] for x, y in pw)
+            w[k : k + 1] = repl
+            k = max(k - 1, 0)
+            continue
+        if k + 1 < len(w):
+            j, d = w[k + 1]
+            if i == j:
+                w[k][1] = e + d
+                del w[k + 1]
+                continue
+            if i > j:
+                cw = comm_words.get((i, j))
+                if cw is None:
+                    # trivial commutator: the two powers commute as blocks
+                    w[k], w[k + 1] = w[k + 1], w[k]
+                else:
+                    repl = []
+                    if e > 1:
+                        repl.append([i, e - 1])
+                    repl.append([j, 1])
+                    repl.append([i, 1])
+                    repl.extend([x, y] for x, y in cw)
+                    if d > 1:
+                        repl.append([j, d - 1])
+                    w[k : k + 2] = repl
+                k = max(k - 1, 0)
+                continue
+        k += 1
+    exps = [0] * m
+    for i, e in w:
+        exps[i - 1] = e
+    return tuple(exps)
+
+
+def element_by_collection(group, word):
+    """Normal form of a nonnegative generator word of a group, by collection.
+
+    The oracle for PcGroup.parse_word, and PcGroup.collect as it was: each
+    exponent is reduced mod |G| first, which every element order divides,
+    so collection never expands more than |G| - 1 copies.
+    """
+    reduced = [(i, e % group.order) for i, e in word]
+    return GroupElement(collect(group.p, group.m, group.power_words, group.comm_words, reduced))
+
+
 def product_by_collection(group, a, b):
     """Index of a b, collected from the concatenated normal-form words of a and b."""
     word = [
@@ -583,7 +651,7 @@ def product_by_collection(group, a, b):
         for i, e in enumerate(group.element_at(x).exponents)
         if e
     ]
-    return group.index_of(group.collect(word))
+    return group.index_of(element_by_collection(group, word))
 
 
 def automorphism_perm_by_normal_forms(group, images):
@@ -757,7 +825,7 @@ def cayley_table_by_collection(p, m, power_words, comm_words):
         base = cols[:, 0]
         for e, b in enumerate(base, start=1):
             table[:, b] = [
-                index[_collect(p, m, power_words, comm_words,
+                index[collect(p, m, power_words, comm_words,
                                [(i + 1, x) for i, x in enumerate(ae) if x] + [(k + 1, e)])]
                 for ae in elements
             ]

@@ -7,7 +7,9 @@ The oracles here are the table by collection (the build it replaced) and
 the certificate it replaced: the all-triples associativity loop and the
 relations evaluated one multiplication at a time.  They are run on the
 catalog, on the large inline and benchmark presentations, on seeded
-random presentations, consistent or not, and on random loops.
+random presentations, consistent or not, and on random loops.  Words are
+multiplied out in the table too; parse_word is compared with collection
+of seeded random words on the same groups.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from socle_verify.groupalgebra import radical_filtration, radical_filtration_by_
 from oracle_helpers import (
     cayley_table_by_collection,
     certificate_by_triples,
+    element_by_collection,
     random_loop,
     random_presentation,
 )
@@ -57,25 +60,52 @@ def test_table_matches_collection_on_benchmark_presentations(path):
     assert np.array_equal(g.cayley_table, _collected(g))
 
 
-def test_construction_collects_nothing(monkeypatch):
-    calls = []
+def test_pgroup_has_no_collector():
+    """Construction and words read the certified table; collection is a test
+    oracle only, so socle_verify.pgroup defines no collector."""
+    assert not [name for name in (*vars(pgroup), *vars(PcGroup)) if "collect" in name.lower()]
+    groups = [catalog(name) for name in catalog_names()]
+    groups += [PcGroup.from_presentation_text(text) for text in PRESENTATIONS.values()]
+    groups += [PcGroup.from_presentation_text(path.read_text()) for path in BENCH_PRESENTATIONS.glob("*.pc")]
+    for g in groups:
+        assert [g.parse_word(f"g{i}") for i in range(1, g.m + 1)] == g.generators()
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
 
-    real = pgroup._collect
-    monkeypatch.setattr(pgroup, "_collect", counting)
-    for name in catalog_names():
-        catalog(name)
-    for text in PRESENTATIONS.values():
-        PcGroup.from_presentation_text(text)
-    for path in BENCH_PRESENTATIONS.glob("*.pc"):
-        PcGroup.from_presentation_text(path.read_text())
-    assert calls == []
-    # the counter does see collection where it still runs: words from outside
-    catalog("D8").parse_word("g2 g1")
-    assert len(calls) == 1
+def _assert_words_match_collection(g, rng, long_tokens):
+    """parse_word against the collection oracle on seeded words: 30 short
+    ones with exponents up to 3|G|, a power of 10^40 + 3 and one word of
+    long_tokens tokens.  The long word keeps its exponents below 2p, which
+    keeps the collector's expansions small."""
+    words = [[(rng.randint(1, g.m), rng.randrange(3 * g.order)) for _ in range(rng.randrange(13))]
+             for _ in range(30)]
+    words.append([(g.m, g.order), (1, 10**40 + 3), (g.m, 1)])
+    words.append([(rng.randint(1, g.m), rng.randrange(2 * g.p)) for _ in range(long_tokens)])
+    for word in words:
+        text = " ".join(f"g{i}^{e}" for i, e in word) or "1"
+        assert g.parse_word(text) == element_by_collection(g, word), (g, text[:80])
+
+
+def test_parse_word_matches_collection():
+    rng = random.Random(22)
+    groups = [catalog(name) for name in catalog_names()]
+    groups += [large_group(name) for name in PRESENTATIONS]
+    groups += [PcGroup.from_presentation_text(path.read_text()) for path in sorted(BENCH_PRESENTATIONS.glob("*.pc"))]
+    for g in groups:
+        _assert_words_match_collection(g, rng, 10_000)
+
+
+def test_parse_word_matches_collection_on_random_presentations():
+    rng = random.Random(23)
+    consistent = 0
+    for seed in range(100):
+        p, m, power_words, comm_words = random_presentation(random.Random(seed))
+        try:
+            g = PcGroup(p, m, dict(enumerate(power_words, start=1)), comm_words)
+        except InconsistentPresentation:
+            continue
+        _assert_words_match_collection(g, rng, 1_000)
+        consistent += 1
+    assert consistent >= 50
 
 
 def test_random_presentations_agree_with_the_collection_oracle():

@@ -33,6 +33,7 @@ from oracle_helpers import (
     agemo_by_products,
     automorphism_perm_by_normal_forms,
     center,
+    element_by_collection,
     frattini_by_products,
     is_abelian,
     jennings_series_by_products,
@@ -292,7 +293,7 @@ def test_generator_blocks_partition_the_normal_forms(group):
                 assert not any(g.element_at(int(x)).exponents[k:]), name
             for e, block in enumerate(cols, start=1):
                 for x, col in zip(prefix, block):
-                    assert product_by_collection(g, int(x), g.index_of(g.collect([(k + 1, e)]))) == col
+                    assert product_by_collection(g, int(x), g.index_of(element_by_collection(g, [(k + 1, e)]))) == col
 
 
 def test_cayley_table_matches_collection_on_all_pairs(group):
