@@ -299,7 +299,9 @@ class PcGroup:
         c = t.astype(np.int16)  # n <= MAX_ORDER; a quarter of the memory traffic
         if not ((np.sort(c, axis=1) == ar).all() and (np.sort(c, axis=0) == ar[:, None]).all()):
             raise InconsistentPresentation("multiplication table is not cancellative")
-        gens = self.p ** np.arange(self.m - 1, -1, -1)  # the index of g_i is p^(m-i)
+        # the table index of g_i is p^(m-i)
+        self._generator_indices = [self.p ** (self.m - i) for i in range(1, self.m + 1)]
+        gens = self._generator_indices
         for a in gens:
             if not (c[c[:, a]] == c[:, c[a]]).all():
                 raise InconsistentPresentation("multiplication table is not associative")
@@ -555,8 +557,7 @@ class PcGroup:
         table.  Each exponent is reduced mod |G| first, which every element
         order divides, so a power takes at most log2 |G| squarings."""
         word = [(idx, exp % self.order) for idx, exp in parse_word_pairs(text, self.m)]
-        gens = [self.p ** (self.m - i) for i in range(1, self.m + 1)]  # the index of g_i
-        return self.element_at(self._word_value(word, gens))
+        return self.element_at(self._word_value(word, self._generator_indices))
 
     @classmethod
     def from_presentation_text(cls, text: str, name: str | None = None) -> PcGroup:

@@ -668,26 +668,6 @@ def test_gl_check_one_variable_at_the_largest_prime_ends():
     assert out["checked"]["diagonal"] == 4092
 
 
-def test_gl_check_takes_powers_on_codes(monkeypatch):
-    """det^(p-1) and the (p-1)-st power test are FieldOps.pow on stacked
-    codes: no scalar FieldElement power runs over the 6560 GF(3^8)
-    diagonals."""
-    from socle_verify.ffield import FieldElement
-
-    calls = []
-    real = FieldElement.__pow__
-
-    def counting(self, exponent):
-        calls.append(exponent)
-        return real(self, exponent)
-
-    monkeypatch.setattr(FieldElement, "__pow__", counting)
-    out = gl_check(3, 1, 8, count=3)
-    assert calls == []
-    assert out["checked"]["diagonal"] == 6560 and out["checked"]["random"] == 3
-    assert out["verdict"] is True and out["failures"] == []
-
-
 # (p, m, n, count) of every gl-check the tests, the CI steps and the
 # benchmark run
 GL_CHECK_RUNS = (
