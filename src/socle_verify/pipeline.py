@@ -65,6 +65,7 @@ __all__ = [
     "gl_check",
     "gl_check_work",
     "MAX_GL_WORK",
+    "randbelow",
     "render_json",
 ]
 
@@ -390,6 +391,32 @@ def sweep(
     return SweepReport(seed=seed, reports=reports, verdict=all(r.verdict for r in reports))
 
 
+def randbelow(rng: random.Random, n: int, size: int) -> np.ndarray:
+    """`size` draws of rng.randrange(n) as an int64 array, in order.
+
+    CPython's randrange(n) for 0 < n < 2^32 takes one 32-bit MT19937 word
+    per try (getrandbits(k) for k = n.bit_length() <= 32 keeps its top k
+    bits) and tries again while the value is >= n; getrandbits(32 * w)
+    returns w such words, the first in the low bits.  Each round asks for
+    exactly the draws still missing, so no word past the last accepted one
+    is read, and the values and the final rng state are the loop's.  Other
+    n keep the loop.
+    """
+    if not 0 < n < 1 << 32:
+        return np.array([rng.randrange(n) for _ in range(size)], dtype=np.int64)
+    shift = 32 - n.bit_length()
+    out = np.empty(size, dtype=np.int64)
+    filled = 0
+    while filled < size:
+        need = size - filled
+        words = np.frombuffer(rng.getrandbits(32 * need).to_bytes(4 * need, "little"), dtype="<u4")
+        draws = words >> shift
+        draws = draws[draws < n]
+        out[filled : filled + len(draws)] = draws
+        filled += len(draws)
+    return out
+
+
 def gl_check_work(p: int, m: int, n: int, count: int) -> int:
     """The kernel work of gl_check on GL_m(GF(p^n)): matrices x m*n*p^m.
 
@@ -435,21 +462,6 @@ def gl_check(
     power = functools.cache(lambda det: spec.code_of(spec.element_from_code(det) ** (p - 1)))
     is_pm1_power = functools.cache(lambda lam: spec.element_from_code(lam).is_pm1_power())
 
-    def check(mats: np.ndarray, kind: str, dets: np.ndarray) -> None:
-        """Compare lambda with det^(p-1) on a (B, m, m) stack, one chunk at a time."""
-        for lo in range(0, len(mats), ring.chunk):
-            part = mats[lo : lo + ring.chunk]
-            lams = ring.top_monomial_scalar(part).tolist()
-            for mat, lam, det in zip(part, lams, dets[lo : lo + ring.chunk].tolist()):
-                if lam != power(det) or not is_pm1_power(lam):
-                    failures.append({
-                        "kind": kind,
-                        "matrix": mat.tolist(),
-                        "lambda": str(spec.element_from_code(lam)),
-                        "expected": str(spec.element_from_code(power(det))),
-                    })
-        counts[kind] += len(mats)
-
     def identity_with(cells: list[tuple[int, int, int]]) -> np.ndarray:
         """One identity matrix per (row, column, code) cell, with that entry set."""
         cells = np.array(cells, dtype=np.int64).reshape(-1, 3)
@@ -457,35 +469,69 @@ def gl_check(
         mats[np.arange(len(cells)), cells[:, 0], cells[:, 1]] = cells[:, 2]
         return mats
 
-    # determinants are known by construction, except for the dense draws
-    unit_codes = range(1, spec.q)
-    sampled_units = unit_codes if len(unit_codes) <= 32 else [
-        unit_codes[rng.randrange(len(unit_codes))] for _ in range(32)
-    ]
-    cells = [(i, j, c) for i in range(m) for j in range(m) if i != j for c in sampled_units]
-    check(identity_with(cells), "elementary", np.ones(len(cells), dtype=np.int64))
-    cells = [(i, i, c) for i in range(m) for c in unit_codes]
-    check(identity_with(cells), "diagonal", np.array([c for _, _, c in cells], dtype=np.int64))
-    entries = np.array(
-        [unit_codes[rng.randrange(len(unit_codes))] for _ in range(count // 4 * m)], dtype=np.int64
-    ).reshape(-1, m)
-    mats = np.zeros((len(entries), m, m), dtype=np.int64)
-    mats[:, np.arange(m), np.arange(m)] = entries
-    dets = np.ones(len(entries), dtype=np.int64)
-    for i in range(m):
-        dets = ops.mul(dets, entries[:, i])
-    check(mats, "random_diagonal", dets)
-    # dense draws in rounds of at most one chunk, in the order a matrix-by-
-    # matrix loop draws them; the singular ones are dropped
-    made = 0
-    while made < count:
-        size = min(count - made, ring.chunk)
-        mats = np.array([rng.randrange(spec.q) for _ in range(size * m * m)], dtype=np.int64)
-        mats = mats.reshape(size, m, m)
-        dets = ops.det(mats)
-        keep = dets != 0
-        check(mats[keep], "random", dets[keep])
-        made += int(keep.sum())
+    def stacks():
+        """(kind, matrices, determinants) stacks in draw order; the
+        determinants are known by construction, except for the dense draws."""
+        units = spec.q - 1
+        sampled_units = range(1, spec.q) if units <= 32 else (1 + randbelow(rng, units, 32)).tolist()
+        cells = [(i, j, c) for i in range(m) for j in range(m) if i != j for c in sampled_units]
+        yield "elementary", identity_with(cells), np.ones(len(cells), dtype=np.int64)
+        cells = [(i, i, c) for i in range(m) for c in range(1, spec.q)]
+        yield "diagonal", identity_with(cells), np.array([c for _, _, c in cells], dtype=np.int64)
+        entries = (1 + randbelow(rng, units, count // 4 * m)).reshape(-1, m)
+        mats = np.zeros((len(entries), m, m), dtype=np.int64)
+        mats[:, np.arange(m), np.arange(m)] = entries
+        dets = np.ones(len(entries), dtype=np.int64)
+        for i in range(m):
+            dets = ops.mul(dets, entries[:, i])
+        yield "random_diagonal", mats, dets
+        # dense draws in rounds of at most one chunk, in the order a matrix-by-
+        # matrix loop draws them; the singular ones are dropped
+        made = 0
+        while made < count:
+            size = min(count - made, ring.chunk)
+            mats = randbelow(rng, spec.q, size * m * m).reshape(size, m, m)
+            dets = ops.det(mats)
+            keep = dets != 0
+            yield "random", mats[keep], dets[keep]
+            made += int(keep.sum())
+
+    def full_chunks():
+        """The stacks regrouped into whole ring.chunk stacks across the
+        kinds, in order, the remainder last; each is a list of (kind,
+        matrices, dets) pieces.  A held tail is a copy, so it does not keep
+        its whole stack alive."""
+        pieces, held = [], 0
+        for kind, mats, dets in stacks():
+            lo = 0
+            while len(mats) - lo >= ring.chunk - held:
+                hi = lo + ring.chunk - held
+                pieces.append((kind, mats[lo:hi], dets[lo:hi]))
+                yield pieces
+                pieces, held, lo = [], 0, hi
+            if lo < len(mats):
+                pieces.append((kind, mats[lo:].copy(), dets[lo:].copy()))
+                held += len(mats) - lo
+        if pieces:
+            yield pieces
+
+    # lambda against det^(p-1), one full chunk of the ring at a time across
+    # the kinds; a failure keeps its kind, matrix and draw order
+    for pieces in full_chunks():
+        lams = ring.top_monomial_scalar(np.concatenate([mats for _, mats, _ in pieces])).tolist()
+        lo = 0
+        for kind, mats, dets in pieces:
+            for i, det in enumerate(dets.tolist()):
+                lam = lams[lo + i]
+                if lam != power(det) or not is_pm1_power(lam):
+                    failures.append({
+                        "kind": kind,
+                        "matrix": mats[i].tolist(),
+                        "lambda": str(spec.element_from_code(lam)),
+                        "expected": str(spec.element_from_code(power(det))),
+                    })
+            lo += len(mats)
+            counts[kind] += len(mats)
 
     return {
         "field": {"p": int(p), "n": int(n), "modulus": format_modulus(spec)},

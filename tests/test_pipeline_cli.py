@@ -32,9 +32,11 @@ from socle_verify.pipeline import (
     MAX_GL_WORK,
     RunConfig,
     RunStageError,
+    build_field,
     gl_check,
     gl_check_work,
     prepare,
+    randbelow,
     run,
     sweep,
 )
@@ -656,6 +658,72 @@ def test_gl_check_stacks_stay_within_the_chunk(monkeypatch):
     assert sum(sizes["top"]) == nonzero["top"] == sum(want["checked"].values())
     assert nonzero["det"] == 10_000
     assert len(sizes["det"]) > 10_000 // 64
+    # the ring's stacks are filled across the kinds: 12 508 = 195 * 64 + 28
+    assert sizes["top"] == [64] * 195 + [28]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 9, 25, 4092, 2**31, 2**32 - 1, 2**32, 2**40])
+def test_randbelow_matches_the_randrange_loop(n):
+    """The bulk draws are the loop's values, and leave the loop's state:
+    n = 1 still takes words, and from 2^32 on the loop itself runs."""
+    import random
+
+    for seed in (0, 1, 7, 2**61 - 1):
+        for size in (0, 1, 7, 1000):
+            bulk, loop = random.Random(seed), random.Random(seed)
+            got = randbelow(bulk, n, size)
+            assert got.dtype == np.int64 and got.shape == (size,)
+            assert got.tolist() == [loop.randrange(n) for _ in range(size)], (seed, size)
+            assert bulk.getstate() == loop.getstate(), (seed, size)
+
+
+def test_gl_check_reports_each_failed_member_across_mixed_chunks(monkeypatch, capsys):
+    """A negative control: lambda is corrupted on three members, and each
+    failure keeps its kind, matrix and draw order across the ring's chunks."""
+    from socle_verify import linalg
+    from socle_verify.truncsym import TruncatedPolynomialRing
+
+    want = gl_check(3, 2, count=200, seed=5)
+    assert want["checked"] == {"elementary": 4, "diagonal": 4, "random_diagonal": 50, "random": 200}
+    # chunks of 16: members 48-63 are the last 10 random diagonals and the
+    # first 6 dense draws; corrupt the first elementary matrix, the last
+    # random diagonal (member 57) and the last dense draw (member 257)
+    monkeypatch.setattr(linalg, "MAX_STACK_CELLS", 6 * 16)
+    targets = {0: "elementary", 57: "random_diagonal", 257: "random"}
+    field = build_field(3)
+    top_monomial_scalar = TruncatedPolynomialRing.top_monomial_scalar
+
+    def corrupted(records):
+        seen = [0]
+
+        def wrapped(self, stack):
+            lams = top_monomial_scalar(self, stack)
+            assert len(stack) == 16 or seen[0] + len(stack) == 258
+            for i in range(len(stack)):
+                if seen[0] + i in targets:
+                    records.append({
+                        "kind": targets[seen[0] + i],
+                        "matrix": stack[i].tolist(),
+                        "lambda": str(field.element_from_code((lams[i] + 1) % 3)),
+                        "expected": str(field.element_from_code(lams[i])),
+                    })
+                    lams[i] = (lams[i] + 1) % 3
+            seen[0] += len(stack)
+            return lams
+
+        return wrapped
+
+    records: list[dict] = []
+    monkeypatch.setattr(TruncatedPolynomialRing, "top_monomial_scalar", corrupted(records))
+    got = gl_check(3, 2, count=200, seed=5)
+    assert [r["kind"] for r in records] == ["elementary", "random_diagonal", "random"]
+    assert records[0]["matrix"] == [[1, 1], [0, 1]]
+    assert got["failures"] == records
+    assert got["verdict"] is False and got["checked"] == want["checked"]
+    monkeypatch.setattr(TruncatedPolynomialRing, "top_monomial_scalar", corrupted([]))
+    code = main(["gl-check", "--p", "3", "--m", "2", "--count", "200", "--seed", "5", "--format", "json"])
+    assert code == 1
+    assert json.loads(capsys.readouterr().out)["failures"] == records
 
 
 def test_gl_check_one_variable_at_the_largest_prime_ends():
