@@ -73,12 +73,12 @@ field.
 
 The check is the same computation for every automorphism, so it runs on
 stacks, and verify_stack is the only verifier: it takes all automorphisms
-of a run at once.  The socle scalars are read off the alpha(n) columns of
-the data, one coordinates() call reads the lift images of every member,
-the filtration and Lie-subspace checks are masks over the members, each
-Jennings layer has one stacked det, and det_total and det^(p-1) are
-elementwise code products.  When members fail, the first failing member
-raises the error it raises alone.
+of a run at once, in linalg.member_chunks.  The socle scalars are read off
+the alpha(n) columns of the data, one coordinates() call per chunk reads
+the lift images of its members, the filtration and Lie-subspace checks are
+masks over the members, each Jennings layer has one stacked det per chunk,
+and det_total and det^(p-1) are elementwise code products.  When members
+fail, the first failing member raises the error it raises alone.
 """
 
 from __future__ import annotations
@@ -423,7 +423,9 @@ def verify_stack(autos: list[AlgebraAutomorphism]) -> list[VerificationReport]:
     Reads only the members' data: the socle scalars from the alpha(n)
     columns, the graded blocks (r, block) and their determinants from
     _graded_stack, det_total and det^(p-1) from elementwise code products.
-    When members fail, the first of them raises the error it raises alone.
+    The members run in linalg.member_chunks of |G| (M+1) n decoded cells
+    each, in order.  When members fail, the first of them raises the error
+    it raises alone.
     """
     if not autos:
         return []
@@ -431,31 +433,35 @@ def verify_stack(autos: list[AlgebraAutomorphism]) -> list[VerificationReport]:
     if any(auto.algebra is not alg for auto in autos):
         raise FieldMismatch("automorphisms act on different algebras")
     ops = alg.ops
-    data = np.stack([auto.data for auto in autos])
-    lams, bad = _socle_codes(data)
-    layers, failures = _graded_stack(alg, data)
-    _raise_first([(bad, SocleNotPreserved(SOCLE_MESSAGE))] + failures)
-    dets = np.array([d for _, _, d in layers], dtype=np.int64).reshape(len(layers), len(autos))
-    totals = functools.reduce(ops.mul, dets, np.ones(len(autos), dtype=np.int64))
-    powers = ops.pow(totals, alg.field.p - 1)
-    # the (p-1)-st powers are the units u with u^((q-1)/(p-1)) = 1
-    in_subgroup = ops.pow(lams, (alg.field.q - 1) // (alg.field.p - 1)) == 1
     element = functools.cache(alg.field.element_from_code)
-    return [
-        VerificationReport(
-            provenance=auto.provenance,
-            socle_scalar=element(lam),
-            blocks=tuple((r, blocks[b]) for r, blocks, _ in layers),
-            block_dets=tuple(map(element, member_dets)),
-            det_total=element(total),
-            det_power=element(power),
-            equation_holds=lam == power,
-            lambda_in_power_subgroup=bool(in_subgroup[b]),
-            lambda_is_one=lam == 1,
-        )
-        for b, (auto, lam, member_dets, total, power) in enumerate(
-            zip(autos, lams.tolist(), dets.T.tolist(), totals.tolist(), powers.tolist()))
-    ]
+    reports = []
+    for part in linalg.member_chunks(len(autos), autos[0].data.size * ops.n):
+        chunk = autos[part]
+        data = np.stack([auto.data for auto in chunk])
+        lams, bad = _socle_codes(data)
+        layers, failures = _graded_stack(alg, data)
+        _raise_first([(bad, SocleNotPreserved(SOCLE_MESSAGE))] + failures)
+        dets = np.array([d for _, _, d in layers], dtype=np.int64).reshape(len(layers), len(chunk))
+        totals = functools.reduce(ops.mul, dets, np.ones(len(chunk), dtype=np.int64))
+        powers = ops.pow(totals, alg.field.p - 1)
+        # the (p-1)-st powers are the units u with u^((q-1)/(p-1)) = 1
+        in_subgroup = ops.pow(lams, (alg.field.q - 1) // (alg.field.p - 1)) == 1
+        reports += [
+            VerificationReport(
+                provenance=auto.provenance,
+                socle_scalar=element(lam),
+                blocks=tuple((r, blocks[b]) for r, blocks, _ in layers),
+                block_dets=tuple(map(element, member_dets)),
+                det_total=element(total),
+                det_power=element(power),
+                equation_holds=lam == power,
+                lambda_in_power_subgroup=bool(in_subgroup[b]),
+                lambda_is_one=lam == 1,
+            )
+            for b, (auto, lam, member_dets, total, power) in enumerate(
+                zip(chunk, lams.tolist(), dets.T.tolist(), totals.tolist(), powers.tolist()))
+        ]
+    return reports
 
 
 def _socle_codes(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

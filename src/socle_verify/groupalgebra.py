@@ -480,17 +480,10 @@ class GroupAlgebra:
         return self._by_member_chunks(len(columns), columns.shape[1:], cells, lambda part: column_sums(
             self.ops, self.ops.mul(coeffs[part, :, None, None], columns[members[part], gathers[part]]).swapaxes(0, 1)))
 
-    def member_chunks(self, count: int, cells: int) -> list[slice]:
-        """Slices of a stack of `count` members of `cells` entries each that
-        hold at most linalg.MAX_STACK_CELLS entries together, and at least
-        one member: one |G| x |G| matrix at |G| = 125, 22 at |G| = 27."""
-        step = max(1, linalg.MAX_STACK_CELLS // max(cells, 1))
-        return [slice(lo, lo + step) for lo in range(0, count, step)]
-
     def _by_member_chunks(self, count: int, shape: tuple[int, ...], cells: int, product) -> np.ndarray:
         """product(part) of every member chunk, as one (count,) + shape array;
         a single chunk's result is returned as it is."""
-        chunks = self.member_chunks(count, cells)
+        chunks = linalg.member_chunks(count, cells)
         if len(chunks) == 1:
             return product(chunks[0])
         out = np.zeros((count,) + shape, dtype=np.int64)

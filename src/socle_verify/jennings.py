@@ -202,20 +202,12 @@ class JenningsBasis:
 
     def pbw_polynomial(self) -> list[int]:
         """Coefficients of prod_j (1 + t^(r_j) + ... + t^((p-1) r_j))."""
-        poly = [1]
-        p = self.group.p
+        poly = np.ones(1, dtype=np.int64)
         for r in self.lift_degrees:
-            factor = [0] * ((p - 1) * r + 1)
-            for e in range(p):
-                factor[e * r] = 1
-            out = [0] * (len(poly) + len(factor) - 1)
-            for i, a in enumerate(poly):
-                if a:
-                    for j, b in enumerate(factor):
-                        if b:
-                            out[i + j] += a
-            poly = out
-        return poly
+            factor = np.zeros((self.group.p - 1) * r + 1, dtype=np.int64)
+            factor[::r] = 1
+            poly = np.convolve(poly, factor)
+        return poly.tolist()
 
     def jq_dimension_check(self) -> dict:
         """Graded dimensions must match the product generating function.

@@ -49,7 +49,7 @@ import numpy as np
 
 from .ffield import FieldSpec
 
-__all__ = ["FieldOps", "DIGIT_TABLE_ROWS", "MAX_PRODUCT_CELLS", "MAX_STACK_CELLS", "EXACT_FLOAT_BOUND"]
+__all__ = ["FieldOps", "member_chunks", "DIGIT_TABLE_ROWS", "MAX_PRODUCT_CELLS", "MAX_STACK_CELLS", "EXACT_FLOAT_BOUND"]
 
 # rows of the digit table decode gathers from; p <= MAX_CHARACTERISTIC = 4096,
 # so a chunk has at least one digit, and the table takes at most 256 KB.
@@ -67,6 +67,14 @@ MAX_STACK_CELLS = 2**14
 # a float64 product of depth K with factors below p is exact while
 # K (p-1)^2 < EXACT_FLOAT_BOUND; deeper products run in int64
 EXACT_FLOAT_BOUND = 2**52
+
+
+def member_chunks(count: int, cells: int) -> list[slice]:
+    """Slices of a stack of `count` members of `cells` entries each that
+    hold at most MAX_STACK_CELLS entries together, and at least one
+    member: one |G| x |G| matrix at |G| = 125, 22 at |G| = 27."""
+    step = max(1, MAX_STACK_CELLS // max(cells, 1))
+    return [slice(lo, lo + step) for lo in range(0, count, step)]
 
 
 class FieldOps:
@@ -237,12 +245,11 @@ class FieldOps:
         kind = np.float64 if (self.p - 1) ** 2 * depth < EXACT_FLOAT_BOUND else np.int64
         per_row = self.n * max(depth, self.n * cols, 1)
         step = max(1, MAX_PRODUCT_CELLS // per_row)
-        group = max(1, MAX_STACK_CELLS // (per_row * max(rows, 1)))
-        if members <= group and rows <= step:
+        chunks = member_chunks(members, per_row * max(rows, 1))
+        if len(chunks) <= 1 and rows <= step:
             return self._product(a, self._right_factors(b, kind))
         out = np.zeros((members, rows, cols), dtype=np.int64)
-        for first in range(0, members, group):
-            part = slice(first, first + group)
+        for part in chunks:
             right = self._right_factors(b[part], kind)
             for lo in range(0, rows, step):
                 out[part, lo : lo + step] = self._product(a[part, lo : lo + step], right)

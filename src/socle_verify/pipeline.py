@@ -456,82 +456,56 @@ def gl_check(
     ops = ring.ops
     rng = random.Random(derive_seed(seed, "gl-check", p, n, m))
 
-    failures: list[dict] = []
-    counts = {"elementary": 0, "diagonal": 0, "random_diagonal": 0, "random": 0}
     # memoised per distinct code: det -> code of det^(p-1), lambda -> (p-1)-st power?
     power = functools.cache(lambda det: spec.code_of(spec.element_from_code(det) ** (p - 1)))
     is_pm1_power = functools.cache(lambda lam: spec.element_from_code(lam).is_pm1_power())
 
-    def identity_with(cells: list[tuple[int, int, int]]) -> np.ndarray:
-        """One identity matrix per (row, column, code) cell, with that entry set."""
-        cells = np.array(cells, dtype=np.int64).reshape(-1, 3)
-        mats = np.tile(ops.eye(m), (len(cells), 1, 1))
-        mats[np.arange(len(cells)), cells[:, 0], cells[:, 1]] = cells[:, 2]
-        return mats
+    # the matrices of all kinds as one stack in draw order, with determinants
+    # known by construction, except for the dense draws.  The elementary
+    # matrices and single-entry diagonals are identities with one (row,
+    # column, code) cell set
+    units = spec.q - 1
+    sampled_units = range(1, spec.q) if units <= 32 else (1 + randbelow(rng, units, 32)).tolist()
+    cells = [(i, j, c) for i in range(m) for j in range(m) if i != j for c in sampled_units]
+    cells += [(i, i, c) for i in range(m) for c in range(1, spec.q)]
+    cells = np.array(cells, dtype=np.int64).reshape(-1, 3)
+    enumerated = np.tile(ops.eye(m), (len(cells), 1, 1))
+    enumerated[np.arange(len(cells)), cells[:, 0], cells[:, 1]] = cells[:, 2]
+    entries = (1 + randbelow(rng, units, count // 4 * m)).reshape(-1, m)
+    diagonals = np.zeros((len(entries), m, m), dtype=np.int64)
+    diagonals[:, np.arange(m), np.arange(m)] = entries
+    mats = [enumerated, diagonals]
+    dets = [np.where(cells[:, 0] == cells[:, 1], cells[:, 2], 1),
+            functools.reduce(ops.mul, entries.T, np.ones(len(entries), dtype=np.int64))]
+    # dense draws in rounds of at most one chunk, in the order a matrix-by-
+    # matrix loop draws them; the singular ones are dropped
+    made = 0
+    while made < count:
+        size = min(count - made, ring.chunk)
+        dense = randbelow(rng, spec.q, size * m * m).reshape(size, m, m)
+        dense_dets = ops.det(dense)
+        keep = dense_dets != 0
+        mats.append(dense[keep])
+        dets.append(dense_dets[keep])
+        made += int(keep.sum())
+    counts = {"elementary": m * (m - 1) * len(sampled_units), "diagonal": m * units,
+              "random_diagonal": len(entries), "random": count}
 
-    def stacks():
-        """(kind, matrices, determinants) stacks in draw order; the
-        determinants are known by construction, except for the dense draws."""
-        units = spec.q - 1
-        sampled_units = range(1, spec.q) if units <= 32 else (1 + randbelow(rng, units, 32)).tolist()
-        cells = [(i, j, c) for i in range(m) for j in range(m) if i != j for c in sampled_units]
-        yield "elementary", identity_with(cells), np.ones(len(cells), dtype=np.int64)
-        cells = [(i, i, c) for i in range(m) for c in range(1, spec.q)]
-        yield "diagonal", identity_with(cells), np.array([c for _, _, c in cells], dtype=np.int64)
-        entries = (1 + randbelow(rng, units, count // 4 * m)).reshape(-1, m)
-        mats = np.zeros((len(entries), m, m), dtype=np.int64)
-        mats[:, np.arange(m), np.arange(m)] = entries
-        dets = np.ones(len(entries), dtype=np.int64)
-        for i in range(m):
-            dets = ops.mul(dets, entries[:, i])
-        yield "random_diagonal", mats, dets
-        # dense draws in rounds of at most one chunk, in the order a matrix-by-
-        # matrix loop draws them; the singular ones are dropped
-        made = 0
-        while made < count:
-            size = min(count - made, ring.chunk)
-            mats = randbelow(rng, spec.q, size * m * m).reshape(size, m, m)
-            dets = ops.det(mats)
-            keep = dets != 0
-            yield "random", mats[keep], dets[keep]
-            made += int(keep.sum())
-
-    def full_chunks():
-        """The stacks regrouped into whole ring.chunk stacks across the
-        kinds, in order, the remainder last; each is a list of (kind,
-        matrices, dets) pieces.  A held tail is a copy, so it does not keep
-        its whole stack alive."""
-        pieces, held = [], 0
-        for kind, mats, dets in stacks():
-            lo = 0
-            while len(mats) - lo >= ring.chunk - held:
-                hi = lo + ring.chunk - held
-                pieces.append((kind, mats[lo:hi], dets[lo:hi]))
-                yield pieces
-                pieces, held, lo = [], 0, hi
-            if lo < len(mats):
-                pieces.append((kind, mats[lo:].copy(), dets[lo:].copy()))
-                held += len(mats) - lo
-        if pieces:
-            yield pieces
-
-    # lambda against det^(p-1), one full chunk of the ring at a time across
-    # the kinds; a failure keeps its kind, matrix and draw order
-    for pieces in full_chunks():
-        lams = ring.top_monomial_scalar(np.concatenate([mats for _, mats, _ in pieces])).tolist()
-        lo = 0
-        for kind, mats, dets in pieces:
-            for i, det in enumerate(dets.tolist()):
-                lam = lams[lo + i]
-                if lam != power(det) or not is_pm1_power(lam):
-                    failures.append({
-                        "kind": kind,
-                        "matrix": mats[i].tolist(),
-                        "lambda": str(spec.element_from_code(lam)),
-                        "expected": str(spec.element_from_code(power(det))),
-                    })
-            lo += len(mats)
-            counts[kind] += len(mats)
+    # lambda against det^(p-1) in one pass, the ring cutting the stack into
+    # its chunks; a failure keeps its kind, matrix and draw order
+    mats = np.concatenate(mats)
+    lams = ring.top_monomial_scalar(mats).tolist()
+    kinds = np.repeat(list(counts), list(counts.values())).tolist()
+    failures = [
+        {
+            "kind": kind,
+            "matrix": mats[i].tolist(),
+            "lambda": str(spec.element_from_code(lam)),
+            "expected": str(spec.element_from_code(power(det))),
+        }
+        for i, (kind, lam, det) in enumerate(zip(kinds, lams, np.concatenate(dets).tolist()))
+        if lam != power(det) or not is_pm1_power(lam)
+    ]
 
     return {
         "field": {"p": int(p), "n": int(n), "modulus": format_modulus(spec)},

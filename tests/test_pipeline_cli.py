@@ -624,8 +624,9 @@ def test_gl_check_api():
 
 
 def test_gl_check_stacks_stay_within_the_chunk(monkeypatch):
-    """With a small chunk, no stack reaching the ring or det exceeds it,
-    and the report is the unpatched one: 10 000 draws take many rounds."""
+    """With a small chunk, no chunk of the ring's kernel and no stack
+    reaching det exceeds it, and the report is the unpatched one: 10 000
+    draws take many rounds."""
     from socle_verify import linalg
     from socle_verify.linalg import FieldOps
     from socle_verify.truncsym import TruncatedPolynomialRing
@@ -645,20 +646,20 @@ def test_gl_check_stacks_stay_within_the_chunk(monkeypatch):
             return out
         return wrapped
 
-    monkeypatch.setattr(TruncatedPolynomialRing, "top_monomial_scalar",
-                        spy("top", TruncatedPolynomialRing.top_monomial_scalar))
+    monkeypatch.setattr(TruncatedPolynomialRing, "_top_scalars",
+                        spy("top", TruncatedPolynomialRing._top_scalars))
     monkeypatch.setattr(FieldOps, "det", spy("det", FieldOps.det))
     assert gl_check(3, 2, count=10_000, seed=5) == want
     assert want["checked"] == {
         "elementary": 4, "diagonal": 4, "random_diagonal": 2500, "random": 10_000
     }
     assert max(sizes["top"]) == max(sizes["det"]) == 64
-    # every matrix reaches the ring once, and det runs only in the dense-draw
+    # every matrix reaches the kernel once, and det runs only in the dense-draw
     # rounds, whose nonsingular draws are the 10 000 random matrices
     assert sum(sizes["top"]) == nonzero["top"] == sum(want["checked"].values())
     assert nonzero["det"] == 10_000
     assert len(sizes["det"]) > 10_000 // 64
-    # the ring's stacks are filled across the kinds: 12 508 = 195 * 64 + 28
+    # the kernel's chunks are filled across the kinds: 12 508 = 195 * 64 + 28
     assert sizes["top"] == [64] * 195 + [28]
 
 
@@ -691,13 +692,13 @@ def test_gl_check_reports_each_failed_member_across_mixed_chunks(monkeypatch, ca
     monkeypatch.setattr(linalg, "MAX_STACK_CELLS", 6 * 16)
     targets = {0: "elementary", 57: "random_diagonal", 257: "random"}
     field = build_field(3)
-    top_monomial_scalar = TruncatedPolynomialRing.top_monomial_scalar
+    top_scalars = TruncatedPolynomialRing._top_scalars
 
     def corrupted(records):
         seen = [0]
 
         def wrapped(self, stack):
-            lams = top_monomial_scalar(self, stack)
+            lams = top_scalars(self, stack)
             assert len(stack) == 16 or seen[0] + len(stack) == 258
             for i in range(len(stack)):
                 if seen[0] + i in targets:
@@ -714,13 +715,13 @@ def test_gl_check_reports_each_failed_member_across_mixed_chunks(monkeypatch, ca
         return wrapped
 
     records: list[dict] = []
-    monkeypatch.setattr(TruncatedPolynomialRing, "top_monomial_scalar", corrupted(records))
+    monkeypatch.setattr(TruncatedPolynomialRing, "_top_scalars", corrupted(records))
     got = gl_check(3, 2, count=200, seed=5)
     assert [r["kind"] for r in records] == ["elementary", "random_diagonal", "random"]
     assert records[0]["matrix"] == [[1, 1], [0, 1]]
     assert got["failures"] == records
     assert got["verdict"] is False and got["checked"] == want["checked"]
-    monkeypatch.setattr(TruncatedPolynomialRing, "top_monomial_scalar", corrupted([]))
+    monkeypatch.setattr(TruncatedPolynomialRing, "_top_scalars", corrupted([]))
     code = main(["gl-check", "--p", "3", "--m", "2", "--count", "200", "--seed", "5", "--format", "json"])
     assert code == 1
     assert json.loads(capsys.readouterr().out)["failures"] == records
@@ -767,17 +768,19 @@ def test_gl_check_over_the_work_budget_ends_at_once(capsys):
     assert f"exceeds the budget of {MAX_GL_WORK}" in captured.err
 
 
-def test_order_512_inner_stack_stays_within_the_memory_cap(tmp_path):
-    """25 inner automorphisms of C2^9 over GF(4), built and verified as
-    stacks, under the 1 GB address-space cap of _run_subprocess."""
+@pytest.mark.parametrize("count", [25, 2500])
+def test_order_512_inner_stack_stays_within_the_memory_cap(tmp_path, count):
+    """Inner automorphisms of C2^9 over GF(4), built and verified as
+    stacks, under the 1 GB address-space cap of _run_subprocess: 2500 of
+    them are verified in member chunks."""
     path = tmp_path / "c2x9.pc"
     path.write_text("pcgroup p=2 m=9\n")
     proc = _run_subprocess(["run", "--presentation", str(path), "--field", "2,2", "--no-stored",
-                            "--auto", "random-inner count=25", "--format", "json"], timeout=120)
+                            "--auto", f"random-inner count={count}", "--format", "json"], timeout=120)
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     assert out["verdict"] is True
-    assert len(out["autos"]) == 25
+    assert len(out["autos"]) == count
 
 
 def test_cli_entry_point_subprocess():

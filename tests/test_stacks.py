@@ -16,7 +16,7 @@ import re
 import numpy as np
 import pytest
 
-from socle_verify import GF, NotAUnit, build_jennings_basis, linalg
+from socle_verify import GF, NotAUnit, automorphisms, build_jennings_basis, linalg
 from socle_verify.automorphisms import (
     AlgebraAutomorphism,
     parse_automorphism_specs,
@@ -124,14 +124,15 @@ def test_matmul_stack_crosses_chunk_borders(monkeypatch, p, n):
 
 def test_algebra_stacks_cross_member_chunks(monkeypatch):
     """Units inverted, conjugated and verified in chunks of 3 members give
-    the matrices and reports of one chunk."""
+    the matrices and reports of one chunk, and a tampered member in a later
+    chunk raises what it raises alone."""
     alg = shared_algebra("Heis27", 2)
     want = parse_automorphism_specs(alg, "random-inner seed=3 count=7")
     reports = [rep.as_dict() for rep in verify_stack(want)]
     units = np.stack([alg.parse(a.provenance.partition(": ")[2]).codes for a in want])
     products = alg.multiply_codes(units, units[::-1])
     monkeypatch.setattr(linalg, "MAX_STACK_CELLS", 3 * 27 * 27)
-    assert alg.member_chunks(7, 27 * 27) == [slice(0, 3), slice(3, 6), slice(6, 9)]
+    assert linalg.member_chunks(7, 27 * 27) == [slice(0, 3), slice(3, 6), slice(6, 9)]
     got = parse_automorphism_specs(alg, "random-inner seed=3 count=7")
     assert all(np.array_equal(x.matrix, y.matrix) for x, y in zip(got, want))
     assert [rep.as_dict() for rep in verify_stack(got)] == reports
@@ -139,6 +140,21 @@ def test_algebra_stacks_cross_member_chunks(monkeypatch):
     for k in range(7):
         assert np.array_equal(products[k], alg.multiply_codes(units[k], units[6 - k]))
         assert np.array_equal(alg.unit_inverse(units)[k], alg.unit_inverse(units[k : k + 1])[0])
+    # verify_stack decodes |G| (M+1) n cells per member
+    cells = want[0].data.size * alg.ops.n
+    monkeypatch.setattr(linalg, "MAX_STACK_CELLS", 3 * cells)
+    sizes = []
+    graded = automorphisms._graded_stack
+    monkeypatch.setattr(automorphisms, "_graded_stack", lambda a, data: sizes.append(len(data)) or graded(a, data))
+    assert [rep.as_dict() for rep in verify_stack(want)] == reports
+    assert sizes == [3, 3, 1]
+    # the first bad member (member 4, in the second chunk) raises its error
+    # before the socle failure of member 7 in the third
+    bad = _bad_automorphisms(alg)
+    for auto in bad.values():
+        alone = _error_alone(auto)
+        with pytest.raises(type(alone), match=re.escape(str(alone))):
+            verify_stack(want[:4] + [auto] + want[4:6] + [bad["socle"]])
 
 
 def _with_column(alg, element, image, socle=None):
@@ -157,8 +173,9 @@ def _with_column(alg, element, image, socle=None):
     return AlgebraAutomorphism(alg, matrix, "tampered", certificate="unchecked", data=data)
 
 
-def _bad_d8_automorphisms(alg):
-    """One automorphism per failure of the verification, on D8."""
+def _bad_automorphisms(alg):
+    """One automorphism per failure of the verification, on a group whose
+    first two Jennings layers have ranks 2 and 1 (D8, Heis27)."""
     (y1, y2), (y3,) = [layer.lifts for layer in build_jennings_basis(alg.group).layers[:2]]
     one = alg.one()
     lam = alg.field.q - 1  # a nonzero code
@@ -181,7 +198,7 @@ def _error_alone(auto):
 def test_a_bad_member_raises_what_it_raises_alone(degree):
     alg = shared_algebra("D8", degree)
     good = sweep_automorphisms(alg, "D8", 7, inner_count=2, subst_count=0)
-    bad = _bad_d8_automorphisms(alg)
+    bad = _bad_automorphisms(alg)
     kinds = {}
     for label, auto in bad.items():
         alone = _error_alone(auto)
