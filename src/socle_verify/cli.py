@@ -11,6 +11,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -18,12 +19,13 @@ from .groupalgebra import series_definitions_agree
 from .jennings import build_jennings_basis
 from .pgroup import MAX_PRESENTATION_BYTES, PcGroup, PresentationError, catalog, catalog_names
 from .pipeline import (
+    MASTER_SEED,
+    SEED_ENV,
     RunConfig,
     RunStageError,
     build_group_field,
     catalog_table,
     gl_check,
-    master_seed,
     prepare,
     render_json,
     run,
@@ -151,7 +153,13 @@ def _build_group(args: argparse.Namespace) -> PcGroup:
     return catalog(name)
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process.
+
+    parse_args leaves it as it was: an appended --auto list is a copy of
+    its default, never the default itself.
+    """
     parser = argparse.ArgumentParser(
         prog="socle-verify",
         description="Socle-scalar verification for modular group algebras of p-groups.",
@@ -183,7 +191,9 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("--format", choices=("text", "json"), default="text")
 
     p_sweep = sub.add_parser("sweep", help="verify the whole catalog")
-    p_sweep.add_argument("--seed", type=int, default=None, help=f"master seed (default {master_seed()})")
+    p_sweep.add_argument(
+        "--seed", type=int, default=None, help=f"master seed (default ${SEED_ENV}, else {MASTER_SEED})"
+    )
     p_sweep.add_argument("--groups", help="comma-separated catalog names (default: all)")
     p_sweep.add_argument("--inner", type=int, default=25, help="random inner automorphisms per field")
     p_sweep.add_argument("--compose", type=int, default=0,
@@ -213,8 +223,11 @@ def main(argv: list[str] | None = None) -> int:
     p_gl.add_argument("--format", choices=("text", "json"), default="text")
 
     sub.add_parser("catalog", help="list the built-in groups")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return _dispatch(args)
     except RunStageError as err:

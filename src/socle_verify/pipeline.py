@@ -52,6 +52,7 @@ from .truncsym import TruncatedPolynomialRing
 __all__ = [
     "MASTER_SEED",
     "SEED_ENV",
+    "SeedError",
     "RunConfig",
     "RunReport",
     "SweepReport",
@@ -77,9 +78,18 @@ SEED_ENV = "SOCLE_VERIFY_SEED"
 _MASK = (1 << 64) - 1
 
 
+class SeedError(ValueError):
+    """A SOCLE_VERIFY_SEED value that is not an integer."""
+
+
 def master_seed() -> int:
     env = os.environ.get(SEED_ENV)
-    return int(env) if env else MASTER_SEED
+    if not env:
+        return MASTER_SEED
+    try:
+        return int(env)
+    except ValueError:
+        raise SeedError(f"{SEED_ENV}={env!r} is not an integer seed") from None
 
 
 def _splitmix64(x: int) -> int:

@@ -16,9 +16,11 @@ variable i with c_i >= 1.  Per (p, m), one gather array per degree maps
 every cell of D_d and variable i to its source in D_(d-1), or to a zero
 sentinel when c_i = 0.  One factor is then one gather of the
 accumulator's coefficient planes, one batched float64 product with the
-members' n x n multiplication matrices over GF(p) and one reduction
-mod p.  The top piece is the single top monomial, whose planes are
-encoded to the scalar.
+members' n x n multiplication matrices over GF(p).  The accumulator is
+reduced mod p only when the next product could leave the exact float64
+integers (delayed reduction, as in FFLAS-FFPACK).  The top piece is the
+single top monomial, whose planes are reduced and encoded to the scalar
+by FieldOps.encode.
 
 top_monomial_scalar takes only stacks: (B, m, m) matrices in, B scalar
 codes out, computed in chunks whose gathered block (members x |D_d|
@@ -111,20 +113,32 @@ class TruncatedPolynomialRing:
     def _top_scalars(self, stack: np.ndarray) -> np.ndarray:
         """Scalar codes of one chunk, multiplied out one degree at a time.
 
-        acc holds the planes of piece D_d and a zero sentinel cell.  The
-        float64 product sums m*n terms below (p-1)^2 per entry, exact while
-        m*n*(p-1)^2 < linalg.EXACT_FLOAT_BOUND = 2^52; p^m <= MAX_GRID_CELLS
-        gives m <= 12 and p <= 4096, and n <= MAX_EXTENSION_DEGREE = 8, so
-        it is below 12 * 8 * 4095^2 < 2^31.
+        acc holds the planes of piece D_d and a zero sentinel cell, as
+        nonnegative integers up to top, congruent mod p to the true planes.
+        An entry of the float64 product sums m*n terms, each an entry of
+        acc times a matrix entry below p, so it is at most top * growth with
+        growth = m*n*(p-1).  acc is reduced, to top = p - 1, only when that
+        bound would reach linalg.EXACT_FLOAT_BOUND = 2^52: every partial sum
+        is then an integer below 2^52 and the product is exact.  After a
+        reduction the bound is m*n*(p-1)^2; p^m <= MAX_GRID_CELLS gives
+        m <= 12 and p <= 4096, and n <= MAX_EXTENSION_DEGREE = 8, so it is
+        below 12 * 8 * 4095^2 < 2^31 and a reduction always makes room.
+        The top planes are reduced by encode.
         """
         size, p, n = len(stack), self.p, self.ops.n
         mats = self._mult_matrices(stack)
+        growth = self.nvars * n * (p - 1)
         acc = np.zeros((size, 2, n))
         acc[:, 0, 0] = 1  # the planes of 1
+        top = 1
         for d, gather in enumerate(_degree_gathers(p, self.nvars)):
+            if top * growth >= linalg.EXACT_FLOAT_BOUND:
+                np.remainder(acc, p, out=acc)
+                top = p - 1
+            top *= growth
             terms = np.take(acc, gather, axis=1).reshape(size, len(gather), -1)
             acc = np.zeros((size, len(gather) + 1, n))
-            np.remainder(terms @ mats[d // (p - 1)], p, out=acc[:, :-1])
+            np.matmul(terms, mats[d // (p - 1)], out=acc[:, :-1])
         return self.ops.encode(acc[:, 0].astype(np.int64))
 
     def _mult_matrices(self, stack: np.ndarray) -> np.ndarray:

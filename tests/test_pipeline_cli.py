@@ -24,17 +24,20 @@ from hypothesis import strategies as st
 
 from socle_verify import pipeline
 from socle_verify.automorphisms import MAX_COUNT
-from socle_verify.cli import MAX_SPEC_FILE_BYTES, main
+from socle_verify.cli import MAX_SPEC_FILE_BYTES, _parser, main
 from socle_verify.jennings import JenningsBasis
 from socle_verify.linalg import FieldOps
 from socle_verify.pgroup import MAX_PRESENTATION_BYTES, UnknownGroup, catalog, catalog_names
 from socle_verify.pipeline import (
+    MASTER_SEED,
     MAX_GL_WORK,
     RunConfig,
     RunStageError,
+    SeedError,
     build_field,
     gl_check,
     gl_check_work,
+    master_seed,
     prepare,
     randbelow,
     run,
@@ -570,6 +573,66 @@ def test_sweep_subset_cli(capsys):
     assert [r["group"]["name"] for r in data["reports"]] == ["C2", "C3"]
     _, second = run_cli(capsys, argv)
     assert first == second
+
+
+def test_reused_parser_keeps_no_specs_between_calls(capsys):
+    """main parses with one parser per process; a run's --auto specs are
+    appended to a copy of the default list, so the next run has none."""
+    assert _parser() is _parser()
+    code, first = run_cli(capsys, ["run", "--group", "D8", "--auto", "inner: 1 + g1 + g2", "--format", "json"])
+    assert code == 0
+    code, second = run_cli(capsys, ["run", "--group", "D8", "--format", "json"])
+    assert code == 0
+    provenance = [auto["provenance"] for auto in json.loads(second)["autos"]]
+    assert len(json.loads(first)["autos"]) == len(provenance) + 1
+    assert not any("inner" in text for text in provenance)
+    assert _parser().parse_args(["run"]).auto == []
+
+
+def test_master_seed_reads_the_environment(monkeypatch):
+    monkeypatch.delenv("SOCLE_VERIFY_SEED", raising=False)
+    assert master_seed() == MASTER_SEED
+    monkeypatch.setenv("SOCLE_VERIFY_SEED", "")
+    assert master_seed() == MASTER_SEED
+    monkeypatch.setenv("SOCLE_VERIFY_SEED", "-7")
+    assert master_seed() == -7
+    for bad in ("abc", "1.5", "0x10"):
+        monkeypatch.setenv("SOCLE_VERIFY_SEED", bad)
+        with pytest.raises(SeedError, match="^SOCLE_VERIFY_SEED='.*' is not an integer seed$"):
+            master_seed()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--groups", "C2", "--inner", "1", "--subst", "1"],
+    ["run", "--group", "C2", "--auto", "random-inner"],
+    ["run", "--group", "C2"],
+    ["gl-check", "--p", "2", "--m", "2", "--count", "1"],
+])
+def test_bad_seed_environment_ends_with_one_error_line(capsys, monkeypatch, argv):
+    monkeypatch.setenv("SOCLE_VERIFY_SEED", "abc")
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ")
+    assert captured.err.endswith("SOCLE_VERIFY_SEED='abc' is not an integer seed\n")
+    # an explicit --seed does not read the environment
+    assert main(argv + ["--seed", "3"]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["catalog"], 0),
+    (["sweep", "--help"], 0),
+    (["sweep", "--groups", "C2", "--inner", "1", "--subst", "1"], 1),
+])
+def test_bad_seed_environment_ends_without_a_traceback(monkeypatch, argv, code):
+    monkeypatch.setenv("SOCLE_VERIFY_SEED", "abc")
+    proc = _run_subprocess(argv)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == ("" if code == 0 else "error: SOCLE_VERIFY_SEED='abc' is not an integer seed\n")
+    assert ("$SOCLE_VERIFY_SEED" in proc.stdout) == (argv[-1] == "--help")
 
 
 def test_pipeline_prepare_counts():

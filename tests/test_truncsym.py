@@ -262,6 +262,35 @@ def test_top_scalar_matches_oracles_at_one_variable_and_p_4093():
     assert _assert_matches_oracles(ring, stack).tolist() == [0] + [1] * 7  # Fermat
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_top_scalar_matches_oracles_where_the_reduction_fires_often(monkeypatch, n):
+    """p = 61, m = 2: 120 factors of growth 2n * 60, so the accumulator is
+    reduced mod p every 5 to 7 degrees; with the float bound down to p it
+    is reduced in every degree, and the scalars do not change."""
+    k = GF(61, n)
+    ring = TruncatedPolynomialRing(k, 2)
+    stack = _random_stack(k, random.Random(1313 + n), 6, 2)
+    stack[1, 0] = stack[1, 1]  # equal rows
+    stack[3, :, 1] = 0  # a zero column
+    got = _assert_matches_oracles(ring, stack)
+    assert got[1] == got[3] == 0
+    assert np.array_equal(got, ring.ops.pow(ring.ops.det(stack), 60))
+    monkeypatch.setattr(linalg, "EXACT_FLOAT_BOUND", 61)
+    assert np.array_equal(ring.top_monomial_scalar(stack), got)
+
+
+def test_top_scalar_equals_det_power_at_p_4093_over_gf_p2():
+    """m = 1 over GF(4093^2): 4092 factors, reduced about every third one,
+    give det^(p-1), which is not 1 off GF(4093)."""
+    k = GF(4093, 2)
+    ring = TruncatedPolynomialRing(k, 1)
+    rng = random.Random(1414)
+    stack = np.array([0, 1] + [rng.randrange(k.q) for _ in range(6)], dtype=np.int64).reshape(-1, 1, 1)
+    got = ring.top_monomial_scalar(stack)
+    assert np.array_equal(got, ring.ops.pow(stack[:, 0, 0], 4092))
+    assert got[0] == 0 and got[1] == 1 and np.count_nonzero(got > 1) >= 5
+
+
 def test_top_scalar_matches_oracles_on_the_largest_grid():
     """The 2^12 grid over GF(2): pieces of up to 924 monomials, one member per chunk."""
     k = GF(2)
