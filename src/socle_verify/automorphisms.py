@@ -22,12 +22,13 @@ certificate, passes its name and computes the data from what it holds:
                            u (y u^-1), y u^-1 a gather of u^-1, and alpha(n)
                            is u (n u^-1), n u^-1 constant; both are products
                            by the narrow u, gathers over supp(u)
-  substitutions            "substitution": on C_p^m, images of augmentation
-                           1 satisfy every relation, and an invertible
-                           linear part makes the map bijective; the lifts are
-                           generators, so their images are image rows, and
-                           alpha(n) = prod_j (alpha(y_j) - 1)^(p-1) in
-                           ascending lift order, multiplied from the right
+  substitutions            "substitution": generator images of augmentation
+                           1 that satisfy the presentation's relations in kG
+                           extend to an endomorphism (von Dyck), and a
+                           nonsingular degree-1 block makes it bijective; the
+                           lift images are the lifts' normal-form words in the
+                           images, and alpha(n) = prod_j (alpha(y_j) - 1)^(p-1)
+                           in ascending lift order, multiplied from the right
   compose                  "composition": of two automorphisms; the left
                            factor's matrix applied to the right one's data
 
@@ -44,10 +45,11 @@ for every x in kG.  Every group element is a normal-form word in the
 generators, so induction on the word, starting from alpha(1) = 1, gives
 alpha(x h) = alpha(x) alpha(h) for every group element h, and linearity
 extends that to all products.  Bijectivity is then read off the degree-1
-block: the coordinates of alpha(g_i) - 1 at the weight-1 Jennings
-monomials must have full rank, dim J/J^2.  The g_i - 1 span J/J^2, so
-alpha is onto J/J^2; by Nakayama an endomorphism of the local algebra kG
-that is onto J/J^2 is onto J, hence onto kG.  Its certificate is
+block, the check substitutions runs too: the coordinates of
+alpha(y_j) - 1 at the weight-1 Jennings monomials, for the degree-1 lifts
+y_j, must have a nonzero determinant.  The y_j - 1 span J/J^2, so alpha
+is onto J/J^2; by Nakayama an endomorphism of the local algebra kG that
+is onto J/J^2 is onto J, hence onto kG.  Its certificate is
 "generators".
 
 A constructor's matrix is built only when check_pairs or compose asks for
@@ -93,7 +95,7 @@ from . import linalg
 from .ffield import FieldElement, FieldMismatch
 from .groupalgebra import AlgebraElement, GroupAlgebra, column_sums
 from .jennings import build_jennings_basis
-from .pgroup import GroupAutomorphism
+from .pgroup import GroupAutomorphism, RelationViolation, _word_value
 
 __all__ = [
     "AlgebraAutomorphism",
@@ -146,7 +148,7 @@ class LieSubspaceViolated(ValueError):
 
 
 class SingularLinearPart(ValueError):
-    """Substitution images have a non-invertible linear part."""
+    """Substitution images have a singular degree-1 block."""
 
 
 class DataMismatch(ValueError):
@@ -161,7 +163,7 @@ class AlgebraAutomorphism:
     pair_check records, the data, and for matrix a function that builds it
     on first use.  With no certificate the matrix is outside input and gets
     the full check (identity column, augmentations, generator identities,
-    spot check, degree-1 rank); pair_check then reads "generators".  Data
+    spot check, degree-1 det); pair_check then reads "generators".  Data
     not given are read off the matrix.
     """
 
@@ -176,12 +178,12 @@ class AlgebraAutomorphism:
             self._matrix = np.asarray(matrix, dtype=np.int64)
             if self._matrix.shape != (algebra.dimension, algebra.dimension):
                 raise ValueError("automorphism matrix has the wrong shape")
+        self.data = data if data is not None else _data_of(algebra, self.matrix)
         if certificate is None:
             self._check_identities()
-            if not self._onto_degree_one():
+            if _singular_degree_one(algebra, self.data[None])[0]:
                 raise NotMultiplicative("matrix is not invertible")
             certificate = "generators"
-        self.data = data if data is not None else _data_of(algebra, self.matrix)
         self.pair_check = certificate
 
     @property
@@ -240,22 +242,23 @@ class AlgebraAutomorphism:
     def substitutions(cls, algebra: GroupAlgebra, images: np.ndarray,
                       provenances: list[str]) -> list["AlgebraAutomorphism"]:
         """Extend g_i -> images[b, i] multiplicatively, for every member b of
-        a (B, m, |G|) stack of image codes (elementary abelian G only).
+        a (B, m, |G|) stack of image codes, on any pc group.
 
-        In the elementary abelian case kG is the truncated polynomial ring
-        on x_i = g_i - 1, so any images with augmentation 1 satisfy the
-        defining relations automatically; invertibility needs the induced
-        linear part to be invertible.  Both are read off one coordinates()
-        pass over the images of all members: the weight-0 coordinate is the
-        augmentation, and the lift rows, which on C_p^m are all of weight
-        1, are the linear part.  The lifts of C_p^m are generators, so
-        their images are rows of images, and alpha(n) is the product
+        By von Dyck's theorem the images extend to an algebra endomorphism
+        exactly when they satisfy the presentation's relations in kG; an
+        image of augmentation 1 is a unit, and a degree-1 block of nonzero
+        determinant makes the map bijective (_singular_degree_one).  The
+        checks run in that order, each on the whole stack: augmentations,
+        every relation of PcGroup.relations with both sides multiplied out
+        by stacked kG products (_word_value), and the degree-1 det.  On an
+        abelian presentation, one with no commutator words, kG is
+        commutative and only the power relations are checked.  The lift
+        images are the lifts' normal-form words evaluated on the images, a
+        gather for a lift that is a generator, and alpha(n) is the product
         prod_j (alpha(y_j) - 1)^(p-1) in ascending lift order, by stacked kG
         products from the right, each by one narrow alpha(y_j) - 1.
         """
         group = algebra.group
-        if not group.is_elementary_abelian():
-            raise ValueError("substitution automorphisms need an elementary abelian group")
         images = np.asarray(images, dtype=np.int64)
         m, n = group.m, algebra.dimension
         if images.shape[1:] != (m, n):
@@ -263,18 +266,19 @@ class AlgebraAutomorphism:
         if not len(images):
             return []
         ops = algebra.ops
-        filt = algebra.filtration
-        coords = filt.coordinates(ops, images.reshape(-1, n).T).reshape(n, len(images), m)
-        bad = np.argwhere(coords[0] != 1)
+        bad = np.argwhere(column_sums(ops, images.transpose(2, 0, 1)) != 1)
         if bad.size:
             raise ValueError(f"image of g{bad[0, 1] + 1} must have augmentation 1")
-        if not ops.det(coords[filt.lift_rows].transpose(1, 0, 2)).all():
+        value = functools.partial(_word_value, images=images.transpose(1, 0, 2),
+                                  product=algebra.multiply_codes, one=algebra.one().codes)
+        relations = group.relations if group.comm_words else group.relations[:m]
+        _raise_first([((value(lhs) != value(rhs)).any(axis=-1), RelationViolation(f"images break the {name}"))
+                      for name, lhs, rhs in relations])
+        words = [tuple((i, e) for i, e in enumerate(group.element_at(y).exponents, start=1) if e)
+                 for y in algebra.filtration.lift_indices.tolist()]
+        lifts = np.stack([value(word) for word in words], axis=1)
+        if _singular_degree_one(algebra, lifts.transpose(0, 2, 1)).any():
             raise SingularLinearPart("linear part of the substitution is singular")
-        # invertible linear part forces an invertible map: the induced action
-        # on each J^r/J^(r+1) is a symmetric power of the linear part, and a
-        # filtered map with invertible graded pieces is invertible
-
-        lifts = images[:, [algebra.generator_indices.index(y) for y in filt.lift_indices.tolist()]]
         factors = np.repeat(ops.sub(lifts, algebra.one().codes), group.p - 1, axis=1)
         top = functools.reduce(lambda acc, factor: algebra.multiply_codes(factor, acc),
                                factors.transpose(1, 0, 2)[::-1])
@@ -324,19 +328,6 @@ class AlgebraAutomorphism:
             rhs_v = alg.multiply_codes(ops.matvec(self.matrix, x), ops.matvec(self.matrix, y))
             if not np.array_equal(lhs_v, rhs_v):
                 raise NotMultiplicative("sampled product is not preserved")
-
-    def _onto_degree_one(self) -> bool:
-        """Whether the generator images span J/J^2 (Nakayama: alpha is onto).
-
-        Reads the coordinates of alpha(g_i) - 1 at the weight-1 monomials,
-        the lifts y_j - 1 of the first Jennings layer.
-        """
-        alg = self.algebra
-        filt = alg.filtration
-        images = self.matrix[:, alg.generator_indices]
-        coords = filt.coordinates(alg.ops, alg.ops.sub(images, alg.one().codes[:, None]))
-        rows = filt.lift_rows[filt.weights[filt.lift_rows] == 1]
-        return alg.ops.rank(coords[rows]) == len(rows)
 
     def check_pairs(self) -> None:
         """Oracle: data, generator identities, spot check and rank, then alpha(g)alpha(h) = alpha(gh).
@@ -477,6 +468,25 @@ def _data_of(alg: GroupAlgebra, matrix: np.ndarray) -> np.ndarray:
     """The data of a matrix: its lift columns, then its row sums, alpha(sum of all g)."""
     return np.concatenate([matrix[:, alg.filtration.lift_indices],
                            column_sums(alg.ops, matrix.T)[:, None]], axis=1)
+
+
+def _singular_degree_one(alg: GroupAlgebra, lifts: np.ndarray) -> np.ndarray:
+    """Mask of the members of a (B, |G|, k) stack of lift images, in
+    ascending lift order, whose degree-1 block is singular.
+
+    The block holds the coordinates of alpha(y_j) - 1 at the weight-1
+    monomials y_i - 1, for the degree-1 lifts y_i, y_j, which come first;
+    1 has no weight-1 coordinate, so alpha(y_j) is read as it is.  The
+    y_j - 1 span J/J^2, so a nonzero det means alpha is onto J/J^2, and by
+    Nakayama an endomorphism of the local algebra kG that is onto J/J^2 is
+    onto J, hence onto kG.
+    """
+    filt = alg.filtration
+    rows = filt.lift_rows[filt.weights[filt.lift_rows] == 1]
+    size, n, _ = lifts.shape
+    block = lifts[:, :, : len(rows)].transpose(1, 0, 2).reshape(n, size * len(rows))
+    coords = filt.coordinates(alg.ops, block)[rows].reshape(len(rows), size, len(rows))
+    return alg.ops.det(coords.transpose(1, 0, 2)) == 0
 
 
 def _conjugation_matrix(alg: GroupAlgebra, unit: np.ndarray, inverse: np.ndarray) -> np.ndarray:

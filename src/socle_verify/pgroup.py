@@ -19,12 +19,15 @@ defining relations re-checked against the table.  The elements a with
 passes is associative: a group of order p^m whose generators satisfy
 the relations, which by von Dyck's theorem is the presented group.
 Inconsistent presentations are therefore rejected outright.  The
-relation check is the one group_automorphism runs on generator images,
-fed the generators.  That certificate is what makes the table safe to
-use as the multiplication backend everywhere else in the package,
-words included: stored automorphisms, spec images and relations checked
-against generator images are multiplied out in the table, each power by
-square-and-multiply.  No collection runs anywhere in the package.
+relations are listed once, in PcGroup.relations, and every check of them
+evaluates both sides with _word_value: the certificate on the
+generators and group_automorphism on generator images, multiplied out
+in the table, and AlgebraAutomorphism.substitutions on images in kG,
+multiplied out by kG products.  That certificate is what makes the table
+safe to use as the multiplication backend everywhere else in the
+package, words included: stored automorphisms and spec images are
+multiplied out in the table, each power by square-and-multiply.  No
+collection runs anywhere in the package.
 """
 
 from __future__ import annotations
@@ -194,6 +197,13 @@ class PcGroup:
             word = self._check_word(word, min_index=j, what=f"[g{j},g{i}]")
             if word:
                 self.comm_words[(j, i)] = word
+        # the defining relations as (name, lhs, rhs) word pairs: the m power
+        # relations g_i^p = w_i first, then g_j g_i = g_i g_j w_ji for j > i,
+        # which is [g_j, g_i] = w_ji
+        self.relations: tuple[tuple[str, Word, Word], ...] = tuple(
+            [(f"power relation of g{i}", ((i, p),), w) for i, w in enumerate(self.power_words, start=1)]
+            + [(f"commutator relation [g{j},g{i}]", ((j, 1), (i, 1)), ((i, 1), (j, 1)) + self.comm_words.get((j, i), ()))
+               for j in range(2, m + 1) for i in range(1, j)])
 
         self._elements: list[tuple[int, ...]] = list(itertools.product(range(p), repeat=m))
         self._index: dict[tuple[int, ...], int] = {t: k for k, t in enumerate(self._elements)}
@@ -315,42 +325,13 @@ class PcGroup:
             raise InconsistentPresentation(f"{broken} fails in the table")
 
     def _broken_relation(self, images: Sequence[int]) -> str | None:
-        """The first defining relation the images break, or None.
+        """The name of the first relation the images break, or None.
 
-        images[i] is the table index of the image of g_(i+1).  Relations are
-        evaluated with the images in place of the generators: a_i^p against
-        the power word, and [a_j, a_i] against the commutator word, j > i.
+        images[i] is the table index of the image of g_(i+1); both sides of
+        every relation are multiplied out in the table by _word_value.
         """
-        images = [int(a) for a in images]
-        for i in range(1, self.m + 1):
-            if self._word_value(((i, self.p),), images) != self._word_value(self.power_words[i - 1], images):
-                return f"power relation of g{i}"
-        comms = self._commutators(np.array(images)[:, None], images)  # comms[j - 1, i - 1] = [a_j, a_i]
-        for j in range(2, self.m + 1):
-            for i in range(1, j):
-                if comms[j - 1, i - 1] != self._word_value(self.comm_words.get((j, i), ()), images):
-                    return f"commutator relation [g{j},g{i}]"
-        return None
-
-    def _word_value(self, word: Iterable[tuple[int, int]], images: Sequence[int]) -> int:
-        """Table index of a word of (generator, exponent >= 0) pairs, with
-        images[i - 1] in place of g_i, multiplied out in the table.
-
-        Each power is taken by square-and-multiply, one table lookup a step:
-        the squares of one image commute, so each is multiplied straight
-        into the running product.
-        """
-        t = self._cayley
-        acc = 0
-        for idx, exp in word:
-            base = images[idx - 1]
-            while exp:
-                if exp & 1:
-                    acc = t.item(acc, base)
-                exp >>= 1
-                if exp:
-                    base = t.item(base, base)
-        return acc
+        value = functools.partial(_word_value, images=[int(a) for a in images], product=self._cayley.item, one=0)
+        return next((name for name, lhs, rhs in self.relations if value(lhs) != value(rhs)), None)
 
     def _commutators(self, a, b) -> np.ndarray:
         """[a, b] = a^-1 b^-1 a b on index arrays, broadcast against each other."""
@@ -557,7 +538,7 @@ class PcGroup:
         table.  Each exponent is reduced mod |G| first, which every element
         order divides, so a power takes at most log2 |G| squarings."""
         word = [(idx, exp % self.order) for idx, exp in parse_word_pairs(text, self.m)]
-        return self.element_at(self._word_value(word, self._generator_indices))
+        return self.element_at(_word_value(word, self._generator_indices, self._cayley.item, 0))
 
     @classmethod
     def from_presentation_text(cls, text: str, name: str | None = None) -> PcGroup:
@@ -601,6 +582,29 @@ class PcGroup:
     def __repr__(self) -> str:
         label = self.name or "pcgroup"
         return f"PcGroup({label}, p={self.p}, order={self.order})"
+
+
+def _word_value(word: Iterable[tuple[int, int]], images: Sequence, product, one):
+    """The value of a word of (generator, exponent >= 0) pairs, with
+    images[i - 1] in place of g_i, multiplied out by product(a, b) = a b.
+
+    Each power is taken by square-and-multiply: the squares of one image
+    commute, so each is multiplied straight into the running product, from
+    the right.  The empty word is one, and a one-letter word g_i is
+    images[i - 1] itself, with no product.  product is a table lookup on
+    group indices (PcGroup._broken_relation, parse_word) or a stacked kG
+    product on image codes (AlgebraAutomorphism.substitutions).
+    """
+    acc = None
+    for idx, exp in word:
+        base = images[idx - 1]
+        while exp:
+            if exp & 1:
+                acc = base if acc is None else product(acc, base)
+            exp >>= 1
+            if exp:
+                base = product(base, base)
+    return one if acc is None else acc
 
 
 def _parse_number(digits: str) -> int:

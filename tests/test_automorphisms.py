@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from socle_verify import (
     LieSubspaceViolated,
     NotBijective,
     NotMultiplicative,
+    RelationViolation,
     SingularLinearPart,
     build_jennings_basis,
     catalog,
@@ -28,11 +30,13 @@ from socle_verify import (
 from socle_verify.automorphisms import (
     FULL_PAIR_CHECK_LIMIT,
     AlgebraAutomorphism,
+    _singular_degree_one,
     parse_automorphism_specs,
     random_inners,
     random_substitutions,
 )
-from socle_verify.pipeline import derive_seed, sweep_automorphisms
+from socle_verify.cli import main
+from socle_verify.pipeline import RunConfig, derive_seed, prepare, run, sweep_automorphisms
 
 from oracle_helpers import (
     apply_automorphism,
@@ -179,11 +183,88 @@ def test_singular_linear_part_rejected():
 
 
 def test_substitution_requires_elementary_abelian(algebra):
+    """substitutions takes any pc group: on C9 the identity images are the
+    identity automorphism; the random draws stay on C_p^m."""
     alg = algebra("C9")
-    with pytest.raises(ValueError, match="elementary abelian"):
-        _substitution(alg, substitution_images(alg, np.eye(alg.group.m, dtype=np.int64)))
+    rep = _verify(_substitution(alg, substitution_images(alg, np.eye(alg.group.m, dtype=np.int64))))
+    assert rep.lambda_is_one and rep.equation_holds
     with pytest.raises(ValueError, match="elementary abelian"):
         random_substitutions(alg, random.Random(0), 1)
+
+
+HEIS27_X_C3 = (Path(__file__).resolve().parents[1] / "perfbench" / "presentations" / "heis27xc3.pc").read_text()
+
+# (group, presentation or None for the catalog, subst: spec over GF(p^2), lambda)
+SUBSTITUTION_FIXTURES = [
+    ("C8", None, "subst: x1 -> (t)*x1, x2 -> (t^2)*x2, x3 -> (t^4)*x3", "t"),
+    ("C27", None, "subst: x1 -> (2*t)*x1, x2 -> (2*t^3)*x2, x3 -> (2*t^9)*x3", "2"),
+    ("C4xC2", None, "subst: x2 -> (t)*x2", "t"),
+    ("D8xC2", "pcgroup p=2 m=4\ng2^2 = g3\n[g2,g1] = g3\n", "subst: x4 -> (t)*x4", "t"),
+    ("Heis27xC3", HEIS27_X_C3, "subst: x4 -> (t)*x4", "2"),
+    ("C7xC7", "pcgroup p=7 m=2\n", "subst: x1 -> (t)*x1", "6"),
+    ("Heis343", "pcgroup p=7 m=3\n[g2,g1] = g3\n", "subst: x1 -> x1 + x3 + x1*x3", "1"),  # g1 -> g1 g3
+    # the lift of degree 2 is g2 g3 g4, a word in generators that do not
+    # commute, so evaluating it in another order is a DataMismatch under
+    # --full-check; g1 -> g1 g5 with g5 central
+    ("Lift32", "pcgroup p=2 m=5\ng1^2 = g2 g3 g4\n[g3,g2] = g5\n[g4,g2] = g5\n[g4,g3] = g5\n",
+     "subst: x1 -> x1 + x5 + x1*x5", "1"),
+]
+
+
+def _run_substitution(name, presentation, spec, full_check):
+    """The one report of a run of spec over GF(p^2), with no stored automorphisms."""
+    algebra, autos = prepare(RunConfig(group=name, presentation=presentation, n=2,
+                                       auto_specs=(spec,), include_stored=False))
+    report = run(algebra, autos, full_check=full_check)
+    assert report.verdict
+    (rep,) = report.auto_reports
+    return rep
+
+
+@pytest.mark.parametrize("full_check", [False, True])
+@pytest.mark.parametrize("name, presentation, spec, lam", SUBSTITUTION_FIXTURES,
+                         ids=[fixture[0] for fixture in SUBSTITUTION_FIXTURES])
+def test_substitution_lambda_outside_elementary_abelian(name, presentation, spec, lam, full_check):
+    """subst: on cyclic, abelian and non-abelian groups: the relations hold
+    in kG, and lambda = det^(p-1) is the listed (p-1)-st power; under
+    --full-check the data are compared with the matrix too."""
+    rep = _run_substitution(name, presentation, spec, full_check)
+    assert str(rep.socle_scalar) == lam
+    assert rep.equation_holds and rep.lambda_in_power_subgroup
+    assert rep.lambda_is_one == (lam == "1")
+
+
+@pytest.mark.parametrize("full_check", [False, True])
+def test_d8_substitution_with_lambda_t(algebra, full_check):
+    """The D8/GF(4) images a1, a2 and a3 = a2^2 of an automorphism with lambda = t."""
+    alg = algebra("D8", 2)
+    a1 = alg.parse("(t+1) + (t)*g2 + (t)*g2*g3 + g1 + (t+1)*g1*g3")
+    a2 = alg.parse("(t)*g3 + (t)*g2 + g2*g3 + g1*g3 + (t)*g1*g2 + (t+1)*g1*g2*g3")
+    autos = AlgebraAutomorphism.substitutions(alg, np.stack([a1.codes, a2.codes, (a2 * a2).codes])[None], ["D8"])
+    report = run(alg, autos, full_check=full_check)
+    (rep,) = report.auto_reports
+    assert report.verdict and str(rep.socle_scalar) == "t"
+    assert rep.equation_holds and rep.lambda_in_power_subgroup and not rep.lambda_is_one
+
+
+SUBSTITUTION_REJECTIONS = [
+    ("C8", 2, "subst: x1 -> (t)*x1", "power relation of g1"),
+    ("Q8", 2, "subst: x1 -> (t)*x1, x2 -> (t)*x2, x3 -> (t^2)*x3", "commutator relation [g2,g1]"),
+    ("Heis27", 3, "subst: x1 -> (t)*x1", "commutator relation [g2,g1]"),
+]
+
+
+@pytest.mark.parametrize("name, p, spec, relation", SUBSTITUTION_REJECTIONS,
+                         ids=[rejection[0] for rejection in SUBSTITUTION_REJECTIONS])
+def test_substitution_breaking_a_relation_is_rejected(algebra, capsys, name, p, spec, relation):
+    """Images that break a relation end with RelationViolation naming it,
+    and the command line with exit code 1 and one error line."""
+    with pytest.raises(RelationViolation, match=f"^images break the {re.escape(relation)}$"):
+        parse_automorphism_specs(algebra(name, 2), spec)
+    assert main(["run", "--group", name, "--field", f"{p},2", "--no-stored", "--auto", spec]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: [automorphisms] RelationViolation: images break the {relation}\n"
 
 
 def test_group_side_rejections(algebra):
@@ -264,12 +345,17 @@ def test_multiplicativity_certificate_matches_pair_oracle(algebra, all_names, de
     column transposition fixing column 0: the validating constructor,
     check_pairs() and, up to order 27, the pair loop on its own (after the
     full rank, which a column permutation keeps) reject it exactly when
-    the transposition is not a group automorphism.
+    the transposition is not a group automorphism.  Each is also rebuilt
+    by substitutions from its generator images, read off the matrix: the
+    same data, byte for byte, and the same report.
     """
     checked = rejected = 0
     for alg, auto, perm in _swept_with_transpositions(algebra, all_names, degree):
         n = alg.dimension
         assert auto.pair_check in CERTIFICATES, auto.provenance
+        (rebuilt,) = AlgebraAutomorphism.substitutions(alg, auto.matrix[:, alg.generator_indices].T[None],
+                                                       [auto.provenance])
+        assert np.array_equal(rebuilt.data, auto.data) and verify_stack([rebuilt]) == verify_stack([auto])
         assert AlgebraAutomorphism(alg, auto.matrix).pair_check == "generators"
         if n <= 27:
             auto.check_pairs()
@@ -333,7 +419,7 @@ def _projections(alg):
 
 @pytest.mark.parametrize("degree", [1, 2])
 def test_degree_one_rank_agrees_with_full_rank(algebra, all_names, degree):
-    """The constructor's degree-1 rank and check_pairs()' full rank agree.
+    """The constructor's degree-1 det and check_pairs()' full rank agree.
 
     Checked on every matrix that passes the generator identities, so that
     Nakayama applies: the automorphisms and column-transposed matrices of
@@ -348,7 +434,8 @@ def test_degree_one_rank_agrees_with_full_rank(algebra, all_names, degree):
         if not _accepts(auto._check_identities):
             return
         full = alg.ops.rank(matrix) == alg.dimension
-        assert auto._onto_degree_one() == full
+        onto = not _singular_degree_one(alg, auto.data[None])[0]
+        assert onto == full
         seen[full] += 1
 
     for alg, auto, perm in _swept_with_transpositions(algebra, all_names, degree):
