@@ -272,8 +272,11 @@ class AlgebraAutomorphism:
         value = functools.partial(_word_value, images=images.transpose(1, 0, 2),
                                   product=algebra.multiply_codes, one=algebra.one().codes)
         relations = group.relations if group.comm_words else group.relations[:m]
-        _raise_first([((value(lhs) != value(rhs)).any(axis=-1), RelationViolation(f"images break the {name}"))
-                      for name, lhs, rhs in relations])
+        # the left sides g_i^p of the m power relations, one power of the (B m, |G|) images
+        powers = value(((1, group.p),), images=[images.reshape(-1, n)]).reshape(-1, m, n).transpose(1, 0, 2)
+        lefts = [*powers, *(value(lhs) for _, lhs, _ in relations[m:])]
+        _raise_first([((left != value(rhs)).any(axis=-1), RelationViolation(f"images break the {name}"))
+                      for left, (name, _, rhs) in zip(lefts, relations)])
         words = [tuple((i, e) for i, e in enumerate(group.element_at(y).exponents, start=1) if e)
                  for y in algebra.filtration.lift_indices.tolist()]
         lifts = np.stack([value(word) for word in words], axis=1)
@@ -622,9 +625,7 @@ def _substitution_draw(algebra: GroupAlgebra, rng: random.Random) -> np.ndarray:
     group = algebra.group
     if not group.is_elementary_abelian():
         raise ValueError("substitution automorphisms need an elementary abelian group")
-    ops = algebra.ops
-    m = group.m
-    q = algebra.field.q
+    ops, m, q = algebra.ops, group.m, algebra.field.q
     while True:
         linear = np.array([[rng.randrange(q) for _ in range(m)] for _ in range(m)], dtype=np.int64)
         if ops.det(linear[None])[0] != 0:

@@ -33,9 +33,8 @@ that hold at most MAX_STACK_CELLS together.  So the memory a stack takes
 stays a few times that of one chunk's operands however many members it
 has.
 
-det takes only stacks of square matrices, shape (B, s, s), and returns
-one code per member: one forward elimination on codes, every member in
-the same numpy pass, through add/sub/mul/neg and the elementwise inv.
+det takes only (B, s, s) stacks and returns one code per member, every
+member eliminated in the same numpy pass through the elementwise ops.
 rref updates, per pivot, only the rows with a nonzero entry in its column
 and only the columns from it on.
 """
@@ -356,8 +355,7 @@ class FieldOps:
         if cols in pivots:
             return None
         x = np.zeros(cols, dtype=np.int64)
-        for row, c in enumerate(pivots):
-            x[c] = r[row, -1]
+        x[pivots] = r[:, -1]
         return x
 
     def nullspace(self, m: np.ndarray) -> np.ndarray:
@@ -386,9 +384,9 @@ class FieldOps:
         Forward elimination on codes, every member in the same pass: in
         column c each member swaps up its first row with a nonzero entry
         there, negating its determinant, multiplies the determinant by that
-        pivot and clears the column below it.  A member with no pivot in
-        some column multiplies by a zero pivot, whose inverse inv takes as
-        0, so it ends at 0 with no bookkeeping.
+        pivot and clears the column below it with the scaled pivot row, in
+        the trailing block only (in place over GF(p), then one % p).  inv
+        takes a zero pivot to 0, so a singular member ends at 0 with no bookkeeping.
         """
         m = np.array(m, dtype=np.int64, copy=True)
         if m.ndim != 3 or m.shape[1] != m.shape[2]:
@@ -400,17 +398,19 @@ class FieldOps:
             rows = c + (m[:, c:, c] != 0).argmax(axis=1)
             swapped = rows != c
             if swapped.any():
-                top = m[members, rows]
-                m[members, rows] = m[:, c]
-                m[:, c] = top
-                det[swapped] = self.neg(det[swapped])
+                m[members, rows], m[:, c] = m[:, c].copy(), m[members, rows]
+                det = np.where(swapped, self.neg(det), det)
             pivot = m[:, c, c]
             det = self.mul(det, pivot)
             if c + 1 == size:
                 break
-            factors = self.mul(m[:, c + 1 :, c], self.inv(pivot)[:, None])
-            below = self.mul(factors[:, :, None], m[:, None, c, c:])
-            m[:, c + 1 :, c:] = self.sub(m[:, c + 1 :, c:], below)
+            row = self.mul(m[:, None, c, c + 1 :], self.inv(pivot)[:, None, None])
+            block = m[:, c + 1 :, c + 1 :]
+            if self.n == 1:
+                block -= m[:, c + 1 :, c, None] * row
+                block %= self.p
+            else:
+                block[...] = self.sub(block, self.mul(m[:, c + 1 :, c, None], row))
         return det
 
     def eye(self, size: int) -> np.ndarray:

@@ -17,12 +17,14 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 import os
 import random
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
+from . import linalg
 from .automorphisms import (
     AlgebraAutomorphism,
     VerificationReport,
@@ -460,9 +462,7 @@ def gl_check(
     ring = TruncatedPolynomialRing(spec, m)
     work = gl_check_work(p, m, n, count)
     if work > MAX_GL_WORK:
-        raise ValueError(
-            f"gl-check work {work} (matrices x m*n*p^m) exceeds the budget of {MAX_GL_WORK}"
-        )
+        raise ValueError(f"gl-check work {work} (matrices x m*n*p^m) exceeds the budget of {MAX_GL_WORK}")
     ops = ring.ops
     rng = random.Random(derive_seed(seed, "gl-check", p, n, m))
 
@@ -487,17 +487,21 @@ def gl_check(
     mats = [enumerated, diagonals]
     dets = [np.where(cells[:, 0] == cells[:, 1], cells[:, 2], 1),
             functools.reduce(ops.mul, entries.T, np.ones(len(entries), dtype=np.int64))]
-    # dense draws in rounds of at most one chunk, in the order a matrix-by-
-    # matrix loop draws them; the singular ones are dropped
+    # dense draws in the order a matrix-by-matrix loop draws them, in rounds
+    # sized by GL_m(q)'s density in all m x m matrices to hold the ones still
+    # missing, up to member_chunks' step; each round keeps its first
+    # nonsingular draws up to the need, so the kept ones are the loop's
+    density = math.prod(1 - spec.q**-i for i in range(1, m + 1))
+    cap = max(1, linalg.MAX_STACK_CELLS // (m * m))
     made = 0
     while made < count:
-        size = min(count - made, ring.chunk)
+        size = min(cap, math.ceil((count - made) / density))
         dense = randbelow(rng, spec.q, size * m * m).reshape(size, m, m)
         dense_dets = ops.det(dense)
-        keep = dense_dets != 0
+        keep = np.flatnonzero(dense_dets)[: count - made]
         mats.append(dense[keep])
         dets.append(dense_dets[keep])
-        made += int(keep.sum())
+        made += len(keep)
     counts = {"elementary": m * (m - 1) * len(sampled_units), "diagonal": m * units,
               "random_diagonal": len(entries), "random": count}
 
@@ -507,12 +511,8 @@ def gl_check(
     lams = ring.top_monomial_scalar(mats).tolist()
     kinds = np.repeat(list(counts), list(counts.values())).tolist()
     failures = [
-        {
-            "kind": kind,
-            "matrix": mats[i].tolist(),
-            "lambda": str(spec.element_from_code(lam)),
-            "expected": str(spec.element_from_code(power(det))),
-        }
+        {"kind": kind, "matrix": mats[i].tolist(), "lambda": str(spec.element_from_code(lam)),
+         "expected": str(spec.element_from_code(power(det)))}
         for i, (kind, lam, det) in enumerate(zip(kinds, lams, np.concatenate(dets).tolist()))
         if lam != power(det) or not is_pm1_power(lam)
     ]

@@ -80,9 +80,7 @@ class TruncatedPolynomialRing:
         # p >= 2, so capping the exponent at the bit length of the limit keeps
         # p^m cheap to compute and still decides the comparison
         if field.p ** min(nvars, MAX_GRID_CELLS.bit_length()) > MAX_GRID_CELLS:
-            raise ValueError(
-                f"{field.p}^{nvars} coefficient grid exceeds the limit of {MAX_GRID_CELLS} cells"
-            )
+            raise ValueError(f"{field.p}^{nvars} coefficient grid exceeds the limit of {MAX_GRID_CELLS} cells")
         self.field = field
         self.nvars = nvars
         self.p = field.p

@@ -267,6 +267,35 @@ def test_substitution_breaking_a_relation_is_rejected(algebra, capsys, name, p, 
     assert captured.err == f"error: [automorphisms] RelationViolation: images break the {relation}\n"
 
 
+def test_relation_check_names_the_first_failing_member(algebra):
+    """Over Q8/GF(4), diag(t, t, t^2) breaks [g2,g1] and diag(t, 1, 1) the
+    power relation of g1: a stack of both names the first member's broken
+    relation, whichever way round, though the power relations, all of the
+    members at once, are checked first."""
+    alg = algebra("Q8", 2)
+    t, t2 = 2, 3
+    commutator = substitution_images(alg, np.diag([t, t, t2]))
+    power = substitution_images(alg, np.diag([t, 1, 1]))
+    for stack, relation in (([commutator, power], "commutator relation [g2,g1]"),
+                            ([power, commutator], "power relation of g1")):
+        with pytest.raises(RelationViolation, match=f"^images break the {re.escape(relation)}$"):
+            AlgebraAutomorphism.substitutions(alg, np.stack(stack), ["first", "second"])
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_power_relations_are_one_stacked_power(algebra, monkeypatch, degree):
+    """On C2^7 every relation checked is a power relation g_i^2 = 1, and the
+    7 left sides of a stack of 3 substitutions are one squaring of the
+    (21, 128) images: a build makes that kG product and the 6 of the socle
+    image prod_j (alpha(y_j) - 1), 7 in all."""
+    alg = algebra("C2^7", degree)
+    calls = []
+    multiply_codes = alg.multiply_codes
+    monkeypatch.setattr(alg, "multiply_codes", lambda a, b: calls.append(np.shape(a)) or multiply_codes(a, b))
+    random_substitutions(alg, random.Random(11), 3)
+    assert calls[0] == (21, 128) and len(calls) == 7
+
+
 def test_group_side_rejections(algebra):
     alg = algebra("C2xC2")
     g = alg.group

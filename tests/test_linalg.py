@@ -148,6 +148,34 @@ def test_prime_field_det_stack_equals_the_one_matrix_loop(p):
     assert singular >= 8 * 4
 
 
+@pytest.mark.parametrize("p,n", [(2, 1), (4093, 1), (3, 2), (13, 4)])
+def test_det_stack_with_singular_members_at_every_pivot_column(p, n):
+    """A stack of 240 members of size 6 against the one-matrix column loop,
+    over GF(2), GF(4093), a table field and the plane field GF(13^4) above
+    q = 4096.  For every column c, a third of the members have column c a
+    random combination of the columns before it (a zero column at c = 0),
+    so elimination runs out of pivots by column c; another third have zeros
+    on top of column c, so its pivot, if any, comes from a swap."""
+    k = GF(p, n)
+    ops = FieldOps(k)
+    rng = random.Random(2024 + p + n)
+    size = 6
+    members = []
+    for i in range(240):
+        m = random_matrix(k, rng, size, size)
+        c = (i // 3) % size
+        if i % 3 == 0:
+            coeffs = random_matrix(k, rng, c, 1)
+            m[:, c] = ops.matmul(m[:, :c], coeffs)[:, 0] if c else 0
+        elif i % 3 == 1:
+            m[: rng.randrange(1, size), c] = 0
+        members.append(m)
+    want = np.array([det_by_column_loop(ops, m) for m in members], dtype=np.int64)
+    got = ops.det(np.stack(members))
+    assert got.tobytes() == want.tobytes()
+    assert not want[::3].any() and want[1::3].any()
+
+
 def test_det_of_identity_and_swap():
     ops = FieldOps(GF(5))
     assert ops.det(ops.eye(4)[None]).tolist() == [1]

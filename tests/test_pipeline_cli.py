@@ -687,9 +687,9 @@ def test_gl_check_api():
 
 
 def test_gl_check_stacks_stay_within_the_chunk(monkeypatch):
-    """With a small chunk, no chunk of the ring's kernel and no stack
-    reaching det exceeds it, and the report is the unpatched one: 10 000
-    draws take many rounds."""
+    """With a small chunk, no chunk of the ring's kernel exceeds it, no
+    stack reaching det holds more than MAX_STACK_CELLS // m^2 members, and
+    the report is the unpatched one: 10 000 draws take many rounds."""
     from socle_verify import linalg
     from socle_verify.linalg import FieldOps
     from socle_verify.truncsym import TruncatedPolynomialRing
@@ -716,14 +716,52 @@ def test_gl_check_stacks_stay_within_the_chunk(monkeypatch):
     assert want["checked"] == {
         "elementary": 4, "diagonal": 4, "random_diagonal": 2500, "random": 10_000
     }
-    assert max(sizes["top"]) == max(sizes["det"]) == 64
+    assert max(sizes["top"]) == 64
+    assert max(sizes["det"]) <= linalg.MAX_STACK_CELLS // 2**2
     # every matrix reaches the kernel once, and det runs only in the dense-draw
-    # rounds, whose nonsingular draws are the 10 000 random matrices
+    # rounds
     assert sum(sizes["top"]) == nonzero["top"] == sum(want["checked"].values())
-    assert nonzero["det"] == 10_000
     assert len(sizes["det"]) > 10_000 // 64
     # the kernel's chunks are filled across the kinds: 12 508 = 195 * 64 + 28
     assert sizes["top"] == [64] * 195 + [28]
+
+
+@pytest.mark.parametrize("seed", [5, 7])
+@pytest.mark.parametrize("p,m,count", [(2, 8, 300), (3, 2, 1000)])
+def test_gl_check_dense_matrices_are_the_loops_first_nonsingular_draws(monkeypatch, p, m, count, seed):
+    """The last `count` members of the stack the kernel gets are the first
+    `count` nonsingular matrices of a matrix-by-matrix rng.randrange(q)
+    loop, each tested by the one-matrix column loop: at GF(2), m = 8, one
+    draw in 3.5 is invertible, and at GF(3), m = 2, one in 1.7, so the
+    rounds read past the last kept draw."""
+    import random
+
+    from oracle_helpers import det_by_column_loop
+    from socle_verify.truncsym import TruncatedPolynomialRing
+
+    stacks = []
+    kernel = TruncatedPolynomialRing.top_monomial_scalar
+
+    def spy(self, stack):
+        stacks.append(stack)
+        return kernel(self, stack)
+
+    monkeypatch.setattr(TruncatedPolynomialRing, "top_monomial_scalar", spy)
+    assert gl_check(p, m, count=count, seed=seed)["verdict"]
+
+    ops = FieldOps(build_field(p))
+    rng = random.Random(pipeline.derive_seed(seed, "gl-check", p, 1, m))
+    # the draws before the dense ones: every unit is enumerated (q - 1 <= 32),
+    # and the random diagonals take count // 4 * m units
+    for _ in range(count // 4 * m):
+        rng.randrange(p - 1)
+    want = []
+    while len(want) < count:
+        matrix = np.array([[rng.randrange(p) for _ in range(m)] for _ in range(m)], dtype=np.int64)
+        if det_by_column_loop(ops, matrix):
+            want.append(matrix)
+    assert len(stacks) == 1
+    assert np.array_equal(stacks[0][-count:], np.stack(want))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 9, 25, 4092, 2**31, 2**32 - 1, 2**32, 2**40])
