@@ -95,7 +95,7 @@ from . import linalg
 from .ffield import FieldElement, FieldMismatch
 from .groupalgebra import AlgebraElement, GroupAlgebra, column_sums
 from .jennings import build_jennings_basis
-from .pgroup import GroupAutomorphism, RelationViolation, _word_value
+from .pgroup import GroupAutomorphism, RelationViolation, _word_value, parse_word_pairs
 
 __all__ = [
     "AlgebraAutomorphism",
@@ -236,7 +236,7 @@ class AlgebraAutomorphism:
         data = algebra.multiply_codes(units, right.transpose(0, 2, 1))
         return [cls(algebra, functools.partial(_conjugation_matrix, algebra, u, uinv), provenance,
                     certificate="unit-inverse", data=d)
-                for u, uinv, d, provenance in zip(units, inverses, data, provenances)]
+                for u, uinv, d, provenance in zip(units, inverses, data, provenances, strict=True)]
 
     @classmethod
     def substitutions(cls, algebra: GroupAlgebra, images: np.ndarray,
@@ -288,7 +288,7 @@ class AlgebraAutomorphism:
         data = np.concatenate([lifts, top[:, None]], axis=1).transpose(0, 2, 1)
         return [cls(algebra, functools.partial(_substitution_matrix, algebra, member), provenance,
                     certificate="substitution", data=d)
-                for member, d, provenance in zip(images, data, provenances)]
+                for member, d, provenance in zip(images, data, provenances, strict=True)]
 
     def compose(self, other: "AlgebraAutomorphism") -> "AlgebraAutomorphism":
         """self after other: self's matrix applied to other's data."""
@@ -746,41 +746,28 @@ def _parse_group_auto(algebra: GroupAlgebra, rest: str) -> AlgebraAutomorphism:
 
 
 def _parse_subst(algebra: GroupAlgebra, rest: str) -> list[AlgebraAutomorphism]:
-    group = algebra.group
-    images = [algebra.embed(group.generator(i)).codes for i in range(1, group.m + 1)]
-    for i, rhs in _parse_clauses(rest, "x", group.m).items():
-        images[i - 1] = (algebra.one() + _parse_x_polynomial(algebra, rhs)).codes
-    return AlgebraAutomorphism.substitutions(algebra, np.stack(images)[None], [f"subst: {rest.strip()}"])
+    images = np.eye(algebra.dimension, dtype=np.int64)[algebra.generator_indices]
+    for i, rhs in _parse_clauses(rest, "x", algebra.group.m).items():
+        images[i - 1] = algebra.ops.add(algebra.one().codes, _parse_x_polynomial(algebra, rhs))
+    return AlgebraAutomorphism.substitutions(algebra, images[None], [f"subst: {rest.strip()}"])
 
 
-def _parse_x_polynomial(algebra: GroupAlgebra, text: str) -> AlgebraElement:
-    """Polynomial in x_i = (g_i - 1) with no constant term."""
-    from .groupalgebra import _split_coeff, _split_terms
+def _parse_x_polynomial(algebra: GroupAlgebra, text: str) -> np.ndarray:
+    """The codes of a polynomial in x_i = g_i - 1 with no constant term.
 
-    group = algebra.group
-    one = algebra.one()
-    acc = algebra.zero()
-    for sign, term in _split_terms(text):
-        coeff, word = _split_coeff(term, algebra.field)
-        if word == "1":
+    Each monomial is a word in the x_i, multiplied out in its order by
+    _word_value with kG products.  x_i^|G| = g_i^|G| - 1 = 0 in
+    characteristic p, so an exponent above |G| is cut to |G|.
+    """
+    n = algebra.dimension
+    xs = algebra.ops.sub(np.eye(n, dtype=np.int64)[algebra.generator_indices], algebra.one().codes)
+
+    def monomial(word: str) -> np.ndarray:
+        pairs = parse_word_pairs(word, algebra.group.m, "x")
+        if not pairs:
             raise ValueError("substitution images may not contain constant terms")
-        factor = algebra.one()
-        for token in word.replace("*", " ").split():
-            if not (token.startswith("x") and token[1:].split("^")[0].isdigit()):
-                raise ValueError(f"bad variable token {token!r}")
-            base, _, exp = token.partition("^")
-            i = int(base[1:])
-            e = int(exp) if exp else 1
-            if not 1 <= i <= group.m:
-                raise ValueError(f"variable x{i} out of range")
-            if e < 1:
-                raise ValueError(f"exponent in {token!r} must be at least 1")
-            xi = algebra.embed(group.generator(i)) - one
-            # x_i is nilpotent of index at most |G|, so the loop ends early
-            for _ in range(e):
-                factor = factor * xi
-                if factor.is_zero():
-                    break
-        contrib = factor * coeff
-        acc = acc + contrib if sign > 0 else acc - contrib
-    return acc
+        if any(e < 1 for _, e in pairs):
+            raise ValueError(f"exponents in {word!r} must be at least 1")
+        return _word_value([(i, min(e, n)) for i, e in pairs], xs, algebra.multiply_codes, algebra.one().codes)
+
+    return algebra.parse_terms(text, monomial)

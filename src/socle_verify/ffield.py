@@ -12,6 +12,7 @@ the lexicographically smallest monic irreducible, found with Rabin's test.
 from __future__ import annotations
 
 import itertools
+import re
 
 from typing import Iterator, Sequence
 
@@ -430,42 +431,59 @@ def format_modulus(spec: FieldSpec) -> str:
     return _format_polynomial(spec.modulus)
 
 
+def split_terms(text: str) -> list[tuple[int, str]]:
+    """Split a sum of signed terms into (sign, term) pairs, the one splitter
+    of field and kG literals.  A sign inside parentheses belongs to its
+    term, and consecutive signs multiply, so 't+-1' is t - 1 and 't--1' is
+    t + 1."""
+    s = text.strip()
+    if not s:
+        raise ValueError("empty literal")
+    out = []
+    depth = 0
+    pending = 1
+    cur: list[str] = []
+    for ch in s:
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth < 0:
+                raise ValueError(f"unbalanced parentheses in {text!r}")
+        if depth == 0 and ch in "+-":
+            chunk = "".join(cur).strip()
+            if chunk:
+                out.append((pending, chunk))
+                pending = 1
+            pending *= 1 if ch == "+" else -1
+            cur = []
+            continue
+        cur.append(ch)
+    if depth != 0:
+        raise ValueError(f"unbalanced parentheses in {text!r}")
+    chunk = "".join(cur).strip()
+    if not chunk:
+        raise ValueError(f"dangling operator in {text!r}")
+    out.append((pending, chunk))
+    return out
+
+
+# compiled on the first literal parsed, by re's cache, not on import
+_TERM = r"(?:(\d+)\*?)?(t)(?:\^(\d+))?|(\d+)"
+
+
 def _polynomial_terms(text: str, p: int) -> list[tuple[int, int]]:
     """Parse a polynomial in t over GF(p) into (degree, coefficient mod p) terms."""
-    s = text.replace(" ", "")
-    if not s:
-        raise ValueError("empty field literal")
-    # split into signed terms
-    terms: list[tuple[int, str]] = []
-    sign = 1
-    cur = ""
-    for ch in s:
-        if ch in "+-" and cur:
-            terms.append((sign, cur))
-            sign = 1 if ch == "+" else -1
-            cur = ""
-        elif ch in "+-" and not cur and not terms:
-            sign = -1 if ch == "-" else 1
-        else:
-            cur += ch
-    if not cur:
-        raise ValueError(f"malformed field literal {text!r}")
-    terms.append((sign, cur))
-
-    import re
-
-    term_re = re.compile(r"^(?:(\d+)\*?)?(t)(?:\^(\d+))?$|^(\d+)$")
     out = []
-    for sgn, term in terms:
-        mt = term_re.match(term)
+    for sign, term in split_terms(text.replace(" ", "")):
+        mt = re.fullmatch(_TERM, term)
         if not mt:
             raise ValueError(f"malformed term {term!r} in field literal {text!r}")
         if mt.group(4) is not None:
-            out.append((0, sgn * int(mt.group(4)) % p))
-            continue
-        coef = int(mt.group(1)) if mt.group(1) else 1
-        deg = int(mt.group(3)) if mt.group(3) else 1
-        out.append((deg, sgn * coef % p))
+            out.append((0, sign * int(mt.group(4)) % p))
+        else:
+            coef = int(mt.group(1)) if mt.group(1) else 1
+            out.append((int(mt.group(3)) if mt.group(3) else 1, sign * coef % p))
     return out
 
 

@@ -25,7 +25,7 @@ import re
 
 import numpy as np
 
-from .ffield import GF, DomainError, FieldElement, FieldMismatch, FieldSpec
+from .ffield import GF, FieldElement, FieldMismatch, FieldSpec, split_terms
 from . import linalg
 from .linalg import FieldOps
 from .pgroup import GroupElement, PcGroup, Subgroup
@@ -593,50 +593,23 @@ class GroupAlgebra:
 
     def parse(self, text: str) -> AlgebraElement:
         """Parse 'g1 + 2*g2 g3 + (t+1)*g1^2' style literals."""
-        acc = self.zero()
-        for sign, term in _split_terms(text):
+        return AlgebraElement(self, self.parse_terms(
+            text, lambda word: self.embed(self.group.parse_word(word)).codes))
+
+    def parse_terms(self, text: str, monomial) -> np.ndarray:
+        """The codes of a literal sum of signed terms 'c*word', where c is a
+        decimal residue or a parenthesized field literal, 1 if omitted, and
+        monomial(word) gives the codes of the word ('1' when the term has
+        none): the one accumulation of kG and subst: literals."""
+        acc = self.zero().codes
+        for sign, term in split_terms(text):
             coeff, word = _split_coeff(term, self.field)
-            el = self.embed(self.group.parse_word(word))
-            contrib = el * coeff
-            acc = acc + contrib if sign > 0 else acc - contrib
+            acc = (self.ops.add if sign > 0 else self.ops.sub)(acc, self.ops.mul(monomial(word), coeff))
         return acc
 
 
-def _split_terms(text: str) -> list[tuple[int, str]]:
-    s = text.strip()
-    if not s:
-        raise ValueError("empty algebra literal")
-    out = []
-    depth = 0
-    pending = 1
-    cur: list[str] = []
-    for ch in s:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ValueError(f"unbalanced parentheses in {text!r}")
-        if depth == 0 and ch in "+-":
-            chunk = "".join(cur).strip()
-            if chunk:
-                out.append((pending, chunk))
-                pending = 1 if ch == "+" else -1
-            else:
-                pending *= 1 if ch == "+" else -1
-            cur = []
-            continue
-        cur.append(ch)
-    if depth != 0:
-        raise ValueError(f"unbalanced parentheses in {text!r}")
-    chunk = "".join(cur).strip()
-    if not chunk:
-        raise ValueError(f"dangling operator in {text!r}")
-    out.append((pending, chunk))
-    return out
-
-
-def _split_coeff(term: str, field: FieldSpec) -> tuple[FieldElement, str]:
+def _split_coeff(term: str, field: FieldSpec) -> tuple[int, str]:
+    """(code of the coefficient, word) of one term."""
     t = term.strip()
     if t.startswith("("):
         depth = 0
@@ -645,12 +618,12 @@ def _split_coeff(term: str, field: FieldSpec) -> tuple[FieldElement, str]:
             depth -= ch == ")"
             if depth == 0:
                 break
-        coeff = field.parse(t[1 : k])
+        coeff = field.code_of(field.parse(t[1 : k]))
         rest = t[k + 1 :].lstrip()
         if rest.startswith("*"):
             rest = rest[1:]
         return coeff, rest.strip() or "1"
     m = re.match(r"^(\d+)\s*\*?\s*(.*)$", t)
     if m:
-        return field.element(int(m.group(1))), m.group(2).strip() or "1"
-    return field.one(), t
+        return int(m.group(1)) % field.p, m.group(2).strip() or "1"
+    return 1, t

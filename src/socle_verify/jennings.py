@@ -17,6 +17,12 @@ them from PcGroup.jennings_lifts(): the series by the recursive formula
 F_r = <[F_(r-1), G], x^p for x in F_ceil(r/p)>, and the lifts by group
 closures.  The definitional series, read off the filtration by
 dimension_subgroups_definitional(), is kept as the oracle for it.
+JenningsBasis reads its layers, their ranks d_r and its top degree from
+the filtration's lifts and lift rows, with no count of its own: by
+Jennings' theorem they are right by construction.  jq_dimension_check,
+which --full-check and the jennings command run, reads each d_r against
+the subgroup orders, |F_r| = p^(d_r) |F_(r+1)|, and the graded dimensions
+against the product generating function.
 
 A class g F_(r+1) is read off the filtration's monomial coordinates of
 g - 1: for g in F_r it is congruent mod J^(r+1) to sum_j c_j (y_j - 1)
@@ -72,49 +78,21 @@ class JenningsBasis:
         self.group = group
         self.filtration = radical_filtration(group)
         self.series = self.filtration.series
-        p = group.p
-
-        orders = [sub.order for sub in self.series]
-        dims: list[int] = []
-        for r in range(1, len(orders)):
-            quot = orders[r - 1] // orders[r]
-            d = 0
-            while p**d < quot:
-                d += 1
-            if p**d != quot or orders[r - 1] % orders[r]:
-                raise DimensionMismatch(
-                    f"|F_{r}/F_{r + 1}| = {orders[r - 1]}/{orders[r]} is not a power of {p}"
-                )
-            dims.append(d)
-        self._dims = dims
-        self.max_degree = max(r for r, d in enumerate(dims, start=1) if d > 0)
-
-        layers: list[JenningsLayer] = []
-        lift_rows = iter(int(row) for row in self.filtration.lift_rows)
-        for r in range(1, self.max_degree + 1):
-            lifts = self.filtration.lifts[r - 1]
-            if len(lifts) != dims[r - 1]:
-                raise DimensionMismatch(
-                    f"layer {r}: found {len(lifts)} independent lifts, expected {dims[r - 1]}"
-                )
-            layers.append(JenningsLayer(r, lifts, tuple(next(lift_rows) for _ in lifts)))
-        self.layers = layers
-        self.lift_elements = tuple(y for layer in layers for y in layer.lifts)
-        self.lift_degrees = tuple(layer.degree for layer in layers for _ in layer.lifts)
-        self._lift_slots = tuple(
-            (layer.degree, j) for layer in layers for j in range(layer.rank)
-        )
-
-        s = (p - 1) * sum(r * d for r, d in enumerate(dims, start=1))
-        if s != self.filtration.socle_degree:
-            raise DimensionMismatch(
-                f"(p-1) sum r*d_r = {s} but the radical filtration ends at {self.filtration.socle_degree}"
-            )
+        # the layers, their ranks d_r and the lift rows are the filtration's:
+        # by Jennings' theorem they are right by construction, and
+        # jq_dimension_check confirms them against the subgroup orders
+        rows = iter(self.filtration.lift_rows.tolist())
+        self.layers = [JenningsLayer(r, lifts, tuple(next(rows) for _ in lifts))
+                       for r, lifts in enumerate(self.filtration.lifts, start=1)]
+        self.max_degree = len(self.layers)  # the series ends at its first trivial term
+        self.lift_elements = tuple(y for layer in self.layers for y in layer.lifts)
+        self.lift_degrees = tuple(layer.degree for layer in self.layers for _ in layer.lifts)
+        self._lift_slots = tuple((layer.degree, j) for layer in self.layers for j in range(layer.rank))
 
     def d(self, r: int) -> int:
         if r < 1:
             raise ValueError("layer degrees start at 1")
-        return self._dims[r - 1] if r <= len(self._dims) else 0
+        return self.layers[r - 1].rank if r <= self.max_degree else 0
 
     # -- layer arithmetic -----------------------------------------------------
 
@@ -210,13 +188,22 @@ class JenningsBasis:
         return poly.tolist()
 
     def jq_dimension_check(self) -> dict:
-        """Graded dimensions must match the product generating function.
+        """The layer ranks and graded dimensions against independent counts.
 
-        The default filtration counts the weights of the same lift
-        monomials, so this confirms its bookkeeping;
-        radical_filtration_by_products() (under --full-check) confirms the
-        dimensions independently.
+        Each d_r, the number of lifts the filtration chose for F_r/F_(r+1),
+        must give |F_r| = p^(d_r) |F_(r+1)| on the subgroup orders of the
+        series, and the graded dimensions must match the product
+        generating function.  The default filtration counts the weights of
+        the same lift monomials, so both hold by construction (Jennings'
+        theorem) and the default path does not call this; --full-check
+        and the jennings command do, and radical_filtration_by_products()
+        (under --full-check) confirms the dimensions independently.
         """
+        p = self.group.p
+        for layer, above, below in zip(self.layers, self.series[:-1], self.series[1:], strict=True):
+            if above.order != p**layer.rank * below.order:
+                raise DimensionMismatch(f"|F_{layer.degree}/F_{layer.degree + 1}| = "
+                                        f"{above.order}/{below.order} is not {p}^{layer.rank}")
         pbw = self.pbw_polynomial()
         gr = self.filtration.gr_dims
         if len(pbw) != len(gr) or pbw != gr:

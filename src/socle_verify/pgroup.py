@@ -263,10 +263,7 @@ class PcGroup:
             if n > 1:
                 images = np.array([p ** (m - i) + self._word_index(self.comm_words.get((i, k), ()))
                                    for i in range(k + 1, m + 1)], dtype=np.int64)
-                pw = [images]  # pw[e - 1][j] = (g_(k+1+j)^(g_k))^e
-                for _ in range(p - 2):
-                    pw.append(t[pw[-1], images])
-                pw = np.stack(pw, axis=1)
+                pw = _consecutive_powers(t, images, p)  # pw[j, e - 1] = (g_(k+1+j)^(g_k))^e
                 for j, (prefix, cols) in enumerate(_normal_form_blocks(p, m - k)):
                     conj[cols] = t[conj[prefix], pw[j][:, None]]
             column = np.concatenate([(np.arange(1, p)[:, None] * n + conj).ravel(),
@@ -338,17 +335,6 @@ class PcGroup:
         t, inv = self._cayley, self._inv
         return t[t[t[inv[a], inv[b]], a], b]
 
-    def _powers(self, a, e) -> np.ndarray:
-        """a^e on index arrays a and exponent arrays e >= 0, broadcast, by square-and-multiply."""
-        t = self._cayley
-        base, e = np.asarray(a, dtype=np.int64), np.asarray(e, dtype=np.int64)
-        acc = np.zeros_like(base + e)  # the identity, in the broadcast shape
-        for _ in range(int(e.max(initial=0)).bit_length()):
-            acc = t[acc, base * (e & 1)]  # index 0 is the identity: t[x, 0] = x
-            base = t[base, base]
-            e = e >> 1
-        return acc
-
     def _generators_among(self, seeds: np.ndarray | Sequence[int]) -> np.ndarray:
         """The distinct nonidentity indices among seeds, sorted: a mask over
         the index range with the seeds set and the identity cleared."""
@@ -415,7 +401,7 @@ class PcGroup:
 
     def power(self, a: GroupElement, k: int) -> GroupElement:
         # every element order divides |G|, which also covers k < 0
-        return self.element_at(int(self._powers(self.index_of(a), k % self.order)))
+        return self.element_at(_word_value(((1, k % self.order),), [self.index_of(a)], self._cayley.item, 0))
 
     def is_elementary_abelian(self) -> bool:
         return not self.comm_words and all(not w for w in self.power_words)
@@ -452,7 +438,7 @@ class PcGroup:
         """
         series = [self.full_subgroup()]
         every = np.arange(self.order)
-        pth = self._powers(every, self.p)
+        pth = _word_value(((1, self.p),), [every], lambda a, b: self._cayley[a, b], 0)
         r = 2
         while not series[-1].is_trivial():
             prev = np.array(series[-1].indices, dtype=np.int64)
@@ -503,7 +489,7 @@ class PcGroup:
 
         # extend multiplicatively along normal forms (valid: relations verified)
         perm = np.zeros(self.order, dtype=np.int64)
-        pw = self._powers(np.array(img_idx)[:, None], np.arange(1, self.p))  # pw[k, e - 1] = a_(k+1)^e
+        pw = _consecutive_powers(t, np.array(img_idx), self.p)  # pw[k, e - 1] = a_(k+1)^e
         for k, (prefix, cols) in enumerate(self.generator_blocks()):
             perm[cols] = t[perm[prefix], pw[k][:, None]]
         counts = np.bincount(perm, minlength=self.order)
@@ -537,7 +523,7 @@ class PcGroup:
         """The element a word such as 'g1 g3^2' names, multiplied out in the
         table.  Each exponent is reduced mod |G| first, which every element
         order divides, so a power takes at most log2 |G| squarings."""
-        word = [(idx, exp % self.order) for idx, exp in parse_word_pairs(text, self.m)]
+        word = [(idx, exp % self.order) for idx, exp in parse_word_pairs(text, self.m, "g")]
         return self.element_at(_word_value(word, self._generator_indices, self._cayley.item, 0))
 
     @classmethod
@@ -592,8 +578,9 @@ def _word_value(word: Iterable[tuple[int, int]], images: Sequence, product, one)
     commute, so each is multiplied straight into the running product, from
     the right.  The empty word is one, and a one-letter word g_i is
     images[i - 1] itself, with no product.  product is a table lookup on
-    group indices (PcGroup._broken_relation, parse_word) or a stacked kG
-    product on image codes (AlgebraAutomorphism.substitutions).
+    group indices (PcGroup._broken_relation, parse_word, power), a gather
+    on index arrays (jennings_series_recursive), or a kG product on codes
+    (AlgebraAutomorphism.substitutions, subst: monomials).
     """
     acc = None
     for idx, exp in word:
@@ -607,6 +594,15 @@ def _word_value(word: Iterable[tuple[int, int]], images: Sequence, product, one)
     return one if acc is None else acc
 
 
+def _consecutive_powers(t: np.ndarray, a: np.ndarray, p: int) -> np.ndarray:
+    """a^e for e = 1 .. p-1 as the columns of a (len(a), p-1) array, for an
+    index array a, by consecutive gathers in the table t."""
+    pw = [a]
+    for _ in range(p - 2):
+        pw.append(t[pw[-1], a])
+    return np.stack(pw, axis=1)
+
+
 def _parse_number(digits: str) -> int:
     """A decimal number of a presentation line; every valid one is short."""
     # int() of a long digit string is quadratic, and refused past 4300 digits
@@ -617,26 +613,27 @@ def _parse_number(digits: str) -> int:
 
 def _parse_relation_word(text: str, m: int) -> list[tuple[int, int]]:
     try:
-        return parse_word_pairs(text, m)
+        return parse_word_pairs(text, m, "g")
     except PresentationError:
         raise
     except ValueError as exc:
         raise PresentationError(str(exc)) from exc
 
 
-def parse_word_pairs(text: str, m: int) -> list[tuple[int, int]]:
-    """Parse 'g1 g3^2' (also 'g1*g3^2') into (index, exponent) pairs."""
+def parse_word_pairs(text: str, m: int, letter: str) -> list[tuple[int, int]]:
+    """Parse a word in letter1 .. letterm, such as 'g1 g3^2' (also
+    'g1*g3^2') for letter g, into (index, exponent) pairs; '1' is empty."""
     s = text.strip()
     if s == "1" or s == "":
         return []
     pairs = []
     for token in re.split(r"[\s*]+", s):
-        mt = re.fullmatch(r"g(\d+)(?:\^(\d+))?", token)
+        mt = re.fullmatch(letter + r"(\d+)(?:\^(\d+))?", token)
         if not mt:
             raise ValueError(f"bad generator token {token!r}")
         idx = int(mt.group(1))
         if not 1 <= idx <= m:
-            raise ValueError(f"generator g{idx} out of range (m={m})")
+            raise ValueError(f"generator {letter}{idx} out of range (m={m})")
         pairs.append((idx, int(mt.group(2)) if mt.group(2) else 1))
     return pairs
 
@@ -740,6 +737,6 @@ def catalog(name: str) -> PcGroup:
     except KeyError:
         raise UnknownGroup(f"unknown catalog group {name!r}; catalog_names() lists the groups") from None
     p, m = entry["p"], entry["m"]
-    powers = {i: tuple(parse_word_pairs(w, m)) for i, w in entry["powers"].items()}
-    comms = {ji: tuple(parse_word_pairs(w, m)) for ji, w in entry["comms"].items()}
+    powers = {i: tuple(parse_word_pairs(w, m, "g")) for i, w in entry["powers"].items()}
+    comms = {ji: tuple(parse_word_pairs(w, m, "g")) for ji, w in entry["comms"].items()}
     return PcGroup(p, m, powers, comms, name=name, stored_auto_words=entry["autos"])

@@ -266,9 +266,12 @@ def run(algebra: GroupAlgebra, autos: list[AlgebraAutomorphism], full_check: boo
 
     checks: dict[str, bool] = {}
     try:
-        # holds by construction: gr_dims counts the weights of the lift
-        # monomials, and the PBW coefficients come from the same lift degrees;
-        # the products oracle below checks the dimensions independently
+        # holds by construction: the layer ranks are the filtration's lift
+        # counts, gr_dims counts the weights of the lift monomials, and the
+        # PBW coefficients come from the same lift degrees; under
+        # --full-check jq_dimension_check reads the ranks against the
+        # subgroup orders, and the products oracle below checks the
+        # dimensions independently
         if full_check:
             basis.jq_dimension_check()
         checks["graded_dimensions"] = True
@@ -513,7 +516,7 @@ def gl_check(
     failures = [
         {"kind": kind, "matrix": mats[i].tolist(), "lambda": str(spec.element_from_code(lam)),
          "expected": str(spec.element_from_code(power(det)))}
-        for i, (kind, lam, det) in enumerate(zip(kinds, lams, np.concatenate(dets).tolist()))
+        for i, (kind, lam, det) in enumerate(zip(kinds, lams, np.concatenate(dets).tolist(), strict=True))
         if lam != power(det) or not is_pm1_power(lam)
     ]
 

@@ -30,6 +30,7 @@ from socle_verify import (
 from socle_verify.automorphisms import (
     FULL_PAIR_CHECK_LIMIT,
     AlgebraAutomorphism,
+    _parse_x_polynomial,
     _singular_degree_one,
     parse_automorphism_specs,
     random_inners,
@@ -535,6 +536,81 @@ def test_spec_clauses_are_checked(algebra, kind, symbol, rhs, clause, message):
     text = f"{kind}: {symbol}2 -> {symbol}2, " + clause.format(s=symbol, rhs=rhs)
     with pytest.raises(ValueError, match=re.escape(message.format(s=symbol, rhs=rhs))):
         parse_automorphism_specs(alg, text)
+
+
+def _x_polynomial_by_operators(alg, rng, terms):
+    """A seeded polynomial in x_i = g_i - 1 as (text, value), the value
+    multiplied out letter by letter with the AlgebraElement operators.
+
+    Words are 1 to 3 letters, so most are order-sensitive on a non-abelian
+    group; an exponent is 1 or 2 (x_i^3 = 0 on Heis27), 1 .. 2|G| or 10^30.
+    x_i^|G| = g_i^|G| - 1 = 0, checked here, stands in for the powers above
+    2|G|.
+    """
+    group, field = alg.group, alg.field
+    xs = [alg.embed(g) - alg.one() for g in group.generators()]
+    assert all((x ** group.order).is_zero() for x in xs)
+    parts, value = [], alg.zero()
+    for k in range(terms):
+        letters, factor = [], alg.one()
+        for _ in range(rng.choice([1, 2, 2, 3])):
+            i = rng.randint(1, group.m)
+            e = rng.choice([1, 1, 1, 2, rng.randint(1, 2 * group.order), 10**30])
+            letters.append(f"x{i}" if e == 1 else f"x{i}^{e}")
+            factor = factor * (xs[i - 1] ** e if e <= 2 * group.order else alg.zero())
+        code = rng.randrange(1, field.q)
+        c = field.element_from_code(code)
+        coeff = rng.choice(["", f"({c})*", f"({c}) "] + ([f"{code}*"] if code < field.p else []))
+        if not coeff:
+            c = field.one()
+        sign = rng.choice(["+", "-"] if k else ["", "-"])
+        parts.append(f"{sign} {coeff}{rng.choice([' ', '*', ' * ']).join(letters)}")
+        value = value - factor * c if sign == "-" else value + factor * c
+    return " ".join(parts), value
+
+
+@pytest.mark.parametrize("name", ["Heis27", "D8"])
+def test_x_polynomial_matches_the_algebra_operators(algebra, name):
+    """A subst: polynomial multiplied out by _word_value on codes equals the
+    same polynomial built with the AlgebraElement operators: order-sensitive
+    words, exponents 1 .. 2|G| and 10^30, signed and scaled terms."""
+    alg = algebra(name, 2)
+    x1x2, x2x1 = (_parse_x_polynomial(alg, word) for word in ("x1 x2", "x2 x1"))
+    xs = [alg.embed(g) - alg.one() for g in alg.group.generators()]
+    assert np.array_equal(x1x2, (xs[0] * xs[1]).codes)
+    assert np.array_equal(x2x1, (xs[1] * xs[0]).codes)
+    assert not np.array_equal(x1x2, x2x1)
+    rng = random.Random(f"x-polynomial {name}")
+    for _ in range(60):
+        text, value = _x_polynomial_by_operators(alg, rng, rng.randint(1, 4))
+        assert np.array_equal(_parse_x_polynomial(alg, text), value.codes), text
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x0", "x0 out of range"),
+    ("x4", "x4 out of range"),
+    ("x1^0", "must be at least 1"),
+    ("x1 x2^0", "must be at least 1"),
+    ("1 + x1", "constant terms"),
+    ("x1 + (t)", "constant terms"),
+    ("x1 - 2", "constant terms"),
+    ("y1", "bad generator token 'y1'"),
+])
+def test_x_polynomial_rejections(algebra, text, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _parse_x_polynomial(algebra("Heis27", 2), text)
+
+
+@pytest.mark.parametrize("constructor, stack", [
+    (AlgebraAutomorphism.inners, lambda alg: np.stack([alg.parse("1 + g1").codes, alg.parse("1 + g2").codes])),
+    (AlgebraAutomorphism.substitutions, lambda alg: np.stack([np.eye(alg.dimension, dtype=np.int64)[
+        alg.generator_indices]] * 2)),
+])
+def test_one_provenance_too_few_is_an_error(algebra, constructor, stack):
+    alg = algebra("C3xC3", 2)
+    assert len(constructor(alg, stack(alg), ["a", "b"])) == 2
+    with pytest.raises(ValueError):
+        constructor(alg, stack(alg), ["a"])
 
 
 @pytest.mark.parametrize("spec, token", [

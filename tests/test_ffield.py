@@ -192,6 +192,10 @@ def test_literal_roundtrip():
 def test_parse_polynomial_literal():
     assert parse_polynomial_literal("t^2+2*t+1", 3) == [1, 2, 1]
     assert parse_polynomial_literal("t^3+t^2+1", 5) == [1, 0, 1, 1]
+    # consecutive signs multiply, the sign rule of kG literals
+    assert parse_polynomial_literal("t+-1", 3) == [2, 1]
+    assert parse_polynomial_literal("t--1", 3) == [1, 1]
+    assert parse_polynomial_literal("-t^2 - -t", 5) == [0, 1, 4]
 
 
 def test_modulus_degree_is_bounded_before_allocation():

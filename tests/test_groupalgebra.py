@@ -429,6 +429,12 @@ def test_parse_and_str_roundtrip_extension_field(group):
     assert x.coefficient(alg.group.parse_word("g1 g2")) == alg.field.parse("t+1")
     y = alg.parse("g1") * alg.parse("g2")
     assert y == alg.embed(alg.group.parse_word("g1 g2"))
+    # over a prime field, with decimal coefficients and consecutive signs
+    prime = GroupAlgebra(group("Heis27"), GF(3))
+    z = prime.parse("2 + 2*g1*g2 - g3 + g1 g2^2 --g2 + 4 g3")
+    assert str(z) == "2*1 + g2 + 2*g1 g2 + g1 g2^2"
+    assert prime.parse(str(z)) == z
+    assert z.coefficient(prime.group.parse_word("g3")) == 0
 
 
 def test_scalar_and_augmentation(algebra):

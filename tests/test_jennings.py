@@ -8,12 +8,15 @@ and p-restrictions from p-th powers.
 from __future__ import annotations
 
 import gc
+import re
 import weakref
 
 import pytest
 
 from socle_verify import GF, FieldMismatch, GroupAlgebra, PcGroup, build_jennings_basis, catalog, catalog_names
 from socle_verify.groupalgebra import dimension_subgroups_definitional, radical_filtration
+from socle_verify.jennings import DimensionMismatch, JenningsBasis, JenningsLayer
+from socle_verify.pgroup import Subgroup
 from socle_verify.pipeline import build_group_field
 from oracle_helpers import (
     assert_lie_structure_compatible,
@@ -99,6 +102,28 @@ def test_jq_dimension_check_shape(basis):
         out = basis(name).jq_dimension_check()
         assert out["gr_dims"] == out["pbw_dims"]
         assert out["socle_degree"] == SOCLE_DEGREES[name]
+
+
+def test_layers_come_from_the_filtration_with_no_order_read(monkeypatch):
+    """JenningsBasis reads its layers off the filtration's lifts and lift
+    rows and reads no subgroup order; jq_dimension_check reads the orders."""
+    group = catalog("D16")
+    filt = radical_filtration(group)
+    monkeypatch.setattr(Subgroup, "order", property(lambda sub: pytest.fail("a subgroup order was read")))
+    b = JenningsBasis(group)
+    monkeypatch.undo()
+    assert [layer.lifts for layer in b.layers] == filt.lifts
+    assert [row for layer in b.layers for row in layer.rows] == filt.lift_rows.tolist()
+    assert b.max_degree == len(filt.series) - 1
+    assert b.jq_dimension_check()["socle_degree"] == SOCLE_DEGREES["D16"]
+
+
+def test_jq_dimension_check_reads_each_rank_against_the_orders():
+    b = JenningsBasis(catalog("D16"))
+    first = b.layers[0]
+    b.layers[0] = JenningsLayer(1, first.lifts[:1], first.rows[:1])
+    with pytest.raises(DimensionMismatch, match=re.escape("|F_1/F_2| = 16/4 is not 2^1")):
+        b.jq_dimension_check()
 
 
 def test_socle_degrees_frozen(basis, all_names):

@@ -246,6 +246,21 @@ def test_gl_check_subcommand(capsys):
     assert data["checked"]["diagonal"] > 0
 
 
+def test_gl_check_kernel_with_an_extra_scalar_is_an_error(capsys, monkeypatch):
+    """The kinds, scalars and determinants are paired strictly: a kernel
+    that returns one scalar too many ends gl-check with exit code 1 and
+    one error line, rather than a report of the shortest list."""
+    from socle_verify.truncsym import TruncatedPolynomialRing
+
+    kernel = TruncatedPolynomialRing.top_monomial_scalar
+    monkeypatch.setattr(TruncatedPolynomialRing, "top_monomial_scalar",
+                        lambda ring, mats: np.append(kernel(ring, mats), 1))
+    assert main(["gl-check", "--p", "3", "--m", "2", "--count", "5", "--seed", "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+
+
 def test_gl_check_rejects_oversized_grid(capsys):
     # 2^40 int64 cells would exhaust memory; the bound rejects it up front
     assert main(["gl-check", "--p", "2", "--m", "40"]) == 1
