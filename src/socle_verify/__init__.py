@@ -22,7 +22,6 @@ from .pgroup import (
 )
 from .groupalgebra import (
     GroupAlgebra,
-    AlgebraElement,
     RadicalFiltration,
     FiltrationError,
     NotAUnit,

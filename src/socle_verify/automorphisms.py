@@ -93,7 +93,7 @@ import numpy as np
 
 from . import linalg
 from .ffield import FieldElement, FieldMismatch
-from .groupalgebra import AlgebraElement, GroupAlgebra, column_sums
+from .groupalgebra import GroupAlgebra, column_sums
 from .jennings import build_jennings_basis
 from .pgroup import GroupAutomorphism, RelationViolation, _word_value, parse_word_pairs
 
@@ -270,7 +270,7 @@ class AlgebraAutomorphism:
         if bad.size:
             raise ValueError(f"image of g{bad[0, 1] + 1} must have augmentation 1")
         value = functools.partial(_word_value, images=images.transpose(1, 0, 2),
-                                  product=algebra.multiply_codes, one=algebra.one().codes)
+                                  product=algebra.multiply_codes, one=algebra.one())
         relations = group.relations if group.comm_words else group.relations[:m]
         # the left sides g_i^p of the m power relations, one power of the (B m, |G|) images
         powers = value(((1, group.p),), images=[images.reshape(-1, n)]).reshape(-1, m, n).transpose(1, 0, 2)
@@ -282,7 +282,7 @@ class AlgebraAutomorphism:
         lifts = np.stack([value(word) for word in words], axis=1)
         if _singular_degree_one(algebra, lifts.transpose(0, 2, 1)).any():
             raise SingularLinearPart("linear part of the substitution is singular")
-        factors = np.repeat(ops.sub(lifts, algebra.one().codes), group.p - 1, axis=1)
+        factors = np.repeat(ops.sub(lifts, algebra.one()), group.p - 1, axis=1)
         top = functools.reduce(lambda acc, factor: algebra.multiply_codes(factor, acc),
                                factors.transpose(1, 0, 2)[::-1])
         data = np.concatenate([lifts, top[:, None]], axis=1).transpose(0, 2, 1)
@@ -309,7 +309,7 @@ class AlgebraAutomorphism:
         alg = self.algebra
         ops = alg.ops
         n = alg.dimension
-        one = alg.one().codes
+        one = alg.one()
         if not np.array_equal(self.matrix[:, 0], one):
             raise NotMultiplicative("matrix does not fix the identity")
         if not np.all(column_sums(ops, self.matrix) == 1):
@@ -600,7 +600,7 @@ def random_inners(algebra: GroupAlgebra, rng: random.Random, count: int) -> list
         g, c = draws[:, k, 0], draws[:, k, 1]
         units[members, g] = ops.add(units[members, g], c)
         units[:, 0] = ops.sub(units[:, 0], c)
-    provenances = [f"random-inner: {AlgebraElement(algebra, u)}" for u in units]
+    provenances = [f"random-inner: {algebra.format(u)}" for u in units]
     return AlgebraAutomorphism.inners(algebra, units, provenances)
 
 
@@ -668,7 +668,7 @@ def parse_automorphism_specs(
         return [_parse_group_auto(algebra, rest)]
     if kind == "inner":
         u = algebra.parse(rest.strip())
-        return AlgebraAutomorphism.inners(algebra, u.codes[None], [f"inner: {u}"])
+        return AlgebraAutomorphism.inners(algebra, u[None], [f"inner: {algebra.format(u)}"])
     if kind == "subst":
         return _parse_subst(algebra, rest)
     if kind == "compose":
@@ -748,7 +748,7 @@ def _parse_group_auto(algebra: GroupAlgebra, rest: str) -> AlgebraAutomorphism:
 def _parse_subst(algebra: GroupAlgebra, rest: str) -> list[AlgebraAutomorphism]:
     images = np.eye(algebra.dimension, dtype=np.int64)[algebra.generator_indices]
     for i, rhs in _parse_clauses(rest, "x", algebra.group.m).items():
-        images[i - 1] = algebra.ops.add(algebra.one().codes, _parse_x_polynomial(algebra, rhs))
+        images[i - 1] = algebra.ops.add(algebra.one(), _parse_x_polynomial(algebra, rhs))
     return AlgebraAutomorphism.substitutions(algebra, images[None], [f"subst: {rest.strip()}"])
 
 
@@ -760,7 +760,7 @@ def _parse_x_polynomial(algebra: GroupAlgebra, text: str) -> np.ndarray:
     characteristic p, so an exponent above |G| is cut to |G|.
     """
     n = algebra.dimension
-    xs = algebra.ops.sub(np.eye(n, dtype=np.int64)[algebra.generator_indices], algebra.one().codes)
+    xs = algebra.ops.sub(np.eye(n, dtype=np.int64)[algebra.generator_indices], algebra.one())
 
     def monomial(word: str) -> np.ndarray:
         pairs = parse_word_pairs(word, algebra.group.m, "x")
@@ -768,6 +768,6 @@ def _parse_x_polynomial(algebra: GroupAlgebra, text: str) -> np.ndarray:
             raise ValueError("substitution images may not contain constant terms")
         if any(e < 1 for _, e in pairs):
             raise ValueError(f"exponents in {word!r} must be at least 1")
-        return _word_value([(i, min(e, n)) for i, e in pairs], xs, algebra.multiply_codes, algebra.one().codes)
+        return _word_value([(i, min(e, n)) for i, e in pairs], xs, algebra.multiply_codes, algebra.one())
 
     return algebra.parse_terms(text, monomial)

@@ -504,8 +504,11 @@ def parse_polynomial_literal(text: str, p: int) -> list[int]:
 
 
 def parse_field_literal(spec: FieldSpec, text: str) -> FieldElement:
-    """Parse an element literal; each t^d is reduced by square-and-multiply."""
-    acc = spec.zero()
+    """Parse an element literal; each t^d is reduced modulo the modulus by
+    _poly_powmod and added into the coefficients, with no FieldElement
+    arithmetic."""
+    coeffs = [0] * spec.n
     for deg, coef in _polynomial_terms(text, spec.p):
-        acc = acc + spec.t() ** deg * coef
-    return acc
+        for i, c in enumerate(_poly_powmod([0, 1], deg, spec.modulus, spec.p)):
+            coeffs[i] = (coeffs[i] + coef * c) % spec.p
+    return FieldElement(spec, tuple(coeffs))

@@ -1,7 +1,9 @@
 """Group algebras kG of finite p-groups over GF(p^n).
 
-Elements are coefficient vectors indexed by the group's normal-form
-order, with coefficients stored as integer field codes.  Because G is a
+Elements are (|G|,) int64 arrays of field codes indexed by the group's
+normal-form order, and stacks of them are (B, |G|) arrays; there is no
+element class.  GroupAlgebra.parse and format read and write literals,
+multiply_codes multiplies and FieldOps adds and scales.  Because G is a
 p-group and char k = p, the algebra is local: the Jacobson radical is
 the augmentation ideal J, its powers give a filtration that ends in a
 one-dimensional socle spanned by the sum of all group elements, and the
@@ -25,17 +27,16 @@ import re
 
 import numpy as np
 
-from .ffield import GF, FieldElement, FieldMismatch, FieldSpec, split_terms
+from .ffield import GF, FieldMismatch, FieldSpec, split_terms
 from . import linalg
 from .linalg import FieldOps
-from .pgroup import GroupElement, PcGroup, Subgroup
+from .pgroup import PcGroup, Subgroup
 
 # the bound on narrow left factors in multiply_codes (see its docstring)
 SPARSE_PRODUCT_SHARE = 8
 
 __all__ = [
     "GroupAlgebra",
-    "AlgebraElement",
     "RadicalFiltration",
     "FiltrationError",
     "NotAUnit",
@@ -264,113 +265,6 @@ def series_definitions_agree(group: PcGroup) -> bool:
     )
 
 
-class AlgebraElement:
-    """A vector of field codes over the group basis, tied to its algebra."""
-
-    __slots__ = ("algebra", "codes")
-
-    def __init__(self, algebra: GroupAlgebra, codes: np.ndarray):
-        self.algebra = algebra
-        self.codes = codes
-
-    def _coerce(self, other) -> "AlgebraElement | None":
-        if isinstance(other, AlgebraElement):
-            if other.algebra is not self.algebra:
-                raise FieldMismatch("elements belong to different group algebras")
-            return other
-        if isinstance(other, int):
-            return self.algebra.scalar(other)
-        if isinstance(other, FieldElement):
-            return self.algebra.scalar(other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return AlgebraElement(self.algebra, self.algebra.ops.add(self.codes, o.codes))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return AlgebraElement(self.algebra, self.algebra.ops.sub(self.codes, o.codes))
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __neg__(self):
-        return AlgebraElement(self.algebra, self.algebra.ops.neg(self.codes))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, FieldElement)):
-            code = self.algebra.field.code_of(self.algebra.field.element(other))
-            scaled = self.algebra.ops.mul(self.codes, np.full_like(self.codes, code))
-            return AlgebraElement(self.algebra, scaled)
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return AlgebraElement(self.algebra, self.algebra.multiply_codes(self.codes, o.codes))
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, FieldElement)):
-            return self * other
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative powers: invert the unit with GroupAlgebra.unit_inverse")
-        acc = self.algebra.one()
-        for _ in range(k):
-            acc = acc * self
-        return acc
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, AlgebraElement)
-            and other.algebra is self.algebra
-            and np.array_equal(self.codes, other.codes)
-        )
-
-    def __hash__(self):
-        return hash((id(self.algebra), self.codes.tobytes()))
-
-    def is_zero(self) -> bool:
-        return not self.codes.any()
-
-    def augmentation(self) -> FieldElement:
-        return self.algebra.field.element_from_code(int(column_sums(self.algebra.ops, self.codes)))
-
-    def coefficient(self, g: GroupElement) -> FieldElement:
-        idx = self.algebra.group.index_of(g)
-        return self.algebra.field.element_from_code(int(self.codes[idx]))
-
-    def __str__(self) -> str:
-        alg = self.algebra
-        terms = []
-        for idx in np.nonzero(self.codes)[0]:
-            c = alg.field.element_from_code(int(self.codes[idx]))
-            word = alg.group.word_str(alg.group.element_at(int(idx)))
-            if c.is_one():
-                terms.append(word)
-            elif alg.field.n == 1:
-                terms.append(f"{c}*{word}")
-            else:
-                terms.append(f"({c})*{word}")
-        return " + ".join(terms) if terms else "0"
-
-    def __repr__(self) -> str:
-        return f"AlgebraElement({self})"
-
-
 class GroupAlgebra:
     """The algebra kG with a vectorized convolution product."""
 
@@ -402,34 +296,38 @@ class GroupAlgebra:
     def socle_degree(self) -> int:
         return self.filtration.socle_degree
 
-    # -- element constructors --------------------------------------------------
+    # -- elements: (|G|,) code vectors ---------------------------------------------
 
-    def zero(self) -> AlgebraElement:
-        return AlgebraElement(self, np.zeros(self.dimension, dtype=np.int64))
+    def one(self) -> np.ndarray:
+        """The codes of 1, the identity's basis vector."""
+        return np.eye(1, self.dimension, dtype=np.int64)[0]
 
-    def one(self) -> AlgebraElement:
-        codes = np.zeros(self.dimension, dtype=np.int64)
-        codes[0] = 1
-        return AlgebraElement(self, codes)
+    def parse(self, text: str) -> np.ndarray:
+        """The codes of a literal such as 'g1 + 2*g2 g3 + (t+1)*g1^2'."""
+        return self.parse_terms(text, lambda word: np.eye(
+            1, self.dimension, self.group.index_of(self.group.parse_word(word)), dtype=np.int64)[0])
 
-    def scalar(self, c: int | FieldElement) -> AlgebraElement:
-        codes = np.zeros(self.dimension, dtype=np.int64)
-        codes[0] = self.field.code_of(self.field.element(c))
-        return AlgebraElement(self, codes)
+    def parse_terms(self, text: str, monomial) -> np.ndarray:
+        """The codes of a literal sum of signed terms 'c*word', where c is a
+        decimal residue or a parenthesized field literal, 1 if omitted, and
+        monomial(word) gives the codes of the word ('1' when the term has
+        none): the one accumulation of kG and subst: literals."""
+        acc = np.zeros(self.dimension, dtype=np.int64)
+        for sign, term in split_terms(text):
+            coeff, word = _split_coeff(term, self.field)
+            acc = (self.ops.add if sign > 0 else self.ops.sub)(acc, self.ops.mul(monomial(word), coeff))
+        return acc
 
-    def embed(self, g: GroupElement) -> AlgebraElement:
-        codes = np.zeros(self.dimension, dtype=np.int64)
-        codes[self.group.index_of(g)] = 1
-        return AlgebraElement(self, codes)
-
-    def from_codes(self, codes: np.ndarray) -> AlgebraElement:
-        arr = np.asarray(codes, dtype=np.int64)
-        if arr.shape != (self.dimension,):
-            raise ValueError(f"expected {self.dimension} coefficients")
-        return AlgebraElement(self, arr)
-
-    def sum_of_group_elements(self) -> AlgebraElement:
-        return AlgebraElement(self, np.ones(self.dimension, dtype=np.int64))
+    def format(self, codes: np.ndarray) -> str:
+        """The literal of codes that parse() reads back: a term 'c*word' per
+        nonzero, in group index order, c parenthesized over an extension
+        field and left out when it is 1; '0' for zero."""
+        terms = []
+        for idx in np.flatnonzero(codes).tolist():
+            word = self.group.word_str(self.group.element_at(idx))
+            c = self.field.element_from_code(int(codes[idx]))
+            terms.append(word if codes[idx] == 1 else f"{c}*{word}" if self.field.n == 1 else f"({c})*{word}")
+        return " + ".join(terms) if terms else "0"
 
     # -- multiplication ----------------------------------------------------------
 
@@ -507,7 +405,7 @@ class GroupAlgebra:
         if not eps.all():
             raise NotAUnit("element lies in the augmentation ideal")
         einv = self.ops.inv(eps)[:, None]
-        one = self.one().codes
+        one = self.one()
         z = self.ops.sub(one, self.ops.mul(units, einv))
         acc = self.ops.add(one, z)
         if self.socle_degree * (z != 0).sum(axis=1).max(initial=0) <= self.dimension:
@@ -530,23 +428,26 @@ class GroupAlgebra:
 
     # -- filtration access ---------------------------------------------------------
 
-    def in_radical_power(self, x: AlgebraElement, r: int) -> bool:
-        """Whether x lies in J^r: its coordinates of weight < r vanish."""
+    def in_radical_power(self, x: np.ndarray, r: int) -> bool:
+        """Whether the element of codes x lies in J^r: its coordinates of
+        weight < r vanish."""
         filt = self.filtration
-        return not filt.coordinates(self.ops, x.codes)[filt.weights < r].any()
+        return not filt.coordinates(self.ops, x)[filt.weights < r].any()
 
-    def gr_coordinates(self, x: AlgebraElement, r: int) -> np.ndarray:
-        """Coordinates of x + J^(r+1) on the weight-r Jennings monomials."""
+    def gr_coordinates(self, x: np.ndarray, r: int) -> np.ndarray:
+        """Coordinates of x + J^(r+1) on the weight-r Jennings monomials, for
+        the element of codes x."""
         filt = self.filtration
         if not 0 <= r <= filt.socle_degree:
             raise FiltrationError(f"degree {r} outside 0..{filt.socle_degree}")
-        coords = filt.coordinates(self.ops, x.codes)
+        coords = filt.coordinates(self.ops, x)
         if coords[filt.weights < r].any():
             raise FiltrationError(f"element does not lie in J^{r}")
         return coords[filt.weights == r]
 
-    def socle_vector(self) -> AlgebraElement:
-        """The sum of all group elements, certified to span the socle.
+    def socle_vector(self) -> np.ndarray:
+        """The codes of the sum of all group elements, certified to span the
+        socle.
 
         The socle, the two-sided annihilator of J, is the space fixed by
         left and right translation by every generator.  The Cayley table is
@@ -561,10 +462,11 @@ class GroupAlgebra:
         filt = self.filtration
         if filt.dims[filt.socle_degree] != 1 or not np.all(filt.top_monomial == 1):
             raise FiltrationError("last radical power is not spanned by the all-ones vector")
-        return self.sum_of_group_elements()
+        return np.ones(self.dimension, dtype=np.int64)
 
-    def socle_vector_by_nullspace(self) -> AlgebraElement:
-        """Spanning vector of the translation-fixed space, by brute force.
+    def socle_vector_by_nullspace(self) -> np.ndarray:
+        """Codes of the spanning vector of the translation-fixed space, by
+        brute force, in RREF.
 
         The oracle for socle_vector(): the nullspace of the stacked
         (T - I) blocks of left and right translation by every generator, a
@@ -587,25 +489,7 @@ class GroupAlgebra:
             raise FiltrationError(
                 f"translation-fixed space has dimension {fixed.shape[0]}, expected 1"
             )
-        return AlgebraElement(self, fixed[0])
-
-    # -- parsing ----------------------------------------------------------------------
-
-    def parse(self, text: str) -> AlgebraElement:
-        """Parse 'g1 + 2*g2 g3 + (t+1)*g1^2' style literals."""
-        return AlgebraElement(self, self.parse_terms(
-            text, lambda word: self.embed(self.group.parse_word(word)).codes))
-
-    def parse_terms(self, text: str, monomial) -> np.ndarray:
-        """The codes of a literal sum of signed terms 'c*word', where c is a
-        decimal residue or a parenthesized field literal, 1 if omitted, and
-        monomial(word) gives the codes of the word ('1' when the term has
-        none): the one accumulation of kG and subst: literals."""
-        acc = self.zero().codes
-        for sign, term in split_terms(text):
-            coeff, word = _split_coeff(term, self.field)
-            acc = (self.ops.add if sign > 0 else self.ops.sub)(acc, self.ops.mul(monomial(word), coeff))
-        return acc
+        return fixed[0]
 
 
 def _split_coeff(term: str, field: FieldSpec) -> tuple[int, str]:

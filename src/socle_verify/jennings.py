@@ -39,7 +39,9 @@ operations.  The top degree s = (p-1) sum_r r*d_r is one-dimensional and
 
 holds exactly, because (y-1)^(p-1) = 1 + y + ... + y^(p-1) in
 characteristic p and the monomials enumerate G.  The radical filtration
-keeps that product as its top monomial.
+keeps that product as its top monomial, built by gathers;
+JenningsBasis.socle_product recomputes its codes by kG products, the
+oracle that --full-check compares with it.
 """
 
 from __future__ import annotations
@@ -48,8 +50,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groupalgebra import AlgebraElement, GroupAlgebra, radical_filtration
-from .pgroup import GroupElement, PcGroup
+from .groupalgebra import GroupAlgebra, radical_filtration
+from .pgroup import GroupElement, PcGroup, _word_value
 
 __all__ = ["JenningsBasis", "JenningsLayer", "DimensionMismatch", "build_jennings_basis"]
 
@@ -216,18 +218,20 @@ class JenningsBasis:
             "socle_degree": self.filtration.socle_degree,
         }
 
-    def socle_product(self, algebra: GroupAlgebra) -> AlgebraElement:
-        """prod_j (y_j - 1)^(p-1) in ascending degree order, by kG products.
+    def socle_product(self, algebra: GroupAlgebra) -> np.ndarray:
+        """The codes of prod_j (y_j - 1)^(p-1) in ascending degree order, by
+        kG products: the word x_1^(p-1) ... x_M^(p-1) in x_j = y_j - 1,
+        multiplied out by _word_value with multiply_codes.
 
         The oracle for the filtration's top monomial, the same product by
         one gather per factor; runs call it under --full-check.
         """
         if algebra.group is not self.group:
             raise ValueError("algebra is over a different group")
-        acc = algebra.one()
-        for y in self.lift_elements:
-            acc = acc * (algebra.embed(y) - algebra.one()) ** (self.group.p - 1)
-        return acc
+        one = algebra.one()
+        xs = algebra.ops.sub(np.eye(algebra.dimension, dtype=np.int64)[self.filtration.lift_indices], one)
+        word = [(j, self.group.p - 1) for j in range(1, len(xs) + 1)]
+        return _word_value(word, xs, algebra.multiply_codes, one)
 
     def layer_summary(self) -> list[dict]:
         return [

@@ -278,9 +278,8 @@ def run(algebra: GroupAlgebra, autos: list[AlgebraAutomorphism], full_check: boo
         socle = algebra.socle_vector()
         checks["socle_certificate"] = True
         # prod_j (y_j - 1)^(p-1): the top monomial, and kG products under --full-check
-        top = algebra.from_codes(algebra.filtration.top_monomial)
-        checks["socle_product_formula"] = top == socle and (
-            not full_check or basis.socle_product(algebra) == socle)
+        checks["socle_product_formula"] = np.array_equal(algebra.filtration.top_monomial, socle) and (
+            not full_check or np.array_equal(basis.socle_product(algebra), socle))
         if not checks["socle_product_formula"]:
             raise RunStageError(
                 "socle", ValueError("product of (lift - 1)^(p-1) is not the socle vector")
@@ -294,7 +293,7 @@ def run(algebra: GroupAlgebra, autos: list[AlgebraAutomorphism], full_check: boo
                 raise RunStageError("filtration", ValueError(
                     "filtration_products_oracle: the weight >= r monomials do not span "
                     "the products J^r"))
-            checks["socle_nullspace_oracle"] = algebra.socle_vector_by_nullspace() == socle
+            checks["socle_nullspace_oracle"] = np.array_equal(algebra.socle_vector_by_nullspace(), socle)
             # every RadicalFiltration build checks that the lift words
             # y_1^(e_1) ... y_M^(e_M) enumerate G, or raises FiltrationError
             checks["normal_form_bijection"] = True

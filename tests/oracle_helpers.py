@@ -38,7 +38,9 @@ as they were before their index sets became boolean index masks.
 
 The small helpers (center, subgroup_closure, presentation_text,
 in_row_space, layer_ranks, pbw_dimension, apply_automorphism, ...) are
-API that only the tests use, kept here rather than in the package.
+API that only the tests use, kept here rather than in the package; so is
+AlgebraElement, operator notation on the code arrays the package uses
+for elements of kG.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ import numpy as np
 
 from socle_verify.automorphisms import NotMultiplicative
 from socle_verify.ffield import GF, FieldElement, FieldMismatch, _poly_mod
-from socle_verify.groupalgebra import AlgebraElement, FiltrationError, radical_filtration_by_products
+from socle_verify.groupalgebra import FiltrationError, column_sums, radical_filtration_by_products
 from socle_verify.linalg import FieldOps
 from socle_verify.pgroup import GroupElement, Subgroup, _normal_form_blocks, associative_on_all_triples
 from socle_verify.truncsym import TruncatedPolynomialRing
@@ -64,9 +66,81 @@ class SingularMatrix(ValueError):
     """Linear substitutions must be invertible."""
 
 
+class AlgebraElement:
+    """Operator notation on the (|G|,) codes of a GroupAlgebra element.
+
+    + and - add codes by FieldOps, * is multiply_codes or, by an int or a
+    FieldElement, the scalar product, ** takes exponents >= 0, == compares
+    codes and str is GroupAlgebra.format.  An int or FieldElement operand of
+    + and - is that scalar times 1.
+    """
+
+    __slots__ = ("algebra", "codes")
+
+    def __init__(self, algebra, codes):
+        self.algebra = algebra
+        self.codes = np.asarray(codes, dtype=np.int64)
+
+    @classmethod
+    def one(cls, algebra):
+        return cls(algebra, algebra.one())
+
+    @classmethod
+    def embed(cls, algebra, g):
+        """The basis element of the group element g."""
+        return cls(algebra, np.eye(1, algebra.dimension, algebra.group.index_of(g), dtype=np.int64)[0])
+
+    def _scalar(self, c):
+        return self.algebra.field.code_of(self.algebra.field.element(c))
+
+    def _codes(self, other):
+        if isinstance(other, AlgebraElement):
+            if other.algebra is not self.algebra:
+                raise FieldMismatch("elements belong to different group algebras")
+            return other.codes
+        return self.algebra.one() * self._scalar(other)
+
+    def __add__(self, other):
+        return AlgebraElement(self.algebra, self.algebra.ops.add(self.codes, self._codes(other)))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return AlgebraElement(self.algebra, self.algebra.ops.sub(self.codes, self._codes(other)))
+
+    def __mul__(self, other):
+        if isinstance(other, AlgebraElement):
+            return AlgebraElement(self.algebra, self.algebra.multiply_codes(self.codes, self._codes(other)))
+        return AlgebraElement(self.algebra, self.algebra.ops.mul(self.codes, self._scalar(other)))
+
+    def __pow__(self, k):
+        if k < 0:
+            raise ValueError("negative powers: invert the unit with GroupAlgebra.unit_inverse")
+        acc = AlgebraElement.one(self.algebra)
+        for _ in range(k):
+            acc = acc * self
+        return acc
+
+    def __eq__(self, other):
+        return (isinstance(other, AlgebraElement) and other.algebra is self.algebra
+                and np.array_equal(self.codes, other.codes))
+
+    def is_zero(self):
+        return not self.codes.any()
+
+    def augmentation(self):
+        return self.algebra.field.element_from_code(int(column_sums(self.algebra.ops, self.codes)))
+
+    def coefficient(self, g):
+        return self.algebra.field.element_from_code(int(self.codes[self.algebra.group.index_of(g)]))
+
+    def __str__(self):
+        return self.algebra.format(self.codes)
+
+
 def _lift_combination(algebra, basis, degree, coords):
     """sum of coords[i] * (w_i - 1) over the degree-`degree` lifts."""
-    acc = algebra.zero()
+    acc = AlgebraElement(algebra, np.zeros(algebra.dimension, dtype=np.int64))
     layer = basis.layers[degree - 1] if degree - 1 < len(basis.layers) else None
     if layer is None or layer.rank == 0:
         assert coords.size == 0
@@ -74,7 +148,7 @@ def _lift_combination(algebra, basis, degree, coords):
     assert layer.degree == degree
     k = algebra.field
     for c, w in zip(coords, layer.lifts):
-        term = algebra.embed(w) - algebra.one()
+        term = AlgebraElement.embed(algebra, w) - 1
         acc = acc + term * k.element(int(c))
     return acc
 
@@ -83,8 +157,8 @@ def assert_bracket_compatible(algebra, basis, j1, j2):
     """(u-1)(v-1) - (v-1)(u-1) is congruent to the bracket lift mod J^(r+s+1)."""
     r1 = basis.lift_degrees[j1]
     r2 = basis.lift_degrees[j2]
-    u = algebra.embed(basis.lift_elements[j1]) - algebra.one()
-    v = algebra.embed(basis.lift_elements[j2]) - algebra.one()
+    u = AlgebraElement.embed(algebra, basis.lift_elements[j1]) - 1
+    v = AlgebraElement.embed(algebra, basis.lift_elements[j2]) - 1
     x = u * v - v * u
     degree, coords = basis.lie_bracket(j1, j2)
     assert degree == r1 + r2
@@ -93,16 +167,16 @@ def assert_bracket_compatible(algebra, basis, j1, j2):
         assert x.is_zero()
         return
     y = _lift_combination(algebra, basis, degree, coords)
-    assert algebra.in_radical_power(x, degree)
-    assert algebra.in_radical_power(x - y, min(degree + 1, top))
+    assert algebra.in_radical_power(x.codes, degree)
+    assert algebra.in_radical_power((x - y).codes, min(degree + 1, top))
 
 
 def assert_p_power_compatible(algebra, basis, j):
     """(u-1)^p is congruent to the p-restriction lift mod J^(p*r+1)."""
     p = algebra.group.p
     r = basis.lift_degrees[j]
-    u = algebra.embed(basis.lift_elements[j]) - algebra.one()
-    x = algebra.one()
+    u = AlgebraElement.embed(algebra, basis.lift_elements[j]) - 1
+    x = AlgebraElement.one(algebra)
     for _ in range(p):
         x = x * u
     degree, coords = basis.p_restriction(j)
@@ -112,8 +186,8 @@ def assert_p_power_compatible(algebra, basis, j):
         assert x.is_zero()
         return
     y = _lift_combination(algebra, basis, degree, coords)
-    assert algebra.in_radical_power(x, degree)
-    assert algebra.in_radical_power(x - y, min(degree + 1, top))
+    assert algebra.in_radical_power(x.codes, degree)
+    assert algebra.in_radical_power((x - y).codes, min(degree + 1, top))
 
 
 def assert_lie_structure_compatible(algebra, basis):
@@ -171,7 +245,6 @@ def lifts_by_gr_coordinates(algebra, chain):
     the lifts of degree r.
     """
     ops = algebra.ops
-    one = algebra.one()
     out = []
     for r in range(1, len(chain)):
         lifts = []
@@ -181,7 +254,7 @@ def lifts_by_gr_coordinates(algebra, chain):
             if idx == 0:
                 continue
             g = algebra.group.element_at(idx)
-            w = algebra.gr_coordinates(algebra.embed(g) - one, r)
+            w = algebra.gr_coordinates((AlgebraElement.embed(algebra, g) - 1).codes, r)
             if np.any(ops.reduce_rows(w, basis, pivots)):
                 lifts.append(g)
                 basis, pivots = ops.rref(np.vstack([basis, w.reshape(1, -1)]))
@@ -288,11 +361,11 @@ def jennings_monomials(algebra):
     Entry sum_j e_j p^(j-1) holds the monomial with exponents e, the row
     order of RadicalFiltration.coordinates().
     """
-    one = algebra.one()
+    one = AlgebraElement.one(algebra)
     monomials = [one]
     for layer in algebra.filtration.lifts:
         for y in layer:
-            x = algebra.embed(y) - one
+            x = AlgebraElement.embed(algebra, y) - one
             powers = [one]
             for _ in range(algebra.group.p - 1):
                 powers.append(powers[-1] * x)
@@ -312,7 +385,7 @@ def graded_blocks_by_projection(auto, basis, oracle):
     bases, pivots, complements, comp_pivots = oracle
     alg = auto.algebra
     ops = alg.ops
-    one = alg.one().codes
+    one = alg.one()
 
     def graded(x, r):
         assert not ops.reduce_rows(x, bases[r], pivots[r]).any()
@@ -325,7 +398,7 @@ def graded_blocks_by_projection(auto, basis, oracle):
         if layer.rank == 0:
             continue
         r = layer.degree
-        classes = np.vstack([graded(ops.sub(alg.embed(y).codes, one), r) for y in layer.lifts])
+        classes = np.vstack([graded((AlgebraElement.embed(alg, y) - 1).codes, r) for y in layer.lifts])
         block = np.zeros((layer.rank, layer.rank), dtype=np.int64)
         for j, y in enumerate(layer.lifts):
             image = ops.sub(auto.matrix[:, alg.group.index_of(y)], one)
@@ -357,14 +430,14 @@ def report_by_members(auto):
     alg = auto.algebra
     ops = alg.ops
     field = alg.field
-    v = ops.matvec(auto.matrix, alg.sum_of_group_elements().codes)
+    v = ops.matvec(auto.matrix, np.ones(alg.dimension, dtype=np.int64))
     lam = int(v[0])
     if lam == 0 or not np.all(v == lam):
         raise SocleNotPreserved("socle vector image is not a nonzero multiple of itself")
     basis = build_jennings_basis(alg.group)
     filt = basis.filtration
     cols = [alg.group.index_of(y) for y in basis.lift_elements]
-    coords = filt.coordinates(ops, ops.sub(auto.matrix[:, cols], alg.one().codes[:, None]))
+    coords = filt.coordinates(ops, ops.sub(auto.matrix[:, cols], alg.one()[:, None]))
     blocks, dets = [], []
     total = field.one()
     first = 0
@@ -416,7 +489,7 @@ def data_by_matrix(auto):
 
     alg = auto.algebra
     cols = [alg.group.index_of(y) for y in build_jennings_basis(alg.group).lift_elements]
-    socle = alg.ops.matvec(auto.matrix, alg.sum_of_group_elements().codes)
+    socle = alg.ops.matvec(auto.matrix, np.ones(alg.dimension, dtype=np.int64))
     return np.column_stack([auto.matrix[:, cols], socle])
 
 
@@ -427,12 +500,11 @@ def random_inner_by_elements(algebra, rng, terms=3):
     AlgebraElements, u^-1 by unit_inverse_by_series, and L(u) R(u^-1) by
     matmul_by_planes.
     """
-    one = algebra.one()
-    u = one
+    u = AlgebraElement.one(algebra)
     for _ in range(terms):
         g = algebra.group.element_at(rng.randrange(1, algebra.dimension))
         c = algebra.field.element_from_code(rng.randrange(1, algebra.field.q))
-        u = u + (algebra.embed(g) - one) * c
+        u = u + (AlgebraElement.embed(algebra, g) - 1) * c
     uinv = unit_inverse_by_series(algebra, u)
     matrix = matmul_by_planes(
         algebra.ops, algebra.left_mult_matrix(u.codes), algebra.right_mult_matrix(uinv.codes)
@@ -455,13 +527,12 @@ def substitution_images(algebra, linear, higher=None):
     AlgebraElements, term by term.
     """
     group = algebra.group
-    one = algebra.one()
     images = []
     for i in range(len(linear)):
-        u = one
+        u = AlgebraElement.one(algebra)
         for j in range(group.m):
             c = algebra.field.element_from_code(int(linear[i][j]))
-            u = u + (algebra.embed(group.generator(j + 1)) - one) * c
+            u = u + (AlgebraElement.embed(algebra, group.generator(j + 1)) - 1) * c
         if higher and i in higher:
             u = u + higher[i]
         images.append(u.codes)
@@ -490,8 +561,8 @@ def substitution_images_by_elements(algebra, rng):
         if j2.shape[0] and rng.random() < 0.5:
             row = j2[rng.randrange(j2.shape[0])]
             c = algebra.field.element_from_code(rng.randrange(1, q))
-            higher[i] = algebra.from_codes(row) * c
-            assert algebra.in_radical_power(higher[i], 2)
+            higher[i] = AlgebraElement(algebra, row) * c
+            assert algebra.in_radical_power(higher[i].codes, 2)
     return substitution_images(algebra, linear, higher)
 
 
@@ -507,9 +578,9 @@ def substitution_matrix_by_columns(algebra, images):
     n = algebra.dimension
     powers = {}
     for k, image in enumerate(images):
-        acc = algebra.one()
+        acc = AlgebraElement.one(algebra)
         for e in range(1, group.p):
-            acc = acc * algebra.from_codes(image)
+            acc = acc * AlgebraElement(algebra, image)
             powers[(k, e)] = acc.codes
     matrix = np.zeros((n, n), dtype=np.int64)
     matrix[0, 0] = 1
@@ -565,16 +636,16 @@ def unit_inverse_by_series(algebra, u):
     """
     ops = algebra.ops
     einv = algebra.field.code_of(u.augmentation().inverse())
-    z = ops.sub(algebra.one().codes, ops.mul(u.codes, np.full_like(u.codes, einv)))
+    z = ops.sub(algebra.one(), ops.mul(u.codes, np.full_like(u.codes, einv)))
     lz = algebra.left_mult_matrix(z)
-    term = algebra.one().codes
+    term = algebra.one()
     acc = term.copy()
     for _ in range(algebra.socle_degree):
         term = ops.matvec(lz, term)
         if not term.any():
             break
         acc = ops.add(acc, term)
-    return algebra.from_codes(ops.mul(acc, np.full_like(acc, einv)))
+    return AlgebraElement(algebra, ops.mul(acc, np.full_like(acc, einv)))
 
 
 def collect(p, m, power_words, comm_words, word):

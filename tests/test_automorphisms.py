@@ -40,6 +40,7 @@ from socle_verify.cli import main
 from socle_verify.pipeline import RunConfig, derive_seed, prepare, run, sweep_automorphisms
 
 from oracle_helpers import (
+    AlgebraElement,
     apply_automorphism,
     sampled_pairs_one_at_a_time,
     substitution_images,
@@ -102,8 +103,8 @@ def test_higher_terms_do_not_move_lambda():
     alg = GroupAlgebra(catalog("C3xC3"), GF(3, 2))
     k = alg.field
     linear = np.array([[k.code_of(k.t()), 1], [0, 1]], dtype=np.int64)
-    g1 = alg.embed(alg.group.generator(1)) - alg.one()
-    g2 = alg.embed(alg.group.generator(2)) - alg.one()
+    g1 = AlgebraElement.embed(alg, alg.group.generator(1)) - 1
+    g2 = AlgebraElement.embed(alg, alg.group.generator(2)) - 1
     tail = g1 * g2 + g2 * g2 * g1
     images = np.stack([substitution_images(alg, linear), substitution_images(alg, linear, higher={1: tail})])
     a, b = verify_stack(AlgebraAutomorphism.substitutions(alg, images, ["plain", "dressed"]))
@@ -151,7 +152,7 @@ def test_apply_matches_group_action(algebra):
     gauto = g.stored_automorphisms()[0]
     auto = AlgebraAutomorphism.from_group_automorphism(alg, gauto)
     for el in g.elements():
-        assert apply_automorphism(auto, alg.embed(el)) == alg.embed(gauto(el))
+        assert apply_automorphism(auto, AlgebraElement.embed(alg, el)) == AlgebraElement.embed(alg, gauto(el))
 
 
 def test_non_multiplicative_matrix_rejected(algebra):
@@ -241,7 +242,7 @@ def test_d8_substitution_with_lambda_t(algebra, full_check):
     alg = algebra("D8", 2)
     a1 = alg.parse("(t+1) + (t)*g2 + (t)*g2*g3 + g1 + (t+1)*g1*g3")
     a2 = alg.parse("(t)*g3 + (t)*g2 + g2*g3 + g1*g3 + (t)*g1*g2 + (t+1)*g1*g2*g3")
-    autos = AlgebraAutomorphism.substitutions(alg, np.stack([a1.codes, a2.codes, (a2 * a2).codes])[None], ["D8"])
+    autos = AlgebraAutomorphism.substitutions(alg, np.stack([a1, a2, alg.multiply_codes(a2, a2)])[None], ["D8"])
     report = run(alg, autos, full_check=full_check)
     (rep,) = report.auto_reports
     assert report.verdict and str(rep.socle_scalar) == "t"
@@ -548,16 +549,17 @@ def _x_polynomial_by_operators(alg, rng, terms):
     2|G|.
     """
     group, field = alg.group, alg.field
-    xs = [alg.embed(g) - alg.one() for g in group.generators()]
+    xs = [AlgebraElement.embed(alg, g) - 1 for g in group.generators()]
     assert all((x ** group.order).is_zero() for x in xs)
-    parts, value = [], alg.zero()
+    zero = AlgebraElement(alg, np.zeros(alg.dimension, dtype=np.int64))
+    parts, value = [], zero
     for k in range(terms):
-        letters, factor = [], alg.one()
+        letters, factor = [], AlgebraElement.one(alg)
         for _ in range(rng.choice([1, 2, 2, 3])):
             i = rng.randint(1, group.m)
             e = rng.choice([1, 1, 1, 2, rng.randint(1, 2 * group.order), 10**30])
             letters.append(f"x{i}" if e == 1 else f"x{i}^{e}")
-            factor = factor * (xs[i - 1] ** e if e <= 2 * group.order else alg.zero())
+            factor = factor * (xs[i - 1] ** e if e <= 2 * group.order else zero)
         code = rng.randrange(1, field.q)
         c = field.element_from_code(code)
         coeff = rng.choice(["", f"({c})*", f"({c}) "] + ([f"{code}*"] if code < field.p else []))
@@ -576,7 +578,7 @@ def test_x_polynomial_matches_the_algebra_operators(algebra, name):
     words, exponents 1 .. 2|G| and 10^30, signed and scaled terms."""
     alg = algebra(name, 2)
     x1x2, x2x1 = (_parse_x_polynomial(alg, word) for word in ("x1 x2", "x2 x1"))
-    xs = [alg.embed(g) - alg.one() for g in alg.group.generators()]
+    xs = [AlgebraElement.embed(alg, g) - 1 for g in alg.group.generators()]
     assert np.array_equal(x1x2, (xs[0] * xs[1]).codes)
     assert np.array_equal(x2x1, (xs[1] * xs[0]).codes)
     assert not np.array_equal(x1x2, x2x1)
@@ -602,7 +604,7 @@ def test_x_polynomial_rejections(algebra, text, message):
 
 
 @pytest.mark.parametrize("constructor, stack", [
-    (AlgebraAutomorphism.inners, lambda alg: np.stack([alg.parse("1 + g1").codes, alg.parse("1 + g2").codes])),
+    (AlgebraAutomorphism.inners, lambda alg: np.stack([alg.parse("1 + g1"), alg.parse("1 + g2")])),
     (AlgebraAutomorphism.substitutions, lambda alg: np.stack([np.eye(alg.dimension, dtype=np.int64)[
         alg.generator_indices]] * 2)),
 ])
@@ -731,7 +733,7 @@ def test_graded_action_rejects_a_lift_image_outside_its_radical_power(algebra):
     alg = algebra("D8")
     (y1, y2), (y3,) = [layer.lifts for layer in build_jennings_basis(alg.group).layers[:2]]
     # y3 has degree 2 but y1 - 1 only lies in J
-    auto = _d8_lift_matrix(alg, y3, alg.embed(y1))
+    auto = _d8_lift_matrix(alg, y3, AlgebraElement.embed(alg, y1))
     with pytest.raises(FiltrationNotPreserved, match="degree-2 lift"):
         verify_stack([auto])
 
@@ -739,11 +741,10 @@ def test_graded_action_rejects_a_lift_image_outside_its_radical_power(algebra):
 def test_graded_action_rejects_an_image_class_outside_the_lift_span(algebra):
     alg = algebra("D8")
     (y1, y2), (y3,) = [layer.lifts for layer in build_jennings_basis(alg.group).layers[:2]]
-    one = alg.one()
     # the weight-2 classes are those of y3 - 1 and (y1 - 1)(y2 - 1); sending
     # y3 - 1 to the second stays in J^2 but leaves the span of the degree-2 lift
-    image = one + (alg.embed(y1) - one) * (alg.embed(y2) - one)
-    assert alg.in_radical_power(image - one, 2)
+    image = 1 + (AlgebraElement.embed(alg, y1) - 1) * (AlgebraElement.embed(alg, y2) - 1)
+    assert alg.in_radical_power((image - 1).codes, 2)
     auto = _d8_lift_matrix(alg, y3, image)
     with pytest.raises(LieSubspaceViolated, match="layer 2"):
         verify_stack([auto])

@@ -18,6 +18,7 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from socle_verify import GF, GroupAlgebra, PcGroup, build_jennings_basis
@@ -52,8 +53,8 @@ def test_large_order_structure(name):
     assert out["gr_dims"] == basis.pbw_polynomial()
     assert out["socle_degree"] == SOCLE_DEGREES[name]
     algebra = GroupAlgebra(group, GF(group.p))
-    assert algebra.socle_vector() == algebra.sum_of_group_elements()
-    assert basis.socle_product(algebra) == algebra.sum_of_group_elements()
+    assert np.array_equal(algebra.socle_vector(), np.ones(algebra.dimension, dtype=np.int64))
+    assert np.array_equal(basis.socle_product(algebra), np.ones(algebra.dimension, dtype=np.int64))
 
 
 @pytest.mark.parametrize("name", ["C2^9", "D8xC2^5"])

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 from socle_verify import pipeline
 from socle_verify.automorphisms import MAX_COUNT
 from socle_verify.cli import MAX_SPEC_FILE_BYTES, _parser, main
+from socle_verify.ffield import FieldElement
 from socle_verify.jennings import JenningsBasis
 from socle_verify.linalg import FieldOps
 from socle_verify.pgroup import MAX_PRESENTATION_BYTES, UnknownGroup, catalog, catalog_names
@@ -338,6 +339,30 @@ def test_full_check_runs_the_socle_and_filtration_oracles(capsys, monkeypatch):
     assert checks["filtration_products_oracle"] is True
     assert calls["socle_product"] == 1 and calls["radical_filtration_by_products"] == 1
     assert calls["rref"] > 0
+
+
+FIELD_ARITHMETIC = ("__add__", "__neg__", "__sub__", "__rsub__", "__mul__",
+                    "inverse", "__truediv__", "__rtruediv__", "__pow__")
+SPY_SPECS = ["--auto", "inner: 1 + g1 + (t)*g2", "--auto", "subst: x1 -> (t)*x1, x2 -> x2 + x1*x2",
+             "--auto", "random-inner", "--auto", "compose: inner: 1 + (t+1)*g1 ; subst: x2 -> (t)*x2"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--group", "C3xC3", "--field", field, *SPY_SPECS, *extra]
+    for field in ("3,2", "3,2,t^2+1") for extra in ([], ["--full-check"])
+] + [["sweep", "--groups", "C2,D8,C3xC3,Heis27", "--full-check"], ["jennings"], ["catalog"]])
+def test_subcommands_make_no_scalar_field_arithmetic(capsys, monkeypatch, argv):
+    """Every subcommand but gl-check works on field codes: with the nine
+    FieldElement arithmetic methods made to raise, each exits 0."""
+    calls = []
+    for name in FIELD_ARITHMETIC:
+        def refuse(*args, _name=name):
+            calls.append(_name)
+            raise AssertionError(f"FieldElement.{_name} called")
+
+        monkeypatch.setattr(FieldElement, name, refuse)
+    code, _ = run_cli(capsys, argv)
+    assert calls == [] and code == 0
 
 
 @pytest.mark.parametrize("bad", [-1, MAX_COUNT + 1])

@@ -28,7 +28,7 @@ from socle_verify.linalg import FieldOps
 from socle_verify.pipeline import run, sweep_automorphisms
 
 from conftest import shared_algebra
-from oracle_helpers import matmul_by_planes, random_inner_by_elements, report_by_members
+from oracle_helpers import AlgebraElement, matmul_by_planes, random_inner_by_elements, report_by_members
 
 # the groups of the benchmark's sweep workload: every catalog group of order
 # <= 27 and Heis125
@@ -129,7 +129,7 @@ def test_algebra_stacks_cross_member_chunks(monkeypatch):
     alg = shared_algebra("Heis27", 2)
     want = parse_automorphism_specs(alg, "random-inner seed=3 count=7")
     reports = [rep.as_dict() for rep in verify_stack(want)]
-    units = np.stack([alg.parse(a.provenance.partition(": ")[2]).codes for a in want])
+    units = np.stack([alg.parse(a.provenance.partition(": ")[2]) for a in want])
     products = alg.multiply_codes(units, units[::-1])
     monkeypatch.setattr(linalg, "MAX_STACK_CELLS", 3 * 27 * 27)
     assert linalg.member_chunks(7, 27 * 27) == [slice(0, 3), slice(3, 6), slice(6, 9)]
@@ -177,12 +177,13 @@ def _bad_automorphisms(alg):
     """One automorphism per failure of the verification, on a group whose
     first two Jennings layers have ranks 2 and 1 (D8, Heis27)."""
     (y1, y2), (y3,) = [layer.lifts for layer in build_jennings_basis(alg.group).layers[:2]]
-    one = alg.one()
+    one = AlgebraElement.one(alg)
+    x1, x2 = (AlgebraElement.embed(alg, y) for y in (y1, y2))
     lam = alg.field.q - 1  # a nonzero code
     return {
-        "socle": _with_column(alg, y2, alg.embed(y1)),
-        "below": _with_column(alg, y3, alg.embed(y1), socle=lam),
-        "outside": _with_column(alg, y3, one + (alg.embed(y1) - one) * (alg.embed(y2) - one), socle=lam),
+        "socle": _with_column(alg, y2, x1),
+        "below": _with_column(alg, y3, x1, socle=lam),
+        "outside": _with_column(alg, y3, one + (x1 - one) * (x2 - one), socle=lam),
         "singular": _with_column(alg, y3, one, socle=lam),
     }
 
@@ -223,7 +224,7 @@ def test_a_non_unit_in_a_unit_stack_raises_not_a_unit():
     units[:, 0] = 0
     units[:, 0] = alg.ops.sub(1, column_sums(alg.ops, units.T))  # augmentation 1
     assert len(AlgebraAutomorphism.inners(alg, units, ["unit"] * 4)) == 4
-    bad = alg.zero().codes[None]
+    bad = np.zeros((1, alg.dimension), dtype=np.int64)
     with pytest.raises(NotAUnit) as alone:
         AlgebraAutomorphism.inners(alg, bad, ["unit"])
     stack = np.vstack([units[:2], bad, units[2:]])
