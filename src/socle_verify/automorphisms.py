@@ -277,8 +277,8 @@ class AlgebraAutomorphism:
         lefts = [*powers, *(value(lhs) for _, lhs, _ in relations[m:])]
         _raise_first([((left != value(rhs)).any(axis=-1), RelationViolation(f"images break the {name}"))
                       for left, (name, _, rhs) in zip(lefts, relations)])
-        words = [tuple((i, e) for i, e in enumerate(group.element_at(y).exponents, start=1) if e)
-                 for y in algebra.filtration.lift_indices.tolist()]
+        words = [[(i, e) for i, e in enumerate(row, start=1) if e]
+                 for row in group.exponents[algebra.filtration.lift_indices].tolist()]
         lifts = np.stack([value(word) for word in words], axis=1)
         if _singular_degree_one(algebra, lifts.transpose(0, 2, 1)).any():
             raise SingularLinearPart("linear part of the substitution is singular")
@@ -316,7 +316,7 @@ class AlgebraAutomorphism:
             raise NotMultiplicative("some group image has augmentation != 1 "
                                     "(augmentation ideal not preserved)")
         t = alg.group.cayley_table
-        for gi in alg.generator_indices:
+        for gi in alg.group.generator_indices:
             lhs = self.matrix[:, t[:, gi]]
             rhs = ops.matmul(alg.right_mult_matrix(self.matrix[:, gi]), self.matrix)
             if not np.array_equal(lhs, rhs):
@@ -631,7 +631,7 @@ def _substitution_draw(algebra: GroupAlgebra, rng: random.Random) -> np.ndarray:
         if ops.det(linear[None])[0] != 0:
             break
     images = np.zeros((m, algebra.dimension), dtype=np.int64)
-    images[:, algebra.generator_indices] = linear
+    images[:, group.generator_indices] = linear
     images[:, 0] = ops.sub(1, column_sums(ops, linear.T))
     j2 = algebra.filtration.basis(2)[0]
     for i in range(m):
@@ -738,15 +738,15 @@ def _parse_clauses(rest: str, symbol: str, m: int) -> dict[int, str]:
 
 def _parse_group_auto(algebra: GroupAlgebra, rest: str) -> AlgebraAutomorphism:
     group = algebra.group
-    images = {i: group.generator(i) for i in range(1, group.m + 1)}
+    images = list(group.generator_indices)
     for i, rhs in _parse_clauses(rest, "g", group.m).items():
-        images[i] = group.parse_word(rhs)
-    gauto = group.group_automorphism([images[i] for i in range(1, group.m + 1)])
+        images[i - 1] = group.parse_word(rhs)
+    gauto = group.group_automorphism(images)
     return AlgebraAutomorphism.from_group_automorphism(algebra, gauto)
 
 
 def _parse_subst(algebra: GroupAlgebra, rest: str) -> list[AlgebraAutomorphism]:
-    images = np.eye(algebra.dimension, dtype=np.int64)[algebra.generator_indices]
+    images = np.eye(algebra.dimension, dtype=np.int64)[algebra.group.generator_indices]
     for i, rhs in _parse_clauses(rest, "x", algebra.group.m).items():
         images[i - 1] = algebra.ops.add(algebra.one(), _parse_x_polynomial(algebra, rhs))
     return AlgebraAutomorphism.substitutions(algebra, images[None], [f"subst: {rest.strip()}"])
@@ -760,7 +760,7 @@ def _parse_x_polynomial(algebra: GroupAlgebra, text: str) -> np.ndarray:
     characteristic p, so an exponent above |G| is cut to |G|.
     """
     n = algebra.dimension
-    xs = algebra.ops.sub(np.eye(n, dtype=np.int64)[algebra.generator_indices], algebra.one())
+    xs = algebra.ops.sub(np.eye(n, dtype=np.int64)[algebra.group.generator_indices], algebra.one())
 
     def monomial(word: str) -> np.ndarray:
         pairs = parse_word_pairs(word, algebra.group.m, "x")

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import re
 
-from typing import Iterator, Sequence
+from typing import Sequence
 
 __all__ = [
     "GF",
@@ -224,19 +224,8 @@ class FieldSpec:
 
     # -- element constructors ------------------------------------------------
 
-    def zero(self) -> FieldElement:
-        return FieldElement(self, (0,) * self.n)
-
     def one(self) -> FieldElement:
         return FieldElement(self, (1,) + (0,) * (self.n - 1))
-
-    def t(self) -> FieldElement:
-        """The residue of the generator t (zero in a prime field)."""
-        coeffs = [0] * self.n
-        if self.n >= 2:
-            coeffs[1] = 1
-            return FieldElement(self, tuple(coeffs))
-        return self.from_coeffs([-self.modulus[0]])
 
     def element(self, value: int | FieldElement) -> FieldElement:
         if isinstance(value, FieldElement):
@@ -249,14 +238,6 @@ class FieldSpec:
         reduced = _poly_mod([c % self.p for c in coeffs], self.modulus, self.p)
         reduced += [0] * (self.n - len(reduced))
         return FieldElement(self, tuple(reduced))
-
-    def elements(self) -> Iterator[FieldElement]:
-        for code in range(self.q):
-            yield self.element_from_code(code)
-
-    def units(self) -> Iterator[FieldElement]:
-        for code in range(1, self.q):
-            yield self.element_from_code(code)
 
     # -- integer codes (base-p packed coefficients) --------------------------
 

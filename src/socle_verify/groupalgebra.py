@@ -69,12 +69,12 @@ def column_sums(ops: FieldOps, codes: np.ndarray) -> np.ndarray:
 class RadicalFiltration:
     """J^0 > J^1 > ... > J^s > J^(s+1) = 0, read off the Jennings monomials.
 
-    group.jennings_lifts() gives elements y_1, ..., y_M, in ascending
-    degree, lifting bases of the quotients F_r/F_(r+1) of the recursive
-    dimension series.  The |G| monomials prod_j (y_j - 1)^(e_j) with
-    0 <= e_j < p have weight sum_j e_j deg(y_j), and by Jennings' theorem
-    those of weight >= r form a basis of J^r, so dims and gr_dims are
-    weight counts.  One prefix pass gives the lift words
+    group.jennings_lifts() gives the table indices of y_1, ..., y_M, in
+    ascending degree, lifting bases of the quotients F_r/F_(r+1) of the
+    recursive dimension series.  The |G| monomials prod_j (y_j - 1)^(e_j)
+    with 0 <= e_j < p have weight sum_j e_j deg(y_j), and by Jennings'
+    theorem those of weight >= r form a basis of J^r, so dims and gr_dims
+    are weight counts.  One prefix pass gives the lift words
     y_1^(e_1) ... y_M^(e_M) and their weights; row sum_j e_j p^(j-1) of
     words, weights and coordinates() belongs to the exponent vector e.
     A monomial is its word plus words of smaller exponent vectors, so the
@@ -99,11 +99,8 @@ class RadicalFiltration:
         top[0] = 1
         words = np.zeros(1, dtype=np.int64)
         weights = np.zeros(1, dtype=np.int64)
-        lift_indices = []
         for r, layer in enumerate(self.lifts, start=1):
-            for y in layer:
-                yi = group.index_of(y)
-                lift_indices.append(yi)
+            for yi in layer:
                 # (x y)[k] = x[k y^-1], so x (y - 1) is a gather minus x
                 right = t[:, int(inv[yi])]
                 word_blocks, block_weights = [words], [weights]
@@ -119,8 +116,8 @@ class RadicalFiltration:
         self.weights = weights
         self.top_monomial = top
         # group index of the j-th lift y_j, and row of its monomial y_j - 1
-        self.lift_indices = np.array(lift_indices, dtype=np.int64)
-        self.lift_rows = p ** np.arange(len(lift_indices))
+        self.lift_indices = np.array([y for layer in self.lifts for y in layer], dtype=np.int64)
+        self.lift_rows = p ** np.arange(len(self.lift_indices))
         # binomial[f, e] = C(f, e) mod p: y^f = sum_e C(f, e) (y - 1)^e
         self._binomial = np.array(
             [[math.comb(f, e) % p for e in range(p)] for f in range(p)], dtype=np.int64
@@ -192,8 +189,7 @@ def radical_filtration_by_products(
     n = group.order
     t = group.cayley_table
     inv = group.inverse_table
-    gens = [group.index_of(g) for g in group.generators()]
-    rtake = [t[:, int(inv[gi])] for gi in gens]
+    rtake = [t[:, int(inv[gi])] for gi in group.generator_indices]
 
     first = np.zeros((n - 1, n), dtype=np.int64)
     first[:, 0] = ops.p - 1
@@ -245,7 +241,7 @@ def dimension_subgroups_definitional(group: PcGroup) -> list[Subgroup]:
         idxs = [int(i) for i in np.flatnonzero(~coords[filt.weights < r].any(axis=0))]
         if group._closure_indices(idxs) != idxs:
             raise FiltrationError(f"membership set for J^{r} is not a subgroup")
-        out.append(Subgroup(group, idxs, [group.element_at(i) for i in idxs if i]))
+        out.append(Subgroup(group, idxs))
         if out[-1].is_trivial():
             break
     if not out[-1].is_trivial():
@@ -282,7 +278,6 @@ class GroupAlgebra:
         # the matrix a[khinv]
         self._khinv = t[:, inv]
         self._hkinv = t[inv].T  # hkinv[k,g] = index of g^-1 * k
-        self.generator_indices = [group.index_of(g) for g in group.generators()]
 
     @property
     def dimension(self) -> int:
@@ -305,7 +300,7 @@ class GroupAlgebra:
     def parse(self, text: str) -> np.ndarray:
         """The codes of a literal such as 'g1 + 2*g2 g3 + (t+1)*g1^2'."""
         return self.parse_terms(text, lambda word: np.eye(
-            1, self.dimension, self.group.index_of(self.group.parse_word(word)), dtype=np.int64)[0])
+            1, self.dimension, self.group.parse_word(word), dtype=np.int64)[0])
 
     def parse_terms(self, text: str, monomial) -> np.ndarray:
         """The codes of a literal sum of signed terms 'c*word', where c is a
@@ -324,7 +319,7 @@ class GroupAlgebra:
         field and left out when it is 1; '0' for zero."""
         terms = []
         for idx in np.flatnonzero(codes).tolist():
-            word = self.group.word_str(self.group.element_at(idx))
+            word = self.group.word_str(idx)
             c = self.field.element_from_code(int(codes[idx]))
             terms.append(word if codes[idx] == 1 else f"{c}*{word}" if self.field.n == 1 else f"({c})*{word}")
         return " + ".join(terms) if terms else "0"
@@ -478,7 +473,7 @@ class GroupAlgebra:
         n = self.dimension
         ops = self.filtration.ops
         rows = []
-        for gi in self.generator_indices:
+        for gi in self.group.generator_indices:
             for gather in (t[int(inv[gi])], t[:, int(inv[gi])]):
                 block = np.zeros((n, n), dtype=np.int64)
                 block[np.arange(n), gather] = 1

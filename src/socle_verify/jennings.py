@@ -24,16 +24,21 @@ which --full-check and the jennings command run, reads each d_r against
 the subgroup orders, |F_r| = p^(d_r) |F_(r+1)|, and the graded dimensions
 against the product generating function.
 
-A class g F_(r+1) is read off the filtration's monomial coordinates of
-g - 1: for g in F_r it is congruent mod J^(r+1) to sum_j c_j (y_j - 1)
-over the degree-r lifts, so its coordinates at the monomials y_j - 1 are
-the c_j, with no elimination.
+A class g F_(r+1), for the table index g, is read off the filtration's
+monomial coordinates of g - 1: for g in F_r it is congruent mod J^(r+1)
+to sum_j c_j (y_j - 1) over the degree-r lifts, so its coordinates at the
+monomials y_j - 1 are the c_j, with no elimination.
 
 The direct sum of the quotients is a restricted Lie algebra: the group
 commutator induces the bracket between layers r and r', landing in layer
 r + r', and the p-th power map induces the restriction from layer r to
 layer p*r.  Everything is generated in degree one under those two
-operations.  The top degree s = (p-1) sum_r r*d_r is one-dimensional and
+operations.  Lifts are table indices, so lie_bracket and p_restriction
+take lift numbers j (the j-th entry of the filtration's lift_indices, of
+degree lift_degrees[j]) and return a degree and class coordinates: the
+commutator of two lifts is one gather in the Cayley table and the p-th
+power a few lookups.  The top degree s = (p-1) sum_r r*d_r is
+one-dimensional and
 
     prod_j (y_j - 1)^(p-1) = sum of all elements of G
 
@@ -51,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groupalgebra import GroupAlgebra, radical_filtration
-from .pgroup import GroupElement, PcGroup, _word_value
+from .pgroup import PcGroup, _word_value
 
 __all__ = ["JenningsBasis", "JenningsLayer", "DimensionMismatch", "build_jennings_basis"]
 
@@ -65,7 +70,7 @@ class JenningsLayer:
     """Chosen lifts for one quotient F_r/F_(r+1) and their monomial rows."""
 
     degree: int
-    lifts: tuple[GroupElement, ...]
+    lifts: tuple[int, ...]  # table indices
     rows: tuple[int, ...]  # rows[j] = row of the monomial lifts[j] - 1 in the coordinates
 
     @property
@@ -87,9 +92,7 @@ class JenningsBasis:
         self.layers = [JenningsLayer(r, lifts, tuple(next(rows) for _ in lifts))
                        for r, lifts in enumerate(self.filtration.lifts, start=1)]
         self.max_degree = len(self.layers)  # the series ends at its first trivial term
-        self.lift_elements = tuple(y for layer in self.layers for y in layer.lifts)
         self.lift_degrees = tuple(layer.degree for layer in self.layers for _ in layer.lifts)
-        self._lift_slots = tuple((layer.degree, j) for layer in self.layers for j in range(layer.rank))
 
     def d(self, r: int) -> int:
         if r < 1:
@@ -98,10 +101,11 @@ class JenningsBasis:
 
     # -- layer arithmetic -----------------------------------------------------
 
-    def class_coordinates(self, g: GroupElement, r: int) -> np.ndarray:
-        """Coordinates of g F_(r+1) on layer r's lifts (g must lie in F_r)."""
+    def class_coordinates(self, g: int, r: int) -> np.ndarray:
+        """Coordinates of g F_(r+1) on layer r's lifts, for the index g of an
+        element of F_r."""
         if r > self.max_degree:
-            if not g.is_identity():
+            if g:
                 raise DimensionMismatch(f"g lies outside the trivial subgroup F_{r}")
             return np.zeros(0, dtype=np.int64)
         if r <= len(self.series) and g not in self.series[r - 1]:
@@ -109,7 +113,7 @@ class JenningsBasis:
         layer = self.layers[r - 1]
         filt = self.filtration
         x = np.zeros(self.group.order, dtype=np.int64)
-        x[self.group.index_of(g)] = 1
+        x[g] = 1
         x[0] = (x[0] - 1) % self.group.p
         # g F_(r+1) = prod_j y_j^(c_j) F_(r+1) gives g - 1 = sum_j c_j (y_j - 1) mod J^(r+1)
         return filt.coordinates(filt.ops, x)[list(layer.rows)]
@@ -117,32 +121,31 @@ class JenningsBasis:
     def lie_bracket(self, j1: int, j2: int) -> tuple[int, np.ndarray]:
         """Bracket of lifts number j1, j2 (0-based); returns (r1+r2, coords).
 
-        The group commutator of the two lifts lands in F_(r1+r2); its class
-        there, in degree-(r1+r2) lift coordinates, is the induced bracket.
+        The group commutator of the two lifts, one table gather, lands in
+        F_(r1+r2); its class there, in degree-(r1+r2) lift coordinates, is
+        the induced bracket.
         """
-        r1, _ = self._lift_slots[j1]
-        r2, _ = self._lift_slots[j2]
-        c = self.group.commutator(self.lift_elements[j1], self.lift_elements[j2])
-        return r1 + r2, self.class_coordinates(c, r1 + r2)
+        r = self.lift_degrees[j1] + self.lift_degrees[j2]
+        y = self.filtration.lift_indices
+        return r, self.class_coordinates(self.group.commutator(y[j1], y[j2]), r)
 
     def p_restriction(self, j: int) -> tuple[int, np.ndarray]:
         """Restriction map on lift number j (0-based); returns (p*r, coords)."""
-        r, _ = self._lift_slots[j]
-        c = self.group.power(self.lift_elements[j], self.group.p)
-        return self.group.p * r, self.class_coordinates(c, self.group.p * r)
+        r = self.group.p * self.lift_degrees[j]
+        return r, self.class_coordinates(self.group.power(self.filtration.lift_indices[j], self.group.p), r)
 
     def degree_one_generates(self) -> bool:
         """Close degree one under brackets and p-powers; must fill every layer.
 
-        Every vector the closure produces keeps a witness group element, so
+        Every vector the closure produces keeps a witness group index, so
         brackets and p-th powers of closure vectors stay inside what witness
         commutators and witness powers span.
         """
         ops = self.filtration.ops
-        witnesses: list[tuple[int, GroupElement]] = [(1, y) for y in self.layers[0].lifts]
+        witnesses: list[tuple[int, int]] = [(1, y) for y in self.layers[0].lifts]
         spans: dict[int, tuple[np.ndarray, list[int]]] = {}
 
-        def absorb(r: int, g: GroupElement) -> bool:
+        def absorb(r: int, g: int) -> bool:
             if r > self.max_degree or self.d(r) == 0:
                 return False
             w = self.class_coordinates(g, r)
@@ -156,7 +159,7 @@ class JenningsBasis:
             absorb(r, y)
         frontier = list(witnesses)
         while frontier:
-            fresh: list[tuple[int, GroupElement]] = []
+            fresh: list[tuple[int, int]] = []
             for ra, ha in frontier:
                 for rb, hb in witnesses:
                     for r, g in (

@@ -6,7 +6,11 @@ A group of order p^m has generators g1..gm and relations
     [gj,gi] = <word in g_(j+1)..gm>      for j > i, [x,y] = x^-1 y^-1 x y
 
 where every element has a unique normal form g1^e1 ... gm^em with
-0 <= ei < p.  Construction materializes the full Cayley table bottom-up
+0 <= ei < p.  An element is its table index x = sum_i ei p^(m-i); there
+is no element class.  Row x of PcGroup.exponents is the normal form of x,
+parse_word and word_str read and write words, and products, inverses,
+commutators and powers are lookups and gathers in cayley_table and
+inverse_table.  Construction materializes the full Cayley table bottom-up
 over G_k = <g_k, ..., g_m>, whose elements are the first p^(m-k+1)
 indices: conjugation by g_k maps g_i to g_i [g_i, g_k] and extends along
 normal forms with the table of G_(k+1); the column of g_k is
@@ -33,10 +37,8 @@ collection runs anywhere in the package.
 from __future__ import annotations
 
 import functools
-import itertools
 import re
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -44,7 +46,6 @@ from .ffield import is_prime
 
 __all__ = [
     "PcGroup",
-    "GroupElement",
     "Subgroup",
     "GroupAutomorphism",
     "PresentationError",
@@ -88,25 +89,14 @@ class UnknownGroup(KeyError):
         return str(self.args[0])  # KeyError's own str quotes the message
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    """Normal-form exponent vector; context comes from the owning group."""
-
-    exponents: tuple[int, ...]
-
-    def is_identity(self) -> bool:
-        return not any(self.exponents)
-
-
 class Subgroup:
-    """A subgroup held as an explicit element set plus a generating list."""
+    """A subgroup held as its sorted tuple of table indices."""
 
-    __slots__ = ("group", "indices", "generators")
+    __slots__ = ("group", "indices")
 
-    def __init__(self, group: PcGroup, indices: Sequence[int], generators: Sequence[GroupElement]):
+    def __init__(self, group: PcGroup, indices: Iterable[int]):
         self.group = group
         self.indices = tuple(sorted(int(i) for i in indices))
-        self.generators = tuple(generators)
 
     @property
     def order(self) -> int:
@@ -115,11 +105,8 @@ class Subgroup:
     def is_trivial(self) -> bool:
         return self.indices == (0,)
 
-    def elements(self) -> list[GroupElement]:
-        return [self.group.element_at(i) for i in self.indices]
-
-    def __contains__(self, el: GroupElement) -> bool:
-        return self.group.index_of(el) in set(self.indices)
+    def __contains__(self, x: int) -> bool:
+        return x in self.indices
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -127,12 +114,6 @@ class Subgroup:
             and self.group is other.group
             and self.indices == other.indices
         )
-
-    def __hash__(self) -> int:
-        return hash((id(self.group), self.indices))
-
-    def __le__(self, other: Subgroup) -> bool:
-        return set(self.indices) <= set(other.indices)
 
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order} of {self.group.name or 'pcgroup'})"
@@ -205,8 +186,9 @@ class PcGroup:
             + [(f"commutator relation [g{j},g{i}]", ((j, 1), (i, 1)), ((i, 1), (j, 1)) + self.comm_words.get((j, i), ()))
                for j in range(2, m + 1) for i in range(1, j)])
 
-        self._elements: list[tuple[int, ...]] = list(itertools.product(range(p), repeat=m))
-        self._index: dict[tuple[int, ...], int] = {t: k for k, t in enumerate(self._elements)}
+        # row x is the normal form (e_1, ..., e_m) of index x = sum_i e_i p^(m-i)
+        self.exponents = np.indices((p,) * m).reshape(m, -1).T
+        self.exponents.flags.writeable = False
         self._blocks = _normal_form_blocks(p, m)
         self._certify(self._build_table())
         # built on first use by groupalgebra.radical_filtration,
@@ -307,8 +289,8 @@ class PcGroup:
         if not ((np.sort(c, axis=1) == ar).all() and (np.sort(c, axis=0) == ar[:, None]).all()):
             raise InconsistentPresentation("multiplication table is not cancellative")
         # the table index of g_i is p^(m-i)
-        self._generator_indices = [self.p ** (self.m - i) for i in range(1, self.m + 1)]
-        gens = self._generator_indices
+        self.generator_indices = [self.p ** (self.m - i) for i in range(1, self.m + 1)]
+        gens = self.generator_indices
         for a in gens:
             if not (c[c[:, a]] == c[:, c[a]]).all():
                 raise InconsistentPresentation("multiplication table is not associative")
@@ -327,7 +309,7 @@ class PcGroup:
         images[i] is the table index of the image of g_(i+1); both sides of
         every relation are multiplied out in the table by _word_value.
         """
-        value = functools.partial(_word_value, images=[int(a) for a in images], product=self._cayley.item, one=0)
+        value = functools.partial(_word_value, images=images, product=self._cayley.item, one=0)
         return next((name for name, lhs, rhs in self.relations if value(lhs) != value(rhs)), None)
 
     def _commutators(self, a, b) -> np.ndarray:
@@ -343,16 +325,11 @@ class PcGroup:
         mask[0] = False
         return np.flatnonzero(mask)
 
-    def _generated(self, seeds: np.ndarray) -> Subgroup:
-        """The subgroup generated by an array of seed indices, generators sorted."""
-        gens = self._generators_among(seeds)
-        return Subgroup(self, self._closure_indices(gens), [self.element_at(int(s)) for s in gens])
-
     # -- basic structure --------------------------------------------------------
 
     @property
     def order(self) -> int:
-        return len(self._elements)
+        return len(self.exponents)
 
     @property
     def cayley_table(self) -> np.ndarray:
@@ -362,46 +339,13 @@ class PcGroup:
     def inverse_table(self) -> np.ndarray:
         return self._inv
 
-    def identity(self) -> GroupElement:
-        return GroupElement((0,) * self.m)
-
-    def generator(self, i: int) -> GroupElement:
-        if not 1 <= i <= self.m:
-            raise ValueError(f"generator index {i} out of range 1..{self.m}")
-        return GroupElement(tuple(1 if k == i - 1 else 0 for k in range(self.m)))
-
-    def generators(self) -> list[GroupElement]:
-        return [self.generator(i) for i in range(1, self.m + 1)]
-
-    def element(self, exponents: Sequence[int]) -> GroupElement:
-        exps = tuple(int(e) % self.p for e in exponents)
-        if len(exps) != self.m:
-            raise ValueError(f"need {self.m} exponents, got {len(exps)}")
-        return GroupElement(exps)
-
-    def elements(self) -> Iterator[GroupElement]:
-        for t in self._elements:
-            yield GroupElement(t)
-
-    def index_of(self, el: GroupElement) -> int:
-        return self._index[el.exponents]
-
-    def element_at(self, idx: int) -> GroupElement:
-        return GroupElement(self._elements[idx])
-
-    def multiply(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        return self.element_at(int(self._cayley[self.index_of(a), self.index_of(b)]))
-
-    def inverse(self, a: GroupElement) -> GroupElement:
-        return self.element_at(int(self._inv[self.index_of(a)]))
-
-    def commutator(self, a: GroupElement, b: GroupElement) -> GroupElement:
+    def commutator(self, a: int, b: int) -> int:
         """[a, b] = a^-1 b^-1 a b."""
-        return self.element_at(int(self._commutators(self.index_of(a), self.index_of(b))))
+        return int(self._commutators(a, b))
 
-    def power(self, a: GroupElement, k: int) -> GroupElement:
+    def power(self, a: int, k: int) -> int:
         # every element order divides |G|, which also covers k < 0
-        return self.element_at(_word_value(((1, k % self.order),), [self.index_of(a)], self._cayley.item, 0))
+        return int(_word_value(((1, k % self.order),), [a], self._cayley.item, 0))
 
     def is_elementary_abelian(self) -> bool:
         return not self.comm_words and all(not w for w in self.power_words)
@@ -426,9 +370,6 @@ class PcGroup:
             seen[frontier] = True
         return np.flatnonzero(seen).tolist()
 
-    def full_subgroup(self) -> Subgroup:
-        return Subgroup(self, range(self.order), self.generators())
-
     def jennings_series_recursive(self) -> list[Subgroup]:
         """F_1 = G, F_r = <[F_(r-1), G], x^p for x in F_ceil(r/p)>.
 
@@ -436,7 +377,7 @@ class PcGroup:
         term.  Consecutive terms may coincide; the indexing carries the
         degree information and is preserved.
         """
-        series = [self.full_subgroup()]
+        series = [Subgroup(self, range(self.order))]
         every = np.arange(self.order)
         pth = _word_value(((1, self.p),), [every], lambda a, b: self._cayley[a, b], 0)
         r = 2
@@ -445,23 +386,24 @@ class PcGroup:
             ceil_idx = -(-r // self.p)  # ceil(r/p), >= 1
             comms = self._commutators(prev[:, None], every)
             powers = pth[list(series[ceil_idx - 1].indices)]
-            series.append(self._generated(np.concatenate([comms.ravel(), powers])))
+            series.append(Subgroup(self, self._closure_indices(np.concatenate([comms.ravel(), powers]))))
             r += 1
         return series
 
-    def jennings_lifts(self) -> tuple[list[Subgroup], list[tuple[GroupElement, ...]]]:
+    def jennings_lifts(self) -> tuple[list[Subgroup], list[tuple[int, ...]]]:
         """The recursive series F_1, F_2, ... and lifts of each F_r/F_(r+1).
 
-        Entry r-1 of the lift list holds elements of F_r whose classes form
-        a basis of the elementary abelian quotient F_r/F_(r+1).  Walking
-        F_r in index order, g is kept when it does not lie in
-        H = <F_(r+1), lifts kept so far>.  The recursion puts [F_r, G] and
-        the p-th powers of F_r inside F_(r+1) <= H, so a kept y normalizes
-        H and <H, y> is the union of the cosets H y^e, 0 <= e < p.
+        Entry r-1 of the lift list holds the indices of elements of F_r
+        whose classes form a basis of the elementary abelian quotient
+        F_r/F_(r+1).  Walking F_r in index order, g is kept when it does not
+        lie in H = <F_(r+1), lifts kept so far>.  The recursion puts
+        [F_r, G] and the p-th powers of F_r inside F_(r+1) <= H, so a kept y
+        normalizes H and <H, y> is the union of the cosets H y^e,
+        0 <= e < p.
         """
         series = self.jennings_series_recursive()
         t = self._cayley
-        lifts: list[tuple[GroupElement, ...]] = []
+        lifts: list[tuple[int, ...]] = []
         for r in range(1, len(series)):
             inside = np.zeros(self.order, dtype=bool)
             inside[list(series[r].indices)] = True
@@ -473,30 +415,31 @@ class PcGroup:
                     for _ in range(self.p - 1):
                         coset = t[coset, idx]
                         inside[coset] = True
-            lifts.append(tuple(self.element_at(i) for i in kept))
+            lifts.append(tuple(kept))
         return series, lifts
 
     # -- automorphisms from generator images ----------------------------------------
 
-    def group_automorphism(self, images: Sequence[GroupElement]) -> GroupAutomorphism:
+    def group_automorphism(self, images: Sequence[int]) -> GroupAutomorphism:
+        """The automorphism g_i -> images[i - 1], for image table indices."""
         if len(images) != self.m:
             raise ValueError(f"need {self.m} generator images, got {len(images)}")
         t = self._cayley
-        img_idx = [self.index_of(g) for g in images]
-        broken = self._broken_relation(img_idx)
+        images = tuple(int(a) for a in images)
+        broken = self._broken_relation(images)
         if broken:
             raise RelationViolation(f"images break the {broken}")
 
         # extend multiplicatively along normal forms (valid: relations verified)
         perm = np.zeros(self.order, dtype=np.int64)
-        pw = _consecutive_powers(t, np.array(img_idx), self.p)  # pw[k, e - 1] = a_(k+1)^e
+        pw = _consecutive_powers(t, np.array(images), self.p)  # pw[k, e - 1] = a_(k+1)^e
         for k, (prefix, cols) in enumerate(self.generator_blocks()):
             perm[cols] = t[perm[prefix], pw[k][:, None]]
         counts = np.bincount(perm, minlength=self.order)
         if not np.all(counts == 1):
             raise NotBijective("generator images generate a proper subgroup")
         perm.flags.writeable = False  # stored automorphisms are shared by every caller
-        return GroupAutomorphism(self, tuple(images), perm)
+        return GroupAutomorphism(self, images, perm)
 
     def stored_automorphisms(self) -> list[GroupAutomorphism]:
         """The stored automorphisms, their relations checked once per group;
@@ -510,21 +453,23 @@ class PcGroup:
 
     # -- words and presentations ------------------------------------------------------
 
-    def word_str(self, el: GroupElement) -> str:
+    def word_str(self, x: int) -> str:
+        """The normal-form word of index x, such as 'g1 g3^2'; '1' for 0."""
         parts = []
-        for k, e in enumerate(el.exponents):
+        for k, e in enumerate(self.exponents[x].tolist()):
             if e == 1:
                 parts.append(f"g{k + 1}")
             elif e > 1:
                 parts.append(f"g{k + 1}^{e}")
         return " ".join(parts) if parts else "1"
 
-    def parse_word(self, text: str) -> GroupElement:
-        """The element a word such as 'g1 g3^2' names, multiplied out in the
-        table.  Each exponent is reduced mod |G| first, which every element
-        order divides, so a power takes at most log2 |G| squarings."""
+    def parse_word(self, text: str) -> int:
+        """The index of the element a word such as 'g1 g3^2' names,
+        multiplied out in the table.  Each exponent is reduced mod |G| first,
+        which every element order divides, so a power takes at most
+        log2 |G| squarings."""
         word = [(idx, exp % self.order) for idx, exp in parse_word_pairs(text, self.m, "g")]
-        return self.element_at(_word_value(word, self._generator_indices, self._cayley.item, 0))
+        return _word_value(word, self.generator_indices, self._cayley.item, 0)
 
     @classmethod
     def from_presentation_text(cls, text: str, name: str | None = None) -> PcGroup:
@@ -639,17 +584,15 @@ def parse_word_pairs(text: str, m: int, letter: str) -> list[tuple[int, int]]:
 
 
 class GroupAutomorphism:
-    """A verified automorphism, stored as images plus the induced permutation."""
+    """A verified automorphism: the generator images' table indices and the
+    induced permutation of the indices."""
 
     __slots__ = ("group", "images", "perm")
 
-    def __init__(self, group: PcGroup, images: tuple[GroupElement, ...], perm: np.ndarray):
+    def __init__(self, group: PcGroup, images: tuple[int, ...], perm: np.ndarray):
         self.group = group
         self.images = images
         self.perm = perm
-
-    def __call__(self, el: GroupElement) -> GroupElement:
-        return self.group.element_at(int(self.perm[self.group.index_of(el)]))
 
     def spec_text(self) -> str:
         g = self.group

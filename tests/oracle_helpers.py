@@ -3,9 +3,11 @@
 These work directly in the group algebra: a claimed bracket or p-power
 value is confirmed by forming the corresponding algebra element and
 testing the congruence one radical power deeper.  None of it touches the
-layer bookkeeping inside the jennings module.  The collector puts words
-in normal form from the presentation alone, the oracle for words and
-products in the certified table.  The group-table oracles at the end
+layer bookkeeping inside the jennings module.  Group elements are table
+indices here as in the package.  The collector puts words in normal form
+from the presentation alone, the oracle for words and products in the
+certified table; it works on exponent vectors, which normal_form_index
+turns into indices without the table.  The group-table oracles at the end
 (the table by collection, the all-triples certificate, random
 presentations and random loops) work on index tables.  The field-kernel
 oracles (decode by division, the product one plane pair at a time, the
@@ -54,7 +56,7 @@ from socle_verify.automorphisms import NotMultiplicative
 from socle_verify.ffield import GF, FieldElement, FieldMismatch, _poly_mod
 from socle_verify.groupalgebra import FiltrationError, column_sums, radical_filtration_by_products
 from socle_verify.linalg import FieldOps
-from socle_verify.pgroup import GroupElement, Subgroup, _normal_form_blocks, associative_on_all_triples
+from socle_verify.pgroup import Subgroup, _normal_form_blocks, associative_on_all_triples
 from socle_verify.truncsym import TruncatedPolynomialRing
 
 
@@ -87,8 +89,8 @@ class AlgebraElement:
 
     @classmethod
     def embed(cls, algebra, g):
-        """The basis element of the group element g."""
-        return cls(algebra, np.eye(1, algebra.dimension, algebra.group.index_of(g), dtype=np.int64)[0])
+        """The basis element of the group element of table index g."""
+        return cls(algebra, np.eye(1, algebra.dimension, int(g), dtype=np.int64)[0])
 
     def _scalar(self, c):
         return self.algebra.field.code_of(self.algebra.field.element(c))
@@ -132,7 +134,8 @@ class AlgebraElement:
         return self.algebra.field.element_from_code(int(column_sums(self.algebra.ops, self.codes)))
 
     def coefficient(self, g):
-        return self.algebra.field.element_from_code(int(self.codes[self.algebra.group.index_of(g)]))
+        """The coefficient of the group element of table index g."""
+        return self.algebra.field.element_from_code(int(self.codes[g]))
 
     def __str__(self):
         return self.algebra.format(self.codes)
@@ -157,8 +160,8 @@ def assert_bracket_compatible(algebra, basis, j1, j2):
     """(u-1)(v-1) - (v-1)(u-1) is congruent to the bracket lift mod J^(r+s+1)."""
     r1 = basis.lift_degrees[j1]
     r2 = basis.lift_degrees[j2]
-    u = AlgebraElement.embed(algebra, basis.lift_elements[j1]) - 1
-    v = AlgebraElement.embed(algebra, basis.lift_elements[j2]) - 1
+    u = AlgebraElement.embed(algebra, basis.filtration.lift_indices[j1]) - 1
+    v = AlgebraElement.embed(algebra, basis.filtration.lift_indices[j2]) - 1
     x = u * v - v * u
     degree, coords = basis.lie_bracket(j1, j2)
     assert degree == r1 + r2
@@ -175,7 +178,7 @@ def assert_p_power_compatible(algebra, basis, j):
     """(u-1)^p is congruent to the p-restriction lift mod J^(p*r+1)."""
     p = algebra.group.p
     r = basis.lift_degrees[j]
-    u = AlgebraElement.embed(algebra, basis.lift_elements[j]) - 1
+    u = AlgebraElement.embed(algebra, basis.filtration.lift_indices[j]) - 1
     x = AlgebraElement.one(algebra)
     for _ in range(p):
         x = x * u
@@ -191,7 +194,7 @@ def assert_p_power_compatible(algebra, basis, j):
 
 
 def assert_lie_structure_compatible(algebra, basis):
-    count = len(basis.lift_elements)
+    count = len(basis.lift_degrees)
     for j1 in range(count):
         assert_p_power_compatible(algebra, basis, j1)
         for j2 in range(count):
@@ -205,10 +208,9 @@ def commutator_filtration_bound(group, chain):
         for s in range(1, depth + 1):
             target = chain[min(r + s, depth) - 1]
             target_set = set(target.indices)
-            for a in chain[r - 1].elements():
-                for b in chain[s - 1].elements():
-                    c = group.commutator(a, b)
-                    if group.index_of(c) not in target_set:
+            for a in chain[r - 1].indices:
+                for b in chain[s - 1].indices:
+                    if _commutator_by_products(group, a, b) not in target_set:
                         return False, (r, s, a, b)
     return True, None
 
@@ -253,10 +255,9 @@ def lifts_by_gr_coordinates(algebra, chain):
         for idx in chain[r - 1].indices:
             if idx == 0:
                 continue
-            g = algebra.group.element_at(idx)
-            w = algebra.gr_coordinates((AlgebraElement.embed(algebra, g) - 1).codes, r)
+            w = algebra.gr_coordinates((AlgebraElement.embed(algebra, idx) - 1).codes, r)
             if np.any(ops.reduce_rows(w, basis, pivots)):
-                lifts.append(g)
+                lifts.append(idx)
                 basis, pivots = ops.rref(np.vstack([basis, w.reshape(1, -1)]))
         out.append(tuple(lifts))
     return out
@@ -270,7 +271,7 @@ def lift_words_by_walk(group, lifts):
     """
     t = group.cayley_table
     p = group.p
-    idx = [group.index_of(y) for y in lifts]
+    idx = list(lifts)
     words = []
     for row in range(p ** len(idx)):
         acc = 0
@@ -302,7 +303,7 @@ def filtration_by_monomial_echelon(group, ops=None, lifts=None):
     weights = np.zeros(1, dtype=np.int64)
     for r, layer in enumerate(lifts, start=1):
         for y in layer:
-            right = t[:, int(inv[group.index_of(y)])]
+            right = t[:, int(inv[y])]
             blocks, block_weights = [monomials], [weights]
             for e in range(1, group.p):
                 blocks.append(ops.sub(blocks[-1][:, right], blocks[-1]))
@@ -401,7 +402,7 @@ def graded_blocks_by_projection(auto, basis, oracle):
         classes = np.vstack([graded((AlgebraElement.embed(alg, y) - 1).codes, r) for y in layer.lifts])
         block = np.zeros((layer.rank, layer.rank), dtype=np.int64)
         for j, y in enumerate(layer.lifts):
-            image = ops.sub(auto.matrix[:, alg.group.index_of(y)], one)
+            image = ops.sub(auto.matrix[:, y], one)
             coords = ops.solve(classes.T, graded(image, r))
             assert coords is not None
             block[:, j] = coords
@@ -436,7 +437,7 @@ def report_by_members(auto):
         raise SocleNotPreserved("socle vector image is not a nonzero multiple of itself")
     basis = build_jennings_basis(alg.group)
     filt = basis.filtration
-    cols = [alg.group.index_of(y) for y in basis.lift_elements]
+    cols = [y for layer in basis.layers for y in layer.lifts]
     coords = filt.coordinates(ops, ops.sub(auto.matrix[:, cols], alg.one()[:, None]))
     blocks, dets = [], []
     total = field.one()
@@ -482,13 +483,13 @@ def data_by_matrix(auto):
     read off the dense matrix.
 
     The oracle for AlgebraAutomorphism.data: the columns of the Jennings
-    lifts, found by index_of, and one matrix-vector product with the
-    all-ones vector.
+    lifts, read off the layers of the JenningsBasis, and one matrix-vector
+    product with the all-ones vector.
     """
     from socle_verify.jennings import build_jennings_basis
 
     alg = auto.algebra
-    cols = [alg.group.index_of(y) for y in build_jennings_basis(alg.group).lift_elements]
+    cols = [y for layer in build_jennings_basis(alg.group).layers for y in layer.lifts]
     socle = alg.ops.matvec(auto.matrix, np.ones(alg.dimension, dtype=np.int64))
     return np.column_stack([auto.matrix[:, cols], socle])
 
@@ -502,7 +503,7 @@ def random_inner_by_elements(algebra, rng, terms=3):
     """
     u = AlgebraElement.one(algebra)
     for _ in range(terms):
-        g = algebra.group.element_at(rng.randrange(1, algebra.dimension))
+        g = rng.randrange(1, algebra.dimension)
         c = algebra.field.element_from_code(rng.randrange(1, algebra.field.q))
         u = u + (AlgebraElement.embed(algebra, g) - 1) * c
     uinv = unit_inverse_by_series(algebra, u)
@@ -532,7 +533,7 @@ def substitution_images(algebra, linear, higher=None):
         u = AlgebraElement.one(algebra)
         for j in range(group.m):
             c = algebra.field.element_from_code(int(linear[i][j]))
-            u = u + (AlgebraElement.embed(algebra, group.generator(j + 1)) - 1) * c
+            u = u + (AlgebraElement.embed(algebra, group.generator_indices[j]) - 1) * c
         if higher and i in higher:
             u = u + higher[i]
         images.append(u.codes)
@@ -585,11 +586,11 @@ def substitution_matrix_by_columns(algebra, images):
     matrix = np.zeros((n, n), dtype=np.int64)
     matrix[0, 0] = 1
     for b in range(1, n):
-        exps = group.element_at(b).exponents
+        exps = group.exponents[b].tolist()
         jlast = max(k for k in range(group.m) if exps[k])
         prefix = list(exps)
         prefix[jlast] = 0
-        pcol = matrix[:, group.index_of(group.element(prefix))]
+        pcol = matrix[:, normal_form_index(group, prefix)]
         matrix[:, b] = algebra.multiply_codes(pcol, powers[(jlast, exps[jlast])])
     return matrix
 
@@ -703,15 +704,23 @@ def collect(p, m, power_words, comm_words, word):
     return tuple(exps)
 
 
+def normal_form_index(group, exponents):
+    """The table index sum_i e_i p^(m-i) of the normal form g_1^(e_1) ... g_m^(e_m)."""
+    return sum(int(e) * group.p ** (group.m - i) for i, e in enumerate(exponents, start=1))
+
+
 def element_by_collection(group, word):
-    """Normal form of a nonnegative generator word of a group, by collection.
+    """Index of the normal form of a nonnegative generator word of a group,
+    by collection.
 
     The oracle for PcGroup.parse_word, and PcGroup.collect as it was: each
     exponent is reduced mod |G| first, which every element order divides,
-    so collection never expands more than |G| - 1 copies.
+    so collection never expands more than |G| - 1 copies.  The collected
+    exponent vector becomes an index by normal_form_index, never through
+    the table.
     """
     reduced = [(i, e % group.order) for i, e in word]
-    return GroupElement(collect(group.p, group.m, group.power_words, group.comm_words, reduced))
+    return normal_form_index(group, collect(group.p, group.m, group.power_words, group.comm_words, reduced))
 
 
 def product_by_collection(group, a, b):
@@ -719,36 +728,39 @@ def product_by_collection(group, a, b):
     word = [
         (i + 1, e)
         for x in (a, b)
-        for i, e in enumerate(group.element_at(x).exponents)
+        for i, e in enumerate(group.exponents[x].tolist())
         if e
     ]
-    return group.index_of(element_by_collection(group, word))
+    return element_by_collection(group, word)
 
 
 def automorphism_perm_by_normal_forms(group, images):
     """perm[b] = a_1^(e_1) ... a_m^(e_m) for b = g_1^(e_1) ... g_m^(e_m).
 
-    The oracle for PcGroup.group_automorphism: each image power is a run of
-    multiply() calls along b's normal form.
+    The oracle for PcGroup.group_automorphism, on image indices: each image
+    power is a run of table lookups along b's normal form.
     """
+    t = group.cayley_table
     perm = []
-    for b in group.elements():
-        acc = group.identity()
-        for image, e in zip(images, b.exponents):
-            acc = group.multiply(acc, _power_by_products(group, image, e))
-        perm.append(group.index_of(acc))
+    for b in range(group.order):
+        acc = 0
+        for image, e in zip(images, group.exponents[b].tolist()):
+            acc = int(t[acc, _power_by_products(group, image, e)])
+        perm.append(acc)
     return perm
 
 
 def _commutator_by_products(group, a, b):
-    inv = group.inverse
-    return group.multiply(group.multiply(group.multiply(inv(a), inv(b)), a), b)
+    """[a, b] = a^-1 b^-1 a b by table lookups one at a time."""
+    t, inv = group.cayley_table, group.inverse_table
+    return int(t[t[t[inv[a], inv[b]], a], b])
 
 
 def _power_by_products(group, a, k):
-    acc = group.identity()
+    """a^k, k >= 0, by k table lookups."""
+    acc = 0
     for _ in range(k):
-        acc = group.multiply(acc, a)
+        acc = int(group.cayley_table[acc, a])
     return acc
 
 
@@ -757,20 +769,18 @@ def is_abelian(group):
 
 
 def trivial_subgroup(group):
-    return Subgroup(group, [0], [])
+    return Subgroup(group, [0])
 
 
 def subgroup_closure(group, generators):
-    """The Subgroup the elements generate, closed by table gathers."""
-    gens = list(generators)
-    return Subgroup(group, group._closure_indices([group.index_of(g) for g in gens]), gens)
+    """The Subgroup the element indices generate, closed by table gathers."""
+    return Subgroup(group, group._closure_indices(list(generators)))
 
 
 def center(group):
     """Z(G): the rows of the Cayley table equal to their columns."""
     t = group.cayley_table
-    idxs = [int(i) for i in np.nonzero((t == t.T).all(axis=1))[0]]
-    return Subgroup(group, idxs, [group.element_at(i) for i in idxs if i != 0])
+    return Subgroup(group, np.flatnonzero((t == t.T).all(axis=1)))
 
 
 def presentation_text(group):
@@ -788,36 +798,37 @@ def presentation_text(group):
 
 
 def closure_by_products(group, seeds):
-    """Sorted index set of the subgroup the seed elements generate, by a walk with multiply()."""
-    gens = {s for s in seeds if not s.is_identity()}
-    found = {group.identity()}
-    frontier = [group.identity()]
+    """Sorted index set of the subgroup the seed indices generate, by a walk
+    with table lookups one product at a time."""
+    t = group.cayley_table
+    gens = {s for s in seeds if s}
+    found = {0}
+    frontier = [0]
     while frontier:
         new = []
         for x in frontier:
             for g in gens:
-                y = group.multiply(x, g)
+                y = int(t[x, g])
                 if y not in found:
                     found.add(y)
                     new.append(y)
         frontier = new
-    return tuple(sorted(group.index_of(x) for x in found))
+    return tuple(sorted(found))
 
 
 def lower_central_series_by_products(group):
     """Index sets of gamma_1 = G, gamma_(i+1) = <[x, g] : x in gamma_i, g in G>, to 1."""
-    every = list(group.elements())
-    series = [tuple(range(group.order))]
+    every = range(group.order)
+    series = [tuple(every)]
     while series[-1] != (0,):
-        prev = [group.element_at(i) for i in series[-1]]
         series.append(closure_by_products(group, {_commutator_by_products(group, x, g)
-                                                  for x in prev for g in every}))
+                                                  for x in series[-1] for g in every}))
     return series
 
 
 def frattini_by_products(group):
     """Index set of <x^p, [x, g] : x, g in G>."""
-    every = list(group.elements())
+    every = range(group.order)
     seeds = {_power_by_products(group, x, group.p) for x in every}
     seeds |= {_commutator_by_products(group, x, g) for x in every for g in every}
     return closure_by_products(group, seeds)
@@ -826,19 +837,18 @@ def frattini_by_products(group):
 def agemo_by_products(group, j=1):
     """Index set of <x^(p^j) : x in G>."""
     e = group.p**j
-    return closure_by_products(group, {_power_by_products(group, x, e) for x in group.elements()})
+    return closure_by_products(group, {_power_by_products(group, x, e) for x in range(group.order)})
 
 
 def jennings_series_by_products(group):
     """Index sets of F_1 = G, F_r = <[F_(r-1), G], x^p for x in F_ceil(r/p)>, to 1."""
     p = group.p
-    every = list(group.elements())
-    series = [tuple(range(group.order))]
+    every = range(group.order)
+    series = [tuple(every)]
     r = 2
     while series[-1] != (0,):
-        seeds = {_commutator_by_products(group, group.element_at(x), g)
-                 for x in series[-1] for g in every}
-        seeds |= {_power_by_products(group, group.element_at(x), p) for x in series[-(-r // p) - 1]}
+        seeds = {_commutator_by_products(group, x, g) for x in series[-1] for g in every}
+        seeds |= {_power_by_products(group, x, p) for x in series[-(-r // p) - 1]}
         series.append(closure_by_products(group, seeds))
         r += 1
     return series

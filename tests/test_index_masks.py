@@ -73,23 +73,24 @@ def _assert_masks_match(g, rng):
 
 
 def _assert_jennings_terms_match(g, monkeypatch):
-    """Every _generated call of the recursive Jennings series against the oracles."""
+    """Every closure of the recursive Jennings series against the oracles."""
     calls = []
-    generated = PcGroup._generated
+    closure = PcGroup._closure_indices
 
     def recording(self, seeds):
-        sub = generated(self, seeds)
-        calls.append((seeds, sub))
-        return sub
+        indices = closure(self, seeds)
+        calls.append((seeds, indices))
+        return indices
 
     with monkeypatch.context() as m:
-        m.setattr(PcGroup, "_generated", recording)
-        g.jennings_series_recursive()
+        m.setattr(PcGroup, "_closure_indices", recording)
+        series = g.jennings_series_recursive()
     assert calls
-    for seeds, sub in calls:
+    assert [list(sub.indices) for sub in series[1:]] == [indices for _, indices in calls]
+    for seeds, indices in calls:
         gens = generators_by_unique(seeds)
-        assert sub.generators == tuple(g.element_at(int(s)) for s in gens)
-        assert list(sub.indices) == closure_indices_by_unique(g, gens)
+        assert np.array_equal(g._generators_among(seeds), gens)
+        assert indices == closure_indices_by_unique(g, gens)
 
 
 def test_masks_match_unique_on_the_catalog(group, monkeypatch):

@@ -160,10 +160,8 @@ def test_class_coordinates_detect_depth(basis, group):
     chain = g.jennings_series_recursive()
     # elements of F_1 \ F_2 have nonzero degree-1 coordinates
     f2 = set(chain[1].indices)
-    for el in g.elements():
-        if el.is_identity():
-            continue
-        if g.index_of(el) in f2:
+    for el in range(1, g.order):
+        if el in f2:
             assert not b.class_coordinates(el, 1).any()
             assert b.class_coordinates(el, 2).any()
         else:

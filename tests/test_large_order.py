@@ -6,7 +6,7 @@ function, the socle certificate and the socle product formula; at
 order 256 the socle scalar against det^(p-1) through the pipeline, and
 random substitutions at orders 243 and 512 over GF(p^2).  The
 Cayley table and the block-built automorphism permutation are compared with
-collection and with multiply() walks on sampled pairs and one order-512
+collection and with table-lookup walks on sampled pairs and one order-512
 automorphism.  An order-512 run under --full-check ends in a child
 process within its timeout.
 """
@@ -68,7 +68,7 @@ def test_large_cayley_table_matches_collection_on_sampled_pairs(name):
 
 def test_order_512_group_automorphism_matches_normal_form_products():
     group = large_group("C2^9")
-    images = [group.parse_word(w) for w in ("g1 g2", "g2 g3", "g3 g9")] + group.generators()[3:]
+    images = [group.parse_word(w) for w in ("g1 g2", "g2 g3", "g3 g9")] + group.generator_indices[3:]
     auto = group.group_automorphism(images)
     assert auto.perm.tolist() == automorphism_perm_by_normal_forms(group, images)
 

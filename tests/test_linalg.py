@@ -39,7 +39,7 @@ def det_oracle(ops, m):
     """Leibniz expansion with field elements; fine for size <= 4."""
     k = ops.spec
     size = m.shape[0]
-    total = k.zero()
+    total = k.element(0)
     for perm in itertools.permutations(range(size)):
         sign = 1
         for i in range(size):
@@ -351,7 +351,7 @@ def test_matmul_matches_naive_loops_gf9():
     got = ops.matmul(a, b)
     for i in range(3):
         for j in range(2):
-            acc = k.zero()
+            acc = k.element(0)
             for l in range(4):
                 acc = acc + k.element_from_code(int(a[i, l])) * k.element_from_code(
                     int(b[l, j])

@@ -4,15 +4,17 @@ The dihedral group of order 8 acts on the square's corners; composing
 permutations gives a multiplication table computed with no collection
 code at all, which pins down both the group law and the normal forms.
 
-The index-level primitives (the Cayley table, the automorphism
-permutation built in generator blocks, the Jennings series) are compared
-with element-wise definitions: collection of concatenated normal-form
-words, and walks with multiply() and inverse().  The frozen structure
-constants of the other series are read off those walks.
+Group elements are table indices.  The index-level primitives (the
+Cayley table, the automorphism permutation built in generator blocks,
+the Jennings series) are compared with element-wise definitions:
+collection of concatenated normal-form words, read back as indices by
+normal_form_index, and walks with one table lookup at a time.  The
+frozen structure constants of the other series are read off those walks.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import numpy as np
@@ -38,6 +40,7 @@ from oracle_helpers import (
     is_abelian,
     jennings_series_by_products,
     lower_central_series_by_products,
+    normal_form_index,
     presentation_text,
     product_by_collection,
     subgroup_closure,
@@ -54,9 +57,9 @@ def _dihedral_model():
     ref = lambda x: (-x) % 4
     gens = (ref, rot, _compose(rot, rot))  # g1, g2, g3 = g2^2
 
-    def phi(element):
+    def phi(exponents):
         f = lambda x: x
-        for gen, exp in zip(gens, element.exponents):
+        for gen, exp in zip(gens, exponents):
             for _ in range(exp):
                 f = _compose(f, gen)
         return tuple(f(x) for x in range(4))
@@ -67,35 +70,43 @@ def _dihedral_model():
 def test_d8_matches_square_symmetries(group):
     g = group("D8")
     phi = _dihedral_model()
-    images = {e.exponents: phi(e) for e in g.elements()}
-    assert len(set(images.values())) == 8
-    for x in g.elements():
-        for y in g.elements():
-            fx, fy = images[x.exponents], images[y.exponents]
+    images = [phi(e) for e in g.exponents.tolist()]
+    assert len(set(images)) == 8
+    for x in range(g.order):
+        for y in range(g.order):
+            fx, fy = images[x], images[y]
             composed = tuple(fx[fy[i]] for i in range(4))
-            assert images[g.multiply(x, y).exponents] == composed
+            assert images[g.cayley_table[x, y]] == composed
 
 
 def test_d8_collection_normal_forms(group):
     g = group("D8")
-    s = g.element((1, 0, 0))
-    r = g.element((0, 1, 0))
+    t = g.cayley_table
+    s = normal_form_index(g, (1, 0, 0))
+    r = normal_form_index(g, (0, 1, 0))
     # s r = r^-1 s, and r^-1 = r g3 in normal form
-    assert g.multiply(s, r).exponents == (1, 1, 0)
-    assert g.multiply(r, s).exponents == (1, 1, 1)
-    assert g.inverse(r).exponents == (0, 1, 1)
-    assert g.commutator(r, s).exponents == (0, 0, 1)
-    assert g.power(r, 2).exponents == (0, 0, 1)
-    assert g.multiply(g.identity(), r) == r
+    assert g.exponents[t[s, r]].tolist() == [1, 1, 0]
+    assert g.exponents[t[r, s]].tolist() == [1, 1, 1]
+    assert g.exponents[g.inverse_table[r]].tolist() == [0, 1, 1]
+    assert g.exponents[g.commutator(r, s)].tolist() == [0, 0, 1]
+    assert g.exponents[g.power(r, 2)].tolist() == [0, 0, 1]
+    assert t[0, r] == r
+
+
+def test_exponents_are_the_normal_forms_in_index_order(group):
+    for name in catalog_names():
+        g = group(name)
+        assert g.exponents.shape == (g.order, g.m) and not g.exponents.flags.writeable, name
+        assert g.exponents.tolist() == [list(e) for e in itertools.product(range(g.p), repeat=g.m)], name
+        assert [normal_form_index(g, row) for row in g.exponents] == list(range(g.order)), name
 
 
 def test_parse_word_and_word_str_roundtrip(group):
     g = group("D16")
-    for e in g.elements():
-        assert g.parse_word(g.word_str(e)) == e
-    assert g.parse_word("g2^3 g1").exponents == g.multiply(
-        g.power(g.generator(2), 3), g.generator(1)
-    ).exponents
+    for x in range(g.order):
+        assert g.parse_word(g.word_str(x)) == x
+    g1, g2 = g.generator_indices[:2]
+    assert g.parse_word("g2^3 g1") == g.cayley_table[g.power(g2, 3), g1]
 
 
 def test_cayley_table_is_a_group(group):
@@ -105,7 +116,7 @@ def test_cayley_table_is_a_group(group):
         table = g.cayley_table
         n = g.order
         assert table.shape == (n, n)
-        ident = g.index_of(g.identity())
+        ident = 0
         assert (table[ident] == range(n)).all()
         assert (table[:, ident] == range(n)).all()
         inv = g.inverse_table
@@ -120,9 +131,8 @@ def test_cayley_table_is_a_group(group):
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 124), st.integers(0, 124), st.integers(0, 124))
 def test_heis125_associativity(a, b, c):
-    g = _HEIS125
-    x, y, z = g.element_at(a), g.element_at(b), g.element_at(c)
-    assert g.multiply(g.multiply(x, y), z) == g.multiply(x, g.multiply(y, z))
+    t = _HEIS125.cayley_table
+    assert t[t[a, b], c] == t[a, t[b, c]]
 
 
 _HEIS125 = catalog("Heis125")
@@ -157,42 +167,40 @@ def test_agemo_and_frattini(group):
     # Frattini of C4 x C2 is the square subgroup, generated by g1^2
     frat = frattini_by_products(c4c2)
     assert len(frat) == 2
-    assert c4c2.index_of(c4c2.element((0, 0, 1))) in frat
+    assert normal_form_index(c4c2, (0, 0, 1)) in frat
 
 
 def test_subgroup_closure(group):
     g = group("D8")
-    s = subgroup_closure(g, [g.element((0, 1, 0))])
+    s = subgroup_closure(g, [normal_form_index(g, (0, 1, 0))])
     assert s.order == 4
-    assert subgroup_closure(g, [g.element((1, 0, 0)), g.element((0, 1, 0))]).order == 8
+    assert subgroup_closure(g, [normal_form_index(g, (1, 0, 0)), normal_form_index(g, (0, 1, 0))]).order == 8
     assert trivial_subgroup(g).order == 1
 
 
 def test_group_automorphism_validates_relations(group):
     g = group("D8")
     # r -> r^3 extends to an automorphism fixing s
-    auto = g.group_automorphism(
-        [g.element((1, 0, 0)), g.element((0, 1, 1)), g.element((0, 0, 1))]
-    )
+    images = [(1, 0, 0), (0, 1, 1), (0, 0, 1)]
+    auto = g.group_automorphism([normal_form_index(g, e) for e in images])
     assert auto.perm is not None
     # swapping the generators breaks g1^2 = 1
     with pytest.raises(RelationViolation):
-        g.group_automorphism(
-            [g.element((0, 1, 0)), g.element((1, 0, 0)), g.element((0, 0, 1))]
-        )
+        g.group_automorphism([normal_form_index(g, e) for e in [(0, 1, 0), (1, 0, 0), (0, 0, 1)]])
 
 
 def test_group_automorphism_rejects_a_broken_commutator(group):
     g = group("Heis27")
     # swapping g1 and g2 keeps every power relation and the central g3, but
     # [g1, g2] = g3^-1, so only [g2, g1] = g3 breaks
+    g1, g2, g3 = g.generator_indices
     with pytest.raises(RelationViolation, match=r"\[g2,g1\]"):
-        g.group_automorphism([g.generator(2), g.generator(1), g.generator(3)])
+        g.group_automorphism([g2, g1, g3])
 
 
 def test_group_automorphism_rejects_collapse(group):
     g = group("C2xC2")
-    same = g.element((1, 0))
+    same = normal_form_index(g, (1, 0))
     with pytest.raises(NotBijective):
         g.group_automorphism([same, same])
 
@@ -232,7 +240,7 @@ def test_stored_automorphisms_cover_catalog(group):
         g = group(name)
         autos = g.stored_automorphisms()
         assert autos, name
-        ident = g.identity()
+        ident = 0
         for auto in autos:
             assert auto.images[0] != ident or g.order <= 2 or len(auto.images) > 1
 
@@ -268,13 +276,13 @@ def test_elementary_abelian_flags(group):
 @given(st.lists(st.integers(0, 26), min_size=2, max_size=5))
 def test_word_products_match_table(indices):
     g = _HEIS27
-    via_elements = g.identity()
+    via_collection = 0
     for i in indices:
-        via_elements = g.multiply(via_elements, g.element_at(i))
-    code = g.index_of(g.identity())
+        via_collection = product_by_collection(g, via_collection, i)
+    code = 0
     for i in indices:
         code = int(g.cayley_table[code, i])
-    assert g.index_of(via_elements) == code
+    assert via_collection == code
 
 
 _HEIS27 = catalog("Heis27")
@@ -290,10 +298,10 @@ def test_generator_blocks_partition_the_normal_forms(group):
         for k, (prefix, cols) in enumerate(blocks):
             assert cols.shape == (g.p - 1, g.p**k), name
             for x in prefix:
-                assert not any(g.element_at(int(x)).exponents[k:]), name
+                assert not g.exponents[x, k:].any(), name
             for e, block in enumerate(cols, start=1):
                 for x, col in zip(prefix, block):
-                    assert product_by_collection(g, int(x), g.index_of(element_by_collection(g, [(k + 1, e)]))) == col
+                    assert product_by_collection(g, int(x), element_by_collection(g, [(k + 1, e)])) == col
 
 
 def test_cayley_table_matches_collection_on_all_pairs(group):
@@ -338,13 +346,13 @@ def test_subgroup_series_match_closures_by_products(group):
 
 def test_power_and_commutator_match_products(group):
     g = group("ES27")
+    t, inv = g.cayley_table, g.inverse_table
     rng = random.Random(27)
     for _ in range(50):
-        a, b = g.element_at(rng.randrange(27)), g.element_at(rng.randrange(27))
+        a, b = rng.randrange(27), rng.randrange(27)
         k = rng.randrange(-40, 40)
-        acc = g.identity()
+        acc = 0
         for _ in range(abs(k)):
-            acc = g.multiply(acc, a if k > 0 else g.inverse(a))
+            acc = int(t[acc, a if k > 0 else inv[a]])
         assert g.power(a, k) == acc
-        inv = g.inverse
-        assert g.commutator(a, b) == g.multiply(g.multiply(g.multiply(inv(a), inv(b)), a), b)
+        assert g.commutator(a, b) == t[t[t[inv[a], inv[b]], a], b]

@@ -593,6 +593,27 @@ def test_gl_check_digest_pinned(p, m, n):
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == GL_CHECK_DIGESTS[(p, m, n)]
 
 
+# sha256 of `socle-verify jennings <source> --format json`: the lift words
+# of every layer, the layer ranks and the graded dimensions; C8 has a layer
+# of rank 0
+JENNINGS_DIGESTS = {
+    "C8": "cff133de02bc9b80bba03b901c28f8731d24c45cc44773498c0c00f9136e2cad",
+    "D16": "e6b3831eaa451138c4a5201a51237c0b85e1f770d051c727e2fb65c9a84b35da",
+    "ES27": "60c98f024f3b360c6fcfdd65bf870ce7885b7bb1248155f5d8b458cfdaea923f",
+    "Heis125": "1d48a653d7c72a6be0703898a5272bd74cf43cc62bc76abfcd24ae58b315d99e",
+    HEIS27_X_C3.name: "23c1ed20a5bc1554e4076991644aa85b253884b6280bda5269ea6335a2cf302b",
+}
+
+
+@pytest.mark.parametrize("source", list(JENNINGS_DIGESTS))
+def test_jennings_digest_pinned(source):
+    buf = io.StringIO()
+    where = ["--presentation", str(HEIS27_X_C3)] if source == HEIS27_X_C3.name else ["--group", source]
+    with redirect_stdout(buf):
+        assert main(["jennings", *where, "--format", "json"]) == 0
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == JENNINGS_DIGESTS[source]
+
+
 def test_catalog_subcommand(capsys):
     code, out = run_cli(capsys, ["catalog"])
     assert code == 0
@@ -1013,3 +1034,14 @@ def test_cli_fuzz_ends_with_exit_code_0_or_1(argv):
     assert code in (0, 1), argv
     if code == 1 and not out.getvalue():
         assert err.getvalue().startswith("error: "), (argv, err.getvalue())
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(argv=CLI_ARGV)
+def test_cli_fuzz_in_a_child_ends_with_exit_code_0_or_1(argv):
+    """The child-process half of the CLI fuzz: the same grammar, run under
+    the timeout and address-space cap of _run_subprocess, so a hang or a
+    memory blow-up fails the draw as well as a traceback."""
+    proc = _run_subprocess(argv, timeout=10)
+    assert proc.returncode in (0, 1), (argv, proc.stderr)
+    assert "Traceback" not in proc.stderr, (argv, proc.stderr)

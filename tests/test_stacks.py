@@ -165,7 +165,7 @@ def _with_column(alg, element, image, socle=None):
     are what fails.
     """
     matrix = np.eye(alg.dimension, dtype=np.int64)
-    matrix[:, alg.group.index_of(element)] = image.codes
+    matrix[:, element] = image.codes
     data = None
     if socle is not None:
         data = np.column_stack([matrix[:, alg.filtration.lift_indices],
