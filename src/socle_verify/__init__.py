@@ -9,7 +9,6 @@ every algebra automorphism scales the one-dimensional socle by the
 from .ffield import GF, FieldSpec, FieldElement, FieldMismatch, DomainError, parse_field_literal
 from .pgroup import (
     PcGroup,
-    Subgroup,
     GroupAutomorphism,
     PresentationError,
     InconsistentPresentation,

@@ -78,8 +78,9 @@ stacks, and verify_stack is the only verifier: it takes all automorphisms
 of a run at once, in linalg.member_chunks.  The socle scalars are read off
 the alpha(n) columns of the data, one coordinates() call per chunk reads
 the lift images of its members, the filtration and Lie-subspace checks are
-masks over the members, each Jennings layer has one stacked det per chunk,
-and det_total and det^(p-1) are elementwise code products.  When members
+masks over the members, each Jennings layer, read off the filtration as
+the lifts with lift_degrees == r, has one stacked det per chunk, and
+det_total and det^(p-1) are elementwise code products.  When members
 fail, the first failing member raises the error it raises alone.
 """
 
@@ -94,7 +95,6 @@ import numpy as np
 from . import linalg
 from .ffield import FieldElement, FieldMismatch
 from .groupalgebra import GroupAlgebra, column_sums
-from .jennings import build_jennings_basis
 from .pgroup import GroupAutomorphism, RelationViolation, _word_value, parse_word_pairs
 
 __all__ = [
@@ -485,7 +485,7 @@ def _singular_degree_one(alg: GroupAlgebra, lifts: np.ndarray) -> np.ndarray:
     onto J, hence onto kG.
     """
     filt = alg.filtration
-    rows = filt.lift_rows[filt.weights[filt.lift_rows] == 1]
+    rows = filt.lift_rows[filt.lift_degrees == 1]
     size, n, _ = lifts.shape
     block = lifts[:, :, : len(rows)].transpose(1, 0, 2).reshape(n, size * len(rows))
     coords = filt.coordinates(alg.ops, block)[rows].reshape(len(rows), size, len(rows))
@@ -529,11 +529,11 @@ def _graded_stack(alg: GroupAlgebra, data: np.ndarray) -> tuple[list, list]:
     of weight r, must vanish, which the failures record as masks over the
     members, in the order one member is checked in: column by column, then
     the layer's determinant.  layers lists (r, (B, d_r, d_r) blocks, (B,)
-    determinant codes) for every layer of nonzero rank.
+    determinant codes) for every layer of nonzero rank.  A layer's block
+    columns and rows belong to the lifts with filtration.lift_degrees == r.
     """
     ops = alg.ops
-    basis = build_jennings_basis(alg.group)
-    filt = basis.filtration
+    filt = alg.filtration
     lifts = data[:, :, :-1].copy()
     lifts[:, 0] = ops.sub(lifts[:, 0], 1)  # alpha(y) - 1
     size, n, width = lifts.shape
@@ -541,23 +541,21 @@ def _graded_stack(alg: GroupAlgebra, data: np.ndarray) -> tuple[list, list]:
     coords = coords.reshape(n, size, width)
     layers: list[tuple[int, np.ndarray, np.ndarray]] = []
     failures: list[tuple[np.ndarray, Exception]] = []
-    first = 0
-    for layer in basis.layers:
-        if layer.rank == 0:
-            continue
-        r = layer.degree
-        layer_coords = coords[:, :, first : first + layer.rank]
-        first += layer.rank
+    for r in sorted(set(filt.lift_degrees.tolist())):
+        # the lifts ascend in degree, so those of degree r are one slice
+        first, stop = np.searchsorted(filt.lift_degrees, [r, r + 1])
+        rows = filt.lift_rows[first:stop]
+        layer_coords = coords[:, :, first:stop]
         others = filt.weights == r
-        others[list(layer.rows)] = False
+        others[rows] = False
         below = layer_coords[filt.weights < r].any(axis=0)
         outside = layer_coords[others].any(axis=0)
-        for j in range(layer.rank):
+        for j in range(len(rows)):
             failures.append((below[:, j], FiltrationNotPreserved(
                 f"image of a degree-{r} lift is not 1 mod J^{r}")))
             failures.append((outside[:, j], LieSubspaceViolated(
                 f"image class in layer {r} left the span of the layer lifts")))
-        blocks = layer_coords[list(layer.rows)].transpose(1, 0, 2)
+        blocks = layer_coords[rows].transpose(1, 0, 2)
         dets = ops.det(blocks)
         failures.append((dets == 0, FiltrationNotPreserved(f"induced block in degree {r} is singular")))
         layers.append((r, blocks, dets))
@@ -624,7 +622,8 @@ def _substitution_draw(algebra: GroupAlgebra, rng: random.Random) -> np.ndarray:
     """The (m, |G|) image codes of one random_substitutions member."""
     group = algebra.group
     if not group.is_elementary_abelian():
-        raise ValueError("substitution automorphisms need an elementary abelian group")
+        raise ValueError("random-subst draws need an elementary abelian group; "
+                         "give images on any pc group with subst:")
     ops, m, q = algebra.ops, group.m, algebra.field.q
     while True:
         linear = np.array([[rng.randrange(q) for _ in range(m)] for _ in range(m)], dtype=np.int64)

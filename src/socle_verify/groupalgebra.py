@@ -17,7 +17,10 @@ form: the monomial coordinates of x (a gather into lift-word order and a
 p x p binomial matrix per lift) of weight < r vanish exactly when x lies
 in J^r, and its weight-r ones are its class in J^r/J^(r+1).  The oracle
 radical_filtration_by_products() echelonizes the stacked products
-J^r (g_i - 1) instead.
+J^r (g_i - 1) instead.  The filtration is also the one holder of the
+Jennings layers F_r/F_(r+1): the series, the lifts of each layer, and
+each lift's table index, monomial row and degree, which JenningsBasis and
+the automorphism checks read from it.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import numpy as np
 from .ffield import GF, FieldMismatch, FieldSpec, split_terms
 from . import linalg
 from .linalg import FieldOps
-from .pgroup import PcGroup, Subgroup
+from .pgroup import PcGroup
 
 # the bound on narrow left factors in multiply_codes (see its docstring)
 SPARSE_PRODUCT_SHARE = 8
@@ -81,6 +84,13 @@ class RadicalFiltration:
     monomials are a basis of kG exactly when the words enumerate G, which
     the build checks.  It keeps the top monomial prod_j (y_j - 1)^(p-1),
     one gather per factor.
+
+    The layers: series[r-1] is F_r as a sorted tuple of table indices,
+    ending at its first trivial term (0,), and lifts[r-1] the indices of
+    the lifts of F_r/F_(r+1).  Over all M lifts in ascending degree,
+    lift_indices[j] is the index of y_j, lift_rows[j] = p^j the row of its
+    monomial y_j - 1, and lift_degrees[j] = weights[lift_rows[j]] the r
+    with y_j in F_r but not in F_(r+1).
     """
 
     def __init__(self, group: PcGroup, ops: FieldOps | None = None):
@@ -115,9 +125,11 @@ class RadicalFiltration:
         self.words = words
         self.weights = weights
         self.top_monomial = top
-        # group index of the j-th lift y_j, and row of its monomial y_j - 1
+        # group index of the j-th lift y_j, row of its monomial y_j - 1, and
+        # its degree r, for y_j in F_r but not in F_(r+1)
         self.lift_indices = np.array([y for layer in self.lifts for y in layer], dtype=np.int64)
         self.lift_rows = p ** np.arange(len(self.lift_indices))
+        self.lift_degrees = weights[self.lift_rows]
         # binomial[f, e] = C(f, e) mod p: y^f = sum_e C(f, e) (y - 1)^e
         self._binomial = np.array(
             [[math.comb(f, e) % p for e in range(p)] for f in range(p)], dtype=np.int64
@@ -220,12 +232,13 @@ def radical_filtration(group: PcGroup) -> RadicalFiltration:
     return group._radical_filtration
 
 
-def dimension_subgroups_definitional(group: PcGroup) -> list[Subgroup]:
+def dimension_subgroups_definitional(group: PcGroup) -> list[tuple[int, ...]]:
     """F_r = {g : g - 1 in J^r}, straight from the definition.
 
-    Entry k of the result is F_(k+1).  Interior repeats (zero layers) are
-    kept so the indexing carries degrees; the chain ends at its first
-    trivial term, matching jennings_series_recursive.
+    Entry k of the result is F_(k+1), the sorted tuple of its indices.
+    Interior repeats (zero layers) are kept so the indexing carries
+    degrees; the chain ends at its first trivial term (0,), matching
+    jennings_series_recursive.
     """
     filt = radical_filtration(group)
     ops = filt.ops
@@ -236,15 +249,15 @@ def dimension_subgroups_definitional(group: PcGroup) -> list[Subgroup]:
     # column g holds the coordinates of g - 1, which lies in J^r when
     # those of weight < r vanish
     coords = filt.coordinates(ops, diffs)
-    out: list[Subgroup] = []
+    out: list[tuple[int, ...]] = []
     for r in range(1, filt.socle_degree + 2):
-        idxs = [int(i) for i in np.flatnonzero(~coords[filt.weights < r].any(axis=0))]
+        idxs = np.flatnonzero(~coords[filt.weights < r].any(axis=0)).tolist()
         if group._closure_indices(idxs) != idxs:
             raise FiltrationError(f"membership set for J^{r} is not a subgroup")
-        out.append(Subgroup(group, idxs))
-        if out[-1].is_trivial():
+        out.append(tuple(idxs))
+        if out[-1] == (0,):
             break
-    if not out[-1].is_trivial():
+    if out[-1] != (0,):
         raise FiltrationError("dimension subgroup chain did not reach the trivial group")
     return out
 
@@ -257,7 +270,7 @@ def series_definitions_agree(group: PcGroup) -> bool:
     recursive = group.jennings_series_recursive()
     definitional = dimension_subgroups_definitional(group)
     return definitional[: len(recursive)] == recursive and all(
-        sub.is_trivial() for sub in definitional[len(recursive) :]
+        sub == (0,) for sub in definitional[len(recursive) :]
     )
 
 
@@ -421,24 +434,7 @@ class GroupAlgebra:
             raise NotAUnit("the inverse series did not invert the element")
         return inverses
 
-    # -- filtration access ---------------------------------------------------------
-
-    def in_radical_power(self, x: np.ndarray, r: int) -> bool:
-        """Whether the element of codes x lies in J^r: its coordinates of
-        weight < r vanish."""
-        filt = self.filtration
-        return not filt.coordinates(self.ops, x)[filt.weights < r].any()
-
-    def gr_coordinates(self, x: np.ndarray, r: int) -> np.ndarray:
-        """Coordinates of x + J^(r+1) on the weight-r Jennings monomials, for
-        the element of codes x."""
-        filt = self.filtration
-        if not 0 <= r <= filt.socle_degree:
-            raise FiltrationError(f"degree {r} outside 0..{filt.socle_degree}")
-        coords = filt.coordinates(self.ops, x)
-        if coords[filt.weights < r].any():
-            raise FiltrationError(f"element does not lie in J^{r}")
-        return coords[filt.weights == r]
+    # -- the socle -------------------------------------------------------------------
 
     def socle_vector(self) -> np.ndarray:
         """The codes of the sum of all group elements, certified to span the

@@ -17,12 +17,14 @@ them from PcGroup.jennings_lifts(): the series by the recursive formula
 F_r = <[F_(r-1), G], x^p for x in F_ceil(r/p)>, and the lifts by group
 closures.  The definitional series, read off the filtration by
 dimension_subgroups_definitional(), is kept as the oracle for it.
-JenningsBasis reads its layers, their ranks d_r and its top degree from
-the filtration's lifts and lift rows, with no count of its own: by
-Jennings' theorem they are right by construction.  jq_dimension_check,
-which --full-check and the jennings command run, reads each d_r against
-the subgroup orders, |F_r| = p^(d_r) |F_(r+1)|, and the graded dimensions
-against the product generating function.
+The filtration holds the layers: the series as sorted index tuples, the
+lifts of each layer, and each lift's index, monomial row and degree.
+JenningsBasis keeps only the group and the filtration and reads the
+layers, their ranks d_r and the top degree from it, with no copy or count
+of its own: by Jennings' theorem they are right by construction.
+jq_dimension_check, which --full-check and the jennings command run,
+reads each d_r against the subgroup orders, |F_r| = p^(d_r) |F_(r+1)|,
+and the graded dimensions against the product generating function.
 
 A class g F_(r+1), for the table index g, is read off the filtration's
 monomial coordinates of g - 1: for g in F_r it is congruent mod J^(r+1)
@@ -51,72 +53,51 @@ oracle that --full-check compares with it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .groupalgebra import GroupAlgebra, radical_filtration
 from .pgroup import PcGroup, _word_value
 
-__all__ = ["JenningsBasis", "JenningsLayer", "DimensionMismatch", "build_jennings_basis"]
+__all__ = ["JenningsBasis", "DimensionMismatch", "build_jennings_basis"]
 
 
 class DimensionMismatch(ValueError):
     """A graded dimension, degree, or layer rank came out wrong."""
 
 
-@dataclass(frozen=True)
-class JenningsLayer:
-    """Chosen lifts for one quotient F_r/F_(r+1) and their monomial rows."""
-
-    degree: int
-    lifts: tuple[int, ...]  # table indices
-    rows: tuple[int, ...]  # rows[j] = row of the monomial lifts[j] - 1 in the coordinates
-
-    @property
-    def rank(self) -> int:
-        return len(self.lifts)
-
-
 class JenningsBasis:
-    """Layer lifts, layer arithmetic, and the product-basis invariants."""
+    """Layer arithmetic and the product-basis invariants, on the layers the
+    filtration holds."""
 
     def __init__(self, group: PcGroup):
         self.group = group
+        # the layers, their ranks d_r and the lift rows and degrees are the
+        # filtration's: by Jennings' theorem they are right by construction,
+        # and jq_dimension_check confirms them against the subgroup orders
         self.filtration = radical_filtration(group)
-        self.series = self.filtration.series
-        # the layers, their ranks d_r and the lift rows are the filtration's:
-        # by Jennings' theorem they are right by construction, and
-        # jq_dimension_check confirms them against the subgroup orders
-        rows = iter(self.filtration.lift_rows.tolist())
-        self.layers = [JenningsLayer(r, lifts, tuple(next(rows) for _ in lifts))
-                       for r, lifts in enumerate(self.filtration.lifts, start=1)]
-        self.max_degree = len(self.layers)  # the series ends at its first trivial term
-        self.lift_degrees = tuple(layer.degree for layer in self.layers for _ in layer.lifts)
 
     def d(self, r: int) -> int:
         if r < 1:
             raise ValueError("layer degrees start at 1")
-        return self.layers[r - 1].rank if r <= self.max_degree else 0
+        return int(np.count_nonzero(self.filtration.lift_degrees == r))
 
     # -- layer arithmetic -----------------------------------------------------
 
     def class_coordinates(self, g: int, r: int) -> np.ndarray:
         """Coordinates of g F_(r+1) on layer r's lifts, for the index g of an
         element of F_r."""
-        if r > self.max_degree:
+        filt = self.filtration
+        if r > len(filt.lifts):  # the series ends at its first trivial term
             if g:
                 raise DimensionMismatch(f"g lies outside the trivial subgroup F_{r}")
             return np.zeros(0, dtype=np.int64)
-        if r <= len(self.series) and g not in self.series[r - 1]:
+        if g not in filt.series[r - 1]:
             raise DimensionMismatch(f"element is not in F_{r}")
-        layer = self.layers[r - 1]
-        filt = self.filtration
         x = np.zeros(self.group.order, dtype=np.int64)
         x[g] = 1
         x[0] = (x[0] - 1) % self.group.p
         # g F_(r+1) = prod_j y_j^(c_j) F_(r+1) gives g - 1 = sum_j c_j (y_j - 1) mod J^(r+1)
-        return filt.coordinates(filt.ops, x)[list(layer.rows)]
+        return filt.coordinates(filt.ops, x)[filt.lift_rows[filt.lift_degrees == r]]
 
     def lie_bracket(self, j1: int, j2: int) -> tuple[int, np.ndarray]:
         """Bracket of lifts number j1, j2 (0-based); returns (r1+r2, coords).
@@ -125,14 +106,16 @@ class JenningsBasis:
         F_(r1+r2); its class there, in degree-(r1+r2) lift coordinates, is
         the induced bracket.
         """
-        r = self.lift_degrees[j1] + self.lift_degrees[j2]
-        y = self.filtration.lift_indices
+        filt = self.filtration
+        r = int(filt.lift_degrees[j1] + filt.lift_degrees[j2])
+        y = filt.lift_indices
         return r, self.class_coordinates(self.group.commutator(y[j1], y[j2]), r)
 
     def p_restriction(self, j: int) -> tuple[int, np.ndarray]:
         """Restriction map on lift number j (0-based); returns (p*r, coords)."""
-        r = self.group.p * self.lift_degrees[j]
-        return r, self.class_coordinates(self.group.power(self.filtration.lift_indices[j], self.group.p), r)
+        filt = self.filtration
+        r = self.group.p * int(filt.lift_degrees[j])
+        return r, self.class_coordinates(self.group.power(filt.lift_indices[j], self.group.p), r)
 
     def degree_one_generates(self) -> bool:
         """Close degree one under brackets and p-powers; must fill every layer.
@@ -142,11 +125,11 @@ class JenningsBasis:
         commutators and witness powers span.
         """
         ops = self.filtration.ops
-        witnesses: list[tuple[int, int]] = [(1, y) for y in self.layers[0].lifts]
+        witnesses: list[tuple[int, int]] = [(1, y) for y in self.filtration.lifts[0]]
         spans: dict[int, tuple[np.ndarray, list[int]]] = {}
 
         def absorb(r: int, g: int) -> bool:
-            if r > self.max_degree or self.d(r) == 0:
+            if self.d(r) == 0:
                 return False
             w = self.class_coordinates(g, r)
             basis, pivots = spans.get(r, (np.zeros((0, self.d(r)), dtype=np.int64), []))
@@ -173,7 +156,7 @@ class JenningsBasis:
                     fresh.append((self.group.p * ra, pw))
             witnesses.extend(fresh)
             frontier = fresh
-        for r in range(1, self.max_degree + 1):
+        for r in range(1, len(self.filtration.lifts) + 1):
             have = spans[r][0].shape[0] if r in spans else 0
             if have != self.d(r):
                 raise DimensionMismatch(
@@ -186,7 +169,7 @@ class JenningsBasis:
     def pbw_polynomial(self) -> list[int]:
         """Coefficients of prod_j (1 + t^(r_j) + ... + t^((p-1) r_j))."""
         poly = np.ones(1, dtype=np.int64)
-        for r in self.lift_degrees:
+        for r in self.filtration.lift_degrees.tolist():
             factor = np.zeros((self.group.p - 1) * r + 1, dtype=np.int64)
             factor[::r] = 1
             poly = np.convolve(poly, factor)
@@ -205,10 +188,11 @@ class JenningsBasis:
         (under --full-check) confirms the dimensions independently.
         """
         p = self.group.p
-        for layer, above, below in zip(self.layers, self.series[:-1], self.series[1:], strict=True):
-            if above.order != p**layer.rank * below.order:
-                raise DimensionMismatch(f"|F_{layer.degree}/F_{layer.degree + 1}| = "
-                                        f"{above.order}/{below.order} is not {p}^{layer.rank}")
+        series = self.filtration.series
+        for r, lifts in enumerate(self.filtration.lifts, start=1):
+            above, below = len(series[r - 1]), len(series[r])
+            if above != p ** len(lifts) * below:
+                raise DimensionMismatch(f"|F_{r}/F_{r + 1}| = {above}/{below} is not {p}^{len(lifts)}")
         pbw = self.pbw_polynomial()
         gr = self.filtration.gr_dims
         if len(pbw) != len(gr) or pbw != gr:
@@ -239,11 +223,11 @@ class JenningsBasis:
     def layer_summary(self) -> list[dict]:
         return [
             {
-                "r": layer.degree,
-                "d_r": layer.rank,
-                "lifts": [self.group.word_str(y) for y in layer.lifts],
+                "r": r,
+                "d_r": len(lifts),
+                "lifts": [self.group.word_str(y) for y in lifts],
             }
-            for layer in self.layers
+            for r, lifts in enumerate(self.filtration.lifts, start=1)
         ]
 
 

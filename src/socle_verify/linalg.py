@@ -345,19 +345,6 @@ class FieldOps:
             v = self.sub(v, self.matmul(coef, basis))
         return v.reshape(-1) if single else v
 
-    def solve(self, a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-        """One solution of a @ x = b, or None if inconsistent."""
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64).reshape(-1)
-        aug = np.concatenate([a, b.reshape(-1, 1)], axis=1)
-        r, pivots = self.rref(aug)
-        cols = a.shape[1]
-        if cols in pivots:
-            return None
-        x = np.zeros(cols, dtype=np.int64)
-        x[pivots] = r[:, -1]
-        return x
-
     def nullspace(self, m: np.ndarray) -> np.ndarray:
         """RREF basis of {x : m @ x = 0}, one row per basis vector.
 

@@ -6,11 +6,12 @@ A group of order p^m has generators g1..gm and relations
     [gj,gi] = <word in g_(j+1)..gm>      for j > i, [x,y] = x^-1 y^-1 x y
 
 where every element has a unique normal form g1^e1 ... gm^em with
-0 <= ei < p.  An element is its table index x = sum_i ei p^(m-i); there
-is no element class.  Row x of PcGroup.exponents is the normal form of x,
-parse_word and word_str read and write words, and products, inverses,
-commutators and powers are lookups and gathers in cayley_table and
-inverse_table.  Construction materializes the full Cayley table bottom-up
+0 <= ei < p.  An element is its table index x = sum_i ei p^(m-i), and a
+subgroup, such as a term of the Jennings series, the sorted tuple of its
+indices; there is no element or subgroup class.  Row x of
+PcGroup.exponents is the normal form of x, parse_word and word_str read
+and write words, and products, inverses, commutators and powers are
+lookups and gathers in cayley_table and inverse_table.  Construction materializes the full Cayley table bottom-up
 over G_k = <g_k, ..., g_m>, whose elements are the first p^(m-k+1)
 indices: conjugation by g_k maps g_i to g_i [g_i, g_k] and extends along
 normal forms with the table of G_(k+1); the column of g_k is
@@ -46,7 +47,6 @@ from .ffield import is_prime
 
 __all__ = [
     "PcGroup",
-    "Subgroup",
     "GroupAutomorphism",
     "PresentationError",
     "InconsistentPresentation",
@@ -87,36 +87,6 @@ class UnknownGroup(KeyError):
 
     def __str__(self) -> str:
         return str(self.args[0])  # KeyError's own str quotes the message
-
-
-class Subgroup:
-    """A subgroup held as its sorted tuple of table indices."""
-
-    __slots__ = ("group", "indices")
-
-    def __init__(self, group: PcGroup, indices: Iterable[int]):
-        self.group = group
-        self.indices = tuple(sorted(int(i) for i in indices))
-
-    @property
-    def order(self) -> int:
-        return len(self.indices)
-
-    def is_trivial(self) -> bool:
-        return self.indices == (0,)
-
-    def __contains__(self, x: int) -> bool:
-        return x in self.indices
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Subgroup)
-            and self.group is other.group
-            and self.indices == other.indices
-        )
-
-    def __repr__(self) -> str:
-        return f"Subgroup(order={self.order} of {self.group.name or 'pcgroup'})"
 
 
 def associative_on_all_triples(table: np.ndarray) -> bool:
@@ -370,27 +340,28 @@ class PcGroup:
             seen[frontier] = True
         return np.flatnonzero(seen).tolist()
 
-    def jennings_series_recursive(self) -> list[Subgroup]:
+    def jennings_series_recursive(self) -> list[tuple[int, ...]]:
         """F_1 = G, F_r = <[F_(r-1), G], x^p for x in F_ceil(r/p)>.
 
-        Returns the indexed chain F_1, F_2, ... including the first trivial
-        term.  Consecutive terms may coincide; the indexing carries the
-        degree information and is preserved.
+        Returns the indexed chain F_1, F_2, ..., each term its sorted tuple
+        of table indices, including the first trivial term (0,).
+        Consecutive terms may coincide; the indexing carries the degree
+        information and is preserved.
         """
-        series = [Subgroup(self, range(self.order))]
         every = np.arange(self.order)
+        series = [tuple(every.tolist())]
         pth = _word_value(((1, self.p),), [every], lambda a, b: self._cayley[a, b], 0)
         r = 2
-        while not series[-1].is_trivial():
-            prev = np.array(series[-1].indices, dtype=np.int64)
+        while series[-1] != (0,):
+            prev = np.array(series[-1], dtype=np.int64)
             ceil_idx = -(-r // self.p)  # ceil(r/p), >= 1
             comms = self._commutators(prev[:, None], every)
-            powers = pth[list(series[ceil_idx - 1].indices)]
-            series.append(Subgroup(self, self._closure_indices(np.concatenate([comms.ravel(), powers]))))
+            powers = pth[list(series[ceil_idx - 1])]
+            series.append(tuple(self._closure_indices(np.concatenate([comms.ravel(), powers]))))
             r += 1
         return series
 
-    def jennings_lifts(self) -> tuple[list[Subgroup], list[tuple[int, ...]]]:
+    def jennings_lifts(self) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
         """The recursive series F_1, F_2, ... and lifts of each F_r/F_(r+1).
 
         Entry r-1 of the lift list holds the indices of elements of F_r
@@ -406,9 +377,9 @@ class PcGroup:
         lifts: list[tuple[int, ...]] = []
         for r in range(1, len(series)):
             inside = np.zeros(self.order, dtype=bool)
-            inside[list(series[r].indices)] = True
+            inside[list(series[r])] = True
             kept: list[int] = []
-            for idx in series[r - 1].indices:
+            for idx in series[r - 1]:
                 if not inside[idx]:
                     kept.append(idx)
                     coset = np.nonzero(inside)[0]

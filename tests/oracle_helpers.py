@@ -42,7 +42,10 @@ The small helpers (center, subgroup_closure, presentation_text,
 in_row_space, layer_ranks, pbw_dimension, apply_automorphism, ...) are
 API that only the tests use, kept here rather than in the package; so is
 AlgebraElement, operator notation on the code arrays the package uses
-for elements of kG.
+for elements of kG.  Subgroups are sorted index tuples, as the package's
+Jennings series are.  in_radical_power and gr_coordinates, which read an
+element's Jennings coordinates, were GroupAlgebra methods, and solve was
+FieldOps.solve, before they left the package with no caller there.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ from socle_verify.automorphisms import NotMultiplicative
 from socle_verify.ffield import GF, FieldElement, FieldMismatch, _poly_mod
 from socle_verify.groupalgebra import FiltrationError, column_sums, radical_filtration_by_products
 from socle_verify.linalg import FieldOps
-from socle_verify.pgroup import Subgroup, _normal_form_blocks, associative_on_all_triples
+from socle_verify.pgroup import _normal_form_blocks, associative_on_all_triples
 from socle_verify.truncsym import TruncatedPolynomialRing
 
 
@@ -144,13 +147,11 @@ class AlgebraElement:
 def _lift_combination(algebra, basis, degree, coords):
     """sum of coords[i] * (w_i - 1) over the degree-`degree` lifts."""
     acc = AlgebraElement(algebra, np.zeros(algebra.dimension, dtype=np.int64))
-    layer = basis.layers[degree - 1] if degree - 1 < len(basis.layers) else None
-    if layer is None or layer.rank == 0:
-        assert coords.size == 0
-        return acc
-    assert layer.degree == degree
+    layers = basis.filtration.lifts
+    lifts = layers[degree - 1] if degree - 1 < len(layers) else ()
+    assert coords.size == len(lifts)
     k = algebra.field
-    for c, w in zip(coords, layer.lifts):
+    for c, w in zip(coords, lifts):
         term = AlgebraElement.embed(algebra, w) - 1
         acc = acc + term * k.element(int(c))
     return acc
@@ -158,8 +159,8 @@ def _lift_combination(algebra, basis, degree, coords):
 
 def assert_bracket_compatible(algebra, basis, j1, j2):
     """(u-1)(v-1) - (v-1)(u-1) is congruent to the bracket lift mod J^(r+s+1)."""
-    r1 = basis.lift_degrees[j1]
-    r2 = basis.lift_degrees[j2]
+    r1 = basis.filtration.lift_degrees[j1]
+    r2 = basis.filtration.lift_degrees[j2]
     u = AlgebraElement.embed(algebra, basis.filtration.lift_indices[j1]) - 1
     v = AlgebraElement.embed(algebra, basis.filtration.lift_indices[j2]) - 1
     x = u * v - v * u
@@ -170,14 +171,14 @@ def assert_bracket_compatible(algebra, basis, j1, j2):
         assert x.is_zero()
         return
     y = _lift_combination(algebra, basis, degree, coords)
-    assert algebra.in_radical_power(x.codes, degree)
-    assert algebra.in_radical_power((x - y).codes, min(degree + 1, top))
+    assert in_radical_power(algebra, x.codes, degree)
+    assert in_radical_power(algebra, (x - y).codes, min(degree + 1, top))
 
 
 def assert_p_power_compatible(algebra, basis, j):
     """(u-1)^p is congruent to the p-restriction lift mod J^(p*r+1)."""
     p = algebra.group.p
-    r = basis.lift_degrees[j]
+    r = basis.filtration.lift_degrees[j]
     u = AlgebraElement.embed(algebra, basis.filtration.lift_indices[j]) - 1
     x = AlgebraElement.one(algebra)
     for _ in range(p):
@@ -189,12 +190,12 @@ def assert_p_power_compatible(algebra, basis, j):
         assert x.is_zero()
         return
     y = _lift_combination(algebra, basis, degree, coords)
-    assert algebra.in_radical_power(x.codes, degree)
-    assert algebra.in_radical_power((x - y).codes, min(degree + 1, top))
+    assert in_radical_power(algebra, x.codes, degree)
+    assert in_radical_power(algebra, (x - y).codes, min(degree + 1, top))
 
 
 def assert_lie_structure_compatible(algebra, basis):
-    count = len(basis.lift_degrees)
+    count = len(basis.filtration.lift_degrees)
     for j1 in range(count):
         assert_p_power_compatible(algebra, basis, j1)
         for j2 in range(count):
@@ -207,9 +208,9 @@ def commutator_filtration_bound(group, chain):
     for r in range(1, depth + 1):
         for s in range(1, depth + 1):
             target = chain[min(r + s, depth) - 1]
-            target_set = set(target.indices)
-            for a in chain[r - 1].indices:
-                for b in chain[s - 1].indices:
+            target_set = set(target)
+            for a in chain[r - 1]:
+                for b in chain[s - 1]:
                     if _commutator_by_products(group, a, b) not in target_set:
                         return False, (r, s, a, b)
     return True, None
@@ -229,7 +230,40 @@ def pbw_polynomial_oracle(p, layer_ranks):
 
 def layer_ranks(basis):
     """d_r = dim F_r/F_(r+1) for r = 1 .. max degree."""
-    return [layer.rank for layer in basis.layers]
+    return [len(lifts) for lifts in basis.filtration.lifts]
+
+
+def in_radical_power(algebra, x, r):
+    """Whether the element of codes x lies in J^r: its coordinates of
+    weight < r vanish."""
+    filt = algebra.filtration
+    return not filt.coordinates(algebra.ops, x)[filt.weights < r].any()
+
+
+def gr_coordinates(algebra, x, r):
+    """Coordinates of x + J^(r+1) on the weight-r Jennings monomials, for
+    the element of codes x."""
+    filt = algebra.filtration
+    if not 0 <= r <= filt.socle_degree:
+        raise FiltrationError(f"degree {r} outside 0..{filt.socle_degree}")
+    coords = filt.coordinates(algebra.ops, x)
+    if coords[filt.weights < r].any():
+        raise FiltrationError(f"element does not lie in J^{r}")
+    return coords[filt.weights == r]
+
+
+def solve(ops, a, b):
+    """One solution x of a @ x = b over the field of ops, or None if the
+    system is inconsistent, by the RREF of [a | b]."""
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64).reshape(-1)
+    r, pivots = ops.rref(np.concatenate([a, b.reshape(-1, 1)], axis=1))
+    cols = a.shape[1]
+    if cols in pivots:
+        return None
+    x = np.zeros(cols, dtype=np.int64)
+    x[pivots] = r[:, -1]
+    return x
 
 
 def pbw_dimension(basis, r):
@@ -252,10 +286,10 @@ def lifts_by_gr_coordinates(algebra, chain):
         lifts = []
         basis = np.zeros((0, algebra.filtration.gr_dims[r]), dtype=np.int64)
         pivots = []
-        for idx in chain[r - 1].indices:
+        for idx in chain[r - 1]:
             if idx == 0:
                 continue
-            w = algebra.gr_coordinates((AlgebraElement.embed(algebra, idx) - 1).codes, r)
+            w = gr_coordinates(algebra, (AlgebraElement.embed(algebra, idx) - 1).codes, r)
             if np.any(ops.reduce_rows(w, basis, pivots)):
                 lifts.append(idx)
                 basis, pivots = ops.rref(np.vstack([basis, w.reshape(1, -1)]))
@@ -395,15 +429,14 @@ def graded_blocks_by_projection(auto, basis, oracle):
         return proj[comp_pivots[r]]
 
     blocks = []
-    for layer in basis.layers:
-        if layer.rank == 0:
+    for r, lifts in enumerate(basis.filtration.lifts, start=1):
+        if not lifts:
             continue
-        r = layer.degree
-        classes = np.vstack([graded((AlgebraElement.embed(alg, y) - 1).codes, r) for y in layer.lifts])
-        block = np.zeros((layer.rank, layer.rank), dtype=np.int64)
-        for j, y in enumerate(layer.lifts):
+        classes = np.vstack([graded((AlgebraElement.embed(alg, y) - 1).codes, r) for y in lifts])
+        block = np.zeros((len(lifts), len(lifts)), dtype=np.int64)
+        for j, y in enumerate(lifts):
             image = ops.sub(auto.matrix[:, y], one)
-            coords = ops.solve(classes.T, graded(image, r))
+            coords = solve(ops, classes.T, graded(image, r))
             assert coords is not None
             block[:, j] = coords
         blocks.append((r, block))
@@ -426,7 +459,6 @@ def report_by_members(auto):
         SocleNotPreserved,
         VerificationReport,
     )
-    from socle_verify.jennings import build_jennings_basis
 
     alg = auto.algebra
     ops = alg.ops
@@ -435,27 +467,27 @@ def report_by_members(auto):
     lam = int(v[0])
     if lam == 0 or not np.all(v == lam):
         raise SocleNotPreserved("socle vector image is not a nonzero multiple of itself")
-    basis = build_jennings_basis(alg.group)
-    filt = basis.filtration
-    cols = [y for layer in basis.layers for y in layer.lifts]
+    filt = alg.filtration
+    cols = [y for lifts in filt.lifts for y in lifts]
     coords = filt.coordinates(ops, ops.sub(auto.matrix[:, cols], alg.one()[:, None]))
     blocks, dets = [], []
     total = field.one()
     first = 0
-    for layer in basis.layers:
-        if layer.rank == 0:
+    for r, lifts in enumerate(filt.lifts, start=1):
+        if not lifts:
             continue
-        r = layer.degree
-        layer_coords = coords[:, first : first + layer.rank]
-        first += layer.rank
+        layer_coords = coords[:, first : first + len(lifts)]
+        # y_j - 1 is the monomial of the j-th unit exponent vector, row p^j
+        rows = alg.group.p ** np.arange(first, first + len(lifts))
+        first += len(lifts)
         others = filt.weights == r
-        others[list(layer.rows)] = False
+        others[rows] = False
         for col in layer_coords.T:
             if col[filt.weights < r].any():
                 raise FiltrationNotPreserved(f"image of a degree-{r} lift is not 1 mod J^{r}")
             if col[others].any():
                 raise LieSubspaceViolated(f"image class in layer {r} left the span of the layer lifts")
-        block = layer_coords[list(layer.rows)]
+        block = layer_coords[rows]
         det_code = det_by_column_loop(ops, block)
         if det_code == 0:
             raise FiltrationNotPreserved(f"induced block in degree {r} is singular")
@@ -486,10 +518,8 @@ def data_by_matrix(auto):
     lifts, read off the layers of the JenningsBasis, and one matrix-vector
     product with the all-ones vector.
     """
-    from socle_verify.jennings import build_jennings_basis
-
     alg = auto.algebra
-    cols = [y for layer in build_jennings_basis(alg.group).layers for y in layer.lifts]
+    cols = [y for lifts in alg.filtration.lifts for y in lifts]
     socle = alg.ops.matvec(auto.matrix, np.ones(alg.dimension, dtype=np.int64))
     return np.column_stack([auto.matrix[:, cols], socle])
 
@@ -563,7 +593,7 @@ def substitution_images_by_elements(algebra, rng):
             row = j2[rng.randrange(j2.shape[0])]
             c = algebra.field.element_from_code(rng.randrange(1, q))
             higher[i] = AlgebraElement(algebra, row) * c
-            assert algebra.in_radical_power(higher[i].codes, 2)
+            assert in_radical_power(algebra, higher[i].codes, 2)
     return substitution_images(algebra, linear, higher)
 
 
@@ -769,18 +799,20 @@ def is_abelian(group):
 
 
 def trivial_subgroup(group):
-    return Subgroup(group, [0])
+    return (0,)
 
 
 def subgroup_closure(group, generators):
-    """The Subgroup the element indices generate, closed by table gathers."""
-    return Subgroup(group, group._closure_indices(list(generators)))
+    """The sorted indices of the subgroup the element indices generate,
+    closed by table gathers."""
+    return tuple(group._closure_indices(list(generators)))
 
 
 def center(group):
-    """Z(G): the rows of the Cayley table equal to their columns."""
+    """Z(G), as sorted indices: the rows of the Cayley table equal to their
+    columns."""
     t = group.cayley_table
-    return Subgroup(group, np.flatnonzero((t == t.T).all(axis=1)))
+    return tuple(np.flatnonzero((t == t.T).all(axis=1)).tolist())
 
 
 def presentation_text(group):

@@ -39,6 +39,7 @@ from oracle_helpers import (
     assert_lie_structure_compatible,
     commutator_filtration_bound,
     frattini_by_products,
+    in_radical_power,
     normal_form_index,
 )
 
@@ -111,18 +112,18 @@ def test_criterion_3_series_cross_validation():
         recursive = group.jennings_series_recursive()
         assert len(definitional) == len(recursive), name
         for a, b in zip(definitional, recursive):
-            assert set(a.indices) == set(b.indices), name
+            assert a == b, name
         if len(recursive) > 1:
-            assert set(recursive[1].indices) == set(frattini_by_products(group)), name
+            assert recursive[1] == frattini_by_products(group), name
         ok, witness = commutator_filtration_bound(group, recursive)
         assert ok, (name, witness)
         # the chain read off over the quadratic extension is the same chain
         ext = shared_algebra(name, 2)
-        chain_sets = [set(s.indices) for s in recursive]
+        chain_sets = [set(s) for s in recursive]
         for el in range(group.order):
             x = (AlgebraElement.embed(ext, el) - 1).codes
             for r, members in enumerate(chain_sets, start=1):
-                assert ext.in_radical_power(x, r) == (el in members)
+                assert in_radical_power(ext, x, r) == (el in members)
     _announce(3)
 
 
@@ -134,7 +135,7 @@ def test_criterion_4_jennings_quillen_dimensions(basis):
         assert out["gr_dims"] == out["pbw_dims"], name
         assert sum(out["gr_dims"]) == group.order, name
         by_hand = (group.p - 1) * sum(
-            (idx + 1) * rank for idx, rank in enumerate([l.rank for l in b.layers])
+            (idx + 1) * rank for idx, rank in enumerate([len(lifts) for lifts in b.filtration.lifts])
         )
         assert out["socle_degree"] == by_hand, name
         assert len(out["gr_dims"]) == by_hand + 1, name

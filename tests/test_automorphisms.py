@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from socle_verify import (
     GF,
@@ -23,7 +25,6 @@ from socle_verify import (
     NotMultiplicative,
     RelationViolation,
     SingularLinearPart,
-    build_jennings_basis,
     catalog,
     verify_stack,
 )
@@ -39,9 +40,11 @@ from socle_verify.automorphisms import (
 from socle_verify.cli import main
 from socle_verify.pipeline import RunConfig, derive_seed, prepare, run, sweep_automorphisms
 
+from conftest import shared_algebra
 from oracle_helpers import (
     AlgebraElement,
     apply_automorphism,
+    in_radical_power,
     normal_form_index,
     sampled_pairs_one_at_a_time,
     substitution_images,
@@ -731,7 +734,7 @@ def _d8_lift_matrix(alg, lift, image):
 
 def test_graded_action_rejects_a_lift_image_outside_its_radical_power(algebra):
     alg = algebra("D8")
-    (y1, y2), (y3,) = [layer.lifts for layer in build_jennings_basis(alg.group).layers[:2]]
+    (y1, y2), (y3,) = alg.filtration.lifts[:2]
     # y3 has degree 2 but y1 - 1 only lies in J
     auto = _d8_lift_matrix(alg, y3, AlgebraElement.embed(alg, y1))
     with pytest.raises(FiltrationNotPreserved, match="degree-2 lift"):
@@ -740,11 +743,78 @@ def test_graded_action_rejects_a_lift_image_outside_its_radical_power(algebra):
 
 def test_graded_action_rejects_an_image_class_outside_the_lift_span(algebra):
     alg = algebra("D8")
-    (y1, y2), (y3,) = [layer.lifts for layer in build_jennings_basis(alg.group).layers[:2]]
+    (y1, y2), (y3,) = alg.filtration.lifts[:2]
     # the weight-2 classes are those of y3 - 1 and (y1 - 1)(y2 - 1); sending
     # y3 - 1 to the second stays in J^2 but leaves the span of the degree-2 lift
     image = 1 + (AlgebraElement.embed(alg, y1) - 1) * (AlgebraElement.embed(alg, y2) - 1)
-    assert alg.in_radical_power((image - 1).codes, 2)
+    assert in_radical_power(alg, (image - 1).codes, 2)
     auto = _d8_lift_matrix(alg, y3, image)
     with pytest.raises(LieSubspaceViolated, match="layer 2"):
         verify_stack([auto])
+
+
+# non-abelian groups whose relations bind the images of more than one
+# generator, over GF(p^2)
+SUBST_FUZZ_GROUPS = ("D8", "Q8", "Heis27", "ES27")
+
+
+def _fuzz_images(alg, data):
+    """(kind, (m, |G|) image codes) of one drawn substitution.
+
+    Every kind starts from the generator images u g_i u^-1 under a drawn
+    unit u.  "socle" adds c (sum of all g), central and of square 0, to the
+    image of every generator that no power or commutator word mentions,
+    which keeps every relation and the degree-1 block; "j2" adds a nonzero
+    element of J^2 to one image, which may break a relation.
+    """
+    g, ops, q = alg.group, alg.ops, alg.field.q
+    unit = alg.one()
+    for _ in range(data.draw(st.integers(1, 3))):
+        h, c = data.draw(st.integers(1, g.order - 1)), data.draw(st.integers(1, q - 1))
+        unit[h] = ops.add(unit[h], c)
+        unit[0] = ops.sub(unit[0], c)
+    inverse = alg.unit_inverse(unit[None])[0]
+    gens = np.eye(g.order, dtype=np.int64)[g.generator_indices]
+    images = alg.multiply_codes(alg.multiply_codes(np.broadcast_to(unit, gens.shape), gens),
+                                np.broadcast_to(inverse, gens.shape))
+    kind = data.draw(st.sampled_from(("inner", "socle", "j2")))
+    if kind == "socle":
+        mentioned = {i for word in (*g.power_words, *g.comm_words.values()) for i, _ in word}
+        for i in sorted(set(range(1, g.m + 1)) - mentioned):
+            images[i - 1] = ops.add(images[i - 1], data.draw(st.integers(1, q - 1)))
+    elif kind == "j2":
+        j2 = alg.filtration.basis(2)[0]
+        coef = data.draw(st.lists(st.integers(0, q - 1), min_size=len(j2), max_size=len(j2)).filter(any))
+        i = data.draw(st.integers(0, g.m - 1))
+        images[i] = ops.add(images[i], ops.matmul(np.array([coef], dtype=np.int64), j2)[0])
+    return kind, images
+
+
+@pytest.mark.parametrize("name", SUBST_FUZZ_GROUPS)
+def test_substitution_images_give_a_typed_error_or_a_verified_automorphism(name):
+    """Drawn substitution images on a non-abelian group either raise
+    RelationViolation, SingularLinearPart or the augmentation ValueError,
+    or pass the pair oracle and verify with lambda = det^(p-1); the images
+    that keep every relation by construction always pass."""
+    alg = shared_algebra(name, 2)
+    outcomes = []
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def draw(data):
+        kind, images = _fuzz_images(alg, data)
+        try:
+            (auto,) = AlgebraAutomorphism.substitutions(alg, images[None], [kind])
+        except (RelationViolation, SingularLinearPart, ValueError) as err:
+            assert isinstance(err, (RelationViolation, SingularLinearPart)) or "augmentation 1" in str(err)
+            assert kind == "j2", err
+            outcomes.append((kind, "rejected"))
+            return
+        auto.check_pairs()
+        assert auto.pair_check == "full"
+        assert _verify(auto).equation_holds
+        outcomes.append((kind, "passed"))
+
+    draw()
+    kinds, results = zip(*outcomes)
+    assert set(kinds) == {"inner", "socle", "j2"} and set(results) == {"passed", "rejected"}, outcomes

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from socle_verify import GF, FiltrationError, GroupAlgebra, NotAUnit, PcGroup, catalog
+from socle_verify import GF, FiltrationError, GroupAlgebra, InconsistentPresentation, NotAUnit, PcGroup, catalog
 from socle_verify.groupalgebra import (
     SPARSE_PRODUCT_SHARE,
     RadicalFiltration,
@@ -24,16 +24,25 @@ from socle_verify.groupalgebra import (
     dimension_subgroups_definitional,
     radical_filtration,
     radical_filtration_by_products,
+    series_definitions_agree,
 )
 from socle_verify.linalg import FieldOps
 from socle_verify.pipeline import RunStageError, run
 from conftest import shared_algebra
-from oracle_helpers import AlgebraElement, multiply_codes_by_matrix, unit_inverse_by_series
+from oracle_helpers import (
+    AlgebraElement,
+    gr_coordinates,
+    in_radical_power,
+    multiply_codes_by_matrix,
+    unit_inverse_by_series,
+)
 from conftest import shared_products_oracle
 from oracle_helpers import (
     filtration_by_monomial_echelon,
     jennings_monomials,
+    jennings_series_by_products,
     products_oracle_with_complements,
+    random_presentation,
 )
 
 C2_7 = "pcgroup p=2 m=7\n"
@@ -64,8 +73,8 @@ def test_powers_of_augmentation_generator_span_cyclic(algebra):
     power = AlgebraElement.one(alg)
     for r in range(1, 5):
         power = power * x
-        assert alg.in_radical_power(power.codes, r)
-        assert not alg.in_radical_power(power.codes, r + 1)
+        assert in_radical_power(alg, power.codes, r)
+        assert not in_radical_power(alg, power.codes, r + 1)
 
 
 def test_socle_vector_annihilates(algebra):
@@ -216,7 +225,7 @@ def test_echelon_oracle_rejects_exactly_the_lifts_the_build_rejects(all_names, m
         g = rng.choice(groups)
         series, lifts = g.jennings_lifts()
         drawn = [
-            tuple(rng.choice(series[r].indices[1:]) for _ in layer)
+            tuple(rng.choice(series[r][1:]) for _ in layer)
             for r, layer in enumerate(lifts)
         ]
         monkeypatch.setattr(g, "jennings_lifts", lambda: (series, drawn))
@@ -244,7 +253,49 @@ def test_dimension_subgroups_match_recursive_series(group):
         recursive = g.jennings_series_recursive()
         assert len(definitional) == len(recursive), name
         for a, b in zip(definitional, recursive):
-            assert set(a.indices) == set(b.indices), name
+            assert a == b, name
+
+
+def _catalog_and_random_groups(all_names):
+    """Every catalog group, then every consistent random presentation of
+    seeds 0..99 (orders up to 243), as the table tests draw them."""
+    groups = [catalog(name) for name in all_names]
+    for seed in range(100):
+        p, m, power_words, comm_words = random_presentation(random.Random(seed))
+        try:
+            groups.append(PcGroup(p, m, dict(enumerate(power_words, start=1)), comm_words, name=f"seed {seed}"))
+        except InconsistentPresentation:
+            pass
+    assert len(groups) >= len(all_names) + 50
+    return groups
+
+
+def test_lift_degrees_are_the_depths_in_the_products_series(all_names):
+    # lift j has degree r exactly when it lies in F_r but not in F_(r+1) of
+    # the series built one product at a time
+    for g in _catalog_and_random_groups(all_names):
+        filt = radical_filtration(g)
+        series = jennings_series_by_products(g)
+        depths = [max(r for r, term in enumerate(series, start=1) if y in term) for y in filt.lift_indices.tolist()]
+        assert filt.lift_degrees.tolist() == depths, g.name
+        assert depths == sorted(depths), g.name
+
+
+def test_series_definitions_agree_and_see_a_neighbour_swapped_in(all_names, monkeypatch):
+    swaps = 0
+    for g in _catalog_and_random_groups(all_names):
+        assert series_definitions_agree(g), g.name
+        series = g.jennings_series_recursive()
+        # each term that differs from a neighbour, replaced by that neighbour
+        for k in range(len(series)):
+            for other in (k - 1, k + 1):
+                if 0 <= other < len(series) and series[other] != series[k]:
+                    swapped = series[:k] + [series[other]] + series[k + 1:]
+                    monkeypatch.setattr(g, "jennings_series_recursive", lambda: swapped)
+                    assert not series_definitions_agree(g), (g.name, k, other)
+                    monkeypatch.undo()
+                    swaps += 1
+    assert swaps >= 200
 
 
 def test_membership_thresholds_match_subgroups(algebra, group):
@@ -255,10 +306,10 @@ def test_membership_thresholds_match_subgroups(algebra, group):
         x = (AlgebraElement.embed(alg, el) - 1).codes
         for r in range(1, len(chain) + 1):
             in_subgroup = r <= len(chain) and el in set(
-                chain[min(r, len(chain)) - 1].indices
+                chain[min(r, len(chain)) - 1]
             )
             if r <= len(chain):
-                assert alg.in_radical_power(x, r) == in_subgroup
+                assert in_radical_power(alg, x, r) == in_subgroup
 
 
 def test_gr_coordinates_certificate(algebra):
@@ -273,7 +324,7 @@ def test_gr_coordinates_certificate(algebra):
             if rng.random() < 0.5:
                 codes = (codes + row) % 2
         x = AlgebraElement(alg, codes)
-        coords = alg.gr_coordinates(codes, r)
+        coords = gr_coordinates(alg, codes, r)
         assert coords.shape == (filt.gr_dims[r],)  # gr_dims[0] is degree zero
         # subtracting the weight-r monomials, multiplied out, with these
         # coefficients lands one level deeper
@@ -287,9 +338,9 @@ def test_gr_coordinates_certificate(algebra):
 def test_gr_coordinates_rejects_outsiders(algebra):
     alg = algebra("D8")
     with pytest.raises(FiltrationError):
-        alg.gr_coordinates(alg.one(), 99)
+        gr_coordinates(alg, alg.one(), 99)
     with pytest.raises(FiltrationError):
-        alg.gr_coordinates(alg.one(), 1)  # 1 is not in J
+        gr_coordinates(alg, alg.one(), 1)  # 1 is not in J
 
 
 def test_unit_inverse_roundtrip(algebra):

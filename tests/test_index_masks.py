@@ -86,7 +86,7 @@ def _assert_jennings_terms_match(g, monkeypatch):
         m.setattr(PcGroup, "_closure_indices", recording)
         series = g.jennings_series_recursive()
     assert calls
-    assert [list(sub.indices) for sub in series[1:]] == [indices for _, indices in calls]
+    assert [list(sub) for sub in series[1:]] == [indices for _, indices in calls]
     for seeds, indices in calls:
         gens = generators_by_unique(seeds)
         assert np.array_equal(g._generators_among(seeds), gens)

@@ -16,8 +16,7 @@ import pytest
 
 from socle_verify import GF, FieldMismatch, GroupAlgebra, PcGroup, build_jennings_basis, catalog, catalog_names
 from socle_verify.groupalgebra import dimension_subgroups_definitional, radical_filtration
-from socle_verify.jennings import DimensionMismatch, JenningsBasis, JenningsLayer
-from socle_verify.pgroup import Subgroup
+from socle_verify.jennings import DimensionMismatch, JenningsBasis
 from socle_verify.pipeline import build_group_field
 from oracle_helpers import (
     assert_lie_structure_compatible,
@@ -44,7 +43,7 @@ SOCLE_DEGREES = {
 
 def test_c4_layers_and_p_restriction(basis):
     b = basis("C4")
-    assert b.lift_degrees == (1, 2)
+    assert b.filtration.lift_degrees.tolist() == [1, 2]
     degree, coords = b.p_restriction(0)
     assert degree == 2
     assert list(coords) == [1]
@@ -56,7 +55,7 @@ def test_c4_layers_and_p_restriction(basis):
 
 def test_d8_bracket_hits_commutator_layer(basis):
     b = basis("D8")
-    assert b.lift_degrees == (1, 1, 2)
+    assert b.filtration.lift_degrees.tolist() == [1, 1, 2]
     degree, coords = b.lie_bracket(1, 0)
     assert degree == 2
     assert list(coords) == [1]
@@ -78,7 +77,7 @@ def test_m16_has_a_zero_layer(basis):
     assert layer_ranks(b) == [2, 1, 0, 1]
     assert b.d(3) == 0
     assert pbw_dimension(b, 0) == 1
-    assert b.max_degree == 4
+    assert len(b.filtration.lifts) == 4
 
 
 def test_pbw_polynomial_frozen_examples(basis):
@@ -106,23 +105,29 @@ def test_jq_dimension_check_shape(basis):
 
 
 def test_layers_come_from_the_filtration_with_no_order_read(monkeypatch):
-    """JenningsBasis reads its layers off the filtration's lifts and lift
-    rows and reads no subgroup order; jq_dimension_check reads the orders."""
+    """JenningsBasis holds the group and the filtration and nothing else: it
+    reads its layers off the filtration's lifts and neither rebuilds the
+    series nor reads a subgroup order; jq_dimension_check reads the orders."""
     group = catalog("D16")
     filt = radical_filtration(group)
-    monkeypatch.setattr(Subgroup, "order", property(lambda sub: pytest.fail("a subgroup order was read")))
+    for name in ("jennings_series_recursive", "jennings_lifts"):
+        monkeypatch.setattr(group, name, lambda: pytest.fail("the series was rebuilt"))
+    monkeypatch.setattr(filt, "series", None)  # reading a subgroup order would fail
     b = JenningsBasis(group)
     monkeypatch.undo()
-    assert [layer.lifts for layer in b.layers] == filt.lifts
-    assert [row for layer in b.layers for row in layer.rows] == filt.lift_rows.tolist()
-    assert b.max_degree == len(filt.series) - 1
+    assert vars(b) == {"group": group, "filtration": filt}
+    assert [b.d(r) for r in range(1, len(filt.lifts) + 2)] == [len(lifts) for lifts in filt.lifts] + [0]
+    assert [layer["lifts"] for layer in b.layer_summary()] == [[group.word_str(y) for y in lifts]
+                                                                for lifts in filt.lifts]
+    assert filt.lift_rows.tolist() == [group.p**j for j in range(len(filt.lift_indices))]
+    assert len(filt.lifts) == len(filt.series) - 1
     assert b.jq_dimension_check()["socle_degree"] == SOCLE_DEGREES["D16"]
 
 
-def test_jq_dimension_check_reads_each_rank_against_the_orders():
+def test_jq_dimension_check_reads_each_rank_against_the_orders(monkeypatch):
     b = JenningsBasis(catalog("D16"))
-    first = b.layers[0]
-    b.layers[0] = JenningsLayer(1, first.lifts[:1], first.rows[:1])
+    lifts = b.filtration.lifts
+    monkeypatch.setattr(b.filtration, "lifts", [lifts[0][:1]] + lifts[1:])
     with pytest.raises(DimensionMismatch, match=re.escape("|F_1/F_2| = 16/4 is not 2^1")):
         b.jq_dimension_check()
 
@@ -159,7 +164,7 @@ def test_class_coordinates_detect_depth(basis, group):
     b = basis("D8")
     chain = g.jennings_series_recursive()
     # elements of F_1 \ F_2 have nonzero degree-1 coordinates
-    f2 = set(chain[1].indices)
+    f2 = set(chain[1])
     for el in range(1, g.order):
         if el in f2:
             assert not b.class_coordinates(el, 1).any()
@@ -196,7 +201,7 @@ def test_group_is_freed_with_its_filtration_and_basis():
 
 def test_build_accepts_matching_extension_field(group):
     b = build_jennings_basis(group("D8"))
-    assert b.lift_degrees == (1, 1, 2)
+    assert b.filtration.lift_degrees.tolist() == [1, 1, 2]
     assert GroupAlgebra(group("D8"), GF(2, 2)).filtration is b.filtration
 
 
@@ -208,5 +213,6 @@ def test_lifts_match_gr_coordinate_search(group, algebra, all_names):
     for g, alg in cases:
         b = build_jennings_basis(g)
         oracle = lifts_by_gr_coordinates(alg, dimension_subgroups_definitional(g))
-        assert [layer.lifts for layer in b.layers] == oracle, g.name
+        assert [tuple(layer["lifts"]) for layer in b.layer_summary()] == [
+            tuple(g.word_str(y) for y in lifts) for lifts in oracle], g.name
         assert b.filtration.lifts == oracle, g.name

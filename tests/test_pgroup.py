@@ -153,10 +153,10 @@ def test_frozen_structure_constants(group):
     }
     for name, (z, f, lcs, jennings) in expected.items():
         g = group(name)
-        assert center(g).order == z, name
+        assert len(center(g)) == z, name
         assert len(frattini_by_products(g)) == f, name
         assert [len(s) for s in lower_central_series_by_products(g)] == lcs, name
-        assert [s.order for s in g.jennings_series_recursive()] == jennings, name
+        assert [len(s) for s in g.jennings_series_recursive()] == jennings, name
 
 
 def test_agemo_and_frattini(group):
@@ -173,9 +173,9 @@ def test_agemo_and_frattini(group):
 def test_subgroup_closure(group):
     g = group("D8")
     s = subgroup_closure(g, [normal_form_index(g, (0, 1, 0))])
-    assert s.order == 4
-    assert subgroup_closure(g, [normal_form_index(g, (1, 0, 0)), normal_form_index(g, (0, 1, 0))]).order == 8
-    assert trivial_subgroup(g).order == 1
+    assert len(s) == 4
+    assert len(subgroup_closure(g, [normal_form_index(g, (1, 0, 0)), normal_form_index(g, (0, 1, 0))])) == 8
+    assert trivial_subgroup(g) == (0,)
 
 
 def test_group_automorphism_validates_relations(group):
@@ -341,7 +341,7 @@ def test_group_automorphism_perm_matches_normal_form_products(group):
 def test_subgroup_series_match_closures_by_products(group):
     for name in catalog_names():
         g = group(name)
-        assert [s.indices for s in g.jennings_series_recursive()] == jennings_series_by_products(g), name
+        assert g.jennings_series_recursive() == jennings_series_by_products(g), name
 
 
 def test_power_and_commutator_match_products(group):

@@ -170,6 +170,18 @@ def test_sweep_over_no_group_is_an_error(capsys, groups):
     assert "leaving --groups out sweeps them all" in captured.err
 
 
+@pytest.mark.parametrize("group", ["C8", "D8"])
+def test_random_subst_outside_elementary_abelian_points_to_subst(capsys, group):
+    # random-subst draws a linear part in GL_m(k) with no relation check; a
+    # subst: spec takes images on any pc group
+    assert main(["run", "--group", group, "--field", "2,2", "--auto", "random-subst"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: [automorphisms] ValueError: random-subst draws need an elementary "
+                            "abelian group; give images on any pc group with subst:\n")
+    assert "substitution automorphisms need" not in captured.err
+
+
 def test_sweep_api_over_no_group_is_an_error():
     with pytest.raises(UnknownGroup, match="names no catalog group"):
         sweep(groups=[], inner_count=1, subst_count=1)

@@ -16,7 +16,7 @@ import re
 import numpy as np
 import pytest
 
-from socle_verify import GF, NotAUnit, automorphisms, build_jennings_basis, linalg
+from socle_verify import GF, NotAUnit, automorphisms, linalg
 from socle_verify.automorphisms import (
     AlgebraAutomorphism,
     parse_automorphism_specs,
@@ -176,7 +176,7 @@ def _with_column(alg, element, image, socle=None):
 def _bad_automorphisms(alg):
     """One automorphism per failure of the verification, on a group whose
     first two Jennings layers have ranks 2 and 1 (D8, Heis27)."""
-    (y1, y2), (y3,) = [layer.lifts for layer in build_jennings_basis(alg.group).layers[:2]]
+    (y1, y2), (y3,) = alg.filtration.lifts[:2]
     one = AlgebraElement.one(alg)
     x1, x2 = (AlgebraElement.embed(alg, y) for y in (y1, y2))
     lam = alg.field.q - 1  # a nonzero code
