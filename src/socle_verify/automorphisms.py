@@ -47,10 +47,9 @@ alpha(x h) = alpha(x) alpha(h) for every group element h, and linearity
 extends that to all products.  Bijectivity is then read off the degree-1
 block, the check substitutions runs too: the coordinates of
 alpha(y_j) - 1 at the weight-1 Jennings monomials, for the degree-1 lifts
-y_j, must have a nonzero determinant.  The y_j - 1 span J/J^2, so alpha
-is onto J/J^2; by Nakayama an endomorphism of the local algebra kG that
-is onto J/J^2 is onto J, hence onto kG.  Its certificate is
-"generators".
+y_j, must have a nonzero determinant (_degree_one_dets, layer r = 1 of
+the graded action, whose docstring gives the Nakayama argument).  Its
+certificate is "generators".
 
 A constructor's matrix is built only when check_pairs or compose asks for
 it.  inners and substitutions take stacks: (B, |G|) unit codes and
@@ -181,7 +180,7 @@ class AlgebraAutomorphism:
         self.data = data if data is not None else _data_of(algebra, self.matrix)
         if certificate is None:
             self._check_identities()
-            if _singular_degree_one(algebra, self.data[None])[0]:
+            if _degree_one_dets(algebra, self.data[None])[0] == 0:
                 raise NotMultiplicative("matrix is not invertible")
             certificate = "generators"
         self.pair_check = certificate
@@ -247,7 +246,7 @@ class AlgebraAutomorphism:
         By von Dyck's theorem the images extend to an algebra endomorphism
         exactly when they satisfy the presentation's relations in kG; an
         image of augmentation 1 is a unit, and a degree-1 block of nonzero
-        determinant makes the map bijective (_singular_degree_one).  The
+        determinant makes the map bijective (_degree_one_dets).  The
         checks run in that order, each on the whole stack: augmentations,
         every relation of PcGroup.relations with both sides multiplied out
         by stacked kG products (_word_value), and the degree-1 det.  On an
@@ -280,7 +279,7 @@ class AlgebraAutomorphism:
         words = [[(i, e) for i, e in enumerate(row, start=1) if e]
                  for row in group.exponents[algebra.filtration.lift_indices].tolist()]
         lifts = np.stack([value(word) for word in words], axis=1)
-        if _singular_degree_one(algebra, lifts.transpose(0, 2, 1)).any():
+        if (_degree_one_dets(algebra, lifts.transpose(0, 2, 1)) == 0).any():
             raise SingularLinearPart("linear part of the substitution is singular")
         factors = np.repeat(ops.sub(lifts, algebra.one()), group.p - 1, axis=1)
         top = functools.reduce(lambda acc, factor: algebra.multiply_codes(factor, acc),
@@ -433,7 +432,7 @@ def verify_stack(autos: list[AlgebraAutomorphism]) -> list[VerificationReport]:
         chunk = autos[part]
         data = np.stack([auto.data for auto in chunk])
         lams, bad = _socle_codes(data)
-        layers, failures = _graded_stack(alg, data)
+        layers, failures = _graded_stack(alg, data[:, :, :-1])
         _raise_first([(bad, SocleNotPreserved(SOCLE_MESSAGE))] + failures)
         dets = np.array([d for _, _, d in layers], dtype=np.int64).reshape(len(layers), len(chunk))
         totals = functools.reduce(ops.mul, dets, np.ones(len(chunk), dtype=np.int64))
@@ -473,25 +472,6 @@ def _data_of(alg: GroupAlgebra, matrix: np.ndarray) -> np.ndarray:
                            column_sums(alg.ops, matrix.T)[:, None]], axis=1)
 
 
-def _singular_degree_one(alg: GroupAlgebra, lifts: np.ndarray) -> np.ndarray:
-    """Mask of the members of a (B, |G|, k) stack of lift images, in
-    ascending lift order, whose degree-1 block is singular.
-
-    The block holds the coordinates of alpha(y_j) - 1 at the weight-1
-    monomials y_i - 1, for the degree-1 lifts y_i, y_j, which come first;
-    1 has no weight-1 coordinate, so alpha(y_j) is read as it is.  The
-    y_j - 1 span J/J^2, so a nonzero det means alpha is onto J/J^2, and by
-    Nakayama an endomorphism of the local algebra kG that is onto J/J^2 is
-    onto J, hence onto kG.
-    """
-    filt = alg.filtration
-    rows = filt.lift_rows[filt.lift_degrees == 1]
-    size, n, _ = lifts.shape
-    block = lifts[:, :, : len(rows)].transpose(1, 0, 2).reshape(n, size * len(rows))
-    coords = filt.coordinates(alg.ops, block)[rows].reshape(len(rows), size, len(rows))
-    return alg.ops.det(coords.transpose(1, 0, 2)) == 0
-
-
 def _conjugation_matrix(alg: GroupAlgebra, unit: np.ndarray, inverse: np.ndarray) -> np.ndarray:
     """L(u) R(u^-1), the matrix of x -> u x u^-1."""
     return alg.ops.matmul(alg.left_mult_matrix(unit), alg.right_mult_matrix(inverse))
@@ -519,11 +499,24 @@ def _substitution_matrix(alg: GroupAlgebra, images: np.ndarray) -> np.ndarray:
     return matrix
 
 
-def _graded_stack(alg: GroupAlgebra, data: np.ndarray) -> tuple[list, list]:
-    """(layers, failures) of the graded actions of a (B, |G|, M+1) data stack.
+def _degree_one_dets(alg: GroupAlgebra, lifts: np.ndarray) -> np.ndarray:
+    """(B,) determinant codes of the degree-1 blocks of a (B, |G|, k) stack of
+    lift images in ascending lift order, k at least the number of degree-1
+    lifts: layer r = 1 of _graded_stack.
 
-    The images alpha(y) - 1 of all lifts of all members are read off on the
-    Jennings monomials by one coordinates() call.  Block column j in degree
+    The y_j - 1 of the degree-1 lifts span J/J^2, so a nonzero det means
+    alpha is onto J/J^2, and by Nakayama an endomorphism of the local
+    algebra kG that is onto J/J^2 is onto J, hence onto kG.
+    """
+    return _graded_stack(alg, lifts[:, :, : len(alg.filtration.lifts[0])])[0][0][2]
+
+
+def _graded_stack(alg: GroupAlgebra, lifts: np.ndarray) -> tuple[list, list]:
+    """(layers, failures) of the graded actions of a (B, |G|, k) stack of the
+    images of the first k lifts, all of them for verify_stack.
+
+    The images alpha(y) - 1 of these lifts of all members are read off on
+    the Jennings monomials by one coordinates() call.  Block column j in degree
     r holds the coordinates of alpha(y_j) - 1 at the monomials y_i - 1 of
     the layer's lifts; every coordinate of weight < r, and every other one
     of weight r, must vanish, which the failures record as masks over the
@@ -534,14 +527,14 @@ def _graded_stack(alg: GroupAlgebra, data: np.ndarray) -> tuple[list, list]:
     """
     ops = alg.ops
     filt = alg.filtration
-    lifts = data[:, :, :-1].copy()
+    lifts = lifts.copy()
     lifts[:, 0] = ops.sub(lifts[:, 0], 1)  # alpha(y) - 1
     size, n, width = lifts.shape
     coords = filt.coordinates(ops, lifts.transpose(1, 0, 2).reshape(n, size * width))
     coords = coords.reshape(n, size, width)
     layers: list[tuple[int, np.ndarray, np.ndarray]] = []
     failures: list[tuple[np.ndarray, Exception]] = []
-    for r in sorted(set(filt.lift_degrees.tolist())):
+    for r in sorted(set(filt.lift_degrees[:width].tolist())):
         # the lifts ascend in degree, so those of degree r are one slice
         first, stop = np.searchsorted(filt.lift_degrees, [r, r + 1])
         rows = filt.lift_rows[first:stop]

@@ -54,8 +54,10 @@ FULL_CHECK_HELP = (
     "alpha(x g_i) = alpha(x) alpha(g_i) as dense products and a seeded spot check on two "
     "random products, then alpha(g)alpha(h) = alpha(gh) on all pairs (sampled above "
     "order 256); associativity of the group table on all triples; the radical filtration "
-    "echelonized from stacked products, the socle product by kG products, the "
-    "translation-nullspace socle certificate, and "
+    "echelonized from stacked products, the layer ranks against the subgroup orders "
+    "(jq_dimension_check), the socle product by kG products, the "
+    "translation-nullspace socle certificate, every layer spanned by brackets and p-th "
+    "powers of degree one (degree_one_generation), and "
     "the series and normal-form cross-checks"
 )
 

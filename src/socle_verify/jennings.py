@@ -19,8 +19,9 @@ closures.  The definitional series, read off the filtration by
 dimension_subgroups_definitional(), is kept as the oracle for it.
 The filtration holds the layers: the series as sorted index tuples, the
 lifts of each layer, and each lift's index, monomial row and degree.
-JenningsBasis keeps only the group and the filtration and reads the
-layers, their ranks d_r and the top degree from it, with no copy or count
+JenningsBasis keeps only the group and the filtration, which the group
+caches, so it is built afresh at no cost; it reads the layers, their
+ranks d_r and the top degree from the filtration, with no copy or count
 of its own: by Jennings' theorem they are right by construction.
 jq_dimension_check, which --full-check and the jennings command run,
 reads each d_r against the subgroup orders, |F_r| = p^(d_r) |F_(r+1)|,
@@ -39,7 +40,10 @@ operations.  Lifts are table indices, so lie_bracket and p_restriction
 take lift numbers j (the j-th entry of the filtration's lift_indices, of
 degree lift_degrees[j]) and return a degree and class coordinates: the
 commutator of two lifts is one gather in the Cayley table and the p-th
-power a few lookups.  The top degree s = (p-1) sum_r r*d_r is
+power a few lookups.  degree_one_generates, which --full-check runs, reads
+the Lie structure through those two alone: layer r must be spanned by the
+brackets of lift pairs of degrees adding up to r and the restrictions of
+the lifts of degree r/p.  The top degree s = (p-1) sum_r r*d_r is
 one-dimensional and
 
     prod_j (y_j - 1)^(p-1) = sum of all elements of G
@@ -118,50 +122,23 @@ class JenningsBasis:
         return r, self.class_coordinates(self.group.power(filt.lift_indices[j], self.group.p), r)
 
     def degree_one_generates(self) -> bool:
-        """Close degree one under brackets and p-powers; must fill every layer.
+        """Every layer r >= 2 must be spanned by the brackets of lifts whose
+        degrees add up to r and the restrictions of the lifts of degree r/p.
 
-        Every vector the closure produces keeps a witness group index, so
-        brackets and p-th powers of closure vectors stay inside what witness
-        commutators and witness powers span.
+        The bracket is bilinear, and over GF(p) Jacobson's formula writes
+        (sum_i c_i x_i)^[p] as sum_i c_i x_i^[p] plus brackets of lower
+        layers, so once every lower layer is full this span is the layer
+        that degree one generates; the first layer it falls short in is
+        reported.
         """
-        ops = self.filtration.ops
-        witnesses: list[tuple[int, int]] = [(1, y) for y in self.filtration.lifts[0]]
-        spans: dict[int, tuple[np.ndarray, list[int]]] = {}
-
-        def absorb(r: int, g: int) -> bool:
-            if self.d(r) == 0:
-                return False
-            w = self.class_coordinates(g, r)
-            basis, pivots = spans.get(r, (np.zeros((0, self.d(r)), dtype=np.int64), []))
-            if not np.any(ops.reduce_rows(w, basis, pivots)):
-                return False
-            spans[r] = ops.rref(np.vstack([basis, w.reshape(1, -1)]))
-            return True
-
-        for r, y in witnesses:
-            absorb(r, y)
-        frontier = list(witnesses)
-        while frontier:
-            fresh: list[tuple[int, int]] = []
-            for ra, ha in frontier:
-                for rb, hb in witnesses:
-                    for r, g in (
-                        (ra + rb, self.group.commutator(ha, hb)),
-                        (ra + rb, self.group.commutator(hb, ha)),
-                    ):
-                        if absorb(r, g):
-                            fresh.append((r, g))
-                pw = self.group.power(ha, self.group.p)
-                if absorb(self.group.p * ra, pw):
-                    fresh.append((self.group.p * ra, pw))
-            witnesses.extend(fresh)
-            frontier = fresh
-        for r in range(1, len(self.filtration.lifts) + 1):
-            have = spans[r][0].shape[0] if r in spans else 0
+        degrees = self.filtration.lift_degrees.tolist()
+        pairs = [(i, j) for i in range(len(degrees)) for j in range(i)]
+        for r in range(2, len(self.filtration.lifts) + 1):
+            rows = [self.lie_bracket(i, j)[1] for i, j in pairs if degrees[i] + degrees[j] == r]
+            rows += [self.p_restriction(j)[1] for j, dj in enumerate(degrees) if self.group.p * dj == r]
+            have = self.filtration.ops.rank(np.reshape(rows, (len(rows), self.d(r))))
             if have != self.d(r):
-                raise DimensionMismatch(
-                    f"degree-one closure spans {have} of {self.d(r)} dimensions in layer {r}"
-                )
+                raise DimensionMismatch(f"degree-one closure spans {have} of {self.d(r)} dimensions in layer {r}")
         return True
 
     # -- dimension bookkeeping ---------------------------------------------------
@@ -232,8 +209,7 @@ class JenningsBasis:
 
 
 def build_jennings_basis(group: PcGroup) -> JenningsBasis:
-    """Layer basis, built once per group and kept on it (prime-field data,
-    reusable for any GF(p^n))."""
-    if group._jennings_basis is None:
-        group._jennings_basis = JenningsBasis(group)
-    return group._jennings_basis
+    """The layer arithmetic on the group's radical filtration, which
+    radical_filtration builds once per group (prime-field data, reusable
+    for any GF(p^n))."""
+    return JenningsBasis(group)

@@ -332,19 +332,6 @@ class FieldOps:
     def rank(self, m: np.ndarray) -> int:
         return len(self.rref(m)[1])
 
-    def reduce_rows(self, v: np.ndarray, basis: np.ndarray, pivots: list[int]) -> np.ndarray:
-        """Eliminate the pivot coordinates of an RREF basis from rows of v."""
-        v = np.array(v, dtype=np.int64, copy=True)
-        if len(pivots) == 0 or v.size == 0:
-            return v
-        single = v.ndim == 1
-        if single:
-            v = v.reshape(1, -1)
-        coef = v[:, pivots]
-        if np.any(coef):
-            v = self.sub(v, self.matmul(coef, basis))
-        return v.reshape(-1) if single else v
-
     def nullspace(self, m: np.ndarray) -> np.ndarray:
         """RREF basis of {x : m @ x = 0}, one row per basis vector.
 

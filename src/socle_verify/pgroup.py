@@ -161,11 +161,9 @@ class PcGroup:
         self.exponents.flags.writeable = False
         self._blocks = _normal_form_blocks(p, m)
         self._certify(self._build_table())
-        # built on first use by groupalgebra.radical_filtration,
-        # jennings.build_jennings_basis and stored_automorphisms, and kept
-        # here so they die with the group
+        # built on first use by groupalgebra.radical_filtration and
+        # stored_automorphisms, and kept here so they die with the group
         self._radical_filtration = None
-        self._jennings_basis = None
         self._stored_automorphisms: tuple[GroupAutomorphism, ...] | None = None
 
     # -- construction ---------------------------------------------------------
@@ -469,11 +467,15 @@ class PcGroup:
                     raise PresentationError(f"power relation for g{i} out of range (m={m})")
                 if e != p:
                     raise PresentationError(f"power relation for g{i} must have exponent {p}")
+                if i in powers:
+                    raise PresentationError(f"power relation for g{i} is given twice")
                 powers[i] = tuple(_parse_relation_word(mp.group(3), m))
                 continue
             mc = comm_re.match(line)
             if mc:
                 j, i = _parse_number(mc.group(1)), _parse_number(mc.group(2))
+                if (j, i) in comms:
+                    raise PresentationError(f"commutator relation [g{j},g{i}] is given twice")
                 comms[(j, i)] = tuple(_parse_relation_word(mc.group(3), m))
                 continue
             raise PresentationError(f"unparseable relation line {line!r}")

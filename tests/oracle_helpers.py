@@ -44,8 +44,11 @@ API that only the tests use, kept here rather than in the package; so is
 AlgebraElement, operator notation on the code arrays the package uses
 for elements of kG.  Subgroups are sorted index tuples, as the package's
 Jennings series are.  in_radical_power and gr_coordinates, which read an
-element's Jennings coordinates, were GroupAlgebra methods, and solve was
-FieldOps.solve, before they left the package with no caller there.
+element's Jennings coordinates, were GroupAlgebra methods, and solve and
+reduce_rows were FieldOps methods, before they left the package with no
+caller there.  The degree-one closure by witnesses is
+JenningsBasis.degree_one_generates as it was before it read each layer's
+span off lie_bracket and p_restriction.
 """
 
 from __future__ import annotations
@@ -58,8 +61,15 @@ import numpy as np
 from socle_verify.automorphisms import NotMultiplicative
 from socle_verify.ffield import GF, FieldElement, FieldMismatch, _poly_mod
 from socle_verify.groupalgebra import FiltrationError, column_sums, radical_filtration_by_products
+from socle_verify.jennings import DimensionMismatch
 from socle_verify.linalg import FieldOps
-from socle_verify.pgroup import _normal_form_blocks, associative_on_all_triples
+from socle_verify.pgroup import (
+    InconsistentPresentation,
+    PcGroup,
+    _normal_form_blocks,
+    associative_on_all_triples,
+    catalog,
+)
 from socle_verify.truncsym import TruncatedPolynomialRing
 
 
@@ -266,6 +276,71 @@ def solve(ops, a, b):
     return x
 
 
+def reduce_rows(ops, v, basis, pivots):
+    """Eliminate the pivot coordinates of an RREF basis from rows of v."""
+    v = np.array(v, dtype=np.int64, copy=True)
+    if len(pivots) == 0 or v.size == 0:
+        return v
+    single = v.ndim == 1
+    if single:
+        v = v.reshape(1, -1)
+    coef = v[:, pivots]
+    if np.any(coef):
+        v = ops.sub(v, ops.matmul(coef, basis))
+    return v.reshape(-1) if single else v
+
+
+def degree_one_closure_by_witnesses(basis):
+    """Close degree one under brackets and p-powers; must fill every layer.
+
+    JenningsBasis.degree_one_generates as it was before it spanned each
+    layer from lie_bracket and p_restriction.  Every vector the closure
+    produces keeps a witness group index, so brackets and p-th powers of
+    closure vectors stay inside what witness commutators and witness powers
+    span.
+    """
+    ops = basis.filtration.ops
+    group = basis.group
+    witnesses = [(1, y) for y in basis.filtration.lifts[0]]
+    spans = {}
+
+    def absorb(r, g):
+        if basis.d(r) == 0:
+            return False
+        w = basis.class_coordinates(g, r)
+        rows, pivots = spans.get(r, (np.zeros((0, basis.d(r)), dtype=np.int64), []))
+        if not np.any(reduce_rows(ops, w, rows, pivots)):
+            return False
+        spans[r] = ops.rref(np.vstack([rows, w.reshape(1, -1)]))
+        return True
+
+    for r, y in witnesses:
+        absorb(r, y)
+    frontier = list(witnesses)
+    while frontier:
+        fresh = []
+        for ra, ha in frontier:
+            for rb, hb in witnesses:
+                for r, g in (
+                    (ra + rb, group.commutator(ha, hb)),
+                    (ra + rb, group.commutator(hb, ha)),
+                ):
+                    if absorb(r, g):
+                        fresh.append((r, g))
+            pw = group.power(ha, group.p)
+            if absorb(group.p * ra, pw):
+                fresh.append((group.p * ra, pw))
+        witnesses.extend(fresh)
+        frontier = fresh
+    for r in range(1, len(basis.filtration.lifts) + 1):
+        have = spans[r][0].shape[0] if r in spans else 0
+        if have != basis.d(r):
+            raise DimensionMismatch(
+                f"degree-one closure spans {have} of {basis.d(r)} dimensions in layer {r}"
+            )
+    return True
+
+
 def pbw_dimension(basis, r):
     """Number of lift-power products y_1^(e_1)...y_M^(e_M) of total degree r."""
     poly = basis.pbw_polynomial()
@@ -290,7 +365,7 @@ def lifts_by_gr_coordinates(algebra, chain):
             if idx == 0:
                 continue
             w = gr_coordinates(algebra, (AlgebraElement.embed(algebra, idx) - 1).codes, r)
-            if np.any(ops.reduce_rows(w, basis, pivots)):
+            if np.any(reduce_rows(ops, w, basis, pivots)):
                 lifts.append(idx)
                 basis, pivots = ops.rref(np.vstack([basis, w.reshape(1, -1)]))
         out.append(tuple(lifts))
@@ -349,12 +424,12 @@ def filtration_by_monomial_echelon(group, ops=None, lifts=None):
     pivots = [[]]
     for r in range(int(weights.max()), -1, -1):
         rows = monomials[weights == r]
-        q, qp = ops.rref(ops.reduce_rows(rows, bases[-1], pivots[-1]))
+        q, qp = ops.rref(reduce_rows(ops, rows, bases[-1], pivots[-1]))
         if not qp or len(qp) != rows.shape[0]:
             raise FiltrationError(f"weight-{r} monomials give no basis of J^{r}/J^{r + 1}")
         merged = pivots[-1] + qp
         order = np.argsort(merged)
-        stacked = np.vstack([ops.reduce_rows(bases[-1], q, qp), q])
+        stacked = np.vstack([reduce_rows(ops, bases[-1], q, qp), q])
         bases.append(stacked[order])
         pivots.append([merged[i] for i in order])
     if bases[1].shape[0] != 1:
@@ -382,7 +457,7 @@ def products_oracle_with_complements(group, ops=None):
     bases, pivots = radical_filtration_by_products(group, ops)
     complements, comp_pivots = [], []
     for r in range(len(bases) - 1):
-        q, qp = ops.rref(ops.reduce_rows(bases[r], bases[r + 1], pivots[r + 1]))
+        q, qp = ops.rref(reduce_rows(ops, bases[r], bases[r + 1], pivots[r + 1]))
         if q.shape[0] != bases[r].shape[0] - bases[r + 1].shape[0]:
             raise FiltrationError(f"graded complement in degree {r} has the wrong rank")
         complements.append(q)
@@ -423,9 +498,9 @@ def graded_blocks_by_projection(auto, basis, oracle):
     one = alg.one()
 
     def graded(x, r):
-        assert not ops.reduce_rows(x, bases[r], pivots[r]).any()
-        proj = ops.reduce_rows(x, bases[r + 1], pivots[r + 1])
-        assert not ops.reduce_rows(proj, complements[r], comp_pivots[r]).any()
+        assert not reduce_rows(ops, x, bases[r], pivots[r]).any()
+        proj = reduce_rows(ops, x, bases[r + 1], pivots[r + 1])
+        assert not reduce_rows(ops, proj, complements[r], comp_pivots[r]).any()
         return proj[comp_pivots[r]]
 
     blocks = []
@@ -1025,6 +1100,21 @@ def random_presentation(rng):
     return p, m, power_words, comm_words
 
 
+def catalog_and_random_groups(names):
+    """Every catalog group of names, then every consistent random
+    presentation of seeds 0..99 (orders up to 243), as the table tests
+    draw them."""
+    groups = [catalog(name) for name in names]
+    for seed in range(100):
+        p, m, power_words, comm_words = random_presentation(random.Random(seed))
+        try:
+            groups.append(PcGroup(p, m, dict(enumerate(power_words, start=1)), comm_words, name=f"seed {seed}"))
+        except InconsistentPresentation:
+            pass
+    assert len(groups) >= len(names) + 50
+    return groups
+
+
 def random_loop(rng, n):
     """A random Latin square of order n with identity 0 (a loop).
 
@@ -1059,7 +1149,7 @@ def random_loop(rng, n):
 
 def in_row_space(ops, v, basis, pivots):
     """Whether v reduces to zero against an RREF basis with these pivots."""
-    return not np.any(ops.reduce_rows(v, basis, pivots))
+    return not np.any(reduce_rows(ops, v, basis, pivots))
 
 
 def is_irreducible_by_trial_division(coeffs, p):

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from socle_verify import GF, FiltrationError, GroupAlgebra, InconsistentPresentation, NotAUnit, PcGroup, catalog
+from socle_verify import GF, FiltrationError, GroupAlgebra, NotAUnit, PcGroup, catalog
 from socle_verify.groupalgebra import (
     SPARSE_PRODUCT_SHARE,
     RadicalFiltration,
@@ -34,15 +34,16 @@ from oracle_helpers import (
     gr_coordinates,
     in_radical_power,
     multiply_codes_by_matrix,
+    reduce_rows,
     unit_inverse_by_series,
 )
 from conftest import shared_products_oracle
 from oracle_helpers import (
+    catalog_and_random_groups,
     filtration_by_monomial_echelon,
     jennings_monomials,
     jennings_series_by_products,
     products_oracle_with_complements,
-    random_presentation,
 )
 
 C2_7 = "pcgroup p=2 m=7\n"
@@ -256,24 +257,10 @@ def test_dimension_subgroups_match_recursive_series(group):
             assert a == b, name
 
 
-def _catalog_and_random_groups(all_names):
-    """Every catalog group, then every consistent random presentation of
-    seeds 0..99 (orders up to 243), as the table tests draw them."""
-    groups = [catalog(name) for name in all_names]
-    for seed in range(100):
-        p, m, power_words, comm_words = random_presentation(random.Random(seed))
-        try:
-            groups.append(PcGroup(p, m, dict(enumerate(power_words, start=1)), comm_words, name=f"seed {seed}"))
-        except InconsistentPresentation:
-            pass
-    assert len(groups) >= len(all_names) + 50
-    return groups
-
-
 def test_lift_degrees_are_the_depths_in_the_products_series(all_names):
     # lift j has degree r exactly when it lies in F_r but not in F_(r+1) of
     # the series built one product at a time
-    for g in _catalog_and_random_groups(all_names):
+    for g in catalog_and_random_groups(all_names):
         filt = radical_filtration(g)
         series = jennings_series_by_products(g)
         depths = [max(r for r, term in enumerate(series, start=1) if y in term) for y in filt.lift_indices.tolist()]
@@ -283,7 +270,7 @@ def test_lift_degrees_are_the_depths_in_the_products_series(all_names):
 
 def test_series_definitions_agree_and_see_a_neighbour_swapped_in(all_names, monkeypatch):
     swaps = 0
-    for g in _catalog_and_random_groups(all_names):
+    for g in catalog_and_random_groups(all_names):
         assert series_definitions_agree(g), g.name
         series = g.jennings_series_recursive()
         # each term that differs from a neighbour, replaced by that neighbour
@@ -332,7 +319,7 @@ def test_gr_coordinates_certificate(algebra):
         rest = x
         for c, m in zip(coords, weight_r):
             rest = rest - m * int(c)
-        assert not alg.ops.reduce_rows(rest.codes, *filt.basis(r + 1)).any()
+        assert not reduce_rows(alg.ops, rest.codes, *filt.basis(r + 1)).any()
 
 
 def test_gr_coordinates_rejects_outsiders(algebra):

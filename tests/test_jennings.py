@@ -10,22 +10,35 @@ from __future__ import annotations
 import gc
 import re
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from socle_verify import GF, FieldMismatch, GroupAlgebra, PcGroup, build_jennings_basis, catalog, catalog_names
+from socle_verify import (
+    GF,
+    FieldMismatch,
+    GroupAlgebra,
+    PcGroup,
+    build_jennings_basis,
+    catalog,
+    catalog_names,
+)
 from socle_verify.groupalgebra import dimension_subgroups_definitional, radical_filtration
 from socle_verify.jennings import DimensionMismatch, JenningsBasis
 from socle_verify.pipeline import build_group_field
 from oracle_helpers import (
     assert_lie_structure_compatible,
+    catalog_and_random_groups,
+    degree_one_closure_by_witnesses,
     layer_ranks,
     lift_words_by_walk,
     lifts_by_gr_coordinates,
     pbw_dimension,
     pbw_polynomial_oracle,
 )
+
+BENCH_PRESENTATIONS = Path(__file__).resolve().parents[1] / "perfbench" / "presentations"
 
 # socle degree (p-1) * sum(r * d_r), computed by hand from the chains
 SOCLE_DEGREES = {
@@ -143,6 +156,45 @@ def test_degree_one_generates(basis):
         assert basis(name).degree_one_generates()
 
 
+def _degree_one_outcome(check, b):
+    """True, or the DimensionMismatch message check(b) raises."""
+    try:
+        return check(b)
+    except DimensionMismatch as err:
+        return str(err)
+
+
+def test_degree_one_generates_matches_the_closure_by_witnesses(all_names):
+    """The per-layer spans of brackets and restrictions against the closure
+    over witness group elements, on every catalog group, the two benchmark
+    presentations and the consistent random presentations of seeds 0..99."""
+    groups = catalog_and_random_groups(all_names)
+    groups += [PcGroup.from_presentation_text(path.read_text(), name=path.stem)
+               for path in (BENCH_PRESENTATIONS / "c2x7.pc", BENCH_PRESENTATIONS / "heis27xc3.pc")]
+    for g in groups:
+        b = build_jennings_basis(g)
+        assert b.degree_one_generates() is True, g.name
+        assert degree_one_closure_by_witnesses(b) is True, g.name
+
+
+@pytest.mark.parametrize("patched, names", [
+    (("commutator", "power"), ("C4", "D8", "Q8", "D16", "M16", "C4xC2", "Heis27", "ES27", "C27")),
+    (("power",), ("C4", "C27", "C4xC2")),
+])
+def test_degree_one_shortfall_matches_the_closure_by_witnesses(monkeypatch, patched, names):
+    """With group commutators, p-th powers or both read as the identity, the
+    per-layer check and the closure by witnesses fail in the same layer with
+    the same message."""
+    for name in names:
+        g = catalog(name)
+        b = build_jennings_basis(g)  # the filtration is built before the patch
+        for attr in patched:
+            monkeypatch.setattr(g, attr, lambda *args: 0)
+        mine = _degree_one_outcome(JenningsBasis.degree_one_generates, b)
+        assert isinstance(mine, str) and mine.startswith("degree-one closure spans 0 of "), name
+        assert mine == _degree_one_outcome(degree_one_closure_by_witnesses, b), name
+
+
 def test_normal_form_bijection(group, all_names):
     # the filtration's lift words, against products walked over the table
     for name in list(all_names) + ["C2^7"]:
@@ -188,10 +240,11 @@ def test_build_rejects_wrong_characteristic(group):
 
 
 def test_group_is_freed_with_its_filtration_and_basis():
-    """The filtration and the basis are built once per group and die with it."""
+    """The filtration is built once per group and dies with it; every basis
+    reads that one filtration."""
     d8 = catalog("D8")
     assert radical_filtration(d8) is radical_filtration(d8)
-    assert build_jennings_basis(d8) is build_jennings_basis(d8)
+    assert build_jennings_basis(d8).filtration is build_jennings_basis(d8).filtration
     assert build_jennings_basis(d8).filtration is radical_filtration(d8)
     ref = weakref.ref(d8)
     del d8

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -226,6 +227,20 @@ def test_malformed_presentations_rejected():
         PcGroup.from_presentation_text(
             "pcgroup p=2 m=2\ng1^2 = 1\ng2^2 = 1\n[g2,g1] = g1\n"
         )
+
+
+@pytest.mark.parametrize("first, second, named", [
+    ("g1^2 = g2", "g1^2 = 1", "power relation for g1"),
+    ("g1^2 = g2", "g1^2 = g2", "power relation for g1"),
+    ("[g2,g1] = g3", "[g2,g1] = 1", "commutator relation [g2,g1]"),
+    ("[g2,g1] = 1", "[ g2 , g1 ] = 1", "commutator relation [g2,g1]"),
+])
+def test_relation_given_twice_is_rejected(first, second, named):
+    """A repeated relation is an error naming it, not a silent last-line win,
+    also when both lines are equal."""
+    text = f"pcgroup p=2 m=3\n{first}\n{second}\n"
+    with pytest.raises(PresentationError, match=re.escape(f"{named} is given twice")):
+        PcGroup.from_presentation_text(text)
 
 
 def test_presentation_text_roundtrip(group):
