@@ -6,7 +6,7 @@ every algebra automorphism scales the one-dimensional socle by the
 (p-1)-st power of the determinant of its induced graded action.
 """
 
-from .ffield import GF, FieldSpec, FieldElement, FieldMismatch, DomainError, parse_field_literal
+from .ffield import GF, FieldSpec, FieldElement, FieldMismatch, parse_field_literal
 from .pgroup import (
     PcGroup,
     GroupAutomorphism,

@@ -11,6 +11,7 @@ the lexicographically smallest monic irreducible, found with Rabin's test.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 
@@ -21,7 +22,6 @@ __all__ = [
     "FieldSpec",
     "FieldElement",
     "FieldMismatch",
-    "DomainError",
     "MAX_EXTENSION_DEGREE",
     "MAX_CHARACTERISTIC",
     "MAX_FIELD_ORDER",
@@ -39,10 +39,6 @@ MAX_FIELD_ORDER = 2**63 - 1
 
 class FieldMismatch(ValueError):
     """Raised when two operands live over different field specs."""
-
-
-class DomainError(ValueError):
-    """Raised when an argument is outside an operation's domain."""
 
 
 def is_prime(p: int) -> bool:
@@ -143,19 +139,13 @@ def _is_irreducible(coeffs: Sequence[int], p: int) -> bool:
     return True
 
 
-_SMALLEST_IRREDUCIBLE: dict[tuple[int, int], tuple[int, ...]] = {}
-
-
+@functools.cache
 def _smallest_irreducible(p: int, n: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree n over GF(p).
 
     Candidates are ordered by their low-degree-first coefficient vectors, so
     the choice is reproducible across runs and platforms.
     """
-    key = (p, n)
-    cached = _SMALLEST_IRREDUCIBLE.get(key)
-    if cached is not None:
-        return cached
     # itertools.product varies the last digit fastest, so putting the constant
     # coefficient first makes it the most significant comparison digit.  For
     # n >= 2 every candidate with constant coefficient 0 is divisible by t, so
@@ -164,9 +154,7 @@ def _smallest_irreducible(p: int, n: int) -> tuple[int, ...]:
     for low_first in itertools.product(first, *[range(p)] * (n - 1)):
         coeffs = list(low_first) + [1]
         if _is_irreducible(coeffs, p):
-            result = tuple(coeffs)
-            _SMALLEST_IRREDUCIBLE[key] = result
-            return result
+            return tuple(coeffs)
     raise RuntimeError(f"no irreducible polynomial of degree {n} over GF({p})")
 
 
@@ -361,21 +349,6 @@ class FieldElement:
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
-
-    def is_one(self) -> bool:
-        return self == self.spec.one()
-
-    def is_pm1_power(self) -> bool:
-        """Whether this unit is a (p-1)-st power in the multiplicative group.
-
-        The multiplicative group is cyclic of order q-1, so the (p-1)-st
-        powers form its unique subgroup of index gcd(p-1, q-1) = p-1, and
-        membership reduces to one exponentiation.
-        """
-        if self.is_zero():
-            raise DomainError("zero is not a unit; (p-1)-st power test undefined")
-        e = (self.spec.q - 1) // (self.spec.p - 1)
-        return (self**e).is_one()
 
     def __str__(self) -> str:
         return format_field_literal(self)

@@ -66,7 +66,7 @@ def column_sums(ops: FieldOps, codes: np.ndarray) -> np.ndarray:
     """
     if ops.n == 1:
         return codes.sum(axis=0) % ops.p
-    return ops.encode(ops.decode(codes).sum(axis=0) % ops.p)
+    return ops.encode(ops.decode(codes).sum(axis=0))
 
 
 class RadicalFiltration:

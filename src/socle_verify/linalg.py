@@ -25,8 +25,11 @@ matmul_stack takes stacks of products, (B, R, K) @ (B, K, C), and matmul
 is its one-member call.  Over GF(p^n), n > 1, all n^2 plane products of a
 member are one BLAS product (delayed reduction, as in FFLAS-FFPACK): the
 left rows decoded as (w*n, K) times the right factor decoded once as
-(K, C*n).  The n blocks with i + j = l are folded into plane l, and the
-2n-1 planes are reduced mod the modulus and encoded.  The rows are taken
+(K, C*n).  The n blocks with i + j = l are added into plane l, and the
+2n-1 planes, taken mod p, are reduced mod the modulus by one product with
+_reduction, whose row e is t^e mod the modulus as FieldSpec.from_coeffs
+reduces it, and encoded.  _fold, which mul takes above the gather
+tables' bound, is read off the same table.  The rows are taken
 in chunks: rows of one member whose decoded left rows and whose product
 each hold at most MAX_PRODUCT_CELLS entries, or several small members
 that hold at most MAX_STACK_CELLS together.  So the memory a stack takes
@@ -93,18 +96,6 @@ class FieldOps:
         self._digits = (
             np.arange(self._chunk_base, dtype=np.int64)[:, None] // self._powers[:digits]
         ) % self.p
-        # reduction planes: _red[k] = coefficients of t^(n+k) modulo the modulus
-        red = []
-        cur = [(-c) % self.p for c in spec.modulus[:-1]]  # t^n
-        for _ in range(self.n - 1):
-            red.append(list(cur))
-            nxt = [0] + cur[:-1]
-            lead = cur[-1]
-            if lead:
-                for i, c in enumerate(spec.modulus[:-1]):
-                    nxt[i] = (nxt[i] - lead * c) % self.p
-            cur = nxt
-        self._red = np.array(red, dtype=np.int64).reshape(self.n - 1, self.n)
         # elementwise ops gather from _tables up to the digit table's bound
         self._gathered = spec.q <= DIGIT_TABLE_ROWS
 
@@ -113,10 +104,15 @@ class FieldOps:
         return _gather_tables(self.spec)
 
     @functools.cached_property
+    def _reduction(self) -> np.ndarray:
+        """(2n-1, n): row e holds the coefficients of t^e mod the modulus."""
+        rows = [self.spec.from_coeffs([0] * e + [1]).coeffs for e in range(2 * self.n - 1)]
+        return np.array(rows, dtype=np.int64)
+
+    @functools.cached_property
     def _fold(self) -> np.ndarray:
         """Entry (i, (j, k)) is the coefficient of t^k in t^(i+j) mod the modulus."""
-        reduced = np.vstack([np.eye(self.n, dtype=np.int64), self._red])
-        return reduced[np.add.outer(np.arange(self.n), np.arange(self.n))].reshape(self.n, -1)
+        return self._reduction[np.add.outer(np.arange(self.n), np.arange(self.n))].reshape(self.n, -1)
 
     # -- code <-> coefficient planes -----------------------------------------
 
@@ -183,16 +179,6 @@ class FieldOps:
         about a third slower (gl-check 5,1,8), and its encode reduces anyway."""
         shifted = self.decode(a) @ self._fold
         return shifted.reshape(shifted.shape[:-1] + (self.n, self.n))
-
-    def reduce_planes(self, planes: np.ndarray) -> np.ndarray:
-        """Fold planes for t^n .. t^(2n-2), entries below p, back into degrees < n."""
-        low = planes[..., : self.n].copy()
-        for k in range(self.n - 1):
-            c = planes[..., self.n + k]
-            if np.any(c):
-                low += c[..., None] * self._red[k]
-        low %= self.p
-        return low
 
     # -- powers and inverses ---------------------------------------------------
 
@@ -263,21 +249,25 @@ class FieldOps:
         return np.ascontiguousarray(right, dtype=kind).reshape(len(b), b.shape[1], self.n * b.shape[2])
 
     def _product(self, a: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """Codes (g, w, C) of left code rows (g, w, K) times _right_factors."""
+        """Codes (g, w, C) of left code rows (g, w, K) times _right_factors:
+        over GF(p^n), n > 1, the 2n-1 planes times _reduction."""
         if self.n == 1:
             prod = (a.astype(right.dtype) @ right).astype(np.int64, copy=False)
             prod %= self.p
             return prod
-        return self.encode(self.reduce_planes(self._plane_product(a, right)))
+        # entries of the reduced planes stay below (2n-1) p^2; encode takes them mod p
+        return self.encode(self._plane_product(a, right) @ self._reduction)
 
     def _plane_product(self, a: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """Planes (g, w, C, 2n-1), mod p but not yet mod the modulus, of left
-        code rows (g, w, K) times right factors decoded as (g, K, n*C).
+        """Planes (g, w, C, 2n-1) of t^0 .. t^(2n-2), mod p but not yet mod
+        the modulus, of left code rows (g, w, K) times right factors decoded
+        as (g, K, n*C).
 
         The left rows are decoded and taken as (i, r), so block [i, :, j, :]
         of a member's BLAS product is the plane product a_i b_j; its entries
         are sums of K terms below p^2, and the n blocks with i + j = l are
-        added into plane l.
+        added into plane l, so the reduction takes 2n-1 planes, not n^2
+        blocks.
         """
         n, (size, width, depth) = self.n, a.shape
         left = np.ascontiguousarray(self.decode(a).transpose(0, 3, 1, 2), dtype=right.dtype)

@@ -48,7 +48,11 @@ element's Jennings coordinates, were GroupAlgebra methods, and solve and
 reduce_rows were FieldOps methods, before they left the package with no
 caller there.  The degree-one closure by witnesses is
 JenningsBasis.degree_one_generates as it was before it read each layer's
-span off lie_bracket and p_restriction.
+span off lie_bracket and p_restriction.  The plane reduction by long
+division reduces product planes modulo the field's modulus without the
+table FieldOps reduces through.  is_pm1_power and DomainError were
+FieldElement's (p-1)-st power test and its error, before gl-check
+stopped testing a lambda equal to det^(p-1) for being such a power.
 """
 
 from __future__ import annotations
@@ -79,6 +83,22 @@ class NotScalarMultiple(ValueError):
 
 class SingularMatrix(ValueError):
     """Linear substitutions must be invertible."""
+
+
+class DomainError(ValueError):
+    """Raised when an argument is outside an operation's domain."""
+
+
+def is_pm1_power(x):
+    """Whether a unit x of GF(q) is a (p-1)-st power in the multiplicative group.
+
+    The multiplicative group is cyclic of order q-1, so the (p-1)-st
+    powers form its unique subgroup of index gcd(p-1, q-1) = p-1, and
+    membership reduces to one exponentiation.
+    """
+    if x.is_zero():
+        raise DomainError("zero is not a unit; (p-1)-st power test undefined")
+    return x ** ((x.spec.q - 1) // (x.spec.p - 1)) == 1
 
 
 class AlgebraElement:
@@ -580,8 +600,8 @@ def report_by_members(auto):
         det_total=total,
         det_power=det_pow,
         equation_holds=lam == det_pow,
-        lambda_in_power_subgroup=lam.is_pm1_power(),
-        lambda_is_one=lam.is_one(),
+        lambda_in_power_subgroup=is_pm1_power(lam),
+        lambda_is_one=lam == 1,
     ).as_dict()
 
 
@@ -1181,7 +1201,20 @@ def matmul_by_planes(ops, a, b):
         for j in range(ops.n):
             out[..., i + j] += (pa[..., i] @ pb[..., j]) % ops.p
     out %= ops.p
-    return ops.encode(ops.reduce_planes(out))
+    return ops.encode(reduce_planes_by_division(ops, out))
+
+
+def reduce_planes_by_division(ops, planes):
+    """Planes (..., 2n-1) of t^0 .. t^(2n-2), entries below p, reduced mod
+    the modulus f by long division from degree 2n-2 down: the coefficient c
+    of t^k, k >= n, is cleared by subtracting c t^(k-n) f.  Returns the
+    (..., n) planes, entries below p."""
+    n, p = ops.n, ops.p
+    low = np.array(planes, dtype=np.int64, copy=True)
+    f = np.array(ops.spec.modulus[:-1], dtype=np.int64)
+    for k in range(2 * n - 2, n - 1, -1):
+        low[..., k - n : k] = (low[..., k - n : k] - low[..., k, None] * f) % p
+    return low[..., :n]
 
 
 def det_by_column_loop(ops, m):
@@ -1233,7 +1266,7 @@ def rref_by_full_update(ops, m):
         if i != r:
             m[[r, i]] = m[[i, r]]
         pivot = spec.element_from_code(int(m[r, c]))
-        if not pivot.is_one():
+        if pivot != 1:
             m[r] = ops.mul(np.int64(spec.code_of(pivot.inverse())), m[r])
         factors = m[:, c].copy()
         factors[r] = 0
@@ -1329,7 +1362,7 @@ class GridRing(TruncatedPolynomialRing):
                 if cell[j].any():
                     acc[dst + (slice(j, j + n),)] += src * cell[j]
         acc %= p
-        return acc if n == 1 else ops.reduce_planes(acc)
+        return acc if n == 1 else reduce_planes_by_division(ops, acc)
 
 
 class TruncatedPolynomial:

@@ -394,19 +394,22 @@ def test_decode_matches_divmod_across_chunks(p, n):
     assert np.array_equal(ops.decode(np.int64(p**n - 1)), [p - 1] * n)
 
 
-# GF(67^8) is left out: its default-modulus search trial-divides 67^4
-# candidates; GF(67^3) takes the same multi-chunk decode
-MATMUL_FIELDS = [(p, n) for p in (2, 3, 5, 67) for n in (1, 2, 3, 8) if (p, n) != (67, 8)]
+# (p, n, modulus), the default modulus when None; t^3 + 2t + 2 over GF(3)
+# and t^4 + t^3 + t^2 + t + 1 over GF(2) are not the defaults, and t has
+# order 13 and 5 in them, so it is not a primitive element
+MATMUL_FIELDS = [(p, n, None) for p in (2, 3, 5, 67) for n in (1, 2, 3, 8)]
+MATMUL_FIELDS += [(3, 3, "t^3+2*t+2"), (2, 4, "t^4+t^3+t^2+t+1")]
 # (rows, K, columns): no rows, one column, K = 1, and 7 rows that leave a
 # partial last chunk when a chunk holds 3 rows
 MATMUL_SHAPES = [(0, 4, 3), (5, 4, 1), (6, 1, 5), (1, 1, 1), (7, 5, 6), (7, 9, 2)]
 
 
-@pytest.mark.parametrize("p,n", MATMUL_FIELDS)
-def test_matmul_matches_plane_oracle(monkeypatch, p, n):
+@pytest.mark.parametrize("p,n,modulus", MATMUL_FIELDS,
+                         ids=["-".join(str(x) for x in case if x is not None) for case in MATMUL_FIELDS])
+def test_matmul_matches_plane_oracle(monkeypatch, p, n, modulus):
     """One BLAS product, in row chunks and with the int64 product, against
-    n^2 separate plane products."""
-    ops = field_ops(p, n)
+    n^2 separate plane products reduced by long division."""
+    ops = FieldOps(GF(p, n, modulus))
     rng = np.random.default_rng(7 * p + n)
     for rows, depth, cols in MATMUL_SHAPES:
         a = rng.integers(0, p**n, (rows, depth))
