@@ -13,11 +13,12 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from collections.abc import Callable
 from pathlib import Path
 
 from .groupalgebra import series_definitions_agree
 from .jennings import build_jennings_basis
-from .pgroup import MAX_PRESENTATION_BYTES, PcGroup, PresentationError, catalog, catalog_names
+from .pgroup import MAX_PRESENTATION_BYTES, PresentationError, catalog_names
 from .pipeline import (
     MASTER_SEED,
     SEED_ENV,
@@ -26,6 +27,7 @@ from .pipeline import (
     build_group_field,
     catalog_table,
     gl_check,
+    load_group,
     prepare,
     render_json,
     run,
@@ -148,11 +150,11 @@ def _group_source(args: argparse.Namespace) -> tuple[str, str | None]:
     )
 
 
-def _build_group(args: argparse.Namespace) -> PcGroup:
-    name, text = _group_source(args)
-    if text is not None:
-        return PcGroup.from_presentation_text(text, name=name)
-    return catalog(name)
+def _emit(args: argparse.Namespace, data: Callable[[], dict], text: Callable[[], str], verdict: bool) -> int:
+    """Write data() as JSON or text() as text, as --format asks, and return
+    the exit code: 0 when the verdict holds, else 1."""
+    sys.stdout.write(render_json(data()) if args.format == "json" else text() + "\n")
+    return 0 if verdict else 1
 
 
 @functools.cache
@@ -232,10 +234,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except RunStageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except (ValueError, KeyError, OSError) as err:
+    except (RunStageError, ValueError, KeyError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 
@@ -254,11 +253,8 @@ def _dispatch(args: argparse.Namespace) -> int:
             include_stored=not args.no_stored,
             seed=args.seed,
         )
-        algebra, autos = prepare(config)
-        report = run(algebra, autos, full_check=args.full_check)
-        out = render_json(report.as_dict()) if args.format == "json" else report.render_text() + "\n"
-        sys.stdout.write(out)
-        return 0 if report.verdict else 1
+        report = run(*prepare(config), full_check=args.full_check)
+        return _emit(args, report.as_dict, report.render_text, report.verdict)
 
     if args.command == "sweep":
         groups = _group_names(args.groups) if args.groups is not None else None
@@ -271,12 +267,10 @@ def _dispatch(args: argparse.Namespace) -> int:
             extension_degree=1 if args.prime_only else 2,
             full_check=args.full_check,
         )
-        out = render_json(report.as_dict()) if args.format == "json" else report.render_text() + "\n"
-        sys.stdout.write(out)
-        return 0 if report.verdict else 1
+        return _emit(args, report.as_dict, report.render_text, report.verdict)
 
     if args.command == "jennings":
-        group = _build_group(args)
+        group = load_group(*_group_source(args))
         if args.field is not None:
             build_group_field(group, *_split_field(args.field))
         basis = build_jennings_basis(group)
@@ -290,9 +284,8 @@ def _dispatch(args: argparse.Namespace) -> int:
             "socle_degree": int(basis.filtration.socle_degree),
             "series_definitions_agree": bool(match),
         }
-        if args.format == "json":
-            sys.stdout.write(render_json(data))
-        else:
+
+        def text() -> str:
             lines = [f"group {data['group']['name']} (order {group.order}, p = {group.p})"]
             for layer in data["layers"]:
                 lifts = ", ".join(layer["lifts"]) if layer["lifts"] else "-"
@@ -300,22 +293,19 @@ def _dispatch(args: argparse.Namespace) -> int:
             lines.append(f"  graded dimensions: {data['gr_dims']}")
             lines.append(f"  socle degree: {data['socle_degree']}")
             lines.append(f"  recursive = definitional series: {'yes' if match else 'NO'}")
-            sys.stdout.write("\n".join(lines) + "\n")
-        return 0 if match else 1
+            return "\n".join(lines)
+
+        return _emit(args, lambda: data, text, match)
 
     if args.command == "gl-check":
-        report = gl_check(
-            p=args.p, m=args.m, n=args.n, count=args.count, seed=args.seed, modulus=args.modulus
-        )
-        if args.format == "json":
-            sys.stdout.write(render_json(report))
-        else:
+        report = gl_check(p=args.p, m=args.m, n=args.n, count=args.count, seed=args.seed, modulus=args.modulus)
+
+        def text() -> str:
             checked = ", ".join(f"{k}={v}" for k, v in report["checked"].items())
-            sys.stdout.write(
-                f"GL_{args.m} over GF({args.p}^{args.n}): {checked}\n"
-                f"verdict: {'PASS' if report['verdict'] else 'FAIL'}\n"
-            )
-        return 0 if report["verdict"] else 1
+            return (f"GL_{args.m} over GF({args.p}^{args.n}): {checked}\n"
+                    f"verdict: {'PASS' if report['verdict'] else 'FAIL'}")
+
+        return _emit(args, lambda: report, text, report["verdict"])
 
     if args.command == "catalog":
         sys.stdout.write(catalog_table() + "\n")

@@ -82,8 +82,7 @@ class RadicalFiltration:
     words, weights and coordinates() belongs to the exponent vector e.
     A monomial is its word plus words of smaller exponent vectors, so the
     monomials are a basis of kG exactly when the words enumerate G, which
-    the build checks.  It keeps the top monomial prod_j (y_j - 1)^(p-1),
-    one gather per factor.
+    the build checks.
 
     The layers: series[r-1] is F_r as a sorted tuple of table indices,
     ending at its first trivial term (0,), and lifts[r-1] the indices of
@@ -98,24 +97,17 @@ class RadicalFiltration:
         self.ops = ops if ops is not None else FieldOps(GF(group.p))
         if self.ops.p != group.p:
             raise FieldMismatch("filtration field characteristic must match the group prime")
-        ops = self.ops
         n = group.order
         p = group.p
         t = group.cayley_table
-        inv = group.inverse_table
         self.series, self.lifts = group.jennings_lifts()
 
-        top = np.zeros(n, dtype=np.int64)
-        top[0] = 1
         words = np.zeros(1, dtype=np.int64)
         weights = np.zeros(1, dtype=np.int64)
         for r, layer in enumerate(self.lifts, start=1):
             for yi in layer:
-                # (x y)[k] = x[k y^-1], so x (y - 1) is a gather minus x
-                right = t[:, int(inv[yi])]
                 word_blocks, block_weights = [words], [weights]
                 for e in range(1, p):
-                    top = ops.sub(top[right], top)
                     word_blocks.append(t[word_blocks[-1], yi])
                     block_weights.append(weights + e * r)
                 words = np.concatenate(word_blocks)
@@ -124,7 +116,6 @@ class RadicalFiltration:
             raise FiltrationError("the lift words y_1^(e_1) ... y_M^(e_M) do not enumerate G")
         self.words = words
         self.weights = weights
-        self.top_monomial = top
         # group index of the j-th lift y_j, row of its monomial y_j - 1, and
         # its degree r, for y_j in F_r but not in F_(r+1)
         self.lift_indices = np.array([y for layer in self.lifts for y in layer], dtype=np.int64)
@@ -437,22 +428,22 @@ class GroupAlgebra:
     # -- the socle -------------------------------------------------------------------
 
     def socle_vector(self) -> np.ndarray:
-        """The codes of the sum of all group elements, certified to span the
-        socle.
+        """The codes of the sum of all group elements, which spans the socle.
 
         The socle, the two-sided annihilator of J, is the space fixed by
         left and right translation by every generator.  The Cayley table is
         certified to be a group table when the group is built, and the pc
         generators generate G, so translations act transitively on the
-        group basis and the only fixed vectors are the constants.  What is
-        left to check is that the filtration agrees: J^s, spanned by the
-        top Jennings monomial, is one-dimensional, and that monomial is
-        this vector.  socle_vector_by_nullspace() recomputes the fixed space
-        as an oracle.
+        group basis and the only fixed vectors are the constants.  The
+        filtration agrees by construction.  dims[s] counts the monomials of
+        the top weight s, and only the all-(p-1) exponent vector has that
+        weight, so J^s is spanned by the top monomial prod_j (y_j - 1)^(p-1).
+        In characteristic p, (y - 1)^(p-1) = sum_(e<p) y^e, so that monomial
+        is the sum of the lift words y_1^(e_1) ... y_M^(e_M), which is the
+        sum of all elements of G once the build has checked that the words
+        enumerate G.  socle_vector_by_nullspace() recomputes the fixed space
+        and JenningsBasis.socle_product() the top monomial, as oracles.
         """
-        filt = self.filtration
-        if filt.dims[filt.socle_degree] != 1 or not np.all(filt.top_monomial == 1):
-            raise FiltrationError("last radical power is not spanned by the all-ones vector")
         return np.ones(self.dimension, dtype=np.int64)
 
     def socle_vector_by_nullspace(self) -> np.ndarray:

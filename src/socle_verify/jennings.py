@@ -49,10 +49,11 @@ one-dimensional and
     prod_j (y_j - 1)^(p-1) = sum of all elements of G
 
 holds exactly, because (y-1)^(p-1) = 1 + y + ... + y^(p-1) in
-characteristic p and the monomials enumerate G.  The radical filtration
-keeps that product as its top monomial, built by gathers;
-JenningsBasis.socle_product recomputes its codes by kG products, the
-oracle that --full-check compares with it.
+characteristic p and the lift words enumerate G, which the radical
+filtration checks when it is built; GroupAlgebra.socle_vector reads the
+socle line off that check.  JenningsBasis.socle_product multiplies the
+product out by kG products, the oracle that --full-check compares with
+the sum of all elements.
 """
 
 from __future__ import annotations
@@ -187,8 +188,9 @@ class JenningsBasis:
         kG products: the word x_1^(p-1) ... x_M^(p-1) in x_j = y_j - 1,
         multiplied out by _word_value with multiply_codes.
 
-        The oracle for the filtration's top monomial, the same product by
-        one gather per factor; runs call it under --full-check.
+        The oracle for GroupAlgebra.socle_vector, which reads the product
+        off the filtration build's enumeration check; runs call it under
+        --full-check.
         """
         if algebra.group is not self.group:
             raise ValueError("algebra is over a different group")

@@ -228,12 +228,17 @@ def build_group_field(group: PcGroup, p: int, n: int = 1, modulus: str | None = 
     return build_field(p, n, modulus)
 
 
+def load_group(name: str, presentation: str | None = None) -> PcGroup:
+    """The group a presentation text defines, named name, or else the
+    catalog group name."""
+    if presentation is not None:
+        return PcGroup.from_presentation_text(presentation, name=name or "custom")
+    return catalog(name)
+
+
 def prepare(config: RunConfig) -> tuple[GroupAlgebra, list[AlgebraAutomorphism]]:
     try:
-        if config.presentation is not None:
-            group = PcGroup.from_presentation_text(config.presentation, name=config.group or "custom")
-        else:
-            group = catalog(config.group)
+        group = load_group(config.group, config.presentation)
     except Exception as err:
         raise RunStageError("group", err) from err
     try:
@@ -257,6 +262,12 @@ def prepare(config: RunConfig) -> tuple[GroupAlgebra, list[AlgebraAutomorphism]]
     return algebra, autos
 
 
+def _require(ok: bool, stage: str, message: str) -> None:
+    """Stop a run at stage when an oracle fails."""
+    if not ok:
+        raise RunStageError(stage, ValueError(message))
+
+
 def run(algebra: GroupAlgebra, autos: list[AlgebraAutomorphism], full_check: bool = False) -> RunReport:
     group = algebra.group
     try:
@@ -277,22 +288,20 @@ def run(algebra: GroupAlgebra, autos: list[AlgebraAutomorphism], full_check: boo
         checks["graded_dimensions"] = True
         socle = algebra.socle_vector()
         checks["socle_certificate"] = True
-        # prod_j (y_j - 1)^(p-1): the top monomial, and kG products under --full-check
-        checks["socle_product_formula"] = np.array_equal(algebra.filtration.top_monomial, socle) and (
-            not full_check or np.array_equal(basis.socle_product(algebra), socle))
-        if not checks["socle_product_formula"]:
-            raise RunStageError(
-                "socle", ValueError("product of (lift - 1)^(p-1) is not the socle vector")
-            )
+        # prod_j (y_j - 1)^(p-1) is the sum of the lift words, so holds by
+        # construction once the filtration build has checked that they
+        # enumerate G; under --full-check it is multiplied out by kG products
+        checks["socle_product_formula"] = not full_check or np.array_equal(basis.socle_product(algebra), socle)
+        _require(checks["socle_product_formula"], "socle",
+                 "product of (lift - 1)^(p-1) is not the socle vector")
         if full_check:
             checks["group_associativity_oracle"] = associative_on_all_triples(group.cayley_table)
             checks["filtration_products_oracle"] = algebra.filtration.matches(
                 radical_filtration_by_products(group)[0]
             )
-            if not checks["filtration_products_oracle"]:
-                raise RunStageError("filtration", ValueError(
-                    "filtration_products_oracle: the weight >= r monomials do not span "
-                    "the products J^r"))
+            _require(checks["filtration_products_oracle"], "filtration",
+                     "filtration_products_oracle: the weight >= r monomials do not span "
+                     "the products J^r")
             checks["socle_nullspace_oracle"] = np.array_equal(algebra.socle_vector_by_nullspace(), socle)
             # every RadicalFiltration build checks that the lift words
             # y_1^(e_1) ... y_M^(e_M) enumerate G, or raises FiltrationError
@@ -300,10 +309,8 @@ def run(algebra: GroupAlgebra, autos: list[AlgebraAutomorphism], full_check: boo
             basis.degree_one_generates()
             checks["degree_one_generation"] = True
             checks["series_definitions_agree"] = series_definitions_agree(group)
-            if not checks["series_definitions_agree"]:
-                raise RunStageError(
-                    "series", ValueError("recursive and definitional dimension subgroups differ")
-                )
+            _require(checks["series_definitions_agree"], "series",
+                     "recursive and definitional dimension subgroups differ")
     except RunStageError:
         raise
     except Exception as err:

@@ -53,6 +53,9 @@ division reduces product planes modulo the field's modulus without the
 table FieldOps reduces through.  is_pm1_power and DomainError were
 FieldElement's (p-1)-st power test and its error, before gl-check
 stopped testing a lambda equal to det^(p-1) for being such a power.
+The top monomial by gathers is prod_j (y_j - 1)^(p-1) as RadicalFiltration
+built it, one gather per factor, before the socle line was read off the
+build's check that the lift words enumerate G.
 """
 
 from __future__ import annotations
@@ -409,6 +412,23 @@ def lift_words_by_walk(group, lifts):
                 acc = int(t[acc, y])
         words.append(acc)
     return words
+
+
+def top_monomial_by_gathers(filt):
+    """The codes of prod_j (y_j - 1)^(p-1) over filt's lifts in ascending
+    degree, one gather per factor."""
+    ops = filt.ops
+    t = filt.group.cayley_table
+    inv = filt.group.inverse_table
+    top = np.zeros(filt.group.order, dtype=np.int64)
+    top[0] = 1
+    for layer in filt.lifts:
+        for yi in layer:
+            # (x y)[k] = x[k y^-1], so x (y - 1) is a gather minus x
+            right = t[:, int(inv[yi])]
+            for _ in range(1, filt.group.p):
+                top = ops.sub(top[right], top)
+    return top
 
 
 def filtration_by_monomial_echelon(group, ops=None, lifts=None):

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from socle_verify import GF, FiltrationError, GroupAlgebra, NotAUnit, PcGroup, catalog
+from socle_verify import GF, FiltrationError, GroupAlgebra, NotAUnit, PcGroup, build_jennings_basis, catalog
 from socle_verify.groupalgebra import (
     SPARSE_PRODUCT_SHARE,
     RadicalFiltration,
@@ -44,6 +44,7 @@ from oracle_helpers import (
     jennings_monomials,
     jennings_series_by_products,
     products_oracle_with_complements,
+    top_monomial_by_gathers,
 )
 
 C2_7 = "pcgroup p=2 m=7\n"
@@ -117,6 +118,22 @@ def test_structural_socle_matches_nullspace_oracle(algebra, all_names):
     assert len(algebras) == 25
     for alg in algebras:
         assert np.array_equal(alg.socle_vector(), alg.socle_vector_by_nullspace()), alg.group.name
+
+
+def test_top_monomial_by_gathers_is_the_socle_vector(algebra, all_names):
+    # the moved check: prod_j (y_j - 1)^(p-1), by one gather per factor and
+    # by kG products, is the sum of all elements of G, which socle_vector()
+    # reads off the build's enumeration check
+    algebras = [algebra(name) for name in [*all_names, "C2^9"]]
+    for f in ("c2x7.pc", "heis27xc3.pc"):
+        g = PcGroup.from_presentation_text((BENCH_PRESENTATIONS / f).read_text(), name=f)
+        algebras.append(GroupAlgebra(g, GF(g.p)))
+    assert len(algebras) == 27
+    for alg in algebras:
+        top = top_monomial_by_gathers(alg.filtration)
+        assert np.array_equal(top, np.ones(alg.dimension, dtype=np.int64)), alg.group.name
+        assert np.array_equal(top, alg.socle_vector()), alg.group.name
+        assert np.array_equal(top, build_jennings_basis(alg.group).socle_product(alg)), alg.group.name
 
 
 def _assert_same_filtration(filt, oracle, label):
@@ -207,7 +224,7 @@ def test_swapped_c4_lifts_pass_the_build_and_fail_the_products_oracle(monkeypatc
     filt = RadicalFiltration(c4)
     filtration_by_monomial_echelon(c4)
     assert filt.dims == [4, 3, 2, 1, 0]
-    assert np.all(filt.top_monomial == 1)
+    assert np.all(top_monomial_by_gathers(filt) == 1)
     assert filt.matches(radical_filtration_by_products(c4)[0]) is False
     # so a default run passes, and --full-check stops at the products oracle
     alg = GroupAlgebra(c4, GF(2))

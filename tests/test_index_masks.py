@@ -7,7 +7,9 @@ pivots cleared.  Each is compared with its np.unique or np.setdiff1d form
 (tests/oracle_helpers.py) on the catalog, the benchmark presentations and
 seeded random presentations.  On numpy >= 2.3, np.unique imports numpy.ma
 on its first call; a child process runs every subcommand and checks that
-numpy.ma is never imported.
+numpy.ma is never imported.  Nor is numpy.random: importing it alone
+raises a bare interpreter's peak RSS by about 6 MB, so random draws come
+from random.Random.
 """
 
 from __future__ import annotations
@@ -147,20 +149,25 @@ def test_nullspace_free_column_mask_matches_setdiff(p, n):
     assert ops.nullspace(cases[2]).shape == (0, 6)
 
 
-# one process for every subcommand; each argv must exit 0
+# one process for every subcommand; each argv must exit 0.  For numpy.ma
+# and numpy.random it reports whether numpy imports the module itself, and
+# the first argv after which the module is loaded
+LAZY_MODULES = ["numpy.ma", "numpy.random"]
 NUMPY_MA_CHILD = r"""
 import contextlib, io, json, sys
 import numpy
-eager = "numpy.ma" in sys.modules
+modules = json.loads(sys.argv[2])
+eager = {mod: mod in sys.modules for mod in modules}
 from socle_verify.cli import main
-first = None
+first = dict.fromkeys(modules)
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
     if code != 0:
         raise SystemExit(f"exit code {code} from {argv}")
-    if first is None and "numpy.ma" in sys.modules:
-        first = argv
+    for mod in modules:
+        if first[mod] is None and mod in sys.modules:
+            first[mod] = argv
 print(json.dumps({"eager": eager, "first_import": first}))
 """
 
@@ -178,9 +185,11 @@ SUBCOMMANDS = [
 
 
 def test_no_subcommand_imports_numpy_ma():
-    proc = subprocess.run([sys.executable, "-c", NUMPY_MA_CHILD, json.dumps(SUBCOMMANDS)],
+    proc = subprocess.run([sys.executable, "-c", NUMPY_MA_CHILD, json.dumps(SUBCOMMANDS),
+                           json.dumps(LAZY_MODULES)],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
-    # a numpy that imports numpy.ma with numpy itself leaves nothing to check
-    assert out["eager"] or out["first_import"] is None, out["first_import"]
+    # a numpy that imports a module with numpy itself leaves nothing to check
+    for mod in LAZY_MODULES:
+        assert out["eager"][mod] or out["first_import"][mod] is None, (mod, out["first_import"][mod])

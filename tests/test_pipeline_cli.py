@@ -182,6 +182,21 @@ def test_random_subst_outside_elementary_abelian_points_to_subst(capsys, group):
     assert "substitution automorphisms need" not in captured.err
 
 
+@pytest.mark.parametrize("owner, name, fake, err", [
+    (JenningsBasis, "socle_product", lambda self, algebra: np.zeros(algebra.dimension, dtype=np.int64),
+     "error: [socle] ValueError: product of (lift - 1)^(p-1) is not the socle vector\n"),
+    (pipeline, "series_definitions_agree", lambda group: False,
+     "error: [series] ValueError: recursive and definitional dimension subgroups differ\n"),
+], ids=["socle", "series"])
+def test_failed_full_check_oracle_ends_in_one_error_line(capsys, monkeypatch, owner, name, fake, err):
+    # a --full-check oracle that fails stops the run at its stage
+    monkeypatch.setattr(owner, name, fake)
+    assert main(["run", "--group", "D8", "--full-check"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == err
+
+
 def test_sweep_api_over_no_group_is_an_error():
     with pytest.raises(UnknownGroup, match="names no catalog group"):
         sweep(groups=[], inner_count=1, subst_count=1)
@@ -324,7 +339,7 @@ def _spy(monkeypatch):
 @pytest.mark.parametrize("argv", [["--group", "D16"], ["--presentation", str(HEIS27_X_C3)]])
 def test_default_run_makes_no_echelon_and_no_socle_products(capsys, monkeypatch, argv):
     # each run builds its group, so the filtration is built inside the spy;
-    # the socle is read off the filtration's top Jennings monomial
+    # the socle line is read off the filtration build's enumeration check
     calls = _spy(monkeypatch)
     code, out = run_cli(capsys, ["run", *argv, "--auto", "random-inner count=2", "--format", "json"])
     assert code == 0
@@ -603,6 +618,30 @@ def test_gl_check_digest_pinned(p, m, n):
     with redirect_stdout(buf):
         assert main(argv) == 0
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == GL_CHECK_DIGESTS[(p, m, n)]
+
+
+# sha256 of the text stdout of five subcommands; sweep takes the default
+# master seed, so SOCLE_VERIFY_SEED is cleared
+TEXT_DIGESTS = {
+    ("run", "--group", "C3xC3", "--field", "3,2", "--auto", "subst: x1 -> (t)*x1, x2 -> x2",
+     "--auto", "inner: 1 + g1 + (t)*g2"):
+        "8d76797c3a3dfae0d30c4c3ad4ff5c9b651aaa0eb29d269ed75ed7562534af96",
+    ("sweep", "--groups", "C2,D8,C3xC3,Heis27", "--inner", "2", "--subst", "2"):
+        "a4ed93c0a9a35ecf9037da72d265e129bf3f7953185a4d65850bf180c42efd08",
+    ("jennings", "--group", "D16"): "6134bc0c974eb9ce2d99b712e35c5d34f73709cebdd4992092393d72271ce9c6",
+    ("gl-check", "--p", "3", "--m", "2", "--count", "20", "--seed", "4"):
+        "a808a5d4d9d23191f46fec5c4edf0ea87a1ddb89bad702b13847876d53cb707c",
+    ("catalog",): "4c4253470a85465b1d7173515e27df46f4088162117fc296eeb56618edc6a90d",
+}
+
+
+@pytest.mark.parametrize("argv", list(TEXT_DIGESTS), ids=lambda argv: argv[0])
+def test_text_digest_pinned(monkeypatch, argv):
+    monkeypatch.delenv("SOCLE_VERIFY_SEED", raising=False)
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        assert main(list(argv)) == 0
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == TEXT_DIGESTS[argv]
 
 
 # sha256 of `socle-verify jennings <source> --format json`: the lift words
