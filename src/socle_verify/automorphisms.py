@@ -603,20 +603,21 @@ def random_substitutions(algebra: GroupAlgebra, rng: random.Random,
     Each member maps g_i -> 1 + sum_j linear[i, j] (g_j - 1) + tail_i.  The
     linear part is drawn in GL_m(k) by rejection; then, generator by
     generator, with probability 1/2 a tail c * row, for a row of the J^2
-    basis and a unit c.  The images are summed on their codes.
+    basis and a unit c.  The images are summed on their codes.  On a group
+    that is not elementary abelian it raises ValueError, whatever the count.
     """
+    group = algebra.group
+    if not group.is_elementary_abelian():
+        raise ValueError("random-subst draws need an elementary abelian group; "
+                         "give images on any pc group with subst:")
     images = [_substitution_draw(algebra, rng) for _ in range(count)]
-    if not images:
-        return []
-    return AlgebraAutomorphism.substitutions(algebra, np.stack(images), ["random-subst"] * count)
+    return AlgebraAutomorphism.substitutions(
+        algebra, np.reshape(images, (count, group.m, algebra.dimension)), ["random-subst"] * count)
 
 
 def _substitution_draw(algebra: GroupAlgebra, rng: random.Random) -> np.ndarray:
     """The (m, |G|) image codes of one random_substitutions member."""
     group = algebra.group
-    if not group.is_elementary_abelian():
-        raise ValueError("random-subst draws need an elementary abelian group; "
-                         "give images on any pc group with subst:")
     ops, m, q = algebra.ops, group.m, algebra.field.q
     while True:
         linear = np.array([[rng.randrange(q) for _ in range(m)] for _ in range(m)], dtype=np.int64)
@@ -673,10 +674,7 @@ def parse_automorphism_specs(
             if len(sub) != 1:
                 raise ValueError("compose parts must each give a single automorphism")
             autos.append(sub[0])
-        acc = autos[0]
-        for nxt in autos[1:]:
-            acc = acc.compose(nxt)
-        return [acc]
+        return [functools.reduce(AlgebraAutomorphism.compose, autos)]
     words = kind.split() or [""]
     if not colon and words[0] in ("random-inner", "random-subst"):
         opts = _random_options(words[1:])

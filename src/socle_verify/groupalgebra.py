@@ -82,7 +82,9 @@ class RadicalFiltration:
     words, weights and coordinates() belongs to the exponent vector e.
     A monomial is its word plus words of smaller exponent vectors, so the
     monomials are a basis of kG exactly when the words enumerate G, which
-    the build checks.
+    the build checks.  The filtration is prime-field data: ops is always
+    GF(p)'s, and coordinates() takes the ops of any field of
+    characteristic p.
 
     The layers: series[r-1] is F_r as a sorted tuple of table indices,
     ending at its first trivial term (0,), and lifts[r-1] the indices of
@@ -92,11 +94,9 @@ class RadicalFiltration:
     with y_j in F_r but not in F_(r+1).
     """
 
-    def __init__(self, group: PcGroup, ops: FieldOps | None = None):
+    def __init__(self, group: PcGroup):
         self.group = group
-        self.ops = ops if ops is not None else FieldOps(GF(group.p))
-        if self.ops.p != group.p:
-            raise FieldMismatch("filtration field characteristic must match the group prime")
+        self.ops = FieldOps(GF(group.p))
         n = group.order
         p = group.p
         t = group.cayley_table
@@ -254,11 +254,12 @@ def dimension_subgroups_definitional(group: PcGroup) -> list[tuple[int, ...]]:
 
 
 def series_definitions_agree(group: PcGroup) -> bool:
-    """Whether the recursive dimension series equals the definitional one.
+    """Whether the recursive dimension series the filtration was built from,
+    radical_filtration(group).series, equals the definitional one.
 
     The definitional chain may run on in trivial terms past the recursive one.
     """
-    recursive = group.jennings_series_recursive()
+    recursive = radical_filtration(group).series
     definitional = dimension_subgroups_definitional(group)
     return definitional[: len(recursive)] == recursive and all(
         sub == (0,) for sub in definitional[len(recursive) :]
@@ -478,17 +479,9 @@ def _split_coeff(term: str, field: FieldSpec) -> tuple[int, str]:
     """(code of the coefficient, word) of one term."""
     t = term.strip()
     if t.startswith("("):
-        depth = 0
-        for k, ch in enumerate(t):
-            depth += ch == "("
-            depth -= ch == ")"
-            if depth == 0:
-                break
-        coeff = field.code_of(field.parse(t[1 : k]))
-        rest = t[k + 1 :].lstrip()
-        if rest.startswith("*"):
-            rest = rest[1:]
-        return coeff, rest.strip() or "1"
+        # split_terms has balanced the parentheses, and field literals hold none
+        inner, _, rest = t[1:].partition(")")
+        return field.code_of(field.parse(inner)), rest.lstrip().removeprefix("*").strip() or "1"
     m = re.match(r"^(\d+)\s*\*?\s*(.*)$", t)
     if m:
         return int(m.group(1)) % field.p, m.group(2).strip() or "1"

@@ -233,4 +233,11 @@ def test_criterion_9_sweep_determinism():
     payload = json.loads(outputs[0])
     assert payload["verdict"] is True
     assert payload["master_seed"] == 7
+    # the verdict reads equation_holds alone: lambda = det^(p-1) puts lambda
+    # in the (p-1)-st powers, and over GF(p) makes it 1
+    for rep in payload["reports"]:
+        for auto in rep["autos"]:
+            assert not auto["equation_holds"] or (
+                auto["in_subgroup"] and (rep["field"]["n"] > 1 or auto["lambda_is_one"])
+            ), (rep["group"]["name"], auto["provenance"])
     _announce(9)

@@ -136,9 +136,12 @@ def test_top_monomial_by_gathers_is_the_socle_vector(algebra, all_names):
         assert np.array_equal(top, build_jennings_basis(alg.group).socle_product(alg)), alg.group.name
 
 
-def _assert_same_filtration(filt, oracle, label):
+def _assert_same_filtration(filt, oracle, label, ops=None):
+    # ops, the filtration's GF(p) by default, is the field of the echelon
+    # oracle and of the complement ranks
+    ops = ops or filt.ops
     bases, pivots, complements, _ = oracle
-    echelon, echelon_pivots = filtration_by_monomial_echelon(filt.group, filt.ops)
+    echelon, echelon_pivots = filtration_by_monomial_echelon(filt.group, ops)
     assert len(filt.dims) == len(bases) == len(echelon), label
     assert filt.dims == [b.shape[0] for b in bases], label
     for r, theirs in enumerate(bases):
@@ -150,9 +153,9 @@ def _assert_same_filtration(filt, oracle, label):
     # in J^r and its classes span the weight-r coordinates
     assert len(complements) == len(filt.gr_dims), label
     for r, comp in enumerate(complements):
-        coords = filt.coordinates(filt.ops, comp.T)
+        coords = filt.coordinates(ops, comp.T)
         assert not coords[filt.weights < r].any(), label
-        assert filt.ops.rank(coords[filt.weights == r]) == filt.gr_dims[r] == comp.shape[0], label
+        assert ops.rank(coords[filt.weights == r]) == filt.gr_dims[r] == comp.shape[0], label
 
 
 def test_filtration_matches_products_oracle(group, all_names):
@@ -166,25 +169,21 @@ def test_filtration_matches_products_oracle(group, all_names):
 
 
 def test_filtration_matches_products_oracle_over_extension_field(group, all_names):
-    # echelonization commutes with extension of scalars
+    # echelonization commutes with extension of scalars: the GF(p) filtration
+    # has the GF(p^2) products' dims, pivots and bases
     names = [name for name in all_names if group(name).order <= 27]
     assert len(names) == 20
     for name in names:
         g = group(name)
         ops = FieldOps(GF(g.p, 2))
-        filt = RadicalFiltration(g, ops)
-        _assert_same_filtration(filt, products_oracle_with_complements(g, ops), name)
-        prime = radical_filtration(g)
-        degrees = range(len(prime.dims))
-        assert filt.dims == prime.dims, name
-        assert [filt.basis(r)[1] for r in degrees] == [prime.basis(r)[1] for r in degrees], name
+        _assert_same_filtration(radical_filtration(g), products_oracle_with_complements(g, ops), name, ops)
 
 
 def test_basis_matches_both_oracles_over_extension_field_on_every_group(group, all_names):
-    # the prime-field products oracle: the RREF basis over GF(p) of a space
-    # spanned over GF(p) is its RREF basis over GF(p^2) (test above); the
-    # products over GF(p^2) take about 35 s on the order-125 groups on a
-    # 2-core Xeon VM
+    # the GF(p) filtration against the prime-field products oracle and the
+    # GF(p^2) monomial echelon: the RREF basis over GF(p) of a space spanned
+    # over GF(p) is its RREF basis over GF(p^2) (test above); the products
+    # over GF(p^2) take about 35 s on the order-125 groups on a 2-core Xeon VM
     groups = [group(name) for name in all_names]
     groups += [
         PcGroup.from_presentation_text((BENCH_PRESENTATIONS / f).read_text(), name=f)
@@ -192,8 +191,7 @@ def test_basis_matches_both_oracles_over_extension_field_on_every_group(group, a
     ]
     assert len(groups) == 26
     for g in groups:
-        filt = RadicalFiltration(g, FieldOps(GF(g.p, 2)))
-        _assert_same_filtration(filt, shared_products_oracle(g), g.name)
+        _assert_same_filtration(radical_filtration(g), shared_products_oracle(g), g.name, FieldOps(GF(g.p, 2)))
 
 
 def _c4_with_lifts(monkeypatch, choose):
@@ -289,13 +287,14 @@ def test_series_definitions_agree_and_see_a_neighbour_swapped_in(all_names, monk
     swaps = 0
     for g in catalog_and_random_groups(all_names):
         assert series_definitions_agree(g), g.name
-        series = g.jennings_series_recursive()
+        filt = radical_filtration(g)
+        series = filt.series
         # each term that differs from a neighbour, replaced by that neighbour
         for k in range(len(series)):
             for other in (k - 1, k + 1):
                 if 0 <= other < len(series) and series[other] != series[k]:
                     swapped = series[:k] + [series[other]] + series[k + 1:]
-                    monkeypatch.setattr(g, "jennings_series_recursive", lambda: swapped)
+                    monkeypatch.setattr(filt, "series", swapped)
                     assert not series_definitions_agree(g), (g.name, k, other)
                     monkeypatch.undo()
                     swaps += 1

@@ -26,9 +26,10 @@ from socle_verify import pipeline
 from socle_verify.automorphisms import MAX_COUNT
 from socle_verify.cli import MAX_SPEC_FILE_BYTES, _parser, main
 from socle_verify.ffield import FieldElement
+from socle_verify.groupalgebra import GroupAlgebra, RadicalFiltration
 from socle_verify.jennings import JenningsBasis
 from socle_verify.linalg import FieldOps
-from socle_verify.pgroup import MAX_PRESENTATION_BYTES, UnknownGroup, catalog, catalog_names
+from socle_verify.pgroup import MAX_PRESENTATION_BYTES, PcGroup, UnknownGroup, catalog, catalog_names
 from socle_verify.pipeline import (
     MASTER_SEED,
     MAX_GL_WORK,
@@ -173,28 +174,71 @@ def test_sweep_over_no_group_is_an_error(capsys, groups):
 @pytest.mark.parametrize("group", ["C8", "D8"])
 def test_random_subst_outside_elementary_abelian_points_to_subst(capsys, group):
     # random-subst draws a linear part in GL_m(k) with no relation check; a
-    # subst: spec takes images on any pc group
-    assert main(["run", "--group", group, "--field", "2,2", "--auto", "random-subst"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("error: [automorphisms] ValueError: random-subst draws need an elementary "
-                            "abelian group; give images on any pc group with subst:\n")
-    assert "substitution automorphisms need" not in captured.err
+    # subst: spec takes images on any pc group; the group is refused
+    # whatever the count, also when there is nothing to draw
+    for argv in (["--auto", "random-subst"], ["--no-stored", "--auto", "random-subst count=0"]):
+        assert main(["run", "--group", group, "--field", "2,2", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: [automorphisms] ValueError: random-subst draws need an elementary "
+                                "abelian group; give images on any pc group with subst:\n")
+        assert "substitution automorphisms need" not in captured.err
 
 
-@pytest.mark.parametrize("owner, name, fake, err", [
-    (JenningsBasis, "socle_product", lambda self, algebra: np.zeros(algebra.dimension, dtype=np.int64),
-     "error: [socle] ValueError: product of (lift - 1)^(p-1) is not the socle vector\n"),
-    (pipeline, "series_definitions_agree", lambda group: False,
-     "error: [series] ValueError: recursive and definitional dimension subgroups differ\n"),
-], ids=["socle", "series"])
-def test_failed_full_check_oracle_ends_in_one_error_line(capsys, monkeypatch, owner, name, fake, err):
-    # a --full-check oracle that fails stops the run at its stage
-    monkeypatch.setattr(owner, name, fake)
-    assert main(["run", "--group", "D8", "--full-check"]) == 1
+def _injected(*args):
+    raise ValueError("injected")
+
+
+D8_RUN = ["run", "--group", "D8"]
+
+
+@pytest.mark.parametrize("argv, patch, line", [
+    (["run", "--presentation", "bad.pc"], None,
+     "[group] PresentationError: relation [g2,g1] may only mention generators above index 2, got g2"),
+    (D8_RUN + ["--field", "3"], None,
+     "[field] FieldMismatch: group has prime 2 but field has characteristic 3"),
+    (D8_RUN + ["--auto", "inner: 0"], None,
+     "[automorphisms] NotAUnit: element lies in the augmentation ideal"),
+    (D8_RUN, (pipeline, "build_jennings_basis", _injected), "[jennings] ValueError: injected"),
+    (D8_RUN, (GroupAlgebra, "socle_vector", _injected), "[structure] ValueError: injected"),
+    (D8_RUN + ["--full-check"], (JenningsBasis, "socle_product",
+                                 lambda self, algebra: np.zeros(algebra.dimension, dtype=np.int64)),
+     "[socle] ValueError: product of (lift - 1)^(p-1) is not the socle vector"),
+    (D8_RUN + ["--full-check"], (RadicalFiltration, "matches", lambda self, bases: False),
+     "[filtration] ValueError: filtration_products_oracle: the weight >= r monomials do not span "
+     "the products J^r"),
+    (D8_RUN + ["--full-check"], (pipeline, "series_definitions_agree", lambda group: False),
+     "[series] ValueError: recursive and definitional dimension subgroups differ"),
+    (D8_RUN, (pipeline, "verify_stack", _injected), "[verify] ValueError: injected"),
+], ids=["group", "field", "automorphisms", "jennings", "structure", "socle", "filtration", "series", "verify"])
+def test_failed_full_check_oracle_ends_in_one_error_line(capsys, monkeypatch, tmp_path, argv, patch, line):
+    # an error in any stage, or a --full-check oracle that fails, stops the
+    # run with one error line naming the stage
+    (tmp_path / "bad.pc").write_text("pcgroup p=2 m=2\ng1^2 = g2\n[g2,g1] = g2\n")
+    monkeypatch.chdir(tmp_path)
+    if patch:
+        monkeypatch.setattr(*patch)
+    assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == err
+    assert captured.err == f"error: {line}\n"
+
+
+def test_sweep_recurses_the_series_once_per_group(capsys, monkeypatch):
+    # the filtration is built from the recursive series, and the
+    # --full-check series oracle reads the series it kept
+    counts = collections.Counter()
+    recursive = PcGroup.jennings_series_recursive
+
+    def spy(group):
+        counts[group.name] += 1
+        return recursive(group)
+
+    monkeypatch.setattr(PcGroup, "jennings_series_recursive", spy)
+    argv = ["sweep", "--groups", "C2,D8,Q8", "--inner", "1", "--subst", "1", "--full-check"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert counts == {"C2": 1, "D8": 1, "Q8": 1}
 
 
 def test_sweep_api_over_no_group_is_an_error():
