@@ -20,7 +20,9 @@ import hashlib
 import json
 import math
 import os
+import pickle
 import random
+import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,6 +124,9 @@ class RunStageError(RuntimeError):
         super().__init__(f"[{stage}] {type(error).__name__}: {error}")
         self.stage = stage
         self.error = error
+
+    def __reduce__(self):
+        return type(self), (self.stage, self.error)
 
 
 @dataclass
@@ -404,17 +409,88 @@ def sweep(
         raise UnknownGroup("groups names no catalog group; None sweeps the whole catalog")
     seed = master_seed() if seed is None else seed
     names = groups if groups is not None else catalog_names()
-    reports = []
     for name in names:
-        group = catalog(name)
-        degrees = [1] + ([extension_degree] if extension_degree > 1 else [])
-        for deg in degrees:
-            algebra = GroupAlgebra(group, GF(group.p, deg))
-            autos = sweep_automorphisms(
-                algebra, name, seed, inner_count, compose_count, subst_count
-            )
-            reports.append(run(algebra, autos, full_check=full_check))
+        if name not in catalog_names():
+            catalog(name)  # raises UnknownGroup here, before any worker starts
+    degrees = [1] + ([extension_degree] if extension_degree > 1 else [])
+
+    def share(indices: range) -> list[tuple[int, RunReport | Exception]]:
+        """(group index, report) for each run of the groups in turn, or
+        (group index, error) for the first run that fails, which ends the
+        share."""
+        out = []
+        for i in indices:
+            try:
+                group = catalog(names[i])
+                for deg in degrees:
+                    algebra = GroupAlgebra(group, GF(group.p, deg))
+                    autos = sweep_automorphisms(
+                        algebra, names[i], seed, inner_count, compose_count, subst_count
+                    )
+                    out.append((i, run(algebra, autos, full_check=full_check)))
+            except Exception as err:
+                return out + [(i, err)]
+        return out
+
+    # every run is seeded from its own (seed, name, degree, kind), so a
+    # share may run in any process; a stable sort on the group index
+    # restores list order, and with it the serial loop's reports and its
+    # error, the first in that order
+    count = min(_usable_cpus(), len(names))
+    results = _in_workers(share, [range(i, len(names), count) for i in range(count)])
+    outcomes = sorted((pair for result in results for pair in result), key=lambda pair: pair[0])
+    reports = []
+    for _, outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+        reports.append(outcome)
     return SweepReport(seed=seed, reports=reports, verdict=all(r.verdict for r in reports))
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where it cannot fork or the
+    platform does not say (no os.sched_getaffinity)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1
+
+
+def _in_workers(fn, shares: list) -> list:
+    """[fn(share) for share in shares]: the first share in this process and
+    each other one in a forked child, which pickles its result into a pipe,
+    writes nothing else and leaves by os._exit.  A child that ends without
+    a result raises a RunStageError of stage sweep; on any exception here
+    every child still running is killed and reaped first."""
+    workers = []  # (pid, read end of its pipe)
+    try:
+        for part in shares[1:]:
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    os.close(r)
+                    with open(w, "wb") as pipe:
+                        pickle.dump(fn(part), pipe, pickle.HIGHEST_PROTOCOL)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(w)
+            workers.append((pid, open(r, "rb")))
+        results = [fn(shares[0])]
+        while workers:
+            pid, pipe = workers[0]
+            with pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            workers.pop(0)
+            if code:
+                raise RunStageError("sweep", ChildProcessError(
+                    f"a sweep worker ended without a result (exit status {code})"))
+            results.append(pickle.loads(data))
+        return results
+    finally:
+        for pid, pipe in workers:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def randbelow(rng: random.Random, n: int, size: int) -> np.ndarray:

@@ -151,10 +151,12 @@ def test_nullspace_free_column_mask_matches_setdiff(p, n):
 
 # one process for every subcommand; each argv must exit 0.  For numpy.ma
 # and numpy.random it reports whether numpy imports the module itself, and
-# the first argv after which the module is loaded
+# the first argv after which the module is loaded.  The process runs on one
+# CPU, so a sweep runs all of its groups in it and forks no worker
 LAZY_MODULES = ["numpy.ma", "numpy.random"]
 NUMPY_MA_CHILD = r"""
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 import numpy
 modules = json.loads(sys.argv[2])
 eager = {mod: mod in sys.modules for mod in modules}

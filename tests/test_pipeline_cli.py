@@ -226,7 +226,9 @@ def test_failed_full_check_oracle_ends_in_one_error_line(capsys, monkeypatch, tm
 
 def test_sweep_recurses_the_series_once_per_group(capsys, monkeypatch):
     # the filtration is built from the recursive series, and the
-    # --full-check series oracle reads the series it kept
+    # --full-check series oracle reads the series it kept; with one usable
+    # CPU every group runs in this process, where the spy counts
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 1)
     counts = collections.Counter()
     recursive = PcGroup.jennings_series_recursive
 
