@@ -1,11 +1,13 @@
-"""Algebra automorphisms of kG and the socle-scalar theorem check.
+"""Algebra automorphisms of kG, as stacks, and the socle-scalar theorem check.
 
-An automorphism alpha carries its data, the name of the certificate that
-makes it an automorphism (kept in pair_check), and its matrix over the
-group basis (columns = images of group elements), built on first use.
-The data is the (|G|, M+1) array of the codes of alpha(y_1), ...,
-alpha(y_M), the images of the Jennings lifts in ascending order, and of
-alpha(n), the image of the socle vector
+An automorphism is always a member of a stack.  AlgebraAutomorphism holds
+B members of one algebra: their (B, |G|, M+1) data, their B provenances,
+the name of the certificate that makes every member an automorphism (kept
+in pair_check) and a builder of member b's matrix over the group basis
+(columns = images of group elements).  Member b's data is the (|G|, M+1)
+array of the codes of alpha(y_1), ..., alpha(y_M), the images of the
+Jennings lifts in ascending order, and of alpha(n), the image of the
+socle vector
 
     n = prod_j (y_j - 1)^(p-1) = sum of all g.
 
@@ -15,8 +17,8 @@ certificate, passes its name and computes the data from what it holds:
   from_group_automorphism  "group-automorphism": PcGroup.group_automorphism
                            checked every defining relation on the images
                            (von Dyck) and that the induced map is bijective;
-                           the data are the permutation at the lifts and the
-                           permuted ones vector
+                           the data are the permutations at the lifts and
+                           the permuted ones vectors
   inners                   "unit-inverse": conjugation by u, whose inverse
                            unit_inverse checked by u u^-1 = 1; alpha(y) is
                            u (y u^-1), y u^-1 a gather of u^-1, and alpha(n)
@@ -29,13 +31,13 @@ certificate, passes its name and computes the data from what it holds:
                            lift images are the lifts' normal-form words in the
                            images, and alpha(n) = prod_j (alpha(y_j) - 1)^(p-1)
                            in ascending lift order, multiplied from the right
-  compose                  "composition": of two automorphisms; the left
-                           factor's matrix applied to the right one's data
+  compose                  "composition": of pairs of members; the left
+                           member's matrix applied to the right one's data
 
-A matrix from outside (the constructor called with no certificate) is
-checked in full, and its data are its lift columns and its row sums.
-alpha must fix 1, give every group element an image of augmentation 1,
-satisfy the generator identities
+A matrix from outside (the constructor called with an array and no
+certificate) is a one-member stack checked in full, and its data are its
+lift columns and its row sums.  alpha must fix 1, give every group element
+an image of augmentation 1, satisfy the generator identities
 
     M R_(g_i) = R_(alpha(g_i)) M      for every pc generator g_i,
 
@@ -51,20 +53,21 @@ y_j, must have a nonzero determinant (_degree_one_dets, layer r = 1 of
 the graded action, whose docstring gives the Nakayama argument).  Its
 certificate is "generators".
 
-A constructor's matrix is built only when check_pairs or compose asks for
-it.  inners and substitutions take stacks: (B, |G|) unit codes and
-(B, m, |G|) generator image codes.  An inner: or subst: spec is a
-one-member stack; random_inners and random_substitutions draw their
-members one after another from one rng and build them as one stack.
+A member's matrix is built only when check_pairs or compose asks for it.
+inners, substitutions and compose each build one stack from what they are
+given.  The sources of many members, random_inners, random_substitutions,
+stored_automorphisms and parse_automorphism_specs, yield stacks of at most
+one member_slices chunk each, drawn and built one after another as the
+consumer asks, so a run's memory does not grow with its count.
 
 check_pairs() is the independent oracle, which the pipeline runs on every
-automorphism under --full-check.  It compares the data with the matrix's
-lift columns and row sums, runs the generator identities, the spot check
-and the rank of the whole matrix, then the literal check
-alpha(g)alpha(h) = alpha(gh): over
-every pair when the group has at most 256 elements, over 10*|G| seeded
-sample pairs beyond that (pair_check then reads "full" or "sampled", and
-a sampled check is flagged in provenance).
+stack under --full-check.  Member by member it compares the data with the
+matrix's lift columns and row sums, runs the generator identities, the
+spot check and the rank of the whole matrix, then the literal check
+alpha(g)alpha(h) = alpha(gh): over every pair when the group has at most
+256 elements, over 10*|G| seeded sample pairs beyond that (pair_check then
+reads "full" or "sampled", and a sampled check is flagged in every
+provenance).
 
 The theorem under test: alpha scales the socle vector sum-of-all-g by
 lambda = det(A)^(p-1), where A is the block-diagonal matrix of the maps
@@ -73,20 +76,22 @@ particular lambda is a (p-1)-st power in k* and equals 1 over the prime
 field.
 
 The check is the same computation for every automorphism, so it runs on
-stacks, and verify_stack is the only verifier: it takes all automorphisms
-of a run at once, in linalg.member_chunks.  The socle scalars are read off
-the alpha(n) columns of the data, one coordinates() call per chunk reads
-the lift images of its members, the filtration and Lie-subspace checks are
-masks over the members, each Jennings layer, read off the filtration as
-the lifts with lift_degrees == r, has one stacked det per chunk, and
-det_total and det^(p-1) are elementwise code products.  When members
-fail, the first failing member raises the error it raises alone.
+stacks, and verify_stack is the only verifier.  It takes any iterable of
+stacks of one algebra and fills each member chunk from consecutive
+stacks.  The socle scalars are read off the alpha(n) columns of the data,
+one coordinates() call per chunk reads the lift images of its members,
+the filtration and Lie-subspace checks are masks over the members, each
+Jennings layer, read off the filtration as the lifts with
+lift_degrees == r, has one stacked det per chunk, and det_total and
+det^(p-1) are elementwise code products.  When members fail, the first
+failing member raises the error it raises alone.
 """
 
 from __future__ import annotations
 
 import functools
 import random
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -155,66 +160,69 @@ class DataMismatch(ValueError):
 
 
 class AlgebraAutomorphism:
-    """An algebra automorphism of kG: its data, its matrix and the name of
-    its certificate.
+    """A stack of algebra automorphisms of one kG: their data, their
+    provenances, the name of the certificate they share and a builder of
+    each member's matrix.
 
     A caller that already holds a certificate passes its name, which
-    pair_check records, the data, and for matrix a function that builds it
-    on first use.  With no certificate the matrix is outside input and gets
-    the full check (identity column, augmentations, generator identities,
-    spot check, degree-1 det); pair_check then reads "generators".  Data
-    not given are read off the matrix.
+    pair_check records, the (B, |G|, M+1) data, B provenances, and for
+    matrix a function that builds member b's matrix, called on first use.
+    With no certificate the matrices are outside input and get the full
+    check (identity column, augmentations, generator identities, spot
+    check, degree-1 det); pair_check then reads "generators".  An array
+    given as matrix is a one-member stack, and data not given are read
+    off it.
     """
 
-    def __init__(self, algebra: GroupAlgebra, matrix, provenance: str = "matrix",
+    def __init__(self, algebra: GroupAlgebra, matrix, provenance: str | list[str] = "matrix",
                  certificate: str | None = None, data: np.ndarray | None = None):
         self.algebra = algebra
-        self.provenance = provenance
-        self._matrix = None
-        if callable(matrix):
-            self._build = matrix
-        else:
-            self._matrix = np.asarray(matrix, dtype=np.int64)
-            if self._matrix.shape != (algebra.dimension, algebra.dimension):
-                raise ValueError("automorphism matrix has the wrong shape")
-        self.data = data if data is not None else _data_of(algebra, self.matrix)
+        given = None if callable(matrix) else np.asarray(matrix, dtype=np.int64)
+        if given is not None and given.shape != (algebra.dimension, algebra.dimension):
+            raise ValueError("automorphism matrix has the wrong shape")
+        self._build = functools.cache(matrix) if given is None else lambda b: given
+        self.provenance = [provenance] if isinstance(provenance, str) else list(provenance)
+        self.data = data if data is not None else _data_of(algebra, self.matrix(0))[None]
+        if len(self.provenance) != len(self.data):
+            raise ValueError(f"{len(self.data)} automorphisms but {len(self.provenance)} provenances")
         if certificate is None:
-            self._check_identities()
-            if _degree_one_dets(algebra, self.data[None])[0] == 0:
+            for b in range(len(self)):
+                _check_identities(algebra, self.matrix(b))
+            if (_degree_one_dets(algebra, self.data) == 0).any():
                 raise NotMultiplicative("matrix is not invertible")
             certificate = "generators"
         self.pair_check = certificate
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """The |G| x |G| matrix over the group basis, built on first use."""
-        if self._matrix is None:
-            self._matrix = self._build()
-        return self._matrix
+    def __len__(self) -> int:
+        return len(self.provenance)
+
+    def matrix(self, b: int) -> np.ndarray:
+        """Member b's |G| x |G| matrix over the group basis, built on first
+        use and kept while the stack lives."""
+        return self._build(b)
 
     # -- constructors ------------------------------------------------------------
 
     @classmethod
-    def from_group_automorphism(cls, algebra: GroupAlgebra, gauto: GroupAutomorphism) -> "AlgebraAutomorphism":
-        if gauto.group is not algebra.group:
+    def from_group_automorphism(cls, algebra: GroupAlgebra,
+                                gautos: list[GroupAutomorphism]) -> "AlgebraAutomorphism":
+        """The algebra automorphisms the group automorphisms induce, as one stack."""
+        if any(gauto.group is not algebra.group for gauto in gautos):
             raise ValueError("group automorphism belongs to a different group")
         n = algebra.dimension
         lifts = algebra.filtration.lift_indices
-        data = np.zeros((n, len(lifts) + 1), dtype=np.int64)
-        data[gauto.perm[lifts], np.arange(len(lifts))] = 1
-        data[gauto.perm, -1] = 1
-
-        def build() -> np.ndarray:
-            matrix = np.zeros((n, n), dtype=np.int64)
-            matrix[gauto.perm, np.arange(n)] = 1
-            return matrix
-
-        return cls(algebra, build, f"group-auto: {gauto.spec_text()}",
+        perms = np.array([gauto.perm for gauto in gautos], dtype=np.int64).reshape(-1, n)
+        # the lift images are group elements, and a permutation fixes the
+        # sum of all g; member b's matrix has column g = e_(alpha(g))
+        data = np.ones((len(perms), n, len(lifts) + 1), dtype=np.int64)
+        data[:, :, :-1] = perms[:, None, lifts] == np.arange(n)[:, None]
+        return cls(algebra, lambda b: np.eye(n, dtype=np.int64)[:, perms[b]],
+                   [f"group-auto: {gauto.spec_text()}" for gauto in gautos],
                    certificate="group-automorphism", data=data)
 
     @classmethod
     def inners(cls, algebra: GroupAlgebra, units: np.ndarray,
-               provenances: list[str]) -> list["AlgebraAutomorphism"]:
+               provenances: list[str]) -> "AlgebraAutomorphism":
         """Conjugations by the members of a (B, |G|) stack of unit codes.
 
         The inverses come from one stacked unit_inverse, which raises
@@ -222,7 +230,7 @@ class AlgebraAutomorphism:
         member.  The lift images u (y u^-1) and the socle image u (n u^-1),
         n u^-1 the augmentation of u^-1 in every entry, are one
         multiply_codes by the narrow left factor u, a sum of gathers over
-        its support; the matrices L(u) R(u^-1) are built on first use.
+        its support; member b's matrix L(u) R(u^-1) is built on first use.
         """
         units = np.asarray(units, dtype=np.int64)
         inverses = algebra.unit_inverse(units)
@@ -233,13 +241,12 @@ class AlgebraAutomorphism:
         right = np.concatenate([inverses.take(gathers, axis=-1),
                                 np.broadcast_to(sums[:, None, None], (len(units), 1, units.shape[1]))], axis=1)
         data = algebra.multiply_codes(units, right.transpose(0, 2, 1))
-        return [cls(algebra, functools.partial(_conjugation_matrix, algebra, u, uinv), provenance,
-                    certificate="unit-inverse", data=d)
-                for u, uinv, d, provenance in zip(units, inverses, data, provenances, strict=True)]
+        return cls(algebra, lambda b: _conjugation_matrix(algebra, units[b], inverses[b]), provenances,
+                   certificate="unit-inverse", data=data)
 
     @classmethod
     def substitutions(cls, algebra: GroupAlgebra, images: np.ndarray,
-                      provenances: list[str]) -> list["AlgebraAutomorphism"]:
+                      provenances: list[str]) -> "AlgebraAutomorphism":
         """Extend g_i -> images[b, i] multiplicatively, for every member b of
         a (B, m, |G|) stack of image codes, on any pc group.
 
@@ -262,8 +269,6 @@ class AlgebraAutomorphism:
         m, n = group.m, algebra.dimension
         if images.shape[1:] != (m, n):
             raise ValueError(f"need {m} generator images")
-        if not len(images):
-            return []
         ops = algebra.ops
         bad = np.argwhere(column_sums(ops, images.transpose(2, 0, 1)) != 1)
         if bad.size:
@@ -285,103 +290,107 @@ class AlgebraAutomorphism:
         top = functools.reduce(lambda acc, factor: algebra.multiply_codes(factor, acc),
                                factors.transpose(1, 0, 2)[::-1])
         data = np.concatenate([lifts, top[:, None]], axis=1).transpose(0, 2, 1)
-        return [cls(algebra, functools.partial(_substitution_matrix, algebra, member), provenance,
-                    certificate="substitution", data=d)
-                for member, d, provenance in zip(images, data, provenances, strict=True)]
+        return cls(algebra, lambda b: _substitution_matrix(algebra, images[b]), provenances,
+                   certificate="substitution", data=data)
 
-    def compose(self, other: "AlgebraAutomorphism") -> "AlgebraAutomorphism":
-        """self after other: self's matrix applied to other's data."""
-        if other.algebra is not self.algebra:
+    @classmethod
+    def compose(cls, pairs: list[tuple[tuple[AlgebraAutomorphism, int], tuple[AlgebraAutomorphism, int]]]):
+        """alpha after beta for each pair ((alpha's stack, index), (beta's
+        stack, index)) of members of one algebra, as one stack: alpha's
+        matrix applied to beta's data."""
+        algebra = pairs[0][0][0].algebra
+        if any(stack.algebra is not algebra for pair in pairs for stack, _ in pair):
             raise FieldMismatch("automorphisms act on different algebras")
-        ops = self.algebra.ops
-        left = self.matrix
-        return AlgebraAutomorphism(
-            self.algebra, lambda: ops.matmul(left, other.matrix),
-            f"compose: {self.provenance} ; {other.provenance}",
-            certificate="composition", data=ops.matmul(left, other.data),
-        )
+        ops = algebra.ops
+
+        def build(k: int) -> np.ndarray:
+            (left, i), (right, j) = pairs[k]
+            return ops.matmul(left.matrix(i), right.matrix(j))
+
+        return cls(algebra, build,
+                   [f"compose: {left.provenance[i]} ; {right.provenance[j]}" for (left, i), (right, j) in pairs],
+                   certificate="composition",
+                   data=np.stack([ops.matmul(left.matrix(i), right.data[j]) for (left, i), (right, j) in pairs]))
 
     # -- checks ----------------------------------------------------------------------
 
-    def _check_identities(self) -> None:
-        """Identity column, augmentations, generator identities, spot check."""
-        alg = self.algebra
-        ops = alg.ops
-        n = alg.dimension
-        one = alg.one()
-        if not np.array_equal(self.matrix[:, 0], one):
-            raise NotMultiplicative("matrix does not fix the identity")
-        if not np.all(column_sums(ops, self.matrix) == 1):
-            raise NotMultiplicative("some group image has augmentation != 1 "
-                                    "(augmentation ideal not preserved)")
-        t = alg.group.cayley_table
-        for gi in alg.group.generator_indices:
-            lhs = self.matrix[:, t[:, gi]]
-            rhs = ops.matmul(alg.right_mult_matrix(self.matrix[:, gi]), self.matrix)
-            if not np.array_equal(lhs, rhs):
-                raise NotMultiplicative("generator identity fails: alpha(x g) != alpha(x) alpha(g)")
-        # independent spot check straight from the definition of the product
-        rng = random.Random(0xA5_5A)
-        q = alg.field.q
-        for _ in range(2):
-            x = np.array([rng.randrange(q) for _ in range(n)], dtype=np.int64)
-            y = np.array([rng.randrange(q) for _ in range(n)], dtype=np.int64)
-            lhs_v = ops.matvec(self.matrix, alg.multiply_codes(x, y))
-            rhs_v = alg.multiply_codes(ops.matvec(self.matrix, x), ops.matvec(self.matrix, y))
-            if not np.array_equal(lhs_v, rhs_v):
-                raise NotMultiplicative("sampled product is not preserved")
-
     def check_pairs(self) -> None:
-        """Oracle: data, generator identities, spot check and rank, then alpha(g)alpha(h) = alpha(gh).
+        """Oracle, member by member: data, generator identities, spot check
+        and rank, then alpha(g)alpha(h) = alpha(gh).
 
         The data must equal the matrix's lift columns and row sums, or
-        DataMismatch is raised.  The literal check runs on group elements.  Every pair is tried when |G| <= FULL_PAIR_CHECK_LIMIT, an O(|G|^4)
-        product; beyond that, 10*|G| seeded sample pairs are tried and the
-        provenance is flagged.  Sets pair_check to "full" or "sampled";
-        raises NotMultiplicative on a failing identity, rank or pair.
+        DataMismatch is raised.  The literal check runs on group elements.
+        Every pair is tried when |G| <= FULL_PAIR_CHECK_LIMIT, an O(|G|^4)
+        product; beyond that, 10*|G| seeded sample pairs are tried and
+        every provenance is flagged.  Sets pair_check to "full" or
+        "sampled"; raises NotMultiplicative on a failing identity, rank or
+        pair, for the first member that fails.
         """
         if self.pair_check in ("full", "sampled"):
             return
-        if not np.array_equal(self.data, _data_of(self.algebra, self.matrix)):
-            raise DataMismatch("lift or socle images differ from the matrix's lift columns and row sums")
-        self._check_identities()
         alg = self.algebra
         ops = alg.ops
         n = alg.dimension
-        if ops.rank(self.matrix) != n:
-            raise NotMultiplicative("matrix is not invertible")
         t = alg.group.cayley_table
-        if n <= FULL_PAIR_CHECK_LIMIT:
-            # left factors chunked so the stacked gather stays around 16 MB
-            step = max(1, linalg.MAX_PRODUCT_CELLS // (n * n))
-            for lo in range(0, n, step):
-                cols = self.matrix[:, lo : lo + step]
-                c = cols.shape[1]
-                left = alg.left_mult_matrix(cols.T).reshape(c * n, n)
-                prod = ops.matmul(left, self.matrix).reshape(c, n, n)
-                want = self.matrix[:, t[lo : lo + step]].transpose(1, 0, 2)
-                if not np.array_equal(prod, want):
-                    raise NotMultiplicative("alpha(g)alpha(h) != alpha(gh) for some pair")
-            self.pair_check = "full"
-            return
-        # the pairs (g, h) in draw order, grouped by g: one product per g
+        full = n <= FULL_PAIR_CHECK_LIMIT
+        # left factors chunked so the stacked gather stays around 16 MB
+        step = max(1, linalg.MAX_PRODUCT_CELLS // (n * n))
+        # the sampled pairs (g, h) in draw order, grouped by g: one product per g
         rng = random.Random(0x9C3A ^ n)
         sampled: dict[int, list[int]] = {}
-        for _ in range(10 * n):
+        for _ in range(0 if full else 10 * n):
             g = rng.randrange(n)
             sampled.setdefault(g, []).append(rng.randrange(n))
-        for g, hs in sampled.items():
-            prod = alg.multiply_codes(self.matrix[:, g], self.matrix[:, hs])
-            if not np.array_equal(prod, self.matrix[:, t[g, hs]]):
-                raise NotMultiplicative("alpha(g)alpha(h) != alpha(gh) for a sampled pair")
-        self.pair_check = "sampled"
-        self.provenance += " [sampled multiplicativity]"
+        for b, data in enumerate(self.data):
+            matrix = self.matrix(b)
+            if not np.array_equal(data, _data_of(alg, matrix)):
+                raise DataMismatch("lift or socle images differ from the matrix's lift columns and row sums")
+            _check_identities(alg, matrix)
+            if ops.rank(matrix) != n:
+                raise NotMultiplicative("matrix is not invertible")
+            for lo in range(0, n if full else 0, step):
+                cols = matrix[:, lo : lo + step]
+                c = cols.shape[1]
+                left = alg.left_mult_matrix(cols.T).reshape(c * n, n)
+                prod = ops.matmul(left, matrix).reshape(c, n, n)
+                if not np.array_equal(prod, matrix[:, t[lo : lo + step]].transpose(1, 0, 2)):
+                    raise NotMultiplicative("alpha(g)alpha(h) != alpha(gh) for some pair")
+            for g, hs in sampled.items():
+                if not np.array_equal(alg.multiply_codes(matrix[:, g], matrix[:, hs]), matrix[:, t[g, hs]]):
+                    raise NotMultiplicative("alpha(g)alpha(h) != alpha(gh) for a sampled pair")
+        self.pair_check = "full" if full else "sampled"
+        if not full:
+            self.provenance = [f"{provenance} [sampled multiplicativity]" for provenance in self.provenance]
 
-    def __repr__(self) -> str:
-        return f"AlgebraAutomorphism({self.provenance})"
+
+def _check_identities(alg: GroupAlgebra, matrix: np.ndarray) -> None:
+    """Identity column, augmentations, generator identities, spot check."""
+    ops = alg.ops
+    n = alg.dimension
+    if not np.array_equal(matrix[:, 0], alg.one()):
+        raise NotMultiplicative("matrix does not fix the identity")
+    if not np.all(column_sums(ops, matrix) == 1):
+        raise NotMultiplicative("some group image has augmentation != 1 "
+                                "(augmentation ideal not preserved)")
+    t = alg.group.cayley_table
+    for gi in alg.group.generator_indices:
+        lhs = matrix[:, t[:, gi]]
+        rhs = ops.matmul(alg.right_mult_matrix(matrix[:, gi]), matrix)
+        if not np.array_equal(lhs, rhs):
+            raise NotMultiplicative("generator identity fails: alpha(x g) != alpha(x) alpha(g)")
+    # independent spot check straight from the definition of the product
+    rng = random.Random(0xA5_5A)
+    q = alg.field.q
+    for _ in range(2):
+        x = np.array([rng.randrange(q) for _ in range(n)], dtype=np.int64)
+        y = np.array([rng.randrange(q) for _ in range(n)], dtype=np.int64)
+        lhs_v = ops.matvec(matrix, alg.multiply_codes(x, y))
+        rhs_v = alg.multiply_codes(ops.matvec(matrix, x), ops.matvec(matrix, y))
+        if not np.array_equal(lhs_v, rhs_v):
+            raise NotMultiplicative("sampled product is not preserved")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VerificationReport:
     provenance: str
     socle_scalar: FieldElement
@@ -409,52 +418,68 @@ class VerificationReport:
         }
 
 
-def verify_stack(autos: list[AlgebraAutomorphism]) -> list[VerificationReport]:
-    """Check alpha(socle) = det(A)^(p-1) * socle and the scalar's
-    constraints, for automorphisms of one algebra, as one stack.
+def member_slices(algebra: GroupAlgebra, count: int) -> list[slice]:
+    """linalg.member_chunks of count members of algebra's data, |G| (M+1) n
+    decoded cells each: the widest stack a source yields, and the chunk
+    verify_stack checks at once."""
+    return linalg.member_chunks(count, algebra.dimension * (len(algebra.filtration.lift_indices) + 1) * algebra.ops.n)
 
-    Reads only the members' data: the socle scalars from the alpha(n)
-    columns, the graded blocks (r, block) and their determinants from
-    _graded_stack, det_total and det^(p-1) from elementwise code products.
-    The members run in linalg.member_chunks of |G| (M+1) n decoded cells
-    each, in order.  When members fail, the first of them raises the error
-    it raises alone.
+
+def verify_stack(stacks: Iterable[AlgebraAutomorphism]) -> list[VerificationReport]:
+    """Check alpha(socle) = det(A)^(p-1) * socle and the scalar's
+    constraints, for the members of stacks of one algebra, in order.
+
+    Consumes the stacks one at a time and fills each member chunk
+    (member_slices) from consecutive stacks; at most one chunk of members
+    waits between stacks.  Reads only the members' data (_verify_chunk).
+    When members fail, the first of them raises the error it raises alone.
     """
-    if not autos:
-        return []
-    alg = autos[0].algebra
-    if any(auto.algebra is not alg for auto in autos):
-        raise FieldMismatch("automorphisms act on different algebras")
-    ops = alg.ops
-    element = functools.cache(alg.field.element_from_code)
-    reports = []
-    for part in linalg.member_chunks(len(autos), autos[0].data.size * ops.n):
-        chunk = autos[part]
-        data = np.stack([auto.data for auto in chunk])
-        lams, bad = _socle_codes(data)
-        layers, failures = _graded_stack(alg, data[:, :, :-1])
-        _raise_first([(bad, SocleNotPreserved(SOCLE_MESSAGE))] + failures)
-        dets = np.array([d for _, _, d in layers], dtype=np.int64).reshape(len(layers), len(chunk))
-        totals = functools.reduce(ops.mul, dets, np.ones(len(chunk), dtype=np.int64))
-        powers = ops.pow(totals, alg.field.p - 1)
-        # the (p-1)-st powers are the units u with u^((q-1)/(p-1)) = 1
-        in_subgroup = ops.pow(lams, (alg.field.q - 1) // (alg.field.p - 1)) == 1
-        reports += [
-            VerificationReport(
-                provenance=auto.provenance,
-                socle_scalar=element(lam),
-                blocks=tuple((r, blocks[b]) for r, blocks, _ in layers),
-                block_dets=tuple(map(element, member_dets)),
-                det_total=element(total),
-                det_power=element(power),
-                equation_holds=lam == power,
-                lambda_in_power_subgroup=bool(in_subgroup[b]),
-                lambda_is_one=lam == 1,
-            )
-            for b, (auto, lam, member_dets, total, power) in enumerate(
-                zip(chunk, lams.tolist(), dets.T.tolist(), totals.tolist(), powers.tolist()))
-        ]
-    return reports
+    reports, provenances, alg = [], [], None
+    for stack in stacks:
+        if alg is None:
+            alg, data = stack.algebra, stack.data[:0]
+            element = functools.cache(alg.field.element_from_code)
+        if stack.algebra is not alg:
+            raise FieldMismatch("automorphisms act on different algebras")
+        data, provenances = np.concatenate([data, stack.data]), provenances + stack.provenance
+        # every full chunk is checked; the members after the last one wait
+        *full, rest = member_slices(alg, len(provenances)) or [slice(0)]
+        for part in full:
+            reports += _verify_chunk(alg, element, data[part], provenances[part])
+        data, provenances = data[rest], provenances[rest]
+    return reports + (_verify_chunk(alg, element, data, provenances) if provenances else [])
+
+
+def _verify_chunk(alg: GroupAlgebra, element, data: np.ndarray, provenances: list[str]) -> list[VerificationReport]:
+    """The reports of one (B, |G|, M+1) data chunk: the socle scalars from
+    the alpha(n) columns, the graded blocks (r, block) and their
+    determinants from _graded_stack, det_total and det^(p-1) from
+    elementwise code products; element turns a code into a FieldElement."""
+    lams, bad = _socle_codes(data)
+    layers, failures = _graded_stack(alg, data[:, :, :-1])
+    _raise_first([(bad, SocleNotPreserved(SOCLE_MESSAGE))] + failures)
+    dets = np.array([d for _, _, d in layers], dtype=np.int64).reshape(len(layers), len(data))
+    totals = functools.reduce(alg.ops.mul, dets, np.ones(len(data), dtype=np.int64))
+    powers = alg.ops.pow(totals, alg.field.p - 1)
+    # the (p-1)-st powers are the units u with u^((q-1)/(p-1)) = 1
+    in_subgroup = alg.ops.pow(lams, (alg.field.q - 1) // (alg.field.p - 1)) == 1
+    return [
+        VerificationReport(
+            provenance=provenance,
+            socle_scalar=element(lam),
+            # copied: a view would keep the chunk's block stack too, a second
+            # array per report when a chunk holds one member
+            blocks=tuple((r, blocks[b].copy()) for r, blocks, _ in layers),
+            block_dets=tuple(map(element, member_dets)),
+            det_total=element(total),
+            det_power=element(power),
+            equation_holds=lam == power,
+            lambda_in_power_subgroup=bool(in_subgroup[b]),
+            lambda_is_one=lam == 1,
+        )
+        for b, (provenance, lam, member_dets, total, power) in enumerate(
+            zip(provenances, lams.tolist(), dets.T.tolist(), totals.tolist(), powers.tolist()))
+    ]
 
 
 def _socle_codes(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -570,49 +595,58 @@ def _raise_first(failures: list[tuple[np.ndarray, Exception]]) -> None:
 # ---------------------------------------------------------------------------
 # seeded random sources
 
-def random_inners(algebra: GroupAlgebra, rng: random.Random, count: int) -> list[AlgebraAutomorphism]:
+def random_inners(algebra: GroupAlgebra, rng: random.Random, count: int) -> Iterator[AlgebraAutomorphism]:
     """Conjugations by count random units 1 + (sparse combination of
-    INNER_TERMS (g - 1)), built as one stack.
+    INNER_TERMS (g - 1)), yielded as stacks of member_slices chunks.
 
     Each member draws (g_k, c_k) for k = 1 .. INNER_TERMS, g_k != 1 and c_k a
-    unit, after the member before it.  Unit u = 1 + sum_k c_k (g_k - 1) is
-    summed on its coefficients at 1 and at the drawn g_k, every member at
-    once.
+    unit, after the member before it; a chunk is drawn when it is asked
+    for.  Unit u = 1 + sum_k c_k (g_k - 1) is summed on its coefficients at
+    1 and at the drawn g_k, every member of the chunk at once.
     """
-    n = algebra.dimension
-    q = algebra.field.q
-    ops = algebra.ops
-    draws = np.array([[rng.randrange(1, n), rng.randrange(1, q)] for _ in range(count * INNER_TERMS)],
-                     dtype=np.int64).reshape(count, INNER_TERMS, 2)
-    units = np.zeros((count, n), dtype=np.int64)
-    units[:, 0] = 1
-    members = np.arange(count)
-    for k in range(INNER_TERMS):
-        g, c = draws[:, k, 0], draws[:, k, 1]
-        units[members, g] = ops.add(units[members, g], c)
-        units[:, 0] = ops.sub(units[:, 0], c)
-    provenances = [f"random-inner: {algebra.format(u)}" for u in units]
-    return AlgebraAutomorphism.inners(algebra, units, provenances)
+    ops, n, q = algebra.ops, algebra.dimension, algebra.field.q
+    for part in member_slices(algebra, count):
+        size = len(range(count)[part])
+        draws = np.array([[rng.randrange(1, n), rng.randrange(1, q)] for _ in range(size * INNER_TERMS)],
+                         dtype=np.int64).reshape(size, INNER_TERMS, 2)
+        units = np.zeros((size, n), dtype=np.int64)
+        units[:, 0] = 1
+        members = np.arange(size)
+        for k in range(INNER_TERMS):
+            g, c = draws[:, k, 0], draws[:, k, 1]
+            units[members, g] = ops.add(units[members, g], c)
+            units[:, 0] = ops.sub(units[:, 0], c)
+        yield AlgebraAutomorphism.inners(algebra, units, [f"random-inner: {algebra.format(u)}" for u in units])
 
 
 def random_substitutions(algebra: GroupAlgebra, rng: random.Random,
-                         count: int) -> list[AlgebraAutomorphism]:
+                         count: int) -> Iterator[AlgebraAutomorphism]:
     """count random substitutions on C_p^m, drawn one after another and
-    built as one stack.
+    yielded as stacks of member_slices chunks, each drawn when it is asked
+    for.
 
     Each member maps g_i -> 1 + sum_j linear[i, j] (g_j - 1) + tail_i.  The
     linear part is drawn in GL_m(k) by rejection; then, generator by
     generator, with probability 1/2 a tail c * row, for a row of the J^2
     basis and a unit c.  The images are summed on their codes.  On a group
-    that is not elementary abelian it raises ValueError, whatever the count.
+    that is not elementary abelian it raises ValueError at once, whatever
+    the count.
     """
     group = algebra.group
     if not group.is_elementary_abelian():
         raise ValueError("random-subst draws need an elementary abelian group; "
                          "give images on any pc group with subst:")
-    images = [_substitution_draw(algebra, rng) for _ in range(count)]
-    return AlgebraAutomorphism.substitutions(
-        algebra, np.reshape(images, (count, group.m, algebra.dimension)), ["random-subst"] * count)
+    return (AlgebraAutomorphism.substitutions(
+        algebra, np.reshape([_substitution_draw(algebra, rng) for _ in range(count)[part]],
+                            (-1, group.m, algebra.dimension)),
+        ["random-subst" for _ in range(count)[part]]) for part in member_slices(algebra, count))
+
+
+def stored_automorphisms(algebra: GroupAlgebra) -> Iterator[AlgebraAutomorphism]:
+    """The group's stored automorphisms, as stacks of member_slices chunks."""
+    gautos = algebra.group.stored_automorphisms()
+    return (AlgebraAutomorphism.from_group_automorphism(algebra, gautos[part])
+            for part in member_slices(algebra, len(gautos)))
 
 
 def _substitution_draw(algebra: GroupAlgebra, rng: random.Random) -> np.ndarray:
@@ -639,8 +673,10 @@ def _substitution_draw(algebra: GroupAlgebra, rng: random.Random) -> np.ndarray:
 
 def parse_automorphism_specs(
     algebra: GroupAlgebra, text: str, default_seed: int = 0
-) -> list[AlgebraAutomorphism]:
-    """Parse one automorphism spec line.
+) -> Iterable[AlgebraAutomorphism]:
+    """Parse one automorphism spec line into its stacks: one stack of one
+    member, or for a random-* spec the stacks of its source, drawn when
+    they are asked for.  The line is parsed at once.
 
     Forms:
       group-auto: g1 -> g1 g3, g2 -> g2     (omitted generators stay fixed)
@@ -661,20 +697,20 @@ def parse_automorphism_specs(
         return [_parse_group_auto(algebra, rest)]
     if kind == "inner":
         u = algebra.parse(rest.strip())
-        return AlgebraAutomorphism.inners(algebra, u[None], [f"inner: {algebra.format(u)}"])
+        return [AlgebraAutomorphism.inners(algebra, u[None], [f"inner: {algebra.format(u)}"])]
     if kind == "subst":
-        return _parse_subst(algebra, rest)
+        return [_parse_subst(algebra, rest)]
     if kind == "compose":
         parts = [p.strip() for p in rest.split(";")]
         if len(parts) < 2:
             raise ValueError("compose needs at least two specs separated by ';'")
         autos = []
         for part in parts:
-            sub = parse_automorphism_specs(algebra, part, default_seed)
-            if len(sub) != 1:
+            sub = list(parse_automorphism_specs(algebra, part, default_seed))
+            if len(sub) != 1 or len(sub[0]) != 1:
                 raise ValueError("compose parts must each give a single automorphism")
-            autos.append(sub[0])
-        return [functools.reduce(AlgebraAutomorphism.compose, autos)]
+            autos += sub
+        return [functools.reduce(lambda a, b: AlgebraAutomorphism.compose([((a, 0), (b, 0))]), autos)]
     words = kind.split() or [""]
     if not colon and words[0] in ("random-inner", "random-subst"):
         opts = _random_options(words[1:])
@@ -731,11 +767,10 @@ def _parse_group_auto(algebra: GroupAlgebra, rest: str) -> AlgebraAutomorphism:
     images = list(group.generator_indices)
     for i, rhs in _parse_clauses(rest, "g", group.m).items():
         images[i - 1] = group.parse_word(rhs)
-    gauto = group.group_automorphism(images)
-    return AlgebraAutomorphism.from_group_automorphism(algebra, gauto)
+    return AlgebraAutomorphism.from_group_automorphism(algebra, [group.group_automorphism(images)])
 
 
-def _parse_subst(algebra: GroupAlgebra, rest: str) -> list[AlgebraAutomorphism]:
+def _parse_subst(algebra: GroupAlgebra, rest: str) -> AlgebraAutomorphism:
     images = np.eye(algebra.dimension, dtype=np.int64)[algebra.group.generator_indices]
     for i, rhs in _parse_clauses(rest, "x", algebra.group.m).items():
         images[i - 1] = algebra.ops.add(algebra.one(), _parse_x_polynomial(algebra, rhs))

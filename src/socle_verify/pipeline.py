@@ -17,12 +17,14 @@ from __future__ import annotations
 import contextlib
 import functools
 import hashlib
+import itertools
 import json
 import math
 import os
 import pickle
 import random
 import signal
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,9 +34,11 @@ from .automorphisms import (
     AlgebraAutomorphism,
     VerificationReport,
     check_count,
+    member_slices,
     parse_automorphism_specs,
     random_inners,
     random_substitutions,
+    stored_automorphisms,
     verify_stack,
 )
 from .ffield import GF, FieldMismatch, FieldSpec, format_modulus
@@ -254,26 +258,32 @@ def _stage(stage: str):
         raise RunStageError(stage, err) from err
 
 
-def prepare(config: RunConfig) -> tuple[GroupAlgebra, list[AlgebraAutomorphism]]:
-    """The group algebra and automorphisms of a run; an error is raised as
-    a RunStageError of its stage: group, field or automorphisms."""
+def _staged(stage: str, items: Iterable) -> Iterator:
+    """The items of an iterable, each drawn under _stage(stage)."""
+    with _stage(stage):
+        yield from items
+
+
+def prepare(config: RunConfig) -> tuple[GroupAlgebra, Iterator[AlgebraAutomorphism]]:
+    """The group algebra of a run and its automorphisms, as stacks built
+    one after another when they are asked for; an error is raised as a
+    RunStageError of its stage: group, field or, when the stacks are
+    built, automorphisms."""
     with _stage("group"):
         group = load_group(config.group, config.presentation)
     with _stage("field"):
         p = config.p if config.p is not None else group.p
         spec = build_group_field(group, p, config.n, config.modulus)
         algebra = GroupAlgebra(group, spec)
-    with _stage("automorphisms"):
-        autos: list[AlgebraAutomorphism] = []
+
+    def stacks() -> Iterator[AlgebraAutomorphism]:
         if config.include_stored:
-            for gauto in group.stored_automorphisms():
-                autos.append(AlgebraAutomorphism.from_group_automorphism(algebra, gauto))
+            yield from stored_automorphisms(algebra)
         base = config.seed if config.seed is not None else master_seed()
         for i, spec_text in enumerate(config.auto_specs):
-            autos.extend(
-                parse_automorphism_specs(algebra, spec_text, derive_seed(base, "auto", i))
-            )
-    return algebra, autos
+            yield from parse_automorphism_specs(algebra, spec_text, derive_seed(base, "auto", i))
+
+    return algebra, _staged("automorphisms", stacks())
 
 
 def _require(ok: bool, stage: str, message: str) -> None:
@@ -282,11 +292,13 @@ def _require(ok: bool, stage: str, message: str) -> None:
         raise RunStageError(stage, ValueError(message))
 
 
-def run(algebra: GroupAlgebra, autos: list[AlgebraAutomorphism], full_check: bool = False) -> RunReport:
-    """Certify the algebra's structure and verify the automorphisms; an
-    error is raised as a RunStageError of its stage: jennings, structure
-    (or the socle, filtration or series oracle under --full-check) or
-    verify."""
+def run(algebra: GroupAlgebra, autos: Iterable[AlgebraAutomorphism], full_check: bool = False) -> RunReport:
+    """Certify the algebra's structure and verify the stacks of
+    automorphisms, consumed one at a time (under --full-check each is
+    check_pairs'd as it arrives) with only the reports kept; an error is
+    raised as a RunStageError of its stage: jennings, structure (or the
+    socle, filtration or series oracle under --full-check), the stage of
+    the stream, such as automorphisms, or verify."""
     group = algebra.group
     with _stage("jennings"):
         basis = build_jennings_basis(group)
@@ -328,14 +340,15 @@ def run(algebra: GroupAlgebra, autos: list[AlgebraAutomorphism], full_check: boo
             _require(checks["series_definitions_agree"], "series",
                      "recursive and definitional dimension subgroups differ")
 
+    def checked(stacks: Iterable[AlgebraAutomorphism]) -> Iterator[AlgebraAutomorphism]:
+        for stack in stacks:
+            stack.check_pairs()
+            if len(stack):  # the pair-check mode depends only on the group order
+                checks[f"pair_check_{stack.pair_check}"] = True
+            yield stack
+
     with _stage("verify"):
-        if full_check:
-            for auto in autos:
-                auto.check_pairs()
-        reports = verify_stack(autos)
-    if full_check and autos:
-        # the pair-check mode depends only on the group order
-        checks[f"pair_check_{autos[0].pair_check}"] = True
+        reports = verify_stack(checked(autos) if full_check else autos)
 
     # lambda = det^(p-1) is the whole pass rule: a singular graded block
     # raises FiltrationNotPreserved, so det != 0, and then
@@ -364,31 +377,29 @@ def sweep_automorphisms(
     inner_count: int = 25,
     compose_count: int = 0,
     subst_count: int = 25,
-) -> list[AlgebraAutomorphism]:
-    """The automorphisms one sweep run checks for catalog group `name`.
+) -> Iterator[AlgebraAutomorphism]:
+    """The stacks of automorphisms one sweep run checks for catalog group
+    `name`, built one after another when they are asked for.
 
     Stored group automorphisms, random inner ones, random compositions of
     those, and random substitutions when the group is elementary abelian,
-    each source seeded from (seed, name, field degree, source kind).
+    each source seeded from (seed, name, field degree, source kind).  Only
+    compositions need the stored and inner stacks kept.
     """
-    group = algebra.group
-    deg = algebra.field.n
-    autos: list[AlgebraAutomorphism] = [
-        AlgebraAutomorphism.from_group_automorphism(algebra, ga)
-        for ga in group.stored_automorphisms()
-    ]
-    rng_inner = random.Random(derive_seed(seed, name, deg, "inner"))
-    autos.extend(random_inners(algebra, rng_inner, inner_count))
-    rng_comp = random.Random(derive_seed(seed, name, deg, "compose"))
-    pool = list(autos)
-    for _ in range(compose_count):
-        a = pool[rng_comp.randrange(len(pool))]
-        b = pool[rng_comp.randrange(len(pool))]
-        autos.append(a.compose(b))
-    if group.is_elementary_abelian() and subst_count:
-        rng_subst = random.Random(derive_seed(seed, name, deg, "subst"))
-        autos.extend(random_substitutions(algebra, rng_subst, subst_count))
-    return autos
+    def rng(kind: str) -> random.Random:
+        return random.Random(derive_seed(seed, name, algebra.field.n, kind))
+
+    sources = itertools.chain(stored_automorphisms(algebra), random_inners(algebra, rng("inner"), inner_count))
+    pool = list(sources) if compose_count else sources
+    yield from pool
+    members = [(stack, b) for stack in pool for b in range(len(stack))]  # none unless kept
+    rng_comp = rng("compose")
+    pairs = [(members[rng_comp.randrange(len(members))], members[rng_comp.randrange(len(members))])
+             for _ in range(compose_count)]
+    for part in member_slices(algebra, compose_count):
+        yield AlgebraAutomorphism.compose(pairs[part])
+    if algebra.group.is_elementary_abelian() and subst_count:
+        yield from random_substitutions(algebra, rng("subst"), subst_count)
 
 
 def sweep(
@@ -427,7 +438,7 @@ def sweep(
                     autos = sweep_automorphisms(
                         algebra, names[i], seed, inner_count, compose_count, subst_count
                     )
-                    out.append((i, run(algebra, autos, full_check=full_check)))
+                    out.append((i, run(algebra, _staged("automorphisms", autos), full_check=full_check)))
             except Exception as err:
                 return out + [(i, err)]
         return out

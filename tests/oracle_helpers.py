@@ -38,6 +38,10 @@ generators and closure by np.unique and the nullspace by np.setdiff1d are
 PcGroup._generators_among, PcGroup._closure_indices and FieldOps.nullspace
 as they were before their index sets became boolean index masks.
 
+Member and members view each member of the package's automorphism
+stacks as one automorphism, with its own matrix, data and provenance,
+so that the oracles written for one automorphism read stack members.
+
 The small helpers (center, subgroup_closure, presentation_text,
 in_row_space, layer_ranks, pbw_dimension, apply_automorphism, ...) are
 API that only the tests use, kept here rather than in the package; so is
@@ -60,12 +64,13 @@ build's check that the lift words enumerate G.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
 import numpy as np
 
-from socle_verify.automorphisms import NotMultiplicative
+from socle_verify.automorphisms import AlgebraAutomorphism, NotMultiplicative
 from socle_verify.ffield import GF, FieldElement, FieldMismatch, _poly_mod
 from socle_verify.groupalgebra import FiltrationError, column_sums, radical_filtration_by_products
 from socle_verify.jennings import DimensionMismatch
@@ -637,6 +642,41 @@ def data_by_matrix(auto):
     cols = [y for lifts in alg.filtration.lifts for y in lifts]
     socle = alg.ops.matvec(auto.matrix, np.ones(alg.dimension, dtype=np.int64))
     return np.column_stack([auto.matrix[:, cols], socle])
+
+
+class Member:
+    """Member index of an automorphism stack, read as one automorphism."""
+
+    def __init__(self, stack, index):
+        self.stack = stack
+        self.index = index
+        self.algebra = stack.algebra
+
+    @functools.cached_property
+    def matrix(self):
+        return self.stack.matrix(self.index)
+
+    @property
+    def data(self):
+        return self.stack.data[self.index]
+
+    @property
+    def provenance(self):
+        return self.stack.provenance[self.index]
+
+    @property
+    def pair_check(self):
+        return self.stack.pair_check
+
+    def alone(self):
+        """A one-member stack of this member, with its certificate and data."""
+        return AlgebraAutomorphism(self.algebra, lambda _: self.matrix, self.provenance,
+                                   certificate=self.pair_check, data=self.data[None])
+
+
+def members(stacks):
+    """The members of the stacks, in order, each as a Member."""
+    return [Member(stack, b) for stack in stacks for b in range(len(stack))]
 
 
 def random_inner_by_elements(algebra, rng, terms=3):

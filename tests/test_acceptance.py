@@ -41,6 +41,7 @@ from oracle_helpers import (
     frattini_by_products,
     in_radical_power,
     is_pm1_power,
+    members,
     normal_form_index,
 )
 
@@ -96,8 +97,8 @@ def test_criterion_2_extension_field_substitutions():
     for name, p in cases:
         algebra = GroupAlgebra(shared_group(name), GF(p, 2))
         rng = random.Random(derive_seed(ACCEPTANCE_SEED, "accept2", name))
-        autos = random_substitutions(algebra, rng, 100)
-        for auto, rep in zip(autos, verify_stack(autos)):
+        stacks = list(random_substitutions(algebra, rng, 100))
+        for auto, rep in zip(members(stacks), verify_stack(stacks), strict=True):
             recomputed = rep.det_total ** (p - 1)
             assert rep.socle_scalar == recomputed, (name, auto.provenance)
             assert rep.equation_holds

@@ -31,6 +31,7 @@ from socle_verify import (
 from socle_verify.automorphisms import (
     FULL_PAIR_CHECK_LIMIT,
     AlgebraAutomorphism,
+    _check_identities,
     _degree_one_dets,
     _parse_x_polynomial,
     parse_automorphism_specs,
@@ -43,9 +44,11 @@ from socle_verify.pipeline import RunConfig, derive_seed, prepare, run, sweep_au
 from conftest import shared_algebra
 from oracle_helpers import (
     AlgebraElement,
+    Member,
     apply_automorphism,
     in_radical_power,
     is_pm1_power,
+    members,
     normal_form_index,
     sampled_pairs_one_at_a_time,
     substitution_images,
@@ -60,15 +63,15 @@ def _verify(auto):
 
 
 def _substitution(alg, images):
-    """The automorphism of one (m, |G|) array of image codes."""
-    return AlgebraAutomorphism.substitutions(alg, images[None], ["subst"])[0]
+    """The one-member stack of one (m, |G|) array of image codes."""
+    return AlgebraAutomorphism.substitutions(alg, images[None], ["subst"])
 
 
 def test_c3_inversion_report(algebra):
     alg = algebra("C3")
     g = alg.group
     auto = AlgebraAutomorphism.from_group_automorphism(
-        alg, g.group_automorphism([normal_form_index(g, (2,))])
+        alg, [g.group_automorphism([normal_form_index(g, (2,))])]
     )
     rep = _verify(auto)
     d = rep.as_dict()
@@ -111,7 +114,7 @@ def test_higher_terms_do_not_move_lambda():
     g1, g2 = (AlgebraElement.embed(alg, gi) - 1 for gi in alg.group.generator_indices)
     tail = g1 * g2 + g2 * g2 * g1
     images = np.stack([substitution_images(alg, linear), substitution_images(alg, linear, higher={1: tail})])
-    a, b = verify_stack(AlgebraAutomorphism.substitutions(alg, images, ["plain", "dressed"]))
+    a, b = verify_stack([AlgebraAutomorphism.substitutions(alg, images, ["plain", "dressed"])])
     assert a.socle_scalar == b.socle_scalar
     assert a.det_total == b.det_total
     assert [d for d in a.block_dets] == [d for d in b.block_dets]
@@ -123,9 +126,9 @@ def test_lambda_multiplicative_under_composition(algebra):
     (first,) = random_inners(alg, rng, 1)
     g = alg.group
     second = AlgebraAutomorphism.from_group_automorphism(
-        alg, g.stored_automorphisms()[0]
+        alg, g.stored_automorphisms()[:1]
     )
-    a, b, c = verify_stack([first, second, first.compose(second)])
+    a, b, c = verify_stack([first, second, AlgebraAutomorphism.compose([((first, 0), (second, 0))])])
     assert c.socle_scalar == a.socle_scalar * b.socle_scalar
     assert c.det_total == a.det_total * b.det_total
 
@@ -144,7 +147,7 @@ def test_stored_group_autos_give_lambda_one(algebra):
     for name in ("D8", "M16", "Heis27", "C27"):
         alg = algebra(name)
         for gauto in alg.group.stored_automorphisms():
-            auto = AlgebraAutomorphism.from_group_automorphism(alg, gauto)
+            auto = AlgebraAutomorphism.from_group_automorphism(alg, [gauto])
             rep = _verify(auto)
             assert rep.lambda_is_one
             assert rep.equation_holds
@@ -154,7 +157,7 @@ def test_apply_matches_group_action(algebra):
     alg = algebra("D8")
     g = alg.group
     gauto = g.stored_automorphisms()[0]
-    auto = AlgebraAutomorphism.from_group_automorphism(alg, gauto)
+    auto = Member(AlgebraAutomorphism.from_group_automorphism(alg, [gauto]), 0)
     for el in range(g.order):
         assert apply_automorphism(auto, AlgebraElement.embed(alg, el)) == AlgebraElement.embed(alg, gauto.perm[el])
 
@@ -247,7 +250,7 @@ def test_d8_substitution_with_lambda_t(algebra, full_check):
     a1 = alg.parse("(t+1) + (t)*g2 + (t)*g2*g3 + g1 + (t+1)*g1*g3")
     a2 = alg.parse("(t)*g3 + (t)*g2 + g2*g3 + g1*g3 + (t)*g1*g2 + (t+1)*g1*g2*g3")
     autos = AlgebraAutomorphism.substitutions(alg, np.stack([a1, a2, alg.multiply_codes(a2, a2)])[None], ["D8"])
-    report = run(alg, autos, full_check=full_check)
+    report = run(alg, [autos], full_check=full_check)
     (rep,) = report.auto_reports
     assert report.verdict and str(rep.socle_scalar) == "t"
     assert rep.equation_holds and rep.lambda_in_power_subgroup and not rep.lambda_is_one
@@ -298,7 +301,8 @@ def test_power_relations_are_one_stacked_power(algebra, monkeypatch, degree):
     calls = []
     multiply_codes = alg.multiply_codes
     monkeypatch.setattr(alg, "multiply_codes", lambda a, b: calls.append(np.shape(a)) or multiply_codes(a, b))
-    random_substitutions(alg, random.Random(11), 3)
+    (stack,) = random_substitutions(alg, random.Random(11), 3)
+    assert len(stack) == 3
     assert calls[0] == (21, 128) and len(calls) == 7
 
 
@@ -312,26 +316,26 @@ def test_group_side_rejections(algebra):
 def test_pair_check_modes(algebra, monkeypatch):
     alg = algebra("D8")
     g = alg.group
-    auto = AlgebraAutomorphism.from_group_automorphism(alg, g.stored_automorphisms()[0])
+    auto = AlgebraAutomorphism.from_group_automorphism(alg, g.stored_automorphisms()[:1])
     assert auto.pair_check == "group-automorphism"
-    assert AlgebraAutomorphism(alg, auto.matrix).pair_check == "generators"
+    assert AlgebraAutomorphism(alg, auto.matrix(0)).pair_check == "generators"
     assert alg.dimension <= FULL_PAIR_CHECK_LIMIT
     auto.check_pairs()
     assert auto.pair_check == "full"
-    assert not auto.provenance.endswith("[sampled multiplicativity]")
+    assert not auto.provenance[0].endswith("[sampled multiplicativity]")
 
     import socle_verify.automorphisms as mod
 
     monkeypatch.setattr(mod, "FULL_PAIR_CHECK_LIMIT", 4)
     sampled = AlgebraAutomorphism.from_group_automorphism(
-        alg, g.stored_automorphisms()[0]
+        alg, g.stored_automorphisms()
     )
-    assert sampled.pair_check == "group-automorphism"
+    assert sampled.pair_check == "group-automorphism" and len(sampled) == 2
     sampled.check_pairs()
     assert sampled.pair_check == "sampled"
-    assert sampled.provenance.endswith("[sampled multiplicativity]")
+    assert all(provenance.endswith("[sampled multiplicativity]") for provenance in sampled.provenance)
     sampled.check_pairs()  # a second call changes nothing
-    assert sampled.provenance.count("[sampled multiplicativity]") == 1
+    assert [provenance.count("[sampled multiplicativity]") for provenance in sampled.provenance] == [1, 1]
     assert _verify(sampled).socle_scalar == _verify(auto).socle_scalar
 
 
@@ -360,7 +364,7 @@ def _swept_with_transpositions(algebra, names, degree):
     for name in list(names) + ["C2^7"]:
         alg = algebra(name, degree)
         n = alg.dimension
-        for auto in sweep_automorphisms(alg, name, 7, 3, 2, 3):
+        for auto in members(sweep_automorphisms(alg, name, 7, 3, 2, 3)):
             perm = None
             if n >= 3:
                 i, j = rng.sample(range(1, n), 2)
@@ -370,7 +374,7 @@ def _swept_with_transpositions(algebra, names, degree):
 
 
 @pytest.mark.parametrize("degree", [1, 2])
-def test_multiplicativity_certificate_matches_pair_oracle(algebra, all_names, degree):
+def test_multiplicativity_certificate_matches_pair_oracle(algebra, all_names, monkeypatch, degree):
     """Constructor certificates, the dense oracle and the pair oracle agree.
 
     Every automorphism a small sweep makes on the 24 catalog groups and on
@@ -384,17 +388,20 @@ def test_multiplicativity_certificate_matches_pair_oracle(algebra, all_names, de
     by substitutions from its generator images, read off the matrix: the
     same data, byte for byte, and the same report.
     """
+    import socle_verify.automorphisms as mod
+
     checked = rejected = 0
     for alg, auto, perm in _swept_with_transpositions(algebra, all_names, degree):
         n = alg.dimension
         assert auto.pair_check in CERTIFICATES, auto.provenance
-        (rebuilt,) = AlgebraAutomorphism.substitutions(alg, auto.matrix[:, alg.group.generator_indices].T[None],
-                                                       [auto.provenance])
-        assert np.array_equal(rebuilt.data, auto.data) and verify_stack([rebuilt]) == verify_stack([auto])
+        rebuilt = AlgebraAutomorphism.substitutions(alg, auto.matrix[:, alg.group.generator_indices].T[None],
+                                                    [auto.provenance])
+        alone = auto.alone()
+        assert np.array_equal(rebuilt.data[0], auto.data) and verify_stack([rebuilt]) == verify_stack([alone])
         assert AlgebraAutomorphism(alg, auto.matrix).pair_check == "generators"
         if n <= 27:
-            auto.check_pairs()
-            assert auto.pair_check == "full"
+            alone.check_pairs()
+            assert alone.pair_check == "full"
         checked += 1
         if perm is None:
             continue
@@ -405,8 +412,9 @@ def test_multiplicativity_certificate_matches_pair_oracle(algebra, all_names, de
         assert _accepts(unchecked.check_pairs) == expected
         if n <= 27:
             pairs_only = AlgebraAutomorphism(alg, bad, "corrupt", certificate="unchecked")
-            pairs_only._check_identities = lambda: None  # the pair loop alone
-            assert _accepts(pairs_only.check_pairs) == expected
+            with monkeypatch.context() as patch:
+                patch.setattr(mod, "_check_identities", lambda alg, matrix: None)  # the pair loop alone
+                assert _accepts(pairs_only.check_pairs) == expected
         rejected += not expected
     assert checked == 205  # 197 on the catalog, 8 on C2^7
     assert rejected > 0
@@ -423,6 +431,7 @@ def test_grouped_sampled_pairs_match_one_pair_oracle(algebra, all_names, monkeyp
     import socle_verify.automorphisms as mod
 
     monkeypatch.setattr(mod, "FULL_PAIR_CHECK_LIMIT", 4)
+    monkeypatch.setattr(mod, "_check_identities", lambda alg, matrix: None)  # the pair loop alone
     names = [name for name in all_names if 4 < algebra(name, degree).dimension <= 27]
     outcomes = set()
     for alg, auto, perm in _swept_with_transpositions(algebra, names, degree):
@@ -430,8 +439,7 @@ def test_grouped_sampled_pairs_match_one_pair_oracle(algebra, all_names, monkeyp
             continue
         for matrix in (auto.matrix, auto.matrix[:, perm]):
             grouped = AlgebraAutomorphism(alg, matrix, "pairs", certificate="unchecked")
-            grouped._check_identities = lambda: None  # the pair loop alone
-            expected = _accepts(lambda: sampled_pairs_one_at_a_time(grouped))
+            expected = _accepts(lambda: sampled_pairs_one_at_a_time(Member(grouped, 0)))
             assert _accepts(grouped.check_pairs) == expected, auto.provenance
             assert grouped.pair_check == ("sampled" if expected else "unchecked")
             outcomes.add(expected)
@@ -466,10 +474,10 @@ def test_degree_one_rank_agrees_with_full_rank(algebra, all_names, degree):
 
     def compare(alg, matrix):
         auto = AlgebraAutomorphism(alg, matrix, "compare", certificate="unchecked")
-        if not _accepts(auto._check_identities):
+        if not _accepts(lambda: _check_identities(alg, matrix)):
             return
         full = alg.ops.rank(matrix) == alg.dimension
-        onto = _degree_one_dets(alg, auto.data[None])[0] != 0
+        onto = _degree_one_dets(alg, auto.data)[0] != 0
         assert onto == full
         seen[full] += 1
 
@@ -637,11 +645,11 @@ def test_random_spec_heads_are_parsed_exactly(algebra, spec, token):
 
 def test_spec_parser_default_seed(algebra):
     alg = algebra("D8")
-    a1 = parse_automorphism_specs(alg, "random-inner", default_seed=5)[0]
-    a2 = parse_automorphism_specs(alg, "random-inner", default_seed=5)[0]
-    a3 = parse_automorphism_specs(alg, "random-inner", default_seed=6)[0]
-    assert np.array_equal(a1.matrix, a2.matrix)
-    assert not np.array_equal(a1.matrix, a3.matrix)
+    (a1,) = parse_automorphism_specs(alg, "random-inner", default_seed=5)
+    (a2,) = parse_automorphism_specs(alg, "random-inner", default_seed=5)
+    (a3,) = parse_automorphism_specs(alg, "random-inner", default_seed=6)
+    assert np.array_equal(a1.matrix(0), a2.matrix(0))
+    assert not np.array_equal(a1.matrix(0), a3.matrix(0))
 
 
 def test_random_substitution_matches_contract():
@@ -675,9 +683,9 @@ def test_substitution_blocks_match_column_oracle(algebra, all_names, degree, mon
     build = AlgebraAutomorphism.substitutions.__func__
 
     def recording(cls, alg, images, provenances):
-        autos = build(cls, alg, images, provenances)
-        built.extend((alg, member, auto) for member, auto in zip(images, autos))
-        return autos
+        stack = build(cls, alg, images, provenances)
+        built.extend((alg, member, Member(stack, b)) for b, member in enumerate(images))
+        return stack
 
     monkeypatch.setattr(AlgebraAutomorphism, "substitutions", classmethod(recording))
     names = [name for name in all_names if algebra(name).group.is_elementary_abelian()]
@@ -686,7 +694,7 @@ def test_substitution_blocks_match_column_oracle(algebra, all_names, degree, mon
     for name in names:
         alg = algebra(name, degree)
         rng = random.Random(derive_seed(7, "subst-blocks", name))
-        random_substitutions(alg, rng, 3)
+        list(random_substitutions(alg, rng, 3))
         parse_automorphism_specs(alg, _subst_spec(alg.group.m, "(t)*" if degree == 2 else ""))
     assert len(built) == 4 * len(names)
     assert {alg.group.p for alg, _, _ in built} == {2, 3, 5}
@@ -710,7 +718,7 @@ def test_random_substitution_matches_element_oracle(algebra, all_names, degree):
         alg = algebra(name, degree)
         for seed in range(3):
             rng, oracle_rng = random.Random(seed), random.Random(seed)
-            for auto in random_substitutions(alg, rng, 3):
+            for auto in members(random_substitutions(alg, rng, 3)):
                 images = substitution_images_by_elements(alg, oracle_rng)
                 assert np.array_equal(auto.matrix[:, alg.group.generator_indices].T, images), name
                 assert np.array_equal(auto.matrix, substitution_matrix_by_columns(alg, images)), name
@@ -730,7 +738,7 @@ def _d8_lift_matrix(alg, lift, image):
     matrix = np.eye(alg.dimension, dtype=np.int64)
     matrix[:, lift] = image.codes
     data = np.column_stack([matrix[:, alg.filtration.lift_indices], np.ones(alg.dimension, dtype=np.int64)])
-    return AlgebraAutomorphism(alg, matrix, "lift image", certificate="unchecked", data=data)
+    return AlgebraAutomorphism(alg, matrix, "lift image", certificate="unchecked", data=data[None])
 
 
 def test_graded_action_rejects_a_lift_image_outside_its_radical_power(algebra):
@@ -805,7 +813,7 @@ def test_substitution_images_give_a_typed_error_or_a_verified_automorphism(name)
     def draw(data):
         kind, images = _fuzz_images(alg, data)
         try:
-            (auto,) = AlgebraAutomorphism.substitutions(alg, images[None], [kind])
+            auto = AlgebraAutomorphism.substitutions(alg, images[None], [kind])
         except (RelationViolation, SingularLinearPart, ValueError) as err:
             assert isinstance(err, (RelationViolation, SingularLinearPart)) or "augmentation 1" in str(err)
             assert kind == "j2", err

@@ -21,7 +21,7 @@ from socle_verify.groupalgebra import column_sums, radical_filtration
 from socle_verify.pipeline import RunConfig, RunStageError, prepare, run, sweep_automorphisms
 
 from conftest import shared_algebra
-from oracle_helpers import coordinate_rows_by_identity, data_by_matrix
+from oracle_helpers import coordinate_rows_by_identity, data_by_matrix, members
 
 PRESENTATIONS = Path(__file__).resolve().parents[1] / "perfbench" / "presentations"
 # the benchmark's two presentations, and C2^8
@@ -47,9 +47,10 @@ def _dense_units(alg, rng, count):
     return units
 
 
-def _assert_data_match(alg, autos, label):
-    for auto in autos:
-        assert auto.data.shape == (alg.dimension, len(alg.filtration.lift_indices) + 1), label
+def _assert_data_match(alg, stacks, label):
+    for stack in stacks:
+        assert stack.data.shape == (len(stack), alg.dimension, len(alg.filtration.lift_indices) + 1), label
+    for auto in members(stacks):
         assert np.array_equal(auto.data, data_by_matrix(auto)), (label, auto.provenance)
 
 
@@ -58,8 +59,8 @@ def test_data_match_the_dense_matrix_on_the_catalog(all_names, degree):
     rng = np.random.default_rng(degree)
     for name in all_names:
         alg = shared_algebra(name, degree)
-        autos = sweep_automorphisms(alg, name, 7, 3, 2, 3)
-        autos += AlgebraAutomorphism.inners(alg, _dense_units(alg, rng, 2), ["dense"] * 2)
+        autos = list(sweep_automorphisms(alg, name, 7, 3, 2, 3))
+        autos.append(AlgebraAutomorphism.inners(alg, _dense_units(alg, rng, 2), ["dense"] * 2))
         _assert_data_match(alg, autos, name)
 
 
@@ -67,9 +68,9 @@ def test_data_match_the_dense_matrix_on_the_catalog(all_names, degree):
 @pytest.mark.parametrize("degree", [1, 2])
 def test_data_match_the_dense_matrix_at_large_order(name, degree):
     alg = _presentation_algebra(name, degree)
-    autos = sweep_automorphisms(alg, name, 7, 3, 2, 3)
-    autos += AlgebraAutomorphism.inners(alg, _dense_units(alg, np.random.default_rng(3), 1), ["dense"])
-    assert len(autos) == 6 + 3 * alg.group.is_elementary_abelian()
+    autos = list(sweep_automorphisms(alg, name, 7, 3, 2, 3))
+    autos.append(AlgebraAutomorphism.inners(alg, _dense_units(alg, np.random.default_rng(3), 1), ["dense"]))
+    assert len(members(autos)) == 6 + 3 * alg.group.is_elementary_abelian()
     _assert_data_match(alg, autos, name)
 
 
@@ -78,7 +79,7 @@ def test_tampered_data_fail_the_full_check(degree):
     """Swapped lift images, or a wrong socle image, are caught by the
     comparison with the matrix under --full-check."""
     alg = shared_algebra("C2xC2xC2", degree)
-    for auto in sweep_automorphisms(alg, "C2xC2xC2", 7, 1, 1, 1):
+    for auto in members(sweep_automorphisms(alg, "C2xC2xC2", 7, 1, 1, 1)):
         swapped = auto.data.copy()
         swapped[:, [0, 1]] = swapped[:, [1, 0]]
         wrong = auto.data.copy()
@@ -86,7 +87,7 @@ def test_tampered_data_fail_the_full_check(degree):
         for data in (swapped, wrong):
             if np.array_equal(data, auto.data):
                 continue
-            bad = AlgebraAutomorphism(alg, auto.matrix, auto.provenance, certificate="tampered", data=data)
+            bad = AlgebraAutomorphism(alg, auto.matrix, auto.provenance, certificate="tampered", data=data[None])
             with pytest.raises(DataMismatch):
                 bad.check_pairs()
             with pytest.raises(RunStageError, match=r"\[verify\] DataMismatch"):
@@ -109,10 +110,11 @@ def test_empty_stacks_build_nothing(capsys):
     assert main(["sweep", "--groups", "C2,D8,C3xC3", "--inner", "0", "--subst", "0"]) == 0
     capsys.readouterr()
     alg = shared_algebra("C2xC2", 2)
-    assert AlgebraAutomorphism.inners(alg, np.zeros((0, 4), dtype=np.int64), []) == []
-    assert AlgebraAutomorphism.substitutions(alg, np.zeros((0, 2, 4), dtype=np.int64), []) == []
+    assert len(AlgebraAutomorphism.inners(alg, np.zeros((0, 4), dtype=np.int64), [])) == 0
+    assert len(AlgebraAutomorphism.substitutions(alg, np.zeros((0, 2, 4), dtype=np.int64), [])) == 0
     stored = sweep_automorphisms(alg, "C2xC2", 7, 0, 0, 0)
-    assert [auto.pair_check for auto in stored] == ["group-automorphism"] * len(alg.group.stored_automorphisms())
+    assert [auto.pair_check for auto in members(stored)] == ["group-automorphism"] * len(
+        alg.group.stored_automorphisms())
 
 
 def test_default_order_512_run_builds_no_matrix(monkeypatch):
@@ -125,14 +127,15 @@ def test_default_order_512_run_builds_no_matrix(monkeypatch):
         raise AssertionError("a default run built a |G| x |G| matrix")
 
     monkeypatch.setattr(automorphisms, "_conjugation_matrix", refuse)
-    monkeypatch.setattr(AlgebraAutomorphism, "matrix", property(refuse))
+    monkeypatch.setattr(AlgebraAutomorphism, "matrix", refuse)
     monkeypatch.setattr(GroupAlgebra, "left_mult_matrix", refuse)
     algebra, autos = prepare(RunConfig(
         group="C2^9", presentation="pcgroup p=2 m=9\n", n=2, include_stored=False, seed=7,
         auto_specs=("group-auto: g1 -> g1 g2", "random-inner count=5", "random-subst count=3"),
     ))
-    report = run(algebra, autos)
+    stacks = list(autos)
+    report = run(algebra, stacks)
     assert len(report.auto_reports) == 9
     assert report.verdict
     with pytest.raises(AssertionError, match="built a"):
-        autos[0].matrix
+        stacks[0].matrix(0)

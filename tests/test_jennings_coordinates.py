@@ -17,7 +17,7 @@ import numpy as np
 from socle_verify import build_jennings_basis, verify_stack
 from socle_verify.pipeline import sweep_automorphisms
 from conftest import shared_algebra, shared_products_oracle
-from oracle_helpers import graded_blocks_by_projection, in_radical_power, jennings_monomials, reduce_rows
+from oracle_helpers import graded_blocks_by_projection, in_radical_power, jennings_monomials, members, reduce_rows
 
 
 def _products_oracle(name):
@@ -77,8 +77,8 @@ def test_graded_action_matches_projection_oracle(all_names):
         alg = shared_algebra(name, n)
         basis = build_jennings_basis(alg.group)
         oracle = _products_oracle(name)
-        autos = sweep_automorphisms(alg, name, 7, 3, 2, 3)
-        for auto, rep in zip(autos, verify_stack(autos)):
+        stacks = list(sweep_automorphisms(alg, name, 7, 3, 2, 3))
+        for auto, rep in zip(members(stacks), verify_stack(stacks), strict=True):
             mine = rep.blocks
             theirs = graded_blocks_by_projection(auto, basis, oracle)
             assert len(mine) == len(theirs), (name, n, auto.provenance)

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from socle_verify import GF, FieldSpec, GroupAlgebra, NotBijective, PcGroup, RelationViolation
 from socle_verify.automorphisms import parse_automorphism_specs
 from conftest import shared_algebra, shared_group
-from oracle_helpers import automorphism_perm_by_normal_forms, element_by_collection
+from oracle_helpers import automorphism_perm_by_normal_forms, element_by_collection, members
 
 # D8 over GF(2) and GF(4), C3xC3 and Heis27 over GF(9) modulo t^2 + 1, where
 # t is not a primitive element, and C7xC7 over GF(49), the smallest 7-group
@@ -101,7 +101,7 @@ def test_group_auto_words_give_the_collected_automorphism_or_a_typed_error(drawn
     spec = "group-auto: " + ", ".join(
         f"g{i} -> " + (" ".join(f"g{j}^{e}" for j, e in word) or "1") for i, word in words.items())
     try:
-        (auto,) = parse_automorphism_specs(alg, spec)
+        (auto,) = members(parse_automorphism_specs(alg, spec))
     except (RelationViolation, NotBijective):
         assert not stored, spec
         return
@@ -109,6 +109,6 @@ def test_group_auto_words_give_the_collected_automorphism_or_a_typed_error(drawn
     perm = auto.matrix.argmax(axis=0)
     images = [element_by_collection(g, words.get(i, [(i, 1)])) for i in range(1, g.m + 1)]
     assert perm.tolist() == automorphism_perm_by_normal_forms(g, images), spec
-    (again,) = parse_automorphism_specs(alg, auto.provenance)
+    (again,) = members(parse_automorphism_specs(alg, auto.provenance))
     assert again.provenance == auto.provenance
     assert np.array_equal(again.matrix, auto.matrix), auto.provenance

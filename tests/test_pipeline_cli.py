@@ -199,6 +199,8 @@ D8_RUN = ["run", "--group", "D8"]
      "[field] FieldMismatch: group has prime 2 but field has characteristic 3"),
     (D8_RUN + ["--auto", "inner: 0"], None,
      "[automorphisms] NotAUnit: element lies in the augmentation ideal"),
+    (D8_RUN + ["--auto", "random-inner count=3", "--auto", "inner: 0"], None,
+     "[automorphisms] NotAUnit: element lies in the augmentation ideal"),
     (D8_RUN, (pipeline, "build_jennings_basis", _injected), "[jennings] ValueError: injected"),
     (D8_RUN, (GroupAlgebra, "socle_vector", _injected), "[structure] ValueError: injected"),
     (D8_RUN + ["--full-check"], (JenningsBasis, "socle_product",
@@ -210,7 +212,8 @@ D8_RUN = ["run", "--group", "D8"]
     (D8_RUN + ["--full-check"], (pipeline, "series_definitions_agree", lambda group: False),
      "[series] ValueError: recursive and definitional dimension subgroups differ"),
     (D8_RUN, (pipeline, "verify_stack", _injected), "[verify] ValueError: injected"),
-], ids=["group", "field", "automorphisms", "jennings", "structure", "socle", "filtration", "series", "verify"])
+], ids=["group", "field", "automorphisms", "later-stack", "jennings", "structure", "socle", "filtration", "series",
+        "verify"])
 def test_failed_full_check_oracle_ends_in_one_error_line(capsys, monkeypatch, tmp_path, argv, patch, line):
     # an error in any stage, or a --full-check oracle that fails, stops the
     # run with one error line naming the stage
@@ -361,6 +364,7 @@ def test_full_check_runs_the_oracles(capsys, name):
         assert report["checks"]["filtration_products_oracle"] is True
 
     algebra, autos = prepare(RunConfig(group=name, auto_specs=("random-inner count=2",)))
+    autos = list(autos)
     assert {auto.pair_check for auto in autos} == {"group-automorphism", "unit-inverse"}
     run(algebra, autos, full_check=True)
     assert {auto.pair_check for auto in autos} == {"full"}
@@ -803,7 +807,8 @@ def test_pipeline_prepare_counts():
     )
     algebra, autos = prepare(config)
     assert algebra.field.q == 9
-    assert len(autos) == 7
+    autos = list(autos)
+    assert sum(map(len, autos)) == 7
     report = run(algebra, autos)
     assert report.verdict
 
@@ -815,8 +820,9 @@ def test_pipeline_seed_fallback_changes_output():
     _, c = prepare(RunConfig(seed=2, **base))
     import numpy as np
 
-    assert np.array_equal(a[0].matrix, b[0].matrix)
-    assert not np.array_equal(a[0].matrix, c[0].matrix)
+    a, b, c = (next(stacks).matrix(0) for stacks in (a, b, c))
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_pipeline_stage_errors():
@@ -1027,15 +1033,17 @@ def test_gl_check_over_the_work_budget_ends_at_once(capsys):
     assert f"exceeds the budget of {MAX_GL_WORK}" in captured.err
 
 
-@pytest.mark.parametrize("count", [25, 2500])
-def test_order_512_inner_stack_stays_within_the_memory_cap(tmp_path, count):
-    """Inner automorphisms of C2^9 over GF(4), built and verified as
-    stacks, under the 1 GB address-space cap of _run_subprocess: 2500 of
-    them are verified in member chunks."""
+@pytest.mark.parametrize("kind, count", [("random-inner", 25), ("random-inner", 2500), ("random-subst", 1000)],
+                         ids=["25", "2500", "subst-1000"])
+def test_order_512_inner_stack_stays_within_the_memory_cap(tmp_path, kind, count):
+    """Inner automorphisms and substitutions of C2^9 over GF(4), built and
+    verified as stacks of member chunks, one after another, under the 1 GB
+    address-space cap of _run_subprocess; 1000 substitutions, built as one
+    stack, once took 821 MB."""
     path = tmp_path / "c2x9.pc"
     path.write_text("pcgroup p=2 m=9\n")
     proc = _run_subprocess(["run", "--presentation", str(path), "--field", "2,2", "--no-stored",
-                            "--auto", f"random-inner count={count}", "--format", "json"], timeout=120)
+                            "--auto", f"{kind} count={count}", "--format", "json"], timeout=120)
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     assert out["verdict"] is True

@@ -10,25 +10,28 @@ matmul_by_planes) compute the same things without stacks.
 
 from __future__ import annotations
 
+import json
 import random
 import re
 
 import numpy as np
 import pytest
 
-from socle_verify import GF, NotAUnit, automorphisms, linalg
+from socle_verify import GF, NotAUnit, automorphisms, linalg, pipeline
 from socle_verify.automorphisms import (
     AlgebraAutomorphism,
+    member_slices,
     parse_automorphism_specs,
     random_inners,
     verify_stack,
 )
+from socle_verify.cli import main
 from socle_verify.groupalgebra import column_sums
 from socle_verify.linalg import FieldOps
 from socle_verify.pipeline import run, sweep_automorphisms
 
 from conftest import shared_algebra
-from oracle_helpers import AlgebraElement, matmul_by_planes, random_inner_by_elements, report_by_members
+from oracle_helpers import AlgebraElement, matmul_by_planes, members, random_inner_by_elements, report_by_members
 
 # the groups of the benchmark's sweep workload: every catalog group of order
 # <= 27 and Heis125
@@ -41,15 +44,16 @@ SWEEP_GROUPS = (
 
 @pytest.mark.parametrize("degree", [1, 2])
 def test_stacked_reports_match_members_verified_alone(degree):
-    """Every run of the sweep groups: one stack, each member alone, and the oracle."""
+    """Every run of the sweep groups: its stacks, each member alone, and the oracle."""
     for name in SWEEP_GROUPS:
         alg = shared_algebra(name, degree)
-        autos = sweep_automorphisms(alg, name, 7, inner_count=2, compose_count=2, subst_count=2)
-        reports = verify_stack(autos)
+        stacks = list(sweep_automorphisms(alg, name, 7, inner_count=2, compose_count=2, subst_count=2))
+        autos = members(stacks)
+        reports = verify_stack(stacks)
         stacked = [rep.as_dict() for rep in reports]
-        alone = [verify_stack([auto])[0] for auto in autos]
+        alone = [verify_stack([auto.alone()])[0] for auto in autos]
         assert stacked == [rep.as_dict() for rep in alone] == [report_by_members(auto) for auto in autos], name
-        assert [rep.as_dict() for rep in run(alg, autos).auto_reports] == stacked, name
+        assert [rep.as_dict() for rep in run(alg, stacks).auto_reports] == stacked, name
         for rep, one in zip(reports, alone):
             assert [r for r, _ in rep.blocks] == [r for r, _ in one.blocks], name
             assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(rep.blocks, one.blocks)), name
@@ -59,14 +63,14 @@ def test_stacked_reports_match_members_verified_alone(degree):
 @pytest.mark.parametrize("count", [1, 2, 25])
 def test_random_inner_count_matches_sequential_draws(name, degree, count):
     alg = shared_algebra(name, degree)
-    autos = parse_automorphism_specs(alg, f"random-inner seed=5 count={count}")
+    autos = members(parse_automorphism_specs(alg, f"random-inner seed=5 count={count}"))
     rng = random.Random(5)
-    alone = [random_inners(alg, rng, 1)[0] for _ in range(count)]
+    alone = [members(random_inners(alg, rng, 1))[0] for _ in range(count)]
     after_alone = rng.getstate()
     rng = random.Random(5)
     oracle = [random_inner_by_elements(alg, rng) for _ in range(count)]
     rng = random.Random(5)
-    random_inners(alg, rng, count)
+    list(random_inners(alg, rng, count))
     assert rng.getstate() == after_alone
     assert len(autos) == len(alone) == count
     for auto, one, (matrix, provenance) in zip(autos, alone, oracle):
@@ -127,14 +131,15 @@ def test_algebra_stacks_cross_member_chunks(monkeypatch):
     the matrices and reports of one chunk, and a tampered member in a later
     chunk raises what it raises alone."""
     alg = shared_algebra("Heis27", 2)
-    want = parse_automorphism_specs(alg, "random-inner seed=3 count=7")
-    reports = [rep.as_dict() for rep in verify_stack(want)]
+    want_stacks = list(parse_automorphism_specs(alg, "random-inner seed=3 count=7"))
+    want = members(want_stacks)
+    reports = [rep.as_dict() for rep in verify_stack(want_stacks)]
     units = np.stack([alg.parse(a.provenance.partition(": ")[2]) for a in want])
     products = alg.multiply_codes(units, units[::-1])
     monkeypatch.setattr(linalg, "MAX_STACK_CELLS", 3 * 27 * 27)
     assert linalg.member_chunks(7, 27 * 27) == [slice(0, 3), slice(3, 6), slice(6, 9)]
-    got = parse_automorphism_specs(alg, "random-inner seed=3 count=7")
-    assert all(np.array_equal(x.matrix, y.matrix) for x, y in zip(got, want))
+    got = list(parse_automorphism_specs(alg, "random-inner seed=3 count=7"))
+    assert all(np.array_equal(x.matrix, y.matrix) for x, y in zip(members(got), want, strict=True))
     assert [rep.as_dict() for rep in verify_stack(got)] == reports
     assert np.array_equal(alg.multiply_codes(units, units[::-1]), products)
     for k in range(7):
@@ -146,7 +151,7 @@ def test_algebra_stacks_cross_member_chunks(monkeypatch):
     sizes = []
     graded = automorphisms._graded_stack
     monkeypatch.setattr(automorphisms, "_graded_stack", lambda a, data: sizes.append(len(data)) or graded(a, data))
-    assert [rep.as_dict() for rep in verify_stack(want)] == reports
+    assert [rep.as_dict() for rep in verify_stack(want_stacks)] == reports
     assert sizes == [3, 3, 1]
     # the first bad member (member 4, in the second chunk) raises its error
     # before the socle failure of member 7 in the third
@@ -154,7 +159,46 @@ def test_algebra_stacks_cross_member_chunks(monkeypatch):
     for auto in bad.values():
         alone = _error_alone(auto)
         with pytest.raises(type(alone), match=re.escape(str(alone))):
-            verify_stack(want[:4] + [auto] + want[4:6] + [bad["socle"]])
+            verify_stack([one.alone() for one in want[:4]] + [auto] + [one.alone() for one in want[4:6]]
+                         + [bad["socle"]])
+
+
+# (argv, what it runs): two random sources on one group, and a sweep with
+# stored, inner, composed and substituted automorphisms on two groups
+CHUNKED_RUNS = [
+    (["run", "--group", "C2xC2xC2", "--field", "2,2", "--seed", "3", "--auto", "random-inner count=7",
+      "--auto", "random-subst count=7", "--format", "json"], 3 + 14),
+    (["sweep", "--seed", "5", "--groups", "C3xC3,D8", "--compose", "5", "--format", "json"], None),
+]
+
+
+@pytest.mark.parametrize("argv, autos", CHUNKED_RUNS, ids=["run", "sweep"])
+def test_one_member_chunks_give_the_same_bytes(capsys, monkeypatch, argv, autos):
+    """With linalg.MAX_STACK_CELLS so small that every chunk holds one
+    member, a run and a sweep print the bytes they print at the default,
+    and no source builds a stack wider than one member_slices step."""
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 1)  # every run in this process, under the spy
+    widths = []
+    init = AlgebraAutomorphism.__init__
+
+    def spy(self, algebra, *args, **kwargs):
+        init(self, algebra, *args, **kwargs)
+        assert len(member_slices(algebra, len(self))) <= 1, (len(self), self.provenance)
+        widths.append(len(self))
+
+    monkeypatch.setattr(AlgebraAutomorphism, "__init__", spy)
+    outputs = {}
+    default_cells = linalg.MAX_STACK_CELLS
+    for cells in (default_cells, 1):
+        widths.clear()
+        monkeypatch.setattr(linalg, "MAX_STACK_CELLS", cells)
+        assert main(argv) == 0
+        outputs[cells] = capsys.readouterr().out
+        assert widths and (cells > 1 or set(widths) == {1}), widths
+        if autos is not None:
+            assert sum(widths) == autos == len(json.loads(outputs[cells])["autos"])
+    assert outputs[default_cells] == outputs[1]
+    assert json.loads(outputs[1])["verdict"] is True
 
 
 def _with_column(alg, element, image, socle=None):
@@ -169,7 +213,7 @@ def _with_column(alg, element, image, socle=None):
     data = None
     if socle is not None:
         data = np.column_stack([matrix[:, alg.filtration.lift_indices],
-                                np.full(alg.dimension, socle, dtype=np.int64)])
+                                np.full(alg.dimension, socle, dtype=np.int64)])[None]
     return AlgebraAutomorphism(alg, matrix, "tampered", certificate="unchecked", data=data)
 
 
@@ -198,7 +242,7 @@ def _error_alone(auto):
 @pytest.mark.parametrize("degree", [1, 2])
 def test_a_bad_member_raises_what_it_raises_alone(degree):
     alg = shared_algebra("D8", degree)
-    good = sweep_automorphisms(alg, "D8", 7, inner_count=2, subst_count=0)
+    good = [auto.alone() for auto in members(sweep_automorphisms(alg, "D8", 7, inner_count=2, subst_count=0))]
     bad = _bad_automorphisms(alg)
     kinds = {}
     for label, auto in bad.items():

@@ -117,6 +117,7 @@ def test_the_lowest_failing_run_raises_its_error(capsys, monkeypatch, count, fai
     verify_stack = pipeline.verify_stack
 
     def injected(autos):
+        autos = list(autos)
         name = autos[0].algebra.group.name
         if name in failing:
             raise ValueError(f"injected in {name}")
