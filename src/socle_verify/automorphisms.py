@@ -4,10 +4,10 @@ An automorphism is always a member of a stack.  AlgebraAutomorphism holds
 B members of one algebra: their (B, |G|, M+1) data, their B provenances,
 the name of the certificate that makes every member an automorphism (kept
 in pair_check) and a builder of member b's matrix over the group basis
-(columns = images of group elements).  Member b's data is the (|G|, M+1)
-array of the codes of alpha(y_1), ..., alpha(y_M), the images of the
-Jennings lifts in ascending order, and of alpha(n), the image of the
-socle vector
+(columns = images of group elements), which keeps nothing it builds.
+Member b's data is the (|G|, M+1) array of the codes of alpha(y_1), ...,
+alpha(y_M), the images of the Jennings lifts in ascending order, and of
+alpha(n), the image of the socle vector
 
     n = prod_j (y_j - 1)^(p-1) = sum of all g.
 
@@ -34,10 +34,10 @@ certificate, passes its name and computes the data from what it holds:
   compose                  "composition": of pairs of members; the left
                            member's matrix applied to the right one's data
 
-A matrix from outside (the constructor called with an array and no
-certificate) is a one-member stack checked in full, and its data are its
-lift columns and its row sums.  alpha must fix 1, give every group element
-an image of augmentation 1, satisfy the generator identities
+A matrix from outside goes through from_matrix, which checks it in full
+and makes it a one-member stack; its data are its lift columns and its
+row sums.  alpha must fix 1, give every group element an image of
+augmentation 1, satisfy the generator identities
 
     M R_(g_i) = R_(alpha(g_i)) M      for every pc generator g_i,
 
@@ -53,7 +53,9 @@ y_j, must have a nonzero determinant (_degree_one_dets, layer r = 1 of
 the graded action, whose docstring gives the Nakayama argument).  Its
 certificate is "generators".
 
-A member's matrix is built only when check_pairs or compose asks for it.
+A member's matrix is built only when check_pairs or compose asks for it,
+and dropped after use, so a stack's memory is its data: compose builds
+each pair's left matrix again when a member is a left factor twice.
 inners, substitutions and compose each build one stack from what they are
 given.  The sources of many members, random_inners, random_substitutions,
 stored_automorphisms and parse_automorphism_specs, yield stacks of at most
@@ -164,44 +166,43 @@ class AlgebraAutomorphism:
     provenances, the name of the certificate they share and a builder of
     each member's matrix.
 
-    A caller that already holds a certificate passes its name, which
-    pair_check records, the (B, |G|, M+1) data, B provenances, and for
-    matrix a function that builds member b's matrix, called on first use.
-    With no certificate the matrices are outside input and get the full
-    check (identity column, augmentations, generator identities, spot
-    check, degree-1 det); pair_check then reads "generators".  An array
-    given as matrix is a one-member stack, and data not given are read
-    off it.
+    The caller holds the certificate: it passes the (B, |G|, M+1) data, B
+    provenances, the certificate's name, which pair_check records, and
+    for matrix a function that builds member b's matrix afresh on each
+    call; nothing built is kept.  A matrix from outside goes through
+    from_matrix.
     """
 
-    def __init__(self, algebra: GroupAlgebra, matrix, provenance: str | list[str] = "matrix",
-                 certificate: str | None = None, data: np.ndarray | None = None):
+    def __init__(self, algebra: GroupAlgebra, data: np.ndarray, provenances: list[str],
+                 certificate: str, matrix):
+        if len(provenances) != len(data):
+            raise ValueError(f"{len(data)} automorphisms but {len(provenances)} provenances")
         self.algebra = algebra
-        given = None if callable(matrix) else np.asarray(matrix, dtype=np.int64)
-        if given is not None and given.shape != (algebra.dimension, algebra.dimension):
-            raise ValueError("automorphism matrix has the wrong shape")
-        self._build = functools.cache(matrix) if given is None else lambda b: given
-        self.provenance = [provenance] if isinstance(provenance, str) else list(provenance)
-        self.data = data if data is not None else _data_of(algebra, self.matrix(0))[None]
-        if len(self.provenance) != len(self.data):
-            raise ValueError(f"{len(self.data)} automorphisms but {len(self.provenance)} provenances")
-        if certificate is None:
-            for b in range(len(self)):
-                _check_identities(algebra, self.matrix(b))
-            if (_degree_one_dets(algebra, self.data) == 0).any():
-                raise NotMultiplicative("matrix is not invertible")
-            certificate = "generators"
+        self.data = data
+        self.provenance = list(provenances)
         self.pair_check = certificate
+        self.matrix = matrix
 
     def __len__(self) -> int:
         return len(self.provenance)
 
-    def matrix(self, b: int) -> np.ndarray:
-        """Member b's |G| x |G| matrix over the group basis, built on first
-        use and kept while the stack lives."""
-        return self._build(b)
-
     # -- constructors ------------------------------------------------------------
+
+    @classmethod
+    def from_matrix(cls, algebra: GroupAlgebra, matrix, provenance: str = "matrix") -> "AlgebraAutomorphism":
+        """A one-member stack of a matrix from outside, checked in full:
+        its shape, the identity column, augmentations, generator identities
+        and spot check (_check_identities), and a nonzero degree-1 det.  Its
+        data are its lift columns and row sums, and its certificate is
+        "generators"."""
+        matrix = np.asarray(matrix, dtype=np.int64)
+        if matrix.shape != (algebra.dimension, algebra.dimension):
+            raise ValueError("automorphism matrix has the wrong shape")
+        _check_identities(algebra, matrix)
+        data = _data_of(algebra, matrix)[None]
+        if _degree_one_dets(algebra, data)[0] == 0:
+            raise NotMultiplicative("matrix is not invertible")
+        return cls(algebra, data, [provenance], "generators", lambda b: matrix)
 
     @classmethod
     def from_group_automorphism(cls, algebra: GroupAlgebra,
@@ -216,9 +217,8 @@ class AlgebraAutomorphism:
         # sum of all g; member b's matrix has column g = e_(alpha(g))
         data = np.ones((len(perms), n, len(lifts) + 1), dtype=np.int64)
         data[:, :, :-1] = perms[:, None, lifts] == np.arange(n)[:, None]
-        return cls(algebra, lambda b: np.eye(n, dtype=np.int64)[:, perms[b]],
-                   [f"group-auto: {gauto.spec_text()}" for gauto in gautos],
-                   certificate="group-automorphism", data=data)
+        return cls(algebra, data, [f"group-auto: {gauto.spec_text()}" for gauto in gautos],
+                   "group-automorphism", lambda b: np.eye(n, dtype=np.int64)[:, perms[b]])
 
     @classmethod
     def inners(cls, algebra: GroupAlgebra, units: np.ndarray,
@@ -230,7 +230,7 @@ class AlgebraAutomorphism:
         member.  The lift images u (y u^-1) and the socle image u (n u^-1),
         n u^-1 the augmentation of u^-1 in every entry, are one
         multiply_codes by the narrow left factor u, a sum of gathers over
-        its support; member b's matrix L(u) R(u^-1) is built on first use.
+        its support; member b's matrix is L(u) R(u^-1).
         """
         units = np.asarray(units, dtype=np.int64)
         inverses = algebra.unit_inverse(units)
@@ -241,8 +241,8 @@ class AlgebraAutomorphism:
         right = np.concatenate([inverses.take(gathers, axis=-1),
                                 np.broadcast_to(sums[:, None, None], (len(units), 1, units.shape[1]))], axis=1)
         data = algebra.multiply_codes(units, right.transpose(0, 2, 1))
-        return cls(algebra, lambda b: _conjugation_matrix(algebra, units[b], inverses[b]), provenances,
-                   certificate="unit-inverse", data=data)
+        return cls(algebra, data, provenances, "unit-inverse",
+                   lambda b: _conjugation_matrix(algebra, units[b], inverses[b]))
 
     @classmethod
     def substitutions(cls, algebra: GroupAlgebra, images: np.ndarray,
@@ -290,14 +290,14 @@ class AlgebraAutomorphism:
         top = functools.reduce(lambda acc, factor: algebra.multiply_codes(factor, acc),
                                factors.transpose(1, 0, 2)[::-1])
         data = np.concatenate([lifts, top[:, None]], axis=1).transpose(0, 2, 1)
-        return cls(algebra, lambda b: _substitution_matrix(algebra, images[b]), provenances,
-                   certificate="substitution", data=data)
+        return cls(algebra, data, provenances, "substitution", lambda b: _substitution_matrix(algebra, images[b]))
 
     @classmethod
     def compose(cls, pairs: list[tuple[tuple[AlgebraAutomorphism, int], tuple[AlgebraAutomorphism, int]]]):
         """alpha after beta for each pair ((alpha's stack, index), (beta's
         stack, index)) of members of one algebra, as one stack: alpha's
-        matrix applied to beta's data."""
+        matrix applied to beta's data, each left matrix built for its pair
+        and dropped after it."""
         algebra = pairs[0][0][0].algebra
         if any(stack.algebra is not algebra for pair in pairs for stack, _ in pair):
             raise FieldMismatch("automorphisms act on different algebras")
@@ -307,10 +307,9 @@ class AlgebraAutomorphism:
             (left, i), (right, j) = pairs[k]
             return ops.matmul(left.matrix(i), right.matrix(j))
 
-        return cls(algebra, build,
+        return cls(algebra, np.stack([ops.matmul(left.matrix(i), right.data[j]) for (left, i), (right, j) in pairs]),
                    [f"compose: {left.provenance[i]} ; {right.provenance[j]}" for (left, i), (right, j) in pairs],
-                   certificate="composition",
-                   data=np.stack([ops.matmul(left.matrix(i), right.data[j]) for (left, i), (right, j) in pairs]))
+                   "composition", build)
 
     # -- checks ----------------------------------------------------------------------
 
@@ -628,16 +627,17 @@ def random_substitutions(algebra: GroupAlgebra, rng: random.Random,
     Each member maps g_i -> 1 + sum_j linear[i, j] (g_j - 1) + tail_i.  The
     linear part is drawn in GL_m(k) by rejection; then, generator by
     generator, with probability 1/2 a tail c * row, for a row of the J^2
-    basis and a unit c.  The images are summed on their codes.  On a group
-    that is not elementary abelian it raises ValueError at once, whatever
-    the count.
+    basis of Jennings monomials and a unit c.  The images are summed on
+    their codes.  On a group that is not elementary abelian it raises
+    ValueError at once, whatever the count.
     """
     group = algebra.group
     if not group.is_elementary_abelian():
         raise ValueError("random-subst draws need an elementary abelian group; "
                          "give images on any pc group with subst:")
+    j2 = algebra.filtration.basis(2)
     return (AlgebraAutomorphism.substitutions(
-        algebra, np.reshape([_substitution_draw(algebra, rng) for _ in range(count)[part]],
+        algebra, np.reshape([_substitution_draw(algebra, rng, j2) for _ in range(count)[part]],
                             (-1, group.m, algebra.dimension)),
         ["random-subst" for _ in range(count)[part]]) for part in member_slices(algebra, count))
 
@@ -649,8 +649,9 @@ def stored_automorphisms(algebra: GroupAlgebra) -> Iterator[AlgebraAutomorphism]
             for part in member_slices(algebra, len(gautos)))
 
 
-def _substitution_draw(algebra: GroupAlgebra, rng: random.Random) -> np.ndarray:
-    """The (m, |G|) image codes of one random_substitutions member."""
+def _substitution_draw(algebra: GroupAlgebra, rng: random.Random, j2: np.ndarray) -> np.ndarray:
+    """The (m, |G|) image codes of one random_substitutions member; its
+    tails are drawn from the rows of j2, a basis of J^2."""
     group = algebra.group
     ops, m, q = algebra.ops, group.m, algebra.field.q
     while True:
@@ -660,7 +661,6 @@ def _substitution_draw(algebra: GroupAlgebra, rng: random.Random) -> np.ndarray:
     images = np.zeros((m, algebra.dimension), dtype=np.int64)
     images[:, group.generator_indices] = linear
     images[:, 0] = ops.sub(1, column_sums(ops, linear.T))
-    j2 = algebra.filtration.basis(2)[0]
     for i in range(m):
         if j2.shape[0] and rng.random() < 0.5:
             row = j2[rng.randrange(j2.shape[0])]

@@ -15,8 +15,10 @@ dimension-subgroup quotients (RadicalFiltration), over the prime field,
 and reused for every field of the same characteristic, with no echelon
 form: the monomial coordinates of x (a gather into lift-word order and a
 p x p binomial matrix per lift) of weight < r vanish exactly when x lies
-in J^r, and its weight-r ones are its class in J^r/J^(r+1).  The oracle
-radical_filtration_by_products() echelonizes the stacked products
+in J^r, and its weight-r ones are its class in J^r/J^(r+1).  A basis of
+J^r is read off in closed form too: each lift word of weight >= r less
+its terms on the monomials of weight < r (RadicalFiltration.basis).  The
+oracle radical_filtration_by_products() echelonizes the stacked products
 J^r (g_i - 1) instead.  The filtration is also the one holder of the
 Jennings layers F_r/F_(r+1): the series, the lifts of each layer, and
 each lift's table index, monomial row and degree, which JenningsBasis and
@@ -125,7 +127,6 @@ class RadicalFiltration:
         self._binomial = np.array(
             [[math.comb(f, e) % p for e in range(p)] for f in range(p)], dtype=np.int64
         )
-        self._bases: dict[int, tuple[np.ndarray, list[int]]] = {}
 
         self.gr_dims = [int(d) for d in np.bincount(weights)]
         self.socle_degree = len(self.gr_dims) - 1
@@ -151,24 +152,29 @@ class RadicalFiltration:
             x = np.tensordot(self._binomial, x, axes=([0], [m - 1])) % p
         return ops.encode(x.reshape((len(self.words),) + rest))
 
-    def coordinate_rows(self, r: int) -> np.ndarray:
-        """The weight < r rows of the coordinates of the group basis.
+    def basis(self, r: int) -> np.ndarray:
+        """The (dim J^r, |G|) codes of a basis of J^r, read off in closed form:
+        for each lift word y^e of weight >= r, in row order, its part on the
+        Jennings monomials of weight >= r.
 
-        Entry (e, words[f]) is the coordinate of y_1^(f_1) ... y_M^(f_M) at
-        the monomial of exponent vector e, prod_j C(f_j, e_j) mod p.
+        y^e = sum_f prod_j C(e_j, f_j) (y_j - 1)^(f_j), and by Jennings'
+        theorem the terms of weight >= r lie in J^r; the row is y^e minus
+        the terms of weight < r, monomial f holding prod_j C(f_j, g_j)
+        (-1)^(f_j-g_j) at y^g.  Those terms hold only words of weight < r,
+        so row e is y^e plus lower words, and the rows are independent.  A
+        product of M factors below p stays below |G|.  A row of J^2 holds
+        only y^e, 1 and degree-1 lifts, which keeps the tails of random
+        substitutions narrow.
         """
-        exponents = (np.arange(len(self.words))[:, None] // self.lift_rows) % self.group.p
-        low = exponents[self.weights < r]
-        # the product has at most M factors below p, so it stays below |G|
-        values = self._binomial[exponents[None], low[:, None]].prod(axis=-1) % self.group.p
-        return values[:, np.argsort(self.words)]
-
-    def basis(self, r: int) -> tuple[np.ndarray, list[int]]:
-        """(RREF basis, pivots) of J^r, the kernel of the coordinates of weight < r."""
-        if r not in self._bases:
-            kernel = self.ops.nullspace(self.coordinate_rows(r))
-            self._bases[r] = kernel, (kernel != 0).argmax(axis=1).tolist()
-        return self._bases[r]
+        p = self.group.p
+        exponents = (np.arange(len(self.words))[:, None] // self.lift_rows) % p
+        high, low = exponents[self.weights >= r], exponents[self.weights < r]
+        signed = self._binomial * (-1) ** np.add.outer(np.arange(p), np.arange(p)) % p
+        coefficients = self._binomial[high[:, None], low[None]].prod(axis=-1) % p
+        monomials = signed[low[:, None], exponents[None]].prod(axis=-1) % p
+        rows = self.ops.sub(np.eye(len(self.words), dtype=np.int64)[self.weights >= r],
+                            self.ops.matmul(coefficients, monomials))
+        return rows[:, np.argsort(self.words)]
 
     def matches(self, bases: list[np.ndarray]) -> bool:
         """Whether bases[r], of independent rows, spans J^r for every r: it

@@ -18,9 +18,11 @@ by elements are the verification and the inner automorphism as they were
 built for one automorphism at a time, before runs were verified as stacks.
 The data by matrix are an automorphism's lift images and socle image read
 off its dense matrix, as verification read them before each constructor
-computed them on its own.  The coordinate rows by identity are the
-low-weight coordinates of the group basis as basis(r) formed them before
-it built only those rows.
+computed them on its own.  The unchecked stack holds a matrix under no
+certificate, as the constructor built one when told "unchecked", before
+a matrix from outside had to pass from_matrix.  The radical-power basis
+by monomials is RadicalFiltration.basis(r) summed from Jennings
+monomials multiplied out in kG, with math.comb coefficients.
 The product by matrix is GroupAlgebra.multiply_codes as it was before
 narrow left factors became gathers over their support, and the sampled
 pairs one at a time are check_pairs' sampled check as it was before the
@@ -66,6 +68,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 
 import numpy as np
@@ -482,16 +485,6 @@ def filtration_by_monomial_echelon(group, ops=None, lifts=None):
     return bases[::-1], pivots[::-1]
 
 
-def coordinate_rows_by_identity(filt, r):
-    """The weight < r rows of the coordinates of the group basis, read off
-    coordinates() of the |G| x |G| identity.
-
-    The oracle for RadicalFiltration.coordinate_rows, and for basis(r) as
-    it was before it formed only those rows.
-    """
-    return filt.coordinates(filt.ops, filt.ops.eye(filt.group.order))[filt.weights < r]
-
-
 def products_oracle_with_complements(group, ops=None):
     """(bases, pivots, complements, comp_pivots) of the filtration, by brute force.
 
@@ -526,6 +519,23 @@ def jennings_monomials(algebra):
                 powers.append(powers[-1] * x)
             monomials = [m * pw for pw in powers for m in monomials]
     return monomials
+
+
+def radical_power_basis_by_monomials(algebra, r):
+    """(dim J^r, |G|) codes: for each lift word y^e of weight >= r, in the
+    row order of RadicalFiltration.coordinates(), its terms of weight >= r,
+    sum_f prod_j C(e_j, f_j) (y_j - 1)^(f_j), with math.comb coefficients
+    and the monomials of jennings_monomials.
+
+    The oracle for RadicalFiltration.basis(r).
+    """
+    filt, p = algebra.filtration, algebra.group.p
+    monomials = np.array([x.codes for x in jennings_monomials(algebra)])
+    exponents = ((np.arange(algebra.dimension)[:, None] // filt.lift_rows) % p).tolist()
+    high = [e for e, w in zip(exponents, filt.weights) if w >= r]
+    coefficients = [[math.prod(map(math.comb, e, f)) % p if w >= r else 0 for f, w in zip(exponents, filt.weights)]
+                    for e in high]
+    return np.array(coefficients, dtype=np.int64).reshape(-1, algebra.dimension) @ monomials % p
 
 
 def graded_blocks_by_projection(auto, basis, oracle):
@@ -670,8 +680,20 @@ class Member:
 
     def alone(self):
         """A one-member stack of this member, with its certificate and data."""
-        return AlgebraAutomorphism(self.algebra, lambda _: self.matrix, self.provenance,
-                                   certificate=self.pair_check, data=self.data[None])
+        return AlgebraAutomorphism(self.algebra, self.data[None], [self.provenance], self.pair_check,
+                                   lambda _: self.matrix)
+
+
+def unchecked_stack(algebra, matrix, provenance, data=None):
+    """A one-member stack of a matrix under the certificate "unchecked":
+    nothing is checked, so a bad matrix reaches check_pairs and
+    verify_stack.  Its (|G|, M+1) data are the lift columns and row sums
+    of the matrix unless given."""
+    matrix = np.asarray(matrix, dtype=np.int64)
+    if data is None:
+        data = np.column_stack([matrix[:, algebra.filtration.lift_indices],
+                                algebra.ops.matvec(matrix, np.ones(algebra.dimension, dtype=np.int64))])
+    return AlgebraAutomorphism(algebra, data[None], [provenance], "unchecked", lambda _: matrix)
 
 
 def members(stacks):
@@ -730,7 +752,7 @@ def substitution_images_by_elements(algebra, rng):
 
     The oracle for random_substitutions: the same draws in the same order
     (the linear part by rejection, then per generator a coin, a J^2 row and
-    a unit coefficient), the J^2 rows from filtration_by_monomial_echelon,
+    a unit coefficient), the J^2 rows from radical_power_basis_by_monomials,
     each tail checked to lie in J^2 and the images summed by
     substitution_images.
     """
@@ -741,13 +763,12 @@ def substitution_images_by_elements(algebra, rng):
         linear = np.array([[rng.randrange(q) for _ in range(m)] for _ in range(m)], dtype=np.int64)
         if det_by_column_loop(ops, linear) != 0:
             break
-    j2 = filtration_by_monomial_echelon(algebra.group)[0][2]
+    j2 = radical_power_basis_by_monomials(algebra, 2)
     higher = {}
     for i in range(m):
         if j2.shape[0] and rng.random() < 0.5:
             row = j2[rng.randrange(j2.shape[0])]
-            c = algebra.field.element_from_code(rng.randrange(1, q))
-            higher[i] = AlgebraElement(algebra, row) * c
+            higher[i] = AlgebraElement(algebra, row) * algebra.field.element_from_code(rng.randrange(1, q))
             assert in_radical_power(algebra, higher[i].codes, 2)
     return substitution_images(algebra, linear, higher)
 

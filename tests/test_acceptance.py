@@ -199,7 +199,7 @@ def test_criterion_8_negative_controls():
     j = normal_form_index(group, (0, 1))
     matrix[:, [i, j]] = matrix[:, [j, i]]
     with pytest.raises(NotMultiplicative):
-        AlgebraAutomorphism(algebra, matrix)
+        AlgebraAutomorphism.from_matrix(algebra, matrix)
 
     klein = shared_group("C2xC2")
     with pytest.raises(NotBijective):

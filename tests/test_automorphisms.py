@@ -54,6 +54,7 @@ from oracle_helpers import (
     substitution_images,
     substitution_images_by_elements,
     substitution_matrix_by_columns,
+    unchecked_stack,
 )
 
 
@@ -172,7 +173,7 @@ def test_non_multiplicative_matrix_rejected(algebra):
     j = normal_form_index(alg.group, (0, 1))
     matrix[:, [i, j]] = matrix[:, [j, i]]
     with pytest.raises(NotMultiplicative):
-        AlgebraAutomorphism(alg, matrix)
+        AlgebraAutomorphism.from_matrix(alg, matrix)
 
 
 @pytest.mark.parametrize("name,degree", [("D8", 1), ("C3xC3", 2)])
@@ -182,7 +183,68 @@ def test_augmentation_map_rejected(algebra, name, degree):
     matrix = np.zeros((alg.dimension, alg.dimension), dtype=np.int64)
     matrix[0] = 1
     with pytest.raises(NotMultiplicative, match="not invertible"):
-        AlgebraAutomorphism(alg, matrix, "augmentation")
+        AlgebraAutomorphism.from_matrix(alg, matrix, "augmentation")
+
+
+def _swap(alg):
+    """The identity with the columns of g1 and g2 = g1^2 of C8 swapped."""
+    matrix = np.eye(alg.dimension, dtype=np.int64)
+    i = normal_form_index(alg.group, (1, 0, 0))
+    j = normal_form_index(alg.group, (0, 1, 0))
+    matrix[:, [i, j]] = matrix[:, [j, i]]
+    return matrix
+
+
+def _moved_identity(alg):
+    matrix = np.eye(alg.dimension, dtype=np.int64)
+    matrix[:, 0] = matrix[:, 1]
+    return matrix
+
+
+def _augmentation_zero(alg):
+    matrix = np.eye(alg.dimension, dtype=np.int64)
+    matrix[0, 1] = 1  # the element of index 1 -> 1 + itself, of augmentation 0 over GF(2)
+    return matrix
+
+
+def _augmentation_map(alg):
+    matrix = np.zeros((alg.dimension, alg.dimension), dtype=np.int64)
+    matrix[0] = 1
+    return matrix
+
+
+# (matrix on k[C8] over GF(2), whether the generator identities are
+# skipped, error, message) for every check of from_matrix
+FROM_MATRIX_REJECTIONS = {
+    "wrong shape": (lambda alg: np.eye(alg.dimension - 1, dtype=np.int64), False, ValueError, "wrong shape"),
+    "identity column": (_moved_identity, False, NotMultiplicative, "does not fix the identity"),
+    "augmentation": (_augmentation_zero, False, NotMultiplicative, "augmentation != 1"),
+    "generator identity": (_swap, False, NotMultiplicative, "generator identity fails"),
+    "spot check": (_swap, True, NotMultiplicative, "sampled product is not preserved"),
+    "singular degree-1 block": (_augmentation_map, False, NotMultiplicative, "not invertible"),
+}
+
+
+@pytest.mark.parametrize("case", list(FROM_MATRIX_REJECTIONS))
+def test_from_matrix_rejects(monkeypatch, case):
+    """from_matrix runs every check of a matrix from outside, in order; the
+    spot check is reached with the generator identities skipped, which
+    alone imply multiplicativity."""
+    alg = GroupAlgebra(catalog("C8"), GF(2))
+    build, skip_generators, error, message = FROM_MATRIX_REJECTIONS[case]
+    if skip_generators:
+        monkeypatch.setattr(alg.group, "generator_indices", [])
+    with pytest.raises(error, match=message):
+        AlgebraAutomorphism.from_matrix(alg, build(alg), case)
+
+
+def test_from_matrix_keeps_its_matrix_and_reads_its_data(algebra):
+    alg = algebra("D8", 2)
+    stored = AlgebraAutomorphism.from_group_automorphism(alg, alg.group.stored_automorphisms()[:1])
+    auto = AlgebraAutomorphism.from_matrix(alg, stored.matrix(0).tolist(), "outside")
+    assert (len(auto), auto.provenance, auto.pair_check) == (1, ["outside"], "generators")
+    assert np.array_equal(auto.data, stored.data) and np.array_equal(auto.matrix(0), stored.matrix(0))
+    assert verify_stack([auto])[0].as_dict() == {**verify_stack([stored])[0].as_dict(), "provenance": "outside"}
 
 
 def test_singular_linear_part_rejected():
@@ -318,7 +380,7 @@ def test_pair_check_modes(algebra, monkeypatch):
     g = alg.group
     auto = AlgebraAutomorphism.from_group_automorphism(alg, g.stored_automorphisms()[:1])
     assert auto.pair_check == "group-automorphism"
-    assert AlgebraAutomorphism(alg, auto.matrix(0)).pair_check == "generators"
+    assert AlgebraAutomorphism.from_matrix(alg, auto.matrix(0)).pair_check == "generators"
     assert alg.dimension <= FULL_PAIR_CHECK_LIMIT
     auto.check_pairs()
     assert auto.pair_check == "full"
@@ -398,7 +460,7 @@ def test_multiplicativity_certificate_matches_pair_oracle(algebra, all_names, mo
                                                     [auto.provenance])
         alone = auto.alone()
         assert np.array_equal(rebuilt.data[0], auto.data) and verify_stack([rebuilt]) == verify_stack([alone])
-        assert AlgebraAutomorphism(alg, auto.matrix).pair_check == "generators"
+        assert AlgebraAutomorphism.from_matrix(alg, auto.matrix).pair_check == "generators"
         if n <= 27:
             alone.check_pairs()
             assert alone.pair_check == "full"
@@ -407,11 +469,11 @@ def test_multiplicativity_certificate_matches_pair_oracle(algebra, all_names, mo
             continue
         bad = auto.matrix[:, perm]
         expected = _is_group_automorphism(alg.group.cayley_table, perm)
-        assert _accepts(lambda: AlgebraAutomorphism(alg, bad, "corrupt")) == expected
-        unchecked = AlgebraAutomorphism(alg, bad, "corrupt", certificate="unchecked")
+        assert _accepts(lambda: AlgebraAutomorphism.from_matrix(alg, bad, "corrupt")) == expected
+        unchecked = unchecked_stack(alg, bad, "corrupt")
         assert _accepts(unchecked.check_pairs) == expected
         if n <= 27:
-            pairs_only = AlgebraAutomorphism(alg, bad, "corrupt", certificate="unchecked")
+            pairs_only = unchecked_stack(alg, bad, "corrupt")
             with monkeypatch.context() as patch:
                 patch.setattr(mod, "_check_identities", lambda alg, matrix: None)  # the pair loop alone
                 assert _accepts(pairs_only.check_pairs) == expected
@@ -438,7 +500,7 @@ def test_grouped_sampled_pairs_match_one_pair_oracle(algebra, all_names, monkeyp
         if alg.dimension > 27:
             continue
         for matrix in (auto.matrix, auto.matrix[:, perm]):
-            grouped = AlgebraAutomorphism(alg, matrix, "pairs", certificate="unchecked")
+            grouped = unchecked_stack(alg, matrix, "pairs")
             expected = _accepts(lambda: sampled_pairs_one_at_a_time(Member(grouped, 0)))
             assert _accepts(grouped.check_pairs) == expected, auto.provenance
             assert grouped.pair_check == ("sampled" if expected else "unchecked")
@@ -473,7 +535,7 @@ def test_degree_one_rank_agrees_with_full_rank(algebra, all_names, degree):
     seen = {True: 0, False: 0}
 
     def compare(alg, matrix):
-        auto = AlgebraAutomorphism(alg, matrix, "compare", certificate="unchecked")
+        auto = unchecked_stack(alg, matrix, "compare")
         if not _accepts(lambda: _check_identities(alg, matrix)):
             return
         full = alg.ops.rank(matrix) == alg.dimension
@@ -490,7 +552,7 @@ def test_degree_one_rank_agrees_with_full_rank(algebra, all_names, degree):
         augmentation = np.zeros((alg.dimension, alg.dimension), dtype=np.int64)
         augmentation[0] = 1
         compare(alg, augmentation)
-        unchecked = AlgebraAutomorphism(alg, augmentation, "augmentation", certificate="unchecked")
+        unchecked = unchecked_stack(alg, augmentation, "augmentation")
         with pytest.raises(NotMultiplicative, match="not invertible"):
             unchecked.check_pairs()
         if alg.group.is_elementary_abelian():
@@ -506,8 +568,8 @@ def test_criterion_8_matrix_rejected_without_full_check(algebra):
     j = normal_form_index(alg.group, (0, 1))
     matrix[:, [i, j]] = matrix[:, [j, i]]
     with pytest.raises(NotMultiplicative):
-        AlgebraAutomorphism(alg, matrix, "swap")
-    unchecked = AlgebraAutomorphism(alg, matrix, "swap", certificate="unchecked")
+        AlgebraAutomorphism.from_matrix(alg, matrix, "swap")
+    unchecked = unchecked_stack(alg, matrix, "swap")
     with pytest.raises(NotMultiplicative):
         unchecked.check_pairs()
 
@@ -738,7 +800,7 @@ def _d8_lift_matrix(alg, lift, image):
     matrix = np.eye(alg.dimension, dtype=np.int64)
     matrix[:, lift] = image.codes
     data = np.column_stack([matrix[:, alg.filtration.lift_indices], np.ones(alg.dimension, dtype=np.int64)])
-    return AlgebraAutomorphism(alg, matrix, "lift image", certificate="unchecked", data=data[None])
+    return unchecked_stack(alg, matrix, "lift image", data)
 
 
 def test_graded_action_rejects_a_lift_image_outside_its_radical_power(algebra):
@@ -792,7 +854,7 @@ def _fuzz_images(alg, data):
         for i in sorted(set(range(1, g.m + 1)) - mentioned):
             images[i - 1] = ops.add(images[i - 1], data.draw(st.integers(1, q - 1)))
     elif kind == "j2":
-        j2 = alg.filtration.basis(2)[0]
+        j2 = alg.filtration.basis(2)
         coef = data.draw(st.lists(st.integers(0, q - 1), min_size=len(j2), max_size=len(j2)).filter(any))
         i = data.draw(st.integers(0, g.m - 1))
         images[i] = ops.add(images[i], ops.matmul(np.array([coef], dtype=np.int64), j2)[0])

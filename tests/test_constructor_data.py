@@ -2,9 +2,10 @@
 
 An automorphism's data are the images of the Jennings lifts and of the
 socle vector, computed by its constructor with no |G| x |G| matrix; the
-oracle data_by_matrix reads them off the matrix, built on first use.  The
-low-weight coordinate rows behind RadicalFiltration.basis(r) are compared
-with coordinates() of the identity.  A default run must build no matrix.
+oracle data_by_matrix reads them off the matrix, built when asked for.  The
+rows of RadicalFiltration.basis(r), read off in closed form, are compared
+with Jennings monomials multiplied out in kG.  A default run must build
+no matrix.
 """
 
 from __future__ import annotations
@@ -17,11 +18,11 @@ import pytest
 from socle_verify import GF, GroupAlgebra, PcGroup, automorphisms
 from socle_verify.automorphisms import AlgebraAutomorphism, DataMismatch
 from socle_verify.cli import main
-from socle_verify.groupalgebra import column_sums, radical_filtration
+from socle_verify.groupalgebra import column_sums
 from socle_verify.pipeline import RunConfig, RunStageError, prepare, run, sweep_automorphisms
 
 from conftest import shared_algebra
-from oracle_helpers import coordinate_rows_by_identity, data_by_matrix, members
+from oracle_helpers import data_by_matrix, members, radical_power_basis_by_monomials
 
 PRESENTATIONS = Path(__file__).resolve().parents[1] / "perfbench" / "presentations"
 # the benchmark's two presentations, and C2^8
@@ -87,21 +88,29 @@ def test_tampered_data_fail_the_full_check(degree):
         for data in (swapped, wrong):
             if np.array_equal(data, auto.data):
                 continue
-            bad = AlgebraAutomorphism(alg, auto.matrix, auto.provenance, certificate="tampered", data=data[None])
+            bad = AlgebraAutomorphism(alg, data[None], [auto.provenance], "tampered", lambda _: auto.matrix)
             with pytest.raises(DataMismatch):
                 bad.check_pairs()
             with pytest.raises(RunStageError, match=r"\[verify\] DataMismatch"):
                 run(alg, [bad], full_check=True)
 
 
-def test_coordinate_rows_match_the_identity_oracle(group, all_names):
-    groups = [group(name) for name in all_names]
-    groups.append(_presentation_algebra("heis27xc3", 1).group)
-    for g in groups:
-        filt = radical_filtration(g)
-        for r in range(len(filt.dims) + 1):
-            rows = coordinate_rows_by_identity(filt, r)
-            assert np.array_equal(filt.coordinate_rows(r), rows), (g.name, r)
+def test_basis_rows_are_the_high_parts_of_the_lift_words(algebra, all_names):
+    """Row e of basis(r), for the lift word y^e of weight >= r, is
+    sum_f prod_j C(e_j, f_j) (y_j - 1)^(f_j) over the f of weight >= r,
+    with math.comb coefficients and the monomials multiplied out by kG
+    products (radical_power_basis_by_monomials); its coordinates() are
+    those of y^e at weight >= r and vanish below weight r."""
+    algebras = [algebra(name) for name in all_names] + [_presentation_algebra("heis27xc3", 1)]
+    for alg in algebras:
+        filt = alg.filtration
+        words = filt.coordinates(filt.ops, filt.ops.eye(alg.dimension)[:, filt.words])
+        for r in range(len(filt.dims)):
+            high = filt.weights >= r
+            rows = filt.basis(r)
+            assert rows.shape == (filt.dims[r], alg.dimension), (alg.group.name, r)
+            assert np.array_equal(rows, radical_power_basis_by_monomials(alg, r)), (alg.group.name, r)
+            assert np.array_equal(filt.coordinates(filt.ops, rows.T), words[:, high] * high[:, None])
 
 
 def test_empty_stacks_build_nothing(capsys):
@@ -119,15 +128,20 @@ def test_empty_stacks_build_nothing(capsys):
 
 def test_default_order_512_run_builds_no_matrix(monkeypatch):
     """C2^9 over GF(4): a group automorphism, five inner ones and three
-    substitutions verify with the matrix build, the conjugation product
-    and left_mult_matrix patched to raise: the unit inverses, the inner
-    lift and socle images and the substitution socle images are all
-    products by narrow left factors."""
+    substitutions verify with every stack's matrix builder, the
+    conjugation product and left_mult_matrix patched to raise: the unit
+    inverses, the inner lift and socle images and the substitution socle
+    images are all products by narrow left factors."""
     def refuse(*args):
         raise AssertionError("a default run built a |G| x |G| matrix")
 
+    init = AlgebraAutomorphism.__init__
+
+    def refusing_builder(self, algebra, data, provenances, certificate, matrix):
+        init(self, algebra, data, provenances, certificate, refuse)
+
     monkeypatch.setattr(automorphisms, "_conjugation_matrix", refuse)
-    monkeypatch.setattr(AlgebraAutomorphism, "matrix", refuse)
+    monkeypatch.setattr(AlgebraAutomorphism, "__init__", refusing_builder)
     monkeypatch.setattr(GroupAlgebra, "left_mult_matrix", refuse)
     algebra, autos = prepare(RunConfig(
         group="C2^9", presentation="pcgroup p=2 m=9\n", n=2, include_stored=False, seed=7,

@@ -397,14 +397,14 @@ def test_default_run_makes_no_echelon_and_no_socle_products(capsys, monkeypatch,
     assert calls == {}
 
 
-def test_random_substitutions_share_one_echelon(capsys, monkeypatch):
-    # basis(2), the J^2 rows of the tails, is the only elimination of the
-    # run, and it is kept for every draw
+def test_random_substitutions_make_no_echelon(capsys, monkeypatch):
+    # basis(2), the J^2 rows of the tails, is read off in closed form, with
+    # no elimination
     calls = _spy(monkeypatch)
     code, _ = run_cli(capsys, ["run", "--group", "C2xC2xC2", "--field", "2,2",
                                "--auto", "random-subst count=3"])
     assert code == 0
-    assert calls == {"rref": 1}
+    assert calls == {}
 
 
 def test_full_check_runs_the_socle_and_filtration_oracles(capsys, monkeypatch):
@@ -440,6 +440,32 @@ def test_subcommands_make_no_scalar_field_arithmetic(capsys, monkeypatch, argv):
         monkeypatch.setattr(FieldElement, name, refuse)
     code, _ = run_cli(capsys, argv)
     assert calls == [] and code == 0
+
+
+PERFBENCH_PRESENTATIONS = Path(__file__).resolve().parents[1] / "perfbench" / "presentations"
+# the benchmark's large-order commands: each presentation over GF(p) and GF(p^2)
+LARGE_ORDER_RUNS = [
+    ["run", "--presentation", str(PERFBENCH_PRESENTATIONS / name), "--field", field, "--no-stored",
+     "--seed", "7", *[arg for spec in specs for arg in ("--auto", spec)], "--format", "json"]
+    for name, p, specs in (("c2x7.pc", 2, ("random-inner", "group-auto: g1 -> g1 g2", "random-subst")),
+                           ("heis27xc3.pc", 3, ("random-inner count=2", "group-auto: g1 -> g1 g4")))
+    for field in (f"{p}", f"{p},2")
+]
+
+
+@pytest.mark.parametrize("argv", [["sweep", "--seed", "7", "--format", "json"], *LARGE_ORDER_RUNS])
+def test_default_commands_make_no_elimination(capsys, monkeypatch, argv):
+    """The default sweep, on one CPU so that every run is in this process,
+    and the benchmark's large-order runs exit 0 with FieldOps.rref and
+    FieldOps.nullspace made to raise."""
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 1)
+    for name in ("rref", "nullspace"):
+        def refuse(*args, _name=name):
+            raise AssertionError(f"FieldOps.{_name} called")
+
+        monkeypatch.setattr(FieldOps, name, refuse)
+    code, _ = run_cli(capsys, argv)
+    assert code == 0
 
 
 @pytest.mark.parametrize("bad", [-1, MAX_COUNT + 1])
