@@ -3,8 +3,9 @@
 An automorphism is always a member of a stack.  AlgebraAutomorphism holds
 B members of one algebra: their (B, |G|, M+1) data, their B provenances,
 the name of the certificate that makes every member an automorphism (kept
-in pair_check) and a builder of member b's matrix over the group basis
-(columns = images of group elements), which keeps nothing it builds.
+in pair_check) and member b's action, apply(b, x), on the columns of a
+(|G|, k) code array x over the group basis, which keeps nothing it builds.
+Member b's matrix (columns = images of group elements) is apply(b, I).
 Member b's data is the (|G|, M+1) array of the codes of alpha(y_1), ...,
 alpha(y_M), the images of the Jennings lifts in ascending order, and of
 alpha(n), the image of the socle vector
@@ -18,21 +19,27 @@ certificate, passes its name and computes the data from what it holds:
                            checked every defining relation on the images
                            (von Dyck) and that the induced map is bijective;
                            the data are the permutations at the lifts and
-                           the permuted ones vectors
+                           the permuted ones vectors; the action is a row
+                           gather by the inverse permutation
   inners                   "unit-inverse": conjugation by u, whose inverse
                            unit_inverse checked by u u^-1 = 1; alpha(y) is
                            u (y u^-1), y u^-1 a gather of u^-1, and alpha(n)
                            is u (n u^-1), n u^-1 constant; both are products
-                           by the narrow u, gathers over supp(u)
+                           by the narrow u, gathers over supp(u); the action
+                           is L(u) (R(u^-1) x), two dense products, a second
+                           route to the data for check_pairs
   substitutions            "substitution": generator images of augmentation
                            1 that satisfy the presentation's relations in kG
                            extend to an endomorphism (von Dyck), and a
                            nonsingular degree-1 block makes it bijective; the
                            lift images are the lifts' normal-form words in the
                            images, and alpha(n) = prod_j (alpha(y_j) - 1)^(p-1)
-                           in ascending lift order, multiplied from the right
+                           in ascending lift order, multiplied from the right;
+                           the action needs every alpha(g), so it is the
+                           product by the matrix _substitution_matrix builds
   compose                  "composition": of pairs of members; the left
-                           member's matrix applied to the right one's data
+                           member applied to the right one's data and, in
+                           the action, to the right one's action on x
 
 A matrix from outside goes through from_matrix, which checks it in full
 and makes it a one-member stack; its data are its lift columns and its
@@ -51,16 +58,18 @@ block, the check substitutions runs too: the coordinates of
 alpha(y_j) - 1 at the weight-1 Jennings monomials, for the degree-1 lifts
 y_j, must have a nonzero determinant (_degree_one_dets, layer r = 1 of
 the graded action, whose docstring gives the Nakayama argument).  Its
-certificate is "generators".
+certificate is "generators", and its action the product by the matrix.
 
-A member's matrix is built only when check_pairs or compose asks for it,
-and dropped after use, so a stack's memory is its data: compose builds
-each pair's left matrix again when a member is a left factor twice.
-inners, substitutions and compose each build one stack from what they are
-given.  The sources of many members, random_inners, random_substitutions,
-stored_automorphisms and parse_automorphism_specs, yield stacks of at most
-one member_slices chunk each, drawn and built one after another as the
-consumer asks, so a run's memory does not grow with its count.
+A stack's memory is its data: an action builds what it needs on each call
+and drops it, and only check_pairs asks for a whole matrix, apply(b, I).
+compose applies its left member to the right one's (|G|, M+1) data, so
+with a group automorphism or an inner one on the left it takes no
+|G| x |G| matrix product.  inners, substitutions and compose each build
+one stack from what they are given.  The sources of many members,
+random_inners, random_substitutions, stored_automorphisms and
+parse_automorphism_specs, yield stacks of at most one member_slices chunk
+each, drawn and built one after another as the consumer asks, so a run's
+memory does not grow with its count.
 
 check_pairs() is the independent oracle, which the pipeline runs on every
 stack under --full-check.  Member by member it compares the data with the
@@ -163,25 +172,25 @@ class DataMismatch(ValueError):
 
 class AlgebraAutomorphism:
     """A stack of algebra automorphisms of one kG: their data, their
-    provenances, the name of the certificate they share and a builder of
-    each member's matrix.
+    provenances, the name of the certificate they share and each member's
+    action.
 
     The caller holds the certificate: it passes the (B, |G|, M+1) data, B
     provenances, the certificate's name, which pair_check records, and
-    for matrix a function that builds member b's matrix afresh on each
-    call; nothing built is kept.  A matrix from outside goes through
-    from_matrix.
+    for apply a function that returns member b applied to the columns of
+    a (|G|, k) code array x, apply(b, x); nothing it builds is kept.  A
+    matrix from outside goes through from_matrix.
     """
 
     def __init__(self, algebra: GroupAlgebra, data: np.ndarray, provenances: list[str],
-                 certificate: str, matrix):
+                 certificate: str, apply):
         if len(provenances) != len(data):
             raise ValueError(f"{len(data)} automorphisms but {len(provenances)} provenances")
         self.algebra = algebra
         self.data = data
         self.provenance = list(provenances)
         self.pair_check = certificate
-        self.matrix = matrix
+        self.apply = apply
 
     def __len__(self) -> int:
         return len(self.provenance)
@@ -191,18 +200,21 @@ class AlgebraAutomorphism:
     @classmethod
     def from_matrix(cls, algebra: GroupAlgebra, matrix, provenance: str = "matrix") -> "AlgebraAutomorphism":
         """A one-member stack of a matrix from outside, checked in full:
-        its shape, the identity column, augmentations, generator identities
-        and spot check (_check_identities), and a nonzero degree-1 det.  Its
-        data are its lift columns and row sums, and its certificate is
-        "generators"."""
+        its shape, its entries (codes 0 .. q-1), the identity column,
+        augmentations, generator identities and spot check
+        (_check_identities), and a nonzero degree-1 det.  Its data are its
+        lift columns and row sums, its certificate is "generators" and its
+        action the product by the matrix."""
         matrix = np.asarray(matrix, dtype=np.int64)
         if matrix.shape != (algebra.dimension, algebra.dimension):
             raise ValueError("automorphism matrix has the wrong shape")
+        if ((matrix < 0) | (matrix >= algebra.field.q)).any():
+            raise ValueError(f"automorphism matrix entries must be field codes in 0..{algebra.field.q - 1}")
         _check_identities(algebra, matrix)
         data = _data_of(algebra, matrix)[None]
         if _degree_one_dets(algebra, data)[0] == 0:
             raise NotMultiplicative("matrix is not invertible")
-        return cls(algebra, data, [provenance], "generators", lambda b: matrix)
+        return cls(algebra, data, [provenance], "generators", lambda b, x: algebra.ops.matmul(matrix, x))
 
     @classmethod
     def from_group_automorphism(cls, algebra: GroupAlgebra,
@@ -214,11 +226,12 @@ class AlgebraAutomorphism:
         lifts = algebra.filtration.lift_indices
         perms = np.array([gauto.perm for gauto in gautos], dtype=np.int64).reshape(-1, n)
         # the lift images are group elements, and a permutation fixes the
-        # sum of all g; member b's matrix has column g = e_(alpha(g))
+        # sum of all g; member b's matrix has column g = e_(alpha(g)), so
+        # (alpha x)[alpha(g)] = x[g]: a row gather by the inverse permutation
         data = np.ones((len(perms), n, len(lifts) + 1), dtype=np.int64)
         data[:, :, :-1] = perms[:, None, lifts] == np.arange(n)[:, None]
         return cls(algebra, data, [f"group-auto: {gauto.spec_text()}" for gauto in gautos],
-                   "group-automorphism", lambda b: np.eye(n, dtype=np.int64)[:, perms[b]])
+                   "group-automorphism", lambda b, x: x[np.argsort(perms[b])])
 
     @classmethod
     def inners(cls, algebra: GroupAlgebra, units: np.ndarray,
@@ -230,7 +243,9 @@ class AlgebraAutomorphism:
         member.  The lift images u (y u^-1) and the socle image u (n u^-1),
         n u^-1 the augmentation of u^-1 in every entry, are one
         multiply_codes by the narrow left factor u, a sum of gathers over
-        its support; member b's matrix is L(u) R(u^-1).
+        its support.  Member b's action is L(u) (R(u^-1) x), two dense
+        products, so the matrix check_pairs compares the data with comes by
+        a second route.
         """
         units = np.asarray(units, dtype=np.int64)
         inverses = algebra.unit_inverse(units)
@@ -241,8 +256,8 @@ class AlgebraAutomorphism:
         right = np.concatenate([inverses.take(gathers, axis=-1),
                                 np.broadcast_to(sums[:, None, None], (len(units), 1, units.shape[1]))], axis=1)
         data = algebra.multiply_codes(units, right.transpose(0, 2, 1))
-        return cls(algebra, data, provenances, "unit-inverse",
-                   lambda b: _conjugation_matrix(algebra, units[b], inverses[b]))
+        return cls(algebra, data, provenances, "unit-inverse", lambda b, x: algebra.ops.matmul(
+            algebra.left_mult_matrix(units[b]), algebra.ops.matmul(algebra.right_mult_matrix(inverses[b]), x)))
 
     @classmethod
     def substitutions(cls, algebra: GroupAlgebra, images: np.ndarray,
@@ -262,7 +277,9 @@ class AlgebraAutomorphism:
         images are the lifts' normal-form words evaluated on the images, a
         gather for a lift that is a generator, and alpha(n) is the product
         prod_j (alpha(y_j) - 1)^(p-1) in ascending lift order, by stacked kG
-        products from the right, each by one narrow alpha(y_j) - 1.
+        products from the right, each by one narrow alpha(y_j) - 1.  Member
+        b's action is the product by its matrix, which needs every alpha(g)
+        (_substitution_matrix).
         """
         group = algebra.group
         images = np.asarray(images, dtype=np.int64)
@@ -290,26 +307,25 @@ class AlgebraAutomorphism:
         top = functools.reduce(lambda acc, factor: algebra.multiply_codes(factor, acc),
                                factors.transpose(1, 0, 2)[::-1])
         data = np.concatenate([lifts, top[:, None]], axis=1).transpose(0, 2, 1)
-        return cls(algebra, data, provenances, "substitution", lambda b: _substitution_matrix(algebra, images[b]))
+        return cls(algebra, data, provenances, "substitution",
+                   lambda b, x: ops.matmul(_substitution_matrix(algebra, images[b]), x))
 
     @classmethod
     def compose(cls, pairs: list[tuple[tuple[AlgebraAutomorphism, int], tuple[AlgebraAutomorphism, int]]]):
         """alpha after beta for each pair ((alpha's stack, index), (beta's
-        stack, index)) of members of one algebra, as one stack: alpha's
-        matrix applied to beta's data, each left matrix built for its pair
-        and dropped after it."""
+        stack, index)) of members of one algebra, as one stack: alpha applied
+        to beta's data, and member k's action alpha's applied to beta's."""
         algebra = pairs[0][0][0].algebra
         if any(stack.algebra is not algebra for pair in pairs for stack, _ in pair):
             raise FieldMismatch("automorphisms act on different algebras")
-        ops = algebra.ops
 
-        def build(k: int) -> np.ndarray:
+        def apply(k: int, x: np.ndarray) -> np.ndarray:
             (left, i), (right, j) = pairs[k]
-            return ops.matmul(left.matrix(i), right.matrix(j))
+            return left.apply(i, right.apply(j, x))
 
-        return cls(algebra, np.stack([ops.matmul(left.matrix(i), right.data[j]) for (left, i), (right, j) in pairs]),
+        return cls(algebra, np.stack([left.apply(i, right.data[j]) for (left, i), (right, j) in pairs]),
                    [f"compose: {left.provenance[i]} ; {right.provenance[j]}" for (left, i), (right, j) in pairs],
-                   "composition", build)
+                   "composition", apply)
 
     # -- checks ----------------------------------------------------------------------
 
@@ -317,7 +333,8 @@ class AlgebraAutomorphism:
         """Oracle, member by member: data, generator identities, spot check
         and rank, then alpha(g)alpha(h) = alpha(gh).
 
-        The data must equal the matrix's lift columns and row sums, or
+        Member b's matrix is its action on the identity, apply(b, I).  The
+        data must equal the matrix's lift columns and row sums, or
         DataMismatch is raised.  The literal check runs on group elements.
         Every pair is tried when |G| <= FULL_PAIR_CHECK_LIMIT, an O(|G|^4)
         product; beyond that, 10*|G| seeded sample pairs are tried and
@@ -341,7 +358,7 @@ class AlgebraAutomorphism:
             g = rng.randrange(n)
             sampled.setdefault(g, []).append(rng.randrange(n))
         for b, data in enumerate(self.data):
-            matrix = self.matrix(b)
+            matrix = self.apply(b, ops.eye(n))
             if not np.array_equal(data, _data_of(alg, matrix)):
                 raise DataMismatch("lift or socle images differ from the matrix's lift columns and row sums")
             _check_identities(alg, matrix)
@@ -381,8 +398,7 @@ def _check_identities(alg: GroupAlgebra, matrix: np.ndarray) -> None:
     rng = random.Random(0xA5_5A)
     q = alg.field.q
     for _ in range(2):
-        x = np.array([rng.randrange(q) for _ in range(n)], dtype=np.int64)
-        y = np.array([rng.randrange(q) for _ in range(n)], dtype=np.int64)
+        x, y = (np.array([rng.randrange(q) for _ in range(n)], dtype=np.int64) for _ in range(2))
         lhs_v = ops.matvec(matrix, alg.multiply_codes(x, y))
         rhs_v = alg.multiply_codes(ops.matvec(matrix, x), ops.matvec(matrix, y))
         if not np.array_equal(lhs_v, rhs_v):
@@ -494,11 +510,6 @@ def _data_of(alg: GroupAlgebra, matrix: np.ndarray) -> np.ndarray:
     """The data of a matrix: its lift columns, then its row sums, alpha(sum of all g)."""
     return np.concatenate([matrix[:, alg.filtration.lift_indices],
                            column_sums(alg.ops, matrix.T)[:, None]], axis=1)
-
-
-def _conjugation_matrix(alg: GroupAlgebra, unit: np.ndarray, inverse: np.ndarray) -> np.ndarray:
-    """L(u) R(u^-1), the matrix of x -> u x u^-1."""
-    return alg.ops.matmul(alg.left_mult_matrix(unit), alg.right_mult_matrix(inverse))
 
 
 def _substitution_matrix(alg: GroupAlgebra, images: np.ndarray) -> np.ndarray:

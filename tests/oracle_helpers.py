@@ -20,7 +20,8 @@ The data by matrix are an automorphism's lift images and socle image read
 off its dense matrix, as verification read them before each constructor
 computed them on its own.  The unchecked stack holds a matrix under no
 certificate, as the constructor built one when told "unchecked", before
-a matrix from outside had to pass from_matrix.  The radical-power basis
+a matrix from outside had to pass from_matrix; its action is the product
+by the matrix.  The radical-power basis
 by monomials is RadicalFiltration.basis(r) summed from Jennings
 monomials multiplied out in kG, with math.comb coefficients.
 The product by matrix is GroupAlgebra.multiply_codes as it was before
@@ -41,8 +42,9 @@ PcGroup._generators_among, PcGroup._closure_indices and FieldOps.nullspace
 as they were before their index sets became boolean index masks.
 
 Member and members view each member of the package's automorphism
-stacks as one automorphism, with its own matrix, data and provenance,
-so that the oracles written for one automorphism read stack members.
+stacks as one automorphism, with its own action, data and provenance and
+its matrix, the action on the identity, so that the oracles written for
+one automorphism read stack members.
 
 The small helpers (center, subgroup_closure, presentation_text,
 in_row_space, layer_ranks, pbw_dimension, apply_automorphism, ...) are
@@ -662,9 +664,13 @@ class Member:
         self.index = index
         self.algebra = stack.algebra
 
+    def apply(self, x):
+        """This member applied to the columns of a (|G|, k) code array x."""
+        return self.stack.apply(self.index, x)
+
     @functools.cached_property
     def matrix(self):
-        return self.stack.matrix(self.index)
+        return self.apply(np.eye(self.algebra.dimension, dtype=np.int64))
 
     @property
     def data(self):
@@ -681,19 +687,20 @@ class Member:
     def alone(self):
         """A one-member stack of this member, with its certificate and data."""
         return AlgebraAutomorphism(self.algebra, self.data[None], [self.provenance], self.pair_check,
-                                   lambda _: self.matrix)
+                                   lambda _, x: self.apply(x))
 
 
 def unchecked_stack(algebra, matrix, provenance, data=None):
     """A one-member stack of a matrix under the certificate "unchecked":
     nothing is checked, so a bad matrix reaches check_pairs and
     verify_stack.  Its (|G|, M+1) data are the lift columns and row sums
-    of the matrix unless given."""
+    of the matrix unless given, and its action the product by the matrix."""
     matrix = np.asarray(matrix, dtype=np.int64)
     if data is None:
         data = np.column_stack([matrix[:, algebra.filtration.lift_indices],
                                 algebra.ops.matvec(matrix, np.ones(algebra.dimension, dtype=np.int64))])
-    return AlgebraAutomorphism(algebra, data[None], [provenance], "unchecked", lambda _: matrix)
+    return AlgebraAutomorphism(algebra, data[None], [provenance], "unchecked",
+                               lambda _, x: algebra.ops.matmul(matrix, x))
 
 
 def members(stacks):

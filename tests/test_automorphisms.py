@@ -213,15 +213,28 @@ def _augmentation_map(alg):
     return matrix
 
 
-# (matrix on k[C8] over GF(2), whether the generator identities are
-# skipped, error, message) for every check of from_matrix
+def _with_code(code):
+    """The identity with one off-diagonal entry set to code."""
+    def build(alg):
+        matrix = np.eye(alg.dimension, dtype=np.int64)
+        matrix[1, 2] = code
+        return matrix
+    return build
+
+
+# (degree n of the field GF(2^n), matrix on k[C8], whether the generator
+# identities are skipped, error, message) for every check of from_matrix
 FROM_MATRIX_REJECTIONS = {
-    "wrong shape": (lambda alg: np.eye(alg.dimension - 1, dtype=np.int64), False, ValueError, "wrong shape"),
-    "identity column": (_moved_identity, False, NotMultiplicative, "does not fix the identity"),
-    "augmentation": (_augmentation_zero, False, NotMultiplicative, "augmentation != 1"),
-    "generator identity": (_swap, False, NotMultiplicative, "generator identity fails"),
-    "spot check": (_swap, True, NotMultiplicative, "sampled product is not preserved"),
-    "singular degree-1 block": (_augmentation_map, False, NotMultiplicative, "not invertible"),
+    "wrong shape": (1, lambda alg: np.eye(alg.dimension - 1, dtype=np.int64), False, ValueError, "wrong shape"),
+    **{f"code {text} over GF({2**n})": (n, _with_code(code), False, ValueError,
+                                        re.escape(f"field codes in 0..{2**n - 1}"))
+       for n, codes in ((2, (("4", 4), ("2^40", 2**40), ("-1", -1))), (1, (("2", 2), ("2^40", 2**40), ("-1", -1))))
+       for text, code in codes},
+    "identity column": (1, _moved_identity, False, NotMultiplicative, "does not fix the identity"),
+    "augmentation": (1, _augmentation_zero, False, NotMultiplicative, "augmentation != 1"),
+    "generator identity": (1, _swap, False, NotMultiplicative, "generator identity fails"),
+    "spot check": (1, _swap, True, NotMultiplicative, "sampled product is not preserved"),
+    "singular degree-1 block": (1, _augmentation_map, False, NotMultiplicative, "not invertible"),
 }
 
 
@@ -229,9 +242,10 @@ FROM_MATRIX_REJECTIONS = {
 def test_from_matrix_rejects(monkeypatch, case):
     """from_matrix runs every check of a matrix from outside, in order; the
     spot check is reached with the generator identities skipped, which
-    alone imply multiplicativity."""
-    alg = GroupAlgebra(catalog("C8"), GF(2))
-    build, skip_generators, error, message = FROM_MATRIX_REJECTIONS[case]
+    alone imply multiplicativity.  An entry outside the field's codes
+    0..q-1 is rejected by name, before any check reads it as a code."""
+    n, build, skip_generators, error, message = FROM_MATRIX_REJECTIONS[case]
+    alg = GroupAlgebra(catalog("C8"), GF(2, n))
     if skip_generators:
         monkeypatch.setattr(alg.group, "generator_indices", [])
     with pytest.raises(error, match=message):
@@ -241,9 +255,10 @@ def test_from_matrix_rejects(monkeypatch, case):
 def test_from_matrix_keeps_its_matrix_and_reads_its_data(algebra):
     alg = algebra("D8", 2)
     stored = AlgebraAutomorphism.from_group_automorphism(alg, alg.group.stored_automorphisms()[:1])
-    auto = AlgebraAutomorphism.from_matrix(alg, stored.matrix(0).tolist(), "outside")
+    matrix = Member(stored, 0).matrix
+    auto = AlgebraAutomorphism.from_matrix(alg, matrix.tolist(), "outside")
     assert (len(auto), auto.provenance, auto.pair_check) == (1, ["outside"], "generators")
-    assert np.array_equal(auto.data, stored.data) and np.array_equal(auto.matrix(0), stored.matrix(0))
+    assert np.array_equal(auto.data, stored.data) and np.array_equal(Member(auto, 0).matrix, matrix)
     assert verify_stack([auto])[0].as_dict() == {**verify_stack([stored])[0].as_dict(), "provenance": "outside"}
 
 
@@ -380,7 +395,7 @@ def test_pair_check_modes(algebra, monkeypatch):
     g = alg.group
     auto = AlgebraAutomorphism.from_group_automorphism(alg, g.stored_automorphisms()[:1])
     assert auto.pair_check == "group-automorphism"
-    assert AlgebraAutomorphism.from_matrix(alg, auto.matrix(0)).pair_check == "generators"
+    assert AlgebraAutomorphism.from_matrix(alg, Member(auto, 0).matrix).pair_check == "generators"
     assert alg.dimension <= FULL_PAIR_CHECK_LIMIT
     auto.check_pairs()
     assert auto.pair_check == "full"
@@ -710,8 +725,8 @@ def test_spec_parser_default_seed(algebra):
     (a1,) = parse_automorphism_specs(alg, "random-inner", default_seed=5)
     (a2,) = parse_automorphism_specs(alg, "random-inner", default_seed=5)
     (a3,) = parse_automorphism_specs(alg, "random-inner", default_seed=6)
-    assert np.array_equal(a1.matrix(0), a2.matrix(0))
-    assert not np.array_equal(a1.matrix(0), a3.matrix(0))
+    assert np.array_equal(Member(a1, 0).matrix, Member(a2, 0).matrix)
+    assert not np.array_equal(Member(a1, 0).matrix, Member(a3, 0).matrix)
 
 
 def test_random_substitution_matches_contract():

@@ -846,7 +846,7 @@ def test_pipeline_seed_fallback_changes_output():
     _, c = prepare(RunConfig(seed=2, **base))
     import numpy as np
 
-    a, b, c = (next(stacks).matrix(0) for stacks in (a, b, c))
+    a, b, c = (next(stacks).apply(0, np.eye(8, dtype=np.int64)) for stacks in (a, b, c))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
